@@ -292,7 +292,9 @@ let fuzz_cmd =
       exit 2
     end;
     if workers < 0 then begin
-      Printf.eprintf "bvf fuzz: --workers must be >= 1\n";
+      Printf.eprintf
+        "bvf fuzz: --workers must be >= 0 (0, the default, runs \
+         unsupervised)\n";
       exit 2
     end;
     if workers > 0 && jobs > 1 then begin
@@ -336,6 +338,23 @@ let fuzz_cmd =
     let prof =
       match profile with Some _ -> Prof.session () | None -> Prof.null
     in
+    let abort_env msg =
+      Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
+      exit 3
+    in
+    (* the closing output of a sharded run, whichever executor ran it *)
+    let finish_sharded ~t0 ?report (result : Parallel.result) =
+      (match trace with
+       | Some path ->
+         append_profile path result.Parallel.pr_stats
+           ~wall_s:(Mclock.elapsed_s ~since:t0)
+       | None -> ());
+      write_profile prof profile;
+      Format.printf "%a" Parallel.pp_summary result;
+      Option.iter (Format.printf "%a" Supervisor.pp_report) report;
+      Printf.printf "merged digest: %s\n" (Parallel.digest result);
+      print_findings result.Parallel.pr_stats
+    in
     if workers > 0 then begin
       arm_signals ();
       let quarantine =
@@ -351,15 +370,11 @@ let fuzz_cmd =
       let t0 = Mclock.now_s () in
       let outcome =
         try
-          Supervisor.run ~log_level ?trace
-            ?failslab_rate:
-              (if failslab_rate > 0.0 then Some failslab_rate else None)
-            ?failslab_seed ~checkpoint_every ~deadline_s:deadline
-            ~max_restarts ~quarantine ~prof ~stop:stopped ~workers ~seed
-            ~iterations ~dir:state_dir strategy config
-        with Campaign.Environment msg ->
-          Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
-          exit 3
+          Supervisor.run ~log_level ?trace ~failslab_rate ?failslab_seed
+            ~checkpoint_every ~deadline_s:deadline ~max_restarts ~quarantine
+            ~prof ~stop:stopped ~workers ~seed ~iterations ~dir:state_dir
+            strategy config
+        with Campaign.Environment msg -> abort_env msg
       in
       match outcome with
       | Supervisor.Interrupted report ->
@@ -370,41 +385,19 @@ let fuzz_cmd =
         Format.printf "%a" Supervisor.pp_report report;
         exit (if !stop_sig <> 0 then !stop_sig else 130)
       | Supervisor.Completed (result, report) ->
-        (match trace with
-         | Some path ->
-           append_profile path result.Parallel.pr_stats
-             ~wall_s:(Mclock.elapsed_s ~since:t0)
-         | None -> ());
-        write_profile prof profile;
-        Format.printf "%a" Parallel.pp_summary result;
-        Format.printf "%a" Supervisor.pp_report report;
-        Printf.printf "merged digest: %s\n" (Parallel.digest result);
-        print_findings result.Parallel.pr_stats
+        finish_sharded ~t0 ~report result
     end
     else if jobs > 1 then begin
       let t0 = Mclock.now_s () in
       let result =
         try
-          Parallel.run ~jobs ?trace ~log_level
-            ?failslab_rate:
-              (if failslab_rate > 0.0 then Some failslab_rate else None)
-            ?failslab_seed
+          Parallel.run ~jobs ?trace ~log_level ~failslab_rate ?failslab_seed
             ?on_step:(Option.map Progress.observer progress)
             ~prof ~seed ~iterations strategy config
-        with Campaign.Environment msg ->
-          Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
-          exit 3
+        with Campaign.Environment msg -> abort_env msg
       in
       Option.iter Progress.finish progress;
-      (match trace with
-       | Some path ->
-         append_profile path result.Parallel.pr_stats
-           ~wall_s:(Mclock.elapsed_s ~since:t0)
-       | None -> ());
-      write_profile prof profile;
-      Format.printf "%a" Parallel.pp_summary result;
-      Printf.printf "merged digest: %s\n" (Parallel.digest result);
-      print_findings result.Parallel.pr_stats
+      finish_sharded ~t0 result
     end
     else begin
       arm_signals ();
@@ -447,7 +440,7 @@ let fuzz_cmd =
           Campaign.run
             ~telemetry ~log_level ~prof:cprof
             ~checkpoint_every
-            ?checkpoint_path
+            ?checkpoint:(Option.map Campaign.checkpoint_to checkpoint_path)
             ?failslab
             ?resume_from
             ~stop:stopped
@@ -458,8 +451,7 @@ let fuzz_cmd =
             ~seed ~iterations strategy config
         with Campaign.Environment msg ->
           Telemetry.close telemetry;
-          Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
-          exit 3
+          abort_env msg
       in
       Telemetry.close telemetry;
       Option.iter Progress.finish progress;
@@ -696,31 +688,28 @@ let repro_cmd =
     Printf.printf "hunting %s (%s: %s)...\n"
       (Kconfig.bug_to_string bug)
       component description;
-    let c = Campaign.create ~seed Campaign.bvf_strategy config in
     let budget = 60_000 in
-    let rec hunt i =
-      if i >= budget then
-        Printf.printf "not reproduced within %d programs\n" budget
-      else begin
-        Campaign.step c;
-        match
-          Hashtbl.fold
-            (fun _ (f : Campaign.found) acc ->
-               if f.Campaign.fd_finding.Oracle.f_bug = Some bug then Some f
-               else acc)
-            c.Campaign.stats.Campaign.st_findings None
-        with
-        | Some f ->
-          Printf.printf "reproduced at iteration %d:\n  %s\n\nprogram:\n"
-            f.Campaign.fd_iteration
-            (Oracle.finding_to_string f.Campaign.fd_finding);
-          print_string
-            (Disasm.prog_to_string
-               f.Campaign.fd_request.Verifier.r_insns)
-        | None -> hunt (i + 1)
-      end
+    let hit = ref None in
+    let look (c : Campaign.t) =
+      hit :=
+        Hashtbl.fold
+          (fun _ (f : Campaign.found) acc ->
+             if f.Campaign.fd_finding.Oracle.f_bug = Some bug then Some f
+             else acc)
+          c.Campaign.stats.Campaign.st_findings None
     in
-    hunt 0
+    ignore
+      (Campaign.run ~on_step:look ~stop:(fun () -> !hit <> None) ~seed
+         ~iterations:budget Campaign.bvf_strategy config
+       : Campaign.stats);
+    match !hit with
+    | Some f ->
+      Printf.printf "reproduced at iteration %d:\n  %s\n\nprogram:\n"
+        f.Campaign.fd_iteration
+        (Oracle.finding_to_string f.Campaign.fd_finding);
+      print_string
+        (Disasm.prog_to_string f.Campaign.fd_request.Verifier.r_insns)
+    | None -> Printf.printf "not reproduced within %d programs\n" budget
   in
   Cmd.v
     (Cmd.info "repro"

@@ -588,8 +588,18 @@ let resume ?(sample_every = 64) ?(telemetry = Telemetry.null)
 
 (* -- Driving ----------------------------------------------------------- *)
 
+(* Persist a barrier snapshot to [path]: the [checkpoint] hook of a
+   campaign checkpointed to one file (bvf fuzz --checkpoint). *)
+let checkpoint_to (path : string) (c : t) : unit =
+  match save_checkpoint c ~path with
+  | Ok () -> ()
+  | Error e ->
+    raise
+      (Environment
+         ("checkpoint write failed: " ^ Checkpoint.error_to_string e))
+
 let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
-    ?checkpoint_every ?checkpoint_path ?failslab ?resume_from ?skip
+    ?checkpoint_every ?checkpoint ?failslab ?resume_from ?skip
     ?stop ?on_step ~(seed : int) ~(iterations : int)
     (strategy : strategy) (config : Kconfig.t) : t =
   let c =
@@ -609,22 +619,14 @@ let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
     | Some n when n > 0 -> c.stats.st_generated mod n = 0
     | Some _ | None -> false
   in
+  (* the Checkpoint event goes out before the save, so a saved trace
+     offset (the supervisor's workers record one) already covers it *)
   let save_now () =
-    match checkpoint_path with
-    | Some path -> begin
-        match
-          Bvf_util.Prof.span c.prof "checkpoint" (fun () ->
-              save_checkpoint c ~path)
-        with
-        | Ok () ->
-          Telemetry.emit c.telemetry
-            (Telemetry.Checkpoint { iter = c.stats.st_generated })
-        | Error e ->
-          raise
-            (Environment
-               ("checkpoint write failed: "
-                ^ Checkpoint.error_to_string e))
-      end
+    match checkpoint with
+    | Some save ->
+      Telemetry.emit c.telemetry
+        (Telemetry.Checkpoint { iter = c.stats.st_generated });
+      Bvf_util.Prof.span c.prof "checkpoint" (fun () -> save c)
     | None -> ()
   in
   let stopped () = match stop with Some f -> f () | None -> false in
@@ -670,11 +672,11 @@ let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
   c
 
 let run ?sample_every ?telemetry ?log_level ?prof ?checkpoint_every
-    ?checkpoint_path ?failslab ?resume_from ?skip ?stop ?on_step
+    ?checkpoint ?failslab ?resume_from ?skip ?stop ?on_step
     ~(seed : int) ~(iterations : int) (strategy : strategy)
     (config : Kconfig.t) : stats =
   (run_t ?sample_every ?telemetry ?log_level ?prof ?checkpoint_every
-     ?checkpoint_path ?failslab ?resume_from ?skip ?stop ?on_step ~seed
+     ?checkpoint ?failslab ?resume_from ?skip ?stop ?on_step ~seed
      ~iterations strategy config)
     .stats
 

@@ -57,9 +57,9 @@ type stats = {
   mutable st_quarantined : int;
       (** corpus entries quarantined by the reboot-storm breaker *)
   mutable st_skipped : int;
-      (** iterations skipped ({!step_skip}) because a previous run's
-          harness crash quarantined them; disturbed work accounted for,
-          never silently dropped *)
+      (** iterations skipped (the [skip] hook of {!run}) because a
+          previous run's harness crash quarantined them; disturbed work
+          accounted for, never silently dropped *)
   mutable st_lint : int;
       (** invariant-lint violations observed on accepted programs
           (only when the config enables {!Bvf_kernel.Kconfig.t.lint});
@@ -144,28 +144,6 @@ type t = {
           never touches the RNG, the telemetry sink or the digest. *)
 }
 
-val reboot : t -> unit
-
-val create :
-  ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
-  ?prof:Bvf_util.Prof.t -> ?failslab:Bvf_kernel.Failslab.t -> seed:int ->
-  strategy -> Bvf_kernel.Kconfig.t -> t
-
-val step : t -> unit
-(** One fuzzing iteration: generate (or mutate), load, run, classify.
-    Transient environment errors are retried (a plain retry, then a
-    reboot before the final attempt); fatal reports reboot the kernel
-    and feed the reboot-storm breaker. *)
-
-val step_skip : t -> unit
-(** Skip one harness-crash-quarantined iteration: consume exactly the
-    generation-phase RNG draws {!step} would (corpus pick + generate),
-    bump [st_generated]/[st_skipped] and emit a
-    {!Telemetry.event.Quarantined} event, but never load or run the
-    program.  A supervised restart skipping iteration [i] and a
-    fault-free campaign told up front to skip [i] perform the same
-    state transition, which keeps the two runs digest-comparable. *)
-
 (** {1 Checkpointing}
 
     Everything needed to continue a campaign from disk.  The simulated
@@ -216,41 +194,61 @@ val resume :
     kernel version, or config — or is a merged artifact
     ([sn_merged]). *)
 
+val checkpoint_to : string -> t -> unit
+(** [checkpoint_to path] is a [checkpoint] hook for {!run}: it saves
+    the campaign's snapshot to [path] ({!save_checkpoint}).
+    @raise Environment when the write fails. *)
+
 val run_t :
   ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
   ?prof:Bvf_util.Prof.t ->
-  ?checkpoint_every:int -> ?checkpoint_path:string ->
+  ?checkpoint_every:int -> ?checkpoint:(t -> unit) ->
   ?failslab:Bvf_kernel.Failslab.t -> ?resume_from:snapshot ->
   ?skip:(int -> bool) -> ?stop:(unit -> bool) ->
   ?on_step:(t -> unit) -> seed:int ->
   iterations:int -> strategy -> Bvf_kernel.Kconfig.t -> t
 (** Like {!run} but returns the whole campaign, giving callers (the
-    parallel shard runner, the supervisor's workers, tests) access to
-    the final coverage map and corpus alongside the stats. *)
+    shard executors, tests) access to the final coverage map and corpus
+    alongside the stats. *)
 
 val run :
   ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
   ?prof:Bvf_util.Prof.t ->
-  ?checkpoint_every:int -> ?checkpoint_path:string ->
+  ?checkpoint_every:int -> ?checkpoint:(t -> unit) ->
   ?failslab:Bvf_kernel.Failslab.t -> ?resume_from:snapshot ->
   ?skip:(int -> bool) -> ?stop:(unit -> bool) ->
   ?on_step:(t -> unit) -> seed:int ->
   iterations:int -> strategy -> Bvf_kernel.Kconfig.t -> stats
-(** Drive [iterations] steps.  Every [checkpoint_every] completed
-    iterations (absolute count, so resumed runs hit the same barriers)
-    the campaign writes a checkpoint to [checkpoint_path] (if given) and
-    reboots the kernel — the barrier that makes resume deterministic.
-    The closing coverage sample is deduplicated by iteration, so
-    finalizing a campaign twice (or on a sample boundary) never records
-    the same iteration twice.  [skip] selects iterations to pass to
-    {!step_skip} instead of {!step} (the harness-crash quarantine).
-    [stop] is polled after every completed iteration; when it returns
-    true the campaign writes a final checkpoint, reboots (the exact
-    barrier sequence, run once even when the stop lands on a scheduled
-    barrier) and returns early — the SIGINT/SIGTERM path.  [on_step]
-    (the [--progress] observer) is called after each completed
-    iteration, outside the deterministic core: it must not mutate the
-    campaign.
+(** Drive [iterations] steps, from a fresh campaign or from
+    [resume_from] ({!resume}); this is the only code that steps a
+    campaign.  One iteration generates (or mutates) a program, loads
+    and runs it, and classifies the outcome.  Transient environment
+    errors are retried (a plain retry, then a reboot before the final
+    attempt); fatal reports reboot the kernel and feed the
+    reboot-storm breaker.
+
+    Every [checkpoint_every] completed iterations (absolute count, so
+    resumed runs hit the same barriers) the campaign emits a
+    [Checkpoint] trace event, calls [checkpoint] (if given; e.g.
+    {!checkpoint_to}) and reboots the kernel — the barrier that makes
+    resume deterministic.  The closing coverage sample is deduplicated
+    by iteration, so finalizing a campaign twice (or on a sample
+    boundary) never records the same iteration twice.
+
+    [skip i] is called before every iteration [i] (the count of
+    iterations done so far); when it returns true the iteration is
+    skipped instead of run: it consumes exactly the generation-phase
+    RNG draws a real iteration would (corpus pick + generate), bumps
+    [st_generated]/[st_skipped] and emits a [Quarantined] event, but
+    never loads the program.  A supervised restart skipping [i] and a
+    fault-free campaign told up front to skip [i] perform the same
+    state transition — the harness-crash quarantine.  [stop] is polled
+    after every completed iteration; when it returns true the campaign
+    runs the barrier sequence (once, even when the stop lands on a
+    scheduled barrier) and returns early — the SIGINT/SIGTERM path.
+    [on_step] (the [--progress] observer) is called after each
+    completed iteration, outside the deterministic core: it must not
+    mutate the campaign.
     @raise Environment on checkpoint write failure. *)
 
 val pp_summary : Format.formatter -> stats -> unit

@@ -31,8 +31,12 @@ open Cimport
 
    Determinism contract: for fixed (seed, jobs, config, strategy) every
    shard result and the merged stats/digest are identical across runs
-   and machines; [jobs = 1] delegates to {!Campaign.run_t} and is
-   bit-identical to the sequential path. *)
+   and machines; [jobs = 1] runs {!Campaign.run_t} in the calling
+   domain and is digest- and trace-identical to the sequential path.
+
+   The forked-process executor ({!Supervisor}) shares this module's
+   shard setup ({!with_shard}) and join ({!join}), so the two executors
+   differ only in where a shard's {!Campaign.run_t} runs. *)
 
 type shard = {
   sh_index : int;
@@ -212,8 +216,7 @@ let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
          merged);
     }
 
-let merge_corpora ~(jobs : int) ?(max_size = 256) (shards : shard list) :
-  Corpus.t =
+let merge_corpora ~(jobs : int) (shards : shard list) : Corpus.t =
   List.concat_map
     (fun sh ->
        List.map
@@ -224,21 +227,142 @@ let merge_corpora ~(jobs : int) ?(max_size = 256) (shards : shard list) :
                   e.Corpus.added_at })
          sh.sh_corpus)
     shards
-  |> Corpus.of_entries ~max_size
+  |> Corpus.of_entries
+
+(* -- Shard setup --------------------------------------------------------- *)
+
+(* The trace file shard [i] writes.  A one-shard run writes [trace]
+   itself, so its trace is byte-identical to a sequential campaign's;
+   otherwise each shard writes its own file, with iterations already
+   rewritten to global numbering, and the join merges them. *)
+let shard_trace_path ~(jobs : int) (trace : string) (i : int) : string =
+  if jobs = 1 then trace else trace ^ ".shard" ^ string_of_int i
+
+type shard_env = {
+  se_seed : int;
+  se_failslab : Bvf_kernel.Failslab.t option;
+  se_telemetry : Telemetry.sink;
+}
+
+(* Build shard [i]'s inputs and run [f] on them inside one top-level
+   "iterate" span on the shard's profiler track [prof].  The campaign's
+   phase spans nest inside it, so the span's self time is the
+   per-iteration harness overhead (RNG, corpus, telemetry emission).
+   [trace_pos] reopens an existing shard trace at a checkpointed offset
+   instead of truncating it.  The sink is closed when [f] returns or
+   raises. *)
+let with_shard ~(jobs : int) ~(seed : int) ~(failslab_rate : float option)
+    ~(failslab_seed : int option) ~(trace : string option)
+    ~(trace_pos : int option) ~(prof : Bvf_util.Prof.t) (i : int)
+    (f : shard_env -> 'a) : 'a =
+  Bvf_util.Prof.span prof "iterate" @@ fun () ->
+  let telemetry =
+    match trace with
+    | None -> Telemetry.null
+    | Some path -> (
+      let iter_map = global_iteration ~jobs ~shard:i in
+      let path = shard_trace_path ~jobs path i in
+      match trace_pos with
+      | Some pos -> Telemetry.reopen ~iter_map path ~pos
+      | None -> Telemetry.create ~iter_map path)
+  in
+  let failslab =
+    match failslab_rate with
+    | Some rate when rate > 0.0 ->
+      Some
+        (Bvf_kernel.Failslab.create ~rate
+           ~seed:(Option.value failslab_seed ~default:seed + i)
+           ())
+    | Some _ | None -> None
+  in
+  Fun.protect ~finally:(fun () -> Telemetry.close telemetry) @@ fun () ->
+  f { se_seed = seed + i; se_failslab = failslab; se_telemetry = telemetry }
+
+(* -- The join -------------------------------------------------------------- *)
+
+let shard_of_snapshot ~(index : int) (s : Campaign.snapshot) : shard =
+  {
+    sh_index = index;
+    sh_seed = s.Campaign.sn_seed;
+    sh_iterations = s.Campaign.sn_completed;
+    sh_stats = s.Campaign.sn_stats;
+    sh_corpus = Corpus.entries s.Campaign.sn_corpus;
+    sh_edges = Coverage.named_edges s.Campaign.sn_cov;
+  }
+
+(* The one join every executor ends with.  [finals] holds shard
+   results by index: a final snapshot, or the exception the shard died
+   with.  A failure only surfaces here, after the caller has collected
+   every shard, so nothing is left running when it is re-raised. *)
+let join ~(jobs : int) ~(trace : string option)
+    ~(prof : Bvf_util.Prof.t)
+    (finals : (int * (Campaign.snapshot, exn) Stdlib.result) list) : result =
+  let shard_paths =
+    match trace with
+    | Some t when jobs > 1 -> List.init jobs (shard_trace_path ~jobs t)
+    | Some _ | None -> []
+  in
+  let remove_shard_traces () =
+    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) shard_paths
+  in
+  let shards =
+    List.map
+      (function
+        | index, Ok s -> shard_of_snapshot ~index s
+        | _, Error e ->
+          remove_shard_traces ();
+          raise e)
+      finals
+  in
+  (match trace with
+   | Some into when shard_paths <> [] ->
+     Bvf_util.Prof.span prof "trace-merge" (fun () ->
+         ignore (Telemetry.merge_shards ~into shard_paths);
+         remove_shard_traces ())
+   | Some _ | None -> ());
+  if shards = [] then
+    raise (Campaign.Environment "no shard left a result to merge");
+  let cov = Coverage.create () in
+  Bvf_util.Prof.span prof "absorb" (fun () ->
+      List.iter
+        (fun sh -> ignore (Coverage.absorb_named cov sh.sh_edges))
+        shards);
+  Bvf_util.Prof.span prof "merge" (fun () ->
+      {
+        pr_jobs = jobs;
+        pr_iterations =
+          List.fold_left (fun acc sh -> acc + sh.sh_iterations) 0 shards;
+        pr_stats = merge_stats ~jobs cov shards;
+        pr_cov = cov;
+        pr_corpus = merge_corpora ~jobs shards;
+        pr_shards = shards;
+      })
+
+(* A join's result as a snapshot: [template]'s identity (tool, kernel,
+   seed, config flags), the merged state, and no RNG stream
+   ([sn_merged]) — reportable and re-mergeable, never resumable. *)
+let snapshot_of_result (template : Campaign.snapshot) (r : result) :
+  Campaign.snapshot =
+  { template with
+    Campaign.sn_completed = r.pr_iterations;
+    sn_merged = true;
+    sn_rng = 0L;
+    sn_failslab = Bvf_kernel.Failslab.off ();
+    sn_corpus = r.pr_corpus;
+    sn_cov = r.pr_cov;
+    sn_stats = r.pr_stats;
+  }
 
 (* Offline checkpoint merge (bvf merge): fold independent campaign
-   snapshots into one reportable snapshot through the same machinery the
-   in-process join uses.  Every input keeps its own (already global)
-   iteration numbers, so the shards are built with [sh_index = 0] and
-   merged with [jobs = 1] — [global_iteration] degenerates to the
-   identity and nothing is renumbered.  The result is associative and
-   commutative on everything {!Campaign.digest} covers (counts, errno
-   and reason tables, findings-at-earliest-iteration, curve, vstats,
-   union coverage); only the corpus, which is capped and re-scored, and
-   the wall-clock phase timers fall outside that guarantee — both are
-   deliberately outside the digest too.  The merged snapshot carries no
-   RNG stream ([sn_merged]): it can be merged again, reported, seeded
-   from — but never resumed. *)
+   snapshots into one reportable snapshot through the join.  Every
+   input keeps its own (already global) iteration numbers, so all enter
+   as shard 0 of a [jobs = 1] join — [global_iteration] degenerates to
+   the identity and nothing is renumbered.  The result is associative
+   and commutative on everything {!Campaign.digest} covers (counts,
+   errno and reason tables, findings-at-earliest-iteration, curve,
+   vstats, union coverage); only the corpus, which is capped and
+   re-scored, and the wall-clock phase timers fall outside that
+   guarantee — both are deliberately outside the digest too. *)
 let merge_snapshots (snapshots : Campaign.snapshot list) :
   Campaign.snapshot =
   match snapshots with
@@ -268,59 +392,11 @@ let merge_snapshots (snapshots : Campaign.snapshot list) :
              (Campaign.Environment
                 "cannot merge checkpoints taken under different configs"))
       rest;
-    let shards =
-      List.map
-        (fun (s : Campaign.snapshot) ->
-           {
-             sh_index = 0;
-             sh_seed = s.Campaign.sn_seed;
-             sh_iterations = s.Campaign.sn_completed;
-             sh_stats = s.Campaign.sn_stats;
-             sh_corpus = Corpus.entries s.Campaign.sn_corpus;
-             sh_edges = Coverage.named_edges s.Campaign.sn_cov;
-           })
-        snapshots
-    in
-    let cov = Coverage.create () in
-    List.iter
-      (fun sh -> ignore (Coverage.absorb_named cov sh.sh_edges))
-      shards;
-    {
-      Campaign.sn_tool = first.Campaign.sn_tool;
-      sn_kernel = first.Campaign.sn_kernel;
-      sn_seed = first.Campaign.sn_seed;
-      sn_sanitize = first.Campaign.sn_sanitize;
-      sn_unprivileged = first.Campaign.sn_unprivileged;
-      sn_witness = first.Campaign.sn_witness;
-      sn_lint = first.Campaign.sn_lint;
-      sn_completed =
-        List.fold_left
-          (fun acc (s : Campaign.snapshot) ->
-             acc + s.Campaign.sn_completed)
-          0 snapshots;
-      sn_merged = true;
-      sn_rng = 0L;
-      sn_failslab = Bvf_kernel.Failslab.off ();
-      sn_corpus = merge_corpora ~jobs:1 shards;
-      sn_cov = cov;
-      sn_stats = merge_stats ~jobs:1 cov shards;
-    }
+    snapshot_of_result first
+      (join ~jobs:1 ~trace:None ~prof:Bvf_util.Prof.disabled
+         (List.map (fun s -> (0, Ok s)) snapshots))
 
 (* -- Driving ----------------------------------------------------------- *)
-
-let shard_of_campaign ~(index : int) ~(seed : int) ~(iterations : int)
-    (c : Campaign.t) : shard =
-  {
-    sh_index = index;
-    sh_seed = seed;
-    sh_iterations = iterations;
-    sh_stats = c.Campaign.stats;
-    sh_corpus = Corpus.entries c.Campaign.corpus;
-    sh_edges = Coverage.named_edges c.Campaign.cov;
-  }
-
-let shard_trace_path (trace : string) (i : int) : string =
-  trace ^ ".shard" ^ string_of_int i
 
 let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
     ?failslab_seed ?on_step ?(prof = Bvf_util.Prof.null) ~(jobs : int)
@@ -338,99 +414,34 @@ let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
   let main_prof =
     Bvf_util.Prof.track prof ~name:"coordinator" jobs
   in
-  let plan_for (i : int) : Bvf_kernel.Failslab.t option =
-    match failslab_rate with
-    | Some rate when rate > 0.0 ->
-      Some
-        (Bvf_kernel.Failslab.create ~rate
-           ~seed:(Option.value failslab_seed ~default:seed + i)
-           ())
-    | Some _ | None -> None
+  let run_shard (i : int) : Campaign.snapshot =
+    with_shard ~jobs ~seed ~failslab_rate ~failslab_seed ~trace
+      ~trace_pos:None ~prof:shard_prof.(i) i
+    @@ fun sh ->
+    Campaign.snapshot
+      (Campaign.run_t ~sample_every ~telemetry:sh.se_telemetry ?log_level
+         ~prof:shard_prof.(i) ?failslab:sh.se_failslab
+         ?on_step:(Option.map (fun f -> f i) on_step)
+         ~seed:sh.se_seed ~iterations:counts.(i) strategy config)
   in
-  (* Each shard writes its own trace file with iterations already
-     rewritten to global numbering; the join merges them into [trace].
-     With [jobs = 1] the mapping is the identity and the shard writes
-     [trace] directly, so the trace is byte-identical to a sequential
-     campaign's. *)
-  let sink_for (i : int) : Telemetry.sink =
-    match trace with
-    | None -> Telemetry.null
-    | Some path when jobs = 1 -> Telemetry.create path
-    | Some path ->
-      Telemetry.create
-        ~iter_map:(fun local -> global_iteration ~jobs ~shard:i local)
-        (shard_trace_path path i)
-  in
-  let run_shard (i : int) : Campaign.t =
-    (* the whole shard body is one top-level "iterate" span; the
-       campaign's per-phase spans nest inside it, so the span's self
-       time is exactly the per-iteration harness overhead (RNG, corpus,
-       telemetry emission) the ROADMAP wants named *)
-    Bvf_util.Prof.span shard_prof.(i) "iterate" (fun () ->
-        let telemetry = sink_for i in
-        let on_step = Option.map (fun f -> f i) on_step in
-        let c =
-          Campaign.run_t ~sample_every ~telemetry ?log_level
-            ~prof:shard_prof.(i) ?failslab:(plan_for i) ?on_step
-            ~seed:(seed + i) ~iterations:counts.(i) strategy config
-        in
-        Telemetry.close telemetry;
-        c)
-  in
-  if jobs = 1 then begin
-    (* the sequential path, verbatim: same calls in the same domain, so
-       stats and digest are bit-identical to Campaign.run *)
-    let c = run_shard 0 in
-    let sh = shard_of_campaign ~index:0 ~seed ~iterations c in
-    {
-      pr_jobs = 1;
-      pr_iterations = iterations;
-      pr_stats = c.Campaign.stats;
-      pr_cov = c.Campaign.cov;
-      pr_corpus = c.Campaign.corpus;
-      pr_shards = [ sh ];
-    }
-  end
-  else begin
-    let domains =
-      Bvf_util.Prof.span main_prof "spawn" (fun () ->
-          Array.init jobs (fun i -> Domain.spawn (fun () -> run_shard i)))
-    in
-    let shards =
+  let finals =
+    if jobs = 1 then
+      (* the sequential path: same calls in the calling domain *)
+      [ (0, Ok (run_shard 0)) ]
+    else begin
+      let domains =
+        Bvf_util.Prof.span main_prof "spawn" (fun () ->
+            Array.init jobs (fun i -> Domain.spawn (fun () -> run_shard i)))
+      in
+      (* every domain is joined, even after one raised: the join
+         re-raises the first shard's exception only once no shard is
+         left running *)
       Bvf_util.Prof.span main_prof "join" (fun () ->
-          Array.to_list
-            (Array.mapi
-               (fun i d ->
-                  shard_of_campaign ~index:i ~seed:(seed + i)
-                    ~iterations:counts.(i) (Domain.join d))
-               domains))
-    in
-    (match trace with
-     | Some path ->
-       Bvf_util.Prof.span main_prof "trace-merge" (fun () ->
-           let shard_paths =
-             List.init jobs (fun i -> shard_trace_path path i)
-           in
-           ignore (Telemetry.merge_shards ~into:path shard_paths);
-           List.iter
-             (fun p -> if Sys.file_exists p then Sys.remove p)
-             shard_paths)
-     | None -> ());
-    let cov = Coverage.create () in
-    Bvf_util.Prof.span main_prof "absorb" (fun () ->
-        List.iter
-          (fun sh -> ignore (Coverage.absorb_named cov sh.sh_edges))
-          shards);
-    Bvf_util.Prof.span main_prof "merge" (fun () ->
-        {
-          pr_jobs = jobs;
-          pr_iterations = iterations;
-          pr_stats = merge_stats ~jobs cov shards;
-          pr_cov = cov;
-          pr_corpus = merge_corpora ~jobs shards;
-          pr_shards = shards;
-        })
-  end
+          List.init jobs (fun i ->
+              (i, try Ok (Domain.join domains.(i)) with e -> Error e)))
+    end
+  in
+  join ~jobs ~trace ~prof:main_prof finals
 
 let digest (r : result) : string = Campaign.digest r.pr_stats
 

@@ -10,8 +10,9 @@
 
     Shard-local iteration [j] of shard [s] maps to global iteration
     [j * jobs + s] (round-robin lockstep); with [jobs = 1] this is the
-    identity and {!run} delegates to {!Campaign.run_t}, making the
-    single-job path bit-identical to the sequential campaign. *)
+    identity and {!run} runs {!Campaign.run_t} in the calling domain,
+    making the single-job path digest- and trace-identical to the
+    sequential campaign. *)
 
 (** One shard's outcome, in portable form. *)
 type shard = {
@@ -27,6 +28,8 @@ type shard = {
 type result = {
   pr_jobs : int;
   pr_iterations : int;
+      (** iterations the shards completed: the whole budget, unless a
+          supervised worker was retired *)
   pr_stats : Campaign.stats;
       (** merged: union coverage count, findings deduplicated at their
           earliest global iteration, counters and histograms summed, and
@@ -47,26 +50,64 @@ val shard_iterations : iterations:int -> jobs:int -> int array
 val global_iteration : jobs:int -> shard:int -> int -> int
 (** [global_iteration ~jobs ~shard local] is [local * jobs + shard]. *)
 
-val merge_stats :
-  jobs:int -> Bvf_verifier.Coverage.t -> shard list -> Campaign.stats
-(** Fold shard stats into one merged stats against the given union
-    coverage map.  Deterministic in the shard list order.
-    @raise Invalid_argument on an empty shard list. *)
+val shard_trace_path : jobs:int -> string -> int -> string
+(** [shard_trace_path ~jobs trace i] is the trace file shard [i]
+    writes: [trace] itself when [jobs = 1], else
+    [trace ^ ".shard" ^ i]. *)
 
-val merge_corpora : jobs:int -> ?max_size:int -> shard list -> Corpus.t
+(** {1 One shard setup and one join}
 
-val shard_trace_path : string -> int -> string
-(** [shard_trace_path trace i] is [trace ^ ".shard" ^ i] — the
-    per-shard telemetry file both this runner and the {!Supervisor}
-    workers write, so their merged traces come out byte-identical. *)
+    Both executors — domains ({!run}) and forked processes
+    ({!Supervisor.run}) — build a shard with {!with_shard}, step it with
+    {!Campaign.run_t}, and fold the results with {!join}; their merged
+    digests and traces are therefore byte-identical. *)
+
+(** Shard [i]'s inputs. *)
+type shard_env = {
+  se_seed : int;  (** [seed + i] *)
+  se_failslab : Bvf_kernel.Failslab.t option;
+      (** seeded [failslab_seed + i] (default [seed + i]) when
+          [failslab_rate > 0] *)
+  se_telemetry : Telemetry.sink;
+      (** writes {!shard_trace_path}, iterations rewritten to global
+          numbering; {!Telemetry.null} without a trace *)
+}
+
+val with_shard :
+  jobs:int -> seed:int -> failslab_rate:float option ->
+  failslab_seed:int option -> trace:string option -> trace_pos:int option ->
+  prof:Bvf_util.Prof.t -> int -> (shard_env -> 'a) -> 'a
+(** [with_shard ... ~prof i f] builds shard [i]'s inputs and runs [f]
+    inside one top-level "iterate" span on the track [prof].  With
+    [trace_pos] the shard trace is {!Telemetry.reopen}ed at that offset
+    (a restarted worker) instead of truncated.  The sink is closed when
+    [f] returns or raises. *)
+
+val join :
+  jobs:int -> trace:string option ->
+  prof:Bvf_util.Prof.t ->
+  (int * (Campaign.snapshot, exn) Stdlib.result) list -> result
+(** [join ~jobs ~trace ~prof finals] folds shard results:
+    each [(i, Ok s)] is shard [i]'s final snapshot, renumbered from
+    local to global iterations.  With a trace and [jobs > 1] the shard
+    trace files are merged into [trace] and removed.  If any entry is
+    [Error e], the shard traces are removed and the first such [e] is
+    re-raised.  The coverage union, stats merge and corpus merge are
+    recorded as "trace-merge", "absorb" and "merge" spans on [prof].
+    @raise Campaign.Environment when no shard left a result. *)
+
+val snapshot_of_result : Campaign.snapshot -> result -> Campaign.snapshot
+(** [snapshot_of_result template r] is the join result [r] as a
+    snapshot with [template]'s tool, kernel, seed and config flags and
+    [sn_merged] set: reportable and re-mergeable, not resumable. *)
 
 val merge_snapshots :
   Campaign.snapshot list -> Campaign.snapshot
 (** Offline checkpoint merge (the [bvf merge] core): fold independent
     campaign snapshots — per-worker checkpoints, or checkpoints fuzzed
-    on different machines — into one reportable snapshot.  Inputs keep
-    their own (already global) iteration numbers; nothing is
-    renumbered.  Associative and commutative on everything
+    on different machines — into one reportable snapshot through
+    {!join}.  Inputs keep their own (already global) iteration numbers;
+    nothing is renumbered.  Associative and commutative on everything
     {!Campaign.digest} covers (the capped, re-scored corpus and the
     summed wall-clock phase timers are the only order-sensitive fields,
     and both are outside the digest).  The result has [sn_merged] set:
@@ -87,7 +128,7 @@ val run :
     domains.  Shard [i] fuzzes with seed [seed + i] (and, when
     [failslab_rate > 0], a fault plan seeded [failslab_seed + i],
     defaulting [failslab_seed] to [seed]).  [jobs = 1] runs in the
-    calling domain and is bit-identical to {!Campaign.run}.
+    calling domain and is digest-identical to {!Campaign.run}.
 
     [trace] writes a {!Telemetry} JSONL stream: each shard writes
     [trace ^ ".shard" ^ i] with iterations rewritten to global
@@ -105,7 +146,9 @@ val run :
     profiled run's digest and trace are byte-identical to an
     unprofiled one.
     @raise Invalid_argument when [jobs < 1].
-    @raise Campaign.Environment if any shard raises it. *)
+    @raise Campaign.Environment (or any other exception) if a shard
+    raises it: every domain is joined and the shard trace files are
+    removed first, and the lowest-indexed shard's exception wins. *)
 
 val digest : result -> string
 (** {!Campaign.digest} of the merged stats: one canonical hex digest for

@@ -3,25 +3,33 @@ open Cimport
 (* Supervised campaign runner: the {!Parallel} sharding scheme run
    across forked OS processes under a heartbeat watchdog, so an
    analyzer crash or hang costs one worker one segment — not the
-   campaign.  The protocol is plain files under the state directory:
+   campaign.  Each worker runs its shard with Campaign.run_t, built by
+   the same Parallel.with_shard a domain uses, and the supervisor folds
+   the final worker checkpoints with the same Parallel.join.  The
+   protocol is plain files under the state directory:
 
      worker-<i>.ckpt   incremental checkpoint (worker_snapshot)
      worker-<i>.hb     heartbeat, atomically renamed before every step
      worker-<i>.done   completion marker (exit 0 without it = crash)
      worker-<i>.err    last uncaught exception, for post-mortems
+     worker-<i>.prof   profiler spans handed to the parent (--profile)
      quarantine.list   global iterations implicated by a crash
      crash-NNN.json    one Triage.harness_crash artifact per kill
+
+   plus, with a trace, the shard trace <trace>.shard<i> beside it.
 
    Determinism: a worker replays its segment from the last barrier
    checkpoint exactly (same RNG stream, same reboot schedule), except
    for quarantined iterations, which burn the iteration's generation
-   draws without loading (Campaign.step_skip).  A disturbed run is
+   draws without loading (run_t's [skip] hook).  A disturbed run is
    therefore digest-comparable to a fault-free run given the same
    quarantine set — the chaos harness's oracle. *)
 
 (* /2: Campaign.stats gained the per-phase minor-words attribution
-   fields (st_gen_w..st_exec_w), changing the marshalled layout. *)
-let worker_tag = "bvf-worker/2"
+   fields (st_gen_w..st_exec_w), changing the marshalled layout.
+   /3: a one-worker run writes the trace file itself instead of
+   <trace>.shard0, so wk_trace_pos is an offset into a different file. *)
+let worker_tag = "bvf-worker/3"
 
 type worker_snapshot = {
   wk_shard : int;
@@ -186,223 +194,13 @@ let unix_signal (sg : int) : int =
 
 (* Renumber a worker checkpoint's local iterations to global ones so it
    can enter Parallel.merge_snapshots (the bvf merge path for
-   checkpoints salvaged from a killed run).  A single-shard merge
-   through the Parallel machinery does exactly the remap. *)
+   checkpoints salvaged from a killed run): a one-shard join does
+   exactly the remap. *)
 let globalize (w : worker_snapshot) : Campaign.snapshot =
   let s = w.wk_snapshot in
-  let sh =
-    {
-      Parallel.sh_index = w.wk_shard;
-      sh_seed = s.Campaign.sn_seed;
-      sh_iterations = s.Campaign.sn_completed;
-      sh_stats = s.Campaign.sn_stats;
-      sh_corpus = Corpus.entries s.Campaign.sn_corpus;
-      sh_edges = Coverage.named_edges s.Campaign.sn_cov;
-    }
-  in
-  let cov = Coverage.create () in
-  ignore (Coverage.absorb_named cov sh.Parallel.sh_edges);
-  { s with
-    Campaign.sn_merged = true;
-    sn_rng = 0L;
-    sn_failslab = Bvf_kernel.Failslab.off ();
-    sn_cov = cov;
-    sn_corpus = Parallel.merge_corpora ~jobs:w.wk_workers [ sh ];
-    sn_stats = Parallel.merge_stats ~jobs:w.wk_workers cov [ sh ];
-  }
-
-(* -- Worker (child process) --------------------------------------------- *)
-
-type wargs = {
-  wa_shard : int;
-  wa_workers : int;
-  wa_seed : int;
-  wa_iterations : int;  (* local budget *)
-  wa_dir : string;
-  wa_checkpoint_every : int;
-  wa_sample_every : int;
-  wa_log_level : int;
-  wa_trace : string option;
-  wa_failslab_rate : float option;
-  wa_failslab_seed : int option;
-  wa_fault : (worker:int -> local:int -> global:int -> unit) option;
-  wa_profile : bool;
-      (* record profiler spans in the child and hand them to the parent
-         via the worker-<i>.prof protocol file at clean exit *)
-  wa_strategy : Campaign.strategy;
-  wa_config : Kconfig.t;
-}
-
-(* Runs in the forked child; never returns (Unix._exit only, so the
-   parent's at_exit hooks and buffers are untouched). *)
-let worker_main (a : wargs) : unit =
-  let stop = ref 0 in
-  Sys.set_signal Sys.sigterm
-    (Sys.Signal_handle (fun _ -> stop := 143));
-  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := 130));
-  let shard = a.wa_shard and jobs = a.wa_workers in
-  let global local = Parallel.global_iteration ~jobs ~shard local in
-  let ckpt = ckpt_path a.wa_dir shard in
-  try
-    (* local iterations quarantined for this shard *)
-    let quarantined : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun g ->
-         if g >= 0 && g mod jobs = shard then
-           Hashtbl.replace quarantined (g / jobs) ())
-      (quarantine_of_file (quarantine_path a.wa_dir));
-    (* resume from the last barrier checkpoint when one exists; a
-       corrupt one falls back to a fresh deterministic replay from
-       iteration 0, which reaches the same barriers *)
-    let existing =
-      if Sys.file_exists ckpt then
-        match load_worker ~path:ckpt with
-        | Ok w -> Some w
-        | Error _ -> None
-      else None
-    in
-    let sink =
-      match a.wa_trace with
-      | None -> Telemetry.null
-      | Some t ->
-        let path = Parallel.shard_trace_path t shard in
-        let iter_map local = global local in
-        (match existing with
-         | Some w -> Telemetry.reopen ~iter_map path ~pos:w.wk_trace_pos
-         | None -> Telemetry.create ~iter_map path)
-    in
-    let plan =
-      match a.wa_failslab_rate with
-      | Some rate when rate > 0.0 ->
-        Some
-          (Bvf_kernel.Failslab.create ~rate
-             ~seed:
-               (Option.value a.wa_failslab_seed ~default:a.wa_seed
-                + shard)
-             ())
-      | Some _ | None -> None
-    in
-    (* the child records into its own session (the parent's lives in
-       another process); spans reach the parent through the
-       worker-<i>.prof file written at clean exit, and align with the
-       parent's because Mclock timestamps are absolute *)
-    let psession =
-      if a.wa_profile then Bvf_util.Prof.session ()
-      else Bvf_util.Prof.null
-    in
-    let prof =
-      Bvf_util.Prof.track psession
-        ~name:(Printf.sprintf "worker%d" shard) shard
-    in
-    let c =
-      match existing with
-      | Some w ->
-        Campaign.resume ~sample_every:a.wa_sample_every ~telemetry:sink
-          ~log_level:a.wa_log_level ~prof a.wa_strategy a.wa_config
-          w.wk_snapshot
-      | None ->
-        Campaign.create ~sample_every:a.wa_sample_every ~telemetry:sink
-          ~log_level:a.wa_log_level ~prof ?failslab:plan
-          ~seed:(a.wa_seed + shard) a.wa_strategy a.wa_config
-    in
-    let seq = ref 0 in
-    let heartbeat (local : int) : unit =
-      Bvf_util.Prof.span prof "heartbeat" @@ fun () ->
-      incr seq;
-      atomic_write (hb_path a.wa_dir shard)
-        (Printf.sprintf "%d %d %d %d\n" !seq local (global local)
-           (Unix.getpid ()));
-      (* at most the in-flight iteration's events are lost to SIGKILL *)
-      Telemetry.flush sink
-    in
-    let last_saved = ref c.Campaign.stats.Campaign.st_generated in
-    let save_worker () : unit =
-      Bvf_util.Prof.span prof "checkpoint" @@ fun () ->
-      let pos = Telemetry.pos sink in
-      (match
-         Checkpoint.save ~path:ckpt ~tag:worker_tag
-           { wk_shard = shard; wk_workers = jobs; wk_trace_pos = pos;
-             wk_snapshot = Campaign.snapshot c }
-       with
-       | Ok () -> ()
-       | Error e ->
-         failwith
-           ("worker checkpoint write failed: "
-            ^ Checkpoint.error_to_string e));
-      last_saved := c.Campaign.stats.Campaign.st_generated
-    in
-    (* a stop (SIGTERM/SIGINT) acts as an extra barrier: checkpoint,
-       then exit; resume performs the post-save reboot *)
-    let stop_exit () : unit =
-      if c.Campaign.stats.Campaign.st_generated <> !last_saved then begin
-        Telemetry.emit sink
-          (Telemetry.Checkpoint
-             { iter = c.Campaign.stats.Campaign.st_generated });
-        save_worker ()
-      end;
-      Telemetry.close sink;
-      Unix._exit !stop
-    in
-    let at_barrier () =
-      a.wa_checkpoint_every > 0
-      && c.Campaign.stats.Campaign.st_generated mod a.wa_checkpoint_every
-         = 0
-    in
-    (* one top-level span covering the worker's whole fuzzing segment,
-       mirroring Parallel's per-shard "iterate"; left open (and the
-       profile unsaved) on the stop_exit path — interrupted runs carry
-       no profile *)
-    let fr_iter = Bvf_util.Prof.start prof "iterate" in
-    while c.Campaign.stats.Campaign.st_generated < a.wa_iterations do
-      if !stop <> 0 then stop_exit ();
-      let local = c.Campaign.stats.Campaign.st_generated in
-      heartbeat local;
-      if Hashtbl.mem quarantined local then Campaign.step_skip c
-      else begin
-        (match a.wa_fault with
-         | Some f -> f ~worker:shard ~local ~global:(global local)
-         | None -> ());
-        Campaign.step c
-      end;
-      if !stop <> 0 then stop_exit ()
-      else if at_barrier () then begin
-        (* barrier: the Checkpoint event goes out before the position
-           is recorded, so a restart resumes just after it and an
-           undisturbed worker writes the same trace bytes *)
-        Telemetry.emit sink
-          (Telemetry.Checkpoint
-             { iter = c.Campaign.stats.Campaign.st_generated });
-        save_worker ();
-        Campaign.reboot c
-      end
-    done;
-    (* closing sample, deduplicated exactly like Campaign.run_t so a
-       fault-free supervised shard equals a Parallel.run shard *)
-    let final =
-      { Campaign.sa_iteration = c.Campaign.stats.Campaign.st_generated;
-        sa_edges = Coverage.edge_count c.Campaign.cov }
-    in
-    c.Campaign.stats.Campaign.st_curve <-
-      final
-      :: List.filter
-        (fun (sa : Campaign.sample) ->
-           sa.Campaign.sa_iteration <> final.Campaign.sa_iteration)
-        c.Campaign.stats.Campaign.st_curve;
-    save_worker ();
-    ignore (Bvf_util.Prof.stop prof fr_iter);
-    (* spans must be on disk before the done marker: once the parent
-       sees worker-<i>.done it may read the profile immediately *)
-    if a.wa_profile then
-      Bvf_util.Prof.save (prof_path a.wa_dir shard) prof;
-    atomic_write (done_path a.wa_dir shard) "ok\n";
-    Telemetry.close sink;
-    Unix._exit 0
-  with e ->
-    (try
-       atomic_write (err_path a.wa_dir shard)
-         (Printexc.to_string e ^ "\n")
-     with _ -> ());
-    Unix._exit 70
+  Parallel.snapshot_of_result s
+    (Parallel.join ~jobs:w.wk_workers ~trace:None
+       ~prof:Bvf_util.Prof.disabled [ (w.wk_shard, Ok s) ])
 
 (* -- Supervisor (parent process) ---------------------------------------- *)
 
@@ -491,24 +289,106 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   in
   write_quarantine dir !quarantine_set;
   let crashes = ref [] (* newest first *) and ncrashes = ref 0 in
-  let wargs (i : int) : wargs =
-    {
-      wa_shard = i;
-      wa_workers = workers;
-      wa_seed = seed;
-      wa_iterations = counts.(i);
-      wa_dir = dir;
-      wa_checkpoint_every = checkpoint_every;
-      wa_sample_every = sample_every;
-      wa_log_level = log_level;
-      wa_trace = trace;
-      wa_failslab_rate = failslab_rate;
-      wa_failslab_seed = failslab_seed;
-      wa_fault = fault;
-      wa_profile = Bvf_util.Prof.active prof;
-      wa_strategy = strategy;
-      wa_config = config;
-    }
+  (* Runs in the forked child and never returns (Unix._exit only, so the
+     parent's at_exit hooks and buffers are untouched).  The shard is an
+     ordinary Campaign.run_t: barrier saves go through its [checkpoint]
+     hook, SIGTERM/SIGINT through its [stop] poll, and its [skip] hook
+     is the once-per-iteration pre-step that writes the heartbeat, runs
+     the fault hook and skips quarantined iterations. *)
+  let worker (i : int) : unit =
+    let stop = ref 0 in
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := 143));
+    Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := 130));
+    let global local = Parallel.global_iteration ~jobs:workers ~shard:i local in
+    let ckpt = ckpt_path dir i in
+    try
+      (* local iterations quarantined for this shard *)
+      let quarantined : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+      List.iter
+        (fun g ->
+           if g >= 0 && g mod workers = i then
+             Hashtbl.replace quarantined (g / workers) ())
+        (quarantine_of_file (quarantine_path dir));
+      (* resume from the last barrier checkpoint when one exists; a
+         missing or corrupt one means a fresh deterministic replay from
+         iteration 0, which reaches the same barriers *)
+      let existing = Result.to_option (load_worker ~path:ckpt) in
+      let completed =
+        match existing with
+        | Some w -> w.wk_snapshot.Campaign.sn_completed
+        | None -> 0
+      in
+      (* the child records into its own session (the parent's lives in
+         another process); spans reach the parent through the
+         worker-<i>.prof file written at clean exit, and align with the
+         parent's because Mclock timestamps are absolute *)
+      let track =
+        Bvf_util.Prof.track
+          (if Bvf_util.Prof.active prof then Bvf_util.Prof.session ()
+           else Bvf_util.Prof.null)
+          ~name:(Printf.sprintf "worker%d" i) i
+      in
+      Parallel.with_shard ~jobs:workers ~seed ~failslab_rate ~failslab_seed
+        ~trace ~trace_pos:(Option.map (fun w -> w.wk_trace_pos) existing)
+        ~prof:track i
+      @@ (fun sh ->
+          (* the Checkpoint event is already in the trace when the
+             offset is taken, so a restart resumes just after it and an
+             undisturbed worker writes the same trace bytes *)
+          let save (c : Campaign.t) : unit =
+            match
+              Checkpoint.save ~path:ckpt ~tag:worker_tag
+                { wk_shard = i; wk_workers = workers;
+                  wk_trace_pos = Telemetry.pos sh.Parallel.se_telemetry;
+                  wk_snapshot = Campaign.snapshot c }
+            with
+            | Ok () -> ()
+            | Error e ->
+              failwith
+                ("worker checkpoint write failed: "
+                 ^ Checkpoint.error_to_string e)
+          in
+          let seq = ref 0 in
+          let pre_step (local : int) : bool =
+            Bvf_util.Prof.span track "heartbeat" (fun () ->
+                incr seq;
+                atomic_write (hb_path dir i)
+                  (Printf.sprintf "%d %d %d %d\n" !seq local (global local)
+                     (Unix.getpid ()));
+                (* at most the in-flight iteration's events are lost to
+                   SIGKILL *)
+                Telemetry.flush sh.Parallel.se_telemetry);
+            Hashtbl.mem quarantined local
+            || begin
+              Option.iter (fun f -> f ~worker:i ~local ~global:(global local))
+                fault;
+              false
+            end
+          in
+          let c =
+            Campaign.run_t ~sample_every ~telemetry:sh.Parallel.se_telemetry
+              ~log_level ~prof:track ?failslab:sh.Parallel.se_failslab
+              ?resume_from:(Option.map (fun w -> w.wk_snapshot) existing)
+              ~checkpoint_every ~checkpoint:save ~skip:pre_step
+              ~stop:(fun () -> !stop <> 0)
+              ~seed:sh.Parallel.se_seed ~iterations:(counts.(i) - completed)
+              strategy config
+          in
+          (* a stop already saved inside run_t; resume performs the
+             post-save reboot *)
+          if !stop = 0 then
+            Bvf_util.Prof.span track "checkpoint" (fun () -> save c));
+      if !stop <> 0 then Unix._exit !stop;
+      (* spans must be on disk before the done marker: once the parent
+         sees worker-<i>.done it may read the profile immediately *)
+      if Bvf_util.Prof.active prof then
+        Bvf_util.Prof.save (prof_path dir i) track;
+      atomic_write (done_path dir i) "ok\n";
+      Unix._exit 0
+    with e ->
+      (try atomic_write (err_path dir i) (Printexc.to_string e ^ "\n")
+       with _ -> ());
+      Unix._exit 70
   in
   let spawn (i : int) : wstate =
     remove_if_exists (hb_path dir i);
@@ -518,7 +398,7 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
     flush stderr;
     match Unix.fork () with
     | 0 ->
-      (try worker_main (wargs i) with _ -> ());
+      (try worker i with _ -> ());
       Unix._exit 70
     | pid ->
       Running
@@ -664,12 +544,7 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   let fr_join = Bvf_util.Prof.start sup_prof "join" in
   let finals =
     Array.init workers (fun i ->
-        let p = ckpt_path dir i in
-        if Sys.file_exists p then
-          match load_worker ~path:p with
-          | Ok w -> Some w
-          | Error _ -> None
-        else None)
+        Result.to_option (load_worker ~path:(ckpt_path dir i)))
   in
   let rp_workers =
     Array.to_list
@@ -709,67 +584,29 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   let outcome =
     if !interrupting then Interrupted report
     else begin
-    (* merge the final worker checkpoints exactly the way Parallel's
-       in-process join merges shard results *)
-    (match trace with
-     | None -> ()
-     | Some t ->
-       (* a retired worker's trace may carry events past its last
-          barrier; trim to the checkpointed offset so the merged trace
-          matches the merged stats *)
-       Array.iteri
-         (fun i final ->
-            let p = Parallel.shard_trace_path t i in
-            if Sys.file_exists p then
-              match final with
-              | Some w ->
-                let fd = Unix.openfile p [ Unix.O_WRONLY ] 0o644 in
-                Unix.ftruncate fd w.wk_trace_pos;
-                Unix.close fd
-              | None -> remove_if_exists p)
-         finals;
-       let shard_paths =
-         List.init workers (fun i -> Parallel.shard_trace_path t i)
-       in
-       ignore (Telemetry.merge_shards ~into:t shard_paths);
-       List.iter remove_if_exists shard_paths);
-    let shards =
-      List.filter_map
-        (fun i ->
-           match finals.(i) with
-           | None -> None
-           | Some w ->
-             Some
-               {
-                 Parallel.sh_index = i;
-                 sh_seed = seed + i;
-                 sh_iterations = w.wk_snapshot.Campaign.sn_completed;
-                 sh_stats = w.wk_snapshot.Campaign.sn_stats;
-                 sh_corpus = Corpus.entries w.wk_snapshot.Campaign.sn_corpus;
-                 sh_edges = Coverage.named_edges w.wk_snapshot.Campaign.sn_cov;
-               })
-        (List.init workers Fun.id)
-    in
-    if shards = [] then
-      raise
-        (Campaign.Environment
-           "supervised campaign: no worker produced a checkpoint to merge");
-    let cov = Coverage.create () in
-    List.iter
-      (fun sh -> ignore (Coverage.absorb_named cov sh.Parallel.sh_edges))
-      shards;
-    let result =
-      {
-        Parallel.pr_jobs = workers;
-        pr_iterations = iterations;
-        pr_stats = Parallel.merge_stats ~jobs:workers cov shards;
-        pr_cov = cov;
-        pr_corpus = Parallel.merge_corpora ~jobs:workers shards;
-        pr_shards = shards;
-      }
-    in
-    Completed (result, report)
-  end
+      (* a retired worker's trace may carry events past its last
+         barrier; trim to the checkpointed offset so the merged trace
+         matches the merged stats *)
+      Option.iter
+        (fun t ->
+           Array.iteri
+             (fun i final ->
+                let p = Parallel.shard_trace_path ~jobs:workers t i in
+                if Sys.file_exists p then
+                  match final with
+                  | Some w -> Unix.truncate p w.wk_trace_pos
+                  | None -> remove_if_exists p)
+             finals)
+        trace;
+      let shards =
+        List.filter_map
+          (fun i -> Option.map (fun w -> (i, Ok w.wk_snapshot)) finals.(i))
+          (List.init workers Fun.id)
+      in
+      Completed
+        (Parallel.join ~jobs:workers ~trace ~prof:sup_prof shards,
+         report)
+    end
   in
   (* fold each completed worker's spans back into the parent session;
      a crashed or interrupted worker never wrote its profile, so its

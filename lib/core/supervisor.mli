@@ -7,10 +7,14 @@
     campaign across {b forked OS worker processes} under a watchdog:
 
     - each worker runs one deterministic shard (seed [seed + i], the
-      round-robin split of {!Parallel.shard_iterations}), writing an
-      incremental checkpoint ([worker-<i>.ckpt]) at every
-      [checkpoint_every] barrier and a heartbeat file
-      ([worker-<i>.hb]) before every iteration;
+      round-robin split of {!Parallel.shard_iterations}) with
+      {!Campaign.run_t}, set up by the same {!Parallel.with_shard} a
+      domain uses.  Its own parts ride on [run_t]'s hooks: [skip]
+      writes a heartbeat file ([worker-<i>.hb]) before every
+      iteration, runs the [fault] hook and skips quarantined
+      iterations; [checkpoint] writes the incremental checkpoint
+      ([worker-<i>.ckpt]) at every [checkpoint_every] barrier; [stop]
+      polls SIGTERM/SIGINT;
     - the supervisor polls heartbeats and child exits: a non-zero
       exit, a fatal signal, or a heartbeat older than [deadline_s]
       kills the worker and restarts it from its last checkpoint with
@@ -18,17 +22,17 @@
     - every kill is recorded as a {!Triage.harness_crash} artifact
       ([crash-NNN.json]) and the implicated iteration is {b
       quarantined} ([quarantine.list]): the restarted worker replays
-      its segment deterministically but {!Campaign.step_skip}s the
-      quarantined iteration, so a deterministic crasher cannot wedge
-      the pool;
+      its segment deterministically but skips the quarantined
+      iteration, so a deterministic crasher cannot wedge the pool;
     - a worker that exceeds [max_restarts] is {b retired}: the pool
       shrinks, its last checkpoint still joins the merge, and the
       abandoned remainder of its shard is reported — never silently
       dropped;
-    - the join reuses {!Parallel}'s merge machinery, so a fault-free
-      supervised run produces the same merged stats, digest and trace
-      bytes as [Parallel.run ~jobs:workers] (when no barrier lands
-      inside the run).
+    - the final worker checkpoints are folded by {!Parallel.join},
+      the join [Parallel.run] uses, so a fault-free supervised run
+      produces the same merged stats, digest and trace bytes as
+      [Parallel.run ~jobs:workers] (when no barrier lands inside the
+      run).
 
     Rerunning with the same state [dir] resumes every worker from its
     last checkpoint.  See [docs/RESILIENCE.md] for the supervision

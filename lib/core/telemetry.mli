@@ -53,7 +53,7 @@ type event =
   | Checkpoint of { iter : int }
   | Quarantined of { iter : int }
       (** the iteration was skipped because a harness crash in a
-          previous run quarantined it ({!Campaign.step_skip}): disturbed
+          previous run quarantined it ({!Campaign.run}'s [skip]): disturbed
           work is listed in the trace, never silently dropped *)
   | Shard_merge of { shards : int; events : int }
       (** appended by {!merge_shards} *)

@@ -9,7 +9,11 @@
 #   2. its digest equals a fault-free reference run given the same
 #      quarantine list -- a crash costs exactly the quarantined
 #      iterations, nothing else;
-#   3. `bvf merge` over the disturbed run's worker checkpoints
+#   3. its --trace file equals the reference's byte for byte, once the
+#      closing wall-clock "profile" line is dropped -- a restarted
+#      worker reopens its shard trace at the checkpointed offset, so
+#      replayed iterations appear exactly once;
+#   4. `bvf merge` over the disturbed run's worker checkpoints
 #      reproduces the same digest (the salvage path).
 #
 # Usage: sh scripts/chaos.sh [outdir]   (default: ./chaos-out)
@@ -56,6 +60,7 @@ kill_worker() {
 echo "chaos: disturbed run: seed $SEED, $ITERS iterations, $WORKERS workers"
 $BVF fuzz --seed $SEED -n $ITERS --workers $WORKERS \
   --state-dir "$STATE" --checkpoint-every $CKPT_EVERY \
+  --trace "$OUT/disturbed.jsonl" \
   > "$OUT/disturbed.log" 2>&1 &
 CAMPAIGN=$!
 
@@ -92,6 +97,7 @@ fi
 echo "chaos: fault-free reference with the disturbed run's quarantine"
 $BVF fuzz --seed $SEED -n $ITERS --workers $WORKERS \
   --state-dir "$REF" --checkpoint-every $CKPT_EVERY $QUARANTINE \
+  --trace "$OUT/reference.jsonl" \
   > "$OUT/reference.log" 2>&1
 status=$?
 cat "$OUT/reference.log"
@@ -101,6 +107,15 @@ REFERENCE=$(digest_of "$OUT/reference.log")
 [ "$DISTURBED" = "$REFERENCE" ] || \
   fail "digest mismatch: disturbed $DISTURBED vs reference $REFERENCE"
 echo "chaos: digests match -- the crashes cost exactly the quarantined iterations"
+
+# the closing "profile" line carries wall times, the only
+# non-deterministic trace record (the CI profile job filters it too)
+grep -v '"ev":"profile"' "$OUT/disturbed.jsonl" > "$OUT/disturbed.events"
+grep -v '"ev":"profile"' "$OUT/reference.jsonl" > "$OUT/reference.events"
+[ -s "$OUT/reference.events" ] || fail "reference run wrote no trace events"
+cmp "$OUT/disturbed.events" "$OUT/reference.events" || \
+  fail "trace mismatch between the disturbed and the reference run"
+echo "chaos: traces match -- restarted workers replayed each iteration once"
 
 echo "chaos: salvage: bvf merge over the disturbed run's worker checkpoints"
 $BVF merge "$STATE"/worker-*.ckpt -o "$OUT/salvaged.ckpt" \

@@ -331,24 +331,32 @@ let test_campaign_retry_attribution () =
      more edges than the whole step observed. *)
   let config = Kconfig.default Version.Bpf_next in
   let failslab = Bvf_kernel.Failslab.create ~rate:0.35 ~seed:13 () in
-  let c = Campaign.create ~failslab ~seed:13 Campaign.bvf_strategy config in
   let uncredited = ref 0 in
-  for _ = 1 to 400 do
-    let retries_before = c.Campaign.stats.Campaign.st_retries in
-    let size_before = Corpus.size c.Campaign.corpus in
-    let edges_before = Coverage.edge_count c.Campaign.cov in
-    Campaign.step c;
-    let growth = Coverage.edge_count c.Campaign.cov - edges_before in
-    let retried = c.Campaign.stats.Campaign.st_retries > retries_before in
-    let added = Corpus.size c.Campaign.corpus > size_before in
+  (* observed from the step hook: each call sees the state one step
+     after the previous call (no checkpoint barriers run in between).
+     Iteration 0 is skipped (it loads nothing), so the first observation
+     records the freshly booted campaign and every executed step is
+     checked against its exact pre-step state. *)
+  let retries = ref 0 and size = ref 0 and edges = ref 0 in
+  let observe (c : Campaign.t) =
+    let growth = Coverage.edge_count c.Campaign.cov - !edges in
+    let retried = c.Campaign.stats.Campaign.st_retries > !retries in
+    let added = Corpus.size c.Campaign.corpus > !size in
     if added then
       (match Corpus.entries c.Campaign.corpus with
        | e :: _ ->
          Alcotest.(check bool) "credit bounded by step growth" true
            (e.Corpus.new_edges <= growth)
        | [] -> ());
-    if retried && growth > 0 && not added then incr uncredited
-  done;
+    if retried && growth > 0 && not added then incr uncredited;
+    retries := c.Campaign.stats.Campaign.st_retries;
+    size := Corpus.size c.Campaign.corpus;
+    edges := Coverage.edge_count c.Campaign.cov
+  in
+  ignore
+    (Campaign.run ~failslab ~skip:(fun i -> i = 0) ~on_step:observe
+       ~seed:13 ~iterations:401 Campaign.bvf_strategy config
+     : Campaign.stats);
   Alcotest.(check bool)
     "retried steps can grow coverage without corpus credit" true
     (!uncredited > 0)

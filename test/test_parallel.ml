@@ -190,6 +190,39 @@ let test_merge_invariants () =
          (e.Corpus.added_at >= 0 && e.Corpus.added_at < iterations))
     (Corpus.entries r.Parallel.pr_corpus)
 
+(* -- A shard that raises ------------------------------------------------------ *)
+
+(* Shard 0 dies on its 5th program while shard 1 still has most of its
+   budget ahead.  The exception must reach the caller only after shard
+   1's domain was joined (it ran its whole shard), and no shard trace
+   file may be left behind. *)
+let test_shard_failure_joins_and_cleans () =
+  let trace = Filename.temp_file "bvf_par_fail" ".jsonl" in
+  let iterations = 600 and jobs = 2 in
+  let shard1_done = Atomic.make 0 in
+  let on_step shard (c : Campaign.t) =
+    let n = c.Campaign.stats.Campaign.st_generated in
+    if shard = 0 && n = 5 then raise (Campaign.Environment "shard 0 died");
+    if shard = 1 then Atomic.set shard1_done n
+  in
+  (match
+     Parallel.run ~trace ~on_step ~jobs ~seed:3 ~iterations
+       Campaign.bvf_strategy (config ())
+   with
+   | exception Campaign.Environment msg ->
+     Alcotest.(check string) "shard 0's exception re-raised" "shard 0 died"
+       msg
+   | _ -> Alcotest.fail "expected the shard's exception");
+  Alcotest.(check int) "shard 1 was joined, not abandoned"
+    (Parallel.shard_iterations ~iterations ~jobs).(1)
+    (Atomic.get shard1_done);
+  List.iter
+    (fun i ->
+       let p = Printf.sprintf "%s.shard%d" trace i in
+       Alcotest.(check bool) (p ^ " removed") false (Sys.file_exists p))
+    [ 0; 1 ];
+  Sys.remove trace
+
 let () =
   Alcotest.run "bvf_parallel"
     [
@@ -207,4 +240,7 @@ let () =
             test_parallel_failslab_deterministic ] );
       ( "merge",
         [ Alcotest.test_case "invariants" `Slow test_merge_invariants ] );
+      ( "failure",
+        [ Alcotest.test_case "a raising shard is joined and cleaned up"
+            `Slow test_shard_failure_joins_and_cleans ] );
     ]

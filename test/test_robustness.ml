@@ -232,7 +232,8 @@ let test_checkpoint_container () =
 let test_checkpoint_loader_fuzz () =
   let path = Filename.temp_file "bvf_ldfz" ".ckpt" in
   let _ =
-    Campaign.run ~checkpoint_every:50 ~checkpoint_path:path ~seed:11
+    Campaign.run ~checkpoint_every:50
+      ~checkpoint:(Campaign.checkpoint_to path) ~seed:11
       ~iterations:50 Campaign.bvf_strategy (Kconfig.default Version.V6_1)
   in
   let ic = open_in_bin path in
@@ -289,14 +290,14 @@ let test_checkpoint_resume_determinism () =
   let straight =
     Campaign.run
       ~failslab:(Failslab.create ~rate:0.1 ~seed:2 ())
-      ~checkpoint_every:n ~checkpoint_path:path_a ~seed:55
-      ~iterations:(2 * n) Campaign.bvf_strategy config
+      ~checkpoint_every:n ~checkpoint:(Campaign.checkpoint_to path_a)
+      ~seed:55 ~iterations:(2 * n) Campaign.bvf_strategy config
   in
   let first =
     Campaign.run
       ~failslab:(Failslab.create ~rate:0.1 ~seed:2 ())
-      ~checkpoint_every:n ~checkpoint_path:path_b ~seed:55 ~iterations:n
-      Campaign.bvf_strategy config
+      ~checkpoint_every:n ~checkpoint:(Campaign.checkpoint_to path_b)
+      ~seed:55 ~iterations:n Campaign.bvf_strategy config
   in
   Alcotest.(check int) "first half ran" n first.Campaign.st_generated;
   let snap =
@@ -338,7 +339,8 @@ let test_stop_resume_digest_identity () =
     let path = Filename.temp_file "bvf_stop" ".ckpt" in
     let polls = ref 0 in
     let stopped =
-      Campaign.run ~checkpoint_every:100 ~checkpoint_path:path
+      Campaign.run ~checkpoint_every:100
+        ~checkpoint:(Campaign.checkpoint_to path)
         ~stop:(fun () -> incr polls; !polls >= stop_at)
         ~seed:21 ~iterations:total Campaign.bvf_strategy config
     in
@@ -378,7 +380,8 @@ let test_resume_validation () =
   let config = Kconfig.default Version.V6_1 in
   let path = Filename.temp_file "bvf_val" ".ckpt" in
   let _ =
-    Campaign.run ~checkpoint_every:100 ~checkpoint_path:path ~seed:3
+    Campaign.run ~checkpoint_every:100
+      ~checkpoint:(Campaign.checkpoint_to path) ~seed:3
       ~iterations:100 Campaign.bvf_strategy config
   in
   let snap =

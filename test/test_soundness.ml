@@ -743,9 +743,7 @@ let run_directed_campaign (bug : Kconfig.bug)
   let config =
     Kconfig.with_witness (Kconfig.make Version.Bpf_next ~bugs:[ bug ]) true
   in
-  let c = Campaign.create ~seed:7 (directed mk) config in
-  for _ = 1 to 4 do Campaign.step c done;
-  c
+  Campaign.run_t ~seed:7 ~iterations:4 (directed mk) config
 
 let test_bug3_flagged_as_witness_escape () =
   let c =

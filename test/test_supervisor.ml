@@ -35,6 +35,13 @@ let read_file (path : string) : string =
   close_in ic;
   s
 
+(* A trace's lines minus the trailing shard-merge record a multi-shard
+   join appends. *)
+let events_of (path : string) : string list =
+  String.split_on_char '\n' (read_file path)
+  |> List.filter (fun l ->
+      not (String.starts_with ~prefix:{|{"ev":"shard_merge"|} l))
+
 (* Fast supervision parameters for tests: tight poll, tiny backoff. *)
 let sv ?trace ?(checkpoint_every = 1_000_000) ?(deadline_s = 30.)
     ?(max_restarts = 5) ?quarantine ?fault ?stop ~dir ~seed ~iterations
@@ -170,6 +177,59 @@ let test_crash_restart_quarantine () =
   Alcotest.(check (list string)) "findings unchanged by the crash"
     (Campaign.fingerprints reference.Parallel.pr_stats)
     (Campaign.fingerprints result.Parallel.pr_stats)
+
+(* -- Watchdog: a crash after a barrier ------------------------------------ *)
+
+(* Worker 1 exits at global iteration 37 (its local 18), after its
+   barriers at local 5, 10 and 15.  The restart resumes from the local-15
+   checkpoint and reopens its shard trace at the recorded offset, so the
+   events it had written past the barrier are cut and replayed exactly
+   once: digest and merged trace bytes equal a fault-free run with 37
+   quarantined up front. *)
+let test_crash_after_barrier_trace () =
+  let dir = temp_dir "bvf_sv_barrier" in
+  let trace = Filename.concat dir "trace.jsonl" in
+  let ref_trace = Filename.concat dir "ref.jsonl" in
+  (* the fault hook logs worker 1's executed local iterations, so the
+     test can see where the restarted worker resumed *)
+  let log = Filename.concat dir "worker1.log" in
+  let fault ~worker ~local ~global =
+    if worker = 1 then begin
+      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 log in
+      Printf.fprintf oc "%d\n" local;
+      close_out oc
+    end;
+    if global = 37 then Unix._exit 42
+  in
+  let result, report =
+    completed
+      (sv ~trace ~fault ~checkpoint_every:5
+         ~dir:(Filename.concat dir "state") ~seed:5 ~iterations:60
+         ~workers:2 ())
+  in
+  Alcotest.(check (list int)) "iteration 37 quarantined" [ 37 ]
+    report.rp_quarantined;
+  Alcotest.(check int) "one crash" 1 (List.length report.rp_crashes);
+  let locals =
+    String.split_on_char '\n' (read_file log)
+    |> List.filter_map int_of_string_opt
+  in
+  let rec after_restart = function
+    | a :: (b :: _ as tl) -> if b < a then Some b else after_restart tl
+    | [ _ ] | [] -> None
+  in
+  Alcotest.(check (option int)) "restart resumed at the local-15 barrier"
+    (Some 15) (after_restart locals);
+  let reference, _ =
+    completed
+      (sv ~trace:ref_trace ~quarantine:[ 37 ] ~checkpoint_every:5
+         ~dir:(Filename.concat dir "ref") ~seed:5 ~iterations:60
+         ~workers:2 ())
+  in
+  Alcotest.(check string) "digest equals the quarantined reference"
+    (Parallel.digest reference) (Parallel.digest result);
+  Alcotest.(check string) "merged trace bytes equal the reference"
+    (read_file ref_trace) (read_file trace)
 
 (* -- Watchdog: self-kill (SIGKILL) fixture ------------------------------ *)
 
@@ -346,6 +406,37 @@ let test_interrupt_then_resume () =
   Alcotest.(check string) "resumed digest equals undisturbed (mod reboots)"
     (Campaign.digest fs) (Campaign.digest rs)
 
+(* -- One run_t contract across executors --------------------------------- *)
+
+(* A one-worker supervised run is Campaign.run_t in a forked process:
+   its quarantine is run_t's [skip] hook and its barrier saves are
+   run_t's [checkpoint] hook.  Both runs agree on the digest and, once
+   any trailing shard-merge record is dropped, on every trace byte. *)
+let test_run_t_contract () =
+  let dir = temp_dir "bvf_sv_contract" in
+  let trace_c = Filename.concat dir "run_t.jsonl" in
+  let trace_s = Filename.concat dir "supervised.jsonl" in
+  let telemetry = Telemetry.create trace_c in
+  let c =
+    Campaign.run_t ~telemetry ~skip:(fun i -> i = 17) ~checkpoint_every:7
+      ~checkpoint:(Campaign.checkpoint_to (Filename.concat dir "c.ckpt"))
+      ~seed:5 ~iterations:60 Campaign.bvf_strategy (config ())
+  in
+  Telemetry.close telemetry;
+  let result, report =
+    completed
+      (sv ~trace:trace_s ~quarantine:[ 17 ] ~checkpoint_every:7
+         ~dir:(Filename.concat dir "state") ~seed:5 ~iterations:60
+         ~workers:1 ())
+  in
+  Alcotest.(check int) "no crashes" 0 (List.length report.rp_crashes);
+  Alcotest.(check int) "iteration 17 skipped" 1
+    c.Campaign.stats.Campaign.st_skipped;
+  Alcotest.(check string) "digest equals Campaign.run_t's"
+    (Campaign.digest c.Campaign.stats) (Parallel.digest result);
+  Alcotest.(check (list string)) "trace bytes equal Campaign.run_t's"
+    (events_of trace_c) (events_of trace_s)
+
 (* -- Offline merge: associativity and commutativity --------------------- *)
 
 let test_merge_assoc_comm () =
@@ -391,11 +482,16 @@ let () =
           Alcotest.test_case "SIGKILL crash" `Slow test_sigkill_crash;
           Alcotest.test_case "hang deadline" `Slow test_hang_watchdog;
           Alcotest.test_case "retire shrinks the pool" `Slow
-            test_retire_pool_shrink ] );
+            test_retire_pool_shrink;
+          Alcotest.test_case "crash after a barrier: trace reopen" `Slow
+            test_crash_after_barrier_trace ] );
       ( "interruption",
         [ Alcotest.test_case "state-dir lock" `Slow test_state_dir_lock;
           Alcotest.test_case "interrupt then resume" `Slow
             test_interrupt_then_resume ] );
+      ( "contract",
+        [ Alcotest.test_case "run_t skip hook = one-worker quarantine"
+            `Slow test_run_t_contract ] );
       ( "merge",
         [ Alcotest.test_case "associative and commutative" `Quick
             test_merge_assoc_comm ] );
