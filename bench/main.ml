@@ -19,9 +19,7 @@
                                               campaign; writes
                                               BENCH_hotpath.json
      dune exec bench/main.exe -- hotpath-quick - same, smoke-sized (CI
-                                              regression gate input)
-     dune exec bench/main.exe -- bechamel   - Bechamel timing suite
-                                              (one Test.make per artefact) *)
+                                              regression gate input) *)
 
 module E = Bvf_experiments.Experiments
 
@@ -93,46 +91,6 @@ let print_hotpath_row (r : E.hotpath_row) =
     r.E.hp_name r.E.hp_programs r.E.hp_insns r.E.hp_seconds
     r.E.hp_progs_per_sec r.E.hp_ns_per_insn r.E.hp_minor_words_per_prog
 
-(* -- Bechamel micro-suite: one Test.make per paper artefact ------------- *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"bvf"
-      [
-        mk "table2:campaign-step" (fun () ->
-            ignore (E.table2 ~iterations:150 ~seed:9 ()));
-        mk "table3:coverage-cell" (fun () ->
-            ignore (E.coverage ~iterations:150 ~repetitions:1
-                      ~sample_every:50 ()));
-        mk "figure6:curve" (fun () ->
-            ignore (E.coverage ~iterations:100 ~repetitions:1
-                      ~sample_every:25 ()));
-        mk "acceptance:verify-only" (fun () ->
-            ignore (E.acceptance ~programs:150 ()));
-        mk "overhead:selftests" (fun () ->
-            ignore (E.overhead ~count:24 ~runs:2 ()));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:12 ~quota:(Time.second 2.0) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0
-      ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  line ();
-  print_endline "Bechamel timing (monotonic clock per run):";
-  Hashtbl.iter
-    (fun name result ->
-       Format.printf "  %-28s %a@." name Analyze.OLS.pp result)
-    results
-
 let () =
   let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match arg with
@@ -153,7 +111,6 @@ let () =
        the 20%-drop gate in scripts/check_hotpath.sh needs each row to
        run for a few hundred milliseconds at least *)
     run_hotpath ~count:400 ~repeat:20 ~exec_runs:120 ~iterations:3_000 ()
-  | "bechamel" -> bechamel_suite ()
   | "quick" ->
     run_table2 ~iterations:3_000 ();
     run_table3 ~iterations:1_500 ~repetitions:2 ();
@@ -173,6 +130,6 @@ let () =
     Printf.eprintf
       "unknown experiment %S (try: all quick table2 table3 figure6 \
        acceptance overhead ablation parallel parallel-quick verify exec \
-       hotpath hotpath-quick bechamel)\n"
+       hotpath hotpath-quick)\n"
       other;
     exit 2

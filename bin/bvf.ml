@@ -649,8 +649,8 @@ let profile_cmd =
        ~doc:"Aggregate a span profile written by $(b,bvf fuzz --profile) \
              or $(b,bvf batch --profile): per-span self time with \
              nearest-rank p50/p95 and allocation, plus per-track \
-             wall-time attribution.  Malformed events and nesting \
-             violations are reported on stderr.")
+             wall-time attribution.  Events that do not parse and \
+             nesting violations are reported on stderr.")
     Term.(const run
           $ Arg.(required & pos 0 (some string) None
                  & info [] ~docv:"PROFILE"

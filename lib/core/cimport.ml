@@ -22,3 +22,4 @@ module Loader = Bvf_runtime.Loader
 module Exec = Bvf_runtime.Exec
 module Reject_reason = Bvf_verifier.Reject_reason
 module Vstats = Bvf_verifier.Vstats
+module Json = Bvf_util.Json

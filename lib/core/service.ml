@@ -111,24 +111,14 @@ let decode_prog (bytes : Bytes.t) :
    caller's request. *)
 let parse_request (line : string) :
   (request, string option * string) result =
-  match Telemetry.parse_object (String.trim line) with
-  | exception Telemetry.Parse -> Error (None, "malformed JSON")
-  | fields ->
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Telemetry.Jstr s) -> Some s
-      | _ -> None
-    in
-    let bol k =
-      match List.assoc_opt k fields with
-      | Some (Telemetry.Jbool b) -> b
-      | _ -> false
-    in
-    let id = str "id" in
+  match Json.parse_object (String.trim line) with
+  | exception Json.Parse -> Error (None, "malformed JSON")
+  | f ->
+    let id = Json.str f "id" in
     let ( let* ) = Result.bind in
     let req =
       let* pt =
-        match str "prog_type" with
+        match Json.str f "prog_type" with
         | None -> Error "missing prog_type"
         | Some s ->
           (match Prog.prog_type_of_string s with
@@ -136,7 +126,7 @@ let parse_request (line : string) :
            | None -> Error (Printf.sprintf "unknown prog_type %S" s))
       in
       let* hex =
-        match str "prog" with
+        match Json.str f "prog" with
         | Some h -> Ok h
         | None -> Error "missing prog"
       in
@@ -144,8 +134,8 @@ let parse_request (line : string) :
       let* insns = decode_prog bytes in
       Ok
         { Verifier.r_prog_type = pt;
-          r_attach = str "attach";
-          r_offload = bol "offload";
+          r_attach = Json.str f "attach";
+          r_offload = Json.bool f "offload" = Some true;
           r_insns = insns }
     in
     match id, req with
@@ -168,14 +158,14 @@ let input_of_json ~(fallback_id : string) (line : string) : input =
 let request_to_json (r : request) : string =
   let b = Buffer.create 256 in
   Buffer.add_string b "{\"id\":\"";
-  Telemetry.escape b r.q_id;
+  Json.escape b r.q_id;
   Printf.bprintf b "\",\"prog_type\":\"%s\""
     (Prog.prog_type_to_string r.q_req.Verifier.r_prog_type);
   (match r.q_req.Verifier.r_attach with
    | None -> ()
    | Some a ->
      Buffer.add_string b ",\"attach\":\"";
-     Telemetry.escape b a;
+     Json.escape b a;
      Buffer.add_char b '"');
   if r.q_req.Verifier.r_offload then
     Buffer.add_string b ",\"offload\":true";
@@ -188,11 +178,11 @@ let response_to_json ~(id : string) ~(key : string) ?hit
   let b = Buffer.create 160 in
   let str k s =
     Printf.bprintf b ",\"%s\":\"" k;
-    Telemetry.escape b s;
+    Json.escape b s;
     Buffer.add_char b '"'
   in
   Buffer.add_string b "{\"id\":\"";
-  Telemetry.escape b id;
+  Json.escape b id;
   Printf.bprintf b "\",\"key\":\"%s\"" key;
   if v.Vcache.cv_accepted then begin
     Buffer.add_string b ",\"verdict\":\"accepted\"";
@@ -227,9 +217,9 @@ let response_to_json ~(id : string) ~(key : string) ?hit
 let error_to_json ~(id : string) (msg : string) : string =
   let b = Buffer.create 64 in
   Buffer.add_string b "{\"id\":\"";
-  Telemetry.escape b id;
+  Json.escape b id;
   Buffer.add_string b "\",\"verdict\":\"error\",\"msg\":\"";
-  Telemetry.escape b msg;
+  Json.escape b msg;
   Buffer.add_string b "\"}";
   Buffer.contents b
 
@@ -476,16 +466,12 @@ type serve_stats = {
    parses as a program request (those require prog_type and prog), so
    the two request shapes cannot collide.  Returns the echoed id. *)
 let metrics_request (line : string) : string option =
-  match Telemetry.parse_object (String.trim line) with
-  | exception Telemetry.Parse -> None
-  | fields ->
-    (match List.assoc_opt "metrics" fields with
-     | Some (Telemetry.Jbool true) ->
-       Some
-         (match List.assoc_opt "id" fields with
-          | Some (Telemetry.Jstr s) -> s
-          | _ -> "metrics")
-     | _ -> None)
+  match Json.parse_object (String.trim line) with
+  | exception Json.Parse -> None
+  | f ->
+    if Json.bool f "metrics" = Some true then
+      Some (Option.value (Json.str f "id") ~default:"metrics")
+    else None
 
 let metrics_to_json ~(id : string) ~(requests : int) ~(invalid : int)
     ~(admitted : int) ~(rejected : int) ~(hits : int) ~(misses : int)
@@ -493,7 +479,7 @@ let metrics_to_json ~(id : string) ~(requests : int) ~(invalid : int)
     ~(le_10ms : int) ~(gt_10ms : int) : string =
   let b = Buffer.create 256 in
   Buffer.add_string b "{\"id\":\"";
-  Telemetry.escape b id;
+  Json.escape b id;
   Printf.bprintf b
     "\",\"metrics\":true,\"requests\":%d,\"invalid\":%d,\"admitted\":%d,\"rejected\":%d,\"cache_hits\":%d,\"cache_misses\":%d"
     requests invalid admitted rejected hits misses;

@@ -48,9 +48,11 @@ val verify_request :
 
 (** {1 JSONL codec}
 
-    Flat objects, one per line, parsed with {!Telemetry.parse_object} —
-    the same parser every JSON line in the repository goes through.
-    Field reference: docs/SERVICE.md. *)
+    Flat objects, one per line, parsed with {!Bvf_util.Json.parse_object}
+    — the same codec every JSON line in the repository goes through.  A
+    nested value makes the line ["malformed JSON"]; [\u] escapes decode
+    to UTF-8 and ids are echoed byte-exact.  Field reference:
+    docs/SERVICE.md. *)
 
 val request_of_json : string -> (request, string) result
 (** Parse a request line: required ["id"], ["prog_type"], ["prog"] (hex
@@ -152,6 +154,13 @@ type serve_stats = {
   sv_hits : int;
   sv_misses : int;
 }
+
+val metrics_to_json :
+  id:string -> requests:int -> invalid:int -> admitted:int ->
+  rejected:int -> hits:int -> misses:int -> verify_s:float list ->
+  le_100us:int -> le_1ms:int -> le_10ms:int -> gt_10ms:int -> string
+(** The metrics response line described under {!serve}; [verify_s]
+    holds the cold-verification latencies in seconds. *)
 
 val serve :
   ?log_level:int -> ?sink:Telemetry.sink -> ?prof:Bvf_util.Prof.t ->

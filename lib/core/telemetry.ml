@@ -1,10 +1,10 @@
 (* Campaign telemetry: JSONL event stream + the bvf stats aggregation.
 
-   The encoder and parser are hand-rolled: the schema is flat (string /
-   int / float / bool fields, one object per line), and the repository
-   deliberately has no JSON dependency.  The parser accepts any
-   whitespace and field order, so traces survive hand-editing and
-   foreign tooling; lines it cannot parse are skipped, not fatal.
+   The schema is flat (string / int / float / bool fields, one object
+   per line), read and escaped by the repository's one codec,
+   [Bvf_util.Json].  Any whitespace and field order parse, so traces
+   survive hand-editing and foreign tooling; lines that do not parse
+   are skipped, not fatal.
 
    Determinism contract (tested by test_telemetry): campaign-emitted
    events carry no wall-clock times, so same-seed traces are
@@ -12,6 +12,7 @@
    CLI after the run. *)
 
 module Reject_reason = Bvf_verifier.Reject_reason
+module Json = Bvf_util.Json
 
 type event =
   | Generated of { iter : int; prog_type : string; insns : int }
@@ -96,27 +97,13 @@ let iter_of = function
 
 (* -- JSON encoding -------------------------------------------------- *)
 
-let escape (b : Buffer.t) (s : string) : unit =
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s
-
 (* Floats as %.6f: sub-microsecond precision is noise for phase timers,
    and the fixed format round-trips through the parser losslessly
    enough for aggregation. *)
 let to_json (ev : event) : string =
   let b = Buffer.create 96 in
   let str k v =
-    Printf.bprintf b ",\"%s\":\"" k; escape b v; Buffer.add_char b '"'
+    Printf.bprintf b ",\"%s\":\"" k; Json.escape b v; Buffer.add_char b '"'
   in
   let int k v = Printf.bprintf b ",\"%s\":%d" k v in
   let flt k v = Printf.bprintf b ",\"%s\":%.6f" k v in
@@ -174,209 +161,98 @@ let to_json (ev : event) : string =
 
 (* -- JSON parsing --------------------------------------------------- *)
 
-(* A flat-object parser: strings, numbers, booleans and null.  Nested
-   containers are not part of the schema and are rejected. *)
-type jvalue = Jstr of string | Jnum of float | Jbool of bool | Jnull
+(* Aliases of [Json] names kept only because perfbench/ uses them. *)
+type jvalue = Json.t =
+  | Jstr of string
+  | Jnum of float
+  | Jbool of bool
+  | Jnull
+  | Jarr of jvalue list
+  | Jobj of (string * jvalue) list
 
-exception Parse
+exception Parse = Json.Parse
 
-let parse_object (s : string) : (string * jvalue) list =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise Parse in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with
-        | ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do advance () done
-  in
-  let expect c = if peek () <> c then raise Parse else advance () in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance (); Buffer.contents b
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | '"' -> Buffer.add_char b '"'
-         | '\\' -> Buffer.add_char b '\\'
-         | '/' -> Buffer.add_char b '/'
-         | 'n' -> Buffer.add_char b '\n'
-         | 't' -> Buffer.add_char b '\t'
-         | 'r' -> Buffer.add_char b '\r'
-         | 'b' -> Buffer.add_char b '\b'
-         | 'f' -> Buffer.add_char b '\012'
-         | 'u' ->
-           if !pos + 4 >= n then raise Parse;
-           let hex = String.sub s (!pos + 1) 4 in
-           let code =
-             try int_of_string ("0x" ^ hex) with _ -> raise Parse
-           in
-           pos := !pos + 4;
-           (* schema only ever emits control chars this way *)
-           if code < 0x100 then Buffer.add_char b (Char.chr code)
-           else Buffer.add_char b '?'
-         | _ -> raise Parse);
-        advance (); go ()
-      | c -> advance (); Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let parse_scalar () =
-    match peek () with
-    | '"' -> Jstr (parse_string ())
-    | 't' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "true"
-      then (pos := !pos + 4; Jbool true) else raise Parse
-    | 'f' ->
-      if !pos + 5 <= n && String.sub s !pos 5 = "false"
-      then (pos := !pos + 5; Jbool false) else raise Parse
-    | 'n' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "null"
-      then (pos := !pos + 4; Jnull) else raise Parse
-    | '-' | '0' .. '9' ->
-      let start = !pos in
-      while !pos < n && (match s.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false)
-      do advance () done;
-      (try Jnum (float_of_string (String.sub s start (!pos - start)))
-       with _ -> raise Parse)
-    | _ -> raise Parse
-  in
-  skip_ws ();
-  expect '{';
-  skip_ws ();
-  if peek () = '}' then (advance (); [])
-  else begin
-    let fields = ref [] in
-    let rec member () =
-      skip_ws ();
-      let key = parse_string () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      fields := (key, parse_scalar ()) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' -> advance (); member ()
-      | '}' -> advance ()
-      | _ -> raise Parse
-    in
-    member ();
-    skip_ws ();
-    if !pos <> n then raise Parse;
-    List.rev !fields
-  end
+let parse_object = Json.parse_object
 
+(* A missing or mistyped required field raises [Json.Parse]: the line
+   is skipped like any other unparsable one. *)
 let of_json (line : string) : event option =
   match
-    let fields = parse_object (String.trim line) in
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Jstr s) -> s
-      | _ -> raise Parse
+    let f = Json.parse_object (String.trim line) in
+    let open Json in
+    let reason () =
+      Option.value (Reject_reason.of_string (get (str f "reason")))
+        ~default:Reject_reason.Unknown
     in
-    let str_opt k =
-      match List.assoc_opt k fields with
-      | Some (Jstr s) -> Some s
-      | _ -> None
-    in
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (Jnum f) -> int_of_float f
-      | _ -> raise Parse
-    in
-    let flt k =
-      match List.assoc_opt k fields with
-      | Some (Jnum f) -> f
-      | _ -> raise Parse
-    in
-    let bol k =
-      match List.assoc_opt k fields with
-      | Some (Jbool b) -> b
-      | _ -> raise Parse
-    in
-    match str "ev" with
+    match get (str f "ev") with
     | "generated" ->
-      Some (Generated { iter = int "iter"; prog_type = str "prog_type";
-                        insns = int "insns" })
+      Some (Generated { iter = get (int f "iter");
+                        prog_type = get (str f "prog_type");
+                        insns = get (int f "insns") })
     | "accepted" ->
-      Some (Accepted { iter = int "iter"; prog_type = str "prog_type";
-                       insns = int "insns";
-                       insn_processed = int "insn_processed" })
+      Some (Accepted { iter = get (int f "iter");
+                       prog_type = get (str f "prog_type");
+                       insns = get (int f "insns");
+                       insn_processed = get (int f "insn_processed") })
     | "rejected" ->
-      let reason =
-        match Reject_reason.of_string (str "reason") with
-        | Some r -> r
-        | None -> Reject_reason.Unknown
-      in
-      Some (Rejected { iter = int "iter"; prog_type = str "prog_type";
-                       reason; errno = str "errno"; pc = int "pc";
-                       msg = str "msg" })
+      Some (Rejected { iter = get (int f "iter");
+                       prog_type = get (str f "prog_type");
+                       reason = reason (); errno = get (str f "errno");
+                       pc = get (int f "pc"); msg = get (str f "msg") })
     | "finding" ->
-      Some (Finding { iter = int "iter"; fingerprint = str "fingerprint";
-                      bug = str_opt "bug";
-                      correctness = bol "correctness" })
+      Some (Finding { iter = get (int f "iter");
+                      fingerprint = get (str f "fingerprint");
+                      bug = str f "bug";
+                      correctness = get (bool f "correctness") })
     | "vstats" ->
       (* the widening counters postdate the vstats schema: traces
          written before them parse with the counters at zero *)
-      let int0 k =
-        match List.assoc_opt k fields with
-        | Some (Jnum f) -> int_of_float f
-        | _ -> 0
-      in
-      Some (Vstats { iter = int "iter";
-                     insn_processed = int "insn_processed";
-                     total_states = int "total_states";
-                     peak_states = int "peak_states";
-                     max_states_per_insn = int "max_states_per_insn";
-                     prune_hits = int "prune_hits";
-                     prune_misses = int "prune_misses";
-                     loops_detected = int "loops_detected";
-                     branch_hwm = int "branch_hwm";
-                     widen_rounds = int0 "widen_rounds";
-                     loop_heads = int0 "loop_heads" })
-    | "checkpoint" -> Some (Checkpoint { iter = int "iter" })
-    | "quarantined" -> Some (Quarantined { iter = int "iter" })
+      Some (Vstats { iter = get (int f "iter");
+                     insn_processed = get (int f "insn_processed");
+                     total_states = get (int f "total_states");
+                     peak_states = get (int f "peak_states");
+                     max_states_per_insn = get (int f "max_states_per_insn");
+                     prune_hits = get (int f "prune_hits");
+                     prune_misses = get (int f "prune_misses");
+                     loops_detected = get (int f "loops_detected");
+                     branch_hwm = get (int f "branch_hwm");
+                     widen_rounds =
+                       Option.value (int f "widen_rounds") ~default:0;
+                     loop_heads =
+                       Option.value (int f "loop_heads") ~default:0 })
+    | "checkpoint" -> Some (Checkpoint { iter = get (int f "iter") })
+    | "quarantined" -> Some (Quarantined { iter = get (int f "iter") })
     | "cache_hit" ->
-      Some (Service_hit { seq = int "seq"; key = str "key" })
+      Some (Service_hit { seq = get (int f "seq"); key = get (str f "key") })
     | "cache_miss" ->
-      Some (Service_miss { seq = int "seq"; key = str "key" })
+      Some (Service_miss { seq = get (int f "seq"); key = get (str f "key") })
     | "service_admitted" ->
-      Some (Service_admitted { seq = int "seq"; key = str "key";
-                               insns = int "insns";
-                               insn_processed = int "insn_processed" })
+      Some (Service_admitted { seq = get (int f "seq");
+                               key = get (str f "key");
+                               insns = get (int f "insns");
+                               insn_processed = get (int f "insn_processed") })
     | "service_rejected" ->
-      let reason =
-        match Reject_reason.of_string (str "reason") with
-        | Some r -> r
-        | None -> Reject_reason.Unknown
-      in
-      Some (Service_rejected { seq = int "seq"; key = str "key"; reason })
+      Some (Service_rejected { seq = get (int f "seq");
+                               key = get (str f "key"); reason = reason () })
     | "shard_merge" ->
-      Some (Shard_merge { shards = int "shards"; events = int "events" })
+      Some (Shard_merge { shards = get (int f "shards");
+                          events = get (int f "events") })
     | "profile" ->
       (* the minor-words fields postdate the profile schema: traces
          written before them parse with the attribution at zero *)
-      let flt0 k =
-        match List.assoc_opt k fields with
-        | Some (Jnum f) -> f
-        | _ -> 0.
-      in
-      Some (Profile { programs = int "programs"; gen_s = flt "gen_s";
-                      verify_s = flt "verify_s";
-                      sanitize_s = flt "sanitize_s"; exec_s = flt "exec_s";
-                      wall_s = flt "wall_s";
-                      gen_w = flt0 "gen_w"; verify_w = flt0 "verify_w";
-                      sanitize_w = flt0 "sanitize_w";
-                      exec_w = flt0 "exec_w" })
+      let w k = Option.value (num f k) ~default:0. in
+      Some (Profile { programs = get (int f "programs");
+                      gen_s = get (num f "gen_s");
+                      verify_s = get (num f "verify_s");
+                      sanitize_s = get (num f "sanitize_s");
+                      exec_s = get (num f "exec_s");
+                      wall_s = get (num f "wall_s");
+                      gen_w = w "gen_w"; verify_w = w "verify_w";
+                      sanitize_w = w "sanitize_w"; exec_w = w "exec_w" })
     | _ -> None
   with
   | ev -> ev
-  | exception Parse -> None
+  | exception Json.Parse -> None
 
 (* -- Sinks ---------------------------------------------------------- *)
 

@@ -149,21 +149,24 @@ val merge_shards : into:string -> string list -> int
 
 (** {1 Flat JSON helpers}
 
-    The trace schema is flat (string / int / float / bool fields, one
-    object per line); these are the shared encoder/parser pieces other
-    JSONL emitters (the veristat table) reuse so every JSON line in the
-    repository round-trips through one parser. *)
+    Every JSON line in the repository is read and escaped by
+    {!Bvf_util.Json}; use it directly.  These three aliases remain only
+    because the benchmark harness ([perfbench/]) names them. *)
 
-type jvalue = Jstr of string | Jnum of float | Jbool of bool | Jnull
+type jvalue = Bvf_util.Json.t =
+  | Jstr of string
+  | Jnum of float
+  | Jbool of bool
+  | Jnull
+  | Jarr of jvalue list
+  | Jobj of (string * jvalue) list
+(** Alias of {!Bvf_util.Json.t}, kept for [perfbench/]. *)
 
 exception Parse
+(** Alias of {!Bvf_util.Json.Parse}, kept for [perfbench/]. *)
 
 val parse_object : string -> (string * jvalue) list
-(** Parse one flat JSON object; raises {!Parse} on malformed input or
-    nested containers (not part of any schema here). *)
-
-val escape : Buffer.t -> string -> unit
-(** Append a JSON-escaped copy of the string (no surrounding quotes). *)
+(** Alias of {!Bvf_util.Json.parse_object}, kept for [perfbench/]. *)
 
 (** {1 Aggregation — the [bvf stats] core} *)
 

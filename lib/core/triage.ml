@@ -102,7 +102,7 @@ let harness_crash_to_string (c : harness_crash) : string =
     (if c.hc_restarts = 1 then "" else "s")
 
 (* One flat JSON object per crash, same dialect as the telemetry trace
-   (parseable by Telemetry.parse_object). *)
+   (parseable by Json.parse_object). *)
 let harness_crash_to_json (c : harness_crash) : string =
   let b = Buffer.create 96 in
   Printf.bprintf b "{\"ev\":\"harness_crash\",\"worker\":%d" c.hc_worker;
@@ -118,33 +118,20 @@ let harness_crash_to_json (c : harness_crash) : string =
   Buffer.contents b
 
 let harness_crash_of_json (line : string) : harness_crash option =
-  match
-    let fields = Telemetry.parse_object (String.trim line) in
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Telemetry.Jstr s) -> Some s
-      | _ -> None
-    in
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (Telemetry.Jnum f) -> Some (int_of_float f)
-      | _ -> None
-    in
-    if str "ev" <> Some "harness_crash" then None
-    else
-      match str "cause", int "worker", int "restarts" with
-      | Some cause, Some worker, Some restarts ->
-        let hc_cause =
-          match cause with
-          | "exit" -> Crash_exit (Option.value (int "code") ~default:1)
-          | "signal" ->
-            Crash_signal (Option.value (int "signal") ~default:9)
-          | _ -> Crash_hang
-        in
-        Some
-          { hc_worker = worker; hc_iteration = int "iter"; hc_cause;
-            hc_restarts = restarts }
-      | _ -> None
-  with
-  | v -> v
-  | exception Telemetry.Parse -> None
+  match Json.parse_object (String.trim line) with
+  | exception Json.Parse -> None
+  | f ->
+    match Json.str f "ev", Json.str f "cause", Json.int f "worker",
+          Json.int f "restarts" with
+    | Some "harness_crash", Some cause, Some worker, Some restarts ->
+      let hc_cause =
+        match cause with
+        | "exit" -> Crash_exit (Option.value (Json.int f "code") ~default:1)
+        | "signal" ->
+          Crash_signal (Option.value (Json.int f "signal") ~default:9)
+        | _ -> Crash_hang
+      in
+      Some
+        { hc_worker = worker; hc_iteration = Json.int f "iter"; hc_cause;
+          hc_restarts = restarts }
+    | _ -> None

@@ -90,11 +90,11 @@ let run_generated ~(seed : int) ~(count : int) (version : Version.t) :
 let row_to_json (r : row) : string =
   let b = Buffer.create 160 in
   Printf.bprintf b "{\"name\":\"";
-  Telemetry.escape b r.vr_name;
+  Json.escape b r.vr_name;
   Printf.bprintf b "\",\"prog_type\":\"";
-  Telemetry.escape b r.vr_prog_type;
+  Json.escape b r.vr_prog_type;
   Printf.bprintf b "\",\"insns\":%d,\"verdict\":\"" r.vr_insns;
-  Telemetry.escape b r.vr_verdict;
+  Json.escape b r.vr_verdict;
   Buffer.add_char b '"';
   List.iter
     (fun (k, v) -> Printf.bprintf b ",\"%s\":%d" k v)
@@ -105,7 +105,7 @@ let row_to_json (r : row) : string =
 let to_json (t : table) : string =
   let b = Buffer.create 4096 in
   Printf.bprintf b "{\"veristat\":\"bvf/1\",\"kernel\":\"";
-  Telemetry.escape b t.vt_kernel;
+  Json.escape b t.vt_kernel;
   Printf.bprintf b "\",\"programs\":%d}\n" (List.length t.vt_rows);
   List.iter (fun r -> Printf.bprintf b "%s\n" (row_to_json r)) t.vt_rows;
   Buffer.contents b
@@ -113,20 +113,10 @@ let to_json (t : table) : string =
 exception Bad_table of string
 
 let of_json (s : string) : table =
-  let jint fields k =
-    match List.assoc_opt k fields with
-    | Some (Telemetry.Jnum f) -> int_of_float f
-    | _ -> raise (Bad_table ("missing int field " ^ k))
-  in
-  let jstr fields k =
-    match List.assoc_opt k fields with
-    | Some (Telemetry.Jstr v) -> v
-    | _ -> raise (Bad_table ("missing string field " ^ k))
-  in
-  let jflt fields k =
-    match List.assoc_opt k fields with
-    | Some (Telemetry.Jnum f) -> f
-    | _ -> 0.0
+  let need get f k =
+    match get f k with
+    | Some v -> v
+    | None -> raise (Bad_table ("missing or mistyped field " ^ k))
   in
   let lines =
     String.split_on_char '\n' s
@@ -136,42 +126,39 @@ let of_json (s : string) : table =
   | [] -> raise (Bad_table "empty file")
   | header :: rest ->
     let hf =
-      try Telemetry.parse_object header
-      with Telemetry.Parse -> raise (Bad_table "unparsable header")
+      try Json.parse_object header
+      with Json.Parse -> raise (Bad_table "unparsable header")
     in
-    (match List.assoc_opt "veristat" hf with
-     | Some (Telemetry.Jstr "bvf/1") -> ()
-     | _ -> raise (Bad_table "not a bvf veristat table"));
+    if Json.str hf "veristat" <> Some "bvf/1" then
+      raise (Bad_table "not a bvf veristat table");
     let rows =
       List.map
         (fun line ->
            let f =
-             try Telemetry.parse_object line
-             with Telemetry.Parse -> raise (Bad_table "unparsable row")
+             try Json.parse_object line
+             with Json.Parse -> raise (Bad_table "unparsable row")
            in
-           let st = Bvf_verifier.Vstats.zero () in
-           st.Bvf_verifier.Vstats.vs_insn_processed <-
-             jint f "insn_processed";
-           st.Bvf_verifier.Vstats.vs_total_states <- jint f "total_states";
-           st.Bvf_verifier.Vstats.vs_peak_states <- jint f "peak_states";
-           st.Bvf_verifier.Vstats.vs_max_states_per_insn <-
-             jint f "max_states_per_insn";
-           st.Bvf_verifier.Vstats.vs_prune_hits <- jint f "prune_hits";
-           st.Bvf_verifier.Vstats.vs_prune_misses <- jint f "prune_misses";
-           st.Bvf_verifier.Vstats.vs_loops_detected <-
-             jint f "loops_detected";
-           st.Bvf_verifier.Vstats.vs_branch_hwm <- jint f "branch_hwm";
+           let st = Vstats.zero () in
+           st.Vstats.vs_insn_processed <- need Json.int f "insn_processed";
+           st.Vstats.vs_total_states <- need Json.int f "total_states";
+           st.Vstats.vs_peak_states <- need Json.int f "peak_states";
+           st.Vstats.vs_max_states_per_insn <-
+             need Json.int f "max_states_per_insn";
+           st.Vstats.vs_prune_hits <- need Json.int f "prune_hits";
+           st.Vstats.vs_prune_misses <- need Json.int f "prune_misses";
+           st.Vstats.vs_loops_detected <- need Json.int f "loops_detected";
+           st.Vstats.vs_branch_hwm <- need Json.int f "branch_hwm";
            {
-             vr_name = jstr f "name";
-             vr_prog_type = jstr f "prog_type";
-             vr_insns = jint f "insns";
-             vr_verdict = jstr f "verdict";
+             vr_name = need Json.str f "name";
+             vr_prog_type = need Json.str f "prog_type";
+             vr_insns = need Json.int f "insns";
+             vr_verdict = need Json.str f "verdict";
              vr_stats = st;
-             vr_time_s = jflt f "time_s";
+             vr_time_s = Option.value (Json.num f "time_s") ~default:0.0;
            })
         rest
     in
-    { vt_kernel = jstr hf "kernel"; vt_rows = rows }
+    { vt_kernel = need Json.str hf "kernel"; vt_rows = rows }
 
 let load_file (path : string) : table =
   let ic = open_in_bin path in

@@ -260,21 +260,6 @@ let load (path : string) : (int * span list) option =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON (Perfetto-loadable)                        *)
 
-let escape (s : string) : string =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One complete event ("ph":"X") per span, one JSON object per line so
    diffs and greps stay usable; [pid] is the track (shard/worker),
    [tid] the nesting depth.  [sdur] (self time, us) is a nonstandard
@@ -287,162 +272,38 @@ let write_chrome (path : string) ~(tracks : (int * string) list)
   let epoch = if epoch = infinity then 0. else epoch in
   let oc = open_out path in
   output_string oc "{\"traceEvents\":[";
+  let b = Buffer.create 256 in
   let first = ref true in
-  let emit line =
-    if !first then first := false else output_string oc ",";
-    output_string oc "\n";
-    output_string oc line
+  (* write out the event line built in [b] *)
+  let emit () =
+    output_string oc (if !first then "\n" else ",\n");
+    first := false;
+    Buffer.output_buffer oc b;
+    Buffer.clear b
   in
   List.iter
     (fun (trk, name) ->
-       emit
-         (Printf.sprintf
-            "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"%s\"}}"
-            trk (escape name)))
+       Printf.bprintf b
+         "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\
+          \"args\":{\"name\":\"%a\"}}"
+         trk Json.escape name;
+       emit ())
     tracks;
   List.iter
     (fun sp ->
-       emit
-         (Printf.sprintf
-            "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\",\
-             \"ts\":%.3f,\"dur\":%.3f,\"sdur\":%.3f,\
-             \"args\":{\"minor_words\":%.0f,\"major_words\":%.0f}}"
-            sp.sp_track sp.sp_depth (escape sp.sp_name)
-            ((sp.sp_start_s -. epoch) *. 1e6) (sp.sp_dur_s *. 1e6)
-            (sp.sp_self_s *. 1e6) sp.sp_minor_w sp.sp_major_w))
+       Printf.bprintf b
+         "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"name\":\"%a\",\
+          \"ts\":%.3f,\"dur\":%.3f,\"sdur\":%.3f,\
+          \"args\":{\"minor_words\":%.0f,\"major_words\":%.0f}}"
+         sp.sp_track sp.sp_depth Json.escape sp.sp_name
+         ((sp.sp_start_s -. epoch) *. 1e6) (sp.sp_dur_s *. 1e6)
+         (sp.sp_self_s *. 1e6) sp.sp_minor_w sp.sp_major_w;
+       emit ())
     spans;
   output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n";
   close_out oc
 
 (* ---- reading it back (the [bvf profile] aggregator) ---- *)
-
-(* Minimal recursive JSON reader: the trace format nests ([args],
-   [traceEvents]), so the flat telemetry parser does not apply. *)
-type json =
-  | Jobj of (string * json) list
-  | Jarr of json list
-  | Jstr of string
-  | Jnum of float
-  | Jbool of bool
-  | Jnull
-
-exception Malformed of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Malformed (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else fail "unexpected end" in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if !pos < n then
-      match s.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws ()
-      | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance (); Buffer.contents b
-      | '\\' ->
-        advance ();
-        (match peek () with
-         | '"' -> Buffer.add_char b '"'; advance ()
-         | '\\' -> Buffer.add_char b '\\'; advance ()
-         | '/' -> Buffer.add_char b '/'; advance ()
-         | 'n' -> Buffer.add_char b '\n'; advance ()
-         | 't' -> Buffer.add_char b '\t'; advance ()
-         | 'r' -> Buffer.add_char b '\r'; advance ()
-         | 'b' -> Buffer.add_char b '\b'; advance ()
-         | 'f' -> Buffer.add_char b '\012'; advance ()
-         | 'u' ->
-           advance ();
-           if !pos + 4 > n then fail "bad \\u escape";
-           let hex = String.sub s !pos 4 in
-           (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x80 ->
-              Buffer.add_char b (Char.chr code)
-            | Some _ -> Buffer.add_char b '?'   (* non-ASCII: placeholder *)
-            | None -> fail "bad \\u escape");
-           pos := !pos + 4
-         | _ -> fail "bad escape");
-        go ()
-      | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e'
-      || c = 'E'
-    in
-    while !pos < n && is_num s.[!pos] do advance () done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance (); skip_ws ();
-      if peek () = '}' then begin advance (); Jobj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws (); expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ((k, v) :: acc)
-          | '}' -> advance (); Jobj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | '[' ->
-      advance (); skip_ws ();
-      if peek () = ']' then begin advance (); Jarr [] end
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); elems (v :: acc)
-          | ']' -> advance (); Jarr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elems []
-      end
-    | '"' -> Jstr (parse_string ())
-    | 't' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-        pos := !pos + 4; Jbool true
-      end else fail "bad literal"
-    | 'f' ->
-      if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-        pos := !pos + 5; Jbool false
-      end else fail "bad literal"
-    | 'n' ->
-      if !pos + 4 <= n && String.sub s !pos 4 = "null" then begin
-        pos := !pos + 4; Jnull
-      end else fail "bad literal"
-    | '-' | '0' .. '9' -> Jnum (parse_number ())
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
 
 (* Containment slack: endpoints round-trip through %.3f microseconds,
    so two rounded endpoints can disagree by 1ns each. *)
@@ -508,12 +369,12 @@ let read_chrome (path : string) :
     close_in ic;
     s
   in
-  match parse_json contents with
-  | exception Malformed msg -> ([], [], [ "not valid JSON: " ^ msg ])
-  | Jobj fields ->
+  match Json.parse contents with
+  | exception Json.Parse -> ([], [], [ "not valid JSON" ])
+  | Json.Jobj fields ->
     let events =
       match List.assoc_opt "traceEvents" fields with
-      | Some (Jarr l) -> l
+      | Some (Json.Jarr l) -> l
       | Some _ -> errors := "traceEvents is not an array" :: !errors; []
       | None -> errors := "missing traceEvents" :: !errors; []
     in
@@ -522,36 +383,23 @@ let read_chrome (path : string) :
     List.iteri
       (fun i ev ->
          match ev with
-         | Jobj f ->
-           let str k =
-             match List.assoc_opt k f with Some (Jstr s) -> Some s | _ -> None
-           in
-           let num k =
-             match List.assoc_opt k f with Some (Jnum x) -> Some x | _ -> None
-           in
-           let arg k =
+         | Json.Jobj f ->
+           let args =
              match List.assoc_opt "args" f with
-             | Some (Jobj a) ->
-               (match List.assoc_opt k a with
-                | Some (Jnum x) -> Some x
-                | _ -> None)
-             | _ -> None
+             | Some (Json.Jobj a) -> a
+             | _ -> []
            in
-           (match str "ph" with
+           (match Json.str f "ph" with
             | Some "M" -> begin
-                match str "name", num "pid" with
-                | Some "process_name", Some pid ->
-                  (match List.assoc_opt "args" f with
-                   | Some (Jobj a) ->
-                     (match List.assoc_opt "name" a with
-                      | Some (Jstr nm) ->
-                        tracks := (int_of_float pid, nm) :: !tracks
-                      | _ -> ())
-                   | _ -> ())
+                match Json.str f "name", Json.num f "pid",
+                      Json.str args "name" with
+                | Some "process_name", Some pid, Some nm ->
+                  tracks := (int_of_float pid, nm) :: !tracks
                 | _ -> ()
               end
             | Some "X" -> begin
-                match str "name", num "pid", num "ts", num "dur" with
+                match Json.str f "name", Json.num f "pid", Json.num f "ts",
+                      Json.num f "dur" with
                 | Some name, Some pid, Some ts, Some dur ->
                   if dur < 0. then
                     errors :=
@@ -560,18 +408,17 @@ let read_chrome (path : string) :
                     spans :=
                       { sp_track = int_of_float pid; sp_name = name;
                         sp_depth =
-                          (match num "tid" with
-                           | Some t -> int_of_float t
-                           | None -> 0);
+                          Option.value (Json.int f "tid") ~default:0;
                         sp_start_s = ts /. 1e6; sp_dur_s = dur /. 1e6;
                         sp_self_s =
-                          (match num "sdur" with
-                           | Some sd -> sd /. 1e6
-                           | None -> dur /. 1e6);
+                          Option.value (Json.num f "sdur") ~default:dur
+                          /. 1e6;
                         sp_minor_w =
-                          Option.value (arg "minor_words") ~default:0.;
+                          Option.value (Json.num args "minor_words")
+                            ~default:0.;
                         sp_major_w =
-                          Option.value (arg "major_words") ~default:0. }
+                          Option.value (Json.num args "major_words")
+                            ~default:0. }
                       :: !spans
                 | _ ->
                   errors :=

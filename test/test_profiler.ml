@@ -1,7 +1,8 @@
 (* Span-profiler tests: the purity contract (a profiled run's digest
    and telemetry trace are byte-identical to an unprofiled one, both
    sequential and sharded), the Chrome trace-event round trip (parses
-   back, nests correctly, malformed input is reported not swallowed),
+   back, nests correctly, malformed or hostile input is reported not
+   swallowed),
    non-negative GC attribution, the shared percentile helper, and the
    serve loop's metrics request. *)
 
@@ -18,6 +19,7 @@ module Service = Bvf_core.Service
 module Vcache = Bvf_core.Vcache
 module Prof = Bvf_util.Prof
 module Percentile = Bvf_util.Percentile
+module Json = Bvf_util.Json
 
 let strategy = Campaign.bvf_strategy
 let config () = Kconfig.default Version.Bpf_next
@@ -147,6 +149,22 @@ let test_chrome_malformed_reported () =
   Alcotest.(check bool) "partial overlap is a complaint" true (c3 <> []);
   Alcotest.(check int) "overlapping events still parse" 2
     (List.length spans)
+
+(* Nesting is bounded: a hostile trace a million levels deep is a
+   parse error (one complaint), not a stack overflow. *)
+let test_chrome_deep_nesting () =
+  let depth = 1_000_000 in
+  let deep = String.make depth '[' ^ String.make depth ']' in
+  Alcotest.check_raises "1M-deep value" Json.Parse (fun () ->
+      ignore (Json.parse deep : Json.t));
+  let path = Filename.temp_file "bvf_prof_deep" ".json" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc ({|{"traceEvents":|} ^ deep ^ "}"));
+  let spans, _, complaints = Prof.read_chrome path in
+  Sys.remove path;
+  Alcotest.(check (list string)) "one complaint" [ "not valid JSON" ]
+    complaints;
+  Alcotest.(check int) "no spans" 0 (List.length spans)
 
 (* -- Purity: profiled == unprofiled, sequential and sharded ------------ *)
 
@@ -308,18 +326,18 @@ let test_serve_metrics_round_trip () =
   Alcotest.(check int) "hits" 1 stats.Service.sv_hits;
   Alcotest.(check int) "misses" 2 stats.Service.sv_misses;
   let field fields k =
-    match List.assoc_opt k fields with
-    | Some (Telemetry.Jnum x) -> x
-    | _ -> Alcotest.failf "metrics response lacks %s" k
+    match Json.num fields k with
+    | Some x -> x
+    | None -> Alcotest.failf "metrics response lacks %s" k
   in
-  let m0 = Telemetry.parse_object (List.nth lines 0) in
+  let m0 = Json.parse_object (List.nth lines 0) in
   Alcotest.(check (float 0.0)) "fresh server: zero requests" 0.0
     (field m0 "requests");
-  Alcotest.(check bool) "id echoed" true
-    (List.assoc_opt "id" m0 = Some (Telemetry.Jstr "m0"));
-  let m = Telemetry.parse_object (List.nth lines 5) in
-  Alcotest.(check bool) "default id" true
-    (List.assoc_opt "id" m = Some (Telemetry.Jstr "metrics"));
+  Alcotest.(check (option string)) "id echoed" (Some "m0")
+    (Json.str m0 "id");
+  let m = Json.parse_object (List.nth lines 5) in
+  Alcotest.(check (option string)) "default id" (Some "metrics")
+    (Json.str m "id");
   Alcotest.(check (float 0.0)) "requests counted" 3.0
     (field m "requests");
   Alcotest.(check (float 0.0)) "invalid counted" 1.0 (field m "invalid");
@@ -355,6 +373,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_chrome_round_trip;
           Alcotest.test_case "malformed reported" `Quick
             test_chrome_malformed_reported;
+          Alcotest.test_case "deep nesting reported" `Quick
+            test_chrome_deep_nesting;
         ] );
       ( "purity",
         [

@@ -2,8 +2,8 @@
    byte-identical results to a cold verification (including log and
    counters), evicts strictly LRU, survives the disk round trip and
    treats damaged files as errors; batches are deterministic across
-   --jobs; the JSONL codec round-trips; the service telemetry events
-   round-trip and aggregate. *)
+   --jobs; the JSONL codec round-trips and echoes non-ASCII ids as
+   UTF-8; the service telemetry events round-trip and aggregate. *)
 
 module Version = Bvf_ebpf.Version
 module Asm = Bvf_ebpf.Asm
@@ -16,6 +16,7 @@ module Telemetry = Bvf_core.Telemetry
 module Selftests = Bvf_core.Selftests
 module Service = Bvf_core.Service
 module Vcache = Bvf_core.Vcache
+module Json = Bvf_util.Json
 
 let version = Version.Bpf_next
 let config = Kconfig.fixed version
@@ -287,6 +288,9 @@ let test_request_errors () =
     | Ok _ -> Alcotest.failf "parsed: %s" line
   in
   Alcotest.(check string) "not json" "malformed JSON" (err "nope");
+  Alcotest.(check string) "nested values are not requests"
+    "malformed JSON"
+    (err {|{"id":"r1","prog_type":"xdp","prog":["9500000000000000"]}|});
   Alcotest.(check string) "missing id" "missing id"
     (err {|{"prog_type":"xdp","prog":"9500000000000000"}|});
   Alcotest.(check bool) "bad hex names the request" true
@@ -305,6 +309,40 @@ let test_request_errors () =
   Alcotest.(check string) "error input id" "r7" input.Service.in_id;
   let input = Service.input_of_json ~fallback_id:"line9" "garbage" in
   Alcotest.(check string) "fallback id" "line9" input.Service.in_id
+
+(* [\u] escapes decode to UTF-8 (a surrogate pair to one code point, a
+   lone surrogate to U+FFFD), so the serve loop echoes the caller's id
+   byte-exact instead of a Latin-1 byte or a placeholder. *)
+let test_unicode_ids_echoed () =
+  let in_path = tmp "bvf_svc_unicode_in.jsonl" in
+  let out_path = tmp "bvf_svc_unicode_out.jsonl" in
+  let cases =
+    [ ({|\u00e9|}, "\xc3\xa9");
+      ({|\u20ac|}, "\xe2\x82\xac");
+      ({|\ud83d\ude00|}, "\xf0\x9f\x98\x80");
+      ({|\ud800x|}, "\xef\xbf\xbdx") ]
+  in
+  Out_channel.with_open_bin in_path (fun oc ->
+      List.iter
+        (fun (esc, _) -> Printf.fprintf oc "{\"id\":\"%s\"}\n" esc)
+        cases);
+  let ic = open_in_bin in_path and oc = open_out_bin out_path in
+  ignore
+    (Service.serve ~cache:(Vcache.create ~cap:4)
+       ~session:(Service.create_session config) ~stop:(fun () -> false)
+       ic oc : Service.serve_stats);
+  close_in ic;
+  close_out oc;
+  let lines = In_channel.with_open_bin out_path In_channel.input_lines in
+  Sys.remove in_path;
+  Sys.remove out_path;
+  Alcotest.(check int) "one response per request" (List.length cases)
+    (List.length lines);
+  List.iter2
+    (fun (esc, utf8) line ->
+       Alcotest.(check (option string)) esc (Some utf8)
+         (Json.str (Json.parse_object line) "id"))
+    cases lines
 
 let test_service_events_round_trip () =
   List.iter
@@ -361,6 +399,8 @@ let () =
           Alcotest.test_case "request round trip" `Quick
             test_request_round_trip;
           Alcotest.test_case "request errors" `Quick test_request_errors;
+          Alcotest.test_case "unicode ids echoed as UTF-8" `Quick
+            test_unicode_ids_echoed;
           Alcotest.test_case "service events round trip" `Quick
             test_service_events_round_trip;
         ] );

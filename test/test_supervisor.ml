@@ -381,6 +381,29 @@ let test_interrupt_then_resume () =
        report.rp_workers
    | Supervisor.Completed _ ->
      Alcotest.fail "run completed before the stop fired");
+  (* The stop acts as an extra barrier (save, then reboot), and resume
+     counts one reboot for the fresh kernel it builds.  A SIGTERM that
+     lands between barriers therefore leaves the worker one reboot
+     ahead of an undisturbed run; one that lands ON a barrier iteration
+     runs the barrier sequence once and adds none.  Each interrupted
+     checkpoint records where its stop landed. *)
+  let extra_reboots =
+    List.fold_left
+      (fun acc i ->
+         let path =
+           Filename.concat state (Printf.sprintf "worker-%d.ckpt" i)
+         in
+         match Supervisor.load_worker ~path with
+         | Ok w ->
+           let at_barrier =
+             w.Supervisor.wk_snapshot.Campaign.sn_completed mod 50 = 0
+           in
+           acc + if at_barrier then 0 else 1
+         | Error e ->
+           Alcotest.failf "worker %d checkpoint: %s" i
+             (Checkpoint.error_to_string e))
+      0 [ 0; 1 ]
+  in
   let resumed, report =
     completed
       (sv ~checkpoint_every:50 ~dir:state ~seed:14 ~iterations:2000
@@ -393,15 +416,12 @@ let test_interrupt_then_resume () =
       (sv ~checkpoint_every:50 ~dir:(Filename.concat dir "ref") ~seed:14
          ~iterations:2000 ~workers:2 ())
   in
-  (* the SIGTERM lands between barriers, so each resumed worker carries
-     exactly one extra reboot (the save-on-stop barrier) — the same
-     semantics as the sequential stop/resume test.  st_reboots is part
-     of the digest; normalize that one documented delta and everything
-     else must be identical. *)
+  (* st_reboots is part of the digest; normalize that one documented
+     delta and everything else must be identical. *)
   let rs = resumed.Parallel.pr_stats
   and fs = reference.Parallel.pr_stats in
-  Alcotest.(check int) "one extra reboot per interrupted worker"
-    (fs.Campaign.st_reboots + 2) rs.Campaign.st_reboots;
+  Alcotest.(check int) "one extra reboot per worker stopped off a barrier"
+    (fs.Campaign.st_reboots + extra_reboots) rs.Campaign.st_reboots;
   rs.Campaign.st_reboots <- fs.Campaign.st_reboots;
   Alcotest.(check string) "resumed digest equals undisturbed (mod reboots)"
     (Campaign.digest fs) (Campaign.digest rs)

@@ -1,8 +1,9 @@
 (* Telemetry & taxonomy tests: every reject-example program produces its
    documented reason; rejected selftest/generated programs never map to
    Unknown; JSONL traces round-trip and are deterministic across
-   sharding; phase timers stay within the wall-clock envelope; the docs
-   reference layer stays in sync with the code. *)
+   sharding; the one JSON codec round-trips any byte string and parses
+   every emitter's output; phase timers stay within the wall-clock
+   envelope; the docs reference layer stays in sync with the code. *)
 
 module Version = Bvf_ebpf.Version
 module Kconfig = Bvf_kernel.Kconfig
@@ -15,6 +16,11 @@ module Campaign = Bvf_core.Campaign
 module Parallel = Bvf_core.Parallel
 module Telemetry = Bvf_core.Telemetry
 module Selftests = Bvf_core.Selftests
+module Triage = Bvf_core.Triage
+module Veristat = Bvf_core.Veristat
+module Service = Bvf_core.Service
+module Vstats = Bvf_verifier.Vstats
+module Json = Bvf_util.Json
 
 let read_all path = In_channel.with_open_bin path In_channel.input_all
 
@@ -206,6 +212,68 @@ let test_jsonl_round_trip () =
         ^ {|"verify_s":1.000000,"sanitize_s":0.250000,|}
         ^ {|"exec_s":0.125000,"wall_s":2.000000}|}))
 
+(* -- The JSON codec ---------------------------------------------------------- *)
+
+let escaped (s : string) : string =
+  let b = Buffer.create 16 in
+  Json.escape b s;
+  Buffer.contents b
+
+(* Any byte string survives escape-then-parse: control bytes, quotes,
+   backslashes, NUL and bytes >= 0x80 (weighted up so every run sees
+   them). *)
+let json_escape_round_trip =
+  let byte =
+    QCheck2.Gen.(
+      frequency
+        [ (3, char);
+          (2, oneofl [ '"'; '\\'; '\000'; '\n'; '\r'; '\t'; '\x1f';
+                       '\x7f'; '\x80'; '\xc3'; '\xff'; 'u'; '/' ]) ])
+  in
+  QCheck2.Test.make ~count:2000 ~name:"escape then parse_object is exact"
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(string_size ~gen:byte (int_range 0 48))
+    (fun s ->
+       Json.parse_object (Printf.sprintf {|{"k":"%s"}|} (escaped s))
+       = [ ("k", Json.Jstr s) ])
+
+(* Every flat emitter's line is a flat object to the one parser, string
+   fields carrying bytes that need escaping included. *)
+let test_emitters_parse () =
+  let weird = "a\"b\\c\nd\re\tf\000g\xc3\xa9" in
+  let parse what line =
+    match Json.parse_object line with
+    | f -> f
+    | exception Json.Parse -> Alcotest.failf "%s does not parse: %s" what line
+  in
+  let crash =
+    { Triage.hc_worker = 1; hc_iteration = Some 7;
+      hc_cause = Triage.Crash_signal 9; hc_restarts = 2 }
+  in
+  ignore (parse "harness crash" (Triage.harness_crash_to_json crash));
+  let table =
+    { Veristat.vt_kernel = weird;
+      vt_rows =
+        [ { Veristat.vr_name = weird; vr_prog_type = "xdp"; vr_insns = 3;
+            vr_verdict = "ok"; vr_stats = Vstats.zero ();
+            vr_time_s = 0.25 } ] }
+  in
+  (match String.split_on_char '\n' (String.trim (Veristat.to_json table))
+   with
+   | [ header; row ] ->
+     Alcotest.(check (option string)) "veristat header kernel" (Some weird)
+       (Json.str (parse "veristat header" header) "kernel");
+     Alcotest.(check (option string)) "veristat row name" (Some weird)
+       (Json.str (parse "veristat row" row) "name")
+   | lines -> Alcotest.failf "veristat: %d lines" (List.length lines));
+  let metrics =
+    Service.metrics_to_json ~id:weird ~requests:3 ~invalid:1 ~admitted:1
+      ~rejected:1 ~hits:0 ~misses:2 ~verify_s:[ 1e-4; 2e-3 ] ~le_100us:1
+      ~le_1ms:0 ~le_10ms:1 ~gt_10ms:0
+  in
+  Alcotest.(check (option string)) "metrics id" (Some weird)
+    (Json.str (parse "metrics" metrics) "id")
+
 let test_summarize_counts () =
   let s = Telemetry.summarize sample_events in
   Alcotest.(check int) "events" (List.length sample_events)
@@ -385,6 +453,9 @@ let () =
       ( "jsonl",
         [
           Alcotest.test_case "round trip" `Quick test_jsonl_round_trip;
+          QCheck_alcotest.to_alcotest json_escape_round_trip;
+          Alcotest.test_case "every emitter parses" `Quick
+            test_emitters_parse;
           Alcotest.test_case "summarize counts" `Quick
             test_summarize_counts;
           Alcotest.test_case "trace matches campaign stats" `Quick
