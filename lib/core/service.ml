@@ -72,32 +72,65 @@ let verify_request ?(log_level = 0) (session : Loader.t)
 
 (* -- JSONL codec ----------------------------------------------------- *)
 
-let hex_of_bytes (b : Bytes.t) : string =
-  let out = Buffer.create (2 * Bytes.length b) in
-  Bytes.iter
-    (fun c -> Printf.bprintf out "%02x" (Char.code c))
-    b;
-  Buffer.contents out
+let hex_digits = "0123456789abcdef"
 
+let hex_of_bytes (b : Bytes.t) : string =
+  let n = Bytes.length b in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Bytes.get_uint8 b i in
+    Bytes.unsafe_set out (2 * i) hex_digits.[c lsr 4];
+    Bytes.unsafe_set out (2 * i + 1) hex_digits.[c land 0xf]
+  done;
+  Bytes.unsafe_to_string out
+
+(* The value of every byte as a hex digit: 0-15 for a digit of either
+   case, [skip] for the whitespace allowed between digits, [bad] for
+   anything else. *)
+let skip = 16
+let bad = 17
+
+let nibble : string =
+  String.init 256 (fun i ->
+      Char.chr
+        (match Char.chr i with
+         | '0' .. '9' -> i - Char.code '0'
+         | 'a' .. 'f' -> i - Char.code 'a' + 10
+         | 'A' .. 'F' -> i - Char.code 'A' + 10
+         | ' ' | '\t' | '\n' | '\r' -> skip
+         | _ -> bad))
+
+(* Two passes: count the digits (any bad byte wins over an odd count),
+   then fill one buffer of exactly the right size. *)
 let bytes_of_hex (s : string) : (Bytes.t, string) result =
-  let digits = Buffer.create (String.length s) in
-  (try
-     String.iter
-       (fun c ->
-          match c with
-          | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> Buffer.add_char digits c
-          | ' ' | '\t' | '\n' | '\r' -> ()
-          | _ -> raise Exit)
-       s
-   with Exit -> Buffer.clear digits; Buffer.add_char digits 'x');
-  let h = Buffer.contents digits in
-  let n = String.length h in
-  if h = "x" then Error "prog is not hex"
-  else if n mod 2 <> 0 then Error "prog hex has an odd digit count"
-  else
-    Ok
-      (Bytes.init (n / 2) (fun i ->
-           Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
+  let n = String.length s in
+  let nib i = Char.code (String.unsafe_get nibble (Char.code s.[i])) in
+  let rec count i digits =
+    if i = n then digits
+    else
+      let v = nib i in
+      if v = bad then -1
+      else count (i + 1) (if v = skip then digits else digits + 1)
+  in
+  let digits = count 0 0 in
+  if digits < 0 then Error "prog is not hex"
+  else if digits land 1 <> 0 then Error "prog hex has an odd digit count"
+  else begin
+    let out = Bytes.create (digits / 2) in
+    (* [hi] holds the pending high nibble, -1 when there is none *)
+    let rec fill i j hi =
+      if i < n then
+        let v = nib i in
+        if v = skip then fill (i + 1) j hi
+        else if hi < 0 then fill (i + 1) j v
+        else begin
+          Bytes.unsafe_set out j (Char.unsafe_chr ((hi lsl 4) lor v));
+          fill (i + 1) (j + 1) (-1)
+        end
+    in
+    fill 0 0 (-1);
+    Ok out
+  end
 
 let decode_prog (bytes : Bytes.t) :
   (Insn.t array, string) result =
@@ -106,51 +139,55 @@ let decode_prog (bytes : Bytes.t) :
   | Error { Encode.pos; reason } ->
     Error (Printf.sprintf "bad program at slot %d: %s" pos reason)
 
-(* Parse one request line; on failure, recover the id when the line
-   got far enough to carry one, so the error response still names the
+(* A request from the fields of one parsed line; on failure, the id
+   when the line carried one, so the error response still names the
    caller's request. *)
-let parse_request (line : string) :
+let parse_request (f : (string * Json.t) list) :
   (request, string option * string) result =
-  match Json.parse_object (String.trim line) with
-  | exception Json.Parse -> Error (None, "malformed JSON")
-  | f ->
-    let id = Json.str f "id" in
-    let ( let* ) = Result.bind in
-    let req =
-      let* pt =
-        match Json.str f "prog_type" with
-        | None -> Error "missing prog_type"
-        | Some s ->
-          (match Prog.prog_type_of_string s with
-           | Some pt -> Ok pt
-           | None -> Error (Printf.sprintf "unknown prog_type %S" s))
-      in
-      let* hex =
-        match Json.str f "prog" with
-        | Some h -> Ok h
-        | None -> Error "missing prog"
-      in
-      let* bytes = bytes_of_hex hex in
-      let* insns = decode_prog bytes in
-      Ok
-        { Verifier.r_prog_type = pt;
-          r_attach = Json.str f "attach";
-          r_offload = Json.bool f "offload" = Some true;
-          r_insns = insns }
+  let id = Json.str f "id" in
+  let ( let* ) = Result.bind in
+  let req =
+    let* pt =
+      match Json.str f "prog_type" with
+      | None -> Error "missing prog_type"
+      | Some s ->
+        (match Prog.prog_type_of_string s with
+         | Some pt -> Ok pt
+         | None -> Error (Printf.sprintf "unknown prog_type %S" s))
     in
-    match id, req with
-    | Some q_id, Ok q_req -> Ok { q_id; q_req }
-    | None, Ok _ -> Error (None, "missing id")
-    | _, Error e -> Error (id, e)
+    let* hex =
+      match Json.str f "prog" with
+      | Some h -> Ok h
+      | None -> Error "missing prog"
+    in
+    let* bytes = bytes_of_hex hex in
+    let* insns = decode_prog bytes in
+    Ok
+      { Verifier.r_prog_type = pt;
+        r_attach = Json.str f "attach";
+        r_offload = Json.bool f "offload" = Some true;
+        r_insns = insns }
+  in
+  match id, req with
+  | Some q_id, Ok q_req -> Ok { q_id; q_req }
+  | None, Ok _ -> Error (None, "missing id")
+  | _, Error e -> Error (id, e)
+
+let malformed = "malformed JSON"
+
+let parse_line (line : string) : (request, string option * string) result =
+  match Json.parse_object (String.trim line) with
+  | exception Json.Parse -> Error (None, malformed)
+  | f -> parse_request f
 
 let request_of_json (line : string) : (request, string) result =
-  match parse_request line with
+  match parse_line line with
   | Ok r -> Ok r
   | Error (Some id, msg) -> Error (Printf.sprintf "%s: %s" id msg)
   | Error (None, msg) -> Error msg
 
 let input_of_json ~(fallback_id : string) (line : string) : input =
-  match parse_request line with
+  match parse_line line with
   | Ok r -> { in_id = r.q_id; in_req = Ok r.q_req }
   | Error (id, msg) ->
     { in_id = Option.value id ~default:fallback_id; in_req = Error msg }
@@ -169,8 +206,9 @@ let request_to_json (r : request) : string =
      Buffer.add_char b '"');
   if r.q_req.Verifier.r_offload then
     Buffer.add_string b ",\"offload\":true";
-  Printf.bprintf b ",\"prog\":\"%s\"}"
-    (hex_of_bytes (Encode.encode r.q_req.Verifier.r_insns));
+  Buffer.add_string b ",\"prog\":\"";
+  Buffer.add_string b (hex_of_bytes (Encode.encode r.q_req.Verifier.r_insns));
+  Buffer.add_string b "\"}";
   Buffer.contents b
 
 let response_to_json ~(id : string) ~(key : string) ?hit
@@ -462,17 +500,6 @@ type serve_stats = {
   sv_misses : int;
 }
 
-(* A metrics request is any object with "metrics":true — it never
-   parses as a program request (those require prog_type and prog), so
-   the two request shapes cannot collide.  Returns the echoed id. *)
-let metrics_request (line : string) : string option =
-  match Json.parse_object (String.trim line) with
-  | exception Json.Parse -> None
-  | f ->
-    if Json.bool f "metrics" = Some true then
-      Some (Option.value (Json.str f "id") ~default:"metrics")
-    else None
-
 let metrics_to_json ~(id : string) ~(requests : int) ~(invalid : int)
     ~(admitted : int) ~(rejected : int) ~(hits : int) ~(misses : int)
     ~(verify_s : float list) ~(le_100us : int) ~(le_1ms : int)
@@ -509,50 +536,61 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
   let le_100us = ref 0 and le_1ms = ref 0 in
   let le_10ms = ref 0 and gt_10ms = ref 0 in
   let lineno = ref 0 in
-  let respond (line : string) : unit =
-    match metrics_request line with
-    | Some id ->
-      output_string oc
-        (metrics_to_json ~id ~requests:!requests ~invalid:!invalid
-           ~admitted:!admitted ~rejected:!rejected ~hits:!hits
-           ~misses:!misses ~verify_s:!verify_s ~le_100us:!le_100us
-           ~le_1ms:!le_1ms ~le_10ms:!le_10ms ~gt_10ms:!gt_10ms);
+  let metrics (id : string) : unit =
+    output_string oc
+      (metrics_to_json ~id ~requests:!requests ~invalid:!invalid
+         ~admitted:!admitted ~rejected:!rejected ~hits:!hits
+         ~misses:!misses ~verify_s:!verify_s ~le_100us:!le_100us
+         ~le_1ms:!le_1ms ~le_10ms:!le_10ms ~gt_10ms:!gt_10ms);
+    output_char oc '\n'
+  in
+  let answer (parsed : (request, string option * string) result) : unit =
+    match parsed with
+    | Error (id, msg) ->
+      incr invalid;
+      let id =
+        match id with
+        | Some id -> id
+        | None -> Printf.sprintf "line%d" !lineno
+      in
+      output_string oc (error_to_json ~id msg);
       output_char oc '\n'
-    | None ->
-      match
-        input_of_json ~fallback_id:(Printf.sprintf "line%d" !lineno) line
-      with
-      | { in_id; in_req = Error msg } ->
-        incr invalid;
-        output_string oc (error_to_json ~id:in_id msg);
-        output_char oc '\n'
-      | { in_id = q_id; in_req = Ok q_req } ->
-        let key, found =
-          Bvf_util.Prof.span prof "probe" (fun () ->
-              let k = Vcache.key ~config_fp ~maps_fp q_req in
-              (k, Vcache.find cache k))
-        in
-        let v, hit =
-          match found with
-          | Some v -> incr hits; (v, true)
-          | None ->
-            incr misses;
-            let fr = Bvf_util.Prof.start prof "verify" in
-            let v = verify_request ~log_level session q_req in
-            let dur, _ = Bvf_util.Prof.stop prof fr in
-            verify_s := dur :: !verify_s;
-            if dur <= 1e-4 then incr le_100us
-            else if dur <= 1e-3 then incr le_1ms
-            else if dur <= 1e-2 then incr le_10ms
-            else incr gt_10ms;
-            Vcache.insert cache key v;
-            (v, false)
-        in
-        if v.Vcache.cv_accepted then incr admitted else incr rejected;
-        emit_events sink ~seq:!requests ~key ~hit v;
-        incr requests;
-        output_string oc (response_to_json ~id:q_id ~key ~hit v);
-        output_char oc '\n'
+    | Ok { q_id; q_req } ->
+      let key, found =
+        Bvf_util.Prof.span prof "probe" (fun () ->
+            let k = Vcache.key ~config_fp ~maps_fp q_req in
+            (k, Vcache.find cache k))
+      in
+      let v, hit =
+        match found with
+        | Some v -> incr hits; (v, true)
+        | None ->
+          incr misses;
+          let fr = Bvf_util.Prof.start prof "verify" in
+          let v = verify_request ~log_level session q_req in
+          let dur, _ = Bvf_util.Prof.stop prof fr in
+          verify_s := dur :: !verify_s;
+          if dur <= 1e-4 then incr le_100us
+          else if dur <= 1e-3 then incr le_1ms
+          else if dur <= 1e-2 then incr le_10ms
+          else incr gt_10ms;
+          Vcache.insert cache key v;
+          (v, false)
+      in
+      if v.Vcache.cv_accepted then incr admitted else incr rejected;
+      emit_events sink ~seq:!requests ~key ~hit v;
+      incr requests;
+      output_string oc (response_to_json ~id:q_id ~key ~hit v);
+      output_char oc '\n'
+  in
+  (* One parse decides the request kind: a metrics request is any
+     object with "metrics":true, whatever else it carries. *)
+  let respond (line : string) : unit =
+    match Json.parse_object (String.trim line) with
+    | exception Json.Parse -> answer (Error (None, malformed))
+    | f when Json.bool f "metrics" = Some true ->
+      metrics (Option.value (Json.str f "id") ~default:"metrics")
+    | f -> answer (parse_request f)
   in
   (try
      while not (stop ()) do

@@ -56,8 +56,10 @@ val verify_request :
 
 val request_of_json : string -> (request, string) result
 (** Parse a request line: required ["id"], ["prog_type"], ["prog"] (hex
-    of the wire-format program); optional ["attach"] (string) and
-    ["offload"] (bool, default false). *)
+    of the wire-format program, either case, with space, tab, CR and LF
+    between digits skipped); optional ["attach"] (string) and
+    ["offload"] (bool, default false).  A non-hex byte in ["prog"] is
+    reported before an odd digit count. *)
 
 val input_of_json : fallback_id:string -> string -> input
 (** {!request_of_json} as an {!input}: a failed parse keeps the line's
@@ -173,8 +175,10 @@ val serve :
     Single-domain by design: a serve loop is latency-shaped, and the
     cache answers the repeat-heavy part of the workload.
 
-    A line that is a flat JSON object with ["metrics":true] is a {b
-    metrics request} (docs/SERVICE.md): the loop answers with one flat
+    Each line is parsed once, and those fields decide its kind: a flat
+    JSON object with ["metrics":true] is a {b metrics request}
+    (docs/SERVICE.md), whatever other fields it carries, and the loop
+    answers it with one flat
     JSON line of in-process counters — requests/invalid/admitted/
     rejected, cache hits/misses, and cold-verification latency
     (count, nearest-rank p50/p95 seconds, and a fixed histogram

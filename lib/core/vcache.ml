@@ -65,12 +65,17 @@ let create ~cap : t =
 let cap (t : t) : int = t.t_cap
 let length (t : t) : int = Hashtbl.length t.tbl
 
+(* One buffer holds every key part, so the request is copied once,
+   straight from its wire encoding. *)
 let key ~(config_fp : string) ~(maps_fp : string)
     (req : Verifier.request) : string =
-  Digest.to_hex
-    (Digest.string
-       (config_fp ^ "\n" ^ maps_fp ^ "\n"
-        ^ Verifier.request_canonical req))
+  let b = Buffer.create 1024 in
+  Buffer.add_string b config_fp;
+  Buffer.add_char b '\n';
+  Buffer.add_string b maps_fp;
+  Buffer.add_char b '\n';
+  Verifier.add_request_canonical b req;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* -- Intrusive list maintenance ------------------------------------- *)
 

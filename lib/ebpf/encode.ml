@@ -87,41 +87,48 @@ let pseudo_call_kfunc = 2
 
 type raw = { op : int; dst : int; src : int; off : int; imm : int32 }
 
+(* One slot, written straight into its wire fields. *)
+let put (b : Bytes.t) (pos : int) ~(op : int) ~(dst : int) ~(src : int)
+    ~(off : int) ~(imm : int32) : unit =
+  Bytes.set_uint8 b pos (op land 0xff);
+  Bytes.set_uint8 b (pos + 1) ((dst land 0xf) lor ((src land 0xf) lsl 4));
+  Bytes.set_uint16_le b (pos + 2) (off land 0xffff);
+  Bytes.set_int32_le b (pos + 4) imm
+
 let raw_to_bytes (b : Bytes.t) (pos : int) (r : raw) : unit =
-  Bytes.set b pos (Char.chr (r.op land 0xff));
-  Bytes.set b (pos + 1) (Char.chr ((r.dst land 0xf) lor ((r.src land 0xf) lsl 4)));
-  Word.set_le b (pos + 2) 2 (Int64.of_int (r.off land 0xffff));
-  Word.set_le b (pos + 4) 4 (Int64.of_int32 r.imm)
+  put b pos ~op:r.op ~dst:r.dst ~src:r.src ~off:r.off ~imm:r.imm
 
 let raw_of_bytes (b : Bytes.t) (pos : int) : raw =
-  let op = Char.code (Bytes.get b pos) in
-  let regs = Char.code (Bytes.get b (pos + 1)) in
-  let off = Int64.to_int (Word.sext16 (Word.get_le b (pos + 2) 2)) in
-  let imm = Int64.to_int32 (Word.get_le b (pos + 4) 4) in
-  { op; dst = regs land 0xf; src = (regs lsr 4) land 0xf; off; imm }
+  let regs = Bytes.get_uint8 b (pos + 1) in
+  { op = Bytes.get_uint8 b pos; dst = regs land 0xf; src = regs lsr 4;
+    off = Bytes.get_int16_le b (pos + 2);
+    imm = Bytes.get_int32_le b (pos + 4) }
 
-(* Lower one structured instruction to one or two raw slots.
-   Branch offsets are translated by the caller; here [off]/[imm] fields
-   are taken as already slot-based. *)
-let lower (i : t) ~(off : int) ~(local_imm : int32) : raw list =
+(* Lower one structured instruction into its one or two slots at byte
+   [pos] of [b], which the caller has zeroed.  Branch offsets are
+   translated by the caller; here [off]/[local_imm] are taken as
+   already slot-based. *)
+let lower (b : Bytes.t) (pos : int) (i : t) ~(off : int)
+    ~(local_imm : int32) : unit =
   let reg = reg_to_int in
   match i with
   | Alu { op64; op = Neg; dst; _ } ->
-    [ { op = (alu_op_code Neg lsl 4) lor src_k
-             lor (if op64 then cls_alu64 else cls_alu);
-        dst = reg dst; src = 0; off = 0; imm = 0l } ]
+    put b pos ~op:((alu_op_code Neg lsl 4) lor src_k
+             lor (if op64 then cls_alu64 else cls_alu))
+      ~dst:(reg dst) ~src:0 ~off:0 ~imm:0l
   | Alu { op64; op; dst; src } ->
     let cls = if op64 then cls_alu64 else cls_alu in
     (match src with
      | Imm imm ->
-       [ { op = (alu_op_code op lsl 4) lor src_k lor cls;
-           dst = reg dst; src = 0; off = 0; imm } ]
+       put b pos ~op:((alu_op_code op lsl 4) lor src_k lor cls)
+         ~dst:(reg dst) ~src:0 ~off:0 ~imm
      | Reg s ->
-       [ { op = (alu_op_code op lsl 4) lor src_x lor cls;
-           dst = reg dst; src = reg s; off = 0; imm = 0l } ])
+       put b pos ~op:((alu_op_code op lsl 4) lor src_x lor cls)
+         ~dst:(reg dst) ~src:(reg s) ~off:0 ~imm:0l)
   | Endian { swap; bits; dst } ->
-    [ { op = (op_end lsl 4) lor (if swap then src_x else src_k) lor cls_alu;
-        dst = reg dst; src = 0; off = 0; imm = Int32.of_int bits } ]
+    put b pos
+      ~op:((op_end lsl 4) lor (if swap then src_x else src_k) lor cls_alu)
+      ~dst:(reg dst) ~src:0 ~off:0 ~imm:(Int32.of_int bits)
   | Ld_imm64 (dst, kind) ->
     let src, lo, hi =
       match kind with
@@ -133,45 +140,44 @@ let lower (i : t) ~(off : int) ~(local_imm : int32) : raw list =
       | Map_value (fd, o) -> (pseudo_map_value, Int32.of_int fd, Int32.of_int o)
       | Btf_obj id -> (pseudo_btf_id, Int32.of_int id, 0l)
     in
-    [ { op = mode_imm lor size_code DW lor cls_ld;
-        dst = reg dst; src; off = 0; imm = lo };
-      { op = 0; dst = 0; src = 0; off = 0; imm = hi } ]
+    put b pos ~op:(mode_imm lor size_code DW lor cls_ld) ~dst:(reg dst) ~src
+      ~off:0 ~imm:lo;
+    (* the second slot is all zero but its imm *)
+    Bytes.set_int32_le b (pos + 12) hi
   | Ldx { sz; dst; src; off } ->
-    [ { op = mode_mem lor size_code sz lor cls_ldx;
-        dst = reg dst; src = reg src; off; imm = 0l } ]
+    put b pos ~op:(mode_mem lor size_code sz lor cls_ldx) ~dst:(reg dst)
+      ~src:(reg src) ~off ~imm:0l
   | St { sz; dst; off; imm } ->
-    [ { op = mode_mem lor size_code sz lor cls_st;
-        dst = reg dst; src = 0; off; imm } ]
+    put b pos ~op:(mode_mem lor size_code sz lor cls_st) ~dst:(reg dst) ~src:0
+      ~off ~imm
   | Stx { sz; dst; src; off } ->
-    [ { op = mode_mem lor size_code sz lor cls_stx;
-        dst = reg dst; src = reg src; off; imm = 0l } ]
+    put b pos ~op:(mode_mem lor size_code sz lor cls_stx) ~dst:(reg dst)
+      ~src:(reg src) ~off ~imm:0l
   | Atomic { sz; op; fetch; dst; src; off } ->
-    [ { op = mode_atomic lor size_code sz lor cls_stx;
-        dst = reg dst; src = reg src; off;
-        imm = Int32.of_int (atomic_code op fetch) } ]
+    put b pos ~op:(mode_atomic lor size_code sz lor cls_stx) ~dst:(reg dst)
+      ~src:(reg src) ~off ~imm:(Int32.of_int (atomic_code op fetch))
   | Jmp { op32; cond; dst; src; _ } ->
     let cls = if op32 then cls_jmp32 else cls_jmp in
     (match src with
      | Imm imm ->
-       [ { op = (jmp_code cond lsl 4) lor src_k lor cls;
-           dst = reg dst; src = 0; off; imm } ]
+       put b pos ~op:((jmp_code cond lsl 4) lor src_k lor cls) ~dst:(reg dst)
+         ~src:0 ~off ~imm
      | Reg s ->
-       [ { op = (jmp_code cond lsl 4) lor src_x lor cls;
-           dst = reg dst; src = reg s; off; imm = 0l } ])
+       put b pos ~op:((jmp_code cond lsl 4) lor src_x lor cls) ~dst:(reg dst)
+         ~src:(reg s) ~off ~imm:0l)
   | Ja _ ->
-    [ { op = (op_ja lsl 4) lor cls_jmp; dst = 0; src = 0; off; imm = 0l } ]
+    put b pos ~op:((op_ja lsl 4) lor cls_jmp) ~dst:0 ~src:0 ~off ~imm:0l
   | Call (Helper id) ->
-    [ { op = (op_call lsl 4) lor cls_jmp; dst = 0; src = 0; off = 0;
-        imm = Int32.of_int id } ]
+    put b pos ~op:((op_call lsl 4) lor cls_jmp) ~dst:0 ~src:0 ~off:0
+      ~imm:(Int32.of_int id)
   | Call (Kfunc id) ->
-    [ { op = (op_call lsl 4) lor cls_jmp; dst = 0; src = pseudo_call_kfunc;
-        off = 0; imm = Int32.of_int id } ]
+    put b pos ~op:((op_call lsl 4) lor cls_jmp) ~dst:0 ~src:pseudo_call_kfunc
+      ~off:0 ~imm:(Int32.of_int id)
   | Call (Local _) ->
-    [ { op = (op_call lsl 4) lor cls_jmp; dst = 0; src = pseudo_call_local;
-        off = 0; imm = local_imm } ]
+    put b pos ~op:((op_call lsl 4) lor cls_jmp) ~dst:0 ~src:pseudo_call_local
+      ~off:0 ~imm:local_imm
   | Exit ->
-    [ { op = (op_exit lsl 4) lor cls_jmp; dst = 0; src = 0; off = 0;
-        imm = 0l } ]
+    put b pos ~op:((op_exit lsl 4) lor cls_jmp) ~dst:0 ~src:0 ~off:0 ~imm:0l
 
 (* Slot index of each element plus the total slot count. *)
 let slot_table (prog : t array) : int array * int =
@@ -202,10 +208,7 @@ let encode (prog : t array) : Bytes.t =
          | Call (Local d) -> (0, Int32.of_int (elem_off d))
          | _ -> (0, 0l)
        in
-       let raws = lower insn ~off ~local_imm in
-       List.iteri
-         (fun k r -> raw_to_bytes buf ((table.(i) + k) * 8) r)
-         raws)
+       lower buf (table.(i) * 8) insn ~off ~local_imm)
     prog;
   buf
 
@@ -240,108 +243,115 @@ let decode (bytes : Bytes.t) : (t array, error) result =
        let elem = ref 0 in
        while !slot < nslots do
          let pos = !slot in
-         let r = raw_of_bytes bytes (pos * 8) in
-         let cls = r.op land 0x07 in
+         let base = pos * 8 in
+         let code = Bytes.get_uint8 bytes base in
+         let regs = Bytes.get_uint8 bytes (base + 1) in
+         let dreg = regs land 0xf and sreg = regs lsr 4 in
+         let off = Bytes.get_int16_le bytes (base + 2) in
+         let imm = Bytes.get_int32_le bytes (base + 4) in
+         let cls = code land 0x07 in
          let structured, width =
            if cls = cls_alu || cls = cls_alu64 then begin
-             let opc = (r.op lsr 4) land 0xf in
-             let is_x = r.op land 0x08 <> 0 in
+             let opc = (code lsr 4) land 0xf in
+             let is_x = code land 0x08 <> 0 in
              if opc = op_end then begin
-               let bits = Int32.to_int r.imm in
+               let bits = Int32.to_int imm in
                if bits <> 16 && bits <> 32 && bits <> 64 then
                  fail pos "invalid endian width %d" bits;
-               (Endian { swap = is_x; bits; dst = getreg pos r.dst }, 1)
+               (Endian { swap = is_x; bits; dst = getreg pos dreg }, 1)
              end
              else
                match alu_op_of_code opc with
-               | None -> fail pos "invalid alu opcode %#x" r.op
+               | None -> fail pos "invalid alu opcode %#x" code
                | Some op ->
                  let src =
                    if op = Neg then Imm 0l
-                   else if is_x then Reg (getreg pos r.src)
-                   else Imm r.imm
+                   else if is_x then Reg (getreg pos sreg)
+                   else Imm imm
                  in
-                 (Alu { op64 = cls = cls_alu64; op; dst = getreg pos r.dst;
+                 (Alu { op64 = cls = cls_alu64; op; dst = getreg pos dreg;
                         src }, 1)
            end
            else if cls = cls_jmp || cls = cls_jmp32 then begin
-             let opc = (r.op lsr 4) land 0xf in
-             let is_x = r.op land 0x08 <> 0 in
+             let opc = (code lsr 4) land 0xf in
+             let is_x = code land 0x08 <> 0 in
              if opc = op_ja then
                if cls = cls_jmp32 then fail pos "JA in jmp32 class"
-               else (Ja r.off, 1)
+               else (Ja off, 1)
              else if opc = op_call then begin
                if cls = cls_jmp32 then fail pos "CALL in jmp32 class";
-               let imm = Int32.to_int r.imm in
-               if r.src = 0 then (Call (Helper imm), 1)
-               else if r.src = pseudo_call_local then (Call (Local imm), 1)
-               else if r.src = pseudo_call_kfunc then (Call (Kfunc imm), 1)
-               else fail pos "invalid call pseudo src %d" r.src
+               let id = Int32.to_int imm in
+               if sreg = 0 then (Call (Helper id), 1)
+               else if sreg = pseudo_call_local then (Call (Local id), 1)
+               else if sreg = pseudo_call_kfunc then (Call (Kfunc id), 1)
+               else fail pos "invalid call pseudo src %d" sreg
              end
              else if opc = op_exit then
                if cls = cls_jmp32 then fail pos "EXIT in jmp32 class"
                else (Exit, 1)
              else
                match jmp_cond_of_code opc with
-               | None -> fail pos "invalid jmp opcode %#x" r.op
+               | None -> fail pos "invalid jmp opcode %#x" code
                | Some cond ->
                  let src =
-                   if is_x then Reg (getreg pos r.src) else Imm r.imm
+                   if is_x then Reg (getreg pos sreg) else Imm imm
                  in
                  (Jmp { op32 = cls = cls_jmp32; cond;
-                        dst = getreg pos r.dst; src; off = r.off }, 1)
+                        dst = getreg pos dreg; src; off }, 1)
            end
            else if cls = cls_ld then begin
-             if r.op <> (mode_imm lor size_code DW lor cls_ld) then
-               fail pos "unsupported ld opcode %#x" r.op;
+             if code <> (mode_imm lor size_code DW lor cls_ld) then
+               fail pos "unsupported ld opcode %#x" code;
              if pos + 1 >= nslots then fail pos "truncated ld_imm64";
-             let r2 = raw_of_bytes bytes ((pos + 1) * 8) in
-             if r2.op <> 0 then fail pos "bad ld_imm64 second slot";
-             let dst = getreg pos r.dst in
+             (* the kernel rejects any second slot but [0 0 0 0 imm]
+                (resolve_pseudo_ldimm64: "invalid bpf_ld_imm64 insn") *)
+             if Bytes.get_int32_le bytes (base + 8) <> 0l then
+               fail pos "bad ld_imm64 second slot";
+             let hi = Bytes.get_int32_le bytes (base + 12) in
+             let dst = getreg pos dreg in
              let kind =
-               let lo = Int64.logand (Int64.of_int32 r.imm) 0xFFFF_FFFFL in
-               if r.src = 0 then
+               let lo = Int64.logand (Int64.of_int32 imm) 0xFFFF_FFFFL in
+               if sreg = 0 then
                  Const
                    (Int64.logor lo
-                      (Int64.shift_left (Int64.of_int32 r2.imm) 32))
-               else if r.src = pseudo_map_fd then Map_fd (Int32.to_int r.imm)
-               else if r.src = pseudo_map_value then
-                 Map_value (Int32.to_int r.imm, Int32.to_int r2.imm)
-               else if r.src = pseudo_btf_id then Btf_obj (Int32.to_int r.imm)
-               else fail pos "invalid ld_imm64 pseudo src %d" r.src
+                      (Int64.shift_left (Int64.of_int32 hi) 32))
+               else if sreg = pseudo_map_fd then Map_fd (Int32.to_int imm)
+               else if sreg = pseudo_map_value then
+                 Map_value (Int32.to_int imm, Int32.to_int hi)
+               else if sreg = pseudo_btf_id then Btf_obj (Int32.to_int imm)
+               else fail pos "invalid ld_imm64 pseudo src %d" sreg
              in
              (Ld_imm64 (dst, kind), 2)
            end
            else if cls = cls_ldx then begin
-             match size_of_code (r.op land 0x18) with
-             | Some sz when r.op land 0xe0 = mode_mem ->
-               (Ldx { sz; dst = getreg pos r.dst; src = getreg pos r.src;
-                      off = r.off }, 1)
-             | Some _ | None -> fail pos "invalid ldx opcode %#x" r.op
+             match size_of_code (code land 0x18) with
+             | Some sz when code land 0xe0 = mode_mem ->
+               (Ldx { sz; dst = getreg pos dreg; src = getreg pos sreg;
+                      off }, 1)
+             | Some _ | None -> fail pos "invalid ldx opcode %#x" code
            end
            else if cls = cls_st then begin
-             match size_of_code (r.op land 0x18) with
-             | Some sz when r.op land 0xe0 = mode_mem ->
-               (St { sz; dst = getreg pos r.dst; off = r.off; imm = r.imm },
-                1)
-             | Some _ | None -> fail pos "invalid st opcode %#x" r.op
+             match size_of_code (code land 0x18) with
+             | Some sz when code land 0xe0 = mode_mem ->
+               (St { sz; dst = getreg pos dreg; off; imm }, 1)
+             | Some _ | None -> fail pos "invalid st opcode %#x" code
            end
            else begin
              (* cls_stx *)
-             match size_of_code (r.op land 0x18) with
-             | Some sz when r.op land 0xe0 = mode_mem ->
-               (Stx { sz; dst = getreg pos r.dst; src = getreg pos r.src;
-                      off = r.off }, 1)
-             | Some sz when r.op land 0xe0 = mode_atomic -> begin
-                 match atomic_of_code (Int32.to_int r.imm) with
+             match size_of_code (code land 0x18) with
+             | Some sz when code land 0xe0 = mode_mem ->
+               (Stx { sz; dst = getreg pos dreg; src = getreg pos sreg;
+                      off }, 1)
+             | Some sz when code land 0xe0 = mode_atomic -> begin
+                 match atomic_of_code (Int32.to_int imm) with
                  | Some (op, fetch) ->
                    if sz <> W && sz <> DW then
                      fail pos "atomic requires word/dword size";
-                   (Atomic { sz; op; fetch; dst = getreg pos r.dst;
-                             src = getreg pos r.src; off = r.off }, 1)
-                 | None -> fail pos "invalid atomic op %#lx" r.imm
+                   (Atomic { sz; op; fetch; dst = getreg pos dreg;
+                             src = getreg pos sreg; off }, 1)
+                 | None -> fail pos "invalid atomic op %#lx" imm
                end
-             | Some _ | None -> fail pos "invalid stx opcode %#x" r.op
+             | Some _ | None -> fail pos "invalid stx opcode %#x" code
            end
          in
          elem_of_slot.(!slot) <- !elem;

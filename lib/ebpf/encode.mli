@@ -16,8 +16,9 @@ type error = { pos : int; reason : string }
 
 val decode : Bytes.t -> (Insn.t array, error) result
 (** Parse a wire-format program.  Rejects unknown opcodes, invalid
-    registers, truncated or malformed LD_IMM64 pairs, and branches into
-    the middle of an LD_IMM64. *)
+    registers, truncated or malformed LD_IMM64 pairs (the second slot
+    must be zero in every field but [imm], as the kernel demands), and
+    branches into the middle of an LD_IMM64. *)
 
 (** {2 Raw slot encoding}
 

@@ -336,8 +336,7 @@ let verifier_abi = "bvf-verifier/1"
    the instruction array cannot be wire-encoded; they are canonicalized
    structurally instead (the verifier rejects them anyway, but the cache
    key must still be total). *)
-let request_canonical (req : request) : string =
-  let b = Buffer.create 256 in
+let add_request_canonical (b : Buffer.t) (req : request) : unit =
   Buffer.add_string b (Prog.prog_type_to_string req.r_prog_type);
   Buffer.add_char b '\n';
   (match req.r_attach with
@@ -346,11 +345,15 @@ let request_canonical (req : request) : string =
   Buffer.add_char b '\n';
   Buffer.add_string b (if req.r_offload then "offload" else "host");
   Buffer.add_char b '\n';
-  (match Encode.encode req.r_insns with
-   | bytes -> Buffer.add_string b (Bytes.unsafe_to_string bytes)
-   | exception Invalid_argument _ ->
-     Buffer.add_string b "unencodable:";
-     Buffer.add_string b (Marshal.to_string req.r_insns []));
+  match Encode.encode req.r_insns with
+  | bytes -> Buffer.add_bytes b bytes
+  | exception Invalid_argument _ ->
+    Buffer.add_string b "unencodable:";
+    Buffer.add_string b (Marshal.to_string req.r_insns [])
+
+let request_canonical (req : request) : string =
+  let b = Buffer.create 256 in
+  add_request_canonical b req;
   Buffer.contents b
 
 let request_fingerprint (req : request) : string =

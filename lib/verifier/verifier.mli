@@ -109,6 +109,10 @@ val request_canonical : request -> string
     instruction array fall back to a structural serialization so the
     function is total). *)
 
+val add_request_canonical : Buffer.t -> request -> unit
+(** Append {!request_canonical} to a buffer, so a caller can digest it
+    together with other key parts without an extra copy. *)
+
 val request_fingerprint : request -> string
 (** Hex digest of {!request_canonical}. *)
 

@@ -8,7 +8,11 @@
 #      passes once the one history-dependent field ("cache":...) is
 #      stripped — the cache changes latency, never verdicts;
 #   2. the warm pass answers >= 95% of programs from the cache;
-#   3. no program comes back as a decode/parse error.
+#   3. no program comes back as a decode/parse error;
+#   4. bvf serve, fed the same corpus plus a metrics, a malformed and a
+#      blank line on the warm cache, answers one line per non-blank
+#      line, every program from the cache, byte-identical to the cold
+#      batch once the cache field is stripped.
 #
 # Usage: scripts/check_service.sh [outdir] [bvf-binary]
 set -u
@@ -66,18 +70,30 @@ else
   status=1
 fi
 
-# serve smoke: the same requests through the request loop, warm cache
-echo "== serve smoke"
-head -5 "$out/corpus.jsonl" \
+# 4. serve == batch at corpus scale: every exported request, then a
+# metrics line, a malformed line and a blank line, through the request
+# loop on the warm cache
+echo "== serve (warm cache)"
+{ cat "$out/corpus.jsonl"; echo '{"metrics":true}'; echo 'not json'; echo; } \
   | "$bvf" serve --cache-file "$out/cache.bin" \
       > "$out/serve.jsonl" 2> "$out/serve.log" || exit 3
 cat "$out/serve.log"
+programs=$(wc -l < "$out/corpus.jsonl")
 served=$(wc -l < "$out/serve.jsonl")
 serve_hits=$(grep -c '"cache":"hit"' "$out/serve.jsonl")
-if [ "$served" -eq 5 ] && [ "$serve_hits" -eq 5 ]; then
-  echo "ok    serve answered 5/5 from the warmed cache"
+if [ "$served" -eq $((programs + 2)) ] && [ "$serve_hits" -eq "$programs" ]; then
+  echo "ok    serve answered $served lines, $serve_hits/$programs from the warmed cache"
 else
-  echo "FAIL  serve answered $served requests, $serve_hits from cache"
+  echo "FAIL  serve answered $served lines (want $((programs + 2))), $serve_hits/$programs from cache"
+  status=1
+fi
+head -n "$programs" "$out/serve.jsonl" \
+  | sed 's/,"cache":"[a-z]*"//' > "$out/serve.stripped"
+if cmp -s "$out/cold.stripped" "$out/serve.stripped"; then
+  echo "ok    serve results byte-identical to the cold batch (cache field stripped)"
+else
+  echo "FAIL  serve results differ from the cold batch:"
+  diff "$out/cold.stripped" "$out/serve.stripped" | head -20
   status=1
 fi
 

@@ -240,6 +240,37 @@ let test_decode_rejects_branch_into_ld64 () =
   | Ok _ -> Alcotest.fail "branch into ld_imm64 middle decoded"
   | Error _ -> ()
 
+(* The kernel's resolve_pseudo_ldimm64 refuses a second LD_IMM64 slot
+   with any field but imm set; decode reports it at the first slot. *)
+let test_decode_rejects_dirty_ld64_second_slot () =
+  let prog =
+    [| Asm.ld_imm64 Insn.R1 5L; Asm.mov64_imm Insn.R0 0l; Asm.exit_ |]
+  in
+  let clean = Encode.encode prog in
+  List.iter
+    (fun (field, dirty) ->
+       let bytes = Bytes.copy clean in
+       Encode.raw_to_bytes bytes 8 (dirty (Encode.raw_of_bytes bytes 8));
+       match Encode.decode bytes with
+       | Ok _ -> Alcotest.failf "second slot with %s set decoded" field
+       | Error e ->
+         Alcotest.(check int) (field ^ ": first slot") 0 e.Encode.pos;
+         Alcotest.(check string) (field ^ ": reason")
+           "bad ld_imm64 second slot" e.Encode.reason)
+    [ ("dst", fun r -> { r with Encode.dst = 1 });
+      ("src", fun r -> { r with Encode.src = 1 });
+      ("off", fun r -> { r with Encode.off = 1 });
+      ("off -1", fun r -> { r with Encode.off = -1 }) ];
+  (* imm alone is the upper half of the constant *)
+  let bytes = Bytes.copy clean in
+  Encode.raw_to_bytes bytes 8
+    { (Encode.raw_of_bytes bytes 8) with Encode.imm = -1l };
+  match Encode.decode bytes with
+  | Ok p ->
+    Alcotest.(check bool) "imm carries the high word" true
+      (Insn.equal p.(0) (Asm.ld_imm64 Insn.R1 0xFFFF_FFFF_0000_0005L))
+  | Error e -> Alcotest.fail e.Encode.reason
+
 (* -- Disasm --------------------------------------------------------------- *)
 
 let contains ~needle haystack =
@@ -367,7 +398,9 @@ let () =
           Alcotest.test_case "truncated ld64" `Quick
             test_decode_rejects_truncated_ld64;
           Alcotest.test_case "branch into ld64" `Quick
-            test_decode_rejects_branch_into_ld64 ] );
+            test_decode_rejects_branch_into_ld64;
+          Alcotest.test_case "dirty ld64 second slot" `Quick
+            test_decode_rejects_dirty_ld64_second_slot ] );
       ( "disasm",
         [ Alcotest.test_case "smoke" `Quick test_disasm_smoke;
           Alcotest.test_case "histogram" `Quick test_histogram ] );

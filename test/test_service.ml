@@ -1,9 +1,11 @@
 (* Service-layer tests (docs/SERVICE.md): the verdict cache returns
    byte-identical results to a cold verification (including log and
    counters), evicts strictly LRU, survives the disk round trip and
-   treats damaged files as errors; batches are deterministic across
-   --jobs; the JSONL codec round-trips and echoes non-ASCII ids as
-   UTF-8; the service telemetry events round-trip and aggregate. *)
+   treats damaged files as errors, and its keys are pinned; batches
+   are deterministic across --jobs; the JSONL codec round-trips,
+   decodes hex as a plain reference model does and echoes non-ASCII
+   ids as UTF-8; the serve loop answers every kind of line once; the
+   service telemetry events round-trip and aggregate. *)
 
 module Version = Bvf_ebpf.Version
 module Asm = Bvf_ebpf.Asm
@@ -17,6 +19,8 @@ module Selftests = Bvf_core.Selftests
 module Service = Bvf_core.Service
 module Vcache = Bvf_core.Vcache
 module Json = Bvf_util.Json
+module Insn = Bvf_ebpf.Insn
+module Encode = Bvf_ebpf.Encode
 
 let version = Version.Bpf_next
 let config = Kconfig.fixed version
@@ -80,6 +84,22 @@ let test_rejected_verdict_fields () =
   Alcotest.(check bool) "has an errno" true (v.Vcache.cv_errno <> "");
   Alcotest.(check bool) "has a message" true (v.Vcache.cv_msg <> "");
   Alcotest.(check bool) "has a log" true (v.Vcache.cv_vlog <> "")
+
+(* Changing a key orphans every saved --cache-file, which only a
+   verifier_abi bump may do (docs/SERVICE.md): these values pin the
+   key formula. *)
+let test_cache_key_pinned () =
+  let config_fp, maps_fp =
+    Service.fingerprints (Service.create_session config)
+  in
+  let key = Vcache.key ~config_fp ~maps_fp in
+  let requests = (Selftests.build version).Selftests.requests in
+  Alcotest.(check string) "lone exit" "4a8ac3cb3a3897415609f940f472c442"
+    (key rejected_req);
+  Alcotest.(check string) "selftest 0" "5f850b51b96e64bf61aca593a2857684"
+    (key (List.nth requests 0));
+  Alcotest.(check string) "selftest 1" "c8ebd5e4c27d2dd48d4f25d5299a33a1"
+    (key (List.nth requests 1))
 
 let dummy (tag : int) : Vcache.verdict =
   { Vcache.cv_accepted = true; cv_insns = tag; cv_insn_processed = tag;
@@ -310,32 +330,194 @@ let test_request_errors () =
   let input = Service.input_of_json ~fallback_id:"line9" "garbage" in
   Alcotest.(check string) "fallback id" "line9" input.Service.in_id
 
+(* -- hex decoding ---------------------------------------------------------- *)
+
+let is_hex c =
+  match c with '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+
+let is_skipped c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+
+(* The decoding rules, written plainly: any byte that is neither a hex
+   digit nor skipped whitespace fails first, then an odd digit count;
+   the bytes then go through the wire decoder. *)
+let model_insns (prog : string) : (Insn.t array, string) result =
+  if String.exists (fun c -> not (is_hex c || is_skipped c)) prog then
+    Error "q: prog is not hex"
+  else
+    let digits = String.of_seq (Seq.filter is_hex (String.to_seq prog)) in
+    let n = String.length digits in
+    if n mod 2 <> 0 then Error "q: prog hex has an odd digit count"
+    else
+      let bytes =
+        Bytes.init (n / 2) (fun i ->
+            Char.chr (int_of_string ("0x" ^ String.sub digits (2 * i) 2)))
+      in
+      match Encode.decode bytes with
+      | Ok insns -> Ok insns
+      | Error e ->
+        Error
+          (Printf.sprintf "q: bad program at slot %d: %s" e.Encode.pos
+             e.Encode.reason)
+
+(* Prog strings over both-case digits, the skipped whitespace and a few
+   junk bytes.  Half start from a real program's hex, recased, with
+   bytes of the same alphabet inserted, so whole programs decode too. *)
+let gen_prog_text : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let digit = map (String.get "0123456789abcdefABCDEF") (int_bound 21) in
+  let space = oneofl [ ' '; '\t'; '\n'; '\r' ] in
+  let junk = oneofl [ 'g'; 'x'; '\000'; '\xff' ] in
+  let any = frequency [ (12, digit); (3, space); (1, junk) ] in
+  let programs =
+    List.map
+      (fun (r : Verifier.request) ->
+         let line = Service.request_to_json { Service.q_id = "q"; q_req = r } in
+         Option.get (Json.str (Json.parse_object line) "prog"))
+      (rejected_req :: corpus ~n:6 ())
+  in
+  let edit prog =
+    let* upper = bool and* inserts = list_size (int_bound 3) (pair nat any) in
+    let prog = if upper then String.uppercase_ascii prog else prog in
+    return
+      (List.fold_left
+         (fun p (at, c) ->
+            let at = at mod (String.length p + 1) in
+            String.sub p 0 at ^ String.make 1 c
+            ^ String.sub p at (String.length p - at))
+         prog inserts)
+  in
+  frequency
+    [ (1, string_size ~gen:any (int_bound 40));
+      (1, oneofl programs >>= edit) ]
+
+let prop_hex_decoder =
+  QCheck2.Test.make ~count:1000 ~name:"request_of_json hex = reference model"
+    ~print:String.escaped gen_prog_text
+    (fun prog ->
+       let b = Buffer.create 64 in
+       Buffer.add_string b {|{"id":"q","prog_type":"socket_filter","prog":"|};
+       Json.escape b prog;
+       Buffer.add_string b {|"}|};
+       let got =
+         Result.map
+           (fun r -> r.Service.q_req.Verifier.r_insns)
+           (Service.request_of_json (Buffer.contents b))
+       in
+       got = model_insns prog)
+
+(* -- serve loop ------------------------------------------------------------ *)
+
+let serve_lines ?(cache = Vcache.create ~cap:64) (lines : string list) :
+  string list =
+  let in_path = tmp "bvf_svc_serve_in.jsonl" in
+  let out_path = tmp "bvf_svc_serve_out.jsonl" in
+  Out_channel.with_open_bin in_path (fun oc ->
+      List.iter (fun l -> output_string oc l; output_char oc '\n') lines);
+  let ic = open_in_bin in_path and oc = open_out_bin out_path in
+  ignore
+    (Service.serve ~cache ~session:(Service.create_session config)
+       ~stop:(fun () -> false) ic oc : Service.serve_stats);
+  close_in ic;
+  close_out oc;
+  let out = In_channel.with_open_bin out_path In_channel.input_lines in
+  Sys.remove in_path;
+  Sys.remove out_path;
+  out
+
+let is_metrics (line : string) : bool =
+  match Json.parse_object line with
+  | f -> Json.bool f "metrics" = Some true
+  | exception Json.Parse -> false
+
+(* One stream with every kind of line: repeats (cache hits), metrics
+   requests (one also carrying prog fields), malformed JSON after blank
+   lines (the fallback id counts them), a missing id and bad hex. *)
+let test_serve_mixed_stream () =
+  let line id req =
+    Service.request_to_json { Service.q_id = id; q_req = req }
+  in
+  let reqs = corpus ~n:2 () in
+  let a = line "a" (List.nth reqs 0) and b = line "b" (List.nth reqs 1) in
+  let c = line "c" rejected_req in
+  let lines =
+    [ a; b; a; {|{"metrics":true}|}; c; ""; "  "; "nope"; b;
+      {|{"prog_type":"xdp","prog":"9500000000000000"}|};
+      {|{"id":"h","prog_type":"xdp","prog":"zz"}|};
+      {|{"id":"m2","metrics":true,"prog_type":"xdp","prog":"9500000000000000"}|};
+      c; "{" ]
+  in
+  (* the expected responses, built from the codec's own pieces *)
+  let session = Service.create_session config in
+  let config_fp, maps_fp = Service.fingerprints session in
+  let seen = Hashtbl.create 8 in
+  let expected =
+    List.concat
+      (List.mapi
+         (fun i l ->
+            if String.trim l = "" then []
+            else if is_metrics l then [ None ]
+            else
+              let input =
+                Service.input_of_json
+                  ~fallback_id:(Printf.sprintf "line%d" (i + 1)) l
+              in
+              match input.Service.in_req with
+              | Error msg ->
+                [ Some (Service.error_to_json ~id:input.Service.in_id msg) ]
+              | Ok req ->
+                let key = Vcache.key ~config_fp ~maps_fp req in
+                let hit = Hashtbl.mem seen key in
+                Hashtbl.replace seen key ();
+                [ Some
+                    (Service.response_to_json ~id:input.Service.in_id ~key
+                       ~hit (Service.verify_request session req)) ])
+         lines)
+  in
+  let got = serve_lines lines in
+  Alcotest.(check int) "one response per non-blank line"
+    (List.length expected) (List.length got);
+  let metrics =
+    List.concat
+      (List.map2
+         (fun exp line ->
+            match exp with
+            | Some exp -> Alcotest.(check string) "response" exp line; []
+            | None -> [ Json.parse_object line ])
+         expected got)
+  in
+  let counters f =
+    List.map
+      (fun k -> Option.get (Json.int f k))
+      [ "requests"; "invalid"; "cache_hits"; "cache_misses" ]
+  in
+  (match metrics with
+   | [ m1; m2 ] ->
+     Alcotest.(check (option string)) "default id" (Some "metrics")
+       (Json.str m1 "id");
+     Alcotest.(check (list int)) "counters at the first metrics line"
+       [ 3; 0; 1; 2 ] (counters m1);
+     Alcotest.(check (option string)) "echoed id" (Some "m2")
+       (Json.str m2 "id");
+     Alcotest.(check (list int)) "counters at the second metrics line"
+       [ 5; 3; 2; 3 ] (counters m2)
+   | _ -> Alcotest.fail "expected two metrics responses");
+  Alcotest.(check bool) "malformed line named by its line number" true
+    (List.mem {|{"id":"line8","verdict":"error","msg":"malformed JSON"}|} got)
+
 (* [\u] escapes decode to UTF-8 (a surrogate pair to one code point, a
    lone surrogate to U+FFFD), so the serve loop echoes the caller's id
    byte-exact instead of a Latin-1 byte or a placeholder. *)
 let test_unicode_ids_echoed () =
-  let in_path = tmp "bvf_svc_unicode_in.jsonl" in
-  let out_path = tmp "bvf_svc_unicode_out.jsonl" in
   let cases =
     [ ({|\u00e9|}, "\xc3\xa9");
       ({|\u20ac|}, "\xe2\x82\xac");
       ({|\ud83d\ude00|}, "\xf0\x9f\x98\x80");
       ({|\ud800x|}, "\xef\xbf\xbdx") ]
   in
-  Out_channel.with_open_bin in_path (fun oc ->
-      List.iter
-        (fun (esc, _) -> Printf.fprintf oc "{\"id\":\"%s\"}\n" esc)
-        cases);
-  let ic = open_in_bin in_path and oc = open_out_bin out_path in
-  ignore
-    (Service.serve ~cache:(Vcache.create ~cap:4)
-       ~session:(Service.create_session config) ~stop:(fun () -> false)
-       ic oc : Service.serve_stats);
-  close_in ic;
-  close_out oc;
-  let lines = In_channel.with_open_bin out_path In_channel.input_lines in
-  Sys.remove in_path;
-  Sys.remove out_path;
+  let lines =
+    serve_lines ~cache:(Vcache.create ~cap:4)
+      (List.map (fun (esc, _) -> Printf.sprintf "{\"id\":\"%s\"}" esc) cases)
+  in
   Alcotest.(check int) "one response per request" (List.length cases)
     (List.length lines);
   List.iter2
@@ -382,6 +564,8 @@ let () =
           Alcotest.test_case "disk damage is an error" `Quick
             test_disk_damage_is_error;
           Alcotest.test_case "vlog cap" `Quick test_vlog_cap;
+          Alcotest.test_case "cache key pinned" `Quick
+            test_cache_key_pinned;
         ] );
       ( "batch",
         [
@@ -403,5 +587,8 @@ let () =
             test_unicode_ids_echoed;
           Alcotest.test_case "service events round trip" `Quick
             test_service_events_round_trip;
+          QCheck_alcotest.to_alcotest prop_hex_decoder;
+          Alcotest.test_case "serve mixed stream" `Quick
+            test_serve_mixed_stream;
         ] );
     ]
