@@ -12,7 +12,9 @@
      dune exec bench/main.exe -- parallel   - sharded-campaign scaling at
                                               1/2/4 domains; writes
                                               BENCH_parallel.json
-     dune exec bench/main.exe -- parallel-quick - same, smoke-sized
+     dune exec bench/main.exe -- parallel-quick - same, smoke-sized;
+                                              writes
+                                              BENCH_parallel_quick.json
      dune exec bench/main.exe -- verify     - verification hot path only
      dune exec bench/main.exe -- exec       - execution hot path only
      dune exec bench/main.exe -- hotpath    - verify + exec + sequential
@@ -101,7 +103,9 @@ let () =
   | "overhead" -> run_overhead ~count:708 ~runs:60 ()
   | "ablation" -> run_ablation ~iterations:6_000 ()
   | "parallel" -> run_parallel ~iterations:6_000 ()
-  | "parallel-quick" -> run_parallel ~iterations:1_500 ()
+  | "parallel-quick" ->
+    (* never over the committed full-run file *)
+    run_parallel ~path:"BENCH_parallel_quick.json" ~iterations:1_500 ()
   | "verify" -> print_hotpath_row (E.hotpath_verify ~repeat:10 ())
   | "exec" -> print_hotpath_row (E.hotpath_exec ~runs:60 ())
   | "hotpath" ->

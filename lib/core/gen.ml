@@ -1081,6 +1081,6 @@ let generate (rng : Rng.t) (cfg : config) : Verifier.request =
     emit_frames g ~depth:0 ~n:1
   done;
   emit_end_section g;
-  let insns = Array.of_list (List.rev g.code) in
+  let insns = Insn.array_of_rev_list g.code in
   { Verifier.r_prog_type = prog_type; r_attach = attach;
     r_offload = offload; r_insns = insns }

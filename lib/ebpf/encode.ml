@@ -361,7 +361,7 @@ let decode (bytes : Bytes.t) : (t array, error) result =
          incr elem
        done;
        elem_of_slot.(nslots) <- !elem;
-       let prog = Array.of_list (List.rev !insns) in
+       let prog = array_of_rev_list !insns in
        let slot_of_elem = Array.of_list (List.rev !slot_of_elem) in
        let nelems = Array.length prog in
        (* Second pass: translate slot offsets to element offsets. *)
@@ -378,17 +378,15 @@ let decode (bytes : Bytes.t) : (t array, error) result =
            else target - (i + 1)
          end
        in
-       let prog =
-         Array.mapi
-           (fun i insn ->
-              match insn with
-              | Jmp j -> Jmp { j with off = retarget i j.off }
-              | Ja off -> Ja (retarget i off)
-              | Call (Local d) -> Call (Local (retarget i d))
-              | Alu _ | Endian _ | Ld_imm64 _ | Ldx _ | St _ | Stx _
-              | Atomic _ | Call (Helper _) | Call (Kfunc _) | Exit -> insn)
-           prog
-       in
+       Array.iteri
+         (fun i insn ->
+            match insn with
+            | Jmp j -> prog.(i) <- Jmp { j with off = retarget i j.off }
+            | Ja off -> prog.(i) <- Ja (retarget i off)
+            | Call (Local d) -> prog.(i) <- Call (Local (retarget i d))
+            | Alu _ | Endian _ | Ld_imm64 _ | Ldx _ | St _ | Stx _
+            | Atomic _ | Call (Helper _) | Call (Kfunc _) | Exit -> ())
+         prog;
        Ok prog
      with Fail e -> Error e)
   end

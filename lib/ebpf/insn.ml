@@ -122,30 +122,62 @@ let prog_slots (prog : t array) : int =
    R0-R5. *)
 let src_reg_of = function Imm _ -> None | Reg r -> Some r
 
-let regs_read (i : t) : reg list =
-  match i with
-  | Alu { op = Mov; src; _ } -> Option.to_list (src_reg_of src)
-  | Alu { op = Neg; dst; _ } -> [ dst ]
-  | Alu { dst; src; _ } -> dst :: Option.to_list (src_reg_of src)
-  | Endian { dst; _ } -> [ dst ]
-  | Ld_imm64 _ -> []
-  | Ldx { src; _ } -> [ src ]
-  | St { dst; _ } -> [ dst ]
-  | Stx { dst; src; _ } -> [ dst; src ]
-  | Atomic { dst; src; _ } -> [ dst; src ]
-  | Jmp { dst; src; _ } -> dst :: Option.to_list (src_reg_of src)
-  | Ja _ -> []
-  | Call _ -> [ R1; R2; R3; R4; R5 ]
-  | Exit -> [ R0 ]
+let src_is (s : src) (r : reg) : bool =
+  match s with Reg x -> x = r | Imm _ -> false
 
-let regs_written (i : t) : reg list =
+let is_arg_reg (r : reg) : bool =
+  match r with
+  | R1 | R2 | R3 | R4 | R5 -> true
+  | R0 | R6 | R7 | R8 | R9 | R10 | R11 -> false
+
+(* The predicates are the definition; the list forms below derive from
+   them.  Predicates allocate nothing, so per-instruction scans of whole
+   programs (the reserved-register check, loop certificates) stay
+   linear without building lists. *)
+let reads_reg (i : t) (r : reg) : bool =
+  match i with
+  | Alu { op = Mov; src; _ } -> src_is src r
+  | Alu { op = Neg; dst; _ } | Endian { dst; _ } | St { dst; _ } -> dst = r
+  | Alu { dst; src; _ } | Jmp { dst; src; _ } -> dst = r || src_is src r
+  | Ld_imm64 _ | Ja _ -> false
+  | Ldx { src; _ } -> src = r
+  | Stx { dst; src; _ } | Atomic { dst; src; _ } -> dst = r || src = r
+  | Call _ -> is_arg_reg r
+  | Exit -> r = R0
+
+let writes_reg (i : t) (r : reg) : bool =
   match i with
   | Alu { dst; _ } | Endian { dst; _ } | Ld_imm64 (dst, _) | Ldx { dst; _ }
-    -> [ dst ]
-  | Atomic { fetch = true; src; _ } -> [ src ]
-  | Atomic { op = A_cmpxchg; _ } -> [ R0 ]
-  | Atomic _ | St _ | Stx _ | Jmp _ | Ja _ | Exit -> []
-  | Call _ -> [ R0; R1; R2; R3; R4; R5 ]
+    -> dst = r
+  | Atomic { fetch = true; src; _ } -> src = r
+  | Atomic { op = A_cmpxchg; _ } -> r = R0
+  | Atomic _ | St _ | Stx _ | Jmp _ | Ja _ | Exit -> false
+  | Call _ -> r = R0 || is_arg_reg r
+
+(* including the hidden R11 that rewrite passes emit *)
+let every_reg = all_regs @ [ R11 ]
+
+let regs_read (i : t) : reg list = List.filter (reads_reg i) every_reg
+
+let regs_written (i : t) : reg list = List.filter (writes_reg i) every_reg
+
+(* [Array.of_list (List.rev l)] without a forced minor collection.  The
+   stdlib builders ([Array.of_list], [init], [map], [mapi]) seed the
+   array with its first element, and for an array above 256 words with
+   a young seed the runtime first empties the minor heap — under OCaml
+   5 a stop-the-world pause for every domain.  [Exit] is an immediate,
+   so seeding with it never forces anything. *)
+let array_of_rev_list (l : t list) : t array =
+  let n = List.length l in
+  let a = Array.make n Exit in
+  let rec fill k = function
+    | [] -> ()
+    | i :: rest ->
+      Array.unsafe_set a k i;
+      fill (k - 1) rest
+  in
+  fill (n - 1) l;
+  a
 
 let equal (a : t) (b : t) = a = b
 

@@ -96,12 +96,23 @@ val prog_slots : t array -> int
 
 val src_reg_of : src -> reg option
 
+val reads_reg : t -> reg -> bool
+(** Does the instruction consume the register's value?  (Calls read
+    [R1]-[R5].)  Allocation-free. *)
+
+val writes_reg : t -> reg -> bool
+(** May the instruction write the register?  (Calls clobber
+    [R0]-[R5].)  Allocation-free. *)
+
 val regs_read : t -> reg list
-(** Registers whose values the instruction consumes (calls read
-    [R1]-[R5]). *)
+(** [reads_reg] as a list, in register order. *)
 
 val regs_written : t -> reg list
-(** Registers the instruction may write (calls clobber [R0]-[R5]). *)
+(** [writes_reg] as a list, in register order. *)
+
+val array_of_rev_list : t list -> t array
+(** [Array.of_list (List.rev l)], built without forcing a minor
+    collection (see DESIGN.md section 8). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -141,8 +141,14 @@ let decode_insn (aux : Venv.aux array) (pc : int) (insn : Insn.t) : dop =
   | Insn.Call (Insn.Local off) -> D_local (pc + 1 + off)
   | Insn.Exit -> D_exit
 
+(* Seeded with the immediate [D_exit], not built by [Array.mapi]: a
+   young seed would force a minor collection for every program above
+   256 instructions (DESIGN.md section 8). *)
 let decode (prog : Verifier.loaded) : dop array =
-  Array.mapi (decode_insn prog.Verifier.l_aux) prog.Verifier.l_insns
+  let insns = prog.Verifier.l_insns and aux = prog.Verifier.l_aux in
+  let dops = Array.make (Array.length insns) D_exit in
+  Array.iteri (fun pc insn -> dops.(pc) <- decode_insn aux pc insn) insns;
+  dops
 
 (* Per-domain decode cache keyed by physical equality of the loaded
    program.  A few entries, most-recently-used first: within one

@@ -51,8 +51,8 @@ let max_certified_trips = 4096l
    re-entry from an enclosing cycle.  The zero-progress infinite-loop
    check must never fire on the former and convergence pruning must
    never fire on the latter. *)
-let certified_head (insns : Insn.t array) ~(head : int)
-    ~(backs : int list) : bool =
+let certified_head (insns : Insn.t array) ~(targets : (int, unit) Hashtbl.t)
+    ~(head : int) ~(backs : int list) : bool =
   match backs with
   | [ b ] -> (
     match insns.(b) with
@@ -69,20 +69,11 @@ let certified_head (insns : Insn.t array) ~(head : int)
          | _ -> false)
       && (let only_write = ref true in
           for pc = head to b - 2 do
-            if List.mem ind (Insn.regs_written insns.(pc)) then
-              only_write := false
+            if Insn.writes_reg insns.(pc) ind then only_write := false
           done;
           !only_write)
-      && (let increment_dominates = ref true in
-          Array.iteri
-            (fun pc insn ->
-               match insn with
-               | Insn.Jmp { off; _ } | Insn.Ja off
-               | Insn.Call (Insn.Local off) ->
-                 if pc + 1 + off = b then increment_dominates := false
-               | _ -> ())
-            insns;
-          !increment_dominates)
+      (* [targets] holds exactly the Jmp/Ja/local-call targets *)
+      && not (Hashtbl.mem targets b)
     | _ -> false)
   | _ -> false
 
@@ -90,7 +81,8 @@ let certified_head (insns : Insn.t array) ~(head : int)
    advance the pc), mapped to the certified back-edge pc when the loop
    is widening-eligible (see {!certified_head}).  Forward joins keep
    the plain store-and-prune discipline. *)
-let loop_heads (insns : Insn.t array) : (int, int option) Hashtbl.t =
+let loop_heads (insns : Insn.t array) ~(targets : (int, unit) Hashtbl.t) :
+  (int, int option) Hashtbl.t =
   let backs : (int, int list) Hashtbl.t = Hashtbl.create 4 in
   Array.iteri
     (fun pc insn ->
@@ -108,7 +100,7 @@ let loop_heads (insns : Insn.t array) : (int, int option) Hashtbl.t =
   Hashtbl.iter
     (fun head bs ->
        Hashtbl.replace heads head
-         (if certified_head insns ~head ~backs:bs then
+         (if certified_head insns ~targets ~head ~backs:bs then
             Some (List.hd bs)
           else None))
     backs;
@@ -332,6 +324,44 @@ let store_or_unroll (env : Venv.t) ~(pc : int) ~(psig : int)
   end
   else false
 
+(* The newest stored entry at a pc that is also an ancestor of the
+   current path (see [maybe_prune]). *)
+let rec newest_ancestor (ancestors : Venv.explored_entry list)
+    (stored : Venv.explored_entry list) : Venv.explored_entry option =
+  match stored with
+  | [] -> None
+  | e :: rest ->
+    if List.memq e ancestors then Some e else newest_ancestor ancestors rest
+
+(* The first stored entry that subsumes the current state, skipping
+   ancestors older than [recent_anc].  Cheap necessary-condition
+   signatures front each full [states_equal] walk: most stored states
+   are dismissed on an integer compare.  Top-level and recursive, so a
+   probe that misses allocates nothing. *)
+let rec find_subsuming (env : Venv.t)
+    ~(recent_anc : Venv.explored_entry option) ~(psig : int) ~(bug3 : bool)
+    (stored : Venv.explored_entry list) : Venv.explored_entry option =
+  match stored with
+  | [] -> None
+  | e :: rest ->
+    let stale_ancestor =
+      match recent_anc with
+      | Some r -> not (e == r) && List.memq e env.Venv.ancestors
+      | None -> false
+    in
+    if stale_ancestor then find_subsuming env ~recent_anc ~psig ~bug3 rest
+    else if
+      e.Venv.e_sig = psig
+      && Vstate.sigs_compatible ~stored:e.Venv.e_fsig env.Venv.st
+    then
+      if Vstate.states_equal ~old:e.Venv.e_state ~cur:env.Venv.st ~bug3
+      then Some e
+      else find_subsuming env ~recent_anc ~psig ~bug3 rest
+    else begin
+      Vstats.prune_hash_skip env.Venv.vst;
+      find_subsuming env ~recent_anc ~psig ~bug3 rest
+    end
+
 let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int)
     (targets : (int, unit) Hashtbl.t)
     (heads : (int, int option) Hashtbl.t) (th : Regstate.thresholds) :
@@ -340,9 +370,9 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int)
   else begin
     let bug3 = Venv.has_bug env Kconfig.Bug3_backtrack_precision in
     let cert_b =
-      match Hashtbl.find_opt heads pc with
-      | Some (Some b) -> Some b
-      | _ -> None
+      match Hashtbl.find heads pc with
+      | cert -> cert
+      | exception Not_found -> None
     in
     (* arrival over the certified back edge: the increment at [b-1]
        has provably just run, so the loop made genuine progress *)
@@ -350,7 +380,9 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int)
       match cert_b with Some b -> from = b | None -> false
     in
     let stored =
-      Option.value (Hashtbl.find_opt env.Venv.explored pc) ~default:[]
+      match Hashtbl.find env.Venv.explored pc with
+      | l -> l
+      | exception Not_found -> []
     in
     (* newest in-progress entry of the current path at this pc: the
        only ancestor entry a certified loop head may widen or
@@ -362,39 +394,12 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int)
        zero-progress check.  Each re-traversal must converge on its
        own entry. *)
     let recent_anc =
-      if cert_b <> None then
-        List.find_opt
-          (fun (e : Venv.explored_entry) ->
-             List.memq e env.Venv.ancestors)
-          stored
-      else None
+      match cert_b with
+      | Some _ -> newest_ancestor env.Venv.ancestors stored
+      | None -> None
     in
-    (* cheap necessary-condition signatures front the linear scan: most
-       stored states are dismissed on an integer compare instead of a
-       full states_equal walk *)
     let psig = Vstate.state_sig env.Venv.st in
-    let pfsig = Vstate.frame_sigs_probe env.Venv.st in
-    match
-      List.find_opt
-        (fun (e : Venv.explored_entry) ->
-           let stale_ancestor =
-             cert_b <> None
-             && (match recent_anc with
-                | Some r -> not (e == r) && List.memq e env.Venv.ancestors
-                | None -> false)
-           in
-           if stale_ancestor then false
-           else if
-             e.Venv.e_sig = psig
-             && Vstate.sigs_compatible ~stored:e.Venv.e_fsig ~probe:pfsig
-           then
-             Vstate.states_equal ~old:e.Venv.e_state ~cur:env.Venv.st ~bug3
-           else begin
-             Vstats.prune_hash_skip env.Venv.vst;
-             false
-           end)
-        stored
-    with
+    match find_subsuming env ~recent_anc ~psig ~bug3 stored with
     | Some e when e.Venv.e_branches > 0 ->
       if List.memq e env.Venv.ancestors then begin
         if via_back_edge then begin
@@ -505,7 +510,7 @@ let run (env : Venv.t) : unit =
   check_cfg env;
   let insns = env.Venv.insns in
   let targets = jump_targets insns in
-  let heads = loop_heads insns in
+  let heads = loop_heads insns ~targets in
   let th = harvest_thresholds insns in
   Vstats.loop_heads_seen env.Venv.vst (Hashtbl.length heads);
   env.Venv.branch_stack <- [ (0, -1, env.Venv.st, []) ];

@@ -112,6 +112,9 @@ let const_value (r : t) : int64 option =
 
 (* -- Bounds bookkeeping (kernel __update_reg_bounds and friends) ------ *)
 
+(* The three bounds steps below return [r] itself when no field changes,
+   so a stable register costs [sync] no allocation. *)
+
 (* Refresh min/max from var_off knowledge. *)
 let update_bounds (r : t) : t =
   let tmin = Tnum.umin r.var_off and tmax = Tnum.umax r.var_off in
@@ -124,7 +127,8 @@ let update_bounds (r : t) : t =
       (Word.smax r.smin tmin, Word.smin r.smax tmax)
     else (r.smin, r.smax)
   in
-  { r with smin; smax; umin; umax }
+  if smin = r.smin && smax = r.smax && umin = r.umin && umax = r.umax then r
+  else { r with smin; smax; umin; umax }
 
 (* Cross-deduce signed and unsigned bounds (kernel __reg_deduce_bounds,
    simplified to the sound core). *)
@@ -148,13 +152,15 @@ let deduce_bounds (r : t) : t =
       (Word.smax smin umin, Word.smin smax umax)
     else (smin, smax)
   in
-  { r with smin; smax; umin; umax }
+  if smin = r.smin && smax = r.smax && umin = r.umin && umax = r.umax then r
+  else { r with smin; smax; umin; umax }
 
 (* Shrink var_off using the unsigned range. *)
 let bound_offset (r : t) : t =
-  { r with
-    var_off =
-      Tnum.intersect r.var_off (Tnum.range ~min:r.umin ~max:r.umax) }
+  let var_off =
+    Tnum.intersect r.var_off (Tnum.range ~min:r.umin ~max:r.umax)
+  in
+  if Tnum.equal var_off r.var_off then r else { r with var_off }
 
 (* One propagation round is not a fixpoint: bound_offset can shrink
    var_off below the unsigned range (e.g. umin=1, umax=2 with
@@ -163,19 +169,20 @@ let bound_offset (r : t) : t =
    the single pass never re-derives.  Iterate the kernel's
    update/deduce/bound trio until stable — the domains are finite
    lattices and every step only tightens, so this terminates (bounded
-   anyway, defensively). *)
+   anyway, defensively).  Every step moves each field one way only, so
+   a round that ends where it started changed nothing: it returned its
+   input itself, and that is the fixpoint test. *)
 let sync_round (r : t) : t = bound_offset (deduce_bounds (update_bounds r))
 
 let equal_bounds (a : t) (b : t) : bool =
   a.smin = b.smin && a.smax = b.smax && a.umin = b.umin && a.umax = b.umax
   && Tnum.equal a.var_off b.var_off
 
-let sync (r : t) : t =
-  let rec fix r n =
-    let r' = sync_round r in
-    if n = 0 || equal_bounds r r' then r' else fix r' (n - 1)
-  in
-  fix r 8
+let rec sync_fix (r : t) (n : int) : t =
+  let r' = sync_round r in
+  if n = 0 || r' == r then r' else sync_fix r' (n - 1)
+
+let sync (r : t) : t = sync_fix r 8
 
 (* An impossible range means the verifier followed a dead branch. *)
 let is_bottom (r : t) : bool =

@@ -68,6 +68,20 @@ let fresh_aux () =
     skip_sanitize = false; exception_handled = false; call_helper = None;
     seen = false; witness = None }
 
+(* Seed for aux arrays: [Array.init] would seed with a young fresh
+   record and force a minor collection for every program above 256
+   instructions (DESIGN.md section 8).  Builders overwrite every slot
+   before the array escapes, so the shared seed is never read or
+   mutated. *)
+let aux_seed = fresh_aux ()
+
+let fresh_aux_array (n : int) : aux array =
+  let a = Array.make n aux_seed in
+  for i = 0 to n - 1 do
+    a.(i) <- fresh_aux ()
+  done;
+  a
+
 type t = {
   kst : Kstate.t;
   config : Kconfig.t;
@@ -128,7 +142,7 @@ let create ~(kst : Kstate.t) ~(prog_type : Prog.prog_type)
     prog_type;
     attach;
     insns;
-    aux = Array.init (Array.length insns) (fun _ -> fresh_aux ());
+    aux = fresh_aux_array (Array.length insns);
     pool = Vstate.create_pool ();
     st = Vstate.initial ~ctx:Regstate.ctx_pointer;
     branch_stack = [];

@@ -48,8 +48,7 @@ let kmalloc_max = 8192
 let uses_reserved (insns : Insn.t array) : bool =
   Array.exists
     (fun i ->
-       List.exists (fun r -> r = Insn.R11) (Insn.regs_read i)
-       || List.exists (fun r -> r = Insn.R11) (Insn.regs_written i)
+       Insn.reads_reg i Insn.R11 || Insn.writes_reg i Insn.R11
        ||
        match i with
        | Insn.Call (Insn.Helper id) -> begin

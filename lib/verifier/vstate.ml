@@ -7,10 +7,21 @@ open Vimport
    Representation is chosen for the analyzer's hot path: frames live in
    a fixed-capacity array indexed by frame number (the kernel's
    frame[MAX_CALL_FRAMES]), the per-byte stack classification is a
-   [Bytes.t] so copies are a memcpy and the common pruning comparison a
-   memcmp, and spilled registers sit in a dense 64-slot option array.
+   [Bytes.t] so copies are a memcpy and the pruning comparison runs a
+   word at a time, and spilled registers sit in a dense 64-slot option
+   array.
    States and frames are recycled through an explicit pool (see
-   {!pool}) instead of being garbage after every branch. *)
+   {!pool}) instead of being garbage after every branch.
+
+   Live stack region: each frame's [lo] is the lowest stack index ever
+   written on the frame's path (the kernel's allocated_stack, counted
+   from the bottom).  Invariant: every byte below [lo] is [b_invalid]
+   and every spill slot below [lo / 8] is [None]; a frame with nothing
+   written has [lo = stack_bytes].  Writes lower [lo]; resets, copies
+   and blits carry it and touch only the live region; the pruning walk
+   compares only [old.lo ..] because an invalid old byte accepts
+   anything.  Programs mostly touch the top of the 512 bytes, so the
+   probe's stack walk shrinks to the words actually in use. *)
 
 (* Stack byte classification, one char per byte.  The codes matter only
    relative to each other; see [byte_ok] for the subsumption lattice. *)
@@ -24,6 +35,7 @@ type frame = {
   regs : Regstate.t array;          (* R0..R10 *)
   stack : Bytes.t;                  (* 512 bytes; index i = fp-512+i *)
   spills : Regstate.t option array; (* 8-byte slot index -> reg *)
+  mutable lo : int;                 (* live region [lo, 512); see above *)
   mutable callsite : int;           (* pc to return to; -1 in frame 0 *)
 }
 
@@ -45,26 +57,32 @@ let new_frame ~(frameno : int) ~(callsite : int) : frame =
   let regs = Array.make 11 Regstate.not_init in
   regs.(10) <- Regstate.fp frameno;
   { frameno; regs; stack = Bytes.make stack_bytes b_invalid;
-    spills = Array.make spill_slots None; callsite }
+    spills = Array.make spill_slots None; lo = stack_bytes; callsite }
 
 let reset_frame (f : frame) ~(frameno : int) ~(callsite : int) : unit =
   f.frameno <- frameno;
   f.callsite <- callsite;
   Array.fill f.regs 0 11 Regstate.not_init;
   f.regs.(10) <- Regstate.fp frameno;
-  Bytes.fill f.stack 0 stack_bytes b_invalid;
-  Array.fill f.spills 0 spill_slots None
+  let lo = f.lo in
+  Bytes.fill f.stack lo (stack_bytes - lo) b_invalid;
+  Array.fill f.spills (lo / 8) (spill_slots - (lo / 8)) None;
+  f.lo <- stack_bytes
 
+(* Copy over both live regions: [src]'s bytes between the two [lo]s are
+   invalid, and that is what [dst]'s must become. *)
 let blit_frame ~(src : frame) ~(dst : frame) : unit =
   dst.frameno <- src.frameno;
   dst.callsite <- src.callsite;
   Array.blit src.regs 0 dst.regs 0 11;
-  Bytes.blit src.stack 0 dst.stack 0 stack_bytes;
-  Array.blit src.spills 0 dst.spills 0 spill_slots
+  let lo = min src.lo dst.lo in
+  Bytes.blit src.stack lo dst.stack lo (stack_bytes - lo);
+  Array.blit src.spills (lo / 8) dst.spills (lo / 8) (spill_slots - (lo / 8));
+  dst.lo <- src.lo
 
 let copy_frame (f : frame) : frame =
   { frameno = f.frameno; regs = Array.copy f.regs;
-    stack = Bytes.copy f.stack; spills = Array.copy f.spills;
+    stack = Bytes.copy f.stack; spills = Array.copy f.spills; lo = f.lo;
     callsite = f.callsite }
 
 (* Placeholder for dead frame-array slots.  Shared (never read, never
@@ -178,14 +196,13 @@ let copy ?(pool = no_pool) (t : t) : t =
   dst.active_lock <- t.active_lock;
   for i = 0 to t.nframes - 1 do
     let src = t.frames.(i) in
-    if pool.p_enabled then begin
-      let f =
-        alloc_frame pool ~frameno:src.frameno ~callsite:src.callsite
-      in
-      blit_frame ~src ~dst:f;
-      dst.frames.(i) <- f
-    end
-    else dst.frames.(i) <- copy_frame src
+    dst.frames.(i) <-
+      (match pool.free_frames with
+       | f :: rest when pool.p_enabled ->
+         pool.free_frames <- rest;
+         blit_frame ~src ~dst:f;
+         f
+       | _ -> copy_frame src)
   done;
   dst
 
@@ -208,7 +225,7 @@ let map_regs_with_id (t : t) ~(id : int) (fn : Regstate.t -> Regstate.t) :
            | Regstate.Ptr p when p.id = id && id <> 0 -> fr.regs.(i) <- fn r
            | _ -> ())
         fr.regs;
-      for slot = 0 to spill_slots - 1 do
+      for slot = fr.lo / 8 to spill_slots - 1 do
         match fr.spills.(slot) with
         | Some r -> begin
             match r.Regstate.kind with
@@ -253,6 +270,7 @@ let stack_write (f : frame) ~(off : int) ~(size : int)
   if size = 8 && (stack_bytes + off) mod 8 = 0 then begin
     match stack_index off with
     | Some base ->
+      f.lo <- min f.lo base;
       Bytes.fill f.stack base 8 b_spill;
       f.spills.(base / 8) <- Some stored
     | None -> ()
@@ -260,6 +278,7 @@ let stack_write (f : frame) ~(off : int) ~(size : int)
   else begin
     match stack_index off with
     | Some base ->
+      f.lo <- min f.lo base;
       let c = if zero then b_zero else b_misc in
       for i = base to base + size - 1 do
         f.spills.(i / 8) <- None;
@@ -314,6 +333,7 @@ let stack_mark_written (f : frame) ~(off : int) ~(size : int) : unit =
   match stack_index off with
   | None -> ()
   | Some base ->
+    f.lo <- min f.lo base;
     for i = base to base + size - 1 do
       f.spills.(i / 8) <- None;
       Bytes.set f.stack i b_misc
@@ -321,61 +341,76 @@ let stack_mark_written (f : frame) ~(off : int) ~(size : int) : unit =
 
 (* -- Pruning ----------------------------------------------------------- *)
 
-let stack_within ~(old : frame) ~(cur : frame) ~(bug3 : bool) : bool =
-  let byte_ok o c =
-    if o = b_invalid then true
-    else if o = b_misc then c <> b_invalid
-    else o = c (* zero needs zero, spill needs spill *)
-  in
-  let bytes_ok =
-    (* byte-equal stacks always pass byte_ok; memcmp is the common case *)
-    Bytes.equal old.stack cur.stack
-    || (let rec go i =
-          i >= stack_bytes
-          || (byte_ok (Bytes.unsafe_get old.stack i)
-                (Bytes.unsafe_get cur.stack i)
-              && go (i + 1))
-        in
-        go 0)
-  in
-  let rec spills_ok slot =
-    slot >= spill_slots
-    || ((match old.spills.(slot) with
-         | None -> true
-         | Some old_reg -> begin
-             match cur.spills.(slot) with
+(* The comparison walks are top-level recursive functions, not local
+   closures: the probe runs at every jump target against up to
+   {!Venv.max_explored_per_insn} stored states, and must not allocate. *)
+
+(* Stack-byte subsumption: invalid old bytes accept anything, misc needs
+   any written byte, zero needs zero, spill needs spill. *)
+let byte_ok (o : char) (c : char) : bool =
+  o = b_invalid || (if o = b_misc then c <> b_invalid else o = c)
+
+let rec word_bytes_ok (o : Bytes.t) (c : Bytes.t) (i : int) (stop : int) :
+  bool =
+  i >= stop
+  || (byte_ok (Bytes.unsafe_get o i) (Bytes.unsafe_get c i)
+      && word_bytes_ok o c (i + 1) stop)
+
+(* Bytes [i, stack_bytes) of [o] subsume those of [c]; [i] is a multiple
+   of 8.  Equal words (the common case) pass on one compare. *)
+let rec bytes_within (o : Bytes.t) (c : Bytes.t) (i : int) : bool =
+  i >= stack_bytes
+  || ((Bytes.get_int64_ne o i = Bytes.get_int64_ne c i
+       || word_bytes_ok o c i (i + 8))
+      && bytes_within o c (i + 8))
+
+let rec spills_within (o : Regstate.t option array)
+    (c : Regstate.t option array) (slot : int) (bug3 : bool) : bool =
+  slot >= spill_slots
+  || ((match o.(slot) with
+       | None -> true
+       | Some old_reg as os ->
+         os == c.(slot)
+         || (match c.(slot) with
              | Some cur_reg ->
                Regstate.reg_within ~old:old_reg ~cur:cur_reg ~bug3
              | None ->
                (* old spill may have degraded to misc in cur *)
                (match old_reg.Regstate.kind with
                 | Regstate.Scalar -> not old_reg.Regstate.precise
-                | _ -> false)
-           end)
-        && spills_ok (slot + 1))
-  in
-  bytes_ok && spills_ok 0
+                | _ -> false)))
+      && spills_within o c (slot + 1) bug3)
+
+(* Only [old]'s live region needs a look: below [old.lo] every byte is
+   invalid and every slot empty, which accepts anything. *)
+let stack_within ~(old : frame) ~(cur : frame) ~(bug3 : bool) : bool =
+  let from = old.lo land lnot 7 in
+  bytes_within old.stack cur.stack from
+  && spills_within old.spills cur.spills (from / 8) bug3
+
+(* [reg_within] is reflexive, so a shared register value passes on a
+   pointer compare. *)
+let rec regs_within (o : Regstate.t array) (c : Regstate.t array) (i : int)
+    (bug3 : bool) : bool =
+  i > 10
+  || ((o.(i) == c.(i) || Regstate.reg_within ~old:o.(i) ~cur:c.(i) ~bug3)
+      && regs_within o c (i + 1) bug3)
 
 let frame_within ~(old : frame) ~(cur : frame) ~(bug3 : bool) : bool =
   old.callsite = cur.callsite
-  && (let rec regs i =
-        i > 10
-        || (Regstate.reg_within ~old:old.regs.(i) ~cur:cur.regs.(i) ~bug3
-            && regs (i + 1))
-      in
-      regs 0)
+  && regs_within old.regs cur.regs 0 bug3
   && stack_within ~old ~cur ~bug3
+
+let rec frames_within (old : t) (cur : t) (i : int) (bug3 : bool) : bool =
+  i >= old.nframes
+  || (frame_within ~old:old.frames.(i) ~cur:cur.frames.(i) ~bug3
+      && frames_within old cur (i + 1) bug3)
 
 let states_equal ~(old : t) ~(cur : t) ~(bug3 : bool) : bool =
   old.nframes = cur.nframes
   && old.active_lock = cur.active_lock
-  && List.length old.refs = List.length cur.refs
-  && (let rec go i =
-        i >= old.nframes
-        || (frame_within ~old:old.frames.(i) ~cur:cur.frames.(i) ~bug3
-            && go (i + 1))
-      in
-      go 0)
+  && List.compare_lengths old.refs cur.refs = 0
+  && frames_within old cur 0 bug3
 
 (* -- Pruning signatures ------------------------------------------------ *)
 
@@ -399,12 +434,14 @@ let states_equal ~(old : t) ~(cur : t) ~(bug3 : bool) : bool =
 (* bit 0 of each register's 3-bit group, registers 0..10 *)
 let sig_group_lsbs = 0o11111111111
 
-let frame_sig_stored (f : frame) : int =
+(* [not_init] is the group a Not_init register contributes: 0b111 on
+   the stored side (accepts any kind), 0b001 on the probe side. *)
+let frame_sig (f : frame) ~(not_init : int) : int =
   let mask = ref 0 in
   for i = 0 to 10 do
     let bits =
       match f.regs.(i).Regstate.kind with
-      | Regstate.Not_init -> 0b111
+      | Regstate.Not_init -> not_init
       | Regstate.Scalar -> 0b010
       | Regstate.Ptr _ -> 0b100
     in
@@ -412,18 +449,8 @@ let frame_sig_stored (f : frame) : int =
   done;
   ((f.callsite + 1) lsl 33) lor !mask
 
-let frame_sig_probe (f : frame) : int =
-  let mask = ref 0 in
-  for i = 0 to 10 do
-    let bits =
-      match f.regs.(i).Regstate.kind with
-      | Regstate.Not_init -> 0b001
-      | Regstate.Scalar -> 0b010
-      | Regstate.Ptr _ -> 0b100
-    in
-    mask := !mask lor (bits lsl (3 * i))
-  done;
-  ((f.callsite + 1) lsl 33) lor !mask
+let frame_sig_stored (f : frame) : int = frame_sig f ~not_init:0b111
+let frame_sig_probe (f : frame) : int = frame_sig f ~not_init:0b001
 
 (* Head signature: the cheap equalities of [states_equal].  Any
    deterministic packing is sound (a collision only means the frame
@@ -438,23 +465,25 @@ let state_sig (t : t) : int =
 let frame_sigs_stored (t : t) : int array =
   Array.init t.nframes (fun i -> frame_sig_stored t.frames.(i))
 
-let frame_sigs_probe (t : t) : int array =
-  Array.init t.nframes (fun i -> frame_sig_probe t.frames.(i))
+(* Can a frame with stored signature [s] possibly subsume one with probe
+   signature [p]? *)
+let sig_compatible ~(stored : int) ~(probe : int) : bool =
+  stored lsr 33 = probe lsr 33
+  && (let m = stored land probe in
+      (m lor (m lsr 1) lor (m lsr 2)) land sig_group_lsbs = sig_group_lsbs)
 
-(* Can a state with stored signatures possibly subsume one with probe
-   signatures?  Caller guarantees equal lengths (equal head sigs). *)
-let sigs_compatible ~(stored : int array) ~(probe : int array) : bool =
-  let n = Array.length stored in
-  let rec go i =
-    i >= n
-    || (let s = stored.(i) and p = probe.(i) in
-        s lsr 33 = p lsr 33
-        && (let m = s land p in
-            (m lor (m lsr 1) lor (m lsr 2)) land sig_group_lsbs
-            = sig_group_lsbs)
-        && go (i + 1))
-  in
-  go 0
+let rec frame_sigs_compatible (stored : int array) (cur : t) (i : int) :
+  bool =
+  i >= Array.length stored
+  || (sig_compatible ~stored:stored.(i) ~probe:(frame_sig_probe cur.frames.(i))
+      && frame_sigs_compatible stored cur (i + 1))
+
+(* Can a state with stored signatures possibly subsume [cur]?  The probe
+   side is computed frame by frame on the fly, so a dismissal
+   allocates nothing.  Caller guarantees equal frame counts (equal head
+   sigs). *)
+let sigs_compatible ~(stored : int array) (cur : t) : bool =
+  frame_sigs_compatible stored cur 0
 
 (* -- Widening (bounded-loop verification) ------------------------------ *)
 
@@ -477,7 +506,7 @@ let widen_state ~(pool : pool) ~(th : Regstate.thresholds)
   if
     old.nframes <> cur.nframes
     || old.active_lock <> cur.active_lock
-    || List.length old.refs <> List.length cur.refs
+    || List.compare_lengths old.refs cur.refs <> 0
   then None
   else begin
     let out = copy ~pool old in
@@ -495,14 +524,17 @@ let widen_state ~(pool : pool) ~(th : Regstate.thresholds)
            | Some w -> wf.regs.(r) <- w
            | None -> raise Exit
          done;
-         for b = 0 to stack_bytes - 1 do
+         (* below [of_.lo] the old side is invalid and unspilled, so
+            the join leaves the copy's bytes and slots as they are: the
+            widened frame keeps [of_.lo] *)
+         for b = of_.lo to stack_bytes - 1 do
            let ob = Bytes.get of_.stack b and cb = Bytes.get cf.stack b in
            if ob <> cb then
              Bytes.set wf.stack b
                (if ob = b_invalid || cb = b_invalid then b_invalid
                 else b_misc)
          done;
-         for slot = 0 to spill_slots - 1 do
+         for slot = of_.lo / 8 to spill_slots - 1 do
            match of_.spills.(slot), cf.spills.(slot) with
            | None, _ -> ()
            | Some _, None -> wf.spills.(slot) <- None

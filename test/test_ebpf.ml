@@ -100,7 +100,33 @@ let test_regs_read_written () =
     (List.mem Insn.R3 (Insn.regs_written ldx));
   let call = Asm.call 1 in
   Alcotest.(check int) "call clobbers R0-R5" 6
-    (List.length (Insn.regs_written call))
+    (List.length (Insn.regs_written call));
+  (* the corners the list forms always had: a mov does not read its
+     destination, a neg ignores its source field, a non-fetching
+     cmpxchg writes R0, and the hidden R11 is a register like any other *)
+  let regs = Alcotest.(list string) in
+  let names l = List.map (fun r -> Printf.sprintf "r%d" (Insn.reg_to_int r)) l in
+  Alcotest.check regs "mov reads only src" [ "r2" ]
+    (names (Insn.regs_read (Asm.mov64_reg Insn.R1 Insn.R2)));
+  Alcotest.check regs "neg reads dst only" [ "r1" ]
+    (names
+       (Insn.regs_read
+          (Insn.Alu
+             { op64 = true; op = Insn.Neg; dst = Insn.R1;
+               src = Insn.Reg Insn.R11 })));
+  Alcotest.check regs "cmpxchg writes r0" [ "r0" ]
+    (names
+       (Insn.regs_written
+          (Asm.atomic Insn.DW Insn.A_cmpxchg Insn.R1 Insn.R2 0)));
+  Alcotest.check regs "fetching add writes src" [ "r2" ]
+    (names
+       (Insn.regs_written
+          (Asm.atomic ~fetch:true Insn.DW Insn.A_add Insn.R1 Insn.R2 0)));
+  Alcotest.(check bool) "r11 read" true
+    (Insn.reads_reg (Asm.mov64_reg Insn.R1 Insn.R11) Insn.R11);
+  Alcotest.(check bool) "r11 written" true
+    (Insn.writes_reg (Asm.mov64_reg Insn.R11 Insn.R1) Insn.R11);
+  Alcotest.(check bool) "exit reads r0" true (Insn.reads_reg Asm.exit_ Insn.R0)
 
 (* -- Encode/decode -------------------------------------------------------- *)
 
