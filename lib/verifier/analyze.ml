@@ -7,16 +7,21 @@ open Vimport
 
 (* -- Static CFG validation (kernel check_cfg) -------------------------- *)
 
-let jump_targets (insns : Insn.t array) : (int, unit) Hashtbl.t =
-  let targets = Hashtbl.create 16 in
-  Array.iteri
-    (fun pc insn ->
-       match insn with
-       | Insn.Jmp { off; _ } | Insn.Ja off | Insn.Call (Insn.Local off) ->
-         Hashtbl.replace targets (pc + 1 + off) ()
-       | _ -> ())
-    insns;
+(* Per-pc flags, one byte per instruction: the pc is the target of a
+   jump or a local call.  Runs after [check_cfg], so every target is
+   inside the program. *)
+let jump_targets (insns : Insn.t array) : Bytes.t =
+  let targets = Bytes.make (Array.length insns) '\000' in
+  for pc = 0 to Array.length insns - 1 do
+    match insns.(pc) with
+    | Insn.Jmp { off; _ } | Insn.Ja off | Insn.Call (Insn.Local off) ->
+      Bytes.set targets (pc + 1 + off) '\001'
+    | _ -> ()
+  done;
   targets
+
+let is_target (targets : Bytes.t) (pc : int) : bool =
+  Bytes.get targets pc <> '\000'
 
 (* Maximum trip count a certified loop may have.  Keeps every accepted
    loop comfortably inside the interpreter's fuel budget: acceptance
@@ -31,7 +36,8 @@ let max_certified_trips = 4096l
    oracle needs a trip bound, so widening is reserved for loops whose
    shape proves one:
 
-     - a single conditional back edge [b]: 64-bit [Jlt]/[Jle] of an
+     - a single conditional back edge [b] ({!loop_heads} passes the
+       head's only one as [back]): 64-bit [Jlt]/[Jle] of an
        induction register against a positive immediate K <=
        {!max_certified_trips};
      - the instruction before it is the only write to the induction
@@ -51,79 +57,96 @@ let max_certified_trips = 4096l
    re-entry from an enclosing cycle.  The zero-progress infinite-loop
    check must never fire on the former and convergence pruning must
    never fire on the latter. *)
-let certified_head (insns : Insn.t array) ~(targets : (int, unit) Hashtbl.t)
-    ~(head : int) ~(backs : int list) : bool =
-  match backs with
-  | [ b ] -> (
-    match insns.(b) with
-    | Insn.Jmp
-        { op32 = false; cond = Insn.Jlt | Insn.Jle; dst = ind;
-          src = Insn.Imm k; off = _ }
-      when Int32.compare k 0l > 0
-           && Int32.compare k max_certified_trips <= 0 ->
-      head <= b - 1
-      && (match insns.(b - 1) with
-         | Insn.Alu
-             { op64 = true; op = Insn.Add; dst; src = Insn.Imm c }
-           -> dst = ind && Int32.compare c 0l > 0
-         | _ -> false)
-      && (let only_write = ref true in
-          for pc = head to b - 2 do
-            if Insn.writes_reg insns.(pc) ind then only_write := false
-          done;
-          !only_write)
-      (* [targets] holds exactly the Jmp/Ja/local-call targets *)
-      && not (Hashtbl.mem targets b)
-    | _ -> false)
+let certified_head (insns : Insn.t array) ~(targets : Bytes.t)
+    ~(head : int) ~(back : int) : bool =
+  match insns.(back) with
+  | Insn.Jmp
+      { op32 = false; cond = Insn.Jlt | Insn.Jle; dst = ind;
+        src = Insn.Imm k; off = _ }
+    when Int32.compare k 0l > 0
+         && Int32.compare k max_certified_trips <= 0 ->
+    head <= back - 1
+    && (match insns.(back - 1) with
+       | Insn.Alu
+           { op64 = true; op = Insn.Add; dst; src = Insn.Imm c }
+         -> dst = ind && Int32.compare c 0l > 0
+       | _ -> false)
+    && (let only_write = ref true in
+        for pc = head to back - 2 do
+          if Insn.writes_reg insns.(pc) ind then only_write := false
+        done;
+        !only_write)
+    (* [targets] holds exactly the Jmp/Ja/local-call targets *)
+    && not (is_target targets back)
   | _ -> false
+
+(* [loop_heads] entries: a pc that heads no back edge, or one whose
+   loop is not widening-eligible.  Any other entry is the certified
+   back-edge pc. *)
+let no_head = -2
+let uncertified_head = -1
 
 (* Loop heads: targets of back edges (a jump whose target does not
    advance the pc), mapped to the certified back-edge pc when the loop
-   is widening-eligible (see {!certified_head}).  Forward joins keep
-   the plain store-and-prune discipline. *)
-let loop_heads (insns : Insn.t array) ~(targets : (int, unit) Hashtbl.t) :
-  (int, int option) Hashtbl.t =
-  let backs : (int, int list) Hashtbl.t = Hashtbl.create 4 in
-  Array.iteri
-    (fun pc insn ->
-       match insn with
-       | Insn.Jmp { off; _ } | Insn.Ja off ->
-         if pc + 1 + off <= pc then
-           Hashtbl.replace backs (pc + 1 + off)
-             (pc
-              :: Option.value
-                   (Hashtbl.find_opt backs (pc + 1 + off))
-                   ~default:[])
-       | _ -> ())
-    insns;
-  let heads = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun head bs ->
-       Hashtbl.replace heads head
-         (if certified_head insns ~targets ~head ~backs:bs then
-            Some (List.hd bs)
-          else None))
-    backs;
-  heads
+   is widening-eligible (see {!certified_head}), together with the
+   number of heads.  A head with one back edge holds that edge's pc
+   until the certificate is checked; a second back edge makes it
+   uncertified.  Forward joins keep the plain store-and-prune
+   discipline. *)
+let loop_heads (insns : Insn.t array) ~(targets : Bytes.t) : int array * int
+  =
+  let n = Array.length insns in
+  let heads = Array.make n no_head in
+  let count = ref 0 in
+  for pc = 0 to n - 1 do
+    match insns.(pc) with
+    | (Insn.Jmp { off; _ } | Insn.Ja off) when pc + 1 + off <= pc ->
+      let head = pc + 1 + off in
+      if heads.(head) = no_head then begin
+        incr count;
+        heads.(head) <- pc
+      end
+      else heads.(head) <- uncertified_head
+    | _ -> ()
+  done;
+  for head = 0 to n - 1 do
+    let back = heads.(head) in
+    if back >= 0 && not (certified_head insns ~targets ~head ~back) then
+      heads.(head) <- uncertified_head
+  done;
+  (heads, !count)
 
 (* Widening thresholds for this program: the fixed set (0, ±1,
    type-width extrema) plus every branch-comparison constant, in both
    its sign-extended and zero-extended reading.  A counted loop's exit
    test is a branch against its bound, so the escaping counter jumps
-   exactly to that bound instead of creeping or overshooting to ⊤. *)
+   exactly to that bound instead of creeping or overshooting to ⊤.
+   Only certified-head widening reads them, so they are built at a
+   load's first widening ([thresholds]), not for every load. *)
 let harvest_thresholds (insns : Insn.t array) : Regstate.thresholds =
-  let consts = ref [] in
+  let n_imm = ref 0 in
   Array.iter
-    (fun insn ->
-       match insn with
-       | Insn.Jmp { src = Insn.Imm i; _ } ->
-         consts :=
-           Int64.of_int32 i
-           :: Int64.logand (Int64.of_int32 i) 0xFFFF_FFFFL
-           :: !consts
-       | _ -> ())
+    (function Insn.Jmp { src = Insn.Imm _; _ } -> incr n_imm | _ -> ())
     insns;
-  Regstate.mk_thresholds !consts
+  let consts = Array.make (2 * !n_imm) 0L in
+  let k = ref 0 in
+  Array.iter
+    (function
+      | Insn.Jmp { src = Insn.Imm i; _ } ->
+        consts.(!k) <- Int64.of_int32 i;
+        consts.(!k + 1) <- Int64.logand (Int64.of_int32 i) 0xFFFF_FFFFL;
+        k := !k + 2
+      | _ -> ())
+    insns;
+  Regstate.thresholds_of_consts consts
+
+let thresholds (env : Venv.t) : Regstate.thresholds =
+  match env.Venv.thresholds with
+  | Some th -> th
+  | None ->
+    let th = harvest_thresholds env.Venv.insns in
+    env.Venv.thresholds <- Some th;
+    th
 
 let check_cfg (env : Venv.t) : unit =
   let insns = env.Venv.insns in
@@ -305,7 +328,7 @@ let store_or_unroll (env : Venv.t) ~(pc : int) ~(psig : int)
       { Venv.e_state = snapshot; e_branches = 1; e_sig = psig;
         e_fsig = Vstate.frame_sigs_stored snapshot; e_widens = 0 }
     in
-    Hashtbl.replace env.Venv.explored pc (e :: stored);
+    env.Venv.explored.(pc) <- e :: stored;
     env.Venv.ancestors <- e :: env.Venv.ancestors;
     Vstats.state_stored env.Venv.vst ~at_insn:(List.length stored + 1);
     if env.Venv.vst.Vstats.vs_total_states > Venv.total_states_limit
@@ -362,28 +385,17 @@ let rec find_subsuming (env : Venv.t)
       find_subsuming env ~recent_anc ~psig ~bug3 rest
     end
 
-let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int)
-    (targets : (int, unit) Hashtbl.t)
-    (heads : (int, int option) Hashtbl.t) (th : Regstate.thresholds) :
-  bool =
-  if not (Hashtbl.mem targets pc) then false
+let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int) (targets : Bytes.t)
+    (heads : int array) : bool =
+  if not (is_target targets pc) then false
   else begin
     let bug3 = Venv.has_bug env Kconfig.Bug3_backtrack_precision in
-    let cert_b =
-      match Hashtbl.find heads pc with
-      | cert -> cert
-      | exception Not_found -> None
-    in
+    (* the certified back edge of the loop headed here, or < 0 *)
+    let cert_b = heads.(pc) in
     (* arrival over the certified back edge: the increment at [b-1]
        has provably just run, so the loop made genuine progress *)
-    let via_back_edge =
-      match cert_b with Some b -> from = b | None -> false
-    in
-    let stored =
-      match Hashtbl.find env.Venv.explored pc with
-      | l -> l
-      | exception Not_found -> []
-    in
+    let via_back_edge = cert_b >= 0 && from = cert_b in
+    let stored = env.Venv.explored.(pc) in
     (* newest in-progress entry of the current path at this pc: the
        only ancestor entry a certified loop head may widen or
        converge against.  An OLDER ancestor entry (a previous
@@ -394,9 +406,8 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int)
        zero-progress check.  Each re-traversal must converge on its
        own entry. *)
     let recent_anc =
-      match cert_b with
-      | Some _ -> newest_ancestor env.Venv.ancestors stored
-      | None -> None
+      if cert_b >= 0 then newest_ancestor env.Venv.ancestors stored
+      else None
     in
     let psig = Vstate.state_sig env.Venv.st in
     match find_subsuming env ~recent_anc ~psig ~bug3 stored with
@@ -418,7 +429,7 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int)
           Vstats.prune_hit env.Venv.vst;
           true
         end
-        else if cert_b = None then begin
+        else if cert_b < 0 then begin
           (* the current path came back to one of its own states: no
              loop variable made progress (kernel "infinite loop
              detected") *)
@@ -469,6 +480,7 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int)
           let force =
             anc.Venv.e_widens = Venv.max_widen_rounds - 1
           in
+          let th = thresholds env in
           match
             Vstate.widen_state ~pool:env.Venv.pool ~th ~force
               ~old:anc.Venv.e_state ~cur:env.Venv.st
@@ -510,9 +522,8 @@ let run (env : Venv.t) : unit =
   check_cfg env;
   let insns = env.Venv.insns in
   let targets = jump_targets insns in
-  let heads = loop_heads insns ~targets in
-  let th = harvest_thresholds insns in
-  Vstats.loop_heads_seen env.Venv.vst (Hashtbl.length heads);
+  let heads, n_heads = loop_heads insns ~targets in
+  Vstats.loop_heads_seen env.Venv.vst n_heads;
   env.Venv.branch_stack <- [ (0, -1, env.Venv.st, []) ];
   Vstats.branch_pushed env.Venv.vst;
   (* the current path is done: every state it ran under has one fewer
@@ -545,13 +556,12 @@ let run (env : Venv.t) : unit =
         env.Venv.insn_processed;
     if pc < 0 || pc >= Array.length insns then
       Venv.reject env ~pc Venv.EINVAL "invalid program counter %d" pc;
-    if maybe_prune env ~pc ~from targets heads th then begin
+    if maybe_prune env ~pc ~from targets heads then begin
       (* the pruned path's state is uniquely owned here: recycle it *)
       Vstate.release env.Venv.pool env.Venv.st;
       next_path ()
     end
     else begin
-      env.Venv.aux.(pc).Venv.seen <- true;
       (* soundness sanitizer hooks: record the abstract register file
          this (non-pruned) visit runs under, and lint the whole state.
          A pruned visit needs no record: its state is subsumed by a
@@ -560,8 +570,9 @@ let run (env : Venv.t) : unit =
          check then exposes. *)
       if env.Venv.config.Kconfig.witness then begin
         let here = Witness.of_state env.Venv.st in
-        env.Venv.aux.(pc).Venv.witness <-
-          (match env.Venv.aux.(pc).Venv.witness with
+        let aux = Venv.aux_mut env pc in
+        aux.Venv.witness <-
+          (match aux.Venv.witness with
            | None -> Some here
            | Some prev -> Some (Witness.join_states prev here))
       end;

@@ -120,13 +120,15 @@ let scalar_shift op (d : t) (s : t) ~(op64 : bool) : t =
     (match op with
      | `Lsh ->
        let var_off = Tnum.lshift d.var_off sh in
-       let fits v =
-         not (Word.ugt v (Word.shr64 (-1L) (Int64.of_int sh)))
-       in
-       (* a bound that would overflow when shifted tells us nothing *)
-       let umin = if fits d.umin then Int64.shift_left d.umin sh else 0L in
-       let umax =
-         if fits d.umax then Int64.shift_left d.umax sh else -1L
+       (* kernel scalar_min_max_lsh: the shift is monotone only while
+          no member overflows, i.e. while [umax] fits.  Once it does
+          not, the members' images wrap and interleave, so BOTH bounds
+          go: a shifted [umin] alone would claim a lower bound a
+          wrapped member (e.g. [2^31 << 33 = 0]) falls below. *)
+       let umin, umax =
+         if Word.ule d.umax (Word.shr64 (-1L) (Int64.of_int sh)) then
+           (Int64.shift_left d.umin sh, Int64.shift_left d.umax sh)
+         else (0L, -1L)
        in
        sync
          { d with var_off; smin = Int64.min_int; smax = Int64.max_int;
@@ -267,7 +269,7 @@ let adjust_ptr (env : Venv.t) ~(pc : int) (op : Insn.alu_op)
          if is_sub then Int64.of_int (ptr.off - lo)
          else Int64.of_int (hi - ptr.off)
        in
-       env.Venv.aux.(pc).Venv.alu_limit <- Some (limit, is_sub)
+       (Venv.aux_mut env pc).Venv.alu_limit <- Some (limit, is_sub)
      | Some _ | None -> ())
   end;
   match Regstate.const_value scalar with
@@ -344,7 +346,7 @@ let check (env : Venv.t) ~(pc : int) ~(op64 : bool) (op : Insn.alu_op)
           Venv.set_reg env dst (adjust_ptr env ~pc op src_state d);
           (* the scalar operand is dst here, not src: the sanitizer's
              alu_limit guard reads the src register, so skip it *)
-          env.Venv.aux.(pc).Venv.alu_limit <- None
+          (Venv.aux_mut env pc).Venv.alu_limit <- None
         end
       | Ptr pa, Ptr pb ->
         (* only pkt_ptr - pkt_ptr yields a scalar; everything else is

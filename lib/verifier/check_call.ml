@@ -208,7 +208,7 @@ let check_helper (env : Venv.t) ~(pc : int) (id : int) : unit =
       Venv.reject env ~pc Venv.EINVAL "invalid func id %d" id
   in
   Venv.cov env "call:helper" ~v:h.Helper.id;
-  env.Venv.aux.(pc).Venv.call_helper <- Some h;
+  (Venv.aux_mut env pc).Venv.call_helper <- Some h;
   (* availability: version and program type gating *)
   if not (Version.at_least (Venv.version env) h.Helper.since) then
     Venv.reject env ~pc Venv.EINVAL "helper %s not available in %s"

@@ -16,7 +16,7 @@ type access = Aread | Awrite
 (* Annotate the instruction for the sanitize pass. *)
 let set_aux (env : Venv.t) ~(pc : int) ~(pk : Regstate.ptr_kind)
     ~(addr_reg : Insn.reg) ~(var_const : bool) : unit =
-  let aux = env.Venv.aux.(pc) in
+  let aux = Venv.aux_mut env pc in
   (* the kernel refuses one insn dereferencing different pointer types
      on different paths (ctx accesses are rewritten per type) *)
   (match aux.Venv.ptr_kind with

@@ -244,20 +244,37 @@ type thresholds = {
 }
 
 let signed_base =
-  [ Int64.min_int; Int64.of_int32 Int32.min_int; -1L; 0L; 1L;
-    Int64.of_int32 Int32.max_int; Int64.max_int ]
+  [| Int64.min_int; Int64.of_int32 Int32.min_int; -1L; 0L; 1L;
+     Int64.of_int32 Int32.max_int; Int64.max_int |]
 
-let unsigned_base = [ 0L; 1L; 0xFFFF_FFFFL; -1L (* U64_MAX *) ]
+let unsigned_base = [| 0L; 1L; 0xFFFF_FFFFL; -1L (* U64_MAX *) |]
+
+(* [base] and [consts] as one array sorted ascending under [cmp], with
+   duplicates dropped. *)
+let sorted_set cmp (base : int64 array) (consts : int64 array) :
+  int64 array =
+  let nb = Array.length base and nc = Array.length consts in
+  let a = Array.make (nb + nc) 0L in
+  Array.blit base 0 a 0 nb;
+  Array.blit consts 0 a nb nc;
+  Array.sort cmp a;
+  let k = ref 1 in
+  for i = 1 to nb + nc - 1 do
+    if cmp a.(i) a.(!k - 1) <> 0 then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  if !k = nb + nc then a else Array.sub a 0 !k
+
+let thresholds_of_consts (consts : int64 array) : thresholds =
+  {
+    th_signed = sorted_set Int64.compare signed_base consts;
+    th_unsigned = sorted_set Int64.unsigned_compare unsigned_base consts;
+  }
 
 let mk_thresholds (consts : int64 list) : thresholds =
-  {
-    th_signed =
-      Array.of_list
-        (List.sort_uniq Int64.compare (signed_base @ consts));
-    th_unsigned =
-      Array.of_list
-        (List.sort_uniq Int64.unsigned_compare (unsigned_base @ consts));
-  }
+  thresholds_of_consts (Array.of_list consts)
 
 let no_thresholds : thresholds = mk_thresholds []
 

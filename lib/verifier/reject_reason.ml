@@ -104,18 +104,23 @@ let describe = function
   | Env_failure -> "injected environment failure, not a verdict"
   | Unknown -> "unclassified rejection (taxonomy gap)"
 
-(* Substring search, tiny and allocation-free. *)
+(* Substring search in place: [matches_at msg frag i j] compares
+   [frag] from byte [j] on with [msg] from byte [i + j] on.
+   [occurs_from] tries only positions [i <= last = n - m], so every
+   index stays inside [msg].  Both are top-level and tail-recursive, so
+   a search allocates nothing. *)
+let rec matches_at (msg : string) (frag : string) (i : int) (j : int) :
+  bool =
+  j = String.length frag
+  || (String.unsafe_get msg (i + j) = String.unsafe_get frag j
+      && matches_at msg frag i (j + 1))
+
+let rec occurs_from (msg : string) (frag : string) (i : int) (last : int)
+  : bool =
+  i <= last && (matches_at msg frag i 0 || occurs_from msg frag (i + 1) last)
+
 let has (msg : string) (frag : string) : bool =
-  let n = String.length msg and m = String.length frag in
-  if m = 0 || m > n then m = 0
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i <= n - m do
-      if String.sub msg !i m = frag then found := true else incr i
-    done;
-    !found
-  end
+  occurs_from msg frag 0 (String.length msg - String.length frag)
 
 (* Ordered pattern table: first match wins, so the more specific
    fragments ("uninitialized stack passed to helper") come before the
@@ -239,9 +244,11 @@ let patterns : (string * t) list =
     ("invalid access to", Oob_access);    (* BTF objects, by name *)
   ]
 
+let rec first_match (msg : string) : (string * t) list -> t = function
+  | [] -> Unknown
+  | (frag, r) :: rest -> if has msg frag then r else first_match msg rest
+
 let classify ~(msg : string) : t =
   if msg = "size" then Prog_size (* Verifier.verify's shorthand *)
   else
-    match List.find_opt (fun (frag, _) -> has msg frag) patterns with
-    | Some (_, r) -> r
-    | None -> Unknown
+    first_match msg patterns

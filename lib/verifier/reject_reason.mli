@@ -53,7 +53,12 @@ val of_string : string -> t option
 val describe : t -> string
 (** One-line human description for tables and [bvf explain]. *)
 
+val patterns : (string * t) list
+(** The ordered fragment table {!classify} reads: the first fragment
+    that occurs in a message names its reason. *)
+
 val classify : msg:string -> t
 (** Recover the reason from a canonical rejection message (the format
     strings of the check_* modules).  Total: unmatched messages map to
-    {!Unknown}, which the telemetry CI gate treats as a taxonomy bug. *)
+    {!Unknown}, which the telemetry CI gate treats as a taxonomy bug.
+    Allocation-free: each fragment is compared in place. *)

@@ -57,7 +57,6 @@ type aux = {
   mutable skip_sanitize : bool;    (* known-safe constant stack access *)
   mutable exception_handled : bool;(* BTF-pointer load: faults handled *)
   mutable call_helper : Helper.t option; (* resolved helper at this call *)
-  mutable seen : bool;             (* reached by the analysis *)
   mutable witness : Witness.dom array option;
       (* abstract R0..R10 joined over every non-pruned visit; None for
          insns the analysis never reached or that a rewrite emitted *)
@@ -66,21 +65,20 @@ type aux = {
 let fresh_aux () =
   { ptr_kind = None; alu_limit = None; rewritten = false;
     skip_sanitize = false; exception_handled = false; call_helper = None;
-    seen = false; witness = None }
+    witness = None }
 
-(* Seed for aux arrays: [Array.init] would seed with a young fresh
-   record and force a minor collection for every program above 256
-   instructions (DESIGN.md section 8).  Builders overwrite every slot
-   before the array escapes, so the shared seed is never read or
-   mutated. *)
+(* Aux is copy-on-write: every slot of a load's aux array starts as
+   this one shared record, and [aux_mut] swaps in a private record at
+   the slot's first write.  Most instructions are never annotated, so
+   a load allocates aux only for the ones that are, and an array seeded
+   with an old value never forces a minor collection (DESIGN.md
+   section 8).  Readers (Patch, Fixup, Sanitize, Exec) see the seed's
+   defaults for an untouched slot.
+
+   Invariant: nothing ever writes through [aux_seed].  It is shared by
+   every load in every domain; one write would annotate every
+   unannotated instruction of every later program. *)
 let aux_seed = fresh_aux ()
-
-let fresh_aux_array (n : int) : aux array =
-  let a = Array.make n aux_seed in
-  for i = 0 to n - 1 do
-    a.(i) <- fresh_aux ()
-  done;
-  a
 
 type t = {
   kst : Kstate.t;
@@ -101,7 +99,7 @@ type t = {
      against it is unsound; matching one of the CURRENT path's own
      ancestors means the path looped without progress (the kernel's
      "infinite loop detected"). *)
-  explored : (int, explored_entry list) Hashtbl.t;
+  explored : explored_entry list array; (* indexed by pc *)
   mutable ancestors : explored_entry list; (* of the current path *)
   mutable insn_processed : int;
   vst : Vstats.t; (* veristat-style performance counters *)
@@ -111,6 +109,8 @@ type t = {
   (* invariant-lint violations (newest first, capped), Kconfig.lint *)
   mutable lint : Invariants.violation list;
   mutable lint_count : int;
+  (* widening thresholds, built at the load's first widening *)
+  mutable thresholds : Regstate.thresholds option;
 }
 
 (* Complexity budget: the scaled-down analogue of BPF_COMPLEXITY_LIMIT. *)
@@ -142,11 +142,11 @@ let create ~(kst : Kstate.t) ~(prog_type : Prog.prog_type)
     prog_type;
     attach;
     insns;
-    aux = fresh_aux_array (Array.length insns);
+    aux = Array.make (Array.length insns) aux_seed;
     pool = Vstate.create_pool ();
     st = Vstate.initial ~ctx:Regstate.ctx_pointer;
     branch_stack = [];
-    explored = Hashtbl.create 64;
+    explored = Array.make (Array.length insns) [];
     ancestors = [];
     insn_processed = 0;
     vst = Vstats.zero ();
@@ -155,7 +155,19 @@ let create ~(kst : Kstate.t) ~(prog_type : Prog.prog_type)
     cov;
     lint = [];
     lint_count = 0;
+    thresholds = None;
   }
+
+(* The aux record of [pc], made private to this load first if it is
+   still the shared seed: the one way to write aux. *)
+let aux_mut (t : t) (pc : int) : aux =
+  let a = t.aux.(pc) in
+  if a != aux_seed then a
+  else begin
+    let a = fresh_aux () in
+    t.aux.(pc) <- a;
+    a
+  end
 
 (* Keep at most this many lint violations per load (a broken invariant
    at a hot pc would otherwise record once per visit). *)

@@ -59,7 +59,7 @@ let gen_abstract : (Regstate.t * int64) QCheck2.Gen.t =
         map Int64.of_int int ]
   in
   let* x = concrete in
-  let* shape = int_range 0 3 in
+  let* shape = int_range 0 4 in
   match shape with
   | 0 -> return (Regstate.const_scalar x, x)
   | 1 ->
@@ -76,7 +76,19 @@ let gen_abstract : (Regstate.t * int64) QCheck2.Gen.t =
     let* mask = map Int64.of_int (int_range 0 0xFFFFFF) in
     let t = { Tnum.value = Int64.logand x (Int64.lognot mask); mask } in
     return (Regstate.scalar_of_tnum t, x)
-  | _ -> return (Regstate.unknown_scalar, x)
+  | 3 -> return (Regstate.unknown_scalar, x)
+  | _ ->
+    (* umax at a left-shift overflow edge, U64_MAX lsr sh and its
+       neighbours: shifting by sh keeps umax exactly when umax is at
+       most the edge, so a window below it mixes members whose images
+       wrap with members whose images do not *)
+    let* sh = int_range 1 63 in
+    let* d = int_range (-1) 1 in
+    let* w = oneofl [ 0L; 1L; 0xFFFL; 0xFFFF_FFFFL ] in
+    let umax = Int64.add (Word.shr64 (-1L) (Int64.of_int sh)) (Int64.of_int d) in
+    let umin = if Word.ult umax w then 0L else Int64.sub umax w in
+    let* x = oneofl [ umin; umax ] in
+    return (Regstate.scalar_range ~umin ~umax, x)
 
 let alu_ops =
   [ (Insn.Add, Int64.add);
@@ -220,6 +232,92 @@ let test_mul_overflow_regression () =
   Alcotest.(check bool) "no smin = 0 claim" true (r.Regstate.smin < 0L);
   Alcotest.(check int64) "unsigned product still exact" product
     r.Regstate.umax
+
+(* Regression for the scalar_shift per-bound overflow: a 64-bit left
+   shift checked each bound on its own, so when [umax] overflowed (and
+   went to U64_MAX) but [umin] did not, [umin]'s image survived as a
+   lower bound and [sync] narrowed the result to one constant, which a
+   wrapped member falls outside of.  The kernel's scalar_min_max_lsh
+   drops both bounds.  The first case is the one
+   [QCHECK_SEED=491947352] drew (the shift operand masks to 33), the
+   second a random-seed failure of the alu64 property (-265 masks to
+   55). *)
+let test_lsh_overflow_regression () =
+  List.iter
+    (fun (umin, umax, sh) ->
+       let d = Regstate.scalar_range ~umin ~umax in
+       let r = Check_alu.scalar_op64 Insn.Lsh d (Regstate.const_scalar sh) in
+       List.iter
+         (fun x ->
+            let c = Word.shl64 x sh in
+            Alcotest.(check bool)
+              (Printf.sprintf "[%Lu, %Lu] << %Ld: %Ld is a member of %s"
+                 umin umax (Int64.logand sh 63L) c (Regstate.to_string r))
+              true (member r c))
+         [ umin; umax ];
+       (* only the tnum is left to bound the result *)
+       Alcotest.(check int64) "umin dropped" 0L r.Regstate.umin)
+    [ (2147483647L, 2147483648L, 2514669341423940257L);
+      (511L, 4096L, -265L) ]
+
+(* A shift that overflows no member keeps both shifted bounds. *)
+let test_lsh_safe_bounds () =
+  let d = Regstate.scalar_range ~umin:2L ~umax:10L in
+  let r = Check_alu.scalar_op64 Insn.Lsh d (Regstate.const_scalar 3L) in
+  Alcotest.(check int64) "umin" 16L r.Regstate.umin;
+  Alcotest.(check int64) "umax" 80L r.Regstate.umax;
+  let edge = Word.shr64 (-1L) 33L in
+  let d = Regstate.scalar_range ~umin:(Int64.sub edge 1L) ~umax:edge in
+  let r = Check_alu.scalar_op64 Insn.Lsh d (Regstate.const_scalar 33L) in
+  Alcotest.(check int64) "umax at the edge still shifts"
+    (Int64.shift_left edge 33) r.Regstate.umax
+
+(* Per-bound overflow sweep.  A transfer function that decides overflow
+   for each bound separately is unsound where one bound's image wraps
+   and the other's does not.  Both operands are windows at the edges
+   U64_MAX lsr k (k = 0 is U64_MAX, 1 is S64_MAX, 32 is U32_MAX, 63 is
+   1) and their neighbours; a shift's amount is drawn with its edge
+   half of the time. *)
+let gen_edge_operand (k : int) : (Regstate.t * int64) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* d = int_range (-1) 1 in
+  let e = Int64.add (Word.shr64 (-1L) (Int64.of_int k)) (Int64.of_int d) in
+  let* below = oneofl [ 0L; 1L; 0xFFFL; 0xFFFF_FFFFL ] in
+  let* above = oneofl [ 0L; 1L; 0xFFFL ] in
+  let lo = if Word.ult e below then 0L else Int64.sub e below in
+  let hi = if Word.ult (Int64.add e above) e then -1L else Int64.add e above in
+  let* x = oneofl [ lo; e; hi ] in
+  return (Regstate.scalar_range ~umin:lo ~umax:hi, x)
+
+let per_bound_overflow_sound =
+  QCheck2.Test.make ~count:4000
+    ~name:"add/sub/mul/lsh sound at per-bound overflow edges"
+    QCheck2.Gen.(
+      let* opi = int_range 0 3 in
+      let* sh = int_range 0 63 in
+      let* ka = oneof [ return sh; int_range 0 63 ] in
+      let* a = gen_edge_operand ka in
+      let* b =
+        if opi = 3 then
+          return (Regstate.const_scalar (Int64.of_int sh), Int64.of_int sh)
+        else oneof [ int_range 0 63 >>= gen_edge_operand; gen_boundary ]
+      in
+      return (opi, a, b))
+    (fun (opi, (ra, a), (rb, b)) ->
+       let op, concrete =
+         List.nth
+           [ (Insn.Add, Int64.add); (Insn.Sub, Int64.sub);
+             (Insn.Mul, Int64.mul); (Insn.Lsh, Word.shl64) ]
+           opi
+       in
+       let abstract = Check_alu.scalar_op64 op ra rb in
+       let result = concrete a b in
+       if member abstract result then true
+       else
+         QCheck2.Test.fail_reportf "%s: %Ld op %Ld = %Ld not in %s (from %s, %s)"
+           (Insn.alu_op_to_string op) a b result
+           (Regstate.to_string abstract)
+           (Regstate.to_string ra) (Regstate.to_string rb))
 
 (* And the safe case keeps the kernel's tight bounds: product below
    S64_MAX, so signed bounds mirror the unsigned ones. *)
@@ -770,6 +868,39 @@ let test_cve_flagged_as_witness_escape () =
       (f.Campaign.fd_finding.Oracle.f_indicator = Some Oracle.Ind3)
   | None -> Alcotest.fail "CVE witness escape not found"
 
+(* The left-shift per-bound overflow, end to end.  A kfunc result (an
+   unknown scalar to the verifier, concretely 1) is bounded to [0, 1]
+   and moved to [2^31 - 1, 2^31], then shifted left by 33.  Before the
+   fix [umin] still shifted to 0xFFFFFFFE00000000 while [umax]
+   overflowed, so the verifier claimed r6 was that one constant at
+   insn 6, which only the shifted path reaches; the concrete
+   2^31 << 33 wraps to 0 and escaped the witness there.  The fixed
+   transfer function drops both bounds and the run is clean. *)
+let lsh_witness_request () : Verifier.request =
+  Verifier.request Prog.Kprobe
+    [| Asm.mov64_imm Insn.R1 1l;
+       Asm.call_kfunc Helper.kfunc_obj_id.Helper.kid;
+       Asm.mov64_reg Insn.R6 Insn.R0;
+       Asm.jmp_imm Insn.Jgt Insn.R6 1l 4;
+       Asm.alu64_imm Insn.Add Insn.R6 0x7FFF_FFFFl;
+       Asm.alu64_imm Insn.Lsh Insn.R6 33l;
+       Asm.mov64_imm Insn.R0 0l;
+       Asm.exit_;
+       Asm.mov64_imm Insn.R0 0l;
+       Asm.exit_ |]
+
+let test_lsh_witness_clean () =
+  let config = Kconfig.with_witness (Kconfig.fixed Version.Bpf_next) true in
+  let session = Loader.create config in
+  match Loader.load_and_run session (lsh_witness_request ()) with
+  | { Loader.verdict = Ok _; witness = []; reports = []; _ } -> ()
+  | { Loader.verdict = Ok _; witness = w :: _; _ } ->
+    Alcotest.failf "shifted r6 escaped its witness: %s" (Report.to_string w)
+  | { Loader.verdict = Ok _; reports = r :: _; _ } ->
+    Alcotest.failf "clean run raised %s" (Report.to_string r)
+  | { Loader.verdict = Error e; _ } ->
+    Alcotest.failf "shift reproducer rejected: %s" e.Bvf_verifier.Venv.vmsg
+
 (* Control: the fixed verifier re-verifies the pruned arm (Bug#3 shape
    runs clean) and rejects the CVE shape outright. *)
 let test_witness_clean_controls () =
@@ -857,7 +988,12 @@ let () =
           Alcotest.test_case "mul S64-overflow regression" `Quick
             test_mul_overflow_regression;
           Alcotest.test_case "mul safe-case bounds" `Quick
-            test_mul_safe_bounds ] );
+            test_mul_safe_bounds;
+          Alcotest.test_case "lsh per-bound overflow regression" `Quick
+            test_lsh_overflow_regression;
+          Alcotest.test_case "lsh safe-case bounds" `Quick
+            test_lsh_safe_bounds;
+          qt per_bound_overflow_sound ] );
       ( "tnum boundaries",
         [ qt tnum_member_bounds; qt tnum_range_sound; qt tnum_subset_sound;
           qt tnum_meet_join_sound; qt tnum_ops_boundary_sound;
@@ -888,7 +1024,9 @@ let () =
           Alcotest.test_case "cve-2022-23222 flagged via witness" `Quick
             test_cve_flagged_as_witness_escape;
           Alcotest.test_case "clean controls" `Quick
-            test_witness_clean_controls ] );
+            test_witness_clean_controls;
+          Alcotest.test_case "lsh per-bound overflow runs clean" `Quick
+            test_lsh_witness_clean ] );
       ( "witness determinism",
         [ Alcotest.test_case "digest modulo witness" `Quick
             test_witness_digest_deterministic;
