@@ -209,24 +209,11 @@ let profile_t =
 
 (* The closing profile record is appended by the CLI, not emitted by
    the campaign: traces stay byte-deterministic for a fixed seed, and
-   the profile carries the only wall-clock times in the file. *)
-let append_profile (path : string) (stats : Campaign.stats)
-    ~(wall_s : float) : unit =
-  let ev =
-    Telemetry.Profile
-      {
-        programs = stats.Campaign.st_generated;
-        gen_s = stats.Campaign.st_gen_s;
-        verify_s = stats.Campaign.st_verify_s;
-        sanitize_s = stats.Campaign.st_sanitize_s;
-        exec_s = stats.Campaign.st_exec_s;
-        wall_s;
-        gen_w = stats.Campaign.st_gen_w;
-        verify_w = stats.Campaign.st_verify_w;
-        sanitize_w = stats.Campaign.st_sanitize_w;
-        exec_w = stats.Campaign.st_exec_w;
-      }
-  in
+   the profile carries the only wall-clock times in the file, next to
+   this process's profiler totals. *)
+let append_profile (path : string) (prof : Prof.session) ~(wall_s : float)
+  : unit =
+  let ev = Telemetry.profile_of_totals ~wall_s (Prof.session_totals prof) in
   let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
   output_string oc (Telemetry.to_json ev);
   output_char oc '\n';
@@ -335,9 +322,8 @@ let fuzz_cmd =
         (fun every_s -> Progress.create ~every_s ~jobs ())
         progress_every
     in
-    let prof =
-      match profile with Some _ -> Prof.session () | None -> Prof.null
-    in
+    (* its totals feed the closing profile line; --profile adds spans *)
+    let prof = Prof.session ~spans:(profile <> None) () in
     let abort_env msg =
       Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
       exit 3
@@ -346,8 +332,7 @@ let fuzz_cmd =
     let finish_sharded ~t0 ?report (result : Parallel.result) =
       (match trace with
        | Some path ->
-         append_profile path result.Parallel.pr_stats
-           ~wall_s:(Mclock.elapsed_s ~since:t0)
+         append_profile path prof ~wall_s:(Mclock.elapsed_s ~since:t0)
        | None -> ());
       write_profile prof profile;
       Format.printf "%a" Parallel.pp_summary result;
@@ -430,6 +415,12 @@ let fuzz_cmd =
         | Some path -> Telemetry.create path
         | None -> Telemetry.null
       in
+      (* -n counts total iterations, so a resumed run does the rest *)
+      let remaining =
+        match resume_from with
+        | Some s -> max 0 (iterations - s.Campaign.sn_completed)
+        | None -> iterations
+      in
       let t0 = Mclock.now_s () in
       (* same track layout as a --jobs 1 Parallel.run: the campaign is
          shard 0, its phases nested in one top-level "iterate" span *)
@@ -448,7 +439,7 @@ let fuzz_cmd =
               (Option.map
                  (fun p c -> Progress.update p ~shard:0 c)
                  progress)
-            ~seed ~iterations strategy config
+            ~seed ~iterations:remaining strategy config
         with Campaign.Environment msg ->
           Telemetry.close telemetry;
           abort_env msg
@@ -457,7 +448,7 @@ let fuzz_cmd =
       Option.iter Progress.finish progress;
       (match trace with
        | Some path ->
-         append_profile path stats ~wall_s:(Mclock.elapsed_s ~since:t0)
+         append_profile path prof ~wall_s:(Mclock.elapsed_s ~since:t0)
        | None -> ());
       write_profile prof profile;
       Format.printf "%a" Campaign.pp_summary stats;
@@ -1213,9 +1204,7 @@ let batch_cmd =
       | Some path -> Telemetry.create path
       | None -> Telemetry.null
     in
-    let prof =
-      match profile with Some _ -> Prof.session () | None -> Prof.null
-    in
+    let prof = Prof.session ~spans:(profile <> None) () in
     let items, summary =
       Service.run_batch ~log_level ~sink ~prof ~jobs ~cache config inputs
     in

@@ -74,19 +74,6 @@ type stats = {
                                    run's harness crash quarantined them *)
   mutable st_lint : int;        (* invariant-lint violations observed
                                    (Kconfig.lint); never findings *)
-  (* phase timers: wall-clock seconds per pipeline stage.  Real times,
-     so deliberately excluded from [digest] — only the event counts are
-     part of a campaign's deterministic identity. *)
-  mutable st_gen_s : float;
-  mutable st_verify_s : float;
-  mutable st_sanitize_s : float;
-  mutable st_exec_s : float;
-  (* per-phase allocation attribution: minor words per pipeline stage.
-     Observations like the timers above, so digest-excluded too. *)
-  mutable st_gen_w : float;
-  mutable st_verify_w : float;
-  mutable st_sanitize_w : float;
-  mutable st_exec_w : float;
   (* veristat-style verifier-counter aggregate: totals, maxima and log2
      histograms over every analysis that ran.  Deterministic, so part
      of [digest]; merged across shards like coverage. *)
@@ -230,10 +217,9 @@ type t = {
   sample_every : int;
   telemetry : Telemetry.sink;
   log_level : int;
-  (* span-profiler handle for this campaign's domain; [Prof.disabled]
-     unless the run opted in with [--profile].  Records gen/verify/
-     sanitize/exec phase spans and checkpoint writes; never touches the
-     RNG, the telemetry sink or the digest. *)
+  (* profiler handle for this campaign's domain: its totals (and spans)
+     account the gen/verify/sanitize/exec phases and checkpoint writes;
+     never touches the RNG, the telemetry sink or the digest. *)
   prof : Bvf_util.Prof.t;
 }
 
@@ -285,14 +271,6 @@ let create ?(sample_every = 64) ?(telemetry = Telemetry.null)
         st_quarantined = 0;
         st_skipped = 0;
         st_lint = 0;
-        st_gen_s = 0.;
-        st_verify_s = 0.;
-        st_sanitize_s = 0.;
-        st_exec_s = 0.;
-        st_gen_w = 0.;
-        st_verify_w = 0.;
-        st_sanitize_w = 0.;
-        st_exec_w = 0.;
         st_vstats = Vstats.agg_zero ();
       };
     session;
@@ -314,9 +292,7 @@ let step (c : t) : unit =
   let seed_req = Option.map (fun e -> e.Corpus.request) seed_entry in
   let fr_gen = Bvf_util.Prof.start c.prof "gen" in
   let req = c.strategy.s_generate c.rng c.gen_config seed_req in
-  let gen_s, gen_w = Bvf_util.Prof.stop c.prof fr_gen in
-  stats.st_gen_s <- stats.st_gen_s +. gen_s;
-  stats.st_gen_w <- stats.st_gen_w +. gen_w;
+  ignore (Bvf_util.Prof.stop c.prof fr_gen : float * float);
   stats.st_generated <- stats.st_generated + 1;
   stats.st_histogram <-
     Array.fold_left Disasm.classify stats.st_histogram
@@ -337,12 +313,6 @@ let step (c : t) : unit =
     let result =
       Loader.load_and_run ~log_level:c.log_level ~prof:c.prof c.session req
     in
-    stats.st_verify_s <- stats.st_verify_s +. result.Loader.verify_s;
-    stats.st_sanitize_s <- stats.st_sanitize_s +. result.Loader.sanitize_s;
-    stats.st_exec_s <- stats.st_exec_s +. result.Loader.exec_s;
-    stats.st_verify_w <- stats.st_verify_w +. result.Loader.verify_w;
-    stats.st_sanitize_w <- stats.st_sanitize_w +. result.Loader.sanitize_w;
-    stats.st_exec_w <- stats.st_exec_w +. result.Loader.exec_w;
     if is_transient result && n < max_transient_retries then begin
       stats.st_retries <- stats.st_retries + 1;
       if n = max_transient_retries - 1 then reboot c;
@@ -489,9 +459,10 @@ type snapshot = {
    /6: vstats aggregate gained widen-round and loop-head counters, and
    the generator grew the counted-loop frame, so resumed iteration
    streams diverge from /5 checkpoints.
-   /7: stats gained the per-phase minor-words attribution fields
-   (st_gen_w..st_exec_w), changing the marshalled layout. *)
-let checkpoint_tag = "bvf-campaign/7"
+   /7: stats gained the per-phase minor-words attribution fields,
+   changing the marshalled layout.
+   /8: stats lost the per-phase time and minor-words fields. *)
+let checkpoint_tag = "bvf-campaign/8"
 
 let snapshot (c : t) : snapshot =
   {

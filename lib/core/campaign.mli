@@ -64,16 +64,6 @@ type stats = {
       (** invariant-lint violations observed on accepted programs
           (only when the config enables {!Bvf_kernel.Kconfig.t.lint});
           a verifier-quality signal, never findings *)
-  mutable st_gen_s : float;      (** wall time generating programs *)
-  mutable st_verify_s : float;   (** wall time in the verifier *)
-  mutable st_sanitize_s : float; (** wall time in fixup + sanitation *)
-  mutable st_exec_s : float;     (** wall time executing programs *)
-  mutable st_gen_w : float;      (** minor words generating programs *)
-  mutable st_verify_w : float;   (** minor words in the verifier *)
-  mutable st_sanitize_w : float; (** minor words in fixup + sanitation *)
-  mutable st_exec_w : float;     (** minor words executing programs.
-      Allocation observations like the phase timers above: excluded
-      from {!digest}. *)
   st_vstats : Bvf_verifier.Vstats.agg;
       (** veristat-style verifier-counter aggregate over every analysis
           that ran.  Deterministic (no wall times), so part of
@@ -139,9 +129,11 @@ type t = {
       (** JSONL event sink; {!Telemetry.null} when not tracing *)
   log_level : int; (** verifier log level for every load (default 0) *)
   prof : Bvf_util.Prof.t;
-      (** span-profiler handle for this campaign's domain;
-          [Prof.disabled] unless the run opted in.  Pure observation:
-          never touches the RNG, the telemetry sink or the digest. *)
+      (** profiler handle for this campaign's domain ([Prof.disabled]
+          unless the caller passed a track): its per-name totals
+          account the gen/verify/sanitize/exec phases.  Pure
+          observation: never touches the RNG, the telemetry sink or the
+          digest. *)
 }
 
 (** {1 Checkpointing}

@@ -173,9 +173,6 @@ let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
   | [] -> invalid_arg "Parallel.merge_stats: no shards"
   | first :: _ ->
     let sum f = List.fold_left (fun acc sh -> acc + f sh.sh_stats) 0 shards in
-    let sumf f =
-      List.fold_left (fun acc sh -> acc +. f sh.sh_stats) 0. shards
-    in
     {
       Campaign.st_tool = first.sh_stats.Campaign.st_tool;
       st_version = first.sh_stats.Campaign.st_version;
@@ -197,16 +194,6 @@ let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
       st_quarantined = sum (fun s -> s.Campaign.st_quarantined);
       st_skipped = sum (fun s -> s.Campaign.st_skipped);
       st_lint = sum (fun s -> s.Campaign.st_lint);
-      (* CPU seconds, so the phase totals sum across domains *)
-      st_gen_s = sumf (fun s -> s.Campaign.st_gen_s);
-      st_verify_s = sumf (fun s -> s.Campaign.st_verify_s);
-      st_sanitize_s = sumf (fun s -> s.Campaign.st_sanitize_s);
-      st_exec_s = sumf (fun s -> s.Campaign.st_exec_s);
-      (* allocation is per-domain too: phase minor words sum the same way *)
-      st_gen_w = sumf (fun s -> s.Campaign.st_gen_w);
-      st_verify_w = sumf (fun s -> s.Campaign.st_verify_w);
-      st_sanitize_w = sumf (fun s -> s.Campaign.st_sanitize_w);
-      st_exec_w = sumf (fun s -> s.Campaign.st_exec_w);
       st_vstats =
         (let merged = Vstats.agg_zero () in
          List.iter
@@ -316,7 +303,7 @@ let join ~(jobs : int) ~(trace : string option)
   in
   (match trace with
    | Some into when shard_paths <> [] ->
-     Bvf_util.Prof.span prof "trace-merge" (fun () ->
+     Bvf_util.Prof.span prof "trace_merge" (fun () ->
          ignore (Telemetry.merge_shards ~into shard_paths);
          remove_shard_traces ())
    | Some _ | None -> ());
@@ -361,8 +348,8 @@ let snapshot_of_result (template : Campaign.snapshot) (r : result) :
    and commutative on everything {!Campaign.digest} covers (counts,
    errno and reason tables, findings-at-earliest-iteration, curve,
    vstats, union coverage); only the corpus, which is capped and
-   re-scored, and the wall-clock phase timers fall outside that
-   guarantee — both are deliberately outside the digest too. *)
+   re-scored, falls outside that guarantee — and outside the digest
+   too. *)
 let merge_snapshots (snapshots : Campaign.snapshot list) :
   Campaign.snapshot =
   match snapshots with
@@ -399,7 +386,8 @@ let merge_snapshots (snapshots : Campaign.snapshot list) :
 (* -- Driving ----------------------------------------------------------- *)
 
 let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
-    ?failslab_seed ?on_step ?(prof = Bvf_util.Prof.null) ~(jobs : int)
+    ?failslab_seed ?on_step
+    ?(prof = Bvf_util.Prof.session ~spans:false ()) ~(jobs : int)
     ~(seed : int) ~(iterations : int) (strategy : Campaign.strategy)
     (config : Kconfig.t) : result =
   if jobs < 1 then invalid_arg "Parallel.run: jobs < 1";

@@ -93,7 +93,7 @@ val join :
     trace files are merged into [trace] and removed.  If any entry is
     [Error e], the shard traces are removed and the first such [e] is
     re-raised.  The coverage union, stats merge and corpus merge are
-    recorded as "trace-merge", "absorb" and "merge" spans on [prof].
+    recorded as "trace_merge", "absorb" and "merge" spans on [prof].
     @raise Campaign.Environment when no shard left a result. *)
 
 val snapshot_of_result : Campaign.snapshot -> result -> Campaign.snapshot
@@ -108,9 +108,8 @@ val merge_snapshots :
     on different machines — into one reportable snapshot through
     {!join}.  Inputs keep their own (already global) iteration numbers;
     nothing is renumbered.  Associative and commutative on everything
-    {!Campaign.digest} covers (the capped, re-scored corpus and the
-    summed wall-clock phase timers are the only order-sensitive fields,
-    and both are outside the digest).  The result has [sn_merged] set:
+    {!Campaign.digest} covers (the capped, re-scored corpus is the only
+    order-sensitive field, and it is outside the digest).  The result has [sn_merged] set:
     it can be merged again or reported, but {!Campaign.resume} refuses
     it.
     @raise Invalid_argument on an empty list.
@@ -139,10 +138,12 @@ val run :
     [on_step shard] builds the per-shard step observer (the
     [--progress] status line); it runs on the shard's domain after each
     completed iteration and must not mutate the campaign.
-    [prof] (default {!Bvf_util.Prof.null}) records the run as profiler
+    [prof] (default: a session that records no spans) collects the
+    run's per-name totals and, when it records spans, its profiler
     spans: track [i] carries shard [i]'s "iterate" span with the
     campaign phase spans nested inside, track [jobs] the coordinator's
-    spawn/join/trace-merge/absorb/merge work.  Pure observation — a
+    spawn/join/trace_merge/absorb/merge work.  The CLI builds the
+    trace's closing profile line from {!Bvf_util.Prof.session_totals}.  Pure observation — a
     profiled run's digest and trace are byte-identical to an
     unprofiled one.
     @raise Invalid_argument when [jobs < 1].

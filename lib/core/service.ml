@@ -379,7 +379,8 @@ let emit_events (sink : Telemetry.sink) ~(seq : int) ~(key : string)
                ~default:Reject_reason.Unknown })
 
 let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
-    ?(prof = Bvf_util.Prof.null) ~(jobs : int) ~(cache : Vcache.t)
+    ?(prof = Bvf_util.Prof.session ~spans:false ()) ~(jobs : int)
+    ~(cache : Vcache.t)
     (config : Kconfig.t) (inputs : input list) : item list * summary =
   if jobs < 1 then invalid_arg "Service.run_batch: jobs must be >= 1";
   (* coordinator track = jobs, one verifier track per worker domain —

@@ -140,8 +140,8 @@ val run_batch :
     event per valid request, seq = valid-request index) lands on [sink]
     in input order.
 
-    [prof] (default {!Bvf_util.Prof.null}) records the batch as
-    profiler spans: track [d] carries worker domain [d]'s per-miss
+    [prof] (default: a session that records no spans) records the
+    batch as profiler spans: track [d] carries worker domain [d]'s per-miss
     "verify" spans, track [jobs] the coordinator's "probe" and "join"
     passes.  Pure observation — never affects output bytes.
     @raise Invalid_argument when [jobs < 1]. *)

@@ -12,7 +12,7 @@ open Cimport
      worker-<i>.hb     heartbeat, atomically renamed before every step
      worker-<i>.done   completion marker (exit 0 without it = crash)
      worker-<i>.err    last uncaught exception, for post-mortems
-     worker-<i>.prof   profiler spans handed to the parent (--profile)
+     worker-<i>.prof   profiler totals (and --profile spans) for the parent
      quarantine.list   global iterations implicated by a crash
      crash-NNN.json    one Triage.harness_crash artifact per kill
 
@@ -26,16 +26,27 @@ open Cimport
    quarantine set — the chaos harness's oracle. *)
 
 (* /2: Campaign.stats gained the per-phase minor-words attribution
-   fields (st_gen_w..st_exec_w), changing the marshalled layout.
+   fields, changing the marshalled layout.
    /3: a one-worker run writes the trace file itself instead of
-   <trace>.shard0, so wk_trace_pos is an offset into a different file. *)
-let worker_tag = "bvf-worker/3"
+   <trace>.shard0, so wk_trace_pos is an offset into a different file.
+   /4: Campaign.stats lost its eight per-phase time and minor-words
+   fields (bvf-campaign/8). *)
+let worker_tag = "bvf-worker/4"
 
 type worker_snapshot = {
   wk_shard : int;
   wk_workers : int;
   wk_trace_pos : int;
   wk_snapshot : Campaign.snapshot;
+}
+
+(* A worker's profiler hand-off; the container refuses a damaged file.
+   /2: moved into the checkpoint container and gained the totals. *)
+let prof_tag = "bvf-prof/2"
+
+type worker_prof = {
+  wp_totals : Bvf_util.Prof.total list;
+  wp_spans : Bvf_util.Prof.span list;
 }
 
 (* -- Protocol files ----------------------------------------------------- *)
@@ -172,6 +183,17 @@ let load_worker ~(path : string) :
   (Checkpoint.load ~path ~tag:worker_tag
    : (worker_snapshot, Checkpoint.error) result)
 
+(* A crashed or interrupted worker wrote no profile: its track is absent. *)
+let absorb_profs (prof : Bvf_util.Prof.session) ~(dir : string)
+    ~(workers : int) : unit =
+  for i = 0 to workers - 1 do
+    match Checkpoint.load ~path:(prof_path dir i) ~tag:prof_tag with
+    | Ok (p : worker_prof) ->
+      Bvf_util.Prof.absorb prof ~name:(Printf.sprintf "worker%d" i) ~trk:i
+        ~totals:p.wp_totals p.wp_spans
+    | Error _ -> ()
+  done
+
 (* OCaml signal numbers are runtime-internal (negative); report the
    conventional POSIX numbers in artifacts. *)
 let unix_signal (sg : int) : int =
@@ -272,7 +294,8 @@ let pp_report fmt (r : report) : unit =
 let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
     ?failslab_seed ?(checkpoint_every = 1000) ?(deadline_s = 30.)
     ?(poll_s = 0.05) ?(max_restarts = 5) ?(backoff_s = 0.5)
-    ?(quarantine = []) ?fault ?(prof = Bvf_util.Prof.null) ?stop
+    ?(quarantine = []) ?fault
+    ?(prof = Bvf_util.Prof.session ~spans:false ()) ?stop
     ~(workers : int) ~(seed : int) ~(iterations : int) ~(dir : string)
     (strategy : Campaign.strategy) (config : Kconfig.t) : outcome =
   if workers < 1 then invalid_arg "Supervisor.run: workers < 1";
@@ -319,14 +342,13 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
         | None -> 0
       in
       (* the child records into its own session (the parent's lives in
-         another process); spans reach the parent through the
-         worker-<i>.prof file written at clean exit, and align with the
-         parent's because Mclock timestamps are absolute *)
+         another process); its totals and spans reach the parent through
+         the worker-<i>.prof file written at clean exit *)
+      let wsession =
+        Bvf_util.Prof.session ~spans:(Bvf_util.Prof.active prof) ()
+      in
       let track =
-        Bvf_util.Prof.track
-          (if Bvf_util.Prof.active prof then Bvf_util.Prof.session ()
-           else Bvf_util.Prof.null)
-          ~name:(Printf.sprintf "worker%d" i) i
+        Bvf_util.Prof.track wsession ~name:(Printf.sprintf "worker%d" i) i
       in
       Parallel.with_shard ~jobs:workers ~seed ~failslab_rate ~failslab_seed
         ~trace ~trace_pos:(Option.map (fun w -> w.wk_trace_pos) existing)
@@ -379,10 +401,13 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
           if !stop = 0 then
             Bvf_util.Prof.span track "checkpoint" (fun () -> save c));
       if !stop <> 0 then Unix._exit !stop;
-      (* spans must be on disk before the done marker: once the parent
-         sees worker-<i>.done it may read the profile immediately *)
-      if Bvf_util.Prof.active prof then
-        Bvf_util.Prof.save (prof_path dir i) track;
+      (* the profile must be on disk before the done marker: once the
+         parent sees worker-<i>.done it may read it immediately *)
+      ignore
+        (Checkpoint.save ~path:(prof_path dir i) ~tag:prof_tag
+           { wp_totals = Bvf_util.Prof.totals track;
+             wp_spans = Bvf_util.Prof.spans wsession }
+         : (unit, Checkpoint.error) result);
       atomic_write (done_path dir i) "ok\n";
       Unix._exit 0
     with e ->
@@ -608,16 +633,6 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
          report)
     end
   in
-  (* fold each completed worker's spans back into the parent session;
-     a crashed or interrupted worker never wrote its profile, so its
-     track is simply absent from the trace *)
-  if Bvf_util.Prof.active prof then
-    for i = 0 to workers - 1 do
-      match Bvf_util.Prof.load (prof_path dir i) with
-      | Some (trk, spans) ->
-        Bvf_util.Prof.absorb prof
-          ~name:(Printf.sprintf "worker%d" i) ~trk spans
-      | None -> ()
-    done;
+  absorb_profs prof ~dir ~workers;
   ignore (Bvf_util.Prof.stop sup_prof fr_join);
   outcome

@@ -55,6 +55,18 @@ val worker_tag : string
 
 val load_worker : path:string -> (worker_snapshot, Checkpoint.error) result
 
+type worker_prof = {
+  wp_totals : Bvf_util.Prof.total list;
+  wp_spans : Bvf_util.Prof.span list;  (** empty unless recording spans *)
+}
+
+val prof_tag : string
+(** {!Checkpoint} tag of the [worker-<i>.prof] files ({!worker_prof}). *)
+
+val absorb_profs : Bvf_util.Prof.session -> dir:string -> workers:int -> unit
+(** Fold each [worker-<i>.prof] under [dir] into the session as track
+    [i]; a missing or damaged file is skipped, never raises. *)
+
 val globalize : worker_snapshot -> Campaign.snapshot
 (** Renumber a worker checkpoint to global iterations
     ([local * wk_workers + wk_shard], as {!Parallel.global_iteration}),
@@ -142,14 +154,14 @@ val run :
     polled by the supervisor; when it returns [true] workers receive
     SIGTERM, save and exit — the CLI's SIGINT/SIGTERM path.
 
-    [prof] (default {!Bvf_util.Prof.null}) records the run as profiler
-    spans: track [i] carries worker [i]'s "iterate" span with the
-    campaign phase, "heartbeat" and "checkpoint" spans nested inside,
+    [prof] (default: a session without spans) collects the run's
+    totals and, if it records spans, its spans: track [i] carries
+    worker [i]'s "iterate" span with the campaign phase, "heartbeat"
+    and "checkpoint" spans nested inside,
     track [workers] the supervisor's fork/restart/join work.  Each
-    child records into its own session and hands the spans to the
-    parent through a [worker-<i>.prof] protocol file at clean exit
-    ({!Bvf_util.Prof.save}); a crashed or interrupted worker leaves no
-    profile, so its track is absent rather than partial.  Pure
+    child hands its totals and spans to the parent through a
+    [worker-<i>.prof] file at clean exit ({!absorb_profs}), so a track
+    covers the worker's last, completed incarnation or is absent.  Pure
     observation — a profiled run's digest and trace are byte-identical
     to an unprofiled one.
 

@@ -95,6 +95,26 @@ let iter_of = function
     Some seq
   | Shard_merge _ | Profile _ -> None
 
+(* The loader records "sanitize" inside the open "verify" span, so
+   verify is reported net of it.  [programs] counts "gen" stops: this
+   process's programs, which for a resumed campaign is not its total. *)
+let profile_of_totals ~(wall_s : float) (totals : Bvf_util.Prof.total list)
+  : event =
+  let total name : Bvf_util.Prof.total =
+    match List.find_opt (fun t -> t.Bvf_util.Prof.tt_name = name) totals with
+    | Some t -> t
+    | None -> { tt_name = name; tt_count = 0; tt_s = 0.; tt_minor_w = 0. }
+  in
+  let gen = total "gen" and verify = total "verify"
+  and sanitize = total "sanitize" and exec = total "exec" in
+  Profile
+    { programs = gen.tt_count;
+      gen_s = gen.tt_s; gen_w = gen.tt_minor_w;
+      verify_s = Float.max 0. (verify.tt_s -. sanitize.tt_s);
+      verify_w = Float.max 0. (verify.tt_minor_w -. sanitize.tt_minor_w);
+      sanitize_s = sanitize.tt_s; sanitize_w = sanitize.tt_minor_w;
+      exec_s = exec.tt_s; exec_w = exec.tt_minor_w; wall_s }
+
 (* -- JSON encoding -------------------------------------------------- *)
 
 (* Floats as %.6f: sub-microsecond precision is noise for phase timers,

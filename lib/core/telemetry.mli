@@ -97,6 +97,11 @@ val iter_of : event -> int option
 (** The iteration an event belongs to; the request sequence number for
     service events; [None] for [Shard_merge] and [Profile]. *)
 
+val profile_of_totals : wall_s:float -> Bvf_util.Prof.total list -> event
+(** The closing [Profile] record from a run's profiler totals: each
+    phase is its span name's total, verify net of its "sanitize" child;
+    [programs] counts "gen" spans (this process's programs). *)
+
 val to_json : event -> string
 (** One-line JSON encoding (no trailing newline). *)
 

@@ -420,13 +420,13 @@ type parallel_row = {
   pl_findings : int;
   pl_digest : string;  (* merged campaign digest *)
   pl_shards : (int * (string * float) list) list;
-      (* per-shard span totals (inclusive seconds by span name:
-         iterate/gen/verify/sanitize/exec), recorded by profiling the
-         timed run itself — span recording is cheap enough not to
-         disturb the rate column *)
+      (* per-shard profiler totals (inclusive seconds by span name:
+         iterate/gen/verify/sanitize/exec) of the timed run itself —
+         the always-on totals record no spans, so they do not disturb
+         the rate column *)
   pl_coordinator : (string * float) list;
-      (* coordinator span totals (spawn/join/trace-merge/absorb/merge)
-         — where the parallel overhead goes *)
+      (* coordinator totals (spawn/join/trace_merge/absorb/merge) —
+         where the parallel overhead goes *)
 }
 
 type parallel_bench = {
@@ -442,13 +442,16 @@ let parallel_bench ?(iterations = 6_000) ?(seed = 1)
   let rows =
     List.map
       (fun j ->
-         let prof = Bvf_util.Prof.session () in
+         let prof = Bvf_util.Prof.session ~spans:false () in
          let r, dt =
            Bvf_util.Mclock.time_s (fun () ->
                Parallel.run ~jobs:j ~prof ~seed ~iterations
                  Campaign.bvf_strategy config)
          in
-         let spans = Bvf_util.Prof.spans prof in
+         let seconds trk =
+           List.map (fun t -> (t.Bvf_util.Prof.tt_name, t.tt_s))
+             (Bvf_util.Prof.session_totals ~trk prof)
+         in
          {
            pl_jobs = j;
            pl_programs = r.Parallel.pr_stats.Campaign.st_generated;
@@ -461,11 +464,9 @@ let parallel_bench ?(iterations = 6_000) ?(seed = 1)
            pl_findings =
              Hashtbl.length r.Parallel.pr_stats.Campaign.st_findings;
            pl_digest = Parallel.digest r;
-           pl_shards =
-             List.init j (fun i ->
-                 (i, Bvf_util.Prof.totals_for spans ~trk:i));
+           pl_shards = List.init j (fun i -> (i, seconds i));
            (* Parallel.run records the coordinator on track [jobs] *)
-           pl_coordinator = Bvf_util.Prof.totals_for spans ~trk:j;
+           pl_coordinator = seconds j;
          })
       jobs
   in

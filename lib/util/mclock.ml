@@ -2,8 +2,8 @@
 
    Unix.gettimeofday follows the system realtime clock, which NTP slews
    and administrators step: a timer delta taken across an adjustment can
-   come out negative, and the campaign phase timers (Campaign.stats) and
-   per-program verification times must never go backwards.  This module
+   come out negative, and the profiler's phase totals and per-program
+   verification times must never go backwards.  This module
    is the one place that reads the wall clock for *durations*: it clamps
    the raw reading to be globally non-decreasing, so any delta between
    two [now_s] readings is >= 0 by construction.

@@ -6,12 +6,16 @@
    (one per shard plus one for the coordinating domain) and is the unit
    the CLI turns into a Chrome trace-event file.
 
-   Purity contract (same discipline as [--progress]): the profiler is
-   off by default, [disabled] handles reduce every operation to the
-   clock/counter reads the caller needs anyway, nothing here ever
-   touches a campaign's RNG, telemetry sink or digest, and a profiled
-   run is byte-identical in digest and trace to an unprofiled one.
-   Times and allocation counts are observations, not behavior. *)
+   Every session handle keeps always-on per-name totals (count,
+   seconds, minor words), the one accounting path for phase time and
+   allocation; span recording is the opt-in part.
+
+   Purity contract (same discipline as [--progress]): span recording is
+   off by default, the shared [disabled] handle reduces every operation
+   to the clock/counter reads the caller needs anyway, nothing here
+   ever touches a campaign's RNG, telemetry sink or digest, and a
+   profiled run is byte-identical in digest and trace to an unprofiled
+   one.  Times and allocation counts are observations, not behavior. *)
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                              *)
@@ -40,31 +44,41 @@ type counters = {
 
 type frame = { f_name : string; f_c : counters }
 
-type t = {
-  h_track : int;
-  h_enabled : bool;
-  mutable h_stack : frame list;
-  mutable h_spans : span list;  (* completed, reverse order *)
+(* One name's totals; all-float like [counters], so adding is unboxed. *)
+type sums = { mutable u_n : float; mutable u_s : float; mutable u_w : float }
+
+type total = {
+  tt_name : string;
+  tt_count : int;
+  tt_s : float;
+  tt_minor_w : float;
 }
 
-let disabled : t =
-  { h_track = 0; h_enabled = false; h_stack = []; h_spans = [] }
+type t = {
+  h_track : int;
+  h_enabled : bool;             (* records spans *)
+  mutable h_stack : frame list;
+  mutable h_spans : span list;  (* completed, reverse order *)
+  mutable h_sums : (string * sums) list;  (* per name, newest first *)
+}
 
-let enabled (h : t) : bool = h.h_enabled
+(* Shared, so it keeps no totals: [add_total] skips it. *)
+let disabled : t =
+  { h_track = 0; h_enabled = false; h_stack = []; h_spans = [];
+    h_sums = [] }
 
 (* Self-exclusion: shift every open frame's minor-words baseline
    forward past whatever the enabled path allocated since [m0], so the
    profiler's own garbage (span records, stack conses, [Gc.quick_stat]
    results) never shows up in a span's minor-words attribution.  The
-   campaign feeds its always-on per-phase minor-words counters from
-   {!stop}; without this, profiling would systematically inflate them
-   by tens of words per span.  What remains is only the inherent
-   imprecision of [Gc.minor_words] in native code (allocations are
-   batched per code path, so enabled and disabled branches can read a
-   few words apart) — a run-level rounding error, not a bias.
-   Re-reading the counter at each store keeps the loop honest: the
-   store itself is an unboxed float write into an all-float record, so
-   nothing is allocated after the read it compensates for. *)
+   per-name totals are fed from {!stop}; without this, profiling would
+   systematically inflate them by tens of words per span.  What remains
+   is only the inherent imprecision of [Gc.minor_words] in native code
+   (allocations are batched per code path, so enabled and disabled
+   branches can read a few words apart) — a run-level rounding error,
+   not a bias.  Re-reading the counter at each store keeps the loop
+   honest: the store itself is an unboxed float write into an all-float
+   record, so nothing is allocated after the read it compensates for. *)
 let rec exclude_since (frames : frame list) (m0 : float) : unit =
   match frames with
   | [] -> ()
@@ -72,15 +86,33 @@ let rec exclude_since (frames : frame list) (m0 : float) : unit =
     fr.f_c.c_minor0 <- fr.f_c.c_minor0 +. (Gc.minor_words () -. m0);
     exclude_since tl m0
 
+(* Add [n] stops to [name]'s entry; [false] when it has none yet.  A
+   handful of names per handle, so a list scan beats hashing, and it
+   allocates nothing (the floats arrive already boxed). *)
+let rec bump l name n (dur : float) (w : float) : bool =
+  match l with
+  | [] -> false
+  | (k, u) :: _ when String.equal k name ->
+    u.u_n <- u.u_n +. float_of_int n;
+    u.u_s <- u.u_s +. dur;
+    u.u_w <- u.u_w +. w;
+    true
+  | _ :: tl -> bump tl name n dur w
+
+let add_total (h : t) name n dur w : unit =
+  if h != disabled && not (bump h.h_sums name n dur w) then
+    h.h_sums <-
+      (name, { u_n = float_of_int n; u_s = dur; u_w = w }) :: h.h_sums
+
 (* Opening a frame always reads the clock and the minor-allocation
-   counter: callers feed both into always-on stats accumulators (phase
-   timers, per-phase minor words), so the disabled path costs exactly
-   what the pre-profiler ad-hoc timers cost.  The major-words counter
-   lives in [Gc.quick_stat], which allocates, so it is read only when
-   the handle records spans.  The enabled-only work runs *before* the
-   baseline reads (and is excluded from enclosing frames), so both
-   paths leave the same allocations inside the new span's window, up
-   to native-code allocation batching. *)
+   counter: {!stop} returns both deltas and feeds the handle's totals
+   from them, so the disabled path costs exactly what the pre-profiler
+   ad-hoc timers cost.  The major-words counter lives in
+   [Gc.quick_stat], which allocates, so it is read only when the handle
+   records spans.  The enabled-only work runs *before* the baseline
+   reads (and is excluded from enclosing frames), so both paths leave
+   the same allocations inside the new span's window, up to native-code
+   allocation batching. *)
 let start (h : t) (name : string) : frame =
   let fr =
     { f_name = name;
@@ -96,11 +128,13 @@ let start (h : t) (name : string) : frame =
   fr.f_c.c_minor0 <- Gc.minor_words ();
   fr
 
-(* Close a frame: returns (inclusive seconds, minor words) so callers
-   can accumulate stats from the same reads that timed the span. *)
+(* Close a frame: returns (inclusive seconds, minor words), the same
+   reads that feed the handle's totals.  A name's first entry is
+   charged to the open parents with or without spans alike. *)
 let stop (h : t) (fr : frame) : float * float =
   let dur = Mclock.elapsed_s ~since:fr.f_c.c_t0 in
   let minor = Float.max 0. (Gc.minor_words () -. fr.f_c.c_minor0) in
+  add_total h fr.f_name 1 dur minor;
   if h.h_enabled then begin
     let m0 = Gc.minor_words () in
     (match h.h_stack with
@@ -126,7 +160,7 @@ let stop (h : t) (fr : frame) : float * float =
   (dur, minor)
 
 let span (h : t) (name : string) (f : unit -> 'a) : 'a =
-  if not h.h_enabled then f ()
+  if h == disabled then f ()
   else begin
     let fr = start h name in
     Fun.protect ~finally:(fun () -> ignore (stop h fr)) f
@@ -137,10 +171,12 @@ let span (h : t) (name : string) (f : unit -> 'a) : 'a =
    Charged as a child of the currently open frame, ending now.  A
    record lands mid-window of its parent (the loader records "sanitize"
    inside the open "verify" frame), so its allocations are excluded
-   from the open baselines like any other profiler garbage. *)
+   from the open baselines like any other profiler garbage.  Every
+   record counts towards the totals; only a span needs a duration. *)
 let record (h : t) ~(name : string) ~(dur_s : float)
     ?(minor_w = 0.) ?(major_w = 0.) () : unit =
-  if h.h_enabled && dur_s > 0. then begin
+  if not h.h_enabled then add_total h name 1 dur_s minor_w
+  else begin
     let m0 = Gc.minor_words () in
     (* Absolute timestamps are ~1e9 s, where a double's ulp is a few
        hundred ns: [now -. dur_s] rounds, and keeping the requested
@@ -148,75 +184,80 @@ let record (h : t) ~(name : string) ~(dur_s : float)
        enclosing span's end, tripping the nesting check on perfectly
        good traces.  Anchor the end at [now] exactly by re-deriving
        the duration from the rounded start (the difference of two
-       nearby doubles is exact). *)
+       nearby doubles is exact); the totals take the same duration, so
+       they equal the span sums. *)
     let now = Mclock.now_s () in
     let start_s = now -. dur_s in
     let dur_s = now -. start_s in
+    add_total h name 1 dur_s minor_w;
     (match h.h_stack with
      | parent :: _ -> parent.f_c.c_child_s <- parent.f_c.c_child_s +. dur_s
      | [] -> ());
-    h.h_spans <-
-      { sp_track = h.h_track; sp_name = name;
-        sp_depth = List.length h.h_stack;
-        sp_start_s = start_s; sp_dur_s = dur_s;
-        sp_self_s = dur_s; sp_minor_w = minor_w; sp_major_w = major_w }
-      :: h.h_spans;
+    if dur_s > 0. then
+      h.h_spans <-
+        { sp_track = h.h_track; sp_name = name;
+          sp_depth = List.length h.h_stack;
+          sp_start_s = start_s; sp_dur_s = dur_s;
+          sp_self_s = dur_s; sp_minor_w = minor_w; sp_major_w = major_w }
+        :: h.h_spans;
     exclude_since h.h_stack m0
   end
+
+let totals (h : t) : total list =
+  List.rev_map
+    (fun (k, u) ->
+       { tt_name = k; tt_count = int_of_float u.u_n; tt_s = u.u_s;
+         tt_minor_w = u.u_w })
+    h.h_sums
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                           *)
 
 type session = {
-  s_active : bool;
+  s_spans : bool;
   s_mu : Mutex.t;
   mutable s_tracks : (int * string) list;  (* track id -> display name *)
-  mutable s_handles : t list;
-  mutable s_extra : span list;             (* absorbed foreign spans *)
+  mutable s_handles : t list;              (* newest first *)
 }
 
-let null : session =
-  { s_active = false; s_mu = Mutex.create (); s_tracks = [];
-    s_handles = []; s_extra = [] }
+let session ?(spans = true) () : session =
+  { s_spans = spans; s_mu = Mutex.create (); s_tracks = [];
+    s_handles = [] }
 
-let session () : session =
-  { s_active = true; s_mu = Mutex.create (); s_tracks = [];
-    s_handles = []; s_extra = [] }
+let active (s : session) : bool = s.s_spans
 
-let active (s : session) : bool = s.s_active
-
-(* Handles should be created before the domains that use them spawn;
-   the mutex only guards registration, never span recording. *)
+(* Every call returns a fresh handle, so each domain owns its own
+   totals.  Handles should be created before the domains that use them
+   spawn; the mutex only guards registration, never recording. *)
 let track (s : session) ?(name = "") (i : int) : t =
-  if not s.s_active then disabled
-  else begin
-    let h = { h_track = i; h_enabled = true; h_stack = []; h_spans = [] } in
-    Mutex.lock s.s_mu;
-    if not (List.mem_assoc i s.s_tracks) then
-      s.s_tracks <- (i, if name = "" then Printf.sprintf "track%d" i
-                        else name) :: s.s_tracks;
-    s.s_handles <- h :: s.s_handles;
-    Mutex.unlock s.s_mu;
-    h
-  end
+  let h =
+    { h_track = i; h_enabled = s.s_spans; h_stack = []; h_spans = [];
+      h_sums = [] }
+  in
+  Mutex.lock s.s_mu;
+  if not (List.mem_assoc i s.s_tracks) then
+    s.s_tracks <- (i, if name = "" then Printf.sprintf "track%d" i
+                      else name) :: s.s_tracks;
+  s.s_handles <- h :: s.s_handles;
+  Mutex.unlock s.s_mu;
+  h
 
-let absorb (s : session) ?(name = "") ~(trk : int) (spans : span list) :
-  unit =
-  if s.s_active then begin
-    Mutex.lock s.s_mu;
-    if not (List.mem_assoc trk s.s_tracks) then
-      s.s_tracks <- (trk, if name = "" then Printf.sprintf "track%d" trk
-                          else name) :: s.s_tracks;
-    s.s_extra <- spans @ s.s_extra;
-    Mutex.unlock s.s_mu
-  end
+let add_totals (h : t) (ts : total list) : unit =
+  List.iter (fun t -> add_total h t.tt_name t.tt_count t.tt_s t.tt_minor_w) ts
+
+(* Foreign totals and spans enter as one more handle of track [trk]. *)
+let absorb (s : session) ?name ~(trk : int) ~(totals : total list)
+    (spans : span list) : unit =
+  let h = track s ?name trk in
+  add_totals h totals;
+  if s.s_spans then h.h_spans <- List.rev spans
 
 (* All recorded spans, sorted by (track, start time) for stable output.
    Call after every domain using a handle has been joined. *)
 let spans (s : session) : span list =
   let all =
-    List.fold_left (fun acc h -> List.rev_append h.h_spans acc)
-      s.s_extra s.s_handles
+    List.fold_left (fun acc h -> List.rev_append h.h_spans acc) []
+      s.s_handles
   in
   List.stable_sort
     (fun a b ->
@@ -228,34 +269,14 @@ let spans (s : session) : span list =
 let tracks (s : session) : (int * string) list =
   List.sort compare s.s_tracks
 
-(* ------------------------------------------------------------------ *)
-(* Worker hand-off (fork-based supervision: the child's spans must
-   cross a process boundary).  Marshal with a format tag, same
-   discipline as campaign checkpoints. *)
-
-let file_tag = "bvf-prof/1"
-
-let save (path : string) (h : t) : unit =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_value oc (file_tag, h.h_track, List.rev h.h_spans);
-  close_out oc;
-  Sys.rename tmp path
-
-let load (path : string) : (int * span list) option =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let r =
-      match input_value ic with
-      | (tag, trk, spans) when tag = file_tag ->
-        Some ((trk : int), (spans : span list))
-      | _ -> None
-      | exception _ -> None
-    in
-    close_in ic;
-    r
-  end
+(* Summed by name over the handles (of track [trk]) in creation order. *)
+let session_totals ?trk (s : session) : total list =
+  let acc = { disabled with h_sums = [] } in
+  List.iter
+    (fun h ->
+       if trk = None || trk = Some h.h_track then add_totals acc (totals h))
+    (List.rev s.s_handles);
+  totals acc
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON (Perfetto-loadable)                        *)
@@ -505,19 +526,3 @@ let track_attribution (spans : span list) : (int * float * float) list =
     (fun trk (lo, hi, top) acc -> (trk, Float.max 0. (hi -. lo), top) :: acc)
     by_track []
   |> List.sort compare
-
-(* Per-name inclusive seconds for one track — the bench breakdown. *)
-let totals_for (spans : span list) ~(trk : int) : (string * float) list =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun sp ->
-       if sp.sp_track = trk then begin
-         match Hashtbl.find_opt tbl sp.sp_name with
-         | Some r -> r := !r +. sp.sp_dur_s
-         | None ->
-           Hashtbl.add tbl sp.sp_name (ref sp.sp_dur_s);
-           order := sp.sp_name :: !order
-       end)
-    spans;
-  List.rev_map (fun name -> (name, !(Hashtbl.find tbl name))) !order

@@ -5,10 +5,11 @@
     groups a run's handles and becomes one Chrome trace-event file
     (one [pid] per track, loadable in Perfetto).
 
-    Purity: profiling is off by default ({!null}/{!disabled}), lives
-    entirely outside campaign digests and telemetry, and a profiled run
-    is byte-identical in both to an unprofiled one — the same
-    discipline as [--progress]. *)
+    Every session handle keeps always-on per-name {!total}s, the one
+    accounting path for phase time and allocation.  Span recording is
+    opt-in, lives entirely outside campaign digests and telemetry, and
+    a profiled run is byte-identical in both to an unprofiled one — the
+    same discipline as [--progress]. *)
 
 type span = {
   sp_track : int;     (** shard/worker index; the trace's [pid] *)
@@ -27,49 +28,56 @@ type t
 type frame
 (** An open span. *)
 
-val disabled : t
-(** The no-op handle: {!start}/{!stop} still return the elapsed time
-    and minor-words delta (callers feed always-on stats from them) but
-    record nothing and never call [Gc.quick_stat]. *)
+type total = {
+  tt_name : string;
+  tt_count : int;      (** stops and records *)
+  tt_s : float;        (** inclusive seconds *)
+  tt_minor_w : float;
+}
 
-val enabled : t -> bool
+val disabled : t
+(** The shared no-op handle: {!start}/{!stop} still return the elapsed
+    time and minor-words delta, but it keeps no spans or totals. *)
 
 val start : t -> string -> frame
 val stop : t -> frame -> float * float
-(** [stop h fr] closes the span and returns
+(** [stop h fr] closes the span, adds it to the totals (allocation-free
+    after a name's first stop) and returns
     [(inclusive seconds, minor words allocated)]. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
 (** [span h name f] wraps [f] in a span; exception-safe; calls [f]
-    directly on a disabled handle. *)
+    directly on {!disabled}. *)
 
 val record :
   t -> name:string -> dur_s:float -> ?minor_w:float -> ?major_w:float ->
   unit -> unit
 (** Post-hoc span for a section measured elsewhere (e.g. the verifier's
     sanitation time): charged as a child of the currently open frame,
-    ending now.  Zero-duration records are dropped. *)
+    ending now.  Zero-duration records leave no span. *)
+
+val totals : t -> total list
+(** In first-seen order. *)
 
 (** {1 Sessions} *)
 
 type session
 
-val null : session
-(** The inactive session: {!track} returns {!disabled}, writers write
-    nothing. *)
-
-val session : unit -> session
-(** A fresh active session. *)
+val session : ?spans:bool -> unit -> session
+(** [spans] (default [true]): [false] makes handles keep totals only. *)
 
 val active : session -> bool
+(** Whether the session records spans. *)
 
 val track : session -> ?name:string -> int -> t
-(** [track s i] makes a handle recording under track id [i] (the
+(** [track s i] makes a fresh handle recording under track id [i] (the
     trace's [pid]).  Create handles before spawning the domains that
     use them; registration is the only locked operation. *)
 
-val absorb : session -> ?name:string -> trk:int -> span list -> unit
-(** Add spans recorded elsewhere (e.g. {!load}ed from a worker file)
+val absorb :
+  session -> ?name:string -> trk:int -> totals:total list -> span list ->
+  unit
+(** Add totals and spans recorded elsewhere (e.g. a worker process)
     under track [trk]. *)
 
 val spans : session -> span list
@@ -78,14 +86,9 @@ val spans : session -> span list
 
 val tracks : session -> (int * string) list
 
-(** {1 Worker hand-off} *)
-
-val save : string -> t -> unit
-(** Atomically write a handle's spans for a parent process to
-    {!load} — the fork-based supervisor's child-to-parent channel. *)
-
-val load : string -> (int * span list) option
-(** [Some (track, spans)]; [None] if missing, mistagged or unreadable. *)
+val session_totals : ?trk:int -> session -> total list
+(** The session's totals (only track [trk]'s, if given) summed by name.
+    Only call after the domains using its handles have been joined. *)
 
 (** {1 Chrome trace-event JSON} *)
 
@@ -122,7 +125,3 @@ val track_attribution : span list -> (int * float * float) list
 (** Per track: [(track, wall seconds first-start..last-end, seconds in
     top-level spans)] — the "how much of the shard's time is named"
     check. *)
-
-val totals_for : span list -> trk:int -> (string * float) list
-(** Inclusive seconds per span name on one track, in first-seen
-    order. *)

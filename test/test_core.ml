@@ -59,7 +59,7 @@ let gen_cfg_and_session () =
   let maps = Campaign.standard_maps session in
   (session, { Gen.c_version = Version.Bpf_next; Gen.c_maps = maps })
 
-let test_gen_structure () =
+let test_generator_structure () =
   let _, cfg = gen_cfg_and_session () in
   let rng = Rng.create 11 in
   for _ = 1 to 200 do
@@ -411,7 +411,7 @@ let () =
           Alcotest.test_case "chance extremes" `Quick
             test_rng_chance_extremes ] );
       ( "generator",
-        [ Alcotest.test_case "structure" `Quick test_gen_structure;
+        [ Alcotest.test_case "structure" `Quick test_generator_structure;
           Alcotest.test_case "branches in range" `Quick
             test_gen_branches_in_range;
           Alcotest.test_case "acceptance window" `Slow

@@ -330,7 +330,12 @@ let no_forced_minor () =
       { Verifier.r_prog_type = Prog.Kprobe; r_attach = None;
         r_offload = false; r_insns = big_prog }
     in
-    Gc.minor ();
+    (* A full major collection, not just a minor one: OCaml 5 empties the
+       minor heap whenever a major cycle ends, and where the current
+       cycle stands depends on everything the process ran before.
+       Starting from a fresh cycle keeps that end out of the window, so
+       only a collection the code under test forces is counted. *)
+    Gc.full_major ();
     let before = (Gc.quick_stat ()).Gc.minor_collections in
     let result = Loader.load_and_run session req in
     let generated = Gen.generate (Rng.create seed) cfg in

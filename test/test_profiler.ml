@@ -1,10 +1,11 @@
 (* Span-profiler tests: the purity contract (a profiled run's digest
    and telemetry trace are byte-identical to an unprofiled one, both
-   sequential and sharded), the Chrome trace-event round trip (parses
-   back, nests correctly, malformed or hostile input is reported not
-   swallowed),
-   non-negative GC attribution, the shared percentile helper, and the
-   serve loop's metrics request. *)
+   sequential and sharded), the per-name totals (equal to the span
+   sums, allocation-free to update, and the source of the trace's
+   closing profile line under every executor), the Chrome trace-event
+   round trip (parses back, nests correctly, malformed or hostile input
+   is reported not swallowed), non-negative GC attribution, the shared
+   percentile helper, and the serve loop's metrics request. *)
 
 module Version = Bvf_ebpf.Version
 module Asm = Bvf_ebpf.Asm
@@ -13,6 +14,7 @@ module Kconfig = Bvf_kernel.Kconfig
 module Verifier = Bvf_verifier.Verifier
 module Campaign = Bvf_core.Campaign
 module Parallel = Bvf_core.Parallel
+module Supervisor = Bvf_core.Supervisor
 module Telemetry = Bvf_core.Telemetry
 module Selftests = Bvf_core.Selftests
 module Service = Bvf_core.Service
@@ -78,12 +80,175 @@ let test_recording_nests_and_attributes () =
        Alcotest.(check bool) "GC deltas non-negative" true
          (sp.Prof.sp_minor_w >= 0.0 && sp.Prof.sp_major_w >= 0.0))
     spans;
-  (* the null session records nothing but still times the work *)
-  let d = Prof.track Prof.null 0 in
-  let fr = Prof.start d "x" in
-  let dur, minor = Prof.stop d fr in
+  (* the shared disabled handle records nothing but still times the
+     work *)
+  let fr = Prof.start Prof.disabled "x" in
+  let dur, minor = Prof.stop Prof.disabled fr in
   Alcotest.(check bool) "disabled stop still measures" true
-    (dur >= 0.0 && minor >= 0.0)
+    (dur >= 0.0 && minor >= 0.0);
+  Alcotest.(check int) "disabled accumulates no totals" 0
+    (List.length (Prof.totals Prof.disabled))
+
+(* -- Totals ------------------------------------------------------------ *)
+
+(* Sum of one span name's durations / minor words over a span list. *)
+let span_sum ?(f = fun sp -> sp.Prof.sp_dur_s) spans name =
+  List.fold_left
+    (fun acc sp -> if sp.Prof.sp_name = name then acc +. f sp else acc)
+    0.0 spans
+
+let find_total totals name =
+  match List.find_opt (fun t -> t.Prof.tt_name = name) totals with
+  | Some t -> t
+  | None -> Alcotest.failf "no total for %s" name
+
+let test_totals_match_spans () =
+  let work h =
+    for _ = 1 to 5 do
+      Prof.span h "outer" (fun () ->
+          Prof.span h "inner" (fun () ->
+              ignore (Sys.opaque_identity (Array.make 20 0)));
+          Prof.record h ~name:"tail" ~dur_s:1e-6 ~minor_w:10.0 ())
+    done
+  in
+  let s = Prof.session () in
+  let h = Prof.track s 0 in
+  work h;
+  let spans = Prof.spans s in
+  List.iter
+    (fun name ->
+       let t = find_total (Prof.totals h) name in
+       Alcotest.(check int) (name ^ " count") 5 t.Prof.tt_count;
+       Alcotest.(check (float 1e-9)) (name ^ " seconds = span sum")
+         (span_sum spans name) t.Prof.tt_s;
+       Alcotest.(check (float 1e-9)) (name ^ " words = span sum")
+         (span_sum ~f:(fun sp -> sp.Prof.sp_minor_w) spans name)
+         t.Prof.tt_minor_w)
+    [ "outer"; "inner"; "tail" ];
+  Alcotest.(check (list string)) "first-seen order"
+    [ "inner"; "tail"; "outer" ]
+    (List.map (fun t -> t.Prof.tt_name) (Prof.totals h));
+  (* a session without spans keeps the same totals and no spans; every
+     [track] call hands out a fresh handle *)
+  let quiet = Prof.session ~spans:false () in
+  let q0 = Prof.track quiet 0 in
+  let q1 = Prof.track quiet 0 in
+  Alcotest.(check bool) "fresh handle per track call" true (q0 != q1);
+  work q0;
+  Prof.span q1 "outer" (fun () -> ());
+  Alcotest.(check int) "no spans recorded" 0
+    (List.length (Prof.spans quiet));
+  Alcotest.(check int) "track totals sum the track's handles" 6
+    (find_total (Prof.session_totals ~trk:0 quiet) "outer")
+      .Prof.tt_count;
+  Alcotest.(check (float 1e-12)) "records count their words" 50.0
+    (find_total (Prof.session_totals quiet) "tail").Prof.tt_minor_w
+
+let test_totals_allocation_free () =
+  let loop h n =
+    let m0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Prof.stop h (Prof.start h "a")))
+    done;
+    Gc.minor_words () -. m0
+  in
+  let h = Prof.track (Prof.session ~spans:false ()) 0 in
+  ignore (loop h 1);   (* the name's first stop allocates its entry *)
+  ignore (loop Prof.disabled 1);
+  let n = 10_000 in
+  let with_totals = loop h n in
+  let without = loop Prof.disabled n in
+  (* the smallest heap block is two words, so any allocation per update
+     would add >= 2n; the clock's boxed high-water mark makes both
+     loops wobble by a few dozen words *)
+  Alcotest.(check bool)
+    (Printf.sprintf "totals update allocates nothing (%.0f vs %.0f words)"
+       with_totals without)
+    true
+    (with_totals -. without < float_of_int n /. 2.);
+  Alcotest.(check int) "every stop counted" (n + 1)
+    (find_total (Prof.totals h) "a").Prof.tt_count
+
+(* -- The closing profile line, per executor ---------------------------- *)
+
+(* The CLI's closing line for a session: its phase seconds must equal
+   the span sums across every track (verify net of its sanitize
+   child). *)
+let check_line_matches_spans label (s : Prof.session) ~programs =
+  let spans = Prof.spans s in
+  match Telemetry.profile_of_totals ~wall_s:1.0 (Prof.session_totals s) with
+  | Telemetry.Profile p ->
+    Alcotest.(check int) (label ^ ": programs") programs p.programs;
+    List.iter
+      (fun (name, got, want) ->
+         Alcotest.(check (float 1e-6))
+           (Printf.sprintf "%s: %s_s = span sum" label name) want got)
+      [ ("gen", p.gen_s, span_sum spans "gen");
+        ("verify", p.verify_s,
+         span_sum spans "verify" -. span_sum spans "sanitize");
+        ("sanitize", p.sanitize_s, span_sum spans "sanitize");
+        ("exec", p.exec_s, span_sum spans "exec") ];
+    Alcotest.(check bool) (label ^ ": phases measured") true
+      (p.gen_s > 0. && p.verify_s > 0. && p.gen_w > 0.)
+  | _ -> Alcotest.fail "profile_of_totals built no Profile event"
+
+(* Runs first: OCaml 5 forbids [Unix.fork] once a domain was spawned. *)
+let test_line_workers () =
+  let dir = Filename.temp_file "bvf_prof_sv" "" in
+  Sys.remove dir;
+  let s = Prof.session () in
+  (match
+     Supervisor.run ~poll_s:0.02 ~prof:s ~workers:2 ~seed:31
+       ~iterations:150 ~dir strategy (config ())
+   with
+   | Supervisor.Completed _ -> ()
+   | Supervisor.Interrupted _ -> Alcotest.fail "unexpected interruption");
+  Alcotest.(check (list int)) "worker and supervisor tracks" [ 0; 1; 2 ]
+    (List.map fst (Prof.tracks s));
+  Alcotest.(check bool) "each worker's totals absorbed" true
+    (List.for_all
+       (fun trk -> (find_total (Prof.session_totals ~trk s) "gen").tt_count = 75)
+       [ 0; 1 ]);
+  check_line_matches_spans "--workers 2" s ~programs:150
+
+let test_line_sequential () =
+  let s = Prof.session () in
+  let h = Prof.track s ~name:"shard0" 0 in
+  Prof.span h "iterate" (fun () ->
+      ignore
+        (Campaign.run ~prof:h ~seed:31 ~iterations:150 strategy (config ())
+         : Campaign.stats));
+  check_line_matches_spans "sequential" s ~programs:150
+
+let test_line_jobs () =
+  let s = Prof.session () in
+  ignore
+    (Parallel.run ~jobs:2 ~prof:s ~seed:31 ~iterations:150 strategy
+       (config ())
+     : Parallel.result);
+  check_line_matches_spans "--jobs 2" s ~programs:150
+
+(* A resumed campaign's line covers this process only: its programs are
+   the iterations run here, and its phases fit inside its wall time. *)
+let test_line_resumed () =
+  let first = Campaign.run_t ~seed:3 ~iterations:200 strategy (config ()) in
+  let s = Prof.session ~spans:false () in
+  let h = Prof.track s 0 in
+  let t0 = Bvf_util.Mclock.now_s () in
+  let stats =
+    Campaign.run ~prof:h ~resume_from:(Campaign.snapshot first) ~seed:3
+      ~iterations:100 strategy (config ())
+  in
+  let wall_s = Bvf_util.Mclock.elapsed_s ~since:t0 in
+  Alcotest.(check int) "the campaign's total" 300
+    stats.Campaign.st_generated;
+  match Telemetry.profile_of_totals ~wall_s (Prof.session_totals s) with
+  | Telemetry.Profile p ->
+    Alcotest.(check int) "programs: this process only" 100 p.programs;
+    Alcotest.(check bool) "phase seconds within wall_s" true
+      (p.gen_s +. p.verify_s +. p.sanitize_s +. p.exec_s
+       <= wall_s +. 1e-6)
+  | _ -> Alcotest.fail "profile_of_totals built no Profile event"
 
 (* -- Chrome trace-event round trip ------------------------------------- *)
 
@@ -171,7 +336,7 @@ let test_chrome_deep_nesting () =
 let campaign_run ~profiled =
   let path = Filename.temp_file "bvf_prof_seq" ".jsonl" in
   let sink = Telemetry.create path in
-  let s = if profiled then Prof.session () else Prof.null in
+  let s = Prof.session ~spans:profiled () in
   let h = Prof.track s ~name:"shard0" 0 in
   let stats =
     Prof.span h "iterate" (fun () ->
@@ -181,27 +346,26 @@ let campaign_run ~profiled =
   Telemetry.close sink;
   let trace = read_all path in
   Sys.remove path;
-  (Campaign.digest stats, trace, stats, Prof.spans s)
+  (Campaign.digest stats, trace, Prof.session_totals s, Prof.spans s)
 
 let test_sequential_profile_pure () =
-  let d1, t1, stats, spans = campaign_run ~profiled:true in
+  let d1, t1, totals, spans = campaign_run ~profiled:true in
   let d2, t2, bare, no_spans = campaign_run ~profiled:false in
   Alcotest.(check string) "digest unchanged by --profile" d1 d2;
   Alcotest.(check string) "trace byte-identical with --profile" t1 t2;
   (* the enabled profiler excludes its own allocations from the
-     always-on per-phase counters; what remains is Gc.minor_words'
+     always-on per-name totals; what remains is Gc.minor_words'
      native-code batching noise — a few words per run, where an
      unexcluded recorder would drift by tens of words per iteration *)
   List.iter
-    (fun (name, profiled, unprofiled) ->
+    (fun name ->
        Alcotest.(check bool)
          (name ^ " minor words within noise of --profile off") true
-         (abs_float (profiled -. unprofiled) <= 150.0))
-    [ ("gen", stats.Campaign.st_gen_w, bare.Campaign.st_gen_w);
-      ("verify", stats.Campaign.st_verify_w, bare.Campaign.st_verify_w);
-      ("sanitize", stats.Campaign.st_sanitize_w,
-       bare.Campaign.st_sanitize_w);
-      ("exec", stats.Campaign.st_exec_w, bare.Campaign.st_exec_w) ];
+         (abs_float
+            ((find_total totals name).Prof.tt_minor_w
+             -. (find_total bare name).Prof.tt_minor_w)
+          <= 150.0))
+    [ "gen"; "verify"; "sanitize"; "exec" ];
   Alcotest.(check int) "unprofiled run records nothing" 0
     (List.length no_spans);
   Alcotest.(check bool) "profiled run recorded spans" true (spans <> []);
@@ -217,33 +381,30 @@ let test_sequential_profile_pure () =
        Alcotest.(check bool) "GC deltas non-negative" true
          (sp.Prof.sp_minor_w >= 0.0 && sp.Prof.sp_major_w >= 0.0))
     spans;
-  (* the span-side phase totals and the always-on stats agree: stop
-     feeds both from the same clock reads *)
-  let total name =
-    List.fold_left
-      (fun acc sp ->
-         if sp.Prof.sp_name = name then acc +. sp.Prof.sp_dur_s else acc)
-      0.0 spans
-  in
-  Alcotest.(check bool) "span total tracks st_gen_s" true
-    (abs_float (total "gen" -. stats.Campaign.st_gen_s) < 1e-6);
+  (* the spans and the totals agree: stop feeds both from the same
+     clock reads *)
+  Alcotest.(check bool) "span sum tracks the gen total" true
+    (abs_float (span_sum spans "gen" -. (find_total totals "gen").Prof.tt_s)
+     < 1e-6);
   Alcotest.(check bool) "phase minor words populated" true
-    (stats.Campaign.st_gen_w > 0.0 && stats.Campaign.st_verify_w > 0.0)
+    ((find_total totals "gen").Prof.tt_minor_w > 0.0
+     && (find_total bare "verify").Prof.tt_minor_w > 0.0)
 
 let parallel_run ~profiled =
   let path = Filename.temp_file "bvf_prof_par" ".jsonl" in
-  let s = if profiled then Prof.session () else Prof.null in
+  let s = Prof.session ~spans:profiled () in
   let r =
     Parallel.run ~jobs:2 ~trace:path ~prof:s ~seed:31 ~iterations:150
       strategy (config ())
   in
   let trace = read_all path in
   Sys.remove path;
-  (Parallel.digest r, trace, Prof.spans s)
+  (Parallel.digest r, trace, s)
 
 let test_parallel_profile_pure () =
-  let d1, t1, spans = parallel_run ~profiled:true in
+  let d1, t1, s = parallel_run ~profiled:true in
   let d2, t2, _ = parallel_run ~profiled:false in
+  let spans = Prof.spans s in
   Alcotest.(check string) "jobs=2 digest unchanged by --profile" d1 d2;
   Alcotest.(check string) "jobs=2 trace byte-identical with --profile"
     t1 t2;
@@ -258,24 +419,12 @@ let test_parallel_profile_pure () =
            (wall <= 0.0 || top /. wall >= 0.9))
     (Prof.track_attribution spans);
   (* the coordinator track carries the join machinery *)
-  let coord = Prof.totals_for spans ~trk:2 in
+  let coord = Prof.session_totals ~trk:2 s in
   List.iter
     (fun n ->
        Alcotest.(check bool) ("coordinator " ^ n ^ " present") true
-         (List.mem_assoc n coord))
+         (List.exists (fun t -> t.Prof.tt_name = n) coord))
     [ "spawn"; "join"; "absorb"; "merge" ]
-
-let test_alloc_attribution_outside_digest () =
-  let stats =
-    Campaign.run ~seed:31 ~iterations:80 strategy (config ())
-  in
-  let d = Campaign.digest stats in
-  stats.Campaign.st_gen_w <- stats.Campaign.st_gen_w +. 1e9;
-  stats.Campaign.st_verify_w <- 0.0;
-  stats.Campaign.st_sanitize_w <- 0.0;
-  stats.Campaign.st_exec_w <- 0.0;
-  Alcotest.(check string) "phase minor words excluded from digest" d
-    (Campaign.digest stats)
 
 (* -- serve metrics ------------------------------------------------------ *)
 
@@ -368,6 +517,13 @@ let () =
           Alcotest.test_case "nesting and attribution" `Quick
             test_recording_nests_and_attributes;
         ] );
+      ( "totals",
+        [
+          Alcotest.test_case "equal the span sums" `Quick
+            test_totals_match_spans;
+          Alcotest.test_case "allocation-free update" `Quick
+            test_totals_allocation_free;
+        ] );
       ( "chrome",
         [
           Alcotest.test_case "round trip" `Quick test_chrome_round_trip;
@@ -376,14 +532,20 @@ let () =
           Alcotest.test_case "deep nesting reported" `Quick
             test_chrome_deep_nesting;
         ] );
+      (* --workers first: it forks, so no domain may have run yet *)
+      ( "profile line",
+        [
+          Alcotest.test_case "--workers 2" `Quick test_line_workers;
+          Alcotest.test_case "sequential" `Quick test_line_sequential;
+          Alcotest.test_case "--jobs 2" `Quick test_line_jobs;
+          Alcotest.test_case "resumed campaign" `Quick test_line_resumed;
+        ] );
       ( "purity",
         [
           Alcotest.test_case "sequential --profile identical" `Quick
             test_sequential_profile_pure;
           Alcotest.test_case "jobs=2 --profile identical" `Quick
             test_parallel_profile_pure;
-          Alcotest.test_case "alloc attribution outside digest" `Quick
-            test_alloc_attribution_outside_digest;
         ] );
       ( "serve",
         [

@@ -457,6 +457,70 @@ let test_run_t_contract () =
   Alcotest.(check (list string)) "trace bytes equal Campaign.run_t's"
     (events_of trace_c) (events_of trace_s)
 
+(* -- Worker profile hand-off -------------------------------------------- *)
+
+(* Worker 0's profile file is intact; worker 1's is damaged every way a
+   file can be — each truncation, each single-bit flip, a stale tag, the
+   pre-container marshal format — or missing.  The parent keeps worker
+   0's totals and track, drops worker 1's, and never raises. *)
+let test_prof_handoff_damage () =
+  let dir = temp_dir "bvf_sv_prof" in
+  let path i = Filename.concat dir (Printf.sprintf "worker-%d.prof" i) in
+  let prof =
+    { Supervisor.wp_totals =
+        [ { Bvf_util.Prof.tt_name = "gen"; tt_count = 3; tt_s = 0.5;
+            tt_minor_w = 120.0 } ];
+      wp_spans = [] }
+  in
+  let save i =
+    match Checkpoint.save ~path:(path i) ~tag:Supervisor.prof_tag prof with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+  in
+  save 0;
+  save 1;
+  let good = read_file (path 1) in
+  let write s =
+    Out_channel.with_open_bin (path 1) (fun oc ->
+        Out_channel.output_string oc s)
+  in
+  let expect_only_worker0 what =
+    let s = Bvf_util.Prof.session ~spans:false () in
+    (match Supervisor.absorb_profs s ~dir ~workers:2 with
+     | () -> ()
+     | exception e ->
+       Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+    if Bvf_util.Prof.session_totals s <> prof.Supervisor.wp_totals
+    || List.map fst (Bvf_util.Prof.tracks s) <> [ 0 ]
+    then Alcotest.failf "%s: worker 1's totals were kept" what
+  in
+  for len = 0 to String.length good - 1 do
+    write (String.sub good 0 len);
+    expect_only_worker0 (Printf.sprintf "truncation to %d bytes" len)
+  done;
+  for off = 0 to String.length good - 1 do
+    let b = Bytes.of_string good in
+    Bytes.set b off (Char.chr (Char.code good.[off] lxor 0x10));
+    write (Bytes.to_string b);
+    expect_only_worker0 (Printf.sprintf "bit flip at offset %d" off)
+  done;
+  (match Checkpoint.save ~path:(path 1) ~tag:"bvf-prof/1" prof with
+   | Ok () -> expect_only_worker0 "stale tag"
+   | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
+  Out_channel.with_open_bin (path 1) (fun oc ->
+      output_value oc ("bvf-prof/1", 1, ([] : Bvf_util.Prof.span list)));
+  expect_only_worker0 "pre-container format";
+  Sys.remove (path 1);
+  expect_only_worker0 "missing file";
+  (* and the intact pair is absorbed whole *)
+  save 1;
+  let s = Bvf_util.Prof.session ~spans:false () in
+  Supervisor.absorb_profs s ~dir ~workers:2;
+  Alcotest.(check (list int)) "both tracks when intact" [ 0; 1 ]
+    (List.map fst (Bvf_util.Prof.tracks s));
+  Alcotest.(check int) "both workers' counts summed" 6
+    (List.hd (Bvf_util.Prof.session_totals s)).Bvf_util.Prof.tt_count
+
 (* -- Offline merge: associativity and commutativity --------------------- *)
 
 let test_merge_assoc_comm () =
@@ -512,6 +576,9 @@ let () =
       ( "contract",
         [ Alcotest.test_case "run_t skip hook = one-worker quarantine"
             `Slow test_run_t_contract ] );
+      ( "handoff",
+        [ Alcotest.test_case "damaged worker profile dropped" `Quick
+            test_prof_handoff_damage ] );
       ( "merge",
         [ Alcotest.test_case "associative and commutative" `Quick
             test_merge_assoc_comm ] );

@@ -21,6 +21,8 @@ module Veristat = Bvf_core.Veristat
 module Service = Bvf_core.Service
 module Vstats = Bvf_verifier.Vstats
 module Json = Bvf_util.Json
+module Prof = Bvf_util.Prof
+module Mclock = Bvf_util.Mclock
 
 let read_all path = In_channel.with_open_bin path In_channel.input_all
 
@@ -373,25 +375,31 @@ let test_jobs2_trace_deterministic () =
 
 (* -- phase timers ---------------------------------------------------------- *)
 
+(* The closing profile line is built from the run's profiler totals,
+   the way the CLI builds it, from a session that records no spans. *)
 let test_phase_timers_within_wall_clock () =
-  let t0 = Unix.gettimeofday () in
-  let stats =
-    Campaign.run ~seed:7 ~iterations:300 strategy (config ())
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let phases =
-    stats.Campaign.st_gen_s +. stats.Campaign.st_verify_s
-    +. stats.Campaign.st_sanitize_s +. stats.Campaign.st_exec_s
-  in
-  Alcotest.(check bool) "phase timers are non-negative" true
-    (stats.Campaign.st_gen_s >= 0. && stats.Campaign.st_verify_s >= 0.
-     && stats.Campaign.st_sanitize_s >= 0.
-     && stats.Campaign.st_exec_s >= 0.);
-  Alcotest.(check bool) "phases measured something" true (phases > 0.);
-  (* the four phases partition a subset of the loop body, so their sum
-     must stay inside the wall clock (plus timer granularity slack) *)
-  Alcotest.(check bool) "phase sum within the wall-clock envelope" true
-    (phases <= wall +. 0.25)
+  let prof = Prof.session ~spans:false () in
+  let h = Prof.track prof 0 in
+  let t0 = Mclock.now_s () in
+  ignore
+    (Campaign.run ~prof:h ~seed:7 ~iterations:300 strategy (config ())
+     : Campaign.stats);
+  let wall_s = Mclock.elapsed_s ~since:t0 in
+  match
+    Telemetry.profile_of_totals ~wall_s (Prof.session_totals prof)
+  with
+  | Telemetry.Profile p ->
+    let phases = p.gen_s +. p.verify_s +. p.sanitize_s +. p.exec_s in
+    Alcotest.(check bool) "phase timers are non-negative" true
+      (p.gen_s >= 0. && p.verify_s >= 0. && p.sanitize_s >= 0.
+       && p.exec_s >= 0.);
+    Alcotest.(check bool) "phases measured something" true (phases > 0.);
+    Alcotest.(check int) "one gen span per program" 300 p.programs;
+    (* the phases are disjoint intervals of the loop body, read off the
+       same monotonic clock as the wall time around it *)
+    Alcotest.(check bool) "phase sum within the wall-clock envelope" true
+      (phases <= wall_s +. 1e-6)
+  | _ -> Alcotest.fail "profile_of_totals built no Profile event"
 
 (* -- resume accounting ----------------------------------------------------- *)
 

@@ -847,7 +847,7 @@ let test_patch_retarget () =
     Alcotest.(check int) "retargeted" 3 off
   | _ -> Alcotest.fail "first insn changed kind"
 
-let test_sanitize_skips () =
+let test_sanitizer_skips () =
   (* R10-direct accesses are skipped, others instrumented *)
   let kst, _, array_fd, _, _ = fresh_kst () in
   let insns =
@@ -905,5 +905,5 @@ let () =
       ( "rewrites",
         [ Alcotest.test_case "patch retarget" `Quick test_patch_retarget;
           Alcotest.test_case "sanitize skip list" `Quick
-            test_sanitize_skips ] );
+            test_sanitizer_skips ] );
     ]
