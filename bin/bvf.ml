@@ -1205,8 +1205,9 @@ let batch_cmd =
       | None -> Telemetry.null
     in
     let prof = Prof.session ~spans:(profile <> None) () in
-    let items, summary =
-      Service.run_batch ~log_level ~sink ~prof ~jobs ~cache config inputs
+    let (items, tally), wall_s =
+      Mclock.time_s (fun () ->
+          Service.run_batch ~log_level ~sink ~prof ~jobs ~cache config inputs)
     in
     Telemetry.close sink;
     save_cache cache ~cache_file;
@@ -1231,7 +1232,7 @@ let batch_cmd =
     close ();
     (* results on stdout (or --out), the timed summary on stderr:
        stdout stays pure, deterministic JSONL *)
-    Printf.eprintf "%s\n" (Service.summary_to_json summary)
+    Printf.eprintf "%s\n" (Service.tally_to_json ~wall_s tally)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -1277,19 +1278,14 @@ let serve_cmd =
     Sys.set_signal Sys.sigterm
       (Sys.Signal_handle (fun _ -> stop_sig := 143));
     let session = Service.create_session config in
-    let stats =
+    let tally =
       Service.serve ~log_level ~sink ~cache ~session
         ~stop:(fun () -> !stop_sig <> 0)
         stdin stdout
     in
     Telemetry.close sink;
     save_cache cache ~cache_file;
-    Printf.eprintf
-      "served %d requests (%d admitted, %d rejected, %d invalid); \
-       cache %d hits / %d misses\n"
-      stats.Service.sv_requests stats.Service.sv_admitted
-      stats.Service.sv_rejected stats.Service.sv_invalid
-      stats.Service.sv_hits stats.Service.sv_misses;
+    Printf.eprintf "%s\n" (Service.tally_to_json tally);
     if !stop_sig <> 0 then exit !stop_sig
   in
   Cmd.v

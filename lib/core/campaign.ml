@@ -461,8 +461,10 @@ type snapshot = {
    streams diverge from /5 checkpoints.
    /7: stats gained the per-phase minor-words attribution fields,
    changing the marshalled layout.
-   /8: stats lost the per-phase time and minor-words fields. *)
-let checkpoint_tag = "bvf-campaign/8"
+   /8: stats lost the per-phase time and minor-words fields.
+   /9: the vstats aggregate's two histograms became Hist.t records
+   (ladder plus counts) instead of bare count arrays. *)
+let checkpoint_tag = "bvf-campaign/9"
 
 let snapshot (c : t) : snapshot =
   {

@@ -50,6 +50,10 @@ let save ~(path : string) ~(tag : string) (value : 'a) :
       (Digest.to_hex (Digest.string payload))
   in
   let tmp = path ^ ".tmp" in
+  let fail msg =
+    (if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
+    Error (Io msg)
+  in
   match
     let oc = open_out_bin tmp in
     Fun.protect
@@ -57,14 +61,16 @@ let save ~(path : string) ~(tag : string) (value : 'a) :
       (fun () ->
          output_string oc header;
          output_string oc payload;
-         flush oc);
+         flush oc;
+         (* on disk before the rename publishes it: a machine crash
+            leaves the old file or the whole new one *)
+         Unix.fsync (Unix.descr_of_out_channel oc));
     (* write-then-rename: readers only ever observe complete files *)
     Sys.rename tmp path
   with
   | () -> Ok ()
-  | exception Sys_error msg ->
-    (if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ());
-    Error (Io msg)
+  | exception Sys_error msg -> fail msg
+  | exception Unix.Unix_error (err, _, _) -> fail (Unix.error_message err)
 
 (* -- Reading ----------------------------------------------------------- *)
 

@@ -2,9 +2,10 @@
 
     A checkpoint file is a self-describing container: an ASCII header
     naming the payload schema ([tag]), an MD5 integrity digest, and a
-    marshalled payload.  Writes are atomic (write to [path ^ ".tmp"],
-    then rename), so a process killed at any instant leaves either the
-    previous checkpoint or the new one — never a torn file.
+    marshalled payload.  Writes are atomic and durable (write to
+    [path ^ ".tmp"], fsync it, then rename), so a process killed or a
+    machine crashed at any instant leaves either the previous
+    checkpoint or the new one — never a torn file.
 
     The payload type is the caller's contract: a value saved under a
     [tag] must always be loaded at the same type under the same [tag].

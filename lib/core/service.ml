@@ -6,11 +6,10 @@ open Cimport
    Determinism discipline: everything emitted per program is a pure
    function of (request, config, maps) — the single exception is the
    trailing "cache":"hit"|"miss" field, which depends on cache history
-   and is defined out of the byte-identity contract.  Wall times appear
-   only in the batch summary. *)
+   and is defined out of the byte-identity contract.  Times appear only
+   in the tally, never in a per-program line. *)
 
 module Vstats = Bvf_verifier.Vstats
-module Mclock = Bvf_util.Mclock
 
 type request = {
   q_id : string;
@@ -291,27 +290,25 @@ let prog_type_of_filename (name : string) : Prog.prog_type =
       ~default:Prog.Socket_filter
   | _ -> Prog.Socket_filter
 
-let read_file_bytes (path : string) : Bytes.t =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  b
-
 let read_dir (dir : string) : input list =
   let entries = Sys.readdir dir in
   Array.sort compare entries;
   Array.to_list entries
   |> List.filter_map (fun name ->
+      let read () =
+        match
+          In_channel.with_open_bin (Filename.concat dir name)
+            In_channel.input_all
+        with
+        | text -> Ok text
+        | exception Sys_error msg ->
+          Error (Printf.sprintf "cannot read %s: %s" name msg)
+      in
       let wire =
         if Filename.check_suffix name ".bin" then
-          Some (Ok (read_file_bytes (Filename.concat dir name)))
+          Some (Result.map Bytes.of_string (read ()))
         else if Filename.check_suffix name ".hex" then
-          Some
-            (bytes_of_hex
-               (Bytes.to_string
-                  (read_file_bytes (Filename.concat dir name))))
+          Some (Result.bind (read ()) bytes_of_hex)
         else None
       in
       match wire with
@@ -328,6 +325,86 @@ let read_dir (dir : string) : input list =
         in
         Some { in_id = name; in_req = req })
 
+(* -- Tally ----------------------------------------------------------- *)
+
+(* Cold-verify latency ladder in nanoseconds: ten geometric steps per
+   decade from 1 us to 10 s.  A decade's exponent is a whole number,
+   which [**] raises exactly, so 100 us, 1 ms and 10 ms are bounds. *)
+let verify_ladder : int array =
+  Array.init 71 (fun k ->
+      int_of_float (Float.round (1e3 *. (10. ** (float_of_int k /. 10.)))))
+
+type tally = {
+  mutable tl_requests : int;
+  mutable tl_invalid : int;
+  mutable tl_admitted : int;
+  mutable tl_rejected : int;
+  mutable tl_hits : int;
+  mutable tl_misses : int;
+  tl_verify_ns : Bvf_util.Hist.t;
+}
+
+let tally () : tally =
+  { tl_requests = 0; tl_invalid = 0; tl_admitted = 0; tl_rejected = 0;
+    tl_hits = 0; tl_misses = 0;
+    tl_verify_ns = Bvf_util.Hist.create verify_ladder }
+
+(* One answered request: its counters, its cold-verify time when it
+   missed the cache, its two telemetry events (seq = the valid-request
+   index), and a miss's verdict into the cache. *)
+let record (t : tally) ~(sink : Telemetry.sink) ~(cache : Vcache.t)
+    ~(key : string) ?verify_s (v : Vcache.verdict) : unit =
+  let seq = t.tl_requests in
+  (match verify_s with
+   | None ->
+     t.tl_hits <- t.tl_hits + 1;
+     Telemetry.emit sink (Telemetry.Service_hit { seq; key })
+   | Some s ->
+     t.tl_misses <- t.tl_misses + 1;
+     Bvf_util.Hist.add t.tl_verify_ns (int_of_float (s *. 1e9));
+     Vcache.insert cache key v;
+     Telemetry.emit sink (Telemetry.Service_miss { seq; key }));
+  if v.Vcache.cv_accepted then begin
+    t.tl_admitted <- t.tl_admitted + 1;
+    Telemetry.emit sink
+      (Telemetry.Service_admitted
+         { seq; key; insns = v.Vcache.cv_insns;
+           insn_processed = v.Vcache.cv_insn_processed })
+  end
+  else begin
+    t.tl_rejected <- t.tl_rejected + 1;
+    Telemetry.emit sink
+      (Telemetry.Service_rejected
+         { seq; key;
+           reason =
+             Option.value v.Vcache.cv_reason
+               ~default:Reject_reason.Unknown })
+  end;
+  t.tl_requests <- seq + 1
+
+let tally_to_json ?id ?wall_s (t : tally) : string =
+  let b = Buffer.create 320 in
+  Buffer.add_char b '{';
+  Option.iter
+    (fun id ->
+       Buffer.add_string b "\"id\":\"";
+       Json.escape b id;
+       Buffer.add_string b "\",\"metrics\":true,")
+    id;
+  let h = t.tl_verify_ns in
+  let le = Bvf_util.Hist.count_le h and n = Bvf_util.Hist.total h in
+  let q p = float_of_int (Bvf_util.Hist.quantile h p) /. 1e9 in
+  Printf.bprintf b
+    "\"requests\":%d,\"invalid\":%d,\"admitted\":%d,\"rejected\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"verify_count\":%d,\"verify_p50_s\":%.6f,\"verify_p95_s\":%.6f,\"verify_le_100us\":%d,\"verify_le_1ms\":%d,\"verify_le_10ms\":%d,\"verify_gt_10ms\":%d"
+    t.tl_requests t.tl_invalid t.tl_admitted t.tl_rejected t.tl_hits
+    t.tl_misses n (q 50) (q 95) (le 100_000)
+    (le 1_000_000 - le 100_000)
+    (le 10_000_000 - le 1_000_000)
+    (n - le 10_000_000);
+  Option.iter (Printf.bprintf b ",\"wall_s\":%.6f") wall_s;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
 (* -- Batch ----------------------------------------------------------- *)
 
 type outcome =
@@ -342,59 +419,25 @@ let item_to_json (it : item) : string =
     response_to_json ~id:it.it_id ~key:o_key ~hit:o_hit o_verdict
   | Invalid msg -> error_to_json ~id:it.it_id msg
 
-type summary = {
-  bs_programs : int;
-  bs_admitted : int;
-  bs_rejected : int;
-  bs_invalid : int;
-  bs_hits : int;
-  bs_misses : int;
-  bs_verify_p50_s : float;
-  bs_verify_p95_s : float;
-  bs_wall_s : float;
-}
-
-let summary_to_json (s : summary) : string =
-  Printf.sprintf
-    "{\"programs\":%d,\"admitted\":%d,\"rejected\":%d,\"invalid\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"verify_p50_s\":%.6f,\"verify_p95_s\":%.6f,\"wall_s\":%.6f}"
-    s.bs_programs s.bs_admitted s.bs_rejected s.bs_invalid s.bs_hits
-    s.bs_misses s.bs_verify_p50_s s.bs_verify_p95_s s.bs_wall_s
-
-let emit_events (sink : Telemetry.sink) ~(seq : int) ~(key : string)
-    ~(hit : bool) (v : Vcache.verdict) : unit =
-  Telemetry.emit sink
-    (if hit then Telemetry.Service_hit { seq; key }
-     else Telemetry.Service_miss { seq; key });
-  if v.Vcache.cv_accepted then
-    Telemetry.emit sink
-      (Telemetry.Service_admitted
-         { seq; key; insns = v.Vcache.cv_insns;
-           insn_processed = v.Vcache.cv_insn_processed })
-  else
-    Telemetry.emit sink
-      (Telemetry.Service_rejected
-         { seq; key;
-           reason =
-             Option.value v.Vcache.cv_reason
-               ~default:Reject_reason.Unknown })
-
 let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
     ?(prof = Bvf_util.Prof.session ~spans:false ()) ~(jobs : int)
     ~(cache : Vcache.t)
-    (config : Kconfig.t) (inputs : input list) : item list * summary =
+    (config : Kconfig.t) (inputs : input list) : item list * tally =
   if jobs < 1 then invalid_arg "Service.run_batch: jobs must be >= 1";
   (* coordinator track = jobs, one verifier track per worker domain —
      the same layout as Parallel.run's shard/coordinator split *)
   let main_prof = Bvf_util.Prof.track prof ~name:"batch" jobs in
-  let t0 = Mclock.now_s () in
   let session0 = create_session config in
   let config_fp, maps_fp = fingerprints session0 in
   let items = Array.of_list inputs in
   let n = Array.length items in
   let keys = Array.make n "" in
-  let cached = Array.make n None in
+  let verdicts = Array.make n None in
+  (* a miss's cold-verify seconds; None for a cache hit *)
+  let verify_s = Array.make n None in
   let miss_list = ref [] in
-  (* probe pass: cache traffic stays in the calling domain *)
+  (* probe pass: cache traffic stays in the calling domain, so a
+     program seen twice in one batch misses twice *)
   Bvf_util.Prof.span main_prof "probe" (fun () ->
       Array.iteri
         (fun i input ->
@@ -404,24 +447,22 @@ let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
              let k = Vcache.key ~config_fp ~maps_fp req in
              keys.(i) <- k;
              (match Vcache.find cache k with
-              | Some v -> cached.(i) <- Some v
+              | Some v -> verdicts.(i) <- Some v
               | None -> miss_list := (i, req) :: !miss_list))
         items);
   let misses = Array.of_list (List.rev !miss_list) in
   let m = Array.length misses in
-  let verdicts = Array.make m None in
-  let durations = Array.make m 0.0 in
   (* verify pass: round-robin striding gives each domain disjoint
      slots, and each domain verifies in its own fresh session *)
   let worker (wprof : Bvf_util.Prof.t) (session : Loader.t)
       (first : int) (step : int) : unit =
     let j = ref first in
     while !j < m do
-      let _, req = misses.(!j) in
+      let slot, req = misses.(!j) in
       let fr = Bvf_util.Prof.start wprof "verify" in
-      verdicts.(!j) <- Some (verify_request ~log_level session req);
+      verdicts.(slot) <- Some (verify_request ~log_level session req);
       let dur, _ = Bvf_util.Prof.stop wprof fr in
-      durations.(!j) <- dur;
+      verify_s.(slot) <- Some dur;
       j := !j + step
     done
   in
@@ -436,153 +477,70 @@ let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
         Domain.spawn (fun () ->
             worker wprof.(d) (create_session config) d jobs))
     |> List.iter Domain.join;
-  (* fill pass: insert in input order, back in the calling domain *)
-  let fr_join = Bvf_util.Prof.start main_prof "join" in
-  let hits = ref 0 in
-  Array.iteri
-    (fun j (slot, _) ->
-       let v = Option.get verdicts.(j) in
-       Vcache.insert cache keys.(slot) v;
-       cached.(slot) <- Some v)
-    misses;
-  let miss_slots =
-    Array.fold_left (fun acc (slot, _) -> slot :: acc) [] misses
-  in
-  let is_miss = Array.make n false in
-  List.iter (fun slot -> is_miss.(slot) <- true) miss_slots;
-  let admitted = ref 0 and rejected = ref 0 and invalid = ref 0 in
-  let seq = ref 0 in
-  let out =
-    Array.to_list
-      (Array.mapi
-         (fun i input ->
-            match input.in_req with
-            | Error msg ->
-              incr invalid;
-              { it_id = input.in_id; it_outcome = Invalid msg }
-            | Ok _ ->
-              let v = Option.get cached.(i) in
-              let hit = not is_miss.(i) in
-              if hit then incr hits;
-              if v.Vcache.cv_accepted then incr admitted
-              else incr rejected;
-              emit_events sink ~seq:!seq ~key:keys.(i) ~hit v;
-              incr seq;
-              { it_id = input.in_id;
-                it_outcome =
-                  Verdict { o_key = keys.(i); o_hit = hit; o_verdict = v }
-              })
-         items)
-  in
-  let sorted = Array.copy durations in
-  Array.sort compare sorted;
-  let summary =
-    { bs_programs = n;
-      bs_admitted = !admitted;
-      bs_rejected = !rejected;
-      bs_invalid = !invalid;
-      bs_hits = !hits;
-      bs_misses = m;
-      bs_verify_p50_s = Bvf_util.Percentile.of_sorted sorted 50;
-      bs_verify_p95_s = Bvf_util.Percentile.of_sorted sorted 95;
-      bs_wall_s = Mclock.elapsed_s ~since:t0 }
-  in
-  ignore (Bvf_util.Prof.stop main_prof fr_join);
-  (out, summary)
+  (* fill pass: count, emit and insert in input order, back in the
+     calling domain *)
+  Bvf_util.Prof.span main_prof "join" (fun () ->
+      let t = tally () in
+      let out =
+        Array.to_list
+          (Array.mapi
+             (fun i input ->
+                match input.in_req with
+                | Error msg ->
+                  t.tl_invalid <- t.tl_invalid + 1;
+                  { it_id = input.in_id; it_outcome = Invalid msg }
+                | Ok _ ->
+                  let v = Option.get verdicts.(i) in
+                  record t ~sink ~cache ~key:keys.(i) ?verify_s:verify_s.(i) v;
+                  { it_id = input.in_id;
+                    it_outcome =
+                      Verdict
+                        { o_key = keys.(i); o_hit = (verify_s.(i) = None);
+                          o_verdict = v } })
+             items)
+      in
+      (out, t))
 
 (* -- Serve ----------------------------------------------------------- *)
-
-type serve_stats = {
-  sv_requests : int;
-  sv_invalid : int;
-  sv_admitted : int;
-  sv_rejected : int;
-  sv_hits : int;
-  sv_misses : int;
-}
-
-let metrics_to_json ~(id : string) ~(requests : int) ~(invalid : int)
-    ~(admitted : int) ~(rejected : int) ~(hits : int) ~(misses : int)
-    ~(verify_s : float list) ~(le_100us : int) ~(le_1ms : int)
-    ~(le_10ms : int) ~(gt_10ms : int) : string =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\"id\":\"";
-  Json.escape b id;
-  Printf.bprintf b
-    "\",\"metrics\":true,\"requests\":%d,\"invalid\":%d,\"admitted\":%d,\"rejected\":%d,\"cache_hits\":%d,\"cache_misses\":%d"
-    requests invalid admitted rejected hits misses;
-  Printf.bprintf b
-    ",\"verify_count\":%d,\"verify_p50_s\":%.6f,\"verify_p95_s\":%.6f"
-    (List.length verify_s)
-    (Bvf_util.Percentile.of_samples verify_s 50)
-    (Bvf_util.Percentile.of_samples verify_s 95);
-  Printf.bprintf b
-    ",\"verify_le_100us\":%d,\"verify_le_1ms\":%d,\"verify_le_10ms\":%d,\"verify_gt_10ms\":%d}"
-    le_100us le_1ms le_10ms gt_10ms;
-  Buffer.contents b
 
 let serve ?(log_level = 0) ?(sink = Telemetry.null)
     ?(prof = Bvf_util.Prof.disabled) ~(cache : Vcache.t)
     ~(session : Loader.t) ~(stop : unit -> bool) (ic : in_channel)
-    (oc : out_channel) : serve_stats =
+    (oc : out_channel) : tally =
   let config_fp, maps_fp = fingerprints session in
-  let requests = ref 0 and invalid = ref 0 in
-  let admitted = ref 0 and rejected = ref 0 in
-  let hits = ref 0 and misses = ref 0 in
-  (* cold verification latencies (newest first) and their histogram:
-     the payload of the metrics response.  Observations only — they
-     never reach the telemetry sink or the response byte-identity
-     contract. *)
-  let verify_s = ref [] in
-  let le_100us = ref 0 and le_1ms = ref 0 in
-  let le_10ms = ref 0 and gt_10ms = ref 0 in
+  let t = tally () in
   let lineno = ref 0 in
-  let metrics (id : string) : unit =
-    output_string oc
-      (metrics_to_json ~id ~requests:!requests ~invalid:!invalid
-         ~admitted:!admitted ~rejected:!rejected ~hits:!hits
-         ~misses:!misses ~verify_s:!verify_s ~le_100us:!le_100us
-         ~le_1ms:!le_1ms ~le_10ms:!le_10ms ~gt_10ms:!gt_10ms);
+  let reply (line : string) : unit =
+    output_string oc line;
     output_char oc '\n'
   in
   let answer (parsed : (request, string option * string) result) : unit =
     match parsed with
     | Error (id, msg) ->
-      incr invalid;
+      t.tl_invalid <- t.tl_invalid + 1;
       let id =
         match id with
         | Some id -> id
         | None -> Printf.sprintf "line%d" !lineno
       in
-      output_string oc (error_to_json ~id msg);
-      output_char oc '\n'
+      reply (error_to_json ~id msg)
     | Ok { q_id; q_req } ->
       let key, found =
         Bvf_util.Prof.span prof "probe" (fun () ->
             let k = Vcache.key ~config_fp ~maps_fp q_req in
             (k, Vcache.find cache k))
       in
-      let v, hit =
+      let v, verify_s =
         match found with
-        | Some v -> incr hits; (v, true)
+        | Some v -> (v, None)
         | None ->
-          incr misses;
           let fr = Bvf_util.Prof.start prof "verify" in
           let v = verify_request ~log_level session q_req in
           let dur, _ = Bvf_util.Prof.stop prof fr in
-          verify_s := dur :: !verify_s;
-          if dur <= 1e-4 then incr le_100us
-          else if dur <= 1e-3 then incr le_1ms
-          else if dur <= 1e-2 then incr le_10ms
-          else incr gt_10ms;
-          Vcache.insert cache key v;
-          (v, false)
+          (v, Some dur)
       in
-      if v.Vcache.cv_accepted then incr admitted else incr rejected;
-      emit_events sink ~seq:!requests ~key ~hit v;
-      incr requests;
-      output_string oc (response_to_json ~id:q_id ~key ~hit v);
-      output_char oc '\n'
+      record t ~sink ~cache ~key ?verify_s v;
+      reply (response_to_json ~id:q_id ~key ~hit:(verify_s = None) v)
   in
   (* One parse decides the request kind: a metrics request is any
      object with "metrics":true, whatever else it carries. *)
@@ -590,7 +548,9 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
     match Json.parse_object (String.trim line) with
     | exception Json.Parse -> answer (Error (None, malformed))
     | f when Json.bool f "metrics" = Some true ->
-      metrics (Option.value (Json.str f "id") ~default:"metrics")
+      reply
+        (tally_to_json
+           ~id:(Option.value (Json.str f "id") ~default:"metrics") t)
     | f -> answer (parse_request f)
   in
   (try
@@ -607,6 +567,4 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
    | End_of_file -> ()
    | Sys_error _ -> ()  (* interrupted read during a drain *));
   Stdlib.flush oc;
-  { sv_requests = !requests; sv_invalid = !invalid;
-    sv_admitted = !admitted; sv_rejected = !rejected;
-    sv_hits = !hits; sv_misses = !misses }
+  t

@@ -94,7 +94,46 @@ val read_dir : string -> input list
 (** Requests from a directory, in sorted filename order: [*.bin] (raw
     wire bytes) and [*.hex] (hex text, whitespace ignored).  The
     filename is the id; a [NAME.<prog_type>.bin] infix selects the
-    program type, anything else verifies as [socket_filter]. *)
+    program type, anything else verifies as [socket_filter].  An entry
+    that cannot be read is an [Error] input ("cannot read NAME: ..."). *)
+
+(** {1 Tally}
+
+    The one accounting record of a batch run or a serve loop: counters
+    plus a fixed-size histogram of cold-verify time, so a long-lived
+    serve keeps the same memory after any number of requests. *)
+
+val verify_ladder : int array
+(** The latency ladder in nanoseconds: ten geometric steps per decade
+    (about 26% apart) from 1 us to 10 s, 100 us, 1 ms and 10 ms among
+    them. *)
+
+type tally = {
+  mutable tl_requests : int;  (** valid requests answered *)
+  mutable tl_invalid : int;  (** inputs answered with an error line *)
+  mutable tl_admitted : int;
+  mutable tl_rejected : int;
+  mutable tl_hits : int;
+  mutable tl_misses : int;
+  tl_verify_ns : Bvf_util.Hist.t;
+      (** cold-verify time of every miss, nanoseconds *)
+}
+
+val tally : unit -> tally
+
+val record :
+  tally -> sink:Telemetry.sink -> cache:Vcache.t -> key:string ->
+  ?verify_s:float -> Vcache.verdict -> unit
+(** Count one answered valid request: a cache hit without [verify_s], a
+    miss verified in [verify_s] seconds with it.  Emits its cache and
+    verdict events (seq = the valid-request index) and inserts a miss's
+    verdict into [cache]. *)
+
+val tally_to_json : ?id:string -> ?wall_s:float -> tally -> string
+(** The one tally line (keys in docs/SERVICE.md; p50/p95 are
+    {!Bvf_util.Hist.quantile} bucket bounds).  With [id] it opens with
+    the id and ["metrics":true] (serve's metrics reply); with [wall_s]
+    it ends with ["wall_s"] (batch's summary). *)
 
 (** {1 Batch} *)
 
@@ -109,36 +148,17 @@ val item_to_json : item -> string
 (** The batch result line for one item ({!response_to_json} with the
     cache field, or {!error_to_json}). *)
 
-(** Batch roll-up.  The latency percentiles are nearest-rank over the
-    cold (miss) verifications only — hits are cache probes, not
-    verifier work.  Wall times here are observations and never part of
-    any deterministic artifact. *)
-type summary = {
-  bs_programs : int;  (** inputs processed, including invalid ones *)
-  bs_admitted : int;
-  bs_rejected : int;
-  bs_invalid : int;
-  bs_hits : int;
-  bs_misses : int;
-  bs_verify_p50_s : float;
-  bs_verify_p95_s : float;
-  bs_wall_s : float;
-}
-
-val summary_to_json : summary -> string
-
 val run_batch :
   ?log_level:int -> ?sink:Telemetry.sink ->
   ?prof:Bvf_util.Prof.session -> jobs:int -> cache:Vcache.t ->
-  Bvf_kernel.Kconfig.t -> input list -> item list * summary
-(** Verify a batch with the cache in front.  The cache is probed and
-    updated only from the calling domain; misses are verified on [jobs]
-    worker domains (each with its own {!create_session} session,
-    round-robin assignment), so results are independent of domain
-    scheduling and [--jobs 1] output equals [--jobs N] output
-    byte-for-byte.  Service telemetry (one cache event and one verdict
-    event per valid request, seq = valid-request index) lands on [sink]
-    in input order.
+  Bvf_kernel.Kconfig.t -> input list -> item list * tally
+(** Verify a batch with the cache in front.  The cache is probed before
+    any verification, so a program repeated within one batch is a miss
+    each time; misses are verified on [jobs] worker domains (each with
+    its own {!create_session} session, round-robin assignment), and the
+    items are then {!record}ed in input order back in the calling
+    domain, so results are independent of domain scheduling and
+    [--jobs 1] output equals [--jobs N] output byte-for-byte.
 
     [prof] (default: a session that records no spans) records the
     batch as profiler spans: track [d] carries worker domain [d]'s per-miss
@@ -148,44 +168,25 @@ val run_batch :
 
 (** {1 Serve} *)
 
-type serve_stats = {
-  sv_requests : int;  (** valid requests answered *)
-  sv_invalid : int;
-  sv_admitted : int;
-  sv_rejected : int;
-  sv_hits : int;
-  sv_misses : int;
-}
-
-val metrics_to_json :
-  id:string -> requests:int -> invalid:int -> admitted:int ->
-  rejected:int -> hits:int -> misses:int -> verify_s:float list ->
-  le_100us:int -> le_1ms:int -> le_10ms:int -> gt_10ms:int -> string
-(** The metrics response line described under {!serve}; [verify_s]
-    holds the cold-verification latencies in seconds. *)
-
 val serve :
   ?log_level:int -> ?sink:Telemetry.sink -> ?prof:Bvf_util.Prof.t ->
   cache:Vcache.t -> session:Bvf_runtime.Loader.t -> stop:(unit -> bool) ->
-  in_channel -> out_channel -> serve_stats
+  in_channel -> out_channel -> tally
 (** The request loop: one JSONL request per input line, one response
     line (flushed) per request, until end of input or [stop ()] turns
     true — the CLI's SIGINT/SIGTERM handlers flip it, so a drain
     finishes the in-flight request, persists the cache and exits.
     Single-domain by design: a serve loop is latency-shaped, and the
-    cache answers the repeat-heavy part of the workload.
+    cache answers the repeat-heavy part of the workload.  Returns the
+    loop's tally.
 
     Each line is parsed once, and those fields decide its kind: a flat
     JSON object with ["metrics":true] is a {b metrics request}
     (docs/SERVICE.md), whatever other fields it carries, and the loop
-    answers it with one flat
-    JSON line of in-process counters — requests/invalid/admitted/
-    rejected, cache hits/misses, and cold-verification latency
-    (count, nearest-rank p50/p95 seconds, and a fixed histogram
-    [verify_le_100us]/[verify_le_1ms]/[verify_le_10ms]/
-    [verify_gt_10ms]).  The optional ["id"] is echoed (default
-    ["metrics"]).  Metrics requests touch no counter, emit no
-    telemetry and never reach the verifier, so they are invisible to
-    the byte-identity contract of every other response.  [prof]
-    (default {!Bvf_util.Prof.disabled}) records a "probe" span per
-    valid request and a "verify" span per cache miss. *)
+    answers it with {!tally_to_json} of the tally so far, echoing the
+    optional ["id"] (default ["metrics"]).  Metrics requests touch no
+    counter, emit no telemetry and never reach the verifier, so they
+    are invisible to the byte-identity contract of every other
+    response.  [prof] (default {!Bvf_util.Prof.disabled}) records a
+    "probe" span per valid request and a "verify" span per cache
+    miss. *)

@@ -30,8 +30,10 @@ open Cimport
    /3: a one-worker run writes the trace file itself instead of
    <trace>.shard0, so wk_trace_pos is an offset into a different file.
    /4: Campaign.stats lost its eight per-phase time and minor-words
-   fields (bvf-campaign/8). *)
-let worker_tag = "bvf-worker/4"
+   fields (bvf-campaign/8).
+   /5: the campaign snapshot's vstats histograms became Hist.t records
+   (bvf-campaign/9). *)
+let worker_tag = "bvf-worker/5"
 
 type worker_snapshot = {
   wk_shard : int;

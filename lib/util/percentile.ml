@@ -1,7 +1,7 @@
 (* Nearest-rank percentile over a pre-sorted sample.  One shared
-   definition so every consumer (service latency summaries, telemetry
-   distributions, profiler aggregation) picks the same element: index
-   p*(n-1)/100 of the ascending-sorted array.  Deliberately not
+   definition so every consumer of a full sample (telemetry
+   distributions, profiler aggregation, perfbench) picks the same
+   element: index p*(n-1)/100 of the ascending-sorted array.  Deliberately not
    interpolating — the value returned is always a real observation. *)
 
 let of_sorted (sorted : float array) (p : int) : float =

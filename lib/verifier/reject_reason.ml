@@ -249,6 +249,4 @@ let rec first_match (msg : string) : (string * t) list -> t = function
   | (frag, r) :: rest -> if has msg frag then r else first_match msg rest
 
 let classify ~(msg : string) : t =
-  if msg = "size" then Prog_size (* Verifier.verify's shorthand *)
-  else
-    first_match msg patterns
+  first_match msg patterns

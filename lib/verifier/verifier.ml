@@ -135,6 +135,45 @@ let resolve_attach (kst : Kstate.t) (req : request) :
         else Ok (Some tp)
     end
 
+(* Everything bpf(BPF_PROG_LOAD) does before the rewrites, shared by
+   [load_with_stats], [verify] and [lint]: the structural, privilege,
+   map-fd and attach checks, then the abstract interpretation.  [Error]
+   is a refusal before any verification environment existed; [Ok]
+   carries the environment, the attach point and the analysis
+   verdict. *)
+let analyze (kst : Kstate.t) ~(cov : Coverage.t) ~(log_level : int)
+    (req : request) :
+  (Venv.t * Tracepoint.t option * (unit, Venv.verr) result, Venv.verr)
+    result =
+  let refuse errno msg = Error (Venv.verr_make errno ~pc:0 msg) in
+  let n = Array.length req.r_insns in
+  if n = 0 then refuse Venv.EINVAL "empty program"
+  else if n > Prog.max_insns then
+    refuse Venv.E2BIG (Printf.sprintf "program too large (%d insns)" n)
+  else if uses_reserved req.r_insns then
+    refuse Venv.EINVAL "program uses reserved register or helper"
+  else if
+    (* failslab: the syscall kvcallocs insn_aux_data and the verifier
+       state before any analysis; a failed allocation is a clean -ENOMEM,
+       never a verdict about the program *)
+    Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
+      ~site:"bpf_check:insn_aux"
+  then refuse Venv.ENOMEM "kvcalloc of insn_aux_data failed"
+  else
+    let ( let* ) = Result.bind in
+    let* () = check_privilege kst req in
+    let* () = resolve_map_fds kst req.r_insns in
+    let* attach = resolve_attach kst req in
+    let env =
+      Venv.create ~kst ~prog_type:req.r_prog_type ~attach ~cov ~log_level
+        req.r_insns
+    in
+    Ok
+      ( env, attach,
+        match Analyze.run env with
+        | exception Venv.Reject verr -> Error verr
+        | () -> Ok () )
+
 (* The full pipeline, also returning the verifier log whatever the
    verdict — the kernel copies the log buffer back to user space on
    rejection too, and [bvf explain] needs exactly that — plus the
@@ -144,101 +183,64 @@ let resolve_attach (kst : Kstate.t) (req : request) :
 let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
     (req : request) :
   (loaded, Venv.verr) result * string * Vstats.t option =
-  let n = Array.length req.r_insns in
-  if n = 0 then
-    (Error (Venv.verr_make Venv.EINVAL ~pc:0 "empty program"), "", None)
-  else if n > Prog.max_insns then
-    (Error
-       (Venv.verr_make Venv.E2BIG ~pc:0
-          (Printf.sprintf "program too large (%d insns)" n)), "", None)
-  else if uses_reserved req.r_insns then
-    (Error
-       (Venv.verr_make Venv.EINVAL ~pc:0
-          "program uses reserved register or helper"), "", None)
-  else if
-    (* failslab: the syscall kvcallocs insn_aux_data and the verifier
-       state before any analysis; a failed allocation is a clean -ENOMEM,
-       never a verdict about the program *)
-    Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
-      ~site:"bpf_check:insn_aux"
-  then
-    (Error
-       (Venv.verr_make Venv.ENOMEM ~pc:0
-          "kvcalloc of insn_aux_data failed"), "", None)
-  else
-    match check_privilege kst req with
-    | Error e -> (Error e, "", None)
+  match analyze kst ~cov ~log_level req with
+  | Error e -> (Error e, "", None)
+  | Ok (env, attach, verdict) ->
+    let log () = Vlog.contents env.Venv.vlog in
+    let vst = env.Venv.vst in
+    match verdict with
+    | Error verr -> (Error verr, log (), Some vst)
     | Ok () ->
-    match resolve_map_fds kst req.r_insns with
-    | Error e -> (Error e, "", None)
-    | Ok () ->
-    match resolve_attach kst req with
-    | Error e -> (Error e, "", None)
-    | Ok attach ->
-      let env =
-        Venv.create ~kst ~prog_type:req.r_prog_type ~attach ~cov
-          ~log_level req.r_insns
+      let t_rewrite = Bvf_util.Mclock.now_s () in
+      let w_rewrite = Gc.minor_words () in
+      let insns, aux = Fixup.run kst ~insns:req.r_insns ~aux:env.Venv.aux
       in
-      let log () = Vlog.contents env.Venv.vlog in
-      let vst = env.Venv.vst in
-      match Analyze.run env with
-      | exception Venv.Reject verr -> (Error verr, log (), Some vst)
-      | () ->
-        let t_rewrite = Bvf_util.Mclock.now_s () in
-        let w_rewrite = Gc.minor_words () in
-        let insns, aux = Fixup.run kst ~insns:req.r_insns ~aux:env.Venv.aux
-        in
-        let insns, aux =
-          if kst.Kstate.config.Kconfig.sanitize then
-            Sanitize.run ~insns ~aux
-          else (insns, aux)
-        in
-        let sanitize_s = Bvf_util.Mclock.elapsed_s ~since:t_rewrite in
-        let sanitize_w = Float.max 0. (Gc.minor_words () -. w_rewrite) in
-        if
-          (* failslab: allocating the rewritten program image *)
-          Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
-            ~site:"bpf_prog_load:prog_image"
-        then
-          (Error
-             (Venv.verr_make Venv.ENOMEM ~pc:0
-                "bpf_prog_realloc of rewritten image failed"), log (),
-           Some vst)
-        else begin
-        (* Bug#8: the syscall kmemdups the rewritten image for
-           introspection; large images exceed the kmalloc limit *)
-        if Kstate.has_bug kst Kconfig.Bug8_kmemdup_limit
-           && Insn.prog_slots insns * 8 > kmalloc_max then
-          Kstate.report kst
-            (Bvf_kernel.Report.make
-               (Bvf_kernel.Report.Kernel_routine "bpf_prog_load")
-               (Bvf_kernel.Report.Warn
-                  "kmemdup of rewritten insns failed (kmalloc limit)"));
-        let id = kst.Kstate.next_prog_id in
-        kst.Kstate.next_prog_id <- id + 1;
-        (Ok
-          {
-            l_id = id;
-            l_insns = insns;
-            l_aux = aux;
-            l_prog_type = req.r_prog_type;
-            l_attach = attach;
-            l_offload = req.r_offload;
-            l_orig_len = n;
-            l_log = log ();
-            l_insn_processed = env.Venv.insn_processed;
-            l_lint = List.rev env.Venv.lint;
-            l_lint_count = env.Venv.lint_count;
-            l_sanitize_s = sanitize_s;
-            l_sanitize_w = sanitize_w;
-            l_vstats = vst;
-          }, log (), Some vst)
-        end
-
-let load_with_log (kst : Kstate.t) ~(cov : Coverage.t) ?log_level
-    (req : request) : (loaded, Venv.verr) result * string =
-  let verdict, log, _ = load_with_stats kst ~cov ?log_level req in
-  (verdict, log)
+      let insns, aux =
+        if kst.Kstate.config.Kconfig.sanitize then
+          Sanitize.run ~insns ~aux
+        else (insns, aux)
+      in
+      let sanitize_s = Bvf_util.Mclock.elapsed_s ~since:t_rewrite in
+      let sanitize_w = Float.max 0. (Gc.minor_words () -. w_rewrite) in
+      if
+        (* failslab: allocating the rewritten program image *)
+        Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
+          ~site:"bpf_prog_load:prog_image"
+      then
+        (Error
+           (Venv.verr_make Venv.ENOMEM ~pc:0
+              "bpf_prog_realloc of rewritten image failed"), log (),
+         Some vst)
+      else begin
+      (* Bug#8: the syscall kmemdups the rewritten image for
+         introspection; large images exceed the kmalloc limit *)
+      if Kstate.has_bug kst Kconfig.Bug8_kmemdup_limit
+         && Insn.prog_slots insns * 8 > kmalloc_max then
+        Kstate.report kst
+          (Bvf_kernel.Report.make
+             (Bvf_kernel.Report.Kernel_routine "bpf_prog_load")
+             (Bvf_kernel.Report.Warn
+                "kmemdup of rewritten insns failed (kmalloc limit)"));
+      let id = kst.Kstate.next_prog_id in
+      kst.Kstate.next_prog_id <- id + 1;
+      (Ok
+        {
+          l_id = id;
+          l_insns = insns;
+          l_aux = aux;
+          l_prog_type = req.r_prog_type;
+          l_attach = attach;
+          l_offload = req.r_offload;
+          l_orig_len = Array.length req.r_insns;
+          l_log = log ();
+          l_insn_processed = env.Venv.insn_processed;
+          l_lint = List.rev env.Venv.lint;
+          l_lint_count = env.Venv.lint_count;
+          l_sanitize_s = sanitize_s;
+          l_sanitize_w = sanitize_w;
+          l_vstats = vst;
+        }, log (), Some vst)
+      end
 
 let load (kst : Kstate.t) ~(cov : Coverage.t) ?log_level (req : request) :
   (loaded, Venv.verr) result =
@@ -249,33 +251,9 @@ let load (kst : Kstate.t) ~(cov : Coverage.t) ?log_level (req : request) :
    experiment. *)
 let verify (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
     (req : request) : (unit, Venv.verr) result =
-  let n = Array.length req.r_insns in
-  if n = 0 || n > Prog.max_insns then
-    Error
-      (Venv.verr_make
-         (if n = 0 then Venv.EINVAL else Venv.E2BIG)
-         ~pc:0 "size")
-  else if uses_reserved req.r_insns then
-    Error
-      (Venv.verr_make Venv.EINVAL ~pc:0
-         "program uses reserved register or helper")
-  else
-    match check_privilege kst req with
-    | Error e -> Error e
-    | Ok () ->
-    match resolve_map_fds kst req.r_insns with
-    | Error e -> Error e
-    | Ok () ->
-    match resolve_attach kst req with
-    | Error e -> Error e
-    | Ok attach ->
-      let env =
-        Venv.create ~kst ~prog_type:req.r_prog_type ~attach ~cov
-          ~log_level req.r_insns
-      in
-      (match Analyze.run env with
-       | exception Venv.Reject verr -> Error verr
-       | () -> Ok ())
+  match analyze kst ~cov ~log_level req with
+  | Error e -> Error e
+  | Ok (_, _, verdict) -> verdict
 
 (* Verification plus the invariant-lint results, whatever the verdict:
    the [bvf lint] entry point.  The lint observes states the analysis
@@ -283,37 +261,10 @@ let verify (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
    what the verifier's bookkeeping looked like on the way. *)
 let lint (kst : Kstate.t) ~(cov : Coverage.t) (req : request) :
   (unit, Venv.verr) result * Invariants.violation list * int =
-  let n = Array.length req.r_insns in
-  if n = 0 || n > Prog.max_insns then
-    (Error
-       (Venv.verr_make
-          (if n = 0 then Venv.EINVAL else Venv.E2BIG)
-          ~pc:0 "size"), [], 0)
-  else if uses_reserved req.r_insns then
-    (Error
-       (Venv.verr_make Venv.EINVAL ~pc:0
-          "program uses reserved register or helper"),
-     [], 0)
-  else
-    match check_privilege kst req with
-    | Error e -> (Error e, [], 0)
-    | Ok () ->
-    match resolve_map_fds kst req.r_insns with
-    | Error e -> (Error e, [], 0)
-    | Ok () ->
-    match resolve_attach kst req with
-    | Error e -> (Error e, [], 0)
-    | Ok attach ->
-      let env =
-        Venv.create ~kst ~prog_type:req.r_prog_type ~attach ~cov
-          req.r_insns
-      in
-      let verdict =
-        match Analyze.run env with
-        | exception Venv.Reject verr -> Error verr
-        | () -> Ok ()
-      in
-      (verdict, List.rev env.Venv.lint, env.Venv.lint_count)
+  match analyze kst ~cov ~log_level:0 req with
+  | Error e -> (Error e, [], 0)
+  | Ok (env, _, verdict) ->
+    (verdict, List.rev env.Venv.lint, env.Venv.lint_count)
 
 (* -- Stable fingerprints for the verdict cache ------------------------
 

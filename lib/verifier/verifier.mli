@@ -56,24 +56,18 @@ val load :
   (loaded, Venv.verr) result
 (** The full pipeline. *)
 
-val load_with_log :
-  Bvf_kernel.Kstate.t -> cov:Coverage.t -> ?log_level:int -> request ->
-  (loaded, Venv.verr) result * string
-(** {!load}, also returning the verifier log whatever the verdict —
-    the kernel copies the log buffer back to user space on rejection
-    too.  [bvf explain] and rejected-program tracing use this; the log
-    is empty when the load failed before analysis (structural checks,
-    fd resolution, injected allocation faults). *)
-
 val load_with_stats :
   Bvf_kernel.Kstate.t -> cov:Coverage.t -> ?log_level:int -> request ->
   (loaded, Venv.verr) result * string * Vstats.t option
-(** {!load_with_log}, additionally returning the veristat-style
-    performance counters whenever the analysis ran.  [None] means the
-    load failed before a verification environment existed (structural
-    checks, privilege, fd resolution, injected allocation faults) — a
-    rejected program that reached the analysis still reports the effort
-    spent rejecting it, exactly like the kernel's verifier stats. *)
+(** {!load}, also returning the verifier log whatever the verdict — the
+    kernel copies the log buffer back to user space on rejection too;
+    [bvf explain] and rejected-program tracing use it — and the
+    veristat-style performance counters whenever the analysis ran.  The
+    log is empty and the counters [None] when the load failed before a
+    verification environment existed (structural checks, privilege, fd
+    resolution, injected allocation faults) — a rejected program that
+    reached the analysis still reports the effort spent rejecting it,
+    exactly like the kernel's verifier stats. *)
 
 val verify :
   Bvf_kernel.Kstate.t -> cov:Coverage.t -> ?log_level:int -> request ->

@@ -139,17 +139,13 @@ let pp fmt (t : t) : unit =
 
 (* -- Campaign aggregation ----------------------------------------------- *)
 
-(* log2 buckets: bucket 0 holds value 0, bucket i>=1 holds values in
-   [2^(i-1), 2^i).  31 buckets cover every int the analysis can
-   produce under the complexity limit with room to spare. *)
-let hist_buckets = 31
+module Hist = Bvf_util.Hist
 
-let bucket (v : int) : int =
-  if v <= 0 then 0
-  else begin
-    let rec go b n = if n = 0 then b else go (b + 1) (n lsr 1) in
-    min (hist_buckets - 1) (go 0 v)
-  end
+(* log2 histograms: bucket 0 holds value 0, bucket i>=1 holds values in
+   [2^(i-1), 2^i), and bucket 30 everything from 2^29 up.  31 buckets
+   cover every int the analysis can produce under the complexity limit
+   with room to spare. *)
+let log2_ladder : int array = Array.init 30 (fun i -> 1 lsl i)
 
 type agg = {
   mutable ag_programs : int; (* programs whose analysis ran *)
@@ -163,8 +159,8 @@ type agg = {
   mutable ag_peak_states_max : int;
   mutable ag_max_states_per_insn : int;
   mutable ag_branch_hwm_max : int;
-  ag_hist_insn : int array;  (* log2 histogram of insn_processed *)
-  ag_hist_peak : int array;  (* log2 histogram of peak_states *)
+  ag_hist_insn : Hist.t;  (* log2 histogram of insn_processed *)
+  ag_hist_peak : Hist.t;  (* log2 histogram of peak_states *)
 }
 
 let agg_zero () : agg =
@@ -180,8 +176,8 @@ let agg_zero () : agg =
     ag_peak_states_max = 0;
     ag_max_states_per_insn = 0;
     ag_branch_hwm_max = 0;
-    ag_hist_insn = Array.make hist_buckets 0;
-    ag_hist_peak = Array.make hist_buckets 0;
+    ag_hist_insn = Hist.create log2_ladder;
+    ag_hist_peak = Hist.create log2_ladder;
   }
 
 let agg_add (a : agg) (t : t) : unit =
@@ -199,10 +195,8 @@ let agg_add (a : agg) (t : t) : unit =
     a.ag_max_states_per_insn <- t.vs_max_states_per_insn;
   if t.vs_branch_hwm > a.ag_branch_hwm_max then
     a.ag_branch_hwm_max <- t.vs_branch_hwm;
-  a.ag_hist_insn.(bucket t.vs_insn_processed) <-
-    a.ag_hist_insn.(bucket t.vs_insn_processed) + 1;
-  a.ag_hist_peak.(bucket t.vs_peak_states) <-
-    a.ag_hist_peak.(bucket t.vs_peak_states) + 1
+  Hist.add a.ag_hist_insn t.vs_insn_processed;
+  Hist.add a.ag_hist_peak t.vs_peak_states
 
 (* Shard merge: totals and histograms sum, maxima take the max — the
    same associative fold coverage union performs on edges. *)
@@ -222,24 +216,16 @@ let agg_absorb (into : agg) (src : agg) : unit =
     into.ag_max_states_per_insn <- src.ag_max_states_per_insn;
   if src.ag_branch_hwm_max > into.ag_branch_hwm_max then
     into.ag_branch_hwm_max <- src.ag_branch_hwm_max;
-  Array.iteri
-    (fun i n -> into.ag_hist_insn.(i) <- into.ag_hist_insn.(i) + n)
-    src.ag_hist_insn;
-  Array.iteri
-    (fun i n -> into.ag_hist_peak.(i) <- into.ag_hist_peak.(i) + n)
-    src.ag_hist_peak
+  Hist.absorb into.ag_hist_insn src.ag_hist_insn;
+  Hist.absorb into.ag_hist_peak src.ag_hist_peak
 
 (* Canonical digest lines: totals, maxima, then only the non-empty
    histogram buckets — every value deterministic, no wall times. *)
 let agg_digest_lines (a : agg) : string list =
   let hist name h =
-    let lines = ref [] in
-    for i = hist_buckets - 1 downto 0 do
-      if h.(i) > 0 then
-        lines := Printf.sprintf "vstats %s bucket %d %d" name i h.(i)
-                 :: !lines
-    done;
-    !lines
+    List.map
+      (fun (i, n) -> Printf.sprintf "vstats %s bucket %d %d" name i n)
+      (Hist.buckets h)
   in
   Printf.sprintf
     "vstats programs %d insn_processed %d total_states %d prune %d/%d \

@@ -89,11 +89,9 @@ val pp : Format.formatter -> t -> unit
     Totals, maxima and log2 histograms over every analyzed program.
     Merged across parallel shards exactly like coverage. *)
 
-val hist_buckets : int
-
-val bucket : int -> int
-(** log2 bucket index: 0 holds value 0, bucket [i>=1] holds
-    [2^(i-1), 2^i). *)
+val log2_ladder : int array
+(** [[|1; 2; 4; ...; 2^29|]]: bucket 0 holds value 0, bucket [i>=1]
+    [2^(i-1), 2^i), bucket 30 the rest. *)
 
 type agg = {
   mutable ag_programs : int;
@@ -107,8 +105,8 @@ type agg = {
   mutable ag_peak_states_max : int;
   mutable ag_max_states_per_insn : int;
   mutable ag_branch_hwm_max : int;
-  ag_hist_insn : int array;
-  ag_hist_peak : int array;
+  ag_hist_insn : Bvf_util.Hist.t;  (** insn_processed *)
+  ag_hist_peak : Bvf_util.Hist.t;  (** peak_states *)
 }
 
 val agg_zero : unit -> agg

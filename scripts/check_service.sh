@@ -12,7 +12,11 @@
 #   4. bvf serve, fed the same corpus plus a metrics, a malformed and a
 #      blank line on the warm cache, answers one line per non-blank
 #      line, every program from the cache, byte-identical to the cold
-#      batch once the cache field is stripped.
+#      batch once the cache field is stripped;
+#   5. the tallies agree with the lines: the warm batch summary's
+#      cache_hits is its number of hit lines, and serve's closing
+#      stderr line counts every program as a hit and the malformed
+#      line as the one invalid input.
 #
 # Usage: scripts/check_service.sh [outdir] [bvf-binary]
 set -u
@@ -94,6 +98,24 @@ if cmp -s "$out/cold.stripped" "$out/serve.stripped"; then
 else
   echo "FAIL  serve results differ from the cold batch:"
   diff "$out/cold.stripped" "$out/serve.stripped" | head -20
+  status=1
+fi
+
+# 5. the tally lines (stderr) count what the result lines show
+field() { tail -n 1 "$1" | sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p"; }
+warm_hits=$(field "$out/warm-summary.json" cache_hits)
+if [ "$warm_hits" = "$hits" ]; then
+  echo "ok    warm summary cache_hits $warm_hits = hit lines"
+else
+  echo "FAIL  warm summary cache_hits '$warm_hits', hit lines $hits"
+  status=1
+fi
+serve_tally_hits=$(field "$out/serve.log" cache_hits)
+serve_invalid=$(field "$out/serve.log" invalid)
+if [ "$serve_tally_hits" = "$programs" ] && [ "$serve_invalid" = 1 ]; then
+  echo "ok    serve tally: $serve_tally_hits hits, 1 invalid"
+else
+  echo "FAIL  serve tally: cache_hits '$serve_tally_hits' (want $programs), invalid '$serve_invalid' (want 1)"
   status=1
 fi
 

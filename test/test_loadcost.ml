@@ -51,14 +51,11 @@ let ref_has (msg : string) (frag : string) : bool =
   end
 
 let ref_classify (msg : string) : Reject_reason.t =
-  if msg = "size" then Reject_reason.Prog_size
-  else
-    match
-      List.find_opt (fun (frag, _) -> ref_has msg frag)
-        Reject_reason.patterns
-    with
-    | Some (_, r) -> r
-    | None -> Reject_reason.Unknown
+  match
+    List.find_opt (fun (frag, _) -> ref_has msg frag) Reject_reason.patterns
+  with
+  | Some (_, r) -> r
+  | None -> Reject_reason.Unknown
 
 let check_classify (msg : string) : unit =
   let got = Reject_reason.classify ~msg and want = ref_classify msg in

@@ -5,7 +5,8 @@
    closing profile line under every executor), the Chrome trace-event
    round trip (parses back, nests correctly, malformed or hostile input
    is reported not swallowed), non-negative GC attribution, the shared
-   percentile helper, and the serve loop's metrics request. *)
+   percentile helper and fixed-bucket histogram, and the serve loop's
+   metrics request. *)
 
 module Version = Bvf_ebpf.Version
 module Asm = Bvf_ebpf.Asm
@@ -44,6 +45,74 @@ let test_percentile () =
     (Percentile.of_samples [ 4.0; 1.0; 3.0; 2.0 ] 50);
   Alcotest.(check (float 0.0)) "singleton" 7.0
     (Percentile.of_samples [ 7.0 ] 95)
+
+(* -- Hist (the fixed-bucket histogram) ----------------------------------- *)
+
+module Hist = Bvf_util.Hist
+module Vstats = Bvf_verifier.Vstats
+
+let log2_hist (samples : int list) : Hist.t =
+  let h = Hist.create Vstats.log2_ladder in
+  List.iter (Hist.add h) samples;
+  h
+
+(* samples spread over every bucket of the power-of-two ladder *)
+let gen_samples : int list QCheck2.Gen.t =
+  QCheck2.Gen.(
+    list_size (int_range 1 200)
+      (let* bits = int_range 0 31 in
+       int_bound ((1 lsl bits) - 1)))
+
+let prop_hist_quantile =
+  QCheck2.Test.make ~count:300 ~name:"quantile = bound of the exact bucket"
+    QCheck2.Gen.(pair gen_samples (int_range 0 100))
+    (fun (samples, p) ->
+       let h = log2_hist samples in
+       let sorted = Array.of_list samples in
+       Array.sort compare sorted;
+       let exact = Percentile.of_sorted_int sorted p in
+       Hist.quantile h p = Hist.upper h (Hist.index h exact))
+
+let prop_hist_absorb =
+  QCheck2.Test.make ~count:300 ~name:"absorb = adding every sample"
+    QCheck2.Gen.(pair gen_samples gen_samples)
+    (fun (a, b) ->
+       let into = log2_hist a in
+       Hist.absorb into (log2_hist b);
+       Hist.buckets into = Hist.buckets (log2_hist (a @ b)))
+
+(* the bucket function the ladder replaced *)
+let old_bucket (v : int) : int =
+  if v <= 0 then 0
+  else begin
+    let rec go b n = if n = 0 then b else go (b + 1) (n lsr 1) in
+    min 30 (go 0 v)
+  end
+
+let test_hist_vstats_ladder () =
+  let h = Hist.create Vstats.log2_ladder in
+  let values =
+    [ 0; 1; 1 lsl 30; max_int ]
+    @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k ])
+        (List.init 61 (fun k -> k + 1))
+  in
+  List.iter
+    (fun v ->
+       Alcotest.(check int) (Printf.sprintf "bucket of %d" v) (old_bucket v)
+         (Hist.index h v))
+    values;
+  Alcotest.(check int) "max_int in the last of 31 buckets" 30
+    (Hist.index h max_int)
+
+let test_hist_add_allocation_free () =
+  let h = Hist.create Vstats.log2_ladder in
+  let w0 = Gc.minor_words () in
+  for v = 1 to 10_000 do
+    Hist.add h v
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "counted" 10_000 (Hist.total h);
+  if words > 100. then Alcotest.failf "add allocated %.0f words" words
 
 (* -- Recording --------------------------------------------------------- *)
 
@@ -470,10 +539,10 @@ let test_serve_metrics_round_trip () =
   Alcotest.(check int) "one response line per input" 6
     (List.length lines);
   (* metrics requests are invisible to the serve counters *)
-  Alcotest.(check int) "requests" 3 stats.Service.sv_requests;
-  Alcotest.(check int) "invalid" 1 stats.Service.sv_invalid;
-  Alcotest.(check int) "hits" 1 stats.Service.sv_hits;
-  Alcotest.(check int) "misses" 2 stats.Service.sv_misses;
+  Alcotest.(check int) "requests" 3 stats.Service.tl_requests;
+  Alcotest.(check int) "invalid" 1 stats.Service.tl_invalid;
+  Alcotest.(check int) "hits" 1 stats.Service.tl_hits;
+  Alcotest.(check int) "misses" 2 stats.Service.tl_misses;
   let field fields k =
     match Json.num fields k with
     | Some x -> x
@@ -500,7 +569,8 @@ let test_serve_metrics_round_trip () =
     (field m "cache_misses");
   Alcotest.(check (float 0.0)) "verify latency per miss" 2.0
     (field m "verify_count");
-  Alcotest.(check (float 0.0)) "histogram covers every verification" 2.0
+  Alcotest.(check (float 0.0)) "histogram covers every verification"
+    (field m "verify_count")
     (field m "verify_le_100us" +. field m "verify_le_1ms"
      +. field m "verify_le_10ms" +. field m "verify_gt_10ms");
   Alcotest.(check bool) "p50 <= p95, both positive" true
@@ -512,6 +582,15 @@ let () =
     [
       ( "percentile",
         [ Alcotest.test_case "nearest rank" `Quick test_percentile ] );
+      ( "hist",
+        [
+          QCheck_alcotest.to_alcotest prop_hist_quantile;
+          QCheck_alcotest.to_alcotest prop_hist_absorb;
+          Alcotest.test_case "vstats ladder = log2 buckets" `Quick
+            test_hist_vstats_ladder;
+          Alcotest.test_case "allocation-free add" `Quick
+            test_hist_add_allocation_free;
+        ] );
       ( "recording",
         [
           Alcotest.test_case "nesting and attribution" `Quick

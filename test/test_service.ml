@@ -5,7 +5,8 @@
    are deterministic across --jobs; the JSONL codec round-trips,
    decodes hex as a plain reference model does and echoes non-ASCII
    ids as UTF-8; the serve loop answers every kind of line once; the
-   service telemetry events round-trip and aggregate. *)
+   service telemetry events round-trip and aggregate; an unreadable
+   directory entry is an error line; the tally's size is fixed. *)
 
 module Version = Bvf_ebpf.Version
 module Asm = Bvf_ebpf.Asm
@@ -200,7 +201,7 @@ let test_disk_damage_is_error () =
 (* -- batch ---------------------------------------------------------------- *)
 
 let batch_lines ?(jobs = 1) ?(cache = Vcache.create ~cap:4096)
-    (inputs : Service.input list) : string list * Service.summary =
+    (inputs : Service.input list) : string list * Service.tally =
   let items, summary = Service.run_batch ~jobs ~cache config inputs in
   (List.map Service.item_to_json items, summary)
 
@@ -228,19 +229,19 @@ let test_batch_jobs_deterministic () =
   let lines1, s1 = batch_lines ~jobs:1 inputs in
   let lines4, s4 = batch_lines ~jobs:4 inputs in
   Alcotest.(check (list string)) "jobs 1 == jobs 4" lines1 lines4;
-  Alcotest.(check int) "admitted agree" s1.Service.bs_admitted
-    s4.Service.bs_admitted;
-  Alcotest.(check int) "one rejection" 1 s1.Service.bs_rejected;
-  Alcotest.(check int) "one invalid" 1 s1.Service.bs_invalid
+  Alcotest.(check int) "admitted agree" s1.Service.tl_admitted
+    s4.Service.tl_admitted;
+  Alcotest.(check int) "one rejection" 1 s1.Service.tl_rejected;
+  Alcotest.(check int) "one invalid" 1 s1.Service.tl_invalid
 
 let test_batch_warm_rerun_hits () =
   let inputs = inputs_of (corpus ~n:24 ()) in
   let cache = Vcache.create ~cap:4096 in
   let cold, sc = batch_lines ~jobs:2 ~cache inputs in
   let warm, sw = batch_lines ~jobs:2 ~cache inputs in
-  Alcotest.(check int) "cold misses all" 24 sc.Service.bs_misses;
-  Alcotest.(check int) "warm hits all" 24 sw.Service.bs_hits;
-  Alcotest.(check int) "warm verifies nothing" 0 sw.Service.bs_misses;
+  Alcotest.(check int) "cold misses all" 24 sc.Service.tl_misses;
+  Alcotest.(check int) "warm hits all" 24 sw.Service.tl_hits;
+  Alcotest.(check int) "warm verifies nothing" 0 sw.Service.tl_misses;
   (* stripped of the one history-dependent field, warm == cold *)
   Alcotest.(check (list string)) "warm == cold up to the cache field"
     (List.map strip_cache_field cold)
@@ -285,6 +286,63 @@ let test_batch_telemetry_events () =
      Alcotest.(check int) "admitted" 8 sv.Telemetry.ssu_admitted;
      Alcotest.(check int) "rejected" 2 sv.Telemetry.ssu_rejected);
   Sys.remove path
+
+let test_batch_unreadable_entry () =
+  (* a directory named like a program is that entry's error line *)
+  let dir = tmp "bvf-test-service-dir" in
+  let bin =
+    match corpus ~n:1 () with
+    | req :: _ -> Encode.encode req.Verifier.r_insns
+    | [] -> Alcotest.fail "empty selftest corpus"
+  in
+  let good = Filename.concat dir "a.bin" and bad = Filename.concat dir "x.bin" in
+  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  (try Sys.mkdir bad 0o755 with Sys_error _ -> ());
+  Out_channel.with_open_bin good (fun oc -> Out_channel.output_bytes oc bin);
+  let lines, t = batch_lines (Service.read_dir dir) in
+  Sys.remove good;
+  Sys.rmdir bad;
+  Sys.rmdir dir;
+  Alcotest.(check int) "one verdict" 1 t.Service.tl_requests;
+  Alcotest.(check int) "one error" 1 t.Service.tl_invalid;
+  match List.map Json.parse_object lines with
+  | [ a; x ] ->
+    Alcotest.(check (option string)) "verdict id" (Some "a.bin")
+      (Json.str a "id");
+    Alcotest.(check (option string)) "error id" (Some "x.bin")
+      (Json.str x "id");
+    Alcotest.(check (option string)) "error line" (Some "error")
+      (Json.str x "verdict");
+    Alcotest.(check bool) "names the entry" true
+      (match Json.str x "msg" with
+       | Some m -> String.starts_with ~prefix:"cannot read x.bin: " m
+       | None -> false)
+  | _ -> Alcotest.failf "%d result lines" (List.length lines)
+
+(* -- tally ---------------------------------------------------------------- *)
+
+let test_tally_fixed_size () =
+  (* a long-lived serve counts into fixed memory *)
+  let t = Service.tally () in
+  let cache = Vcache.create ~cap:1 in
+  let v = Service.verify_request (Service.create_session config) rejected_req in
+  let miss i =
+    Service.record t ~sink:Telemetry.null ~cache
+      ~key:(string_of_int i) ~verify_s:(float_of_int (i mod 5000) *. 1e-6) v
+  in
+  List.iter
+    (fun b ->
+       Alcotest.(check bool) (Printf.sprintf "%d ns is a bound" b) true
+         (Array.mem b Service.verify_ladder))
+    [ 100_000; 1_000_000; 10_000_000 ];
+  for i = 1 to 10 do miss i done;
+  let words = Obj.reachable_words (Obj.repr t) in
+  for i = 11 to 100_000 do miss i done;
+  Alcotest.(check int) "misses" 100_000 t.Service.tl_misses;
+  Alcotest.(check int) "latencies" 100_000
+    (Bvf_util.Hist.total t.Service.tl_verify_ns);
+  Alcotest.(check int) "same words after 100000 misses" words
+    (Obj.reachable_words (Obj.repr t))
 
 (* -- JSONL codec ---------------------------------------------------------- *)
 
@@ -416,7 +474,7 @@ let serve_lines ?(cache = Vcache.create ~cap:64) (lines : string list) :
   let ic = open_in_bin in_path and oc = open_out_bin out_path in
   ignore
     (Service.serve ~cache ~session:(Service.create_session config)
-       ~stop:(fun () -> false) ic oc : Service.serve_stats);
+       ~stop:(fun () -> false) ic oc : Service.tally);
   close_in ic;
   close_out oc;
   let out = In_channel.with_open_bin out_path In_channel.input_lines in
@@ -577,7 +635,11 @@ let () =
             test_batch_cache_off_identity;
           Alcotest.test_case "telemetry events" `Quick
             test_batch_telemetry_events;
+          Alcotest.test_case "unreadable dir entry" `Quick
+            test_batch_unreadable_entry;
         ] );
+      ( "tally",
+        [ Alcotest.test_case "fixed size" `Quick test_tally_fixed_size ] );
       ( "codec",
         [
           Alcotest.test_case "request round trip" `Quick

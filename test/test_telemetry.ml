@@ -268,13 +268,21 @@ let test_emitters_parse () =
      Alcotest.(check (option string)) "veristat row name" (Some weird)
        (Json.str (parse "veristat row" row) "name")
    | lines -> Alcotest.failf "veristat: %d lines" (List.length lines));
-  let metrics =
-    Service.metrics_to_json ~id:weird ~requests:3 ~invalid:1 ~admitted:1
-      ~rejected:1 ~hits:0 ~misses:2 ~verify_s:[ 1e-4; 2e-3 ] ~le_100us:1
-      ~le_1ms:0 ~le_10ms:1 ~gt_10ms:0
-  in
+  let tally = Service.tally () in
+  tally.Service.tl_requests <- 3;
+  tally.Service.tl_invalid <- 1;
+  tally.Service.tl_misses <- 2;
+  List.iter (Bvf_util.Hist.add tally.Service.tl_verify_ns)
+    [ 100_000; 2_000_000 ];
   Alcotest.(check (option string)) "metrics id" (Some weird)
-    (Json.str (parse "metrics" metrics) "id")
+    (Json.str (parse "metrics" (Service.tally_to_json ~id:weird tally)) "id");
+  Alcotest.(check (option (float 0.))) "batch summary wall" (Some 0.25)
+    (Json.num
+       (parse "batch summary" (Service.tally_to_json ~wall_s:0.25 tally))
+       "wall_s");
+  Alcotest.(check (option (float 0.))) "serve closing line" (Some 3.)
+    (Json.num (parse "serve closing" (Service.tally_to_json tally))
+       "requests")
 
 let test_summarize_counts () =
   let s = Telemetry.summarize sample_events in

@@ -874,6 +874,44 @@ let test_sanitizer_skips () =
     in
     Alcotest.(check int) "exactly one guarded access" 1 asan_calls
 
+(* -- Entry paths ------------------------------------------------------------- *)
+
+(* load, verify and lint refuse a program before analysis through one
+   path: the same errno and message from all three *)
+let test_entry_paths_agree () =
+  let exit0 = Asm.mov64_imm Insn.R0 0l and exit_ = Asm.exit_ in
+  let cases =
+    [ ("empty", [||], Venv.EINVAL, "empty program");
+      ( "oversized",
+        Array.make (Prog.max_insns + 1) exit0,
+        Venv.E2BIG,
+        Printf.sprintf "program too large (%d insns)" (Prog.max_insns + 1) );
+      ( "reserved register",
+        [| Asm.mov64_reg Insn.R11 Insn.R1; exit0; exit_ |],
+        Venv.EINVAL,
+        "program uses reserved register or helper" ) ]
+  in
+  List.iter
+    (fun (name, insns, errno, msg) ->
+       let req = Verifier.request Prog.Socket_filter insns in
+       let check path = function
+         | Ok () -> Alcotest.failf "%s: %s accepted" name path
+         | Error e ->
+           Alcotest.(check bool)
+             (Printf.sprintf "%s: %s errno" name path)
+             true (e.Venv.errno = errno);
+           Alcotest.(check string)
+             (Printf.sprintf "%s: %s message" name path)
+             msg e.Venv.vmsg
+       in
+       let kst, _, _, _, _ = fresh_kst () in
+       let cov = Coverage.create () in
+       check "load" (Result.map ignore (Verifier.load kst ~cov req));
+       check "verify" (Verifier.verify kst ~cov req);
+       let verdict, _, _ = Verifier.lint kst ~cov req in
+       check "lint" verdict)
+    cases
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bvf_verifier"
@@ -906,4 +944,7 @@ let () =
         [ Alcotest.test_case "patch retarget" `Quick test_patch_retarget;
           Alcotest.test_case "sanitize skip list" `Quick
             test_sanitizer_skips ] );
+      ( "entry",
+        [ Alcotest.test_case "load, verify, lint agree" `Quick
+            test_entry_paths_agree ] );
     ]
