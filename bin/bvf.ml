@@ -1232,7 +1232,7 @@ let batch_cmd =
     close ();
     (* results on stdout (or --out), the timed summary on stderr:
        stdout stays pure, deterministic JSONL *)
-    Printf.eprintf "%s\n" (Service.tally_to_json ~wall_s tally)
+    Printf.eprintf "%s\n" (Service.tally_to_json ~wall_s ~cache tally)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -1285,7 +1285,7 @@ let serve_cmd =
     in
     Telemetry.close sink;
     save_cache cache ~cache_file;
-    Printf.eprintf "%s\n" (Service.tally_to_json tally);
+    Printf.eprintf "%s\n" (Service.tally_to_json ~cache tally);
     if !stop_sig <> 0 then exit !stop_sig
   in
   Cmd.v

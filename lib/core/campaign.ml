@@ -295,8 +295,7 @@ let step (c : t) : unit =
   ignore (Bvf_util.Prof.stop c.prof fr_gen : float * float);
   stats.st_generated <- stats.st_generated + 1;
   stats.st_histogram <-
-    Array.fold_left Disasm.classify stats.st_histogram
-      req.Verifier.r_insns;
+    Disasm.add_histogram stats.st_histogram req.Verifier.r_insns;
   let prog_type = Prog.prog_type_to_string req.Verifier.r_prog_type in
   Telemetry.emit c.telemetry
     (Telemetry.Generated

@@ -72,13 +72,20 @@ let of_entries ?(max_size = 256) (es : entry list) : t =
   { entries = kept; total = List.length kept; quarantined = 0; max_size }
 
 (* Pick a seed entry: weighted towards entries that contributed more
-   edges, with a recency bonus. *)
+   edges, with a recency bonus.  The draw is [Rng.weighted]'s over the
+   [(energy, entry)] list, folded without building it. *)
+let rec entry_at (pick : int) (acc : int) : entry list -> entry = function
+  | [] -> invalid_arg "Corpus.pick_entry: unreachable"
+  | e :: rest ->
+    let acc = acc + energy e in
+    if pick < acc then e else entry_at pick acc rest
+
 let pick_entry (t : t) (rng : Rng.t) : entry option =
   match t.entries with
   | [] -> None
   | entries ->
-    let weighted = List.map (fun e -> (energy e, e)) entries in
-    Some (Rng.weighted rng weighted)
+    let total = List.fold_left (fun acc e -> acc + energy e) 0 entries in
+    Some (entry_at (Rng.int rng total) 0 entries)
 
 let pick (t : t) (rng : Rng.t) : Verifier.request option =
   Option.map (fun e -> e.request) (pick_entry t rng)

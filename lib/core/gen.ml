@@ -36,8 +36,8 @@ type t = {
   prog_type : Prog.prog_type;
   maps : (int * Map.def) list;
   mutable regs : gstate array; (* R0..R9 *)
-  mutable stack_init : bool array; (* 64 eight-byte slots *)
-  mutable code : Insn.t list; (* reversed *)
+  mutable stack_init : Bytes.t; (* 64 eight-byte slots, '\001' = init *)
+  mutable code : Insn.t array; (* [0, len) emitted, the rest [Exit] *)
   mutable len : int;
   mutable lock_reg : Insn.reg option; (* reg holding the locked value *)
   mutable ring_reg : (Insn.reg * int) option; (* reserved chunk, size *)
@@ -49,9 +49,22 @@ type t = {
 let reg_of_idx i =
   match Insn.reg_of_int i with Some r -> r | None -> assert false
 
+(* The code buffer grows by doubling.  [Exit] is an immediate, so a
+   fresh buffer never forces a minor collection however long it is. *)
 let emit (g : t) (i : Insn.t) : unit =
-  g.code <- i :: g.code;
+  if g.len = Array.length g.code then begin
+    let code = Array.make (max 16 (2 * g.len)) Insn.Exit in
+    Array.blit g.code 0 code 0 g.len;
+    g.code <- code
+  end;
+  Array.unsafe_set g.code g.len i;
   g.len <- g.len + 1
+
+(* Give the placeholder jump at [pc] its real offset. *)
+let patch_jump (g : t) (pc : int) (off : int) : unit =
+  match g.code.(pc) with
+  | Insn.Jmp j -> g.code.(pc) <- Insn.Jmp { j with off }
+  | _ -> ()
 
 let emits (g : t) (is : Insn.t list) : unit = List.iter (emit g) is
 
@@ -61,6 +74,12 @@ let set_reg (g : t) (r : Insn.reg) (s : gstate) : unit =
 
 let get_reg (g : t) (r : Insn.reg) : gstate = g.regs.(Insn.reg_to_int r)
 
+let slot_init (g : t) (slot : int) : bool =
+  Bytes.get g.stack_init slot <> '\000'
+
+let init_slot (g : t) (slot : int) : unit =
+  Bytes.set g.stack_init slot '\001'
+
 (* Helper calls clobber R0-R5. *)
 let clobber_caller_saved (g : t) (ret : gstate) : unit =
   g.regs.(0) <- ret;
@@ -68,31 +87,83 @@ let clobber_caller_saved (g : t) (ret : gstate) : unit =
     g.regs.(i) <- G_uninit
   done
 
-let regs_where (g : t) (p : gstate -> bool) : Insn.reg list =
-  let acc = ref [] in
-  Array.iteri (fun i s -> if p s then acc := reg_of_idx i :: !acc) g.regs;
-  !acc
+(* Register selection works on masks: bit [i] stands for register Ri.
+   A state's kind is one bit, so "the registers in any of these kinds"
+   is one pass over the file with no predicate closure to call. *)
+let kind_bit = function
+  | G_uninit -> 0x1
+  | G_scalar -> 0x2
+  | G_const _ -> 0x4
+  | G_map_ptr _ -> 0x8
+  | G_map_value _ -> 0x10
+  | G_map_value_null _ -> 0x20
+  | G_ctx -> 0x40
+  | G_btf _ -> 0x80
+  | G_pkt _ -> 0x100
+  | G_pkt_end -> 0x200
+  | G_ringbuf _ -> 0x400
 
-let is_scalar = function G_scalar | G_const _ -> true | _ -> false
+let k_scalar = 0x2 lor 0x4
+let k_scratch = 0x1 lor k_scalar (* dead or scalar: safe to overwrite *)
+let k_map_value = 0x10
+let k_ctx = 0x40
+let k_btf = 0x80
+let k_pkt = 0x100
+let k_pkt_end = 0x200
 
-let scalar_regs (g : t) : Insn.reg list = regs_where g is_scalar
+(* R6-R9, the callee-saved registers. *)
+let callee_saved = 0x3C0
+
+let is_scalar s = kind_bit s land k_scalar <> 0
+
+let regs_of_kinds (g : t) (kinds : int) : int =
+  let m = ref 0 in
+  for i = 0 to Array.length g.regs - 1 do
+    if kind_bit (Array.unsafe_get g.regs i) land kinds <> 0 then
+      m := !m lor (1 lsl i)
+  done;
+  !m
+
+(* For the few selections a kind alone does not decide. *)
+let regs_where (g : t) (p : gstate -> bool) : int =
+  let m = ref 0 in
+  for i = 0 to Array.length g.regs - 1 do
+    if p g.regs.(i) then m := !m lor (1 lsl i)
+  done;
+  !m
+
+(* A register of [mask], drawn as [Rng.choose_opt] draws from the list
+   of those registers, highest index first: same draw, same pick. *)
+let choose_reg (g : t) (mask : int) : Insn.reg option =
+  match Rng.choose_bit g.rng mask with
+  | -1 -> None
+  | i -> Some (reg_of_idx i)
+
+(* The highest-indexed register in any of [kinds], from [i] down (no
+   draw). *)
+let rec highest_reg (g : t) (kinds : int) (i : int) : Insn.reg option =
+  if i < 0 then None
+  else if kind_bit g.regs.(i) land kinds <> 0 then Some (reg_of_idx i)
+  else highest_reg g kinds (i - 1)
 
 (* A register safe to overwrite: prefer dead/scalar callee-saved regs. *)
 let scratch_reg (g : t) : Insn.reg =
-  let candidates =
-    regs_where g (function G_uninit | G_scalar | G_const _ -> true
-                         | _ -> false)
-    |> List.filter (fun r -> Insn.reg_to_int r >= 6)
-  in
-  match candidates with
-  | [] -> Rng.choose g.rng [ Insn.R6; Insn.R7; Insn.R8; Insn.R9 ]
-  | cs -> Rng.choose g.rng cs
+  match choose_reg g (regs_of_kinds g k_scratch land callee_saved) with
+  | None -> Rng.choose g.rng [ Insn.R6; Insn.R7; Insn.R8; Insn.R9 ]
+  | Some r -> r
 
 let aligned_stack_slot (g : t) : int =
   (* offsets -8, -16, ..., -64: a compact working set *)
   -8 * (1 + Rng.int g.rng 8)
 
 (* -- Init header -------------------------------------------------------- *)
+
+(* Favour BTF objects that are NULL at runtime: comparing against those
+   is what stresses the nullness analysis. *)
+let btf_weights : (int * Btf.desc) list =
+  List.map
+    (fun d -> ((if d.Btf.runtime_null then 3 else 1), d))
+    Btf.catalogue
 
 let emit_init_header (g : t) : unit =
   (* always preserve the context pointer in R6 (R1 will be clobbered by
@@ -144,14 +215,7 @@ let emit_init_header (g : t) : unit =
              | None -> ()
            end
          | `Btf ->
-           (* favour objects that are NULL at runtime: comparing against
-              those is what stresses the nullness analysis *)
-           let d =
-             Rng.weighted g.rng
-               (List.map
-                  (fun d -> ((if d.Btf.runtime_null then 3 else 1), d))
-                  Btf.catalogue)
-           in
+           let d = Rng.weighted g.rng btf_weights in
            emit g (Asm.ld_btf_obj r d.Btf.btf_id);
            set_reg g r (G_btf d)
        end)
@@ -161,7 +225,7 @@ let emit_init_header (g : t) : unit =
 
 (* Ensure some register holds a scalar; returns it. *)
 let any_scalar (g : t) : Insn.reg =
-  match Rng.choose_opt g.rng (scalar_regs g) with
+  match choose_reg g (regs_of_kinds g k_scalar) with
   | Some r -> r
   | None ->
     let r = scratch_reg g in
@@ -183,13 +247,21 @@ let bounded_scalar (g : t) (bound : int) : Insn.reg =
 
 (* -- Basic frame --------------------------------------------------------- *)
 
+(* Fixed choice sets, drawn with [Rng.pick]. *)
+let alu_ops =
+  [| Insn.Add; Insn.Sub; Insn.Mul; Insn.Div; Insn.Or; Insn.And; Insn.Lsh;
+     Insn.Rsh; Insn.Mod; Insn.Xor; Insn.Arsh; Insn.Mov |]
+
+let sizes = [| Insn.B; Insn.H; Insn.W; Insn.DW |]
+let atomic_ops = [| Insn.A_add; Insn.A_or; Insn.A_and; Insn.A_xor |]
+
+let fwd_conds =
+  [| Insn.Jeq; Insn.Jne; Insn.Jgt; Insn.Jge; Insn.Jlt; Insn.Jle; Insn.Jsgt;
+     Insn.Jsge; Insn.Jset |]
+
 let emit_scalar_alu (g : t) : unit =
   let dst = any_scalar g in
-  let op =
-    Rng.choose g.rng
-      [ Insn.Add; Insn.Sub; Insn.Mul; Insn.Div; Insn.Or; Insn.And;
-        Insn.Lsh; Insn.Rsh; Insn.Mod; Insn.Xor; Insn.Arsh; Insn.Mov ]
-  in
+  let op = Rng.pick g.rng alu_ops in
   let op64 = Rng.chance g.rng 0.7 in
   (match Rng.weighted g.rng [ (2, `Imm); (1, `Reg) ] with
    | `Imm ->
@@ -213,19 +285,19 @@ let emit_scalar_alu (g : t) : unit =
 let emit_stack_op (g : t) : unit =
   let off = aligned_stack_slot g in
   let slot = (Prog.stack_size + off) / 8 in
-  if Rng.bool g.rng || not g.stack_init.(slot) then begin
+  if Rng.bool g.rng || not (slot_init g slot) then begin
     (* store *)
     (match Rng.weighted g.rng [ (2, `Imm); (2, `Reg) ] with
      | `Imm ->
-       let sz = Rng.choose g.rng [ Insn.B; Insn.H; Insn.W; Insn.DW ] in
+       let sz = Rng.pick g.rng sizes in
        emit g (Asm.st sz Insn.R10 off
                  (Int64.to_int32 (Rng.interesting g.rng)));
        (* only a full 8-byte store initializes the whole slot *)
-       if sz = Insn.DW then g.stack_init.(slot) <- true
+       if sz = Insn.DW then init_slot g slot
      | `Reg ->
        let src = any_scalar g in
        emit g (Asm.stx_dw Insn.R10 src off);
-       g.stack_init.(slot) <- true)
+       init_slot g slot)
   end
   else begin
     (* load from an initialized slot *)
@@ -243,22 +315,19 @@ let init_stack_region ?(canonical = false) (g : t) (bytes : int) : int =
   let base_slot = 56 - Rng.int g.rng 8 in
   let base_slot = max 0 (min (64 - slots) base_slot) in
   for s = base_slot to base_slot + slots - 1 do
-    if canonical || not g.stack_init.(s) then begin
+    if canonical || not (slot_init g s) then begin
       let v =
         if canonical then Rng.int g.rng 3 else Rng.int g.rng 1024
       in
       emit g (Asm.st_dw Insn.R10 (-Prog.stack_size + (s * 8))
                 (Int32.of_int v));
-      g.stack_init.(s) <- true
+      init_slot g s
     end
   done;
   -Prog.stack_size + (base_slot * 8)
 
 let emit_map_value_access (g : t) : unit =
-  match
-    Rng.choose_opt g.rng
-      (regs_where g (function G_map_value _ -> true | _ -> false))
-  with
+  match choose_reg g (regs_of_kinds g k_map_value) with
   | None -> ()
   | Some base ->
     let def =
@@ -266,7 +335,7 @@ let emit_map_value_access (g : t) : unit =
       | G_map_value (_, d) -> d
       | _ -> assert false
     in
-    let sz = Rng.choose g.rng [ Insn.B; Insn.H; Insn.W; Insn.DW ] in
+    let sz = Rng.pick g.rng sizes in
     let bytes = Insn.size_bytes sz in
     let lock_skip = if def.Map.has_spin_lock then 8 else 0 in
     let max_off = def.Map.value_size - bytes in
@@ -300,16 +369,12 @@ let emit_map_value_access (g : t) : unit =
        let off = max lock_skip (min off (def.Map.value_size - 8)) in
        emit g
          (Asm.atomic ~fetch:(Rng.bool g.rng) sz
-            (Rng.choose g.rng
-               [ Insn.A_add; Insn.A_or; Insn.A_and; Insn.A_xor ])
+            (Rng.pick g.rng atomic_ops)
             base src off);
        set_reg g src G_scalar)
 
 let emit_ctx_access (g : t) : unit =
-  match
-    Rng.choose_opt g.rng
-      (regs_where g (function G_ctx -> true | _ -> false))
-  with
+  match choose_reg g (regs_of_kinds g k_ctx) with
   | None -> ()
   | Some base ->
     let layout = Prog.ctx_layout g.prog_type in
@@ -334,10 +399,7 @@ let emit_ctx_access (g : t) : unit =
     end
 
 let emit_btf_access (g : t) : unit =
-  match
-    Rng.choose_opt g.rng
-      (regs_where g (function G_btf _ -> true | _ -> false))
-  with
+  match choose_reg g (regs_of_kinds g k_btf) with
   | None -> ()
   | Some base ->
     let d =
@@ -357,14 +419,14 @@ let emit_btf_access (g : t) : unit =
 
 (* Direct packet access behind the canonical bounds-check pattern. *)
 let emit_packet_access (g : t) : unit =
-  let pkts = regs_where g (function G_pkt _ -> true | _ -> false) in
-  let ends = regs_where g (function G_pkt_end -> true | _ -> false) in
-  match pkts, ends with
-  | pkt :: _, end_ :: _ -> begin
+  match
+    highest_reg g k_pkt 9, highest_reg g k_pkt_end 9
+  with
+  | Some pkt, Some end_ -> begin
       match get_reg g pkt with
       | G_pkt range when range >= 8 ->
         let dst = scratch_reg g in
-        let sz = Rng.choose g.rng [ Insn.B; Insn.H; Insn.W; Insn.DW ] in
+        let sz = Rng.pick g.rng sizes in
         let off = Rng.int g.rng (range - Insn.size_bytes sz + 1) in
         emit g (Asm.ldx sz dst pkt off);
         set_reg g dst G_scalar
@@ -389,10 +451,7 @@ let emit_packet_access (g : t) : unit =
 
 (* Pointer arithmetic on a map value with a masked scalar. *)
 let emit_ptr_arith (g : t) : unit =
-  match
-    Rng.choose_opt g.rng
-      (regs_where g (function G_map_value _ -> true | _ -> false))
-  with
+  match choose_reg g (regs_of_kinds g k_map_value) with
   | None -> ()
   | Some base ->
     let def =
@@ -453,10 +512,10 @@ let early_exit_seq (g : t) : Insn.t list =
    epilogue; occasionally probe the verifier by skipping it or by
    comparing against another pointer (the Bug#1 shape). *)
 let guard_nullable (g : t) (non_null : gstate) : unit =
-  let btf_regs = regs_where g (function G_btf _ -> true | _ -> false) in
+  let no_btf = regs_of_kinds g k_btf = 0 in
   match Rng.weighted g.rng
           [ (7, `Null_check); ((if g.safe then 0 else 3), `Skip);
-            ((if btf_regs = [] || g.safe then 0 else 3), `Btf_compare) ]
+            ((if no_btf || g.safe then 0 else 3), `Btf_compare) ]
   with
   | `Null_check ->
     let seq = early_exit_seq g in
@@ -467,7 +526,7 @@ let guard_nullable (g : t) (non_null : gstate) : unit =
     (* if r0 == r_btf goto +n ; <cleanup; exit> ; <equal path>:
        nullness propagation marks r0 non-null in the equal path, and
        the Listing 2 shape dereferences it right there *)
-    let btf = Rng.choose g.rng btf_regs in
+    let btf = Option.get (choose_reg g (regs_of_kinds g k_btf)) in
     let seq = early_exit_seq g in
     emits g (Asm.jmp_reg Insn.Jeq Insn.R0 btf (List.length seq) :: seq);
     set_reg g Insn.R0 non_null;
@@ -546,20 +605,16 @@ let setup_args (g : t) (args : Helper.arg list) : bool =
                emit g (Asm.mov64_imm r (Int32.of_int (1 + Rng.int g.rng 8)))
            end
          | Helper.Ctx -> begin
-             match
-               Rng.choose_opt g.rng
-                 (regs_where g (function G_ctx -> true | _ -> false))
-             with
+             match choose_reg g (regs_of_kinds g k_ctx) with
              | Some c -> emit g (Asm.mov64_reg r c)
              | None -> ok := false
            end
          | Helper.Btf_task -> begin
              match
-               Rng.choose_opt g.rng
-                 (regs_where g
-                    (function
-                      | G_btf d -> d.Btf.btf_name = "task_struct"
-                      | _ -> false))
+               choose_reg g
+                 (regs_where g (function
+                    | G_btf d -> d.Btf.btf_name = "task_struct"
+                    | _ -> false))
              with
              | Some b -> emit g (Asm.mov64_reg r b)
              | None ->
@@ -567,11 +622,10 @@ let setup_args (g : t) (args : Helper.arg list) : bool =
            end
          | Helper.Spin_lock -> begin
              match
-               Rng.choose_opt g.rng
-                 (regs_where g
-                    (function
-                      | G_map_value (_, d) -> d.Map.has_spin_lock
-                      | _ -> false))
+               choose_reg g
+                 (regs_where g (function
+                    | G_map_value (_, d) -> d.Map.has_spin_lock
+                    | _ -> false))
              with
              | Some v ->
                emit g (Asm.mov64_reg r v);
@@ -712,10 +766,7 @@ let kfunc_pattern (g : t) : unit =
     emit g (Asm.mov64_imm Insn.R1 (Int32.of_int (Rng.int g.rng 1024)));
     emit g (Asm.call_kfunc Helper.kfunc_obj_id.Helper.kid);
     clobber_caller_saved g G_scalar;
-    match
-      Rng.choose_opt g.rng
-        (regs_where g (function G_map_value _ -> true | _ -> false))
-    with
+    match choose_reg g (regs_of_kinds g k_map_value) with
     | Some base when Rng.chance g.rng 0.7 ->
       let def =
         match get_reg g base with
@@ -741,6 +792,32 @@ let kfunc_pattern (g : t) : unit =
     | _ -> ()
   end
 
+(* The helpers an [`Any_helper] call frame draws from, per (version,
+   program type), built once: lock pairing and reference release are
+   left to the dedicated patterns and the end section.  Read-only after
+   module initialization, so domains share it. *)
+let any_helper_table :
+  (Version.t * (Prog.prog_type * Helper.t array) list) list =
+  List.map
+    (fun version ->
+       ( version,
+         List.map
+           (fun pt ->
+              ( pt,
+                Helper.available ~version ~pt
+                |> List.filter (fun h ->
+                    h.Helper.name <> "spin_unlock"
+                    && h.Helper.name <> "ringbuf_submit"
+                    && h.Helper.name <> "ringbuf_discard"
+                    && h.Helper.name <> "ringbuf_reserve")
+                |> Array.of_list ))
+           Prog.all_prog_types ))
+    Version.all
+
+let any_helpers (version : Version.t) (pt : Prog.prog_type) :
+  Helper.t array =
+  List.assq pt (List.assq version any_helper_table)
+
 let emit_call_frame (g : t) ~(depth : int) : unit =
   match
     Rng.weighted g.rng
@@ -758,19 +835,11 @@ let emit_call_frame (g : t) ~(depth : int) : unit =
   | `Spin -> spin_pattern g
   | `Kfunc -> kfunc_pattern g
   | `Any_helper -> begin
-      let available =
-        Helper.available ~version:g.version ~pt:g.prog_type
-        |> List.filter (fun h ->
-            (* lock pairing and reference release are handled by
-               dedicated patterns / the end section *)
-            h.Helper.name <> "spin_unlock"
-            && h.Helper.name <> "ringbuf_submit"
-            && h.Helper.name <> "ringbuf_discard"
-            && h.Helper.name <> "ringbuf_reserve")
-      in
-      match Rng.choose_opt g.rng available with
-      | None -> ()
-      | Some h ->
+      let available = any_helpers g.version g.prog_type in
+      match Array.length available with
+      | 0 -> ()
+      | n ->
+        let h = available.(Rng.int g.rng n) in
         if setup_args g h.Helper.args then begin
           emit g (Asm.call h.Helper.id);
           let ret =
@@ -816,43 +885,34 @@ let emit_call_frame (g : t) ~(depth : int) : unit =
 
 (* -- Jump frame ----------------------------------------------------------- *)
 
+(* Join after a branch body: forget registers whose state diverged from
+   [saved], the state before it.  Each register is compared with its own
+   saved state only, so the file is updated in place. *)
+let join (g : t) (saved : gstate array) : unit =
+  for i = 0 to Array.length g.regs - 1 do
+    let s = g.regs.(i) and old = saved.(i) in
+    if s != old && s <> old then
+      g.regs.(i) <-
+        (if is_scalar s && is_scalar old then G_scalar else G_uninit)
+  done
+
 let rec emit_jump_frame (g : t) ~(depth : int) : unit =
   let fwd () =
     (* if <cond> goto +len(body); <body frames> *)
     let d = any_scalar g in
-    let cond =
-      Rng.choose g.rng
-        [ Insn.Jeq; Insn.Jne; Insn.Jgt; Insn.Jge; Insn.Jlt; Insn.Jle;
-          Insn.Jsgt; Insn.Jsge; Insn.Jset ]
-    in
+    let cond = Rng.pick g.rng fwd_conds in
     let placeholder = g.len in
     emit g (Asm.jmp_imm cond d (Int64.to_int32 (Rng.interesting g.rng)) 0);
     let before = g.len in
     let saved = Array.copy g.regs in
-    let saved_stack = Array.copy g.stack_init in
+    let saved_stack = Bytes.copy g.stack_init in
     emit_frames g ~depth:(depth + 1) ~n:(1 + Rng.int g.rng 2);
     let body_len = g.len - before in
     (* join: only stack slots initialized before the branch are
        guaranteed on both paths *)
     g.stack_init <- saved_stack;
-    (* join: forget registers whose state diverged *)
-    Array.iteri
-      (fun i s ->
-         if s <> saved.(i) then
-           g.regs.(i) <-
-             (if is_scalar s && is_scalar saved.(i) then G_scalar
-              else G_uninit))
-      (Array.copy g.regs);
-    (* patch the placeholder offset *)
-    g.code <-
-      List.mapi
-        (fun k insn ->
-           if k = g.len - 1 - placeholder then
-             match insn with
-             | Insn.Jmp j -> Insn.Jmp { j with off = body_len }
-             | other -> other
-           else insn)
-        g.code
+    join g saved;
+    patch_jump g placeholder body_len
   in
   let back () =
     (* bounded loop: r = 0; LOOP: body; r += 1; if r < K goto LOOP *)
@@ -862,13 +922,7 @@ let rec emit_jump_frame (g : t) ~(depth : int) : unit =
     let loop_start = g.len in
     let saved = Array.copy g.regs in
     emit_frames g ~depth:(depth + 1) ~n:1;
-    Array.iteri
-      (fun i s ->
-         if s <> saved.(i) then
-           g.regs.(i) <-
-             (if is_scalar s && is_scalar saved.(i) then G_scalar
-              else G_uninit))
-      (Array.copy g.regs);
+    join g saved;
     if get_reg g counter <> G_scalar && get_reg g counter <> G_uninit then
       ()
     else begin
@@ -893,11 +947,11 @@ let rec emit_jump_frame (g : t) ~(depth : int) : unit =
     emit g (Asm.mov64_imm counter 0l);
     set_reg g counter G_scalar;
     let pick_scratch (avoid : Insn.reg list) : Insn.reg option =
-      regs_where g (function G_uninit | G_scalar | G_const _ -> true
-                           | _ -> false)
-      |> List.filter
-           (fun r -> Insn.reg_to_int r >= 6 && not (List.mem r avoid))
-      |> Rng.choose_opt g.rng
+      let avoid =
+        List.fold_left (fun m r -> m lor (1 lsl Insn.reg_to_int r)) 0 avoid
+      in
+      choose_reg g
+        (regs_of_kinds g k_scratch land callee_saved land lnot avoid)
     in
     let acc = pick_scratch [ counter ] in
     (match acc with
@@ -922,10 +976,7 @@ let rec emit_jump_frame (g : t) ~(depth : int) : unit =
        of a map-value pointer and load through it.  The copy dies at
        the head, so the loop state still converges (a pointer CARRIED
        across the back edge would refuse to widen). *)
-    (match
-       Rng.choose_opt g.rng
-         (regs_where g (function G_map_value _ -> true | _ -> false))
-     with
+    (match choose_reg g (regs_of_kinds g k_map_value) with
      | Some base when Rng.chance g.rng 0.5 -> (
        match pick_scratch (counter :: Option.to_list acc) with
        | Some tmp ->
@@ -963,16 +1014,7 @@ let rec emit_jump_frame (g : t) ~(depth : int) : unit =
          counter (Int32.of_int k)
          (-(body_len + 1)));
     (match break_ph with
-     | Some ph ->
-       g.code <-
-         List.mapi
-           (fun idx insn ->
-              if idx = g.len - 1 - ph then
-                match insn with
-                | Insn.Jmp j -> Insn.Jmp { j with off = g.len - ph - 1 }
-                | other -> other
-              else insn)
-           g.code
+     | Some ph -> patch_jump g ph (g.len - ph - 1)
      | None -> ());
     set_reg g counter G_scalar
   in
@@ -1052,6 +1094,11 @@ let generate (rng : Rng.t) (cfg : config) : Verifier.request =
   let attach = pick_attach rng ~version:cfg.c_version prog_type in
   let offload = prog_type = Prog.Xdp && Rng.chance rng 0.1 in
   let big = Rng.chance rng 0.035 in
+  let budget =
+    (* occasional very large programs probe the syscall paths that only
+       misbehave above allocation limits (Bug#8) *)
+    if big then 500 + Rng.int rng 500 else 20 + Rng.int rng 60
+  in
   let g =
     {
       rng;
@@ -1059,15 +1106,13 @@ let generate (rng : Rng.t) (cfg : config) : Verifier.request =
       prog_type;
       maps = cfg.c_maps;
       regs = Array.make 10 G_uninit;
-      stack_init = Array.make 64 false;
-      code = [];
+      stack_init = Bytes.make 64 '\000';
+      (* frames overshoot the budget a little; rarely past this *)
+      code = Array.make (budget + 32) Insn.Exit;
       len = 0;
       lock_reg = None;
       ring_reg = None;
-      budget =
-        (* occasional very large programs probe the syscall paths that
-           only misbehave above allocation limits (Bug#8) *)
-        (if big then 500 + Rng.int rng 500 else 20 + Rng.int rng 60);
+      budget;
       safe = big;
     }
   in
@@ -1081,6 +1126,6 @@ let generate (rng : Rng.t) (cfg : config) : Verifier.request =
     emit_frames g ~depth:0 ~n:1
   done;
   emit_end_section g;
-  let insns = Insn.array_of_rev_list g.code in
+  let insns = Array.sub g.code 0 g.len in
   { Verifier.r_prog_type = prog_type; r_attach = attach;
     r_offload = offload; r_insns = insns }

@@ -24,6 +24,16 @@ val chance : t -> float -> bool
 val choose : t -> 'a list -> 'a
 val choose_opt : t -> 'a list -> 'a option
 
+val pick : t -> 'a array -> 'a
+(** [pick t a] = [choose t (Array.to_list a)], with the same draw.
+    @raise Invalid_argument on an empty array. *)
+
+val choose_bit : t -> int -> int
+(** [choose_bit t mask] (for [mask >= 0]) is the bit index
+    [choose_opt t l] would pick, [l] being the set bits of [mask] listed
+    highest first, and it makes the same draw; -1 (and no draw) when
+    [mask = 0].  Builds no list. *)
+
 val weighted : t -> (int * 'a) list -> 'a
 (** Weighted choice; zero-weight entries are never picked. *)
 

@@ -382,7 +382,7 @@ let record (t : tally) ~(sink : Telemetry.sink) ~(cache : Vcache.t)
   end;
   t.tl_requests <- seq + 1
 
-let tally_to_json ?id ?wall_s (t : tally) : string =
+let tally_to_json ?id ?wall_s ~(cache : Vcache.t) (t : tally) : string =
   let b = Buffer.create 320 in
   Buffer.add_char b '{';
   Option.iter
@@ -395,9 +395,10 @@ let tally_to_json ?id ?wall_s (t : tally) : string =
   let le = Bvf_util.Hist.count_le h and n = Bvf_util.Hist.total h in
   let q p = float_of_int (Bvf_util.Hist.quantile h p) /. 1e9 in
   Printf.bprintf b
-    "\"requests\":%d,\"invalid\":%d,\"admitted\":%d,\"rejected\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"verify_count\":%d,\"verify_p50_s\":%.6f,\"verify_p95_s\":%.6f,\"verify_le_100us\":%d,\"verify_le_1ms\":%d,\"verify_le_10ms\":%d,\"verify_gt_10ms\":%d"
+    "\"requests\":%d,\"invalid\":%d,\"admitted\":%d,\"rejected\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"cache_entries\":%d,\"cache_evictions\":%d,\"verify_count\":%d,\"verify_p50_s\":%.6f,\"verify_p95_s\":%.6f,\"verify_le_100us\":%d,\"verify_le_1ms\":%d,\"verify_le_10ms\":%d,\"verify_gt_10ms\":%d"
     t.tl_requests t.tl_invalid t.tl_admitted t.tl_rejected t.tl_hits
-    t.tl_misses n (q 50) (q 95) (le 100_000)
+    t.tl_misses (Vcache.length cache)
+    (Vcache.stats cache).Vcache.cs_evictions n (q 50) (q 95) (le 100_000)
     (le 1_000_000 - le 100_000)
     (le 10_000_000 - le 1_000_000)
     (n - le 10_000_000);
@@ -549,7 +550,7 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
     | exception Json.Parse -> answer (Error (None, malformed))
     | f when Json.bool f "metrics" = Some true ->
       reply
-        (tally_to_json
+        (tally_to_json ~cache
            ~id:(Option.value (Json.str f "id") ~default:"metrics") t)
     | f -> answer (parse_request f)
   in

@@ -129,9 +129,11 @@ val record :
     verdict events (seq = the valid-request index) and inserts a miss's
     verdict into [cache]. *)
 
-val tally_to_json : ?id:string -> ?wall_s:float -> tally -> string
+val tally_to_json :
+  ?id:string -> ?wall_s:float -> cache:Vcache.t -> tally -> string
 (** The one tally line (keys in docs/SERVICE.md; p50/p95 are
-    {!Bvf_util.Hist.quantile} bucket bounds).  With [id] it opens with
+    {!Bvf_util.Hist.quantile} bucket bounds), with the size and
+    eviction count of the session's [cache].  With [id] it opens with
     the id and ["metrics":true] (serve's metrics reply); with [wall_s]
     it ends with ["wall_s"] (batch's summary). *)
 

@@ -37,17 +37,26 @@ type class_histogram = {
 let empty_histogram =
   { alu = 0; jmp = 0; load = 0; store = 0; call = 0; other = 0 }
 
-let classify (h : class_histogram) (i : Insn.t) : class_histogram =
-  match i with
-  | Insn.Alu _ | Insn.Endian _ -> { h with alu = h.alu + 1 }
-  | Insn.Jmp _ | Insn.Ja _ -> { h with jmp = h.jmp + 1 }
-  | Insn.Ldx _ | Insn.Ld_imm64 _ -> { h with load = h.load + 1 }
-  | Insn.St _ | Insn.Stx _ | Insn.Atomic _ -> { h with store = h.store + 1 }
-  | Insn.Call _ -> { h with call = h.call + 1 }
-  | Insn.Exit -> { h with other = h.other + 1 }
+(* [h] plus the classes of [prog], counted in locals so a program costs
+   one record, not one per instruction. *)
+let add_histogram (h : class_histogram) (prog : Insn.t array) :
+  class_histogram =
+  let alu = ref h.alu and jmp = ref h.jmp and load = ref h.load
+  and store = ref h.store and call = ref h.call and other = ref h.other in
+  for pc = 0 to Array.length prog - 1 do
+    match Array.unsafe_get prog pc with
+    | Insn.Alu _ | Insn.Endian _ -> incr alu
+    | Insn.Jmp _ | Insn.Ja _ -> incr jmp
+    | Insn.Ldx _ | Insn.Ld_imm64 _ -> incr load
+    | Insn.St _ | Insn.Stx _ | Insn.Atomic _ -> incr store
+    | Insn.Call _ -> incr call
+    | Insn.Exit -> incr other
+  done;
+  { alu = !alu; jmp = !jmp; load = !load; store = !store; call = !call;
+    other = !other }
 
 let histogram (prog : Insn.t array) : class_histogram =
-  Array.fold_left classify empty_histogram prog
+  add_histogram empty_histogram prog
 
 let histogram_total h = h.alu + h.jmp + h.load + h.store + h.call + h.other
 

@@ -19,7 +19,10 @@ type class_histogram = {
 }
 
 val empty_histogram : class_histogram
-val classify : class_histogram -> Insn.t -> class_histogram
+val add_histogram : class_histogram -> Insn.t array -> class_histogram
+(** [h] plus the instruction classes of [prog], allocating one
+    record. *)
+
 val histogram : Insn.t array -> class_histogram
 val histogram_total : class_histogram -> int
 

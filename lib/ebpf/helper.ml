@@ -217,12 +217,19 @@ let public_helpers =
 
 let all = public_helpers @ internal_helpers
 
-let by_id : (int, t) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun h -> Hashtbl.replace tbl h.id h) all;
+(* Ids are small (the internal ones sit just above [asan_base]), so the
+   lookup is one index into a table built at module initialization and
+   never written after. *)
+let by_id : t option array =
+  let tbl =
+    Array.make (1 + List.fold_left (fun m h -> max m h.id) 0 all) None
+  in
+  List.iter (fun h -> tbl.(h.id) <- Some h) all;
   tbl
 
-let find (id : int) : t option = Hashtbl.find_opt by_id id
+let find (id : int) : t option =
+  if id >= 0 && id < Array.length by_id then Array.unsafe_get by_id id
+  else None
 
 let find_exn id =
   match find id with

@@ -163,7 +163,9 @@ let default (version : Version.t) : t =
 (* A fully fixed kernel: no injected bugs. *)
 let fixed (version : Version.t) : t = make version ~bugs:[]
 
-let has (t : t) (b : bug) : bool = List.mem b t.bugs
+(* Every [bug] is a constant constructor, so physical equality is
+   equality. *)
+let has (t : t) (b : bug) : bool = List.memq b t.bugs
 
 let with_bugs (t : t) (bugs : bug list) : t = { t with bugs }
 let with_sanitize (t : t) (sanitize : bool) : t = { t with sanitize }

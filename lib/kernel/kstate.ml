@@ -141,7 +141,11 @@ let try_map_create (t : t) (def : Map.def) : int option =
   if Failslab.should_fail t.failslab ~site:"map_create" then None
   else Some (map_create t def)
 
-let map_of_fd (t : t) (fd : int) : Map.t option = List.assoc_opt fd t.maps
+let rec map_in (fd : int) : (int * Map.t) list -> Map.t option = function
+  | [] -> None
+  | (fd', m) :: rest -> if fd' = fd then Some m else map_in fd rest
+
+let map_of_fd (t : t) (fd : int) : Map.t option = map_in fd t.maps
 
 let map_addr (t : t) (fd : int) : int64 option =
   match map_of_fd t fd with
@@ -151,8 +155,12 @@ let map_addr (t : t) (fd : int) : int64 option =
       (fun (addr, m') -> if m' == m then Some addr else None)
       t.map_addrs
 
-let map_of_addr (t : t) (addr : int64) : Map.t option =
-  List.assoc_opt addr t.map_addrs
+let rec map_at (addr : int64) : (int64 * Map.t) list -> Map.t option =
+  function
+  | [] -> None
+  | (a, m) :: rest -> if Int64.equal a addr then Some m else map_at addr rest
+
+let map_of_addr (t : t) (addr : int64) : Map.t option = map_at addr t.map_addrs
 
 (* -- BTF objects ------------------------------------------------------ *)
 

@@ -32,23 +32,35 @@ let poison_of_code = function
   | 0xFB -> Freed
   | _ -> Unallocated
 
-type t = { table : (int64, int) Hashtbl.t }
+(* Shadow codes keyed by granule number.  [Int64.div] by 8 maps every
+   address into the range of [int] and distinct granules to distinct
+   keys, so the table compares plain ints; a granule number is its own
+   hash, which spreads the runs of adjacent granules an allocation
+   marks over adjacent buckets. *)
+module Granules = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash (g : int) = g land max_int
+  end)
 
-let create () = { table = Hashtbl.create 4096 }
+type t = { table : int Granules.t }
 
-let granule_of (addr : int64) : int64 = Int64.div addr (Int64.of_int granule)
+let create () = { table = Granules.create 4096 }
+
+let granule_of (addr : int64) : int =
+  Int64.to_int (Int64.div addr (Int64.of_int granule))
 
 let code_at (t : t) (addr : int64) : int =
-  match Hashtbl.find_opt t.table (granule_of addr) with
+  match Granules.find_opt t.table (granule_of addr) with
   | Some c -> c
   | None -> code_of_poison Unallocated
 
 let poison_at (t : t) (addr : int64) : poison = poison_of_code (code_at t addr)
 
-let set_granule (t : t) (g : int64) (p : poison) : unit =
+let set_granule (t : t) (g : int) (p : poison) : unit =
   match p with
-  | Unallocated -> Hashtbl.remove t.table g
-  | _ -> Hashtbl.replace t.table g (code_of_poison p)
+  | Unallocated -> Granules.remove t.table g
+  | _ -> Granules.replace t.table g (code_of_poison p)
 
 (* Mark [size] bytes starting at [addr] as addressable.  [addr] must be
    granule-aligned (allocations in the simulated kernel always are); a
@@ -60,9 +72,9 @@ let unpoison (t : t) ~(addr : int64) ~(size : int) : unit =
   let rest = size mod granule in
   let g0 = granule_of addr in
   for i = 0 to full - 1 do
-    set_granule t (Int64.add g0 (Int64.of_int i)) Fully_addressable
+    set_granule t (g0 + i) Fully_addressable
   done;
-  if rest > 0 then set_granule t (Int64.add g0 (Int64.of_int full)) (Addressable rest)
+  if rest > 0 then set_granule t (g0 + full) (Addressable rest)
 
 (* Poison [size] bytes (rounded up to whole granules) with [p]. *)
 let poison (t : t) ~(addr : int64) ~(size : int) (p : poison) : unit =
@@ -71,7 +83,7 @@ let poison (t : t) ~(addr : int64) ~(size : int) (p : poison) : unit =
   let granules = (size + granule - 1) / granule in
   let g0 = granule_of addr in
   for i = 0 to granules - 1 do
-    set_granule t (Int64.add g0 (Int64.of_int i)) p
+    set_granule t (g0 + i) p
   done
 
 type violation = { bad_addr : int64; bad_poison : poison }

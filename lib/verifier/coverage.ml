@@ -22,16 +22,17 @@ type t = {
   memo_sites : string array;  (* direct-mapped memo over [interner]: *)
   memo_ids : int array;       (* call sites pass literal strings, so a
                                  pointer compare usually resolves the
-                                 site without hashing it *)
+                                 site without hashing it; -1 = empty *)
 }
 
 let variants_per_site = 256
-let memo_slots = 32
+let memo_slots = 128
 
 let create () =
   { interner = Hashtbl.create 256; next_site = 0;
     counts = Array.make (64 * variants_per_site) 0; distinct = 0;
-    memo_sites = Array.make memo_slots ""; memo_ids = Array.make memo_slots 0 }
+    memo_sites = Array.make memo_slots "";
+    memo_ids = Array.make memo_slots (-1) }
 
 (* Keep [counts] large enough for every edge of every interned site;
    growth is amortized over site interning, which is rare and cold. *)
@@ -44,17 +45,26 @@ let ensure_capacity (t : t) : unit =
     t.counts <- counts
   end
 
-(* Cheap deterministic slot for the memo — must not walk the string. *)
-let memo_slot (site : string) : int =
+(* Cheap deterministic slot for the memo — must not walk the string.
+   Length, first and last byte place every site name of the verifier in
+   a slot of its own (test_loadcost checks it), so a campaign never
+   hashes a name after its first hit.  The mask is the memo's own
+   length, which a map restored from an older checkpoint may have
+   smaller. *)
+let memo_slot (t : t) (site : string) : int =
   let len = String.length site in
   if len = 0 then 0
   else
-    (len * 4 + Char.code (String.unsafe_get site 0)) land (memo_slots - 1)
+    (len * 6 + Char.code (String.unsafe_get site 0)
+     + (Char.code (String.unsafe_get site (len - 1)) lsl 4))
+    land (Array.length t.memo_sites - 1)
 
 let site_id (t : t) (site : string) : int =
-  let slot = memo_slot site in
-  if Array.unsafe_get t.memo_sites slot == site then
-    Array.unsafe_get t.memo_ids slot
+  let slot = memo_slot t site in
+  let memo = Array.unsafe_get t.memo_sites slot
+  and memo_id = Array.unsafe_get t.memo_ids slot in
+  (* two call sites may pass equal names as distinct literals *)
+  if memo_id >= 0 && (memo == site || String.equal memo site) then memo_id
   else begin
     let id =
       match Hashtbl.find_opt t.interner site with

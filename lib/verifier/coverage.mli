@@ -12,13 +12,16 @@ type t = {
       (** edge id -> hit count, dense by construction (0 = never hit) *)
   mutable distinct : int;  (** non-zero entries in [counts] *)
   memo_sites : string array;
-      (** direct-mapped physical-equality memo over [interner] *)
-  memo_ids : int array;
+      (** direct-mapped memo over [interner], one slot per verifier site *)
+  memo_ids : int array;  (** the memo's site ids; -1 marks an empty slot *)
 }
 
 val create : unit -> t
 
 val variants_per_site : int
+
+val memo_slot : t -> string -> int
+(** The memo slot of a site name; every verifier site has its own. *)
 
 val site_id : t -> string -> int
 val edge_id : t -> string -> int -> int

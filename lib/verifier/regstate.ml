@@ -113,54 +113,61 @@ let const_value (r : t) : int64 option =
 (* -- Bounds bookkeeping (kernel __update_reg_bounds and friends) ------ *)
 
 (* The three bounds steps below return [r] itself when no field changes,
-   so a stable register costs [sync] no allocation. *)
+   so a stable register costs [sync] no allocation.  They bind each
+   bound on its own (no tuples) and compare unsigned through these
+   local helpers, so the intermediate words stay unboxed. *)
+
+let[@inline] ule (a : int64) (b : int64) : bool =
+  Int64.add a Int64.min_int <= Int64.add b Int64.min_int
+
+(* On a tie these return [a], the register's own (already boxed) field,
+   so a bound that does not move costs no box. *)
+let[@inline] umax_of (a : int64) (b : int64) : int64 =
+  if ule b a then a else b
+
+let[@inline] umin_of (a : int64) (b : int64) : int64 =
+  if ule a b then a else b
+
+let[@inline] smax_of (a : int64) (b : int64) : int64 = if b > a then b else a
+let[@inline] smin_of (a : int64) (b : int64) : int64 = if b < a then b else a
+
+let[@inline] with_bounds (r : t) (smin : int64) (smax : int64)
+    (umin : int64) (umax : int64) : t =
+  if smin = r.smin && smax = r.smax && umin = r.umin && umax = r.umax then r
+  else { r with smin; smax; umin; umax }
 
 (* Refresh min/max from var_off knowledge. *)
 let update_bounds (r : t) : t =
-  let tmin = Tnum.umin r.var_off and tmax = Tnum.umax r.var_off in
-  let umin = Word.umax r.umin tmin in
-  let umax = Word.umin r.umax tmax in
+  let tmin = r.var_off.Tnum.value in
+  let tmax = Int64.logor tmin r.var_off.Tnum.mask in
   (* signed bounds from tnum only when the sign bit is known *)
-  let smin, smax =
-    if Int64.logand r.var_off.Tnum.mask Int64.min_int = 0L then
-      (* sign bit known *)
-      (Word.smax r.smin tmin, Word.smin r.smax tmax)
-    else (r.smin, r.smax)
-  in
-  if smin = r.smin && smax = r.smax && umin = r.umin && umax = r.umax then r
-  else { r with smin; smax; umin; umax }
+  let sign_known = Int64.logand r.var_off.Tnum.mask Int64.min_int = 0L in
+  with_bounds r
+    (if sign_known then smax_of r.smin tmin else r.smin)
+    (if sign_known then smin_of r.smax tmax else r.smax)
+    (umax_of r.umin tmin) (umin_of r.umax tmax)
 
 (* Cross-deduce signed and unsigned bounds (kernel __reg_deduce_bounds,
    simplified to the sound core). *)
 let deduce_bounds (r : t) : t =
-  let smin, smax, umin, umax = r.smin, r.smax, r.umin, r.umax in
+  let smin = r.smin and smax = r.smax in
   (* if the signed range does not cross the sign boundary, it constrains
-     the unsigned range, and vice versa *)
-  let smin, smax, umin, umax =
-    if smin >= 0L then
-      (smin, smax, Word.umax umin smin, Word.umin umax smax)
-    else if smax < 0L then
-      (smin, smax, Word.umax umin smin, Word.umin umax smax)
-    else (smin, smax, umin, umax)
-  in
-  (* unsigned range entirely below the sign boundary constrains signed *)
-  let smin, smax =
-    if Word.ule umax Int64.max_int then
-      (Word.smax smin umin, Word.smin smax umax)
-    else if Word.uge umin Int64.min_int then
-      (* entirely above: as signed both negative *)
-      (Word.smax smin umin, Word.smin smax umax)
-    else (smin, smax)
-  in
-  if smin = r.smin && smax = r.smax && umin = r.umin && umax = r.umax then r
-  else { r with smin; smax; umin; umax }
+     the unsigned range *)
+  let one_sign = smin >= 0L || smax < 0L in
+  let umin = if one_sign then umax_of r.umin smin else r.umin in
+  let umax = if one_sign then umin_of r.umax smax else r.umax in
+  (* an unsigned range entirely below the sign boundary, or entirely
+     above it (as signed both negative), constrains the signed one *)
+  let one_half = ule umax Int64.max_int || ule Int64.min_int umin in
+  with_bounds r
+    (if one_half then smax_of smin umin else smin)
+    (if one_half then smin_of smax umax else smax)
+    umin umax
 
 (* Shrink var_off using the unsigned range. *)
 let bound_offset (r : t) : t =
-  let var_off =
-    Tnum.intersect r.var_off (Tnum.range ~min:r.umin ~max:r.umax)
-  in
-  if Tnum.equal var_off r.var_off then r else { r with var_off }
+  let var_off = Tnum.intersect_range r.var_off ~min:r.umin ~max:r.umax in
+  if var_off == r.var_off then r else { r with var_off }
 
 (* One propagation round is not a fixpoint: bound_offset can shrink
    var_off below the unsigned range (e.g. umin=1, umax=2 with
@@ -239,8 +246,8 @@ let reg_within ~(old : t) ~(cur : t) ~(bug3 : bool) : bool =
    harvested from the program under analysis, which is what lets a
    counted loop's exit test converge exactly at its bound. *)
 type thresholds = {
-  th_signed : int64 array;   (* sorted ascending, signed *)
-  th_unsigned : int64 array; (* sorted ascending, unsigned *)
+  th_signed : int64 array;   (* signed: least first, greatest last *)
+  th_unsigned : int64 array; (* unsigned: least first, greatest last *)
 }
 
 let signed_base =
@@ -249,28 +256,22 @@ let signed_base =
 
 let unsigned_base = [| 0L; 1L; 0xFFFF_FFFFL; -1L (* U64_MAX *) |]
 
-(* [base] and [consts] as one array sorted ascending under [cmp], with
-   duplicates dropped. *)
-let sorted_set cmp (base : int64 array) (consts : int64 array) :
+(* [base] and [consts] as one array, neither sorted nor deduplicated:
+   [th_floor] and [th_ceil] scan every element anyway.  They start from
+   the first and the last element, so [base]'s least element (its
+   first) stays first and its greatest (its last) goes last. *)
+let threshold_set (base : int64 array) (consts : int64 array) :
   int64 array =
   let nb = Array.length base and nc = Array.length consts in
-  let a = Array.make (nb + nc) 0L in
-  Array.blit base 0 a 0 nb;
-  Array.blit consts 0 a nb nc;
-  Array.sort cmp a;
-  let k = ref 1 in
-  for i = 1 to nb + nc - 1 do
-    if cmp a.(i) a.(!k - 1) <> 0 then begin
-      a.(!k) <- a.(i);
-      incr k
-    end
-  done;
-  if !k = nb + nc then a else Array.sub a 0 !k
+  let a = Array.make (nb + nc) base.(nb - 1) in
+  Array.blit base 0 a 0 (nb - 1);
+  Array.blit consts 0 a (nb - 1) nc;
+  a
 
 let thresholds_of_consts (consts : int64 array) : thresholds =
   {
-    th_signed = sorted_set Int64.compare signed_base consts;
-    th_unsigned = sorted_set Int64.unsigned_compare unsigned_base consts;
+    th_signed = threshold_set signed_base consts;
+    th_unsigned = threshold_set unsigned_base consts;
   }
 
 let mk_thresholds (consts : int64 list) : thresholds =
@@ -278,16 +279,24 @@ let mk_thresholds (consts : int64 list) : thresholds =
 
 let no_thresholds : thresholds = mk_thresholds []
 
-(* Largest threshold <= x / smallest >= x under [cmp].  The base sets
-   contain both extrema, so the searches always succeed. *)
+(* Largest threshold <= x / smallest >= x under [cmp].  The sets start
+   with the least value and end with the greatest, so the searches
+   always succeed. *)
 let th_floor (a : int64 array) cmp (x : int64) : int64 =
   let best = ref a.(0) in
-  Array.iter (fun t -> if cmp t x <= 0 && cmp t !best >= 0 then best := t) a;
+  for i = 1 to Array.length a - 1 do
+    let t = a.(i) in
+    if cmp t x <= 0 && cmp t !best >= 0 then best := t
+  done;
   !best
 
 let th_ceil (a : int64 array) cmp (x : int64) : int64 =
-  let best = ref a.(Array.length a - 1) in
-  Array.iter (fun t -> if cmp t x >= 0 && cmp t !best <= 0 then best := t) a;
+  let last = Array.length a - 1 in
+  let best = ref a.(last) in
+  for i = 0 to last - 1 do
+    let t = a.(i) in
+    if cmp t x >= 0 && cmp t !best <= 0 then best := t
+  done;
   !best
 
 (* Widen [old] against [cur], both scalars: any bound of [cur] that

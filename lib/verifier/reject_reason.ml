@@ -104,23 +104,15 @@ let describe = function
   | Env_failure -> "injected environment failure, not a verdict"
   | Unknown -> "unclassified rejection (taxonomy gap)"
 
-(* Substring search in place: [matches_at msg frag i j] compares
-   [frag] from byte [j] on with [msg] from byte [i + j] on.
-   [occurs_from] tries only positions [i <= last = n - m], so every
-   index stays inside [msg].  Both are top-level and tail-recursive, so
-   a search allocates nothing. *)
+(* In-place comparison: [matches_at msg frag i j] compares [frag] from
+   byte [j] on with [msg] from byte [i + j] on; the caller checks that
+   [frag] fits in [msg] from [i].  Top-level and tail-recursive, so it
+   allocates nothing. *)
 let rec matches_at (msg : string) (frag : string) (i : int) (j : int) :
   bool =
   j = String.length frag
   || (String.unsafe_get msg (i + j) = String.unsafe_get frag j
       && matches_at msg frag i (j + 1))
-
-let rec occurs_from (msg : string) (frag : string) (i : int) (last : int)
-  : bool =
-  i <= last && (matches_at msg frag i 0 || occurs_from msg frag (i + 1) last)
-
-let has (msg : string) (frag : string) : bool =
-  occurs_from msg frag 0 (String.length msg - String.length frag)
 
 (* Ordered pattern table: first match wins, so the more specific
    fragments ("uninitialized stack passed to helper") come before the
@@ -244,9 +236,56 @@ let patterns : (string * t) list =
     ("invalid access to", Oob_access);    (* BTF objects, by name *)
   ]
 
-let rec first_match (msg : string) : (string * t) list -> t = function
-  | [] -> Unknown
-  | (frag, r) :: rest -> if has msg frag then r else first_match msg rest
+(* The table indexed by first byte: [frags] and [reasons] in table
+   order, and [by_byte] the fragment indices grouped by first byte,
+   table order within a group; the group of byte [c] is
+   [by_byte.(starts.(c)) .. by_byte.(starts.(c + 1) - 1)].  Read-only
+   after module initialization. *)
+let frags : string array = Array.of_list (List.map fst patterns)
+let reasons : t array = Array.of_list (List.map snd patterns)
 
+let () =
+  assert (Array.for_all (fun f -> String.length f > 0) frags)
+
+let starts : int array =
+  let counts = Array.make 257 0 in
+  Array.iter
+    (fun f ->
+       let c = Char.code f.[0] + 1 in
+       counts.(c) <- counts.(c) + 1)
+    frags;
+  for c = 1 to 256 do
+    counts.(c) <- counts.(c) + counts.(c - 1)
+  done;
+  counts
+
+let by_byte : int array =
+  let next = Array.sub starts 0 256 in
+  let a = Array.make (Array.length frags) 0 in
+  Array.iteri
+    (fun k f ->
+       let c = Char.code f.[0] in
+       a.(next.(c)) <- k;
+       next.(c) <- next.(c) + 1)
+    frags;
+  a
+
+(* The first fragment in table order that occurs in [msg]: at each
+   position, try only the fragments starting with that byte and ranked
+   before the best match so far. *)
 let classify ~(msg : string) : t =
-  first_match msg patterns
+  let n = String.length msg in
+  let best = ref (Array.length frags) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get msg i) in
+    let k = ref (Array.unsafe_get starts c) in
+    let stop = Array.unsafe_get starts (c + 1) in
+    while !k < stop && Array.unsafe_get by_byte !k < !best do
+      let f = Array.unsafe_get by_byte !k in
+      let frag = Array.unsafe_get frags f in
+      if String.length frag <= n - i && matches_at msg frag i 1 then
+        best := f
+      else incr k
+    done
+  done;
+  if !best = Array.length frags then Unknown else reasons.(!best)

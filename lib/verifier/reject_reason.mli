@@ -61,4 +61,5 @@ val classify : msg:string -> t
 (** Recover the reason from a canonical rejection message (the format
     strings of the check_* modules).  Total: unmatched messages map to
     {!Unknown}, which the telemetry CI gate treats as a taxonomy bug.
-    Allocation-free: each fragment is compared in place. *)
+    Allocation-free: fragments are indexed by first byte, and each
+    candidate is compared in place. *)

@@ -29,23 +29,47 @@ let equal (a : t) (b : t) : bool = a.value = b.value && a.mask = b.mask
 let umin (t : t) : int64 = t.value
 let umax (t : t) : int64 = Int64.logor t.value t.mask
 
+(* fls64 of [chi > 0]: one more than the index of its highest set bit.
+   Below 2^62 the word fits an [int], so the search runs unboxed, by
+   halving, with no loop over all 64 bits. *)
+let[@inline] fls_pos (chi : int64) : int =
+  if Int64.shift_right_logical chi 62 <> 0L then 63
+  else begin
+    let x = ref (Int64.to_int chi) and n = ref 0 in
+    if !x lsr 32 <> 0 then (x := !x lsr 32; n := 32);
+    if !x lsr 16 <> 0 then (x := !x lsr 16; n := !n + 16);
+    if !x lsr 8 <> 0 then (x := !x lsr 8; n := !n + 8);
+    if !x lsr 4 <> 0 then (x := !x lsr 4; n := !n + 4);
+    if !x lsr 2 <> 0 then (x := !x lsr 2; n := !n + 2);
+    if !x lsr 1 <> 0 then (x := !x lsr 1; n := !n + 1);
+    !n + !x
+  end
+
+(* The mask of [range ~min ~max]: no unknown bit for one value, every
+   bit when the sign bit differs, else every bit up to the highest one
+   in which [min] and [max] differ. *)
+let[@inline] range_mask (min : int64) (max : int64) : int64 =
+  let chi = Int64.logxor min max in
+  if chi = 0L then 0L
+  else if chi < 0L then -1L
+  else Int64.sub (Int64.shift_left 1L (fls_pos chi)) 1L
+
 (* tnum_range: tightest tnum containing the unsigned range [min, max]. *)
 let range ~(min : int64) ~(max : int64) : t =
-  if min = max then const min
-  else begin
-    let chi = Int64.logxor min max in
-    (* fls64(chi) *)
-    let rec fls i = if i < 0 then 0 else
-        if Int64.logand (Int64.shift_right_logical chi i) 1L = 1L then i + 1
-        else fls (i - 1)
-    in
-    let bits = fls 63 in
-    if bits > 63 then unknown
-    else begin
-      let delta = Int64.sub (Int64.shift_left 1L bits) 1L in
-      { value = Int64.logand min (Int64.lognot delta); mask = delta }
-    end
-  end
+  let m = range_mask min max in
+  { value = Int64.logand min (Int64.lognot m); mask = m }
+
+(* [intersect t (range ~min ~max)], and [t] itself when that changes
+   nothing, so a stable register's bound refresh allocates nothing. *)
+let intersect_range (t : t) ~(min : int64) ~(max : int64) : t =
+  let m = range_mask min max in
+  let mask = Int64.logand t.mask m in
+  let value =
+    Int64.logand
+      (Int64.logor t.value (Int64.logand min (Int64.lognot m)))
+      (Int64.lognot mask)
+  in
+  if value = t.value && mask = t.mask then t else { value; mask }
 
 let lshift (t : t) (shift : int) : t =
   { value = Int64.shift_left t.value shift;

@@ -31,6 +31,10 @@ val range : min:int64 -> max:int64 -> t
 (** Tightest tnum containing the unsigned interval (kernel
     [tnum_range]). *)
 
+val intersect_range : t -> min:int64 -> max:int64 -> t
+(** [intersect t (range ~min ~max)]; [t] itself (physically) when the
+    range refines nothing. *)
+
 val lshift : t -> int -> t
 val rshift : t -> int -> t
 

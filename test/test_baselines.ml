@@ -63,7 +63,7 @@ let test_buzzer_insn_mix () =
   let hist = ref Disasm.empty_histogram in
   for _ = 1 to 300 do
     let req = Buzzer_gen.generate Buzzer_gen.Alu_jmp rng cfg in
-    hist := Array.fold_left Disasm.classify !hist req.Verifier.r_insns
+    hist := Disasm.add_histogram !hist req.Verifier.r_insns
   done;
   let ratio = Disasm.alu_jmp_ratio !hist in
   Alcotest.(check bool)

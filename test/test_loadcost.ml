@@ -10,10 +10,28 @@
    - per-pc tables: the [Hashtbl] jump-target set and back-edge map,
      on generated and mutated programs that pass [check_cfg];
    - thresholds: [List.sort_uniq] over the base sets and the harvested
-     branch constants;
+     branch constants, compared through the [th_floor]/[th_ceil]
+     answers (the set itself is no longer sorted);
    - aux seed: a sharded witness+lint campaign leaves the one shared
      seed record at its defaults;
-   - allocation: classifying a message allocates nothing. *)
+   - allocation: classifying a message allocates nothing.
+
+   The loop around the verifier is held to its replaced constructions
+   the same way:
+
+   - rng: a golden [Rng.next] stream, and [Rng.int] against
+     [Int64.unsigned_rem] on draws of either sign;
+   - generator: [Rng.choose_bit] and [Rng.pick] against [Rng.choose_opt]
+     / [Rng.choose] over the lists the generator used to build (same
+     pick, same stream position after);
+   - corpus: [Corpus.pick_entry] against [Rng.weighted] over the
+     [(energy, entry)] list;
+   - tnum: [Tnum.range] against the bit-by-bit fls loop;
+   - shadow: [Shadow] against an [int64]-keyed [Hashtbl];
+   - coverage memo: every site a campaign records owns its memo slot;
+   - allocation: generation costs a bounded number of words per
+     instruction whatever the program size, and a stable
+     [Regstate.sync] and [Rng.int] nothing. *)
 
 module Insn = Bvf_ebpf.Insn
 module Prog = Bvf_ebpf.Prog
@@ -34,6 +52,9 @@ module Selftests = Bvf_core.Selftests
 module Gen = Bvf_core.Gen
 module Mutate = Bvf_core.Mutate
 module Rng = Bvf_core.Rng
+module Corpus = Bvf_core.Corpus
+module Tnum = Bvf_verifier.Tnum
+module Shadow = Bvf_kernel.Shadow
 
 (* -- Classifier ------------------------------------------------------------ *)
 
@@ -295,7 +316,7 @@ let tables_see_loops () =
 
 (* -- Thresholds ---------------------------------------------------------------- *)
 
-(* The replaced construction. *)
+(* The replaced construction: sorted, without duplicates. *)
 let ref_thresholds (consts : int64 list) : Regstate.thresholds =
   let signed_base =
     [ Int64.min_int; Int64.of_int32 Int32.min_int; -1L; 0L; 1L;
@@ -307,6 +328,36 @@ let ref_thresholds (consts : int64 list) : Regstate.thresholds =
       Array.of_list
         (List.sort_uniq Int64.unsigned_compare (unsigned_base @ consts)) }
 
+(* Floor and ceiling read off a sorted array: the last element <= x,
+   the first element >= x. *)
+let sorted_floor (a : int64 array) cmp (x : int64) : int64 =
+  Array.fold_left (fun best t -> if cmp t x <= 0 then t else best) a.(0) a
+
+let sorted_ceil (a : int64 array) cmp (x : int64) : int64 =
+  Array.fold_right (fun t best -> if cmp t x >= 0 then t else best) a
+    a.(Array.length a - 1)
+
+(* [th] answers every floor and ceiling query as the sorted reference
+   does: at each reference element, its neighbours, the [int64]
+   extremes and [extra]. *)
+let same_answers ~(reference : Regstate.thresholds) ~(extra : int64 list)
+    (th : Regstate.thresholds) : bool =
+  let probes (a : int64 array) =
+    Array.to_list a
+    |> List.concat_map (fun e -> [ e; Int64.pred e; Int64.succ e ])
+    |> List.append (Int64.min_int :: Int64.max_int :: 0L :: extra)
+  in
+  let agree (got : int64 array) (want : int64 array) cmp =
+    List.for_all
+      (fun x ->
+         Regstate.th_floor got cmp x = sorted_floor want cmp x
+         && Regstate.th_ceil got cmp x = sorted_ceil want cmp x)
+      (probes want)
+  in
+  agree th.Regstate.th_signed reference.Regstate.th_signed Int64.compare
+  && agree th.Regstate.th_unsigned reference.Regstate.th_unsigned
+       Int64.unsigned_compare
+
 let gen_imm : int32 QCheck2.Gen.t =
   let open QCheck2.Gen in
   oneof
@@ -314,12 +365,20 @@ let gen_imm : int32 QCheck2.Gen.t =
       oneofl [ Int32.min_int; Int32.max_int; -1l; 0l; 1l; 4096l ];
       map Int32.of_int (int_range (-100_000) 100_000) ]
 
+let gen_int64 : int64 QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  map2
+    (fun hi lo -> Int64.logor (Int64.shift_left (Int64.of_int hi) 32)
+        (Int64.of_int lo))
+    (int_bound 0xFFFF_FFFF) (int_bound 0xFFFF_FFFF)
+
 (* A program branching on each immediate, then the thresholds the
    analyzer builds for it on demand. *)
 let thresholds_equal =
   QCheck2.Test.make ~count:1000 ~name:"lazy thresholds = reference"
-    QCheck2.Gen.(list_size (int_bound 12) gen_imm)
-    (fun imms ->
+    QCheck2.Gen.(pair (list_size (int_bound 12) gen_imm)
+                   (list_size (int_bound 8) gen_int64))
+    (fun (imms, extra) ->
        let insns =
          Array.of_list
            (List.map
@@ -340,9 +399,10 @@ let thresholds_equal =
                 Int64.logand (Int64.of_int32 i) 0xFFFF_FFFFL ])
            imms
        in
+       let reference = ref_thresholds consts in
        let built = Analyze.thresholds env in
-       built = ref_thresholds consts
-       && Regstate.mk_thresholds consts = ref_thresholds consts
+       same_answers ~reference ~extra built
+       && same_answers ~reference ~extra (Regstate.mk_thresholds consts)
        (* built once per load *)
        && Analyze.thresholds env == built)
 
@@ -379,7 +439,10 @@ let thresholds_lazy () =
   Alcotest.(check bool) "widened" true
     (counted.Venv.vst.Bvf_verifier.Vstats.vs_widen_rounds > 0);
   Alcotest.(check bool) "built at the first widening" true
-    (counted.Venv.thresholds = Some (ref_thresholds [ 1000L; 1000L ]))
+    (match counted.Venv.thresholds with
+     | Some th ->
+       same_answers ~reference:(ref_thresholds [ 1000L; 1000L ]) ~extra:[] th
+     | None -> false)
 
 (* -- The shared aux seed ------------------------------------------------------- *)
 
@@ -408,6 +471,359 @@ let seed_untouched () =
   Alcotest.(check bool) "witness" true
     (Option.is_none s.Venv.witness && Option.is_none f.Venv.witness)
 
+(* -- RNG ------------------------------------------------------------------------ *)
+
+(* The first draws of seeds 0 and 1, as the boxed-state splitmix64
+   produced them. *)
+let golden_stream () =
+  let check seed want =
+    let r = Rng.create seed in
+    Alcotest.(check (list int64)) (Printf.sprintf "seed %d" seed) want
+      (List.map (fun _ -> Rng.next r) want)
+  in
+  check 0
+    [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L;
+      8196980753821780235L; 8195237237126968761L; -4373826470845021568L ];
+  check 1
+    [ 3794132593329272276L; -4092049721421375212L; -6077746523346163431L;
+      6607567546518234071L; 6479202026397714383L; -1034765212816963262L ]
+
+(* The replaced [Rng.int]. *)
+let ref_int (r : Rng.t) (n : int) : int =
+  Int64.to_int (Int64.unsigned_rem (Rng.next r) (Int64.of_int n))
+
+let int_matches_unsigned_rem () =
+  let bounds =
+    [ 1; 2; 3; 7; 8; 10; 1000; 4097; 1 lsl 31; (1 lsl 40) + 3; max_int;
+      max_int - 1; (max_int / 3) + 1 ]
+  in
+  let seen_neg = ref 0 and seen_pos = ref 0 in
+  let probe = Rng.create 11 in
+  for _ = 1 to 20_000 do
+    let s = Rng.next probe in
+    let a = Rng.of_state s and b = Rng.of_state s in
+    (* the draw [Rng.int] is about to reduce *)
+    if Rng.next (Rng.of_state s) < 0L then incr seen_neg else incr seen_pos;
+    List.iter
+      (fun n ->
+         let got = Rng.int a n and want = ref_int b n in
+         if got <> want then
+           Alcotest.failf "state %Ld bound %d: %d, reference %d" s n got
+             want)
+      bounds;
+    if Rng.state a <> Rng.state b then Alcotest.fail "stream positions differ"
+  done;
+  Alcotest.(check bool) "draws with the sign bit set" true (!seen_neg > 1000);
+  Alcotest.(check bool) "draws with the sign bit clear" true
+    (!seen_pos > 1000)
+
+(* -- Generator selections --------------------------------------------------- *)
+
+(* The lists the generator built: the set bits of a register mask,
+   highest index first, as [regs_where] listed registers. *)
+let ref_bits_highest_first (mask : int) : int list =
+  List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init 62 Fun.id)
+  |> List.rev
+
+let choose_bit_matches =
+  QCheck2.Test.make ~count:3000 ~name:"choose_bit = choose_opt over list"
+    QCheck2.Gen.(pair (oneof [ int_bound 0x3FF; int_bound max_int ])
+                   (int_bound 1_000_000))
+    (fun (mask, seed) ->
+       let a = Rng.create seed and b = Rng.create seed in
+       let got = Rng.choose_bit a mask in
+       let want =
+         Option.value ~default:(-1)
+           (Rng.choose_opt b (ref_bits_highest_first mask))
+       in
+       got = want && Rng.state a = Rng.state b)
+
+let pick_matches =
+  QCheck2.Test.make ~count:1000 ~name:"pick = choose over list"
+    QCheck2.Gen.(pair (array_size (int_range 1 20) small_int)
+                   (int_bound 1_000_000))
+    (fun (arr, seed) ->
+       let a = Rng.create seed and b = Rng.create seed in
+       Rng.pick a arr = Rng.choose b (Array.to_list arr)
+       && Rng.state a = Rng.state b)
+
+(* -- Corpus pick -------------------------------------------------------------- *)
+
+let corpus_pick_matches =
+  QCheck2.Test.make ~count:300 ~name:"pick_entry = weighted list"
+    QCheck2.Gen.(pair (list_size (int_range 0 300)
+                         (pair (int_bound 40) (int_bound 5000)))
+                   (int_bound 1_000_000))
+    (fun (adds, seed) ->
+       let c = Corpus.create () in
+       let req = (Gen.generate (Rng.create seed) gen_cfg) in
+       List.iter
+         (fun (new_edges, iteration) -> Corpus.add c ~iteration ~new_edges req)
+         adds;
+       let a = Rng.create seed and b = Rng.create seed in
+       List.for_all
+         (fun _ ->
+            let got = Corpus.pick_entry c a in
+            let want =
+              match Corpus.entries c with
+              | [] -> None
+              | es ->
+                Some
+                  (Rng.weighted b (List.map (fun e -> (Corpus.energy e, e)) es))
+            in
+            (match got, want with
+             | None, None -> true
+             | Some x, Some y -> x == y
+             | _ -> false)
+            && Rng.state a = Rng.state b)
+         [ 1; 2; 3; 4; 5 ])
+
+(* -- Tnum.range ---------------------------------------------------------------- *)
+
+(* The replaced [tnum_range]: fls64 by a 64-step bit loop. *)
+let ref_range ~(min : int64) ~(max : int64) : Tnum.t =
+  if min = max then Tnum.const min
+  else begin
+    let chi = Int64.logxor min max in
+    let rec fls i =
+      if i < 0 then 0
+      else if Int64.logand (Int64.shift_right_logical chi i) 1L = 1L then
+        i + 1
+      else fls (i - 1)
+    in
+    let bits = fls 63 in
+    if bits > 63 then Tnum.unknown
+    else begin
+      let delta = Int64.sub (Int64.shift_left 1L bits) 1L in
+      { Tnum.value = Int64.logand min (Int64.lognot delta); mask = delta }
+    end
+  end
+
+(* Pairs whose xor [chi] lands in every band: small, at and above 2^62,
+   negative (the sign bit differs), and zero. *)
+let gen_range_pair : (int64 * int64) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* min = gen_int64 in
+  let* chi =
+    oneof
+      [ return 0L;
+        map Int64.of_int (int_range 1 1000);
+        map (fun k -> Int64.shift_left 1L k) (int_range 0 63);
+        map (fun x -> Int64.logor x 0x4000_0000_0000_0000L) gen_int64
+        |> map (fun x -> Int64.logand x Int64.max_int);
+        map (fun x -> Int64.logor x Int64.min_int) gen_int64;
+        gen_int64 ]
+  in
+  return (min, Int64.logxor min chi)
+
+let range_matches =
+  QCheck2.Test.make ~count:5000 ~name:"range = bit-loop fls"
+    ~print:(fun (a, b) -> Printf.sprintf "min=%Ld max=%Ld" a b)
+    gen_range_pair
+    (fun (min, max) ->
+       let t = { Tnum.value = Int64.logand min 0xF0F0L; mask = 0x0F0FL } in
+       let via_range = Tnum.intersect t (ref_range ~min ~max) in
+       let fused = Tnum.intersect_range t ~min ~max in
+       Tnum.equal (Tnum.range ~min ~max) (ref_range ~min ~max)
+       && Tnum.equal fused via_range
+       && (fused == t) = Tnum.equal via_range t)
+
+let range_bands () =
+  let chis =
+    [ 1L; 2L; 0x3FFF_FFFF_FFFF_FFFFL; 0x4000_0000_0000_0000L;
+      0x7FFF_FFFF_FFFF_FFFFL; Int64.min_int; -1L ]
+  in
+  List.iter
+    (fun chi ->
+       List.iter
+         (fun min ->
+            let max = Int64.logxor min chi in
+            if not (Tnum.equal (Tnum.range ~min ~max) (ref_range ~min ~max))
+            then Alcotest.failf "min=%Ld max=%Ld" min max)
+         [ 0L; 5L; Int64.min_int; Int64.max_int; -1L ])
+    chis
+
+(* -- Shadow -------------------------------------------------------------------- *)
+
+(* The replaced table: shadow codes keyed by the [int64] granule. *)
+module Ref_shadow = struct
+  let tbl : (int64, int) Hashtbl.t = Hashtbl.create 64
+  let granule a = Int64.div a 8L
+
+  let code = function
+    | Shadow.Fully_addressable -> 0
+    | Shadow.Addressable n -> n
+    | Shadow.Redzone -> 0xFA
+    | Shadow.Freed -> 0xFB
+    | Shadow.Unallocated -> 0xFE
+
+  let set g p =
+    match p with
+    | Shadow.Unallocated -> Hashtbl.remove tbl g
+    | _ -> Hashtbl.replace tbl g (code p)
+
+  let poison ~addr ~size p =
+    for i = 0 to ((size + 7) / 8) - 1 do
+      set (Int64.add (granule addr) (Int64.of_int i)) p
+    done
+
+  let unpoison ~addr ~size =
+    for i = 0 to (size / 8) - 1 do
+      set (Int64.add (granule addr) (Int64.of_int i)) Shadow.Fully_addressable
+    done;
+    if size mod 8 > 0 then
+      set (Int64.add (granule addr) (Int64.of_int (size / 8)))
+        (Shadow.Addressable (size mod 8))
+
+  let poison_at a =
+    match Hashtbl.find_opt tbl (granule a) with
+    | None | Some 0xFE -> Shadow.Unallocated
+    | Some 0 -> Shadow.Fully_addressable
+    | Some 0xFA -> Shadow.Redzone
+    | Some 0xFB -> Shadow.Freed
+    | Some n -> Shadow.Addressable n
+end
+
+let shadow_matches () =
+  Hashtbl.reset Ref_shadow.tbl;
+  let sh = Shadow.create () in
+  let rng = Rng.create 23 in
+  (* aligned bases near zero, in the kernel range, and at both ends of
+     the int64 range, where the granule number is furthest out *)
+  let bases =
+    [| 0L; 4096L; 0x4000_0000_0000L; 0x4000_0000_0400L;
+       Int64.logand (Int64.sub Int64.max_int 4095L) (-8L);
+       Int64.min_int; Int64.add Int64.min_int 512L; -4096L |]
+  in
+  let kinds =
+    [| Shadow.Redzone; Shadow.Freed; Shadow.Unallocated;
+       Shadow.Fully_addressable |]
+  in
+  for _ = 1 to 3000 do
+    let addr =
+      Int64.add (Rng.pick rng bases) (Int64.of_int (8 * Rng.int rng 64))
+    and size = Rng.int rng 80 in
+    if Rng.bool rng then begin
+      Shadow.unpoison sh ~addr ~size;
+      Ref_shadow.unpoison ~addr ~size
+    end
+    else begin
+      let p = Rng.pick rng kinds in
+      Shadow.poison sh ~addr ~size p;
+      Ref_shadow.poison ~addr ~size p
+    end
+  done;
+  Array.iter
+    (fun base ->
+       for k = -16 to 600 do
+         let a = Int64.add base (Int64.of_int k) in
+         if Shadow.poison_at sh a <> Ref_shadow.poison_at a then
+           Alcotest.failf "address %Ld: %s, reference %s" a
+             (Shadow.poison_to_string (Shadow.poison_at sh a))
+             (Shadow.poison_to_string (Ref_shadow.poison_at a))
+       done)
+    bases
+
+(* -- Coverage memo ------------------------------------------------------------- *)
+
+let memo_slots_distinct () =
+  let c =
+    Campaign.run_t ~seed:1 ~iterations:2000 Campaign.bvf_strategy
+      (Kconfig.default Version.Bpf_next)
+  in
+  let cov = c.Campaign.cov in
+  let sites =
+    List.sort_uniq compare
+      (List.map (fun ((site, _), _) -> site) (Coverage.named_edges cov))
+  in
+  Alcotest.(check bool) "campaign covers the verifier's sites" true
+    (List.length sites >= 30);
+  let owner = Hashtbl.create 64 in
+  List.iter
+    (fun site ->
+       let slot = Coverage.memo_slot cov site in
+       (match Hashtbl.find_opt owner slot with
+        | Some other ->
+          Alcotest.failf "sites %S and %S share memo slot %d" other site slot
+        | None -> Hashtbl.replace owner slot site);
+       (* each site still holds its slot at the end of the run *)
+       if cov.Coverage.memo_sites.(slot) <> site then
+         Alcotest.failf "memo slot %d of %S holds %S" slot site
+           cov.Coverage.memo_sites.(slot))
+    sites
+
+(* -- Allocation guards ---------------------------------------------------------- *)
+
+(* Mean minor words per emitted instruction, over the generated programs
+   whose length [keep] accepts.  Only the minor heap is counted: it is
+   exact and deterministic (the major counters move with collection
+   timing), and a rebuilt code list, the quadratic patching this
+   guards against, lives there. *)
+let gen_words_per_insn ~(seed : int) ~(count : int) (keep : int -> bool) :
+  float * int =
+  let rng = Rng.create seed in
+  let words = ref 0.0 and insns = ref 0 and progs = ref 0 in
+  for _ = 1 to count do
+    let before = Gc.minor_words () in
+    let req = Gen.generate rng gen_cfg in
+    let w = Gc.minor_words () -. before in
+    let n = Array.length req.Verifier.r_insns in
+    if keep n then begin
+      words := !words +. w;
+      insns := !insns + n;
+      incr progs
+    end
+  done;
+  (!words /. float_of_int (max 1 !insns), !progs)
+
+let gen_alloc_linear () =
+  (* budgets of 20-80 emit under 200 insns; budgets of 500-1000 over
+     400 *)
+  let small, n_small = gen_words_per_insn ~seed:4 ~count:3000 (fun n -> n < 200)
+  and big, n_big = gen_words_per_insn ~seed:4 ~count:3000 (fun n -> n >= 400) in
+  Alcotest.(check bool) "small programs generated" true (n_small > 2000);
+  Alcotest.(check bool) "large programs generated" true (n_big > 40);
+  if small > 40.0 then
+    Alcotest.failf "generation allocates %.1f words per insn" small;
+  if big > small then
+    Alcotest.failf
+      "large programs cost %.1f words per insn, small ones %.1f" big small
+
+let words_per_call (n : int) (f : unit -> unit) : float =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let sync_stable_alloc () =
+  let stable =
+    [ Regstate.scalar_range ~umin:3L ~umax:100L;
+      Regstate.const_scalar 42L;
+      Regstate.unknown_scalar;
+      Regstate.scalar_range ~umin:0L ~umax:0xFFFF_FFFFL;
+      Regstate.fp 0 ]
+  in
+  List.iter
+    (fun r ->
+       if Regstate.sync r != r then
+         Alcotest.failf "%s is not sync-stable" (Regstate.to_string r);
+       let w = words_per_call 10_000 (fun () -> ignore (Regstate.sync r)) in
+       if w >= 1.0 then
+         Alcotest.failf "sync of stable %s allocates %.1f words"
+           (Regstate.to_string r) w)
+    stable
+
+let rng_int_alloc () =
+  let r = Rng.create 9 in
+  let acc = ref 0 in
+  let w =
+    words_per_call 100_000 (fun () -> acc := !acc + Rng.int r 1000)
+  in
+  Alcotest.(check bool) "draws happened" true (!acc > 0);
+  if w >= 1.0 then Alcotest.failf "Rng.int allocates %.2f words per call" w
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bvf_loadcost"
@@ -427,4 +843,25 @@ let () =
       ( "aux seed",
         [ Alcotest.test_case "untouched by a sharded witness+lint campaign"
             `Quick seed_untouched ] );
+      ( "rng",
+        [ Alcotest.test_case "golden next stream" `Quick golden_stream;
+          Alcotest.test_case "int = unsigned_rem" `Quick
+            int_matches_unsigned_rem ] );
+      ( "generator",
+        [ qt choose_bit_matches; qt pick_matches ] );
+      ( "corpus", [ qt corpus_pick_matches ] );
+      ( "tnum",
+        [ qt range_matches;
+          Alcotest.test_case "range across chi bands" `Quick range_bands ] );
+      ( "shadow",
+        [ Alcotest.test_case "int keys = int64 Hashtbl" `Quick
+            shadow_matches ] );
+      ( "coverage memo",
+        [ Alcotest.test_case "one slot per campaign site" `Quick
+            memo_slots_distinct ] );
+      ( "allocation",
+        [ Alcotest.test_case "generation linear in insns" `Quick
+            gen_alloc_linear;
+          Alcotest.test_case "stable sync" `Quick sync_stable_alloc;
+          Alcotest.test_case "Rng.int" `Quick rng_int_alloc ] );
     ]

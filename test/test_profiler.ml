@@ -524,7 +524,8 @@ let test_serve_metrics_round_trip () =
           {|{"metrics":true}|} ]);
   let ic = open_in in_path in
   let oc = open_out out_path in
-  let cache = Vcache.create ~cap:64 in
+  (* one slot: the rejected program's verdict evicts the accepted one *)
+  let cache = Vcache.create ~cap:1 in
   let session = Service.create_session (Kconfig.fixed Version.Bpf_next) in
   let stats =
     Service.serve ~cache ~session ~stop:(fun () -> false) ic oc
@@ -567,6 +568,12 @@ let test_serve_metrics_round_trip () =
     (field m "cache_hits");
   Alcotest.(check (float 0.0)) "misses counted" 2.0
     (field m "cache_misses");
+  Alcotest.(check (float 0.0)) "fresh server: empty cache" 0.0
+    (field m0 "cache_entries");
+  Alcotest.(check (float 0.0)) "cache entries" 1.0
+    (field m "cache_entries");
+  Alcotest.(check (float 0.0)) "cache evictions" 1.0
+    (field m "cache_evictions");
   Alcotest.(check (float 0.0)) "verify latency per miss" 2.0
     (field m "verify_count");
   Alcotest.(check (float 0.0)) "histogram covers every verification"

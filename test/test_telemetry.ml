@@ -19,6 +19,7 @@ module Selftests = Bvf_core.Selftests
 module Triage = Bvf_core.Triage
 module Veristat = Bvf_core.Veristat
 module Service = Bvf_core.Service
+module Vcache = Bvf_core.Vcache
 module Vstats = Bvf_verifier.Vstats
 module Json = Bvf_util.Json
 module Prof = Bvf_util.Prof
@@ -274,15 +275,34 @@ let test_emitters_parse () =
   tally.Service.tl_misses <- 2;
   List.iter (Bvf_util.Hist.add tally.Service.tl_verify_ns)
     [ 100_000; 2_000_000 ];
+  (* three inserts into two slots: two entries, one eviction *)
+  let cache = Vcache.create ~cap:2 in
+  List.iter
+    (fun k ->
+       Vcache.insert cache k
+         { Vcache.cv_accepted = true; cv_insns = 1; cv_insn_processed = 1;
+           cv_errno = ""; cv_reason = None; cv_pc = 0; cv_msg = "";
+           cv_vlog = ""; cv_vstats = None })
+    [ "k1"; "k2"; "k3" ];
+  let metrics =
+    parse "metrics" (Service.tally_to_json ~id:weird ~cache tally)
+  and summary =
+    parse "batch summary" (Service.tally_to_json ~wall_s:0.25 ~cache tally)
+  and closing = parse "serve closing" (Service.tally_to_json ~cache tally) in
   Alcotest.(check (option string)) "metrics id" (Some weird)
-    (Json.str (parse "metrics" (Service.tally_to_json ~id:weird tally)) "id");
+    (Json.str metrics "id");
   Alcotest.(check (option (float 0.))) "batch summary wall" (Some 0.25)
-    (Json.num
-       (parse "batch summary" (Service.tally_to_json ~wall_s:0.25 tally))
-       "wall_s");
+    (Json.num summary "wall_s");
   Alcotest.(check (option (float 0.))) "serve closing line" (Some 3.)
-    (Json.num (parse "serve closing" (Service.tally_to_json tally))
-       "requests")
+    (Json.num closing "requests");
+  List.iter
+    (fun (what, fields) ->
+       Alcotest.(check (option (float 0.))) (what ^ " cache entries")
+         (Some 2.) (Json.num fields "cache_entries");
+       Alcotest.(check (option (float 0.))) (what ^ " cache evictions")
+         (Some 1.) (Json.num fields "cache_evictions"))
+    [ ("metrics", metrics); ("batch summary", summary);
+      ("serve closing", closing) ]
 
 let test_summarize_counts () =
   let s = Telemetry.summarize sample_events in
