@@ -298,6 +298,13 @@ let fuzz_cmd =
          --state-dir to resume)\n";
       exit 2
     end;
+    if workers > 0 && progress_every <> None then begin
+      Printf.eprintf
+        "bvf fuzz: --progress observes in-process runs only; --workers \
+         runs the campaign in forked processes (use --jobs for a live \
+         status line)\n";
+      exit 2
+    end;
     (* SIGINT/SIGTERM finish the in-flight iteration, write a final
        checkpoint where one is configured, flush telemetry and exit
        with the conventional 128+signal code *)

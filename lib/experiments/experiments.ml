@@ -625,9 +625,9 @@ let print_ablation (rows : ablation_row list) : unit =
 (* Sequential single-core throughput of the three pipeline hot paths:
    verification (the dominant campaign phase), pre-decoded execution,
    and the end-to-end campaign step.  Alongside wall-clock rates the
-   rows record minor-heap allocation per program (Gc.minor_words) —
-   the state-pool and decoded-executor work shows up there first — and
-   the campaign row pins the determinism digest, so a perf change that
+   rows record minor-heap allocation per program (Gc.minor_words), a
+   per-layer figure that only points at where time may go, and the
+   campaign row pins the determinism digest, so a perf change that
    accidentally alters behavior fails loudly in the regression gate. *)
 
 type hotpath_row = {

@@ -256,8 +256,7 @@ let push_frame (env : Venv.t) ~(pc : int) ~(target : int) : int =
   Venv.cov env "call:local" ~v:(Vstate.frame_count st);
   let caller = Vstate.cur_frame st in
   let callee =
-    Vstate.alloc_frame env.Venv.pool ~frameno:(Vstate.frame_count st)
-      ~callsite:(pc + 1)
+    Vstate.new_frame ~frameno:(Vstate.frame_count st) ~callsite:(pc + 1)
   in
   (* R1-R5 are passed; everything else starts uninitialized *)
   for i = 1 to 5 do
@@ -282,9 +281,7 @@ let pop_frame (env : Venv.t) ~(pc : int) : int =
   for i = 1 to 5 do
     caller.Vstate.regs.(i) <- Regstate.not_init
   done;
-  let resume = popped.Vstate.callsite in
-  Vstate.release_frame env.Venv.pool popped;
-  resume
+  popped.Vstate.callsite
 
 (* Main-program EXIT: return-range, reference and lock discipline. *)
 let check_main_exit (env : Venv.t) ~(pc : int) : unit =
@@ -319,14 +316,13 @@ let check_main_exit (env : Venv.t) ~(pc : int) : unit =
    that exhausts the per-insn entry budget can make no further
    convergence progress: that is the [Loop_unbounded] rejection,
    distinct from the zero-progress "infinite loop detected" one. *)
-let store_or_unroll (env : Venv.t) ~(pc : int) ~(psig : int)
+let store_or_unroll (env : Venv.t) ~(pc : int)
     ~(stored : Venv.explored_entry list) ~(looping : bool) : bool =
   Vstats.prune_miss env.Venv.vst;
   if List.length stored < Venv.max_explored_per_insn then begin
-    let snapshot = Vstate.copy ~pool:env.Venv.pool env.Venv.st in
     let e =
-      { Venv.e_state = snapshot; e_branches = 1; e_sig = psig;
-        e_fsig = Vstate.frame_sigs_stored snapshot; e_widens = 0 }
+      { Venv.e_state = Vstate.copy env.Venv.st; e_branches = 1;
+        e_widens = 0 }
     in
     env.Venv.explored.(pc) <- e :: stored;
     env.Venv.ancestors <- e :: env.Venv.ancestors;
@@ -357,12 +353,10 @@ let rec newest_ancestor (ancestors : Venv.explored_entry list)
     if List.memq e ancestors then Some e else newest_ancestor ancestors rest
 
 (* The first stored entry that subsumes the current state, skipping
-   ancestors older than [recent_anc].  Cheap necessary-condition
-   signatures front each full [states_equal] walk: most stored states
-   are dismissed on an integer compare.  Top-level and recursive, so a
+   ancestors older than [recent_anc].  Top-level and recursive, so a
    probe that misses allocates nothing. *)
 let rec find_subsuming (env : Venv.t)
-    ~(recent_anc : Venv.explored_entry option) ~(psig : int) ~(bug3 : bool)
+    ~(recent_anc : Venv.explored_entry option) ~(bug3 : bool)
     (stored : Venv.explored_entry list) : Venv.explored_entry option =
   match stored with
   | [] -> None
@@ -372,18 +366,10 @@ let rec find_subsuming (env : Venv.t)
       | Some r -> not (e == r) && List.memq e env.Venv.ancestors
       | None -> false
     in
-    if stale_ancestor then find_subsuming env ~recent_anc ~psig ~bug3 rest
-    else if
-      e.Venv.e_sig = psig
-      && Vstate.sigs_compatible ~stored:e.Venv.e_fsig env.Venv.st
-    then
-      if Vstate.states_equal ~old:e.Venv.e_state ~cur:env.Venv.st ~bug3
-      then Some e
-      else find_subsuming env ~recent_anc ~psig ~bug3 rest
-    else begin
-      Vstats.prune_hash_skip env.Venv.vst;
-      find_subsuming env ~recent_anc ~psig ~bug3 rest
-    end
+    if stale_ancestor then find_subsuming env ~recent_anc ~bug3 rest
+    else if Vstate.states_equal ~old:e.Venv.e_state ~cur:env.Venv.st ~bug3
+    then Some e
+    else find_subsuming env ~recent_anc ~bug3 rest
 
 let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int) (targets : Bytes.t)
     (heads : int array) : bool =
@@ -409,8 +395,7 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int) (targets : Bytes.t)
       if cert_b >= 0 then newest_ancestor env.Venv.ancestors stored
       else None
     in
-    let psig = Vstate.state_sig env.Venv.st in
-    match find_subsuming env ~recent_anc ~psig ~bug3 stored with
+    match find_subsuming env ~recent_anc ~bug3 stored with
     | Some e when e.Venv.e_branches > 0 ->
       if List.memq e env.Venv.ancestors then begin
         if via_back_edge then begin
@@ -444,7 +429,7 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int) (targets : Bytes.t)
              unrolling entry so the outer cycle either leaves the
              loop region, repeats at its own (uncertified) head, or
              exhausts the per-insn entry budget. *)
-          store_or_unroll env ~pc ~psig ~stored ~looping:true
+          store_or_unroll env ~pc ~stored ~looping:true
       end
       else
         (* equal to a sibling's in-progress state: pruning would be
@@ -482,7 +467,7 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int) (targets : Bytes.t)
           in
           let th = thresholds env in
           match
-            Vstate.widen_state ~pool:env.Venv.pool ~th ~force
+            Vstate.widen_state ~th ~force
               ~old:anc.Venv.e_state ~cur:env.Venv.st
           with
           | Some w ->
@@ -495,25 +480,21 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int) (targets : Bytes.t)
               pc anc.Venv.e_widens
             (if force then ", forced" else "");
             Vstats.widen_round env.Venv.vst;
-            Vstate.release env.Venv.pool anc.Venv.e_state;
             anc.Venv.e_state <- w;
-            anc.Venv.e_sig <- Vstate.state_sig w;
-            anc.Venv.e_fsig <- Vstate.frame_sigs_stored w;
             (* the walk continues from the widened state: the incoming
                (narrower) state is covered by it *)
-            Vstate.release env.Venv.pool env.Venv.st;
-            env.Venv.st <- Vstate.copy ~pool:env.Venv.pool w;
+            env.Venv.st <- Vstate.copy w;
             Venv.cov env "prune:widen";
             false
           | None ->
             (* structural divergence (pointer kind, frame shape): no
                sound widening exists; fall back to unrolling *)
-            store_or_unroll env ~pc ~psig ~stored ~looping:true
+            store_or_unroll env ~pc ~stored ~looping:true
         end
       | Some _ ->
         (* widening rounds exhausted without convergence *)
-        store_or_unroll env ~pc ~psig ~stored ~looping:true
-      | None -> store_or_unroll env ~pc ~psig ~stored ~looping:false
+        store_or_unroll env ~pc ~stored ~looping:true
+      | None -> store_or_unroll env ~pc ~stored ~looping:false
   end
 
 (* -- Main loop ----------------------------------------------------------- *)
@@ -556,11 +537,7 @@ let run (env : Venv.t) : unit =
         env.Venv.insn_processed;
     if pc < 0 || pc >= Array.length insns then
       Venv.reject env ~pc Venv.EINVAL "invalid program counter %d" pc;
-    if maybe_prune env ~pc ~from targets heads then begin
-      (* the pruned path's state is uniquely owned here: recycle it *)
-      Vstate.release env.Venv.pool env.Venv.st;
-      next_path ()
-    end
+    if maybe_prune env ~pc ~from targets heads then next_path ()
     else begin
       (* soundness sanitizer hooks: record the abstract register file
          this (non-pruned) visit runs under, and lint the whole state.
@@ -678,8 +655,6 @@ let run (env : Venv.t) : unit =
         else begin
           check_main_exit env ~pc;
           Venv.cov env "exit:ok";
-          (* finished path: its state is uniquely owned — recycle it *)
-          Vstate.release env.Venv.pool env.Venv.st;
           next_path ()
         end
     end

@@ -320,8 +320,8 @@ let check (env : Venv.t) ~(pc : int) ~(op32 : bool) (cond : Insn.cond)
     when p.maybe_null && (cond = Insn.Jeq || cond = Insn.Jne)
          && not op32 ->
     Venv.cov env "jmp:null_check";
-    (* one pooled copy: [cur] itself becomes the null branch *)
-    let nn_branch = Vstate.copy ~pool:env.Venv.pool cur in
+    (* one copy: [cur] itself becomes the null branch *)
+    let nn_branch = Vstate.copy cur in
     mark_ptr_or_null cur ~id:p.id ~null:true;
     mark_ptr_or_null nn_branch ~id:p.id ~null:false;
     if cond = Insn.Jeq then Both (cur, nn_branch)
@@ -345,25 +345,25 @@ let check (env : Venv.t) ~(pc : int) ~(op32 : bool) (cond : Insn.cond)
           match cond with
           | Insn.Jeq -> Fall_only cur
           | Insn.Jne -> Taken_only cur
-          | _ -> Both (Vstate.copy ~pool:env.Venv.pool cur, cur)
+          | _ -> Both (Vstate.copy cur, cur)
         end
       | _ -> begin
           match pkt_end_cmp cond d s_state with
           | Some (pkt, lte_in_true) ->
-            let taken = Vstate.copy ~pool:env.Venv.pool cur in
+            let taken = Vstate.copy cur in
             update_pkt_range env (if lte_in_true then taken else cur) pkt;
             Both (taken, cur)
           | None ->
             if (cond = Insn.Jeq || cond = Insn.Jne) && d_is_ptr && s_is_ptr
             then begin
               (* reg-to-reg equality: nullness propagation (Bug#1) *)
-              let taken = Vstate.copy ~pool:env.Venv.pool cur in
+              let taken = Vstate.copy cur in
               let equal_branch = if cond = Insn.Jeq then taken else cur in
               propagate_nullness env equal_branch d s_state;
               propagate_nullness env equal_branch s_state d;
               Both (taken, cur)
             end
-            else Both (Vstate.copy ~pool:env.Venv.pool cur, cur)
+            else Both (Vstate.copy cur, cur)
         end
     end
     else begin
@@ -395,7 +395,7 @@ let check (env : Venv.t) ~(pc : int) ~(op32 : bool) (cond : Insn.cond)
         (match refine_width ~op32 ~neg:false cond d s_state,
                refine_width ~op32 ~neg:true cond d s_state with
          | Some (td, ts), Some (fd, fs) ->
-           let taken_st = Vstate.copy ~pool:env.Venv.pool cur in
+           let taken_st = Vstate.copy cur in
            Both (apply taken_st td ts, apply cur fd fs)
          | Some (td, ts), None -> Taken_only (apply cur td ts)
          | None, Some (fd, fs) -> Fall_only (apply cur fd fs)

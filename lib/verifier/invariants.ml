@@ -167,7 +167,7 @@ let check_widen_state ~(pc : int) ~(th : Regstate.thresholds)
   if not (Vstate.states_equal ~old:widened ~cur ~bug3:false) then
     fail C_widen_extensive "widened state drops the incoming state";
   (match
-     Vstate.widen_state ~pool:Vstate.no_pool ~th ~force:false ~old:widened
+     Vstate.widen_state ~th ~force:false ~old:widened
        ~cur
    with
    | None ->

@@ -44,8 +44,6 @@ let verr_make ?reason (errno : errno) ~(pc : int) (vmsg : string) : verr =
 type explored_entry = {
   mutable e_state : Vstate.t;
   mutable e_branches : int; (* unfinished paths below this state *)
-  mutable e_sig : int; (* Vstate.state_sig of e_state: cheap pre-filter *)
-  mutable e_fsig : int array; (* per-frame stored-side signatures *)
   mutable e_widens : int; (* widening rounds applied at this loop head *)
 }
 
@@ -87,7 +85,6 @@ type t = {
   attach : Tracepoint.t option;
   insns : Insn.t array;
   aux : aux array;
-  pool : Vstate.pool; (* recycled states/frames; dies with this load *)
   mutable st : Vstate.t;
   (* worklist of (pc, from, state, ancestors): the pc of the jump the
      pending branch came from (certified loop heads use it to tell a
@@ -143,7 +140,6 @@ let create ~(kst : Kstate.t) ~(prog_type : Prog.prog_type)
     attach;
     insns;
     aux = Array.make (Array.length insns) aux_seed;
-    pool = Vstate.create_pool ();
     st = Vstate.initial ~ctx:Regstate.ctx_pointer;
     branch_stack = [];
     explored = Array.make (Array.length insns) [];

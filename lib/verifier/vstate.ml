@@ -9,18 +9,18 @@ open Vimport
    frame[MAX_CALL_FRAMES]), the per-byte stack classification is a
    [Bytes.t] so copies are a memcpy and the pruning comparison runs a
    word at a time, and spilled registers sit in a dense 64-slot option
-   array.
-   States and frames are recycled through an explicit pool (see
-   {!pool}) instead of being garbage after every branch.
+   array.  Every copy is a fresh allocation, and the pruning probe runs
+   [states_equal] on each stored state directly: a free list of
+   recycled states and a kind-signature pre-filter were measured to buy
+   no end-to-end time (DESIGN.md section 12).
 
    Live stack region: each frame's [lo] is the lowest stack index ever
    written on the frame's path (the kernel's allocated_stack, counted
    from the bottom).  Invariant: every byte below [lo] is [b_invalid]
    and every spill slot below [lo / 8] is [None]; a frame with nothing
-   written has [lo = stack_bytes].  Writes lower [lo]; resets, copies
-   and blits carry it and touch only the live region; the pruning walk
-   compares only [old.lo ..] because an invalid old byte accepts
-   anything.  Programs mostly touch the top of the 512 bytes, so the
+   written has [lo = stack_bytes].  Writes lower [lo]; copies carry it;
+   the pruning walk compares only [old.lo ..] because an invalid old
+   byte accepts anything.  Programs mostly touch the top of the 512 bytes, so the
    probe's stack walk shrinks to the words actually in use. *)
 
 (* Stack byte classification, one char per byte.  The codes matter only
@@ -58,27 +58,6 @@ let new_frame ~(frameno : int) ~(callsite : int) : frame =
   regs.(10) <- Regstate.fp frameno;
   { frameno; regs; stack = Bytes.make stack_bytes b_invalid;
     spills = Array.make spill_slots None; lo = stack_bytes; callsite }
-
-let reset_frame (f : frame) ~(frameno : int) ~(callsite : int) : unit =
-  f.frameno <- frameno;
-  f.callsite <- callsite;
-  Array.fill f.regs 0 11 Regstate.not_init;
-  f.regs.(10) <- Regstate.fp frameno;
-  let lo = f.lo in
-  Bytes.fill f.stack lo (stack_bytes - lo) b_invalid;
-  Array.fill f.spills (lo / 8) (spill_slots - (lo / 8)) None;
-  f.lo <- stack_bytes
-
-(* Copy over both live regions: [src]'s bytes between the two [lo]s are
-   invalid, and that is what [dst]'s must become. *)
-let blit_frame ~(src : frame) ~(dst : frame) : unit =
-  dst.frameno <- src.frameno;
-  dst.callsite <- src.callsite;
-  Array.blit src.regs 0 dst.regs 0 11;
-  let lo = min src.lo dst.lo in
-  Bytes.blit src.stack lo dst.stack lo (stack_bytes - lo);
-  Array.blit src.spills (lo / 8) dst.spills (lo / 8) (spill_slots - (lo / 8));
-  dst.lo <- src.lo
 
 let copy_frame (f : frame) : frame =
   { frameno = f.frameno; regs = Array.copy f.regs;
@@ -130,79 +109,13 @@ let pop_top_frame (t : t) : frame =
   t.nframes <- t.nframes - 1;
   f
 
-(* -- State/frame pool -------------------------------------------------- *)
-
-(* A free list of recycled states and frames, owned by one verification
-   environment (so it is domain-local and dies with the load).  Popped
-   callee frames, pruned paths and finished paths are released here and
-   re-blitted instead of re-allocated: per-branch cost drops from
-   "allocate 11 regs + 512 stack bytes + spill table per frame" to a
-   few memcpys into warm memory. *)
-type pool = {
-  mutable free_frames : frame list;
-  mutable free_states : t list;
-  p_enabled : bool;
-}
-
-(* Global toggle read at pool creation: the qcheck identity property
-   runs whole campaigns with pooling off and asserts equal digests. *)
-let pool_enabled : bool ref = ref true
-
-let create_pool () : pool =
-  { free_frames = []; free_states = []; p_enabled = !pool_enabled }
-
-(* Inert pool for callers without one (tests, tools): never mutated,
-   so sharing the value is domain-safe. *)
-let no_pool : pool = { free_frames = []; free_states = []; p_enabled = false }
-
-let alloc_frame (pool : pool) ~(frameno : int) ~(callsite : int) : frame =
-  match pool.free_frames with
-  | f :: rest when pool.p_enabled ->
-    pool.free_frames <- rest;
-    reset_frame f ~frameno ~callsite;
-    f
-  | _ -> new_frame ~frameno ~callsite
-
-let release_frame (pool : pool) (f : frame) : unit =
-  if pool.p_enabled then pool.free_frames <- f :: pool.free_frames
-
-(* Recycle a whole state.  Only safe when the caller uniquely owns it:
-   the analyzer releases exactly the abandoned current path (prune hit,
-   main exit) and popped callee frames — stored explored states and
-   pending branch-stack states stay live. *)
-let release (pool : pool) (t : t) : unit =
-  if pool.p_enabled then begin
-    for i = 0 to t.nframes - 1 do
-      pool.free_frames <- t.frames.(i) :: pool.free_frames
-    done;
-    t.nframes <- 0;
-    t.refs <- [];
-    t.active_lock <- None;
-    pool.free_states <- t :: pool.free_states
-  end
-
-let copy ?(pool = no_pool) (t : t) : t =
-  let dst =
-    if pool.p_enabled then
-      match pool.free_states with
-      | s :: rest ->
-        pool.free_states <- rest;
-        s
-      | [] -> empty_state ()
-    else empty_state ()
-  in
+let copy (t : t) : t =
+  let dst = empty_state () in
   dst.nframes <- t.nframes;
   dst.refs <- t.refs;
   dst.active_lock <- t.active_lock;
   for i = 0 to t.nframes - 1 do
-    let src = t.frames.(i) in
-    dst.frames.(i) <-
-      (match pool.free_frames with
-       | f :: rest when pool.p_enabled ->
-         pool.free_frames <- rest;
-         blit_frame ~src ~dst:f;
-         f
-       | _ -> copy_frame src)
+    dst.frames.(i) <- copy_frame t.frames.(i)
   done;
   dst
 
@@ -412,79 +325,6 @@ let states_equal ~(old : t) ~(cur : t) ~(bug3 : bool) : bool =
   && List.compare_lengths old.refs cur.refs = 0
   && frames_within old cur 0 bug3
 
-(* -- Pruning signatures ------------------------------------------------ *)
-
-(* A cheap necessary-condition filter in front of [states_equal]: most
-   pruning probes miss, and a miss should cost an integer compare, not
-   an 11-register / 512-byte walk.
-
-   This is NOT an equality hash — pruning is subsumption, so the filter
-   encodes only facts [states_equal] requires exactly: frame count,
-   lock/ref bookkeeping, per-frame callsite, and per-register kind
-   *compatibility*.  Each register contributes a 3-bit mask.  The
-   stored (old) side records which probe kinds [reg_within] could
-   accept: Not_init accepts anything (0b111), Scalar only Scalar
-   (0b010), Ptr only Ptr (0b100).  The probe (cur) side contributes its
-   own kind as a single bit.  A stored state can only subsume the probe
-   if [stored land probe] is non-zero in every register's group, so a
-   zero group anywhere proves [states_equal] false without looking at
-   bounds.  False positives (filter passes, [states_equal] says no) are
-   fine; false negatives are impossible by construction. *)
-
-(* bit 0 of each register's 3-bit group, registers 0..10 *)
-let sig_group_lsbs = 0o11111111111
-
-(* [not_init] is the group a Not_init register contributes: 0b111 on
-   the stored side (accepts any kind), 0b001 on the probe side. *)
-let frame_sig (f : frame) ~(not_init : int) : int =
-  let mask = ref 0 in
-  for i = 0 to 10 do
-    let bits =
-      match f.regs.(i).Regstate.kind with
-      | Regstate.Not_init -> not_init
-      | Regstate.Scalar -> 0b010
-      | Regstate.Ptr _ -> 0b100
-    in
-    mask := !mask lor (bits lsl (3 * i))
-  done;
-  ((f.callsite + 1) lsl 33) lor !mask
-
-let frame_sig_stored (f : frame) : int = frame_sig f ~not_init:0b111
-let frame_sig_probe (f : frame) : int = frame_sig f ~not_init:0b001
-
-(* Head signature: the cheap equalities of [states_equal].  Any
-   deterministic packing is sound (a collision only means the frame
-   walk runs and settles it). *)
-let state_sig (t : t) : int =
-  t.nframes
-  lor (List.length t.refs lsl 4)
-  lor (match t.active_lock with
-      | None -> 0
-      | Some id -> ((id land 0xFFFF) lor 0x10000) lsl 16)
-
-let frame_sigs_stored (t : t) : int array =
-  Array.init t.nframes (fun i -> frame_sig_stored t.frames.(i))
-
-(* Can a frame with stored signature [s] possibly subsume one with probe
-   signature [p]? *)
-let sig_compatible ~(stored : int) ~(probe : int) : bool =
-  stored lsr 33 = probe lsr 33
-  && (let m = stored land probe in
-      (m lor (m lsr 1) lor (m lsr 2)) land sig_group_lsbs = sig_group_lsbs)
-
-let rec frame_sigs_compatible (stored : int array) (cur : t) (i : int) :
-  bool =
-  i >= Array.length stored
-  || (sig_compatible ~stored:stored.(i) ~probe:(frame_sig_probe cur.frames.(i))
-      && frame_sigs_compatible stored cur (i + 1))
-
-(* Can a state with stored signatures possibly subsume [cur]?  The probe
-   side is computed frame by frame on the fly, so a dismissal
-   allocates nothing.  Caller guarantees equal frame counts (equal head
-   sigs). *)
-let sigs_compatible ~(stored : int array) (cur : t) : bool =
-  frame_sigs_compatible stored cur 0
-
 (* -- Widening (bounded-loop verification) ------------------------------ *)
 
 (* Widen a stored loop-head state [old] against an incoming state
@@ -501,53 +341,47 @@ let sigs_compatible ~(stored : int array) (cur : t) : bool =
    both sides widens as a register; a slot [old] tracked but [cur]
    lost degrades to untracked (its bytes are handled by the byte
    rule). *)
-let widen_state ~(pool : pool) ~(th : Regstate.thresholds)
-    ~(force : bool) ~(old : t) ~(cur : t) : t option =
+let widen_state ~(th : Regstate.thresholds) ~(force : bool) ~(old : t) ~(cur : t) : t option =
   if
     old.nframes <> cur.nframes
     || old.active_lock <> cur.active_lock
     || List.compare_lengths old.refs cur.refs <> 0
   then None
   else begin
-    let out = copy ~pool old in
-    let ok = ref true in
-    (try
-       for i = 0 to old.nframes - 1 do
-         let of_ = old.frames.(i)
-         and cf = cur.frames.(i)
-         and wf = out.frames.(i) in
-         if of_.callsite <> cf.callsite then raise Exit;
-         for r = 0 to 10 do
-           match
-             Regstate.widen ~th ~force ~old:of_.regs.(r) ~cur:cf.regs.(r)
-           with
-           | Some w -> wf.regs.(r) <- w
-           | None -> raise Exit
-         done;
-         (* below [of_.lo] the old side is invalid and unspilled, so
-            the join leaves the copy's bytes and slots as they are: the
-            widened frame keeps [of_.lo] *)
-         for b = of_.lo to stack_bytes - 1 do
-           let ob = Bytes.get of_.stack b and cb = Bytes.get cf.stack b in
-           if ob <> cb then
-             Bytes.set wf.stack b
-               (if ob = b_invalid || cb = b_invalid then b_invalid
-                else b_misc)
-         done;
-         for slot = of_.lo / 8 to spill_slots - 1 do
-           match of_.spills.(slot), cf.spills.(slot) with
-           | None, _ -> ()
-           | Some _, None -> wf.spills.(slot) <- None
-           | Some o, Some c -> (
-             match Regstate.widen ~th ~force ~old:o ~cur:c with
-             | Some w -> wf.spills.(slot) <- Some w
-             | None -> wf.spills.(slot) <- None)
-         done
-       done
-     with Exit -> ok := false);
-    if !ok then Some out
-    else begin
-      release pool out;
-      None
-    end
+    let out = copy old in
+    try
+      for i = 0 to old.nframes - 1 do
+        let of_ = old.frames.(i)
+        and cf = cur.frames.(i)
+        and wf = out.frames.(i) in
+        if of_.callsite <> cf.callsite then raise Exit;
+        for r = 0 to 10 do
+          match
+            Regstate.widen ~th ~force ~old:of_.regs.(r) ~cur:cf.regs.(r)
+          with
+          | Some w -> wf.regs.(r) <- w
+          | None -> raise Exit
+        done;
+        (* below [of_.lo] the old side is invalid and unspilled, so
+           the join leaves the copy's bytes and slots as they are: the
+           widened frame keeps [of_.lo] *)
+        for b = of_.lo to stack_bytes - 1 do
+          let ob = Bytes.get of_.stack b and cb = Bytes.get cf.stack b in
+          if ob <> cb then
+            Bytes.set wf.stack b
+              (if ob = b_invalid || cb = b_invalid then b_invalid
+               else b_misc)
+        done;
+        for slot = of_.lo / 8 to spill_slots - 1 do
+          match of_.spills.(slot), cf.spills.(slot) with
+          | None, _ -> ()
+          | Some _, None -> wf.spills.(slot) <- None
+          | Some o, Some c -> (
+            match Regstate.widen ~th ~force ~old:o ~cur:c with
+            | Some w -> wf.spills.(slot) <- Some w
+            | None -> wf.spills.(slot) <- None)
+        done
+      done;
+      Some out
+    with Exit -> None
   end

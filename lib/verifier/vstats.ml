@@ -38,16 +38,11 @@ type t = {
   mutable vs_branch_hwm : int;
       (* branch worklist high-water mark: the deepest the pending-path
          queue ever got *)
-  mutable vs_prune_hash_skips : int;
-      (* stored states dismissed by the cheap pruning signature without
-         running states_equal.  Deliberately NOT in [counters] (and so
-         not in any digest, JSON table or veristat baseline): it
-         measures the cost model of the comparison, not the analysis
-         result, and adding it to the canonical schema would break
-         [Veristat.of_json] on committed baselines. *)
   mutable vs_widen_rounds : int;
-      (* widening rounds applied at loop heads.  Outside [counters]
-         for the same frozen-schema reason as vs_prune_hash_skips;
+      (* widening rounds applied at loop heads.  Deliberately NOT in
+         [counters] (and so not in any digest, JSON table or veristat
+         baseline): adding it to the canonical schema would break
+         [Veristat.of_json] on committed baselines;
          [loops_detected] keeps its historical meaning (zero-progress
          infinite-loop rejections) untouched. *)
   mutable vs_loop_heads : int;
@@ -67,7 +62,6 @@ let zero () : t =
     vs_loops_detected = 0;
     vs_branch_depth = 0;
     vs_branch_hwm = 0;
-    vs_prune_hash_skips = 0;
     vs_widen_rounds = 0;
     vs_loop_heads = 0;
   }
@@ -91,9 +85,6 @@ let state_done (t : t) : unit =
 
 let prune_hit (t : t) : unit = t.vs_prune_hits <- t.vs_prune_hits + 1
 let prune_miss (t : t) : unit = t.vs_prune_misses <- t.vs_prune_misses + 1
-
-let prune_hash_skip (t : t) : unit =
-  t.vs_prune_hash_skips <- t.vs_prune_hash_skips + 1
 
 let loop_detected (t : t) : unit =
   t.vs_loops_detected <- t.vs_loops_detected + 1

@@ -25,15 +25,11 @@ type t = {
   mutable vs_branch_depth : int;  (** bookkeeping for [vs_branch_hwm] *)
   mutable vs_branch_hwm : int;
       (** pending-branch worklist high-water mark *)
-  mutable vs_prune_hash_skips : int;
-      (** stored states dismissed by the cheap pruning signature without
-          a full [states_equal] walk.  Not part of {!counters} — and so
-          of no digest, JSON table or veristat baseline: it measures the
-          comparison's cost model, not the analysis result, and the
-          canonical counter schema is frozen by committed baselines. *)
   mutable vs_widen_rounds : int;
-      (** widening rounds applied at loop heads.  Outside {!counters}
-          for the same frozen-schema reason as [vs_prune_hash_skips];
+      (** widening rounds applied at loop heads.  Not part of
+          {!counters} — and so of no digest, JSON table or veristat
+          baseline: the canonical counter schema is frozen by committed
+          baselines;
           [vs_loops_detected] keeps its historical meaning
           (zero-progress infinite-loop rejections). *)
   mutable vs_loop_heads : int;
@@ -58,10 +54,6 @@ val state_done : t -> unit
 
 val prune_hit : t -> unit
 val prune_miss : t -> unit
-
-val prune_hash_skip : t -> unit
-(** A stored state failed the cheap pruning-signature filter (so
-    [states_equal] never ran against it). *)
 
 val loop_detected : t -> unit
 

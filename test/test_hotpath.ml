@@ -1,17 +1,12 @@
-(* Hot-path regression properties: the perf work (state pool, prune
-   signatures, decoded executor) must be behavior-preserving, and the
+(* Hot-path regression properties: the perf work on the verifier's
+   state and the executor must be behavior-preserving, and the
    narrow-load fix it uncovered must stay fixed.
 
-   - pooling identity: a campaign with state/frame recycling disabled
-     produces the same digest as the pooled default — recycling warm
-     memory never leaks state between paths;
-   - prune-signature soundness: the cheap filter in front of
-     [Vstate.states_equal] has no false negatives — whenever the full
-     walk would prune, the signatures let it run;
    - live stack region: every frame operation keeps [Vstate.frame.lo]
-     a sound bound (nothing written below it), and [states_equal],
-     which only walks [old.lo ..], agrees with a full 512-byte
-     comparison;
+     a sound bound (nothing written below it), [states_equal], which
+     only walks [old.lo ..], agrees with a full 512-byte comparison,
+     and writing to a copy (or widening one) leaves its source
+     unchanged;
    - no forced minor collection: loading, rewriting, executing and
      generating a large program builds its arrays without the stdlib
      builders that empty the minor heap first;
@@ -36,103 +31,6 @@ module Loader = Bvf_runtime.Loader
 module Campaign = Bvf_core.Campaign
 module Gen = Bvf_core.Gen
 module Rng = Bvf_core.Rng
-
-(* -- Pooling identity ----------------------------------------------------- *)
-
-let campaign_digest () =
-  let config = Kconfig.default Version.Bpf_next in
-  Campaign.digest (Campaign.run ~seed:7 ~iterations:800 Campaign.bvf_strategy config)
-
-let pool_identity () =
-  let pooled = campaign_digest () in
-  Vstate.pool_enabled := false;
-  let unpooled =
-    Fun.protect
-      ~finally:(fun () -> Vstate.pool_enabled := true)
-      campaign_digest
-  in
-  Alcotest.(check string) "pool on/off digests" pooled unpooled
-
-(* -- Prune-signature soundness -------------------------------------------- *)
-
-(* Random register values of every kind the signature distinguishes. *)
-let gen_reg : Regstate.t QCheck2.Gen.t =
-  let open QCheck2.Gen in
-  oneof
-    [
-      return Regstate.not_init;
-      return Regstate.unknown_scalar;
-      map (fun v -> Regstate.const_scalar (Int64.of_int v)) small_int;
-      map
-        (fun (a, b) ->
-           let a = Int64.of_int a and b = Int64.of_int b in
-           Regstate.scalar_range ~umin:(min a b) ~umax:(max a b))
-        (pair small_int small_int);
-      return (Regstate.fp 0);
-      return Regstate.ctx_pointer;
-    ]
-
-(* A probe state plus a stored state that subsumes it by construction:
-   per register, keep the probe value, or widen it (any scalar to the
-   unknown scalar, anything to uninitialized — both accepted by
-   [Regstate.reg_within]).  Stacks, refs and locks stay empty/equal. *)
-let gen_subsumed_pair : (Vstate.t * Vstate.t) QCheck2.Gen.t =
-  let open QCheck2.Gen in
-  let* frames = int_range 1 2 in
-  let* regs = array_size (return ((11 * frames) + 1)) gen_reg in
-  let* widen = array_size (return ((11 * frames) + 1)) (int_range 0 2) in
-  let build () =
-    let st = Vstate.initial ~ctx:Regstate.ctx_pointer in
-    if frames = 2 then
-      Vstate.push_top_frame st (Vstate.new_frame ~frameno:1 ~callsite:5);
-    st
-  in
-  let cur = build () and old = build () in
-  let k = ref 0 in
-  Vstate.iter_frames cur (fun f ->
-      for i = 0 to 10 do
-        f.Vstate.regs.(i) <- regs.(!k);
-        incr k
-      done);
-  let k = ref 0 in
-  Vstate.iter_frames old (fun f ->
-      for i = 0 to 10 do
-        let v = regs.(!k) in
-        f.Vstate.regs.(i) <-
-          (match widen.(!k) with
-           | 0 -> v
-           | 1 when Regstate.is_scalar v -> Regstate.unknown_scalar
-           | 1 -> v
-           | _ -> Regstate.not_init);
-        incr k
-      done);
-  return (old, cur)
-
-(* No false negatives: whenever the full walk says "prune", the cheap
-   filter must have let it through.  The generator makes subsumption
-   hold by construction, so the property is exercised on every case,
-   not vacuously. *)
-let prune_sig_sound =
-  QCheck2.Test.make ~count:2000 ~name:"prune signatures never veto states_equal"
-    gen_subsumed_pair
-    (fun (old, cur) ->
-       let equal = Vstate.states_equal ~old ~cur ~bug3:false in
-       if not equal then
-         QCheck2.Test.fail_reportf
-           "generator broke subsumption (frames=%d)" (Vstate.frame_count cur);
-       let stored = Vstate.frame_sigs_stored old in
-       let per_frame = ref true in
-       Array.iteri
-         (fun i s ->
-            if
-              not
-                (Vstate.sig_compatible ~stored:s
-                   ~probe:(Vstate.frame_sig_probe cur.Vstate.frames.(i)))
-            then per_frame := false)
-         stored;
-       Vstate.state_sig old = Vstate.state_sig cur
-       && !per_frame
-       && Vstate.sigs_compatible ~stored cur)
 
 (* -- Live stack region ----------------------------------------------------- *)
 
@@ -231,40 +129,41 @@ let ref_states_equal (o : Vstate.t) (c : Vstate.t) : bool =
 let gen_stack_case =
   let open QCheck2.Gen in
   let ops n = list_size (int_range 0 n) gen_stack_op in
-  tup5 (int_range 1 2) (ops 12) (ops 24) (ops 6) (ops 6)
+  tup4 (int_range 1 2) (ops 24) (ops 6) (ops 6)
+
+(* Mutual subsumption under the reference walk: the two states agree. *)
+let same (a : Vstate.t) (b : Vstate.t) : bool =
+  ref_states_equal a b && ref_states_equal b a
 
 let stack_lo_exact =
   QCheck2.Test.make ~count:1000
     ~name:"live stack region is a sound bound and pruning stays exact"
     gen_stack_case
-    (fun (frames, junk_ops, base_ops, old_ops, cur_ops) ->
-       let pool = Vstate.create_pool () in
+    (fun (frames, base_ops, old_ops, cur_ops) ->
        let build ops =
          let st = Vstate.initial ~ctx:Regstate.ctx_pointer in
          if frames = 2 then
-           Vstate.push_top_frame st
-             (Vstate.new_frame ~frameno:1 ~callsite:5);
-         apply_ops st ops;
+           Vstate.push_top_frame st (Vstate.new_frame ~frameno:1 ~callsite:5);
+         List.iter (apply_ops st) ops;
          st
        in
-       (* dirty frames in the pool: the copies below reuse them *)
-       let junk = build junk_ops in
-       Vstate.release pool (build (junk_ops @ base_ops));
-       Vstate.release pool junk;
-       let base = build base_ops in
-       let old = Vstate.copy ~pool base in
+       let base = build [ base_ops ] in
+       let old = Vstate.copy base in
        apply_ops old old_ops;
-       let cur = Vstate.copy ~pool base in
+       let cur = Vstate.copy base in
        apply_ops cur cur_ops;
-       (* blit into a dirty frame, and reset another *)
-       let blitted = (build junk_ops).Vstate.frames.(0) in
-       Vstate.blit_frame ~src:cur.Vstate.frames.(0) ~dst:blitted;
-       let reset = (build junk_ops).Vstate.frames.(0) in
-       Vstate.reset_frame reset ~frameno:0 ~callsite:(-1);
+       (* a copy shares no mutable storage with its source: the
+          references are built afresh, not copied *)
+       if not (same base (build [ base_ops ])) then
+         QCheck2.Test.fail_report "writing to a copy changed its source";
        let widened =
-         Vstate.widen_state ~pool ~th:Regstate.no_thresholds ~force:true
-           ~old ~cur
+         Vstate.widen_state ~th:Regstate.no_thresholds ~force:true ~old ~cur
        in
+       if
+         not
+           (same old (build [ base_ops; old_ops ])
+            && same cur (build [ base_ops; cur_ops ]))
+       then QCheck2.Test.fail_report "widening changed one of its inputs";
        let states = [ base; old; cur ] @ Option.to_list widened in
        let pairs =
          [ (old, cur); (cur, old); (base, cur); (cur, base) ]
@@ -274,13 +173,6 @@ let stack_lo_exact =
        in
        if not (List.for_all state_lo_invariant states) then
          QCheck2.Test.fail_report "a state breaks the lo invariant";
-       if not (lo_invariant blitted && lo_invariant reset) then
-         QCheck2.Test.fail_report "blit_frame/reset_frame break the invariant";
-       if reset.Vstate.lo <> Vstate.stack_bytes then
-         QCheck2.Test.fail_report "reset_frame leaves a live region";
-       if Bytes.compare blitted.Vstate.stack cur.Vstate.frames.(0).Vstate.stack
-          <> 0
-       then QCheck2.Test.fail_report "blit_frame copies a different stack";
        List.for_all
          (fun (o, c) ->
             Vstate.states_equal ~old:o ~cur:c ~bug3:false = ref_states_equal o c)
@@ -441,16 +333,12 @@ let counter_schema () =
          (Printf.sprintf "%s outside the frozen schema" name)
          false
          (List.mem name Vstats.counter_names))
-    [ "widen_rounds"; "loop_heads"; "prune_hash_skips" ]
+    [ "widen_rounds"; "loop_heads" ]
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bvf_hotpath"
     [
-      ( "state pool",
-        [ Alcotest.test_case "pool on/off campaign digests equal" `Slow
-            pool_identity ] );
-      ("prune signatures", [ qt prune_sig_sound ]);
       ("live stack region", [ qt stack_lo_exact ]);
       ( "minor heap",
         [ Alcotest.test_case "no forced minor collection per program" `Quick

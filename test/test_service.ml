@@ -4,7 +4,9 @@
    treats damaged files as errors, and its keys are pinned; batches
    are deterministic across --jobs; the JSONL codec round-trips,
    decodes hex as a plain reference model does and echoes non-ASCII
-   ids as UTF-8; the serve loop answers every kind of line once; the
+   ids as UTF-8; the serve loop answers every kind of line once, and
+   any line at all (mutated, random, truncated, deeply nested, raw
+   NUL and non-UTF-8 bytes, oversized) with one id-carrying object; the
    service telemetry events round-trip and aggregate; an unreadable
    directory entry is an error line; the tally's size is fixed. *)
 
@@ -584,6 +586,128 @@ let test_unicode_ids_echoed () =
          (Json.str (Json.parse_object line) "id"))
     cases lines
 
+(* -- request-path property ------------------------------------------------- *)
+
+let hex_of_string (s : string) : string =
+  String.to_seq s
+  |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+  |> List.of_seq |> String.concat ""
+
+let string_of_hex (h : string) : string =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let request_line ~(id : string) ~(prog_type : string) (hex : string) : string =
+  Printf.sprintf {|{"id":"%s","prog_type":"%s","prog":"%s"}|} id prog_type hex
+
+(* Wire bytes of the corpus programs the mutations start from. *)
+let corpus_wire : string list =
+  List.map
+    (fun (r : Verifier.request) ->
+       let line = Service.request_to_json { Service.q_id = "q"; q_req = r } in
+       string_of_hex (Option.get (Json.str (Json.parse_object line) "prog")))
+    (rejected_req :: corpus ~n:24 ())
+
+(* One input line of every shape a client can send: mutated and random
+   programs, truncated and deeply nested lines, raw NUL and non-UTF-8
+   bytes, an oversized prog, blanks.  No line holds a newline, so each
+   is one line of the serve input. *)
+let gen_request_line : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let prog_type =
+    oneofl (List.map Prog.prog_type_to_string Prog.all_prog_types)
+  in
+  let valid =
+    let* wire = oneofl corpus_wire and* prog_type = prog_type in
+    return (request_line ~id:"v" ~prog_type (hex_of_string wire))
+  in
+  let mutated =
+    let* wire = oneofl corpus_wire
+    and* edits = list_size (int_range 1 4) (pair nat (int_bound 255))
+    and* prog_type = prog_type in
+    let b = Bytes.of_string wire in
+    List.iter
+      (fun (at, v) -> Bytes.set b (at mod Bytes.length b) (Char.chr v))
+      edits;
+    return
+      (request_line ~id:"mut" ~prog_type (hex_of_string (Bytes.to_string b)))
+  in
+  let random_prog =
+    let* wire = string_size ~gen:char (int_range 8 96)
+    and* prog_type = prog_type in
+    return (request_line ~id:"rand" ~prog_type (hex_of_string wire))
+  in
+  let truncated =
+    let* line = valid and* at = nat in
+    return (String.sub line 0 (at mod String.length line))
+  in
+  let deep =
+    oneofl
+      [ {|{"id":"deep","x":|} ^ String.concat "" (List.init 600 (fun _ -> {|{"a":|}))
+        ^ "1" ^ String.make 601 '}';
+        {|{"id":"arr","prog":|} ^ String.make 600 '[' ^ String.make 600 ']'
+        ^ "}";
+        String.make 600 '{' ]
+  in
+  let raw_bytes =
+    let* line = valid
+    and* inserts =
+      list_size (int_range 1 3)
+        (pair nat (oneofl [ '\000'; '\xff'; '\xfe'; '\xc3'; '\x80' ]))
+    in
+    return
+      (List.fold_left
+         (fun l (at, c) ->
+            let at = at mod (String.length l + 1) in
+            String.sub l 0 at ^ String.make 1 c
+            ^ String.sub l at (String.length l - at))
+         line inserts)
+  in
+  let oversized =
+    let* prog_type = prog_type in
+    oneofl
+      [ (* a valid 4401-insn program: 70 416 hex digits *)
+        request_line ~id:"big" ~prog_type
+          (String.concat "" (List.init 4400 (fun _ -> "b700000000000000"))
+           ^ "9500000000000000");
+        request_line ~id:"bigjunk" ~prog_type (String.make 70_000 'f') ]
+  in
+  frequency
+    [ (4, mutated); (2, random_prog); (2, truncated); (1, valid);
+      (1, deep); (2, raw_bytes); (1, oversized);
+      (1, oneofl [ ""; "  "; "\t" ]) ]
+
+(* Whatever the lines, serve returns normally and answers each non-blank
+   one with exactly one JSON object carrying an id. *)
+let prop_request_path =
+  QCheck2.Test.make ~count:150
+    ~name:"serve answers every line once, with an id"
+    ~print:(fun lines ->
+        String.concat "\n"
+          (List.map
+             (fun l ->
+                String.escaped
+                  (if String.length l > 160 then String.sub l 0 160 ^ "..."
+                   else l))
+             lines))
+    QCheck2.Gen.(list_size (int_range 1 10) gen_request_line)
+    (fun lines ->
+       let got = serve_lines lines in
+       let expected =
+         List.length (List.filter (fun l -> String.trim l <> "") lines)
+       in
+       let has_id line =
+         match Json.parse_object line with
+         | f -> Json.str f "id" <> None
+         | exception Json.Parse -> false
+       in
+       if List.length got <> expected then
+         QCheck2.Test.fail_reportf "%d responses to %d non-blank lines"
+           (List.length got) expected;
+       match List.find_opt (fun l -> not (has_id l)) got with
+       | Some bad -> QCheck2.Test.fail_reportf "response without id: %S" bad
+       | None -> true)
+
 let test_service_events_round_trip () =
   List.iter
     (fun ev ->
@@ -652,5 +776,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_hex_decoder;
           Alcotest.test_case "serve mixed stream" `Quick
             test_serve_mixed_stream;
+          QCheck_alcotest.to_alcotest prop_request_path;
         ] );
     ]
