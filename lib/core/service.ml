@@ -99,37 +99,33 @@ let nibble : string =
          | ' ' | '\t' | '\n' | '\r' -> skip
          | _ -> bad))
 
-(* Two passes: count the digits (any bad byte wins over an odd count),
-   then fill one buffer of exactly the right size. *)
+(* One pass into a buffer of half the input's length, the most its
+   digits can fill.  Whitespace between digits leaves it longer than the
+   bytes, which are then copied out.  A bad byte ends the pass, so it
+   is reported before an odd digit count. *)
 let bytes_of_hex (s : string) : (Bytes.t, string) result =
   let n = String.length s in
-  let nib i = Char.code (String.unsafe_get nibble (Char.code s.[i])) in
-  let rec count i digits =
-    if i = n then digits
+  let out = Bytes.create (n / 2) in
+  (* [j] bytes filled; [hi] the pending high nibble, -1 when none *)
+  let rec fill i j hi =
+    if i = n then
+      if hi >= 0 then Error "prog hex has an odd digit count"
+      else if j = Bytes.length out then Ok out
+      else Ok (Bytes.sub out 0 j)
     else
-      let v = nib i in
-      if v = bad then -1
-      else count (i + 1) (if v = skip then digits else digits + 1)
-  in
-  let digits = count 0 0 in
-  if digits < 0 then Error "prog is not hex"
-  else if digits land 1 <> 0 then Error "prog hex has an odd digit count"
-  else begin
-    let out = Bytes.create (digits / 2) in
-    (* [hi] holds the pending high nibble, -1 when there is none *)
-    let rec fill i j hi =
-      if i < n then
-        let v = nib i in
-        if v = skip then fill (i + 1) j hi
-        else if hi < 0 then fill (i + 1) j v
+      let v =
+        Char.code (String.unsafe_get nibble (Char.code (String.unsafe_get s i)))
+      in
+      if v < skip then
+        if hi < 0 then fill (i + 1) j v
         else begin
           Bytes.unsafe_set out j (Char.unsafe_chr ((hi lsl 4) lor v));
           fill (i + 1) (j + 1) (-1)
         end
-    in
-    fill 0 0 (-1);
-    Ok out
-  end
+      else if v = skip then fill (i + 1) j hi
+      else Error "prog is not hex"
+  in
+  fill 0 0 (-1)
 
 let decode_prog (bytes : Bytes.t) :
   (Insn.t array, string) result =
@@ -138,14 +134,24 @@ let decode_prog (bytes : Bytes.t) :
   | Error { Encode.pos; reason } ->
     Error (Printf.sprintf "bad program at slot %d: %s" pos reason)
 
-(* A request from the fields of one parsed line; on failure, the id
-   when the line carried one, so the error response still names the
+(* A program request up to its wire bytes: all the cache key needs,
+   before any Encode.decode. *)
+type wire = {
+  w_id : string;
+  w_prog_type : Prog.prog_type;
+  w_attach : string option;
+  w_offload : bool;
+  w_bytes : Bytes.t;
+}
+
+(* The wire request in the fields of one parsed line; on failure, the
+   id when the line carried one, so the error response still names the
    caller's request. *)
-let parse_request (f : (string * Json.t) list) :
-  (request, string option * string) result =
+let parse_wire (f : (string * Json.t) list) :
+  (wire, string option * string) result =
   let id = Json.str f "id" in
   let ( let* ) = Result.bind in
-  let req =
+  let fields =
     let* pt =
       match Json.str f "prog_type" with
       | None -> Error "missing prog_type"
@@ -160,24 +166,35 @@ let parse_request (f : (string * Json.t) list) :
       | None -> Error "missing prog"
     in
     let* bytes = bytes_of_hex hex in
-    let* insns = decode_prog bytes in
-    Ok
-      { Verifier.r_prog_type = pt;
-        r_attach = Json.str f "attach";
-        r_offload = Json.bool f "offload" = Some true;
-        r_insns = insns }
+    Ok (pt, bytes)
   in
-  match id, req with
-  | Some q_id, Ok q_req -> Ok { q_id; q_req }
-  | None, Ok _ -> Error (None, "missing id")
+  match id, fields with
   | _, Error e -> Error (id, e)
+  | Some w_id, Ok (w_prog_type, w_bytes) ->
+    Ok { w_id; w_prog_type; w_attach = Json.str f "attach";
+         w_offload = Json.bool f "offload" = Some true; w_bytes }
+  | None, Ok (_, bytes) ->
+    (* a bad program is reported before a missing id *)
+    (match decode_prog bytes with
+     | Error e -> Error (None, e)
+     | Ok _ -> Error (None, "missing id"))
+
+let decode_wire (w : wire) : (request, string option * string) result =
+  match decode_prog w.w_bytes with
+  | Error e -> Error (Some w.w_id, e)
+  | Ok insns ->
+    Ok
+      { q_id = w.w_id;
+        q_req =
+          { Verifier.r_prog_type = w.w_prog_type; r_attach = w.w_attach;
+            r_offload = w.w_offload; r_insns = insns } }
 
 let malformed = "malformed JSON"
 
 let parse_line (line : string) : (request, string option * string) result =
   match Json.parse_object (String.trim line) with
   | exception Json.Parse -> Error (None, malformed)
-  | f -> parse_request f
+  | f -> Result.bind (parse_wire f) decode_wire
 
 let request_of_json (line : string) : (request, string) result =
   match parse_line line with
@@ -515,44 +532,66 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
     output_string oc line;
     output_char oc '\n'
   in
-  let answer (parsed : (request, string option * string) result) : unit =
-    match parsed with
-    | Error (id, msg) ->
-      t.tl_invalid <- t.tl_invalid + 1;
-      let id =
-        match id with
-        | Some id -> id
-        | None -> Printf.sprintf "line%d" !lineno
-      in
-      reply (error_to_json ~id msg)
-    | Ok { q_id; q_req } ->
-      let key, found =
-        Bvf_util.Prof.span prof "probe" (fun () ->
-            let k = Vcache.key ~config_fp ~maps_fp q_req in
-            (k, Vcache.find cache k))
-      in
-      let v, verify_s =
-        match found with
-        | Some v -> (v, None)
+  let invalid (id : string option) (msg : string) : unit =
+    t.tl_invalid <- t.tl_invalid + 1;
+    let id =
+      match id with
+      | Some id -> id
+      | None -> Printf.sprintf "line%d" !lineno
+    in
+    reply (error_to_json ~id msg)
+  in
+  let answer ~(id : string) ~(key : string) ?verify_s (v : Vcache.verdict) :
+    unit =
+    record t ~sink ~cache ~key ?verify_s v;
+    reply (response_to_json ~id ~key ~hit:(verify_s = None) v)
+  in
+  (* The cache holds only canonical keys, so a hit under the key of the
+     wire bytes is the hit the decoded request would have found.  Only a
+     miss decodes, and it re-keys only bytes that are not canonical;
+     [find] then counts it as a hit or a miss. *)
+  let serve_wire (w : wire) : unit =
+    let wire_key, found =
+      Bvf_util.Prof.span prof "probe" (fun () ->
+          let k =
+            Vcache.key_of_wire ~config_fp ~maps_fp ~prog_type:w.w_prog_type
+              ~attach:w.w_attach ~offload:w.w_offload w.w_bytes
+          in
+          (k, Vcache.probe cache k))
+    in
+    match found with
+    | Some v -> answer ~id:w.w_id ~key:wire_key v
+    | None ->
+      match decode_wire w with
+      | Error (id, msg) -> invalid id msg
+      | Ok { q_id; q_req } ->
+        let key =
+          match Encode.encode q_req.Verifier.r_insns with
+          | canonical when Bytes.equal canonical w.w_bytes -> wire_key
+          | _ | (exception Invalid_argument _) ->
+            Vcache.key ~config_fp ~maps_fp q_req
+        in
+        match Vcache.find cache key with
+        | Some v -> answer ~id:q_id ~key v
         | None ->
           let fr = Bvf_util.Prof.start prof "verify" in
           let v = verify_request ~log_level session q_req in
-          let dur, _ = Bvf_util.Prof.stop prof fr in
-          (v, Some dur)
-      in
-      record t ~sink ~cache ~key ?verify_s v;
-      reply (response_to_json ~id:q_id ~key ~hit:(verify_s = None) v)
+          let verify_s, _ = Bvf_util.Prof.stop prof fr in
+          answer ~id:q_id ~key ~verify_s v
   in
   (* One parse decides the request kind: a metrics request is any
      object with "metrics":true, whatever else it carries. *)
   let respond (line : string) : unit =
     match Json.parse_object (String.trim line) with
-    | exception Json.Parse -> answer (Error (None, malformed))
+    | exception Json.Parse -> invalid None malformed
     | f when Json.bool f "metrics" = Some true ->
       reply
         (tally_to_json ~cache
            ~id:(Option.value (Json.str f "id") ~default:"metrics") t)
-    | f -> answer (parse_request f)
+    | f ->
+      match parse_wire f with
+      | Error (id, msg) -> invalid id msg
+      | Ok w -> serve_wire w
   in
   (try
      while not (stop ()) do

@@ -189,6 +189,16 @@ val serve :
     optional ["id"] (default ["metrics"]).  Metrics requests touch no
     counter, emit no telemetry and never reach the verifier, so they
     are invisible to the byte-identity contract of every other
-    response.  [prof] (default {!Bvf_util.Prof.disabled}) records a
-    "probe" span per valid request and a "verify" span per cache
-    miss. *)
+    response.
+
+    A program request is keyed on its wire bytes before any
+    {!Bvf_ebpf.Encode.decode} ({!Vcache.key_of_wire}, probed with
+    {!Vcache.probe}): a hit answers from the cached verdict.  A miss
+    decodes the bytes, re-keys them through {!Vcache.key} only when
+    they are not canonical, and looks that key up with {!Vcache.find}
+    before verifying.  Every response byte, tally counter, telemetry
+    event and LRU state equals what parsing each line in full with
+    {!request_of_json} and probing {!Vcache.key} gives (the argument is
+    in docs/SERVICE.md).  [prof] (default {!Bvf_util.Prof.disabled})
+    records a "probe" span per request whose [prog] is hex (the
+    wire-key lookup) and a "verify" span per cache miss. *)

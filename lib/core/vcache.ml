@@ -65,17 +65,56 @@ let create ~cap : t =
 let cap (t : t) : int = t.t_cap
 let length (t : t) : int = Hashtbl.length t.tbl
 
-(* One buffer holds every key part, so the request is copied once,
-   straight from its wire encoding. *)
-let key ~(config_fp : string) ~(maps_fp : string)
-    (req : Verifier.request) : string =
-  let b = Buffer.create 1024 in
+(* The attach line of a key.  A name that could be read as another
+   line is escaped: one holding a line break, the absent marker "-", or
+   one starting with the escape mark '\\' is written as '\\' and its
+   [String.escaped] form.  Every other name is written as is. *)
+let add_attach (b : Buffer.t) (attach : string option) : unit =
+  match attach with
+  | None -> Buffer.add_char b '-'
+  | Some a
+    when a <> "-" && not (String.contains a '\n')
+         && not (String.starts_with ~prefix:"\\" a) ->
+    Buffer.add_string b a
+  | Some a ->
+    Buffer.add_char b '\\';
+    Buffer.add_string b (String.escaped a)
+
+(* One line per part, the program's bytes last.  No line but the last
+   holds a line break, so the text splits into its parts one way only,
+   and bytes that were never decoded name the entry their program would
+   have. *)
+let key_of_wire ~(config_fp : string) ~(maps_fp : string)
+    ~(prog_type : Prog.prog_type) ~(attach : string option)
+    ~(offload : bool) (wire : Bytes.t) : string =
+  let b = Buffer.create (Bytes.length wire + 160) in
   Buffer.add_string b config_fp;
   Buffer.add_char b '\n';
   Buffer.add_string b maps_fp;
   Buffer.add_char b '\n';
-  Verifier.add_request_canonical b req;
+  Buffer.add_string b (Prog.prog_type_to_string prog_type);
+  Buffer.add_char b '\n';
+  add_attach b attach;
+  Buffer.add_char b '\n';
+  Buffer.add_string b (if offload then "offload" else "host");
+  Buffer.add_char b '\n';
+  Buffer.add_bytes b wire;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+let key ~(config_fp : string) ~(maps_fp : string)
+    (req : Verifier.request) : string =
+  let config_fp, wire =
+    match Encode.encode req.Verifier.r_insns with
+    | wire -> (config_fp, wire)
+    | exception Invalid_argument _ ->
+      (* a branch escapes the array: key the structure instead, under a
+         first line that no config fingerprint has, so no wire bytes
+         name it *)
+      ( "unencodable\n" ^ config_fp,
+        Bytes.unsafe_of_string (Marshal.to_string req.Verifier.r_insns []) )
+  in
+  key_of_wire ~config_fp ~maps_fp ~prog_type:req.Verifier.r_prog_type
+    ~attach:req.Verifier.r_attach ~offload:req.Verifier.r_offload wire
 
 (* -- Intrusive list maintenance ------------------------------------- *)
 
@@ -102,12 +141,17 @@ let touch (t : t) (n : node) : unit =
     push_front t n
   end
 
-let find (t : t) (k : string) : verdict option =
+let probe (t : t) (k : string) : verdict option =
   match Hashtbl.find_opt t.tbl k with
   | Some n ->
     t.hits <- t.hits + 1;
     touch t n;
     Some n.n_verdict
+  | None -> None
+
+let find (t : t) (k : string) : verdict option =
+  match probe t k with
+  | Some _ as found -> found
   | None ->
     t.misses <- t.misses + 1;
     None
@@ -145,7 +189,10 @@ let entries (t : t) : (string * verdict) list =
 
 (* -- On-disk tier ---------------------------------------------------- *)
 
-let tag = "bvf-vcache/1"
+(* /2: the key text escapes attach names that could be read as another
+   line, and wire-key probes trust that text; a /1 file may hold
+   entries under the unescaped text *)
+let tag = "bvf-vcache/2"
 
 let save (t : t) ~(path : string) : (unit, Checkpoint.error) result =
   Checkpoint.save ~path ~tag (entries t)

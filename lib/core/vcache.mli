@@ -4,9 +4,9 @@
     message, capped log and performance counters are a pure function of
     (program bytes, map specs, kernel config) — so a verdict computed
     once can be replayed for every later submission of the same program
-    under the same configuration.  {!key} canonicalizes those three
-    inputs ({!Bvf_verifier.Verifier.request_fingerprint},
-    [maps_fingerprint], [config_fingerprint]); the cache maps keys to
+    under the same configuration.  {!key_of_wire} digests those three
+    inputs ([config_fingerprint], [maps_fingerprint] and the program's
+    wire bytes with its load attributes); the cache maps keys to
     {!verdict} records.
 
     Two tiers: an in-memory LRU (bounded by [cap], strict recency
@@ -58,10 +58,32 @@ val create : cap:int -> t
 val cap : t -> int
 val length : t -> int
 
+val key_of_wire :
+  config_fp:string -> maps_fp:string ->
+  prog_type:Bvf_ebpf.Prog.prog_type -> attach:string option ->
+  offload:bool -> Bytes.t -> string
+(** The cache key: hex MD5 of the config fingerprint, the map
+    fingerprint, the program type, the attach point, the offload flag
+    and the program's wire bytes, one line each, the bytes last.  An
+    attach name holding a line break, equal to ["-"] (the line of an
+    absent one) or starting with ['\\'] is written as ['\\'] and its
+    [String.escaped] form, so the text splits into its parts one way
+    only: two requests share a key only when they carry the same
+    bytes and attributes.  The bytes need not be canonical. *)
+
 val key : config_fp:string -> maps_fp:string ->
   Bvf_verifier.Verifier.request -> string
-(** The cache key: hex digest over the config fingerprint, map
-    fingerprint and the request's canonical bytes. *)
+(** {!key_of_wire} of the request's canonical bytes
+    ({!Bvf_ebpf.Encode.encode} of its instructions).  A program that
+    [encode] rejects (a branch escapes the array) is keyed by its
+    marshalled instructions under a first line ["unencodable"], which no
+    config fingerprint equals, so no wire bytes share its key. *)
+
+val probe : t -> string -> verdict option
+(** Lookup that counts only a hit: a hit refreshes the entry's recency
+    and bumps the hit counter, a miss changes nothing.  [bvf serve]
+    probes with the key of a request's wire bytes before decoding them,
+    and counts the miss with the {!find} that follows the decode. *)
 
 val find : t -> string -> verdict option
 (** Lookup; a hit refreshes the entry's recency and bumps the hit
@@ -88,9 +110,10 @@ val entries : t -> (string * verdict) list
 (** {1 On-disk tier}
 
     A saved cache is a {!Checkpoint} container (tag
-    ["bvf-vcache/1"]).  Bump the tag whenever the {!verdict} schema
-    changes: stale files then fail with [Tag_mismatch] instead of
-    unmarshalling garbage. *)
+    ["bvf-vcache/2"]).  Bump the tag whenever the {!verdict} schema or
+    the key text changes: stale files then fail with [Tag_mismatch]
+    instead of unmarshalling garbage or answering from entries saved
+    under another key text. *)
 
 val tag : string
 

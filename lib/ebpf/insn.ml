@@ -141,6 +141,9 @@ let reads_reg (i : t) (r : reg) : bool =
   | Alu { dst; src; _ } | Jmp { dst; src; _ } -> dst = r || src_is src r
   | Ld_imm64 _ | Ja _ -> false
   | Ldx { src; _ } -> src = r
+  | Atomic { op = A_cmpxchg; dst; src; _ } ->
+    (* compares the old value with R0 *)
+    dst = r || src = r || r = R0
   | Stx { dst; src; _ } | Atomic { dst; src; _ } -> dst = r || src = r
   | Call _ -> is_arg_reg r
   | Exit -> r = R0

@@ -98,7 +98,7 @@ val src_reg_of : src -> reg option
 
 val reads_reg : t -> reg -> bool
 (** Does the instruction consume the register's value?  (Calls read
-    [R1]-[R5].)  Allocation-free. *)
+    [R1]-[R5], a cmpxchg reads [R0].)  Allocation-free. *)
 
 val writes_reg : t -> reg -> bool
 (** May the instruction write the register?  (Calls clobber

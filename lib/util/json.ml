@@ -77,7 +77,12 @@ let parse (s : string) : t =
   let string () =
     expect '"';
     let start = !pos in
-    while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do incr pos done;
+    let rec scan i =
+      if i < n then
+        match String.unsafe_get s i with '"' | '\\' -> i | _ -> scan (i + 1)
+      else i
+    in
+    pos := scan start;
     if peek () = '"' then begin
       (* no escapes: the common case is one copy *)
       incr pos;

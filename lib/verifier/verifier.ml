@@ -272,42 +272,14 @@ let lint (kst : Kstate.t) ~(cov : Coverage.t) (req : request) :
    message, log and performance counters are a pure function of
    (program, resolvable maps, kernel config).  The service layer
    (lib/core/vcache.ml) caches verdicts under a content hash of exactly
-   those inputs; the fingerprints below define that hash.  [verifier_abi]
+   those inputs; the fingerprints below are its config and map parts,
+   and the program's wire bytes the rest.  [verifier_abi]
    is baked into the config fingerprint so a semantic change to the
    analyzer invalidates every previously cached verdict — bump it
    whenever any verdict, canonical message, log line or deterministic
    counter can change for a fixed input. *)
 
 let verifier_abi = "bvf-verifier/1"
-
-(* Canonical byte serialization of a request: the program's wire
-   encoding (byte-compatible with struct bpf_insn) prefixed by the load
-   attributes that shape verification.  Programs whose branches escape
-   the instruction array cannot be wire-encoded; they are canonicalized
-   structurally instead (the verifier rejects them anyway, but the cache
-   key must still be total). *)
-let add_request_canonical (b : Buffer.t) (req : request) : unit =
-  Buffer.add_string b (Prog.prog_type_to_string req.r_prog_type);
-  Buffer.add_char b '\n';
-  (match req.r_attach with
-   | None -> Buffer.add_char b '-'
-   | Some a -> Buffer.add_string b a);
-  Buffer.add_char b '\n';
-  Buffer.add_string b (if req.r_offload then "offload" else "host");
-  Buffer.add_char b '\n';
-  match Encode.encode req.r_insns with
-  | bytes -> Buffer.add_bytes b bytes
-  | exception Invalid_argument _ ->
-    Buffer.add_string b "unencodable:";
-    Buffer.add_string b (Marshal.to_string req.r_insns [])
-
-let request_canonical (req : request) : string =
-  let b = Buffer.create 256 in
-  add_request_canonical b req;
-  Buffer.contents b
-
-let request_fingerprint (req : request) : string =
-  Digest.to_hex (Digest.string (request_canonical req))
 
 let config_fingerprint (c : Kconfig.t) : string =
   let b = Buffer.create 128 in

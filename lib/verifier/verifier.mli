@@ -86,29 +86,16 @@ val lint :
 
     Verification is deterministic: verdict, canonical message, log and
     performance counters are a pure function of (program, resolvable
-    maps, kernel config).  These fingerprints canonicalize exactly those
-    inputs for the service layer's content-addressed verdict cache
-    (see docs/SERVICE.md for the soundness argument). *)
+    maps, kernel config).  These fingerprints canonicalize the config
+    and the maps for the service layer's content-addressed verdict
+    cache, which adds the program's wire bytes ([Vcache.key_of_wire];
+    see docs/SERVICE.md for the soundness argument). *)
 
 val verifier_abi : string
 (** Analyzer revision baked into {!config_fingerprint}.  Bump whenever a
     verifier change can alter any verdict, canonical message, log line
     or deterministic counter for a fixed input: every previously cached
     verdict is then invalidated by key mismatch. *)
-
-val request_canonical : request -> string
-(** Canonical byte serialization of a load request: prog type, attach
-    point, offload flag, then the program's wire encoding
-    ({!Bvf_ebpf.Encode.encode}; programs whose branches escape the
-    instruction array fall back to a structural serialization so the
-    function is total). *)
-
-val add_request_canonical : Buffer.t -> request -> unit
-(** Append {!request_canonical} to a buffer, so a caller can digest it
-    together with other key parts without an extra copy. *)
-
-val request_fingerprint : request -> string
-(** Hex digest of {!request_canonical}. *)
 
 val config_fingerprint : Bvf_kernel.Kconfig.t -> string
 (** Hex digest of every config field verification depends on (version,

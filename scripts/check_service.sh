@@ -9,10 +9,13 @@
 #      stripped — the cache changes latency, never verdicts;
 #   2. the warm pass answers >= 95% of programs from the cache;
 #   3. no program comes back as a decode/parse error;
-#   4. bvf serve, fed the same corpus plus a metrics, a malformed and a
-#      blank line on the warm cache, answers one line per non-blank
-#      line, every program from the cache, byte-identical to the cold
-#      batch once the cache field is stripped;
+#   4. bvf serve, fed the same corpus plus one corpus program encoded
+#      non-canonically (its last exit slot's ignored off field set:
+#      9500000000000000 -> 9500010000000000), a metrics, a malformed
+#      and a blank line on the warm cache, answers one line per
+#      non-blank line, every program from the cache, byte-identical to
+#      the cold batch once the cache field is stripped, and the
+#      non-canonical line exactly as its canonical line but for the id;
 #   5. the tallies agree with the lines: the warm batch summary's
 #      cache_hits is its number of hit lines, and serve's closing
 #      stderr line counts every program as a hit and the malformed
@@ -74,23 +77,50 @@ else
   status=1
 fi
 
-# 4. serve == batch at corpus scale: every exported request, then a
-# metrics line, a malformed line and a blank line, through the request
-# loop on the warm cache
+# 4. serve == batch at corpus scale: every exported request, then one
+# of them encoded non-canonically under a new id, a metrics line, a
+# malformed line and a blank line, through the request loop on the
+# warm cache.  The prog hex is last in an exported line, so the last
+# 16 digits are the last slot.
 echo "== serve (warm cache)"
-{ cat "$out/corpus.jsonl"; echo '{"metrics":true}'; echo 'not json'; echo; } \
+canon_no=$(grep -n -m 1 '9500000000000000"}$' "$out/corpus.jsonl" | cut -d: -f1)
+[ -n "$canon_no" ] || { echo "FAIL  no exported program ends in an exit slot"; exit 1; }
+sed -n "${canon_no}p" "$out/corpus.jsonl" \
+  | sed 's/^{"id":"[^"]*"/{"id":"noncanonical"/; s/9500000000000000"}$/9500010000000000"}/' \
+  > "$out/noncanonical.jsonl"
+{ cat "$out/corpus.jsonl" "$out/noncanonical.jsonl"; echo '{"metrics":true}'
+  echo 'not json'; echo; } \
   | "$bvf" serve --cache-file "$out/cache.bin" \
       > "$out/serve.jsonl" 2> "$out/serve.log" || exit 3
 cat "$out/serve.log"
 programs=$(wc -l < "$out/corpus.jsonl")
 served=$(wc -l < "$out/serve.jsonl")
 serve_hits=$(grep -c '"cache":"hit"' "$out/serve.jsonl")
-if [ "$served" -eq $((programs + 2)) ] && [ "$serve_hits" -eq "$programs" ]; then
-  echo "ok    serve answered $served lines, $serve_hits/$programs from the warmed cache"
+if [ "$served" -eq $((programs + 3)) ] && [ "$serve_hits" -eq $((programs + 1)) ]; then
+  echo "ok    serve answered $served lines, $serve_hits/$((programs + 1)) from the warmed cache"
 else
-  echo "FAIL  serve answered $served lines (want $((programs + 2))), $serve_hits/$programs from cache"
+  echo "FAIL  serve answered $served lines (want $((programs + 3))), $serve_hits/$((programs + 1)) from cache"
   status=1
 fi
+# the non-canonical line: the canonical line's response but for the id,
+# a cache hit like it
+strip_id() { sed 's/^{"id":"[^"]*",//'; }
+canon_resp=$(sed -n "${canon_no}p" "$out/serve.jsonl" | strip_id)
+noncanon_resp=$(sed -n "$((programs + 1))p" "$out/serve.jsonl")
+case "$noncanon_resp" in
+  '{"id":"noncanonical",'*'"cache":"hit"}')
+    if [ "$(printf '%s\n' "$noncanon_resp" | strip_id)" = "$canon_resp" ]; then
+      echo "ok    non-canonical encoding of program $canon_no answered as its canonical line (a hit)"
+    else
+      echo "FAIL  non-canonical line differs from its canonical line:"
+      echo "  $canon_resp"
+      echo "  $noncanon_resp"
+      status=1
+    fi ;;
+  *)
+    echo "FAIL  non-canonical line not a hit: $noncanon_resp"
+    status=1 ;;
+esac
 head -n "$programs" "$out/serve.jsonl" \
   | sed 's/,"cache":"[a-z]*"//' > "$out/serve.stripped"
 if cmp -s "$out/cold.stripped" "$out/serve.stripped"; then
@@ -112,10 +142,10 @@ else
 fi
 serve_tally_hits=$(field "$out/serve.log" cache_hits)
 serve_invalid=$(field "$out/serve.log" invalid)
-if [ "$serve_tally_hits" = "$programs" ] && [ "$serve_invalid" = 1 ]; then
+if [ "$serve_tally_hits" = $((programs + 1)) ] && [ "$serve_invalid" = 1 ]; then
   echo "ok    serve tally: $serve_tally_hits hits, 1 invalid"
 else
-  echo "FAIL  serve tally: cache_hits '$serve_tally_hits' (want $programs), invalid '$serve_invalid' (want 1)"
+  echo "FAIL  serve tally: cache_hits '$serve_tally_hits' (want $((programs + 1))), invalid '$serve_invalid' (want 1)"
   status=1
 fi
 

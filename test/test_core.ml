@@ -269,7 +269,17 @@ let test_triage_slice () =
   in
   let slice = Triage.backward_slice insns 3 in
   let pcs = List.map fst slice in
-  Alcotest.(check (list int)) "slice keeps def-use chain" [ 0; 2 ] pcs
+  Alcotest.(check (list int)) "slice keeps def-use chain" [ 0; 2 ] pcs;
+  (* cmpxchg compares the old value with R0, so R0's producer is in
+     its slice *)
+  let insns =
+    [| Asm.mov64_imm Insn.R0 3l;        (* 0: def r0, relevant *)
+       Asm.mov64_imm Insn.R4 5l;        (* 1: def r4, irrelevant *)
+       Asm.mov64_imm Insn.R2 1l;        (* 2: def r2, relevant *)
+       Asm.atomic ~fetch:true Insn.DW Insn.A_cmpxchg Insn.R10 Insn.R2 (-8) |]
+  in
+  Alcotest.(check (list int)) "cmpxchg slice keeps r0" [ 0; 2 ]
+    (List.map fst (Triage.backward_slice insns 3))
 
 let test_triage_report () =
   let config = Kconfig.make Version.Bpf_next ~bugs:[ Kconfig.Bug2_btf_size_check ] in

@@ -118,6 +118,10 @@ let test_regs_read_written () =
     (names
        (Insn.regs_written
           (Asm.atomic Insn.DW Insn.A_cmpxchg Insn.R1 Insn.R2 0)));
+  Alcotest.check regs "cmpxchg reads r0" [ "r0"; "r1"; "r2" ]
+    (names
+       (Insn.regs_read
+          (Asm.atomic ~fetch:true Insn.DW Insn.A_cmpxchg Insn.R1 Insn.R2 0)));
   Alcotest.check regs "fetching add writes src" [ "r2" ]
     (names
        (Insn.regs_written

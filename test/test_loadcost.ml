@@ -30,8 +30,9 @@
    - shadow: [Shadow] against an [int64]-keyed [Hashtbl];
    - coverage memo: every site a campaign records owns its memo slot;
    - allocation: generation costs a bounded number of words per
-     instruction whatever the program size, and a stable
-     [Regstate.sync] and [Rng.int] nothing. *)
+     instruction whatever the program size, a stable [Regstate.sync]
+     and [Rng.int] nothing, and a warm serve hit fewer words than one
+     decode of its program. *)
 
 module Insn = Bvf_ebpf.Insn
 module Prog = Bvf_ebpf.Prog
@@ -55,6 +56,8 @@ module Rng = Bvf_core.Rng
 module Corpus = Bvf_core.Corpus
 module Tnum = Bvf_verifier.Tnum
 module Shadow = Bvf_kernel.Shadow
+module Service = Bvf_core.Service
+module Vcache = Bvf_core.Vcache
 
 (* -- Classifier ------------------------------------------------------------ *)
 
@@ -824,6 +827,63 @@ let rng_int_alloc () =
   Alcotest.(check bool) "draws happened" true (!acc > 0);
   if w >= 1.0 then Alcotest.failf "Rng.int allocates %.2f words per call" w
 
+(* A warm serve hit is keyed on the request's wire bytes and never
+   decodes them: it allocates fewer minor words than one [Encode.decode]
+   of its program.  The program is a serve-pool-like one, a generated
+   program of about 100 instructions over the service maps.  A hit costs
+   the difference between serving 1 + [n] copies of its line and serving
+   one, so the loop's fixed set-up cancels out. *)
+let serve_hit_no_decode () =
+  let config = Kconfig.fixed Version.Bpf_next in
+  let session = Service.create_session config in
+  let maps =
+    List.map (fun (fd, m) -> (fd, m.Bvf_kernel.Map.def))
+      session.Loader.kst.Kstate.maps
+  in
+  let gcfg = { Gen.c_version = Version.Bpf_next; c_maps = maps } in
+  let rng = Rng.create 11 in
+  let rec pick () =
+    let req = Gen.generate rng gcfg in
+    let n = Array.length req.Verifier.r_insns in
+    match Service.request_to_json { Service.q_id = "h"; q_req = req } with
+    | line when n >= 90 && n <= 110 -> (req, line)
+    | _ | (exception Invalid_argument _) -> pick ()
+  in
+  let req, line = pick () in
+  let cache = Vcache.create ~cap:4 in
+  let path = Filename.temp_file "bvf_loadcost_serve" ".jsonl" in
+  (* minor words and cache hits of one serve loop over [copies] lines *)
+  let serve (copies : int) : float * int =
+    Out_channel.with_open_bin path (fun oc ->
+        for _ = 1 to copies do
+          output_string oc line;
+          output_char oc '\n'
+        done);
+    In_channel.with_open_bin path (fun ic ->
+        Out_channel.with_open_bin Filename.null (fun oc ->
+            let before = Gc.minor_words () in
+            let t =
+              Service.serve ~cache ~session ~stop:(fun () -> false) ic oc
+            in
+            (Gc.minor_words () -. before, t.Service.tl_hits)))
+  in
+  ignore (serve 1 : float * int);  (* a miss: the verdict is cached *)
+  let n = 200 in
+  let one, one_hits = serve 1 and many, many_hits = serve (n + 1) in
+  Sys.remove path;
+  Alcotest.(check (list int)) "warm serves hit" [ 1; n + 1 ]
+    [ one_hits; many_hits ];
+  let hit = (many -. one) /. float_of_int n in
+  let wire = Bvf_ebpf.Encode.encode req.Verifier.r_insns in
+  let decode =
+    words_per_call 100 (fun () -> ignore (Bvf_ebpf.Encode.decode wire))
+  in
+  if hit >= decode then
+    Alcotest.failf
+      "a warm serve hit allocates %.0f words, one decode of its %d-insn \
+       program %.0f"
+      hit (Array.length req.Verifier.r_insns) decode
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bvf_loadcost"
@@ -863,5 +923,7 @@ let () =
         [ Alcotest.test_case "generation linear in insns" `Quick
             gen_alloc_linear;
           Alcotest.test_case "stable sync" `Quick sync_stable_alloc;
-          Alcotest.test_case "Rng.int" `Quick rng_int_alloc ] );
+          Alcotest.test_case "Rng.int" `Quick rng_int_alloc;
+          Alcotest.test_case "serve hit never decodes" `Quick
+            serve_hit_no_decode ] );
     ]

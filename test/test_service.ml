@@ -6,9 +6,11 @@
    decodes hex as a plain reference model does and echoes non-ASCII
    ids as UTF-8; the serve loop answers every kind of line once, and
    any line at all (mutated, random, truncated, deeply nested, raw
-   NUL and non-UTF-8 bytes, oversized) with one id-carrying object; the
-   service telemetry events round-trip and aggregate; an unreadable
-   directory entry is an error line; the tally's size is fixed. *)
+   NUL and non-UTF-8 bytes, oversized) with one id-carrying object, and
+   with the wire-key probe exactly as a full parse, key and lookup
+   would (non-canonical encodings included); the service telemetry
+   events round-trip and aggregate; an unreadable directory entry is an
+   error line; the tally's size is fixed. *)
 
 module Version = Bvf_ebpf.Version
 module Asm = Bvf_ebpf.Asm
@@ -467,22 +469,28 @@ let prop_hex_decoder =
 
 (* -- serve loop ------------------------------------------------------------ *)
 
-let serve_lines ?(cache = Vcache.create ~cap:64) (lines : string list) :
-  string list =
+(* One serve loop over [lines] on [cache]: its responses and tally. *)
+let serve_run ?(sink = Telemetry.null) ~(cache : Vcache.t)
+    (lines : string list) : string list * Service.tally =
   let in_path = tmp "bvf_svc_serve_in.jsonl" in
   let out_path = tmp "bvf_svc_serve_out.jsonl" in
   Out_channel.with_open_bin in_path (fun oc ->
       List.iter (fun l -> output_string oc l; output_char oc '\n') lines);
   let ic = open_in_bin in_path and oc = open_out_bin out_path in
-  ignore
-    (Service.serve ~cache ~session:(Service.create_session config)
-       ~stop:(fun () -> false) ic oc : Service.tally);
+  let t =
+    Service.serve ~sink ~cache ~session:(Service.create_session config)
+      ~stop:(fun () -> false) ic oc
+  in
   close_in ic;
   close_out oc;
   let out = In_channel.with_open_bin out_path In_channel.input_lines in
   Sys.remove in_path;
   Sys.remove out_path;
-  out
+  (out, t)
+
+let serve_lines ?(cache = Vcache.create ~cap:64) (lines : string list) :
+  string list =
+  fst (serve_run ~cache lines)
 
 let is_metrics (line : string) : bool =
   match Json.parse_object line with
@@ -608,15 +616,16 @@ let corpus_wire : string list =
        string_of_hex (Option.get (Json.str (Json.parse_object line) "prog")))
     (rejected_req :: corpus ~n:24 ())
 
+let gen_prog_type : string QCheck2.Gen.t =
+  QCheck2.Gen.oneofl (List.map Prog.prog_type_to_string Prog.all_prog_types)
+
 (* One input line of every shape a client can send: mutated and random
    programs, truncated and deeply nested lines, raw NUL and non-UTF-8
    bytes, an oversized prog, blanks.  No line holds a newline, so each
    is one line of the serve input. *)
 let gen_request_line : string QCheck2.Gen.t =
   let open QCheck2.Gen in
-  let prog_type =
-    oneofl (List.map Prog.prog_type_to_string Prog.all_prog_types)
-  in
+  let prog_type = gen_prog_type in
   let valid =
     let* wire = oneofl corpus_wire and* prog_type = prog_type in
     return (request_line ~id:"v" ~prog_type (hex_of_string wire))
@@ -708,6 +717,226 @@ let prop_request_path =
        | Some bad -> QCheck2.Test.fail_reportf "response without id: %S" bad
        | None -> true)
 
+(* -- wire-key probe ----------------------------------------------------------- *)
+
+(* The request path without the wire-key probe: each line parsed and
+   decoded in full ([input_of_json], which is [request_of_json] keeping
+   the id), keyed with [Vcache.key], looked up with [Vcache.find],
+   verified on a miss and answered with [response_to_json]. *)
+let reference_run ?(sink = Telemetry.null) ~(cache : Vcache.t)
+    (lines : string list) : string list * Service.tally =
+  let session = Service.create_session config in
+  let config_fp, maps_fp = Service.fingerprints session in
+  let t = Service.tally () in
+  let answer i line =
+    let input =
+      Service.input_of_json ~fallback_id:(Printf.sprintf "line%d" (i + 1))
+        line
+    in
+    match input.Service.in_req with
+    | Error msg ->
+      t.Service.tl_invalid <- t.Service.tl_invalid + 1;
+      Service.error_to_json ~id:input.Service.in_id msg
+    | Ok req ->
+      let key = Vcache.key ~config_fp ~maps_fp req in
+      let v, verify_s =
+        match Vcache.find cache key with
+        | Some v -> (v, None)
+        | None -> (Service.verify_request session req, Some 0.)
+      in
+      Service.record t ~sink ~cache ~key ?verify_s v;
+      Service.response_to_json ~id:input.Service.in_id ~key
+        ~hit:(verify_s = None) v
+  in
+  let out =
+    List.concat
+      (List.mapi
+         (fun i l -> if String.trim l = "" then [] else [ answer i l ])
+         lines)
+  in
+  (out, t)
+
+(* A line with every request field under the caller's control. *)
+let wire_line ~(id : string) ?(prog_type = "socket_filter") ?attach
+    ?(offload = false) (wire : string) : string =
+  let b = Buffer.create 256 in
+  Printf.bprintf b {|{"id":"%s","prog_type":"%s"|} id prog_type;
+  Option.iter
+    (fun a ->
+       Buffer.add_string b {|,"attach":"|};
+       Json.escape b a;
+       Buffer.add_char b '"')
+    attach;
+  if offload then Buffer.add_string b {|,"offload":true|};
+  Printf.bprintf b {|,"prog":"%s"}|} (hex_of_string wire);
+  Buffer.contents b
+
+(* [wire] with the [off] of its last exit slot set to 1, a field the
+   decoder ignores (9500000000000000 -> 9500010000000000): the same
+   program, not canonically encoded. *)
+let noncanonical (wire : string) : string option =
+  let exit_slot = "\x95\000\000\000\000\000\000\000" in
+  let rec last k =
+    if k < 0 then None
+    else if String.sub wire (8 * k) 8 = exit_slot then Some k
+    else last (k - 1)
+  in
+  Option.map
+    (fun k ->
+       let b = Bytes.of_string wire in
+       Bytes.set b ((8 * k) + 2) '\001';
+       Bytes.to_string b)
+    (last ((String.length wire / 8) - 1))
+
+(* A program Encode.encode rejects: its jump escapes the array. *)
+let unencodable_req : Verifier.request =
+  { Verifier.r_prog_type = Prog.Socket_filter; r_attach = None;
+    r_offload = false; r_insns = [| Insn.Ja 5; Insn.Exit |] }
+
+(* Lines whose wire bytes could pass for another entry's key text if
+   the key's lines did not split one way only. *)
+let adversarial_lines : string list =
+  let c = List.nth corpus_wire 1 in
+  let marshalled = Marshal.to_string unencodable_req.Verifier.r_insns [] in
+  [ (* the stand-in of the program encode rejects, bare and behind the
+       tag it once carried as its bytes *)
+    wire_line ~id:"unenc" marshalled;
+    wire_line ~id:"unenc-tag" ("unencodable:" ^ marshalled);
+    (* an attach name with a line break, then bytes that borrow its
+       second line: undecodable, and decodable as a different program *)
+    wire_line ~id:"inj-host" ~attach:"x\nhost" c;
+    wire_line ~id:"inj-host-probe" ~attach:"x" ("host\n" ^ c);
+    wire_line ~id:"inj-off" ~attach:"x\noffload" ~offload:true c;
+    wire_line ~id:"inj-off-probe" ~attach:"x" ~offload:true ("offload\n" ^ c);
+    (* "-" is the line of an absent attach point; '\\' the escape mark *)
+    wire_line ~id:"no-attach" c;
+    wire_line ~id:"dash" ~attach:"-" c;
+    wire_line ~id:"escaped-dash" ~attach:"\\-" c ]
+
+(* Serve and the reference over [lines] twice (cold, then warm) on
+   equal caches of [cap] entries that both start with the verdict of
+   [unencodable_req].  Each side's record: responses, tally counters,
+   cache counters and LRU order after each pass, then its telemetry. *)
+let differential ?(cap = 6) (lines : string list) : string list * string list
+  =
+  let side name run =
+    let session = Service.create_session config in
+    let config_fp, maps_fp = Service.fingerprints session in
+    let cache = Vcache.create ~cap in
+    Vcache.insert cache
+      (Vcache.key ~config_fp ~maps_fp unencodable_req)
+      (Service.verify_request session unencodable_req);
+    let path = tmp (Printf.sprintf "bvf_svc_differential_%s.jsonl" name) in
+    let sink = Telemetry.create path in
+    let pass () =
+      let out, (t : Service.tally) = run ~sink ~cache lines in
+      let s = Vcache.stats cache in
+      out
+      @ [ Printf.sprintf "tally %d %d %d %d %d %d" t.tl_requests
+            t.tl_invalid t.tl_admitted t.tl_rejected t.tl_hits t.tl_misses;
+          Printf.sprintf "cache %d %d %d %d" s.Vcache.cs_hits
+            s.Vcache.cs_misses s.Vcache.cs_insertions s.Vcache.cs_evictions;
+          "lru " ^ String.concat " " (List.map fst (Vcache.entries cache)) ]
+    in
+    let cold = pass () in
+    let warm = pass () in
+    Telemetry.close sink;
+    let trace = In_channel.with_open_bin path In_channel.input_lines in
+    Sys.remove path;
+    cold @ warm @ trace
+  in
+  ( side "reference" (fun ~sink ~cache l -> reference_run ~sink ~cache l),
+    side "serve" (fun ~sink ~cache l -> serve_run ~sink ~cache l) )
+
+(* The first record line where serve and the reference part. *)
+let differential_gap ?cap (lines : string list) : string option =
+  let expected, got = differential ?cap lines in
+  let rec gap i = function
+    | e :: es, g :: gs ->
+      if e = g then gap (i + 1) (es, gs)
+      else
+        Some (Printf.sprintf "record line %d:\n  reference %S\n  serve     %S"
+                i e g)
+    | e :: _, [] -> Some (Printf.sprintf "serve ends; reference has %S" e)
+    | [], g :: _ -> Some (Printf.sprintf "reference ends; serve has %S" g)
+    | [], [] -> None
+  in
+  gap 0 (expected, got)
+
+(* Every line shape of [gen_request_line], corpus programs followed by
+   their non-canonical encodings, and the adversarial lines, cold and
+   warm: serve answers, counts, caches and traces exactly as the
+   reference does. *)
+let prop_wire_probe =
+  QCheck2.Test.make ~count:200
+    ~name:"serve with the wire-key probe = full parse, key, find"
+    ~print:(fun lines ->
+        String.concat "\n"
+          (List.map
+             (fun l ->
+                String.escaped
+                  (if String.length l > 160 then String.sub l 0 160 ^ "..."
+                   else l))
+             lines))
+    QCheck2.Gen.(
+      let pair =
+        let* wire = oneofl corpus_wire and* prog_type = gen_prog_type in
+        let line id w = request_line ~id ~prog_type (hex_of_string w) in
+        return
+          (line "canon" wire
+           :: (match noncanonical wire with
+               | Some nc -> [ line "noncanon" nc ]
+               | None -> []))
+      in
+      let piece =
+        frequency
+          [ (6, map (fun l -> [ l ]) gen_request_line);
+            (3, pair);
+            (2, map (fun l -> [ l ]) (oneofl adversarial_lines)) ]
+      in
+      map List.concat (list_size (int_range 1 8) piece))
+    (fun lines ->
+       match differential_gap lines with
+       | None -> true
+       | Some gap -> QCheck2.Test.fail_report gap)
+
+let test_wire_probe_cases () =
+  let canon = List.nth corpus_wire 2 in
+  let nc = Option.get (noncanonical canon) in
+  Alcotest.(check bool) "the decoder ignores an exit's off" true
+    (Result.map Array.to_list (Encode.decode (Bytes.of_string nc))
+     = Result.map Array.to_list (Encode.decode (Bytes.of_string canon)));
+  let lines =
+    (wire_line ~id:"c" canon :: wire_line ~id:"n" nc :: adversarial_lines)
+  in
+  List.iter
+    (fun cap ->
+       Option.iter Alcotest.fail (differential_gap ~cap lines))
+    [ 6; 64 ];
+  let out = serve_lines ~cache:(Vcache.create ~cap:64) lines in
+  let response id =
+    List.find
+      (fun l -> Json.str (Json.parse_object l) "id" = Some id) out
+  in
+  let field id k = Json.str (Json.parse_object (response id)) k in
+  let body id =
+    let line = response id and prefix = Printf.sprintf {|{"id":"%s"|} id in
+    let n = String.length prefix in
+    strip_cache_field (String.sub line n (String.length line - n))
+  in
+  (* a non-canonical encoding of a cached program is a hit under the
+     canonical key *)
+  Alcotest.(check (list (option string))) "canonical misses, then a hit"
+    [ Some "miss"; Some "hit" ] [ field "c" "cache"; field "n" "cache" ];
+  Alcotest.(check string) "same response but the id" (body "c") (body "n");
+  Alcotest.(check (list (option string))) "bytes never reach another entry"
+    [ Some "error"; Some "error"; Some "error"; Some "miss" ]
+    [ field "unenc" "verdict"; field "unenc-tag" "verdict";
+      field "inj-host-probe" "verdict"; field "inj-off-probe" "cache" ];
+  Alcotest.(check (list (option string))) "attach \"-\" is not an absent one"
+    [ Some "miss"; Some "unknown attach point -" ]
+    [ field "dash" "cache"; field "dash" "msg" ]
+
 let test_service_events_round_trip () =
   List.iter
     (fun ev ->
@@ -777,5 +1006,11 @@ let () =
           Alcotest.test_case "serve mixed stream" `Quick
             test_serve_mixed_stream;
           QCheck_alcotest.to_alcotest prop_request_path;
+        ] );
+      ( "wire probe",
+        [
+          Alcotest.test_case "non-canonical and adversarial lines" `Quick
+            test_wire_probe_cases;
+          QCheck_alcotest.to_alcotest prop_wire_probe;
         ] );
     ]
