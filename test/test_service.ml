@@ -869,7 +869,7 @@ let differential_gap ?cap (lines : string list) : string option =
    reference does. *)
 let prop_wire_probe =
   QCheck2.Test.make ~count:200
-    ~name:"serve with the wire-key probe = full parse, key, find"
+    ~name:"wire-key probe = parse, key, find"
     ~print:(fun lines ->
         String.concat "\n"
           (List.map
@@ -1007,7 +1007,7 @@ let () =
             test_serve_mixed_stream;
           QCheck_alcotest.to_alcotest prop_request_path;
         ] );
-      ( "wire probe",
+      ( "wire",
         [
           Alcotest.test_case "non-canonical and adversarial lines" `Quick
             test_wire_probe_cases;
