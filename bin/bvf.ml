@@ -130,9 +130,12 @@ let resume_t =
 let jobs_t =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Shard the campaign across $(docv) parallel domains \
-               (shard i fuzzes with seed+i; coverage, findings and the \
-               corpus are merged).  $(docv)=1 is the sequential path.")
+         ~doc:"Run $(docv) shards over at most nproc domains, the \
+               calling one included (fuzz: shard i fuzzes with seed+i, \
+               and coverage, findings and the corpus are merged; batch: \
+               $(docv) verifier workers share the cache misses).  The \
+               output depends on $(docv), never on the core count.  \
+               $(docv)=1 is the sequential path.")
 
 let workers_t =
   Arg.(value & opt int 0

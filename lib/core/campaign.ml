@@ -503,9 +503,10 @@ let load_checkpoint ~(path : string) :
    performs right after taking the checkpoint — including the fault-plan
    draws its map setup consumes — so the resumed campaign replays the
    exact continuation of the uninterrupted one. *)
-let resume ?(sample_every = 64) ?(telemetry = Telemetry.null)
-    ?(log_level = 0) ?(prof = Bvf_util.Prof.disabled)
-    (strategy : strategy) (config : Kconfig.t) (s : snapshot) : t =
+(* Refuse a snapshot another tool, kernel or config took: continuing it
+   would splice two different campaigns into one stream. *)
+let check_resumable (strategy : strategy) (config : Kconfig.t)
+    (s : snapshot) : unit =
   if s.sn_tool <> strategy.s_name then
     raise
       (Environment
@@ -517,16 +518,29 @@ let resume ?(sample_every = 64) ?(telemetry = Telemetry.null)
          (Printf.sprintf "checkpoint targets kernel %s, not %s"
             (Version.to_string s.sn_kernel)
             (Version.to_string config.Kconfig.version)));
-  if s.sn_sanitize <> config.Kconfig.sanitize
-     || s.sn_unprivileged <> config.Kconfig.unprivileged
-     || s.sn_witness <> config.Kconfig.witness
-     || s.sn_lint <> config.Kconfig.lint then
-    raise (Environment "checkpoint was taken under a different config");
+  List.iter
+    (fun (flag, taken, wanted) ->
+       if taken <> wanted then
+         raise
+           (Environment
+              (Printf.sprintf
+                 "checkpoint was taken under a different config (%s=%b, \
+                  not %b)"
+                 flag taken wanted)))
+    [ ("sanitize", s.sn_sanitize, config.Kconfig.sanitize);
+      ("unprivileged", s.sn_unprivileged, config.Kconfig.unprivileged);
+      ("witness", s.sn_witness, config.Kconfig.witness);
+      ("lint", s.sn_lint, config.Kconfig.lint) ];
   if s.sn_merged then
     raise
       (Environment
          "checkpoint is a merged artifact (bvf merge): it has no RNG \
-          stream to continue and cannot be resumed");
+          stream to continue and cannot be resumed")
+
+let resume ?(sample_every = 64) ?(telemetry = Telemetry.null)
+    ?(log_level = 0) ?(prof = Bvf_util.Prof.disabled)
+    (strategy : strategy) (config : Kconfig.t) (s : snapshot) : t =
+  check_resumable strategy config s;
   (* Deep-copy the snapshot before mutating anything in it.  A snapshot
      loaded from disk is already private, but an in-memory one shares
      its hashtables, corpus and coverage with whichever campaign took

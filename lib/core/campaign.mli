@@ -174,6 +174,12 @@ val save_snapshot : snapshot -> path:string -> (unit, Checkpoint.error) result
 
 val load_checkpoint : path:string -> (snapshot, Checkpoint.error) result
 
+val check_resumable : strategy -> Bvf_kernel.Kconfig.t -> snapshot -> unit
+(** The checks {!resume} makes before it touches the snapshot.
+    @raise Environment when the snapshot was taken by a different tool,
+    kernel version, or config (the message names the field) — or is a
+    merged artifact ([sn_merged]). *)
+
 val resume :
   ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
   ?prof:Bvf_util.Prof.t ->
@@ -182,9 +188,7 @@ val resume :
     deep-copied first, so resuming the same in-memory snapshot several
     times yields independent campaigns (identical to resuming a
     from-disk checkpoint several times).
-    @raise Environment when the snapshot was taken by a different tool,
-    kernel version, or config — or is a merged artifact
-    ([sn_merged]). *)
+    @raise Environment as {!check_resumable}. *)
 
 val checkpoint_to : string -> t -> unit
 (** [checkpoint_to path] is a [checkpoint] hook for {!run}: it saves

@@ -29,10 +29,15 @@ open Cimport
      per-VM signal before central dedup, an upper bound on the union;
      the final [st_edges] is the true union size.
 
+   Shards run on {!Bvf_util.Lanes}: at most one domain per core, the
+   calling domain running shard 0 (and shards d, 2d, ... when there are
+   more shards than cores).
+
    Determinism contract: for fixed (seed, jobs, config, strategy) every
    shard result and the merged stats/digest are identical across runs
-   and machines; [jobs = 1] runs {!Campaign.run_t} in the calling
-   domain and is digest- and trace-identical to the sequential path.
+   and machines, whatever the core count; [jobs = 1] runs
+   {!Campaign.run_t} in the calling domain and is digest- and
+   trace-identical to the sequential path.
 
    The forked-process executor ({!Supervisor}) shares this module's
    shard setup ({!with_shard}) and join ({!join}), so the two executors
@@ -392,9 +397,9 @@ let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
     (config : Kconfig.t) : result =
   if jobs < 1 then invalid_arg "Parallel.run: jobs < 1";
   let counts = shard_iterations ~iterations ~jobs in
-  (* profiler tracks: one per shard (created here, before the domains
-     spawn, then owned exclusively by their domain) plus one for this
-     coordinating domain's spawn/join/absorb/merge work *)
+  (* profiler tracks: one per shard (created here, before the lanes
+     spawn, then owned by the lane that runs the shard) plus one for
+     this calling domain's spawn/join/absorb/merge work *)
   let shard_prof =
     Array.init jobs (fun i ->
         Bvf_util.Prof.track prof ~name:(Printf.sprintf "shard%d" i) i)
@@ -412,22 +417,14 @@ let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
          ?on_step:(Option.map (fun f -> f i) on_step)
          ~seed:sh.se_seed ~iterations:counts.(i) strategy config)
   in
+  (* shard 0 runs in the calling domain, so [jobs = 1] is the
+     sequential path; every shard runs even after one raised, and the
+     join re-raises the lowest-index failure once no shard is left
+     running *)
   let finals =
-    if jobs = 1 then
-      (* the sequential path: same calls in the calling domain *)
-      [ (0, Ok (run_shard 0)) ]
-    else begin
-      let domains =
-        Bvf_util.Prof.span main_prof "spawn" (fun () ->
-            Array.init jobs (fun i -> Domain.spawn (fun () -> run_shard i)))
-      in
-      (* every domain is joined, even after one raised: the join
-         re-raises the first shard's exception only once no shard is
-         left running *)
-      Bvf_util.Prof.span main_prof "join" (fun () ->
-          List.init jobs (fun i ->
-              (i, try Ok (Domain.join domains.(i)) with e -> Error e)))
-    end
+    Bvf_util.Lanes.run ~prof:main_prof ~tasks:jobs run_shard
+    |> Array.to_list
+    |> List.mapi (fun i r -> (i, r))
   in
   join ~jobs ~trace ~prof:main_prof finals
 

@@ -1,5 +1,5 @@
-(** Parallel campaign runner: shard one logical campaign across N
-    OCaml 5 domains and merge the shard results into one
+(** Parallel campaign runner: shard one logical campaign into N shards,
+    run them on at most one OCaml 5 domain per core, and merge the shard results into one
     {!Campaign.stats} — the syzkaller shape of fuzzing (independent VMs,
     central coverage merge) applied to the simulated kernel.
 
@@ -123,8 +123,9 @@ val run :
   ?prof:Bvf_util.Prof.session ->
   jobs:int -> seed:int -> iterations:int -> Campaign.strategy ->
   Bvf_kernel.Kconfig.t -> result
-(** Run [iterations] total fuzzing iterations sharded across [jobs]
-    domains.  Shard [i] fuzzes with seed [seed + i] (and, when
+(** Run [iterations] total fuzzing iterations sharded into [jobs]
+    shards, run over {!Bvf_util.Lanes}: at most one domain per core,
+    the calling domain running shard 0.  Shard [i] fuzzes with seed [seed + i] (and, when
     [failslab_rate > 0], a fault plan seeded [failslab_seed + i],
     defaulting [failslab_seed] to [seed]).  [jobs = 1] runs in the
     calling domain and is digest-identical to {!Campaign.run}.
@@ -136,20 +137,24 @@ val run :
     writes [trace] directly, byte-identical to a sequential run's
     trace.  [log_level] sets the verifier log level for every load.
     [on_step shard] builds the per-shard step observer (the
-    [--progress] status line); it runs on the shard's domain after each
-    completed iteration and must not mutate the campaign.
+    [--progress] status line); it runs on the domain of the shard's
+    lane (shard 0: the caller) after each completed iteration and must
+    not mutate the campaign.
     [prof] (default: a session that records no spans) collects the
     run's per-name totals and, when it records spans, its profiler
     spans: track [i] carries shard [i]'s "iterate" span with the
-    campaign phase spans nested inside, track [jobs] the coordinator's
-    spawn/join/trace_merge/absorb/merge work.  The CLI builds the
+    campaign phase spans nested inside, track [jobs] the calling
+    domain's coordinator work: "spawn" (starting the other lanes),
+    "join" (waiting for them once its own shards are done),
+    "trace_merge", "absorb" and "merge".  The CLI builds the
     trace's closing profile line from {!Bvf_util.Prof.session_totals}.  Pure observation — a
     profiled run's digest and trace are byte-identical to an
     unprofiled one.
     @raise Invalid_argument when [jobs < 1].
     @raise Campaign.Environment (or any other exception) if a shard
-    raises it: every domain is joined and the shard trace files are
-    removed first, and the lowest-indexed shard's exception wins. *)
+    raises it: every other shard still runs, every lane is joined and
+    the shard trace files are removed first, and the lowest-indexed
+    shard's exception wins. *)
 
 val digest : result -> string
 (** {!Campaign.digest} of the merged stats: one canonical hex digest for

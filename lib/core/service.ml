@@ -442,7 +442,7 @@ let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
     ~(cache : Vcache.t)
     (config : Kconfig.t) (inputs : input list) : item list * tally =
   if jobs < 1 then invalid_arg "Service.run_batch: jobs must be >= 1";
-  (* coordinator track = jobs, one verifier track per worker domain —
+  (* coordinator track = jobs, one verifier track per worker —
      the same layout as Parallel.run's shard/coordinator split *)
   let main_prof = Bvf_util.Prof.track prof ~name:"batch" jobs in
   let session0 = create_session config in
@@ -470,8 +470,9 @@ let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
         items);
   let misses = Array.of_list (List.rev !miss_list) in
   let m = Array.length misses in
-  (* verify pass: round-robin striding gives each domain disjoint
-     slots, and each domain verifies in its own fresh session *)
+  (* verify pass: round-robin striding gives each worker disjoint
+     slots, and each worker verifies in its own session; the workers
+     run on at most one domain per core *)
   let worker (wprof : Bvf_util.Prof.t) (session : Loader.t)
       (first : int) (step : int) : unit =
     let j = ref first in
@@ -489,12 +490,12 @@ let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
     Array.init jobs (fun d ->
         Bvf_util.Prof.track prof ~name:(Printf.sprintf "verifier%d" d) d)
   in
-  if jobs <= 1 then worker wprof.(0) session0 0 1
-  else
-    List.init jobs (fun d ->
-        Domain.spawn (fun () ->
-            worker wprof.(d) (create_session config) d jobs))
-    |> List.iter Domain.join;
+  (* worker 0 runs in the calling domain with the probe's session *)
+  Bvf_util.Lanes.run ~tasks:jobs (fun d ->
+      worker wprof.(d)
+        (if d = 0 then session0 else create_session config)
+        d jobs)
+  |> Array.iter (function Ok () -> () | Error e -> raise e);
   (* fill pass: count, emit and insert in input order, back in the
      calling domain *)
   Bvf_util.Prof.span main_prof "join" (fun () ->

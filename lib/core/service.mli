@@ -31,8 +31,8 @@ val standard_maps : Bvf_kernel.Map.def list
     fd 4 — exactly the {!Selftests} session population. *)
 
 val create_session : Bvf_kernel.Kconfig.t -> Bvf_runtime.Loader.t
-(** A fresh session with {!standard_maps} installed.  Each worker domain
-    of a batch creates its own: sessions share no mutable state. *)
+(** A fresh session with {!standard_maps} installed.  Each batch worker
+    gets its own: sessions share no mutable state. *)
 
 val fingerprints : Bvf_runtime.Loader.t -> string * string
 (** [(config_fp, maps_fp)] of a session — the non-program components of
@@ -156,14 +156,15 @@ val run_batch :
   Bvf_kernel.Kconfig.t -> input list -> item list * tally
 (** Verify a batch with the cache in front.  The cache is probed before
     any verification, so a program repeated within one batch is a miss
-    each time; misses are verified on [jobs] worker domains (each with
-    its own {!create_session} session, round-robin assignment), and the
-    items are then {!record}ed in input order back in the calling
+    each time; misses are verified by [jobs] workers (each with its own
+    {!create_session} session, round-robin assignment) run over
+    {!Bvf_util.Lanes}, at most one domain per core with worker 0 in the
+    calling domain, and the items are then {!record}ed in input order back in the calling
     domain, so results are independent of domain scheduling and
     [--jobs 1] output equals [--jobs N] output byte-for-byte.
 
     [prof] (default: a session that records no spans) records the
-    batch as profiler spans: track [d] carries worker domain [d]'s per-miss
+    batch as profiler spans: track [d] carries worker [d]'s per-miss
     "verify" spans, track [jobs] the coordinator's "probe" and "join"
     passes.  Pure observation — never affects output bytes.
     @raise Invalid_argument when [jobs < 1]. *)

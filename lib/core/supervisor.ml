@@ -226,6 +226,37 @@ let globalize (w : worker_snapshot) : Campaign.snapshot =
     (Parallel.join ~jobs:w.wk_workers ~trace:None
        ~prof:Bvf_util.Prof.disabled [ (w.wk_shard, Ok s) ])
 
+(* A worker checkpoint found in the state directory must belong to this
+   request: the same pool width, shard, seed, tool, kernel and config,
+   and no more iterations than the shard is assigned.  Resuming one cut
+   for another request would report that request's campaign as this
+   one's. *)
+let check_worker ~(dir : string) ~(workers : int) ~(seed : int)
+    ~(assigned : int) (strategy : Campaign.strategy) (config : Kconfig.t)
+    (i : int) (w : worker_snapshot) : unit =
+  let refuse msg =
+    raise
+      (Campaign.Environment
+         (Printf.sprintf
+            "state directory %s holds a checkpoint of another campaign: \
+             %s: %s (use a fresh --state-dir)"
+            dir (Filename.basename (ckpt_path dir i)) msg))
+  in
+  let s = w.wk_snapshot in
+  let field name taken wanted =
+    if taken <> wanted then
+      refuse (Printf.sprintf "%s %d, not %d" name taken wanted)
+  in
+  field "workers" w.wk_workers workers;
+  field "shard" w.wk_shard i;
+  field "seed" s.Campaign.sn_seed (seed + i);
+  if s.Campaign.sn_completed > assigned then
+    refuse
+      (Printf.sprintf "%d iterations completed, more than the %d assigned"
+         s.Campaign.sn_completed assigned);
+  try Campaign.check_resumable strategy config s
+  with Campaign.Environment msg -> refuse msg
+
 (* -- Supervisor (parent process) ---------------------------------------- *)
 
 type worker_outcome =
@@ -432,9 +463,26 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
         { rn_pid = pid; rn_hb = None;
           rn_hb_time = Bvf_util.Mclock.now_s () }
   in
+  (* a worker whose checkpoint already holds its whole shard is
+     reported, not re-run: a re-run would reboot its kernel once more
+     and move the merged digest; its profile file is from the run that
+     did the work, so this run has no track for it *)
   let slots =
     Array.init workers (fun i ->
-        { ws_index = i; ws_state = Waiting 0.; ws_restarts = 0 })
+        let done_already =
+          match load_worker ~path:(ckpt_path dir i) with
+          | Error _ -> false
+          | Ok w ->
+            check_worker ~dir ~workers ~seed ~assigned:counts.(i) strategy
+              config i w;
+            w.wk_snapshot.Campaign.sn_completed = counts.(i)
+        in
+        if done_already then remove_if_exists (prof_path dir i);
+        { ws_index = i;
+          ws_state =
+            (if done_already then Finished Outcome_completed
+             else Waiting 0.);
+          ws_restarts = 0 })
   in
   let record_crash (slot : wslot) (cause : Triage.crash_cause) : unit =
     (* the on-disk heartbeat is written before every iteration, so at
@@ -487,8 +535,11 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   in
   Array.iter
     (fun s ->
-       s.ws_state <-
-         Bvf_util.Prof.span sup_prof "fork" (fun () -> spawn s.ws_index))
+       match s.ws_state with
+       | Finished _ -> ()
+       | Running _ | Waiting _ ->
+         s.ws_state <-
+           Bvf_util.Prof.span sup_prof "fork" (fun () -> spawn s.ws_index))
     slots;
   while not (all_finished ()) do
     if

@@ -35,7 +35,11 @@
       run).
 
     Rerunning with the same state [dir] resumes every worker from its
-    last checkpoint.  See [docs/RESILIENCE.md] for the supervision
+    last checkpoint; a worker whose checkpoint holds its whole shard is
+    reported as completed without running again.  A worker checkpoint
+    cut for another request (pool width, shard, seed, tool, kernel,
+    config, or more iterations than assigned) is refused before any
+    worker forks.  See [docs/RESILIENCE.md] for the supervision
     state machine and the exit-code table. *)
 
 (** {1 Worker checkpoints} *)
@@ -173,5 +177,6 @@ val run :
 
     @raise Invalid_argument when [workers < 1].
     @raise Campaign.Environment when [dir] is locked by a running
-    supervisor, or when the run completes but no worker ever produced
+    supervisor, or holds a checkpoint of another campaign (the message
+    names [dir], the file and the field), or when the run completes but no worker ever produced
     a checkpoint to merge. *)

@@ -531,9 +531,10 @@ let print_parallel (p : parallel_bench) : unit =
   in
   if p.pb_cores < max_jobs then
     Printf.printf
-      "  warning: only %d cores available for up to %d jobs — domains \
-       time-share\n\
-      \  cores, so rate and speedup numbers understate true scaling\n"
+      "  warning: only %d cores available for up to %d jobs — a lane runs \
+       its\n\
+      \  shards one after the other, so rate and speedup numbers \
+       understate true scaling\n"
       p.pb_cores max_jobs
 
 let parallel_to_json (p : parallel_bench) : string =

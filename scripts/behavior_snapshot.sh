@@ -7,13 +7,18 @@
 #
 #   fuzz-seq.out, fuzz-seq.trace          bvf fuzz --seed 1 -n 2000
 #   fuzz-jobs2.out, fuzz-jobs2.trace      the same with --jobs 2
+#   fuzz-jobs4.out, fuzz-jobs4.trace      the same with --jobs 4
 #   fuzz-workers2.out, fuzz-workers2.trace  the same with --workers 2
 #   batch-selftests.jsonl                 bvf batch --selftests (stdout)
+#   batch-selftests-jobs3.jsonl           the same with --jobs 3
 #   veristat.jsonl                        bvf veristat --count 708 --json
 #
 # Snapshot two builds (say, a parent commit's and a change's) and compare
 # them with `diff -r parent-out change-out`: empty output means the
-# change moved no verdict, counter, digest or trace byte.  Raw traces
+# change moved no verdict, counter, digest or trace byte.  The --jobs 4
+# and --jobs 3 runs have more shards or workers than a small machine has
+# cores, so lanes that run several shards one after the other are
+# covered too.  Raw traces
 # and the supervised state directory go to a temporary directory that
 # is removed on exit; nothing is written next to the script.
 #
@@ -42,10 +47,15 @@ fuzz() {
 
 fuzz fuzz-seq
 fuzz fuzz-jobs2 --jobs 2
+fuzz fuzz-jobs4 --jobs 4
 fuzz fuzz-workers2 --workers 2 --state-dir "$tmp/state"
 
 echo "== bvf batch --selftests"
 "$bvf" batch --selftests > "$out/batch-selftests.jsonl" 2> /dev/null || exit 3
+
+echo "== bvf batch --selftests --jobs 3"
+"$bvf" batch --selftests --jobs 3 > "$out/batch-selftests-jobs3.jsonl" \
+  2> /dev/null || exit 3
 
 echo "== bvf veristat --count 708"
 "$bvf" veristat --count 708 --json "$tmp/veristat.jsonl" > /dev/null || exit 3

@@ -1,6 +1,7 @@
 (* Tests for the sharded parallel campaign runner: the round-robin
    iteration split, the jobs=1 bit-identity contract, run-to-run
-   determinism for fixed (seed, jobs), the merge invariants (union
+   determinism for fixed (seed, jobs), the lane layout (shard 0 in the
+   caller, at most one domain per core), the merge invariants (union
    coverage, deduplicated findings at global iterations, summed
    counters) and the portable cross-map coverage merge it builds on. *)
 
@@ -102,7 +103,72 @@ let test_parallel_deterministic () =
          (config ()))
   in
   Alcotest.(check string) "jobs=2 reproducible" (digest 2) (digest 2);
-  Alcotest.(check string) "jobs=4 reproducible" (digest 4) (digest 4)
+  Alcotest.(check string) "jobs=4 reproducible" (digest 4) (digest 4);
+  (* pinned from the runner that spawned one domain per shard: how
+     shards are laid onto domains must not move a digest, also when
+     there are more shards than cores *)
+  Alcotest.(check string) "jobs=2 pinned" "ed22a5fcad136c68413c7d12d8df6b9d"
+    (digest 2);
+  Alcotest.(check string) "jobs=4 pinned" "58bc520e06bd0a5c9b15dd357d84f5d7"
+    (digest 4)
+
+(* -- Lanes -------------------------------------------------------------------- *)
+
+let test_lanes_run () =
+  let ran = Atomic.make 0 in
+  let results =
+    Bvf_util.Lanes.run ~tasks:7 (fun i ->
+        Atomic.incr ran;
+        if i = 2 || i = 5 then failwith (string_of_int i) else i * i)
+  in
+  Alcotest.(check int) "every task ran, also after a raise" 7
+    (Atomic.get ran);
+  Alcotest.(check (list string)) "results in index order"
+    [ "0"; "1"; "raised 2"; "9"; "16"; "raised 5"; "36" ]
+    (Array.to_list
+       (Array.map
+          (function
+            | Ok v -> string_of_int v
+            | Error (Failure m) -> "raised " ^ m
+            | Error e -> Printexc.to_string e)
+          results));
+  Alcotest.(check int) "no tasks, no results" 0
+    (Array.length (Bvf_util.Lanes.run ~tasks:0 (fun _ -> ())));
+  Alcotest.(check int) "one lane per task up to the core count"
+    (min 7 (Domain.recommended_domain_count ()))
+    (Bvf_util.Lanes.count ~tasks:7)
+
+(* Shard 0 runs in the calling domain, and a run never uses more
+   domains than the machine recommends, however many shards it has. *)
+let test_shards_on_lanes () =
+  let cores = Domain.recommended_domain_count () in
+  List.iter
+    (fun jobs ->
+       (* each shard writes only its own slot *)
+       let seen = Array.make jobs [] in
+       let on_step shard (_ : Campaign.t) =
+         let id = (Domain.self () :> int) in
+         if not (List.mem id seen.(shard)) then
+           seen.(shard) <- id :: seen.(shard)
+       in
+       ignore
+         (Parallel.run ~on_step ~jobs ~seed:2 ~iterations:(8 * jobs)
+            Campaign.bvf_strategy (config ()));
+       Alcotest.(check (list int)) "shard 0 steps on the caller's domain"
+         [ (Domain.self () :> int) ] seen.(0);
+       let ids = List.sort_uniq compare (List.concat (Array.to_list seen)) in
+       Alcotest.(check bool)
+         (Printf.sprintf "jobs=%d: %d domains, at most %d" jobs
+            (List.length ids) (min jobs cores))
+         true
+         (List.length ids <= min jobs cores);
+       Array.iteri
+         (fun i ds ->
+            Alcotest.(check int)
+              (Printf.sprintf "shard %d stays on one domain" i) 1
+              (List.length ds))
+         seen)
+    [ 1; 2; cores + 2 ]
 
 let test_parallel_failslab_deterministic () =
   let digest () =
@@ -192,36 +258,44 @@ let test_merge_invariants () =
 
 (* -- A shard that raises ------------------------------------------------------ *)
 
-(* Shard 0 dies on its 5th program while shard 1 still has most of its
-   budget ahead.  The exception must reach the caller only after shard
-   1's domain was joined (it ran its whole shard), and no shard trace
-   file may be left behind. *)
+(* Shard 0 dies on its 5th program, in the calling domain, while the
+   other shards still have most of their budget ahead.  The exception
+   must reach the caller only after every other shard ran its whole
+   budget (with more shards than cores, shard [cores] runs after shard
+   0 on the caller's lane), and no shard trace file may be left
+   behind. *)
 let test_shard_failure_joins_and_cleans () =
-  let trace = Filename.temp_file "bvf_par_fail" ".jsonl" in
-  let iterations = 600 and jobs = 2 in
-  let shard1_done = Atomic.make 0 in
-  let on_step shard (c : Campaign.t) =
-    let n = c.Campaign.stats.Campaign.st_generated in
-    if shard = 0 && n = 5 then raise (Campaign.Environment "shard 0 died");
-    if shard = 1 then Atomic.set shard1_done n
-  in
-  (match
-     Parallel.run ~trace ~on_step ~jobs ~seed:3 ~iterations
-       Campaign.bvf_strategy (config ())
-   with
-   | exception Campaign.Environment msg ->
-     Alcotest.(check string) "shard 0's exception re-raised" "shard 0 died"
-       msg
-   | _ -> Alcotest.fail "expected the shard's exception");
-  Alcotest.(check int) "shard 1 was joined, not abandoned"
-    (Parallel.shard_iterations ~iterations ~jobs).(1)
-    (Atomic.get shard1_done);
   List.iter
-    (fun i ->
-       let p = Printf.sprintf "%s.shard%d" trace i in
-       Alcotest.(check bool) (p ^ " removed") false (Sys.file_exists p))
-    [ 0; 1 ];
-  Sys.remove trace
+    (fun jobs ->
+       let trace = Filename.temp_file "bvf_par_fail" ".jsonl" in
+       let iterations = 300 * jobs in
+       let done_ = Array.init jobs (fun _ -> Atomic.make 0) in
+       let on_step shard (c : Campaign.t) =
+         let n = c.Campaign.stats.Campaign.st_generated in
+         if shard = 0 && n = 5 then
+           raise (Campaign.Environment "shard 0 died");
+         Atomic.set done_.(shard) n
+       in
+       (match
+          Parallel.run ~trace ~on_step ~jobs ~seed:3 ~iterations
+            Campaign.bvf_strategy (config ())
+        with
+        | exception Campaign.Environment msg ->
+          Alcotest.(check string) "shard 0's exception re-raised"
+            "shard 0 died" msg
+        | _ -> Alcotest.fail "expected the shard's exception");
+       let counts = Parallel.shard_iterations ~iterations ~jobs in
+       for i = 1 to jobs - 1 do
+         Alcotest.(check int)
+           (Printf.sprintf "jobs=%d: shard %d ran, then was joined" jobs i)
+           counts.(i) (Atomic.get done_.(i))
+       done;
+       for i = 0 to jobs - 1 do
+         let p = Printf.sprintf "%s.shard%d" trace i in
+         Alcotest.(check bool) (p ^ " removed") false (Sys.file_exists p)
+       done;
+       Sys.remove trace)
+    [ 2; Domain.recommended_domain_count () + 1 ]
 
 let () =
   Alcotest.run "bvf_parallel"
@@ -238,6 +312,11 @@ let () =
           Alcotest.test_case "deterministic" `Slow test_parallel_deterministic;
           Alcotest.test_case "deterministic with failslab" `Slow
             test_parallel_failslab_deterministic ] );
+      ( "lanes",
+        [ Alcotest.test_case "results in order, failures isolated" `Quick
+            test_lanes_run;
+          Alcotest.test_case "shard 0 on the caller, one domain per core"
+            `Slow test_shards_on_lanes ] );
       ( "merge",
         [ Alcotest.test_case "invariants" `Slow test_merge_invariants ] );
       ( "failure",

@@ -231,7 +231,11 @@ let test_batch_jobs_deterministic () =
         { Service.in_id = "bad"; in_req = Error "no parse" } ]
   in
   let lines1, s1 = batch_lines ~jobs:1 inputs in
+  let lines3, _ = batch_lines ~jobs:3 inputs in
   let lines4, s4 = batch_lines ~jobs:4 inputs in
+  (* on a 2-core machine jobs 3 puts workers 0 and 2 on the caller's
+     lane, one after the other *)
+  Alcotest.(check (list string)) "jobs 1 == jobs 3" lines1 lines3;
   Alcotest.(check (list string)) "jobs 1 == jobs 4" lines1 lines4;
   Alcotest.(check int) "admitted agree" s1.Service.tl_admitted
     s4.Service.tl_admitted;

@@ -426,6 +426,77 @@ let test_interrupt_then_resume () =
   Alcotest.(check string) "resumed digest equals undisturbed (mod reboots)"
     (Campaign.digest fs) (Campaign.digest rs)
 
+(* -- A state directory belongs to one campaign ----------------------------- *)
+
+let contains (s : string) (sub : string) : bool =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* A finished state directory rerun with another seed, pool width,
+   kernel, config or a smaller budget is refused before any worker
+   forks, and the refusal names the directory and the field. *)
+let test_state_dir_refuses_other_campaign () =
+  let state = Filename.concat (temp_dir "bvf_sv_other") "state" in
+  ignore (completed (sv ~dir:state ~seed:7 ~iterations:40 ~workers:2 ()));
+  let rerun config ~seed ~iterations ~workers () =
+    Supervisor.run ~poll_s:0.02 ~backoff_s:0.01 ~workers ~seed ~iterations
+      ~dir:state Campaign.bvf_strategy config
+  in
+  List.iter
+    (fun (field, run) ->
+       match run () with
+       | exception Campaign.Environment msg ->
+         Alcotest.(check bool) ("refusal names the dir: " ^ msg) true
+           (contains msg state);
+         Alcotest.(check bool) ("refusal names " ^ field ^ ": " ^ msg) true
+           (contains msg field)
+       | _ -> Alcotest.failf "a checkpoint with another %s was resumed" field)
+    [ ("seed", rerun (config ()) ~seed:3 ~iterations:40 ~workers:2);
+      ("workers", rerun (config ()) ~seed:7 ~iterations:40 ~workers:3);
+      ("kernel",
+       rerun (Kconfig.default Version.Bpf_next) ~seed:7 ~iterations:40
+         ~workers:2);
+      ("witness",
+       rerun (Kconfig.with_witness (config ()) true) ~seed:7 ~iterations:40
+         ~workers:2);
+      ("assigned", rerun (config ()) ~seed:7 ~iterations:10 ~workers:2) ];
+  Alcotest.(check bool) "lock released after a refusal" false
+    (Sys.file_exists (Filename.concat state "supervisor.lock"))
+
+(* Rerunning a finished state directory reports the finished workers
+   instead of re-running them: no worker runs (a worker that ran would
+   leave a fresh worker-<i>.done marker), and the digest, reboots
+   included, is the first run's. *)
+let test_finished_state_dir_reported () =
+  let state = Filename.concat (temp_dir "bvf_sv_done") "state" in
+  let first, _ =
+    completed (sv ~dir:state ~seed:7 ~iterations:40 ~workers:2 ())
+  in
+  let marker i = Filename.concat state (Printf.sprintf "worker-%d.done" i) in
+  List.iter (fun i -> Sys.remove (marker i)) [ 0; 1 ];
+  let again, report =
+    completed (sv ~dir:state ~seed:7 ~iterations:40 ~workers:2 ())
+  in
+  List.iter
+    (fun i ->
+       Alcotest.(check bool) "worker did not run again" false
+         (Sys.file_exists (marker i)))
+    [ 0; 1 ];
+  List.iter
+    (fun (w : Supervisor.worker_report) ->
+       Alcotest.(check bool) "reported completed" true
+         (w.wr_outcome = Supervisor.Outcome_completed);
+       Alcotest.(check int) "full shard" w.wr_assigned w.wr_completed)
+    report.rp_workers;
+  Alcotest.(check int) "no extra reboot"
+    first.Parallel.pr_stats.Campaign.st_reboots
+    again.Parallel.pr_stats.Campaign.st_reboots;
+  Alcotest.(check string) "same digest" (Parallel.digest first)
+    (Parallel.digest again)
+
 (* -- One run_t contract across executors --------------------------------- *)
 
 (* A one-worker supervised run is Campaign.run_t in a forked process:
@@ -573,6 +644,11 @@ let () =
         [ Alcotest.test_case "state-dir lock" `Slow test_state_dir_lock;
           Alcotest.test_case "interrupt then resume" `Slow
             test_interrupt_then_resume ] );
+      ( "state dir",
+        [ Alcotest.test_case "another campaign's dir is refused" `Slow
+            test_state_dir_refuses_other_campaign;
+          Alcotest.test_case "a finished dir is reported" `Slow
+            test_finished_state_dir_reported ] );
       ( "contract",
         [ Alcotest.test_case "run_t skip hook = one-worker quarantine"
             `Slow test_run_t_contract ] );
