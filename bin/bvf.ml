@@ -119,7 +119,9 @@ let checkpoint_every_t =
   Arg.(value & opt int 1000
        & info [ "checkpoint-every" ] ~docv:"N"
          ~doc:"Checkpoint (and reboot) every $(docv) completed \
-               iterations.")
+               iterations; with --jobs or --workers, every $(docv) \
+               iterations of each shard.  --jobs reboots at these \
+               barriers without writing a checkpoint.")
 
 let resume_t =
   Arg.(value & opt (some string) None
@@ -325,7 +327,7 @@ let fuzz_cmd =
       config.Kconfig.sanitize strategy.Campaign.s_name
       (if workers > 0 then
          Printf.sprintf " across %d supervised workers" workers
-       else if jobs > 1 then Printf.sprintf " across %d domains" jobs
+       else if jobs > 1 then Printf.sprintf " across %d shards" jobs
        else "");
     let progress =
       Option.map
@@ -387,6 +389,7 @@ let fuzz_cmd =
       let result =
         try
           Parallel.run ~jobs ?trace ~log_level ~failslab_rate ?failslab_seed
+            ~checkpoint_every
             ?on_step:(Option.map Progress.observer progress)
             ~prof ~seed ~iterations strategy config
         with Campaign.Environment msg -> abort_env msg

@@ -391,7 +391,7 @@ let merge_snapshots (snapshots : Campaign.snapshot list) :
 (* -- Driving ----------------------------------------------------------- *)
 
 let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
-    ?failslab_seed ?on_step
+    ?failslab_seed ?checkpoint_every ?on_step
     ?(prof = Bvf_util.Prof.session ~spans:false ()) ~(jobs : int)
     ~(seed : int) ~(iterations : int) (strategy : Campaign.strategy)
     (config : Kconfig.t) : result =
@@ -413,7 +413,7 @@ let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
     @@ fun sh ->
     Campaign.snapshot
       (Campaign.run_t ~sample_every ~telemetry:sh.se_telemetry ?log_level
-         ~prof:shard_prof.(i) ?failslab:sh.se_failslab
+         ~prof:shard_prof.(i) ?failslab:sh.se_failslab ?checkpoint_every
          ?on_step:(Option.map (fun f -> f i) on_step)
          ~seed:sh.se_seed ~iterations:counts.(i) strategy config)
   in

@@ -118,7 +118,7 @@ val merge_snapshots :
 
 val run :
   ?sample_every:int -> ?trace:string -> ?log_level:int ->
-  ?failslab_rate:float -> ?failslab_seed:int ->
+  ?failslab_rate:float -> ?failslab_seed:int -> ?checkpoint_every:int ->
   ?on_step:(int -> Campaign.t -> unit) ->
   ?prof:Bvf_util.Prof.session ->
   jobs:int -> seed:int -> iterations:int -> Campaign.strategy ->
@@ -136,6 +136,10 @@ val run :
     [trace] and removes the shard files.  With [jobs = 1] the campaign
     writes [trace] directly, byte-identical to a sequential run's
     trace.  [log_level] sets the verifier log level for every load.
+    [checkpoint_every] reboots each shard's kernel after every
+    [checkpoint_every] shard-local iterations, the barrier schedule of
+    a sequential campaign and of a supervised worker, without writing
+    a snapshot; by default there are no barriers.
     [on_step shard] builds the per-shard step observer (the
     [--progress] status line); it runs on the domain of the shard's
     lane (shard 0: the caller) after each completed iteration and must

@@ -30,9 +30,10 @@
       dropped;
     - the final worker checkpoints are folded by {!Parallel.join},
       the join [Parallel.run] uses, so a fault-free supervised run
-      produces the same merged stats, digest and trace bytes as
-      [Parallel.run ~jobs:workers] (when no barrier lands inside the
-      run).
+      produces the same merged stats and digest as
+      [Parallel.run ~jobs:workers] with the same [checkpoint_every],
+      and the same trace bytes apart from the workers' checkpoint
+      events.
 
     Rerunning with the same state [dir] resumes every worker from its
     last checkpoint; a worker whose checkpoint holds its whole shard is
