@@ -1,7 +1,8 @@
 (** Parallel campaign runner: shard one logical campaign into N shards,
-    run them on at most one OCaml 5 domain per core, and merge the shard results into one
-    {!Campaign.stats} — the syzkaller shape of fuzzing (independent VMs,
-    central coverage merge) applied to the simulated kernel.
+    run them on at most one OCaml 5 domain per core, and merge the
+    shard results into one {!Campaign.stats} — the syzkaller shape of
+    fuzzing (independent VMs, central coverage merge) applied to the
+    simulated kernel.
 
     Each shard owns its own simulated kernel, RNG stream
     ([seed + shard_index]), coverage map and corpus; shards share no
@@ -125,10 +126,11 @@ val run :
   Bvf_kernel.Kconfig.t -> result
 (** Run [iterations] total fuzzing iterations sharded into [jobs]
     shards, run over {!Bvf_util.Lanes}: at most one domain per core,
-    the calling domain running shard 0.  Shard [i] fuzzes with seed [seed + i] (and, when
-    [failslab_rate > 0], a fault plan seeded [failslab_seed + i],
-    defaulting [failslab_seed] to [seed]).  [jobs = 1] runs in the
-    calling domain and is digest-identical to {!Campaign.run}.
+    the calling domain running shard 0.  Shard [i] fuzzes with seed
+    [seed + i] (and, when [failslab_rate > 0], a fault plan seeded
+    [failslab_seed + i], defaulting [failslab_seed] to [seed]).
+    [jobs = 1] runs in the calling domain and is digest-identical to
+    {!Campaign.run}.
 
     [trace] writes a {!Telemetry} JSONL stream: each shard writes
     [trace ^ ".shard" ^ i] with iterations rewritten to global

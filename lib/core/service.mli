@@ -159,9 +159,10 @@ val run_batch :
     each time; misses are verified by [jobs] workers (each with its own
     {!create_session} session, round-robin assignment) run over
     {!Bvf_util.Lanes}, at most one domain per core with worker 0 in the
-    calling domain, and the items are then {!record}ed in input order back in the calling
-    domain, so results are independent of domain scheduling and
-    [--jobs 1] output equals [--jobs N] output byte-for-byte.
+    calling domain, and the items are then {!record}ed in input order
+    back in the calling domain, so results are independent of domain
+    scheduling and [--jobs 1] output equals [--jobs N] output
+    byte-for-byte.
 
     [prof] (default: a session that records no spans) records the
     batch as profiler spans: track [d] carries worker [d]'s per-miss

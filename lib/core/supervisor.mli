@@ -179,5 +179,5 @@ val run :
     @raise Invalid_argument when [workers < 1].
     @raise Campaign.Environment when [dir] is locked by a running
     supervisor, or holds a checkpoint of another campaign (the message
-    names [dir], the file and the field), or when the run completes but no worker ever produced
-    a checkpoint to merge. *)
+    names [dir], the file and the field), or when the run completes but
+    no worker ever produced a checkpoint to merge. *)
