@@ -16,7 +16,6 @@ module Version = Bvf_ebpf.Version
 module Prog = Bvf_ebpf.Prog
 module Disasm = Bvf_ebpf.Disasm
 module Kconfig = Bvf_kernel.Kconfig
-module Failslab = Bvf_kernel.Failslab
 module Checkpoint = Bvf_core.Checkpoint
 module Verifier = Bvf_verifier.Verifier
 module Venv = Bvf_verifier.Venv
@@ -137,7 +136,10 @@ let jobs_t =
                and coverage, findings and the corpus are merged; batch: \
                $(docv) verifier workers share the cache misses).  The \
                output depends on $(docv), never on the core count.  \
-               $(docv)=1 is the sequential path.")
+               fuzz: $(docv)=1, the default, is the sequential \
+               campaign, and SIGINT/SIGTERM stop every shard after its \
+               in-flight iteration (merged summary printed, exit \
+               130/143).")
 
 let workers_t =
   Arg.(value & opt int 0
@@ -310,17 +312,16 @@ let fuzz_cmd =
          status line)\n";
       exit 2
     end;
-    (* SIGINT/SIGTERM finish the in-flight iteration, write a final
-       checkpoint where one is configured, flush telemetry and exit
-       with the conventional 128+signal code *)
-    let stop_sig = ref 0 in
-    let arm_signals () =
-      Sys.set_signal Sys.sigint
-        (Sys.Signal_handle (fun _ -> stop_sig := 130));
-      Sys.set_signal Sys.sigterm
-        (Sys.Signal_handle (fun _ -> stop_sig := 143))
-    in
-    let stopped () = !stop_sig <> 0 in
+    (* SIGINT/SIGTERM finish every shard's or worker's in-flight
+       iteration, write a final checkpoint where one is configured,
+       merge and flush telemetry and exit with the conventional
+       128+signal code; every lane reads the one flag *)
+    let stop_sig = Atomic.make 0 in
+    Sys.set_signal Sys.sigint
+      (Sys.Signal_handle (fun _ -> Atomic.set stop_sig 130));
+    Sys.set_signal Sys.sigterm
+      (Sys.Signal_handle (fun _ -> Atomic.set stop_sig 143));
+    let stopped () = Atomic.get stop_sig <> 0 in
     Printf.printf "fuzzing %s (%d injected bugs, sanitize=%b) with %s%s...\n"
       (Version.to_string version)
       (List.length config.Kconfig.bugs)
@@ -340,20 +341,29 @@ let fuzz_cmd =
       Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
       exit 3
     in
-    (* the closing output of a sharded run, whichever executor ran it *)
-    let finish_sharded ~t0 ?report (result : Parallel.result) =
-      (match trace with
-       | Some path ->
-         append_profile path prof ~wall_s:(Mclock.elapsed_s ~since:t0)
-       | None -> ());
+    (* the closing output, whichever executor ran the campaign; a
+       supervised rerun of a finished state dir wrote no trace *)
+    let finish ~t0 ?report (result : Parallel.result) =
+      (match trace, report with
+       | Some _, Some { Supervisor.rp_idle = true; _ } | None, _ -> ()
+       | Some path, _ ->
+         append_profile path prof ~wall_s:(Mclock.elapsed_s ~since:t0));
       write_profile prof profile;
       Format.printf "%a" Parallel.pp_summary result;
       Option.iter (Format.printf "%a" Supervisor.pp_report) report;
-      Printf.printf "merged digest: %s\n" (Parallel.digest result);
-      print_findings result.Parallel.pr_stats
+      if jobs > 1 || report <> None then
+        Printf.printf "merged digest: %s\n" (Parallel.digest result);
+      print_findings result.Parallel.pr_stats;
+      if stopped () then begin
+        Printf.printf "interrupted at iteration %d%s\n"
+          result.Parallel.pr_stats.Campaign.st_generated
+          (match checkpoint_path with
+           | Some path -> ": checkpoint saved to " ^ path
+           | None -> "");
+        exit (Atomic.get stop_sig)
+      end
     in
     if workers > 0 then begin
-      arm_signals ();
       let quarantine =
         match quarantine_file with
         | None -> []
@@ -380,25 +390,10 @@ let fuzz_cmd =
            same --state-dir to resume\n"
           state_dir;
         Format.printf "%a" Supervisor.pp_report report;
-        exit (if !stop_sig <> 0 then !stop_sig else 130)
-      | Supervisor.Completed (result, report) ->
-        finish_sharded ~t0 ~report result
-    end
-    else if jobs > 1 then begin
-      let t0 = Mclock.now_s () in
-      let result =
-        try
-          Parallel.run ~jobs ?trace ~log_level ~failslab_rate ?failslab_seed
-            ~checkpoint_every
-            ?on_step:(Option.map Progress.observer progress)
-            ~prof ~seed ~iterations strategy config
-        with Campaign.Environment msg -> abort_env msg
-      in
-      Option.iter Progress.finish progress;
-      finish_sharded ~t0 result
+        exit (if stopped () then Atomic.get stop_sig else 130)
+      | Supervisor.Completed (result, report) -> finish ~t0 ~report result
     end
     else begin
-      arm_signals ();
       let resume_from =
         match resume_path with
         | None -> None
@@ -413,74 +408,28 @@ let fuzz_cmd =
                (Checkpoint.error_to_string e);
              exit (checkpoint_exit_code e))
       in
-      let failslab =
-        (* on resume the restored plan (with its stream position) wins *)
-        match resume_from with
-        | Some _ -> None
-        | None when failslab_rate > 0.0 ->
-          Some
-            (Failslab.create ~rate:failslab_rate
-               ~seed:(Option.value failslab_seed ~default:seed) ())
-        | None -> None
-      in
-      let telemetry =
-        match trace with
-        | Some path -> Telemetry.create path
-        | None -> Telemetry.null
-      in
       (* -n counts total iterations, so a resumed run does the rest *)
-      let remaining =
+      let iterations =
         match resume_from with
         | Some s -> max 0 (iterations - s.Campaign.sn_completed)
         | None -> iterations
       in
       let t0 = Mclock.now_s () in
-      (* same track layout as a --jobs 1 Parallel.run: the campaign is
-         shard 0, its phases nested in one top-level "iterate" span *)
-      let cprof = Prof.track prof ~name:"shard0" 0 in
-      let stats =
+      let result =
         try
-          Prof.span cprof "iterate" @@ fun () ->
-          Campaign.run
-            ~telemetry ~log_level ~prof:cprof
+          Parallel.run ~jobs ?trace ~log_level ~failslab_rate ?failslab_seed
             ~checkpoint_every
-            ?checkpoint:(Option.map Campaign.checkpoint_to checkpoint_path)
-            ?failslab
-            ?resume_from
-            ~stop:stopped
-            ?on_step:
-              (Option.map
-                 (fun p c -> Progress.update p ~shard:0 c)
-                 progress)
-            ~seed ~iterations:remaining strategy config
-        with Campaign.Environment msg ->
-          Telemetry.close telemetry;
-          abort_env msg
+            ?checkpoint:
+              (Option.map (fun path _ -> Campaign.checkpoint_to path)
+                 checkpoint_path)
+            ?resume_from:(Option.map (fun s _ -> s) resume_from)
+            ~stop:(fun _ -> stopped)
+            ?on_step:(Option.map Progress.observer progress)
+            ~prof ~seed ~iterations strategy config
+        with Campaign.Environment msg -> abort_env msg
       in
-      Telemetry.close telemetry;
       Option.iter Progress.finish progress;
-      (match trace with
-       | Some path ->
-         append_profile path prof ~wall_s:(Mclock.elapsed_s ~since:t0)
-       | None -> ());
-      write_profile prof profile;
-      Format.printf "%a" Campaign.pp_summary stats;
-      (match failslab with
-       | Some plan when Failslab.enabled plan ->
-         Format.printf "%a" Failslab.pp_summary plan
-       | Some _ | None -> ());
-      print_findings stats;
-      if !stop_sig <> 0 then begin
-        (match checkpoint_path with
-         | Some path ->
-           Printf.printf
-             "interrupted at iteration %d: checkpoint saved to %s\n"
-             stats.Campaign.st_generated path
-         | None ->
-           Printf.printf "interrupted at iteration %d\n"
-             stats.Campaign.st_generated);
-        exit !stop_sig
-      end
+      finish ~t0 result
     end
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run a fuzzing campaign.")

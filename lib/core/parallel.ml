@@ -35,13 +35,14 @@ open Cimport
 
    Determinism contract: for fixed (seed, jobs, config, strategy) every
    shard result and the merged stats/digest are identical across runs
-   and machines, whatever the core count; [jobs = 1] runs
-   {!Campaign.run_t} in the calling domain and is digest- and
-   trace-identical to the sequential path.
+   and machines, whatever the core count.  [jobs = 1] is the sequential
+   campaign: one shard stepped in the calling domain, digest- and
+   trace-identical to {!Campaign.run}, and the path a plain [bvf fuzz]
+   takes.
 
-   The forked-process executor ({!Supervisor}) shares this module's
-   shard setup ({!with_shard}) and join ({!join}), so the two executors
-   differ only in where a shard's {!Campaign.run_t} runs. *)
+   The forked-process executor ({!Supervisor}) steps its shards through
+   this module's {!run_shard} and folds them with its {!join}, so the
+   two executors differ only in where a shard runs. *)
 
 type shard = {
   sh_index : int;
@@ -50,6 +51,7 @@ type shard = {
   sh_stats : Campaign.stats;
   sh_corpus : Corpus.entry list;
   sh_edges : ((string * int) * int) list; (* portable coverage listing *)
+  sh_failslab : Bvf_kernel.Failslab.t;
 }
 
 type result = {
@@ -221,7 +223,7 @@ let merge_corpora ~(jobs : int) (shards : shard list) : Corpus.t =
     shards
   |> Corpus.of_entries
 
-(* -- Shard setup --------------------------------------------------------- *)
+(* -- One shard ------------------------------------------------------------ *)
 
 (* The trace file shard [i] writes.  A one-shard run writes [trace]
    itself, so its trace is byte-identical to a sequential campaign's;
@@ -230,23 +232,17 @@ let merge_corpora ~(jobs : int) (shards : shard list) : Corpus.t =
 let shard_trace_path ~(jobs : int) (trace : string) (i : int) : string =
   if jobs = 1 then trace else trace ^ ".shard" ^ string_of_int i
 
-type shard_env = {
-  se_seed : int;
-  se_failslab : Bvf_kernel.Failslab.t option;
-  se_telemetry : Telemetry.sink;
-}
-
-(* Build shard [i]'s inputs and run [f] on them inside one top-level
-   "iterate" span on the shard's profiler track [prof].  The campaign's
-   phase spans nest inside it, so the span's self time is the
-   per-iteration harness overhead (RNG, corpus, telemetry emission).
-   [trace_pos] reopens an existing shard trace at a checkpointed offset
-   instead of truncating it.  The sink is closed when [f] returns or
-   raises. *)
-let with_shard ~(jobs : int) ~(seed : int) ~(failslab_rate : float option)
-    ~(failslab_seed : int option) ~(trace : string option)
-    ~(trace_pos : int option) ~(prof : Bvf_util.Prof.t) (i : int)
-    (f : shard_env -> 'a) : 'a =
+(* Build shard [i] and step it with the one {!Campaign.run_t} call of
+   either executor, inside one top-level "iterate" span on the shard's
+   track [prof].  The campaign's phase spans nest inside it, so its self
+   time is the per-iteration harness overhead (RNG, corpus, telemetry
+   emission).  The sink is closed when the shard returns or raises. *)
+let run_shard ?(sample_every = 64) ?log_level ?checkpoint_every ?checkpoint
+    ?resume_from ?skip ?stop ?on_step ?trace_pos ~(jobs : int) ~(seed : int)
+    ~(failslab_rate : float option) ~(failslab_seed : int option)
+    ~(trace : string option) ~(prof : Bvf_util.Prof.t) ~(iterations : int)
+    ~(finish : Telemetry.sink -> Campaign.t -> 'a)
+    (strategy : Campaign.strategy) (config : Kconfig.t) (i : int) : 'a =
   Bvf_util.Prof.span prof "iterate" @@ fun () ->
   let telemetry =
     match trace with
@@ -268,7 +264,12 @@ let with_shard ~(jobs : int) ~(seed : int) ~(failslab_rate : float option)
     | Some _ | None -> None
   in
   Fun.protect ~finally:(fun () -> Telemetry.close telemetry) @@ fun () ->
-  f { se_seed = seed + i; se_failslab = failslab; se_telemetry = telemetry }
+  let with_sink hook = Option.map (fun f -> f telemetry) hook in
+  finish telemetry
+    (Campaign.run_t ~sample_every ~telemetry ?log_level ~prof ?failslab
+       ?checkpoint_every ?checkpoint:(with_sink checkpoint) ?resume_from
+       ?skip:(with_sink skip) ?stop ?on_step ~seed:(seed + i) ~iterations
+       strategy config)
 
 (* -- The join -------------------------------------------------------------- *)
 
@@ -280,6 +281,7 @@ let shard_of_snapshot ~(index : int) (s : Campaign.snapshot) : shard =
     sh_stats = s.Campaign.sn_stats;
     sh_corpus = Corpus.entries s.Campaign.sn_corpus;
     sh_edges = Coverage.named_edges s.Campaign.sn_cov;
+    sh_failslab = s.Campaign.sn_failslab;
   }
 
 (* The one join every executor ends with.  [finals] holds shard
@@ -390,8 +392,8 @@ let merge_snapshots (snapshots : Campaign.snapshot list) :
 
 (* -- Driving ----------------------------------------------------------- *)
 
-let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
-    ?failslab_seed ?checkpoint_every ?on_step
+let run ?sample_every ?trace ?log_level ?failslab_rate ?failslab_seed
+    ?checkpoint_every ?checkpoint ?resume_from ?stop ?on_step
     ?(prof = Bvf_util.Prof.session ~spans:false ()) ~(jobs : int)
     ~(seed : int) ~(iterations : int) (strategy : Campaign.strategy)
     (config : Kconfig.t) : result =
@@ -407,22 +409,22 @@ let run ?(sample_every = 64) ?trace ?log_level ?failslab_rate
   let main_prof =
     Bvf_util.Prof.track prof ~name:"coordinator" jobs
   in
-  let run_shard (i : int) : Campaign.snapshot =
-    with_shard ~jobs ~seed ~failslab_rate ~failslab_seed ~trace
-      ~trace_pos:None ~prof:shard_prof.(i) i
-    @@ fun sh ->
-    Campaign.snapshot
-      (Campaign.run_t ~sample_every ~telemetry:sh.se_telemetry ?log_level
-         ~prof:shard_prof.(i) ?failslab:sh.se_failslab ?checkpoint_every
-         ?on_step:(Option.map (fun f -> f i) on_step)
-         ~seed:sh.se_seed ~iterations:counts.(i) strategy config)
+  let shard (i : int) : Campaign.snapshot =
+    let at hook = Option.map (fun f -> f i) hook in
+    run_shard ?sample_every ?log_level ?checkpoint_every
+      ?checkpoint:(Option.map (fun f _ -> f i) checkpoint)
+      ?resume_from:(at resume_from) ?stop:(at stop) ?on_step:(at on_step)
+      ~jobs ~seed ~failslab_rate ~failslab_seed ~trace ~prof:shard_prof.(i)
+      ~iterations:counts.(i)
+      ~finish:(fun _ c -> Campaign.snapshot c)
+      strategy config i
   in
   (* shard 0 runs in the calling domain, so [jobs = 1] is the
      sequential path; every shard runs even after one raised, and the
      join re-raises the lowest-index failure once no shard is left
      running *)
   let finals =
-    Bvf_util.Lanes.run ~prof:main_prof ~tasks:jobs run_shard
+    Bvf_util.Lanes.run ~prof:main_prof ~tasks:jobs shard
     |> Array.to_list
     |> List.mapi (fun i r -> (i, r))
   in
@@ -441,4 +443,9 @@ let pp_summary fmt (r : result) : unit =
            sh.sh_stats.Campaign.st_edges
            (Hashtbl.length sh.sh_stats.Campaign.st_findings)
            sh.sh_stats.Campaign.st_reboots)
-      r.pr_shards
+      r.pr_shards;
+  List.iter
+    (fun sh ->
+       if Bvf_kernel.Failslab.enabled sh.sh_failslab then
+         Bvf_kernel.Failslab.pp_summary fmt sh.sh_failslab)
+    r.pr_shards

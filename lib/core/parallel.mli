@@ -10,10 +10,10 @@
     [(seed, jobs, config, strategy)] regardless of domain scheduling.
 
     Shard-local iteration [j] of shard [s] maps to global iteration
-    [j * jobs + s] (round-robin lockstep); with [jobs = 1] this is the
-    identity and {!run} runs {!Campaign.run_t} in the calling domain,
-    making the single-job path digest- and trace-identical to the
-    sequential campaign. *)
+    [j * jobs + s] (round-robin lockstep).  With [jobs = 1] this is the
+    identity, and {!run} {i is} the sequential campaign: one shard
+    stepped in the calling domain, digest- and trace-identical to
+    {!Campaign.run}.  Every [bvf fuzz] without [--workers] runs here. *)
 
 (** One shard's outcome, in portable form. *)
 type shard = {
@@ -24,6 +24,8 @@ type shard = {
   sh_corpus : Corpus.entry list;
   sh_edges : ((string * int) * int) list;
       (** {!Bvf_verifier.Coverage.named_edges} of the shard's map *)
+  sh_failslab : Bvf_kernel.Failslab.t;
+      (** the shard's fault plan, as its final snapshot holds it *)
 }
 
 type result = {
@@ -56,33 +58,31 @@ val shard_trace_path : jobs:int -> string -> int -> string
     writes: [trace] itself when [jobs = 1], else
     [trace ^ ".shard" ^ i]. *)
 
-(** {1 One shard setup and one join}
+(** {1 One shard loop and one join}
 
     Both executors — domains ({!run}) and forked processes
-    ({!Supervisor.run}) — build a shard with {!with_shard}, step it with
-    {!Campaign.run_t}, and fold the results with {!join}; their merged
-    digests and traces are therefore byte-identical. *)
+    ({!Supervisor.run}) — build and step a shard with {!run_shard} and
+    fold the results with {!join}; their merged digests and traces are
+    therefore byte-identical. *)
 
-(** Shard [i]'s inputs. *)
-type shard_env = {
-  se_seed : int;  (** [seed + i] *)
-  se_failslab : Bvf_kernel.Failslab.t option;
-      (** seeded [failslab_seed + i] (default [seed + i]) when
-          [failslab_rate > 0] *)
-  se_telemetry : Telemetry.sink;
-      (** writes {!shard_trace_path}, iterations rewritten to global
-          numbering; {!Telemetry.null} without a trace *)
-}
-
-val with_shard :
+val run_shard :
+  ?sample_every:int -> ?log_level:int -> ?checkpoint_every:int ->
+  ?checkpoint:(Telemetry.sink -> Campaign.t -> unit) ->
+  ?resume_from:Campaign.snapshot -> ?skip:(Telemetry.sink -> int -> bool) ->
+  ?stop:(unit -> bool) -> ?on_step:(Campaign.t -> unit) -> ?trace_pos:int ->
   jobs:int -> seed:int -> failslab_rate:float option ->
-  failslab_seed:int option -> trace:string option -> trace_pos:int option ->
-  prof:Bvf_util.Prof.t -> int -> (shard_env -> 'a) -> 'a
-(** [with_shard ... ~prof i f] builds shard [i]'s inputs and runs [f]
-    inside one top-level "iterate" span on the track [prof].  With
-    [trace_pos] the shard trace is {!Telemetry.reopen}ed at that offset
-    (a restarted worker) instead of truncated.  The sink is closed when
-    [f] returns or raises. *)
+  failslab_seed:int option -> trace:string option -> prof:Bvf_util.Prof.t ->
+  iterations:int -> finish:(Telemetry.sink -> Campaign.t -> 'a) ->
+  Campaign.strategy -> Bvf_kernel.Kconfig.t -> int -> 'a
+(** [run_shard ... ~finish strategy config i] builds shard [i] (seed
+    [seed + i], the fault plan {!run} describes, a sink writing
+    {!shard_trace_path} in global numbering) and steps it [iterations]
+    times with {!Campaign.run_t}, whose hooks these are; [checkpoint]
+    and [skip] also get the sink.  [finish sink c] makes the result from
+    the final campaign while the sink is open.  With [trace_pos] the
+    shard trace is {!Telemetry.reopen}ed at that offset (a restarted
+    worker) instead of truncated.  Runs inside one "iterate" span on
+    [prof]; the sink is closed when the shard returns or raises. *)
 
 val join :
   jobs:int -> trace:string option ->
@@ -120,6 +120,8 @@ val merge_snapshots :
 val run :
   ?sample_every:int -> ?trace:string -> ?log_level:int ->
   ?failslab_rate:float -> ?failslab_seed:int -> ?checkpoint_every:int ->
+  ?checkpoint:(int -> Campaign.t -> unit) ->
+  ?resume_from:(int -> Campaign.snapshot) -> ?stop:(int -> unit -> bool) ->
   ?on_step:(int -> Campaign.t -> unit) ->
   ?prof:Bvf_util.Prof.session ->
   jobs:int -> seed:int -> iterations:int -> Campaign.strategy ->
@@ -130,7 +132,7 @@ val run :
     [seed + i] (and, when [failslab_rate > 0], a fault plan seeded
     [failslab_seed + i], defaulting [failslab_seed] to [seed]).
     [jobs = 1] runs in the calling domain and is digest-identical to
-    {!Campaign.run}.
+    {!Campaign.run}: it is the sequential campaign.
 
     [trace] writes a {!Telemetry} JSONL stream: each shard writes
     [trace ^ ".shard" ^ i] with iterations rewritten to global
@@ -140,8 +142,11 @@ val run :
     trace.  [log_level] sets the verifier log level for every load.
     [checkpoint_every] reboots each shard's kernel after every
     [checkpoint_every] shard-local iterations, the barrier schedule of
-    a sequential campaign and of a supervised worker, without writing
-    a snapshot; by default there are no barriers.
+    a sequential campaign and of a supervised worker; by default there
+    are no barriers.  [checkpoint shard], [resume_from shard] and
+    [stop shard] are shard [shard]'s {!Campaign.run_t} hooks: a stopped
+    shard finishes its in-flight iteration, and the join merges what
+    every shard completed.
     [on_step shard] builds the per-shard step observer (the
     [--progress] status line); it runs on the domain of the shard's
     lane (shard 0: the caller) after each completed iteration and must
@@ -167,3 +172,6 @@ val digest : result -> string
     the whole parallel campaign, deterministic for fixed (seed, jobs). *)
 
 val pp_summary : Format.formatter -> result -> unit
+(** The merged {!Campaign.pp_summary}, then one line per shard when
+    [pr_jobs > 1], then each shard's {!Bvf_kernel.Failslab.pp_summary}
+    line when its plan injects faults. *)

@@ -3,9 +3,9 @@ open Cimport
 (* Supervised campaign runner: the {!Parallel} sharding scheme run
    across forked OS processes under a heartbeat watchdog, so an
    analyzer crash or hang costs one worker one segment — not the
-   campaign.  Each worker runs its shard with Campaign.run_t, built by
-   the same Parallel.with_shard a domain uses, and the supervisor folds
-   the final worker checkpoints with the same Parallel.join.  The
+   campaign.  Each worker steps its shard through Parallel.run_shard,
+   as a domain does, and the supervisor folds the final worker
+   checkpoints with the same Parallel.join.  The
    protocol is plain files under the state directory:
 
      worker-<i>.ckpt   incremental checkpoint (worker_snapshot)
@@ -277,6 +277,7 @@ type report = {
   rp_crashes : Triage.harness_crash list;
   rp_quarantined : int list;
   rp_abandoned : (int * int * int) list;
+  rp_idle : bool;
 }
 
 type wstate =
@@ -346,11 +347,12 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   write_quarantine dir !quarantine_set;
   let crashes = ref [] (* newest first *) and ncrashes = ref 0 in
   (* Runs in the forked child and never returns (Unix._exit only, so the
-     parent's at_exit hooks and buffers are untouched).  The shard is an
-     ordinary Campaign.run_t: barrier saves go through its [checkpoint]
-     hook, SIGTERM/SIGINT through its [stop] poll, and its [skip] hook
-     is the once-per-iteration pre-step that writes the heartbeat, runs
-     the fault hook and skips quarantined iterations. *)
+     parent's at_exit hooks and buffers are untouched).  The shard runs
+     through Parallel.run_shard, as a domain's does: barrier saves go
+     through its [checkpoint] hook, SIGTERM/SIGINT through its [stop]
+     poll, and its [skip] hook is the once-per-iteration pre-step that
+     writes the heartbeat, runs the fault hook and skips quarantined
+     iterations. *)
   let worker (i : int) : unit =
     let stop = ref 0 in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := 143));
@@ -383,56 +385,52 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
       let track =
         Bvf_util.Prof.track wsession ~name:(Printf.sprintf "worker%d" i) i
       in
-      Parallel.with_shard ~jobs:workers ~seed ~failslab_rate ~failslab_seed
-        ~trace ~trace_pos:(Option.map (fun w -> w.wk_trace_pos) existing)
-        ~prof:track i
-      @@ (fun sh ->
-          (* the Checkpoint event is already in the trace when the
-             offset is taken, so a restart resumes just after it and an
-             undisturbed worker writes the same trace bytes *)
-          let save (c : Campaign.t) : unit =
-            match
-              Checkpoint.save ~path:ckpt ~tag:worker_tag
-                { wk_shard = i; wk_workers = workers;
-                  wk_trace_pos = Telemetry.pos sh.Parallel.se_telemetry;
-                  wk_snapshot = Campaign.snapshot c }
-            with
-            | Ok () -> ()
-            | Error e ->
-              failwith
-                ("worker checkpoint write failed: "
-                 ^ Checkpoint.error_to_string e)
-          in
-          let seq = ref 0 in
-          let pre_step (local : int) : bool =
-            Bvf_util.Prof.span track "heartbeat" (fun () ->
-                incr seq;
-                atomic_write (hb_path dir i)
-                  (Printf.sprintf "%d %d %d %d\n" !seq local (global local)
-                     (Unix.getpid ()));
-                (* at most the in-flight iteration's events are lost to
-                   SIGKILL *)
-                Telemetry.flush sh.Parallel.se_telemetry);
-            Hashtbl.mem quarantined local
-            || begin
-              Option.iter (fun f -> f ~worker:i ~local ~global:(global local))
-                fault;
-              false
-            end
-          in
-          let c =
-            Campaign.run_t ~sample_every ~telemetry:sh.Parallel.se_telemetry
-              ~log_level ~prof:track ?failslab:sh.Parallel.se_failslab
-              ?resume_from:(Option.map (fun w -> w.wk_snapshot) existing)
-              ~checkpoint_every ~checkpoint:save ~skip:pre_step
-              ~stop:(fun () -> !stop <> 0)
-              ~seed:sh.Parallel.se_seed ~iterations:(counts.(i) - completed)
-              strategy config
-          in
-          (* a stop already saved inside run_t; resume performs the
-             post-save reboot *)
-          if !stop = 0 then
-            Bvf_util.Prof.span track "checkpoint" (fun () -> save c));
+      (* the Checkpoint event is already in the trace when the offset
+         is taken, so a restart resumes just after it and an undisturbed
+         worker writes the same trace bytes *)
+      let save (sink : Telemetry.sink) (c : Campaign.t) : unit =
+        match
+          Checkpoint.save ~path:ckpt ~tag:worker_tag
+            { wk_shard = i; wk_workers = workers;
+              wk_trace_pos = Telemetry.pos sink;
+              wk_snapshot = Campaign.snapshot c }
+        with
+        | Ok () -> ()
+        | Error e ->
+          failwith
+            ("worker checkpoint write failed: "
+             ^ Checkpoint.error_to_string e)
+      in
+      let seq = ref 0 in
+      let pre_step (sink : Telemetry.sink) (local : int) : bool =
+        Bvf_util.Prof.span track "heartbeat" (fun () ->
+            incr seq;
+            atomic_write (hb_path dir i)
+              (Printf.sprintf "%d %d %d %d\n" !seq local (global local)
+                 (Unix.getpid ()));
+            (* at most the in-flight iteration's events are lost to
+               SIGKILL *)
+            Telemetry.flush sink);
+        Hashtbl.mem quarantined local
+        || begin
+          Option.iter (fun f -> f ~worker:i ~local ~global:(global local))
+            fault;
+          false
+        end
+      in
+      Parallel.run_shard ~sample_every ~log_level ~checkpoint_every
+        ~checkpoint:save
+        ?resume_from:(Option.map (fun w -> w.wk_snapshot) existing)
+        ~skip:pre_step ~stop:(fun () -> !stop <> 0)
+        ?trace_pos:(Option.map (fun w -> w.wk_trace_pos) existing)
+        ~jobs:workers ~seed ~failslab_rate ~failslab_seed ~trace ~prof:track
+        ~iterations:(counts.(i) - completed)
+        ~finish:(fun sink c ->
+            (* a stop already saved inside run_t; resume performs the
+               post-save reboot *)
+            if !stop = 0 then
+              Bvf_util.Prof.span track "checkpoint" (fun () -> save sink c))
+        strategy config i;
       if !stop <> 0 then Unix._exit !stop;
       (* the profile must be on disk before the done marker: once the
          parent sees worker-<i>.done it may read it immediately *)
@@ -533,6 +531,9 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
       (fun s -> match s.ws_state with Finished _ -> true | _ -> false)
       slots
   in
+  (* every shard was already complete on disk: no worker runs, and the
+     trace the run that did the work merged is left as it is *)
+  let idle = all_finished () in
   Array.iter
     (fun s ->
        match s.ws_state with
@@ -657,8 +658,10 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
              then Some (w.wr_worker, w.wr_completed, w.wr_assigned - 1)
              else None)
           rp_workers;
+      rp_idle = idle;
     }
   in
+  let trace = if idle then None else trace in
   let outcome =
     if !interrupting then Interrupted report
     else begin

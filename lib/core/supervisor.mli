@@ -7,9 +7,9 @@
     campaign across {b forked OS worker processes} under a watchdog:
 
     - each worker runs one deterministic shard (seed [seed + i], the
-      round-robin split of {!Parallel.shard_iterations}) with
-      {!Campaign.run_t}, set up by the same {!Parallel.with_shard} a
-      domain uses.  Its own parts ride on [run_t]'s hooks: [skip]
+      round-robin split of {!Parallel.shard_iterations}) through
+      {!Parallel.run_shard}, the function a domain steps its shard
+      with.  Its own parts ride on {!Campaign.run_t}'s hooks: [skip]
       writes a heartbeat file ([worker-<i>.hb]) before every
       iteration, runs the [fault] hook and skips quarantined
       iterations; [checkpoint] writes the incremental checkpoint
@@ -37,7 +37,8 @@
 
     Rerunning with the same state [dir] resumes every worker from its
     last checkpoint; a worker whose checkpoint holds its whole shard is
-    reported as completed without running again.  A worker checkpoint
+    reported as completed without running again.  When no worker runs,
+    [trace] is not touched ([rp_idle]).  A worker checkpoint
     cut for another request (pool width, shard, seed, tool, kernel,
     config, or more iterations than assigned) is refused before any
     worker forks.  See [docs/RESILIENCE.md] for the supervision
@@ -103,6 +104,9 @@ type report = {
   rp_abandoned : (int * int * int) list;
       (** [(worker, first_local, last_local)] ranges a retired or
           interrupted worker never executed *)
+  rp_idle : bool;
+      (** no worker ran: every checkpoint in the state directory already
+          held its whole shard, and the trace was not touched *)
 }
 
 type outcome =

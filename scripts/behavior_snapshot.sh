@@ -6,6 +6,9 @@
 # closing "profile" record and the veristat "time_s" column):
 #
 #   fuzz-seq.out, fuzz-seq.trace          bvf fuzz --seed 1 -n 2000
+#   fuzz-seq-failslab.out, .trace         the same with --failslab 0.1
+#   fuzz-ckpt.out, fuzz-ckpt.trace        -n 1000, checkpointed every 500
+#   fuzz-resume.out, fuzz-resume.trace    -n 2000 resumed from that file
 #   fuzz-jobs2.out, fuzz-jobs2.trace      the same with --jobs 2
 #   fuzz-jobs4.out, fuzz-jobs4.trace      the same with --jobs 4
 #   fuzz-workers2.out, fuzz-workers2.trace  the same with --workers 2
@@ -15,7 +18,10 @@
 #
 # Snapshot two builds (say, a parent commit's and a change's) and compare
 # them with `diff -r parent-out change-out`: empty output means the
-# change moved no verdict, counter, digest or trace byte.  The --jobs 4
+# change moved no verdict, counter, digest or trace byte.  The
+# sequential runs pin the lines a one-shard campaign prints at its end
+# (the failslab line, the resume banner and a resumed run's totals).
+# The --jobs 4
 # and --jobs 3 runs have more shards or workers than a small machine has
 # cores, so lanes that run several shards one after the other are
 # covered too.  Raw traces
@@ -36,19 +42,26 @@ trap 'rm -rf "$tmp"' EXIT
 # run from the temporary directory so no default path lands in the tree
 cd "$tmp" || exit 2
 
+# fuzz NAME N ARGS...: bvf fuzz --seed 1 -n N ARGS, traced
 fuzz() {
   name=$1
-  shift
-  echo "== bvf fuzz --seed 1 -n 2000 $*"
-  "$bvf" fuzz --seed 1 -n 2000 --trace "$tmp/$name.trace" "$@" \
+  n=$2
+  shift 2
+  echo "== bvf fuzz --seed 1 -n $n $*"
+  "$bvf" fuzz --seed 1 -n "$n" --trace "$tmp/$name.trace" "$@" \
     > "$out/$name.out" || exit 3
   grep -v '"ev":"profile"' "$tmp/$name.trace" > "$out/$name.trace"
 }
 
-fuzz fuzz-seq
-fuzz fuzz-jobs2 --jobs 2
-fuzz fuzz-jobs4 --jobs 4
-fuzz fuzz-workers2 --workers 2 --state-dir "$tmp/state"
+fuzz fuzz-seq 2000
+fuzz fuzz-seq-failslab 2000 --failslab 0.1
+# a relative checkpoint path keeps the resume banner machine-independent
+fuzz fuzz-ckpt 1000 --checkpoint-every 500 --checkpoint resume.ckpt
+fuzz fuzz-resume 2000 --checkpoint-every 500 --checkpoint resume.ckpt \
+  --resume resume.ckpt
+fuzz fuzz-jobs2 2000 --jobs 2
+fuzz fuzz-jobs4 2000 --jobs 4
+fuzz fuzz-workers2 2000 --workers 2 --state-dir "$tmp/state"
 
 echo "== bvf batch --selftests"
 "$bvf" batch --selftests > "$out/batch-selftests.jsonl" 2> /dev/null || exit 3

@@ -11,6 +11,7 @@ module Coverage = Bvf_verifier.Coverage
 module Corpus = Bvf_core.Corpus
 module Campaign = Bvf_core.Campaign
 module Parallel = Bvf_core.Parallel
+module Telemetry = Bvf_core.Telemetry
 
 let config () = Kconfig.default Version.Bpf_next
 
@@ -297,6 +298,65 @@ let test_shard_failure_joins_and_cleans () =
        Sys.remove trace)
     [ 2; Domain.recommended_domain_count () + 1 ]
 
+(* -- Stop, checkpoint and resume ----------------------------------------------- *)
+
+(* One stop flag polled by every shard (the CLI's SIGINT/SIGTERM path):
+   each shard finishes its in-flight iteration and returns, and the join
+   merges what the shards completed, trace included. *)
+let test_stop_joins_completed () =
+  let trace = Filename.temp_file "bvf_par_stop" ".jsonl" in
+  let jobs = 2 and k = 40 and iterations = 4000 in
+  let steps = Atomic.make 0 in
+  let r =
+    Parallel.run ~trace
+      ~on_step:(fun _ _ -> Atomic.incr steps)
+      ~stop:(fun _ () -> Atomic.get steps >= k)
+      ~jobs ~seed:4 ~iterations Campaign.bvf_strategy (config ())
+  in
+  let n = Atomic.get steps in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d steps: at most one more per other shard" n)
+    true
+    (n >= k && n < k + jobs);
+  Alcotest.(check int) "merged stats count the completed iterations" n
+    r.Parallel.pr_stats.Campaign.st_generated;
+  Alcotest.(check int) "so does the join" n r.Parallel.pr_iterations;
+  for i = 0 to jobs - 1 do
+    Alcotest.(check bool) "no shard trace left" false
+      (Sys.file_exists (Parallel.shard_trace_path ~jobs trace i))
+  done;
+  let summary = Telemetry.summarize (Telemetry.read_file trace) in
+  Alcotest.(check int) "trace holds every completed iteration" n
+    summary.Telemetry.su_generated;
+  Alcotest.(check int) "no unknown rejection" 0
+    (Telemetry.unknown_rejections summary);
+  Sys.remove trace
+
+(* The library form of CI's "Straight vs resumed -n" step: a one-shard
+   run checkpointed to a file, then resumed from that file for the
+   rest of the budget, ends with the straight run's digest. *)
+let test_checkpoint_then_resume () =
+  let ckpt = Filename.temp_file "bvf_par_resume" ".ckpt" in
+  let run ?checkpoint ?resume_from iterations =
+    Parallel.run ~failslab_rate:0.1 ~checkpoint_every:50 ?checkpoint
+      ?resume_from ~jobs:1 ~seed:6 ~iterations Campaign.bvf_strategy
+      (config ())
+  in
+  let straight = run 300 in
+  ignore (run ~checkpoint:(fun _ -> Campaign.checkpoint_to ckpt) 150);
+  let saved =
+    match Campaign.load_checkpoint ~path:ckpt with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Bvf_core.Checkpoint.error_to_string e)
+  in
+  Alcotest.(check int) "checkpoint at the last barrier" 150
+    saved.Campaign.sn_completed;
+  let resumed = run ~resume_from:(fun _ -> saved) 150 in
+  Alcotest.(check int) "whole budget" 300 resumed.Parallel.pr_iterations;
+  Alcotest.(check string) "digest of the straight run"
+    (Parallel.digest straight) (Parallel.digest resumed);
+  Sys.remove ckpt
+
 let () =
   Alcotest.run "bvf_parallel"
     [
@@ -312,6 +372,11 @@ let () =
           Alcotest.test_case "deterministic" `Slow test_parallel_deterministic;
           Alcotest.test_case "deterministic with failslab" `Slow
             test_parallel_failslab_deterministic ] );
+      ( "stop and resume",
+        [ Alcotest.test_case "a stop joins the completed iterations" `Slow
+            test_stop_joins_completed;
+          Alcotest.test_case "checkpoint then resume = straight run" `Slow
+            test_checkpoint_then_resume ] );
       ( "lanes",
         [ Alcotest.test_case "results in order, failures isolated" `Quick
             test_lanes_run;

@@ -510,6 +510,31 @@ let test_finished_state_dir_reported () =
   Alcotest.(check string) "same digest" (Parallel.digest first)
     (Parallel.digest again)
 
+(* The first run's join merged the shard traces into the trace and
+   removed them, so a rerun in which no worker runs has nothing to
+   merge: it must leave the trace as the first run wrote it, not
+   replace it with an empty merge. *)
+let test_finished_state_dir_keeps_trace () =
+  let dir = temp_dir "bvf_sv_done_trace" in
+  let state = Filename.concat dir "state" in
+  let trace = Filename.concat dir "trace.jsonl" in
+  let run () =
+    snd (completed (sv ~trace ~dir:state ~seed:4 ~iterations:60 ~workers:2 ()))
+  in
+  let first = run () in
+  Alcotest.(check bool) "first run forked its workers" false
+    first.Supervisor.rp_idle;
+  let digest () = Digest.to_hex (Digest.string (read_file trace)) in
+  let written = digest () in
+  let again = run () in
+  Alcotest.(check bool) "rerun is idle" true again.Supervisor.rp_idle;
+  Alcotest.(check string) "trace bytes unchanged" written (digest ());
+  List.iter
+    (fun i ->
+       Alcotest.(check bool) "no shard trace left" false
+         (Sys.file_exists (Parallel.shard_trace_path ~jobs:2 trace i)))
+    [ 0; 1 ]
+
 (* -- One run_t contract across executors --------------------------------- *)
 
 (* A one-worker supervised run is Campaign.run_t in a forked process:
@@ -661,7 +686,9 @@ let () =
         [ Alcotest.test_case "another campaign's dir is refused" `Slow
             test_state_dir_refuses_other_campaign;
           Alcotest.test_case "a finished dir is reported" `Slow
-            test_finished_state_dir_reported ] );
+            test_finished_state_dir_reported;
+          Alcotest.test_case "a finished dir keeps its trace" `Slow
+            test_finished_state_dir_keeps_trace ] );
       ( "contract",
         [ Alcotest.test_case "run_t skip hook = one-worker quarantine"
             `Slow test_run_t_contract ] );
