@@ -372,7 +372,7 @@ let () =
           Alcotest.test_case "deterministic" `Slow test_parallel_deterministic;
           Alcotest.test_case "deterministic with failslab" `Slow
             test_parallel_failslab_deterministic ] );
-      ( "stop and resume",
+      ( "stop, resume",
         [ Alcotest.test_case "a stop joins the completed iterations" `Slow
             test_stop_joins_completed;
           Alcotest.test_case "checkpoint then resume = straight run" `Slow
