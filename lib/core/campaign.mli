@@ -205,7 +205,10 @@ val run_t :
   iterations:int -> strategy -> Bvf_kernel.Kconfig.t -> t
 (** Like {!run} but returns the whole campaign, giving callers (the
     shard executors, tests) access to the final coverage map and corpus
-    alongside the stats. *)
+    alongside the stats.  The calling domain runs the campaign under
+    {!Bvf_util.Lanes.with_heap_share}: its minor heap is set to its
+    lane's share of one budget and put back when [run_t] returns or
+    raises. *)
 
 val run :
   ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->

@@ -16,6 +16,11 @@
 let count ~(tasks : int) : int =
   max 1 (min tasks (Domain.recommended_domain_count ()))
 
+(* the lane count of the [run] this domain is a lane of; 1 outside *)
+let width_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 1)
+
+let width () : int = Domain.DLS.get width_key
+
 let run ?(prof = Prof.disabled) ~(tasks : int) (f : int -> 'a) :
   ('a, exn) result array =
   if tasks < 0 then invalid_arg "Lanes.run: tasks < 0";
@@ -23,12 +28,16 @@ let run ?(prof = Prof.disabled) ~(tasks : int) (f : int -> 'a) :
   (* every slot is written before it is read: each task index belongs
      to exactly one lane *)
   let results = Array.make tasks (Error Exit) in
+  (* a lane cannot raise: every task's exception becomes its result *)
   let lane (k : int) () : unit =
+    let outer = width () in
+    Domain.DLS.set width_key d;
     let i = ref k in
     while !i < tasks do
       results.(!i) <- (try Ok (f !i) with e -> Error e);
       i := !i + d
-    done
+    done;
+    Domain.DLS.set width_key outer
   in
   (* each element finishes one lane: joins its domain, or runs the lane
      here when no domain could be spawned for it *)
@@ -42,3 +51,28 @@ let run ?(prof = Prof.disabled) ~(tasks : int) (f : int -> 'a) :
   lane 0 ();
   Prof.span prof "join" (fun () -> List.iter (fun f -> f ()) finish);
   results
+
+(* The minor heap budget, in words, of the domains running campaigns at
+   one time: 4 MB, two of OCaml's default 256k-word heaps.  A campaign
+   iteration allocates mostly short-lived verifier state, and at the
+   default size 5.6% of iterations absorbed a ~220 us minor collection,
+   half of the campaign's latency p90.  One domain at 512k words cut p90
+   by 23-25% (6 of 6 paired runs, 2 vCPU; about 16% when resized per
+   run_t call, whose fresh heap costs page faults); two lanes at 512k
+   words each made p50 worse in 8 of 8 runs, so lanes split the budget
+   and a two-lane run keeps the default 256k each (DESIGN.md §8.5). *)
+let minor_heap_budget = 524_288
+
+let with_heap_share (f : unit -> 'a) : 'a =
+  let before = (Gc.get ()).Gc.minor_heap_size in
+  let share = minor_heap_budget / width () in
+  if share <= before then f ()
+  else begin
+    (* a resize first empties the minor heaps, a stop-the-world
+       collection, so an unchanged size is never set *)
+    let resize words =
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
+    in
+    resize share;
+    Fun.protect ~finally:(fun () -> resize before) f
+  end

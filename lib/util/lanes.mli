@@ -11,6 +11,11 @@
 val count : tasks:int -> int
 (** [min tasks (Domain.recommended_domain_count ())], at least 1. *)
 
+val width : unit -> int
+(** The lane count [d] of the {!run} the calling domain is running a
+    task of, or 1 outside any {!run}.  Lane 0 gets its previous value
+    back when {!run} returns. *)
+
 val run :
   ?prof:Prof.t -> tasks:int -> (int -> 'a) -> ('a, exn) result array
 (** Results in task-index order.  A task that raises is recorded as
@@ -21,3 +26,17 @@ val run :
     a "spawn" span around starting lanes [1 .. d - 1] and a "join"
     span around waiting for them once lane 0 is done.
     @raise Invalid_argument when [tasks < 0]. *)
+
+val minor_heap_budget : int
+(** Minor heap words shared by the lanes of one {!run}: 524 288 words
+    (4 MB), split evenly, so one lane gets 512k words and each of two
+    lanes OCaml's default 256k (DESIGN.md §8.5). *)
+
+val with_heap_share : (unit -> 'a) -> 'a
+(** [with_heap_share f] runs [f] with the calling domain's minor heap at
+    [max current (minor_heap_budget / width ())] words, and puts the
+    previous size back when [f] returns or raises.  A larger size
+    (say, from [OCAMLRUNPARAM=s=]) is left as it is, and so is every
+    other domain's heap: on OCaml 5 the minor heap size is per domain,
+    and a spawned domain starts at the startup size, not at its
+    spawner's.  Nothing [f] computes may depend on the heap size. *)

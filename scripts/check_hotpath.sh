@@ -1,8 +1,9 @@
 #!/bin/sh
 # Hot-path throughput regression gate.
 #
-# Compares a freshly produced BENCH_hotpath.json (normally from
-# `dune exec bench/main.exe -- hotpath-quick`) against the committed
+# Compares a freshly produced BENCH_hotpath_quick.json (from
+# `dune exec bench/main.exe -- hotpath-quick`; the committed
+# BENCH_hotpath.json is the full `hotpath` run) against the committed
 # bench-baseline.json and fails when any row's programs_per_sec drops
 # more than the allowed fraction (default 20%).  The campaign row's
 # determinism digest must also match the baseline exactly: a perf
@@ -12,7 +13,7 @@
 # Usage: scripts/check_hotpath.sh [new.json] [baseline.json] [max-drop-%]
 set -u
 
-new=${1:-BENCH_hotpath.json}
+new=${1:-BENCH_hotpath_quick.json}
 baseline=${2:-bench-baseline.json}
 max_drop=${3:-20}
 

@@ -1,9 +1,11 @@
 (* Tests for the sharded parallel campaign runner: the round-robin
    iteration split, the jobs=1 bit-identity contract, run-to-run
    determinism for fixed (seed, jobs), the lane layout (shard 0 in the
-   caller, at most one domain per core), the merge invariants (union
-   coverage, deduplicated findings at global iterations, summed
-   counters) and the portable cross-map coverage merge it builds on. *)
+   caller, at most one domain per core, each lane's share of the minor
+   heap budget), the merge invariants (union coverage, deduplicated
+   findings at global iterations, summed counters), the portable
+   cross-map coverage merge it builds on, and a digest that no minor
+   heap size moves. *)
 
 module Version = Bvf_ebpf.Version
 module Kconfig = Bvf_kernel.Kconfig
@@ -171,6 +173,54 @@ let test_shards_on_lanes () =
          seen)
     [ 1; 2; cores + 2 ]
 
+(* Lane k of a run knows the run's lane count while its tasks run; a
+   domain outside any run sees 1. *)
+let test_lanes_width () =
+  Alcotest.(check int) "1 outside a run" 1 (Bvf_util.Lanes.width ());
+  List.iter
+    (fun tasks ->
+       let widths =
+         Bvf_util.Lanes.run ~tasks (fun _ -> Bvf_util.Lanes.width ())
+       in
+       Array.iteri
+         (fun i w ->
+            Alcotest.(check (result int reject))
+              (Printf.sprintf "tasks=%d: task %d sees the lane count" tasks i)
+              (Ok (Bvf_util.Lanes.count ~tasks)) w)
+         widths;
+       Alcotest.(check int) "1 again after the run" 1
+         (Bvf_util.Lanes.width ()))
+    [ 1; 2; 3; Domain.recommended_domain_count () + 2 ]
+
+let heap_words () = (Gc.get ()).Gc.minor_heap_size
+
+let set_heap_words (words : int) : unit =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
+
+(* A shard of a two-shard run steps with its lane's share of the
+   budget; a size the domain already had above that share is kept. *)
+let test_shard_heap_share () =
+  let jobs = 2 in
+  let lanes = Bvf_util.Lanes.count ~tasks:jobs in
+  let share = Bvf_util.Lanes.minor_heap_budget / lanes in
+  (* lane 0 is the caller; a spawned lane starts at the startup size *)
+  let caller = heap_words () in
+  let startup = Domain.join (Domain.spawn heap_words) in
+  let seen = Array.make jobs 0 in
+  ignore
+    (Parallel.run
+       ~on_step:(fun shard _ -> seen.(shard) <- heap_words ())
+       ~jobs ~seed:2 ~iterations:(8 * jobs) Campaign.bvf_strategy
+       (config ()));
+  Array.iteri
+    (fun i words ->
+       let own = if i mod lanes = 0 then caller else startup in
+       Alcotest.(check int)
+         (Printf.sprintf "shard %d at budget / %d lanes" i lanes)
+         (max own share) words)
+    seen;
+  Alcotest.(check int) "the caller's heap is back" caller (heap_words ())
+
 let test_parallel_failslab_deterministic () =
   let digest () =
     Parallel.digest
@@ -179,6 +229,56 @@ let test_parallel_failslab_deterministic () =
   in
   Alcotest.(check string) "per-shard fault plans reproducible"
     (digest ()) (digest ())
+
+(* -- The minor heap ------------------------------------------------------------ *)
+
+(* Campaign.run_t ~seed:21 ~iterations:300 at OCaml's default minor heap,
+   pinned before campaigns resized it *)
+let pinned_run_t = "739e769a98d699f2fabe0028db7a6982"
+
+(* No outcome depends on the GC: the same campaign under a 32k-word and
+   a 4M-word minor heap has the digest pinned at the default heap, and
+   [run_t] hands the caller its heap back at the size it found. *)
+let test_digest_under_any_heap () =
+  let before = heap_words () in
+  let digest_at words =
+    set_heap_words words;
+    let during = ref 0 in
+    let c =
+      Campaign.run_t ~on_step:(fun _ -> during := heap_words ()) ~seed:21
+        ~iterations:300 Campaign.bvf_strategy (config ())
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "%dk words: one lane's share while it runs"
+         (words / 1024))
+      (max words Bvf_util.Lanes.minor_heap_budget) !during;
+    Alcotest.(check int)
+      (Printf.sprintf "%dk words: back after run_t returns" (words / 1024))
+      words (heap_words ());
+    Campaign.digest c.Campaign.stats
+  in
+  let small = digest_at 32_768 in
+  let large = digest_at 4_194_304 in
+  set_heap_words before;
+  Alcotest.(check string) "32k words: the pinned digest" pinned_run_t small;
+  Alcotest.(check string) "4M words: the pinned digest" pinned_run_t large
+
+let test_heap_restored_on_raise () =
+  let before = heap_words () in
+  let raising =
+    { Campaign.bvf_strategy with
+      Campaign.s_name = "raising";
+      s_generate = (fun _ _ _ -> failwith "generate") }
+  in
+  set_heap_words 32_768;
+  (match
+     Campaign.run_t ~seed:1 ~iterations:5 raising (config ())
+   with
+   | exception Failure m -> Alcotest.(check string) "its exception" "generate" m
+   | _ -> Alcotest.fail "expected s_generate's exception");
+  let after = heap_words () in
+  set_heap_words before;
+  Alcotest.(check int) "back after run_t raises" 32_768 after
 
 (* -- Merge invariants ---------------------------------------------------------- *)
 
@@ -381,7 +481,16 @@ let () =
         [ Alcotest.test_case "results in order, failures isolated" `Quick
             test_lanes_run;
           Alcotest.test_case "shard 0 on the caller, one domain per core"
-            `Slow test_shards_on_lanes ] );
+            `Slow test_shards_on_lanes;
+          Alcotest.test_case "width = lane count inside, 1 outside" `Quick
+            test_lanes_width;
+          Alcotest.test_case "a jobs=2 shard at its heap share" `Slow
+            test_shard_heap_share ] );
+      ( "minor heap",
+        [ Alcotest.test_case "digest under a 32k and a 4M heap" `Slow
+            test_digest_under_any_heap;
+          Alcotest.test_case "restored when run_t raises" `Quick
+            test_heap_restored_on_raise ] );
       ( "merge",
         [ Alcotest.test_case "invariants" `Slow test_merge_invariants ] );
       ( "failure",
