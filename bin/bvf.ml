@@ -108,25 +108,14 @@ let failslab_seed_t =
          ~doc:"Seed for the fault-injection decision stream (defaults to \
                the campaign seed).")
 
-let checkpoint_t =
-  Arg.(value & opt (some string) None
-       & info [ "checkpoint" ] ~docv:"PATH"
-         ~doc:"Write campaign checkpoints to $(docv) (atomic \
-               write-then-rename).")
-
 let checkpoint_every_t =
   Arg.(value & opt int 1000
        & info [ "checkpoint-every" ] ~docv:"N"
-         ~doc:"Checkpoint (and reboot) every $(docv) completed \
-               iterations; with --jobs or --workers, every $(docv) \
-               iterations of each shard.  --jobs reboots at these \
-               barriers without writing a checkpoint.")
-
-let resume_t =
-  Arg.(value & opt (some string) None
-       & info [ "resume" ] ~docv:"PATH"
-         ~doc:"Resume a campaign from a checkpoint file written by \
-               --checkpoint.")
+         ~doc:"Reboot every shard's kernel after every $(docv) of its \
+               completed iterations (a plain run is one shard), saving \
+               the shard's state first when --state-dir is given.  A \
+               resumed run reproduces the straight run's digest when \
+               it resumes from one of these barriers.")
 
 let jobs_t =
   Arg.(value & opt int 1
@@ -147,16 +136,23 @@ let workers_t =
          ~doc:"Supervise the campaign across $(docv) forked worker \
                processes (same sharding as --jobs, but crash-isolated: \
                a worker that dies or stops heartbeating is restarted \
-               from its last checkpoint with the implicated iteration \
+               from its last saved state with the implicated iteration \
                quarantined).  Protocol files live under --state-dir; \
                rerunning with the same directory resumes.")
 
 let state_dir_t =
-  Arg.(value & opt string "bvf-state"
+  Arg.(value & opt (some string) None
        & info [ "state-dir" ] ~docv:"DIR"
-         ~doc:"Directory for --workers protocol files: per-worker \
-               checkpoints, heartbeats, crash artifacts and the \
-               quarantine list.")
+         ~doc:"Keep the campaign's durable state under $(docv) (created \
+               if missing): one shard-<i>.ckpt per shard, saved at every \
+               --checkpoint-every barrier, at SIGINT/SIGTERM and at the \
+               end.  Rerunning with the same directory, seed, shard \
+               count, kernel and config resumes every shard (-n is the \
+               campaign total); a finished shard is reported, not \
+               re-run.  --jobs N and --workers N resume each other's \
+               directories.  --workers also keeps its protocol files \
+               here (default bvf-state with --workers); a run without \
+               --workers or --state-dir writes no state.")
 
 let deadline_t =
   Arg.(value & opt float 30.0
@@ -169,7 +165,7 @@ let max_restarts_t =
   Arg.(value & opt int 5
        & info [ "max-restarts" ] ~docv:"N"
          ~doc:"Retire a worker (shrinking the pool) after $(docv) \
-               restarts; its last checkpoint still joins the merge and \
+               restarts; its last saved state still joins the merge and \
                the abandoned iterations are reported.")
 
 let quarantine_t =
@@ -217,11 +213,14 @@ let profile_t =
 (* The closing profile record is appended by the CLI, not emitted by
    the campaign: traces stay byte-deterministic for a fixed seed, and
    the profile carries the only wall-clock times in the file, next to
-   this process's profiler totals. *)
+   this process's profiler totals.  A one-shard run stopped before its
+   shard started wrote no trace, so the file may not exist yet. *)
 let append_profile (path : string) (prof : Prof.session) ~(wall_s : float)
   : unit =
   let ev = Telemetry.profile_of_totals ~wall_s (Prof.session_totals prof) in
-  let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
+  let oc =
+    open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
+  in
   output_string oc (Telemetry.to_json ev);
   output_char oc '\n';
   close_out oc
@@ -256,8 +255,8 @@ let print_findings (stats : Campaign.stats) : unit =
 
 let fuzz_cmd =
   let run version seed iterations tool no_sanitize fixed unprivileged
-      witness failslab_rate failslab_seed checkpoint_path checkpoint_every
-      resume_path jobs workers state_dir deadline max_restarts
+      witness failslab_rate failslab_seed checkpoint_every jobs workers
+      state_dir deadline max_restarts
       quarantine_file trace log_level progress_every profile =
     let config =
       if fixed then Kconfig.fixed version else Kconfig.default version
@@ -273,12 +272,6 @@ let fuzz_cmd =
     in
     if jobs < 1 then begin
       Printf.eprintf "bvf fuzz: --jobs must be >= 1\n";
-      exit 2
-    end;
-    if jobs > 1 && (checkpoint_path <> None || resume_path <> None) then begin
-      Printf.eprintf
-        "bvf fuzz: --jobs > 1 is incompatible with --checkpoint/--resume \
-         (shards are merged, not checkpointed)\n";
       exit 2
     end;
     if failslab_rate < 0.0 || failslab_rate > 1.0 then begin
@@ -297,14 +290,6 @@ let fuzz_cmd =
          processes vs in-process domains)\n";
       exit 2
     end;
-    if workers > 0 && (checkpoint_path <> None || resume_path <> None)
-    then begin
-      Printf.eprintf
-        "bvf fuzz: --workers checkpoints per worker under --state-dir; \
-         --checkpoint/--resume do not apply (rerun with the same \
-         --state-dir to resume)\n";
-      exit 2
-    end;
     if workers > 0 && progress_every <> None then begin
       Printf.eprintf
         "bvf fuzz: --progress observes in-process runs only; --workers \
@@ -312,8 +297,12 @@ let fuzz_cmd =
          status line)\n";
       exit 2
     end;
+    let state_dir =
+      if workers > 0 then Some (Option.value state_dir ~default:"bvf-state")
+      else state_dir
+    in
     (* SIGINT/SIGTERM finish every shard's or worker's in-flight
-       iteration, write a final checkpoint where one is configured,
+       iteration, save each shard's state under --state-dir,
        merge and flush telemetry and exit with the conventional
        128+signal code; every lane reads the one flag *)
     let stop_sig = Atomic.make 0 in
@@ -337,17 +326,24 @@ let fuzz_cmd =
     in
     (* its totals feed the closing profile line; --profile adds spans *)
     let prof = Prof.session ~spans:(profile <> None) () in
-    let abort_env msg =
-      Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
-      exit 3
+    (* a shard file another run cut is exit 3, a damaged one exit 4 *)
+    let guarded f =
+      try f () with
+      | Campaign.Environment msg ->
+        Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
+        exit 3
+      | Parallel.Bad_state (path, e) ->
+        Printf.eprintf "bvf fuzz: cannot resume from %s: %s\n" path
+          (Checkpoint.error_to_string e);
+        exit (checkpoint_exit_code e)
     in
-    (* the closing output, whichever executor ran the campaign; a
-       supervised rerun of a finished state dir wrote no trace *)
+    (* the closing output, whichever executor ran the campaign; a rerun
+       of a finished state dir wrote no trace *)
     let finish ~t0 ?report (result : Parallel.result) =
-      (match trace, report with
-       | Some _, Some { Supervisor.rp_idle = true; _ } | None, _ -> ()
-       | Some path, _ ->
-         append_profile path prof ~wall_s:(Mclock.elapsed_s ~since:t0));
+      (match trace with
+       | Some path when not result.Parallel.pr_idle ->
+         append_profile path prof ~wall_s:(Mclock.elapsed_s ~since:t0)
+       | Some _ | None -> ());
       write_profile prof profile;
       Format.printf "%a" Parallel.pp_summary result;
       Option.iter (Format.printf "%a" Supervisor.pp_report) report;
@@ -357,8 +353,8 @@ let fuzz_cmd =
       if stopped () then begin
         Printf.printf "interrupted at iteration %d%s\n"
           result.Parallel.pr_stats.Campaign.st_generated
-          (match checkpoint_path with
-           | Some path -> ": checkpoint saved to " ^ path
+          (match state_dir with
+           | Some dir -> ": state saved under " ^ dir
            | None -> "");
         exit (Atomic.get stop_sig)
       end
@@ -375,58 +371,32 @@ let fuzz_cmd =
           Supervisor.quarantine_of_file f
       in
       let t0 = Mclock.now_s () in
+      let dir = Option.get state_dir in
       let outcome =
-        try
-          Supervisor.run ~log_level ?trace ~failslab_rate ?failslab_seed
-            ~checkpoint_every ~deadline_s:deadline ~max_restarts ~quarantine
-            ~prof ~stop:stopped ~workers ~seed ~iterations ~dir:state_dir
-            strategy config
-        with Campaign.Environment msg -> abort_env msg
+        guarded (fun () ->
+            Supervisor.run ~log_level ?trace ~failslab_rate ?failslab_seed
+              ~checkpoint_every ~deadline_s:deadline ~max_restarts
+              ~quarantine ~prof ~stop:stopped ~workers ~seed ~iterations ~dir
+              strategy config)
       in
       match outcome with
       | Supervisor.Interrupted report ->
         Printf.printf
-          "interrupted: workers checkpointed under %s; rerun with the \
-           same --state-dir to resume\n"
-          state_dir;
+          "interrupted: workers saved their state under %s; rerun with \
+           the same --state-dir to resume\n"
+          dir;
         Format.printf "%a" Supervisor.pp_report report;
         exit (if stopped () then Atomic.get stop_sig else 130)
       | Supervisor.Completed (result, report) -> finish ~t0 ~report result
     end
     else begin
-      let resume_from =
-        match resume_path with
-        | None -> None
-        | Some path ->
-          (match Campaign.load_checkpoint ~path with
-           | Ok s ->
-             Printf.printf "resuming from %s: %d iterations completed\n"
-               path s.Campaign.sn_completed;
-             Some s
-           | Error e ->
-             Printf.eprintf "bvf fuzz: cannot resume from %s: %s\n" path
-               (Checkpoint.error_to_string e);
-             exit (checkpoint_exit_code e))
-      in
-      (* -n counts total iterations, so a resumed run does the rest *)
-      let iterations =
-        match resume_from with
-        | Some s -> max 0 (iterations - s.Campaign.sn_completed)
-        | None -> iterations
-      in
       let t0 = Mclock.now_s () in
       let result =
-        try
-          Parallel.run ~jobs ?trace ~log_level ~failslab_rate ?failslab_seed
-            ~checkpoint_every
-            ?checkpoint:
-              (Option.map (fun path _ -> Campaign.checkpoint_to path)
-                 checkpoint_path)
-            ?resume_from:(Option.map (fun s _ -> s) resume_from)
-            ~stop:(fun _ -> stopped)
-            ?on_step:(Option.map Progress.observer progress)
-            ~prof ~seed ~iterations strategy config
-        with Campaign.Environment msg -> abort_env msg
+        guarded (fun () ->
+            Parallel.run ~jobs ?trace ~log_level ~failslab_rate ?failslab_seed
+              ~checkpoint_every ?dir:state_dir ~stop:(fun _ -> stopped)
+              ?on_step:(Option.map Progress.observer progress)
+              ~prof ~seed ~iterations strategy config)
       in
       Option.iter Progress.finish progress;
       finish ~t0 result
@@ -435,9 +405,9 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc:"Run a fuzzing campaign.")
     Term.(const run $ version_t $ seed_t $ iterations_t $ tool_t
           $ no_sanitize_t $ fixed_t $ unprivileged_t $ witness_t
-          $ failslab_t $ failslab_seed_t $ checkpoint_t
-          $ checkpoint_every_t $ resume_t $ jobs_t $ workers_t
-          $ state_dir_t $ deadline_t $ max_restarts_t $ quarantine_t
+          $ failslab_t $ failslab_seed_t $ checkpoint_every_t $ jobs_t
+          $ workers_t $ state_dir_t $ deadline_t $ max_restarts_t
+          $ quarantine_t
           $ trace_t $ log_level_t $ progress_t $ profile_t)
 
 (* -- explain ---------------------------------------------------------------- *)
@@ -926,13 +896,14 @@ let veristat_cmd =
 
 let cov_cmd =
   let run diff files =
+    (* iterations in global numbering, as bvf merge reports them *)
     let load path =
-      match Campaign.load_checkpoint ~path with
-      | Ok s -> s
-      | Error e ->
+      match Parallel.load_state path with
+      | st -> (Parallel.merge_states [ st ]).Parallel.ss_snapshot
+      | exception Parallel.Bad_state (_, e) ->
         Printf.eprintf "bvf cov: cannot read checkpoint %s: %s\n" path
           (Checkpoint.error_to_string e);
-        exit 2
+        exit (checkpoint_exit_code e)
     in
     if diff then begin
       match files with
@@ -1014,8 +985,8 @@ let cov_cmd =
                          and lost edges).")
           $ Arg.(value & pos_all string []
                  & info [] ~docv:"CHECKPOINT"
-                   ~doc:"Checkpoint file(s) written by $(b,bvf fuzz \
-                         --checkpoint)."))
+                   ~doc:"Shard file(s) from a $(b,bvf fuzz \
+                         --state-dir), or $(b,bvf merge) outputs."))
 
 (* -- merge -------------------------------------------------------------------- *)
 
@@ -1027,35 +998,23 @@ let merge_cmd =
       exit 2
     end;
     let load path =
-      match Campaign.load_checkpoint ~path with
-      | Ok s -> s
-      | Error (Checkpoint.Tag_mismatch _) -> (
-        (* maybe a per-worker checkpoint salvaged from a supervised
-           run: renumber its local iterations to global and merge *)
-        match Supervisor.load_worker ~path with
-        | Ok w -> Supervisor.globalize w
-        | Error e ->
-          Printf.eprintf "bvf merge: cannot read %s: %s\n" path
-            (Checkpoint.error_to_string e);
-          exit (checkpoint_exit_code e))
-      | Error e ->
+      try Parallel.load_state path with
+      | Parallel.Bad_state (_, e) ->
         Printf.eprintf "bvf merge: cannot read %s: %s\n" path
           (Checkpoint.error_to_string e);
         exit (checkpoint_exit_code e)
     in
-    let snapshots = List.map load files in
     let merged =
-      try Parallel.merge_snapshots snapshots with
+      try Parallel.merge_states (List.map load files) with
       | Campaign.Environment msg ->
         Printf.eprintf "bvf merge: %s\n" msg;
         exit 2
     in
-    (match Campaign.save_snapshot merged ~path:out with
-     | Ok () -> ()
-     | Error e ->
-       Printf.eprintf "bvf merge: cannot write %s: %s\n" out
-         (Checkpoint.error_to_string e);
+    (try Parallel.save_state out merged with
+     | Campaign.Environment msg ->
+       Printf.eprintf "bvf merge: %s\n" msg;
        exit 3);
+    let merged = merged.Parallel.ss_snapshot in
     Printf.printf
       "merged %d checkpoints into %s: %d iterations, %d edges, %d \
        findings\n"
@@ -1067,10 +1026,11 @@ let merge_cmd =
   in
   Cmd.v
     (Cmd.info "merge"
-       ~doc:"Merge independent campaign checkpoints (from --checkpoint, \
-             from different machines, or per-worker worker-N.ckpt files \
-             salvaged from a --workers state directory) into one \
-             reportable checkpoint: coverage unioned, findings \
+       ~doc:"Merge shard files (the shard-<i>.ckpt files of a \
+             --state-dir, from one run or from runs on different \
+             machines, or earlier merge outputs) into one reportable \
+             checkpoint in global iteration numbers: coverage unioned, \
+             findings \
              deduplicated at their earliest iteration, counters summed. \
              The output is associative and commutative on everything \
              the digest covers; it can be merged again or inspected \
@@ -1081,7 +1041,7 @@ let merge_cmd =
                    ~doc:"Write the merged checkpoint to $(docv).")
           $ Arg.(value & pos_all string []
                  & info [] ~docv:"CHECKPOINT"
-                   ~doc:"Checkpoint files to merge."))
+                   ~doc:"Shard files to merge."))
 
 (* -- batch / serve (the service layer, docs/SERVICE.md) ----------------------- *)
 

@@ -20,10 +20,6 @@ module Gen = Bvf_core.Gen
 
 type mode = Random_bytes | Alu_jmp
 
-let mode_to_string = function
-  | Random_bytes -> "random"
-  | Alu_jmp -> "alu_jmp"
-
 (* Random raw bytes, decoded as the kernel would read them from the
    syscall; undecodable programs materialize as a one-insn poison that
    the verifier immediately rejects (the same EINVAL the real syscall

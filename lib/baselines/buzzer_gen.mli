@@ -5,8 +5,6 @@
 
 type mode = Random_bytes | Alu_jmp
 
-val mode_to_string : mode -> string
-
 val generate :
   mode -> Bvf_core.Rng.t -> Bvf_core.Gen.config ->
   Bvf_verifier.Verifier.request

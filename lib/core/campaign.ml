@@ -17,10 +17,11 @@ open Cimport
      allocation failures are part of the tested environment; transient
      -ENOMEM outcomes are retried (with a reboot as escalation) and
      counted, never classified as findings;
-   - periodic checkpoints: corpus, coverage, stats, RNG and fault-plan
-     state are atomically persisted at a reboot boundary, so a killed
-     campaign resumes from disk and replays the exact continuation of
-     the uninterrupted run;
+   - periodic barriers: the [checkpoint] hook of {!run_t} takes the
+     snapshot (corpus, coverage, stats, RNG and fault-plan state) and
+     the kernel reboots, so a campaign resumed from that snapshot
+     replays the exact continuation of the uninterrupted run
+     ({!Parallel} keeps the snapshots in a state directory);
    - the reboot-storm breaker: corpus entries implicated in consecutive
      fatal reboots are quarantined instead of re-picked forever. *)
 
@@ -230,29 +231,71 @@ let reboot (c : t) : unit =
       c_maps = standard_maps c.session };
   c.stats.st_reboots <- c.stats.st_reboots + 1
 
-let create ?(sample_every = 64) ?(telemetry = Telemetry.null)
-    ?(log_level = 0) ?(prof = Bvf_util.Prof.disabled) ?failslab
-    ~(seed : int) (strategy : strategy) (config : Kconfig.t) : t =
-  let failslab =
-    match failslab with
-    | Some f -> f
-    | None -> Bvf_kernel.Failslab.off ()
-  in
-  let cov = Coverage.create () in
-  let session = Loader.create ~cov ~failslab config in
-  let gen_config =
-    { Gen.c_version = config.Kconfig.version;
-      c_maps = standard_maps session }
-  in
+(* -- Snapshots ------------------------------------------------------------ *)
+
+(* Everything needed to continue the campaign.  The simulated kernel
+   itself is deliberately absent: a snapshot is taken at a barrier,
+   before its reboot, so a fresh kernel (built by {!resume} exactly the
+   way {!reboot} builds one) plus this record fully determines future
+   behavior. *)
+type snapshot = {
+  sn_tool : string;
+  sn_kernel : Version.t;
+  sn_seed : int;
+  sn_sanitize : bool;
+  sn_unprivileged : bool;
+  sn_witness : bool;
+  sn_lint : bool;
+  sn_completed : int;      (* iterations finished when taken *)
+  sn_merged : bool;        (* built by [bvf merge], not a live campaign:
+                              reportable, not resumable *)
+  sn_rng : int64;
+  sn_failslab : Bvf_kernel.Failslab.t;
+  sn_corpus : Corpus.t;
+  sn_cov : Coverage.t;
+  sn_stats : stats;
+}
+
+let snapshot (c : t) : snapshot =
   {
-    config;
-    strategy;
-    seed;
-    rng = Rng.create seed;
-    failslab;
-    cov;
-    corpus = Corpus.create ();
-    stats =
+    sn_tool = c.strategy.s_name;
+    sn_kernel = c.config.Kconfig.version;
+    sn_seed = c.seed;
+    sn_sanitize = c.config.Kconfig.sanitize;
+    sn_unprivileged = c.config.Kconfig.unprivileged;
+    sn_witness = c.config.Kconfig.witness;
+    sn_lint = c.config.Kconfig.lint;
+    sn_completed = c.stats.st_generated;
+    sn_merged = false;
+    sn_rng = Rng.state c.rng;
+    sn_failslab = c.failslab;
+    sn_corpus = c.corpus;
+    sn_cov = c.cov;
+    sn_stats = c.stats;
+  }
+
+(* The snapshot of a campaign that has not run an iteration.  It builds
+   no kernel, so a shard stopped before it started costs nothing. *)
+let fresh ?failslab ~(seed : int) (strategy : strategy) (config : Kconfig.t)
+  : snapshot =
+  {
+    sn_tool = strategy.s_name;
+    sn_kernel = config.Kconfig.version;
+    sn_seed = seed;
+    sn_sanitize = config.Kconfig.sanitize;
+    sn_unprivileged = config.Kconfig.unprivileged;
+    sn_witness = config.Kconfig.witness;
+    sn_lint = config.Kconfig.lint;
+    sn_completed = 0;
+    sn_merged = false;
+    sn_rng = Rng.state (Rng.create seed);
+    sn_failslab =
+      (match failslab with
+       | Some f -> f
+       | None -> Bvf_kernel.Failslab.off ());
+    sn_corpus = Corpus.create ();
+    sn_cov = Coverage.create ();
+    sn_stats =
       {
         st_tool = strategy.s_name;
         st_version = config.Kconfig.version;
@@ -273,13 +316,49 @@ let create ?(sample_every = 64) ?(telemetry = Telemetry.null)
         st_lint = 0;
         st_vstats = Vstats.agg_zero ();
       };
+  }
+
+(* A running campaign over the snapshot's state, on a kernel built from
+   it the way {!reboot} builds one. *)
+let start ?(sample_every = 64) ?(telemetry = Telemetry.null)
+    ?(log_level = 0) ?(prof = Bvf_util.Prof.disabled) (strategy : strategy)
+    (config : Kconfig.t) (s : snapshot) : t =
+  let session = Loader.create ~cov:s.sn_cov ~failslab:s.sn_failslab config in
+  {
+    config;
+    strategy;
+    seed = s.sn_seed;
+    rng = Rng.of_state s.sn_rng;
+    failslab = s.sn_failslab;
+    cov = s.sn_cov;
+    corpus = s.sn_corpus;
+    stats = s.sn_stats;
     session;
-    gen_config;
+    gen_config =
+      { Gen.c_version = config.Kconfig.version;
+        c_maps = standard_maps session };
     sample_every;
     telemetry;
     log_level;
     prof;
   }
+
+(* Continue a campaign from a barrier snapshot: the fresh kernel is the
+   reboot the barrier performed right after taking it, fault-plan draws
+   of its map setup included, so the resumed campaign replays the exact
+   continuation of the uninterrupted one. *)
+let resume ?sample_every ?telemetry ?log_level ?prof (strategy : strategy)
+    (config : Kconfig.t) (s : snapshot) : t =
+  (* Deep-copy the snapshot before mutating anything in it.  A snapshot
+     loaded from disk is already private, but an in-memory one shares
+     its hashtables, corpus and coverage with whichever campaign took
+     it: resuming such a snapshot twice used to double-count reboots
+     (and every later counter) because both resumed campaigns mutated
+     the same stats record.  The copy makes resume a pure function of
+     the snapshot value, matching the from-disk semantics. *)
+  let s : snapshot = Marshal.from_string (Marshal.to_string s []) 0 in
+  s.sn_stats.st_reboots <- s.sn_stats.st_reboots + 1;
+  start ?sample_every ?telemetry ?log_level ?prof strategy config s
 
 (* One fuzzing iteration: generate (or mutate), load, run, classify. *)
 let step (c : t) : unit =
@@ -429,160 +508,7 @@ let step_skip (c : t) : unit =
       :: stats.st_curve;
   stats.st_edges <- Coverage.edge_count c.cov
 
-(* -- Checkpointing ----------------------------------------------------- *)
-
-(* Everything needed to continue the campaign from disk.  The simulated
-   kernel itself is deliberately absent: checkpoints are taken at a
-   reboot boundary, so a fresh kernel (built by {!resume} exactly the
-   way {!reboot} builds one) plus this record fully determines future
-   behavior. *)
-type snapshot = {
-  sn_tool : string;
-  sn_kernel : Version.t;
-  sn_seed : int;
-  sn_sanitize : bool;
-  sn_unprivileged : bool;
-  sn_witness : bool;
-  sn_lint : bool;
-  sn_completed : int;      (* iterations finished when taken *)
-  sn_merged : bool;        (* built by [Parallel.merge_snapshots], not a
-                              live campaign: reportable, not resumable *)
-  sn_rng : int64;
-  sn_failslab : Bvf_kernel.Failslab.t;
-  sn_corpus : Corpus.t;
-  sn_cov : Coverage.t;
-  sn_stats : stats;
-}
-
-(* /5: stats gained st_skipped, snapshots gained sn_merged.
-   /6: vstats aggregate gained widen-round and loop-head counters, and
-   the generator grew the counted-loop frame, so resumed iteration
-   streams diverge from /5 checkpoints.
-   /7: stats gained the per-phase minor-words attribution fields,
-   changing the marshalled layout.
-   /8: stats lost the per-phase time and minor-words fields.
-   /9: the vstats aggregate's two histograms became Hist.t records
-   (ladder plus counts) instead of bare count arrays. *)
-let checkpoint_tag = "bvf-campaign/9"
-
-let snapshot (c : t) : snapshot =
-  {
-    sn_tool = c.strategy.s_name;
-    sn_kernel = c.config.Kconfig.version;
-    sn_seed = c.seed;
-    sn_sanitize = c.config.Kconfig.sanitize;
-    sn_unprivileged = c.config.Kconfig.unprivileged;
-    sn_witness = c.config.Kconfig.witness;
-    sn_lint = c.config.Kconfig.lint;
-    sn_completed = c.stats.st_generated;
-    sn_merged = false;
-    sn_rng = Rng.state c.rng;
-    sn_failslab = c.failslab;
-    sn_corpus = c.corpus;
-    sn_cov = c.cov;
-    sn_stats = c.stats;
-  }
-
-let save_checkpoint (c : t) ~(path : string) :
-  (unit, Checkpoint.error) result =
-  Checkpoint.save ~path ~tag:checkpoint_tag (snapshot c)
-
-(* Persist a snapshot value directly — the [bvf merge] output path,
-   where there is no live campaign behind the snapshot. *)
-let save_snapshot (s : snapshot) ~(path : string) :
-  (unit, Checkpoint.error) result =
-  Checkpoint.save ~path ~tag:checkpoint_tag s
-
-let load_checkpoint ~(path : string) :
-  (snapshot, Checkpoint.error) result =
-  (Checkpoint.load ~path ~tag:checkpoint_tag
-   : (snapshot, Checkpoint.error) result)
-
-(* Rebuild a running campaign from a snapshot.  Creating the fresh
-   session here mirrors the {!reboot} the uninterrupted campaign
-   performs right after taking the checkpoint — including the fault-plan
-   draws its map setup consumes — so the resumed campaign replays the
-   exact continuation of the uninterrupted one. *)
-(* Refuse a snapshot another tool, kernel or config took: continuing it
-   would splice two different campaigns into one stream. *)
-let check_resumable (strategy : strategy) (config : Kconfig.t)
-    (s : snapshot) : unit =
-  if s.sn_tool <> strategy.s_name then
-    raise
-      (Environment
-         (Printf.sprintf "checkpoint was taken by tool %s, not %s"
-            s.sn_tool strategy.s_name));
-  if s.sn_kernel <> config.Kconfig.version then
-    raise
-      (Environment
-         (Printf.sprintf "checkpoint targets kernel %s, not %s"
-            (Version.to_string s.sn_kernel)
-            (Version.to_string config.Kconfig.version)));
-  List.iter
-    (fun (flag, taken, wanted) ->
-       if taken <> wanted then
-         raise
-           (Environment
-              (Printf.sprintf
-                 "checkpoint was taken under a different config (%s=%b, \
-                  not %b)"
-                 flag taken wanted)))
-    [ ("sanitize", s.sn_sanitize, config.Kconfig.sanitize);
-      ("unprivileged", s.sn_unprivileged, config.Kconfig.unprivileged);
-      ("witness", s.sn_witness, config.Kconfig.witness);
-      ("lint", s.sn_lint, config.Kconfig.lint) ];
-  if s.sn_merged then
-    raise
-      (Environment
-         "checkpoint is a merged artifact (bvf merge): it has no RNG \
-          stream to continue and cannot be resumed")
-
-let resume ?(sample_every = 64) ?(telemetry = Telemetry.null)
-    ?(log_level = 0) ?(prof = Bvf_util.Prof.disabled)
-    (strategy : strategy) (config : Kconfig.t) (s : snapshot) : t =
-  check_resumable strategy config s;
-  (* Deep-copy the snapshot before mutating anything in it.  A snapshot
-     loaded from disk is already private, but an in-memory one shares
-     its hashtables, corpus and coverage with whichever campaign took
-     it: resuming such a snapshot twice used to double-count reboots
-     (and every later counter) because both resumed campaigns mutated
-     the same stats record.  The copy makes resume a pure function of
-     the snapshot value, matching the from-disk semantics. *)
-  let s : snapshot = Marshal.from_string (Marshal.to_string s []) 0 in
-  let session = Loader.create ~cov:s.sn_cov ~failslab:s.sn_failslab config in
-  let gen_config =
-    { Gen.c_version = config.Kconfig.version;
-      c_maps = standard_maps session }
-  in
-  s.sn_stats.st_reboots <- s.sn_stats.st_reboots + 1;
-  {
-    config;
-    strategy;
-    seed = s.sn_seed;
-    rng = Rng.of_state s.sn_rng;
-    failslab = s.sn_failslab;
-    cov = s.sn_cov;
-    corpus = s.sn_corpus;
-    stats = s.sn_stats;
-    session;
-    gen_config;
-    sample_every;
-    telemetry;
-    log_level;
-    prof;
-  }
-
 (* -- Driving ----------------------------------------------------------- *)
-
-(* Persist a barrier snapshot to [path]: the [checkpoint] hook of a
-   campaign checkpointed to one file (bvf fuzz --checkpoint). *)
-let checkpoint_to (path : string) (c : t) : unit =
-  match save_checkpoint c ~path with
-  | Ok () -> ()
-  | Error e ->
-    raise
-      (Environment
-         ("checkpoint write failed: " ^ Checkpoint.error_to_string e))
 
 let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
     ?checkpoint_every ?checkpoint ?failslab ?resume_from ?skip
@@ -596,8 +522,8 @@ let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
     | Some s ->
       resume ~sample_every ?telemetry ?log_level ?prof strategy config s
     | None ->
-      create ~sample_every ?telemetry ?log_level ?prof ?failslab ~seed
-        strategy config
+      start ~sample_every ?telemetry ?log_level ?prof strategy config
+        (fresh ?failslab ~seed strategy config)
   in
   (* A checkpoint is a barrier: write the snapshot, then reboot, so the
      file plus a fresh kernel fully determines the continuation.  The

@@ -10,8 +10,9 @@
     Campaigns are built to run for days: a {!Bvf_kernel.Failslab} fault
     plan can be threaded through the simulated kernel (transient
     [-ENOMEM] outcomes are retried and counted, never reported as
-    findings), progress is periodically checkpointed to disk and can be
-    {!resume}d after a crash or kill, and corpus entries implicated in
+    findings), a [checkpoint] hook takes a {!snapshot} at every barrier
+    (the {!Parallel} state directory persists it) from which a killed
+    campaign continues exactly, and corpus entries implicated in
     consecutive fatal reboots are quarantined. *)
 
 (** A pluggable generation strategy. *)
@@ -136,13 +137,14 @@ type t = {
           digest. *)
 }
 
-(** {1 Checkpointing}
+(** {1 Snapshots}
 
-    Everything needed to continue a campaign from disk.  The simulated
-    kernel itself is deliberately absent: checkpoints are taken at a
-    reboot boundary, so a fresh kernel plus the snapshot fully
-    determines future behavior — a resumed campaign replays the exact
-    continuation of the uninterrupted one. *)
+    Everything needed to continue a campaign.  The simulated kernel
+    itself is deliberately absent: a snapshot is taken at a barrier,
+    before its reboot, so a fresh kernel plus the snapshot fully
+    determines future behavior — a campaign resumed from it
+    ([run_t ~resume_from]) replays the exact continuation of the
+    uninterrupted one.  {!Parallel} keeps them on disk. *)
 
 type snapshot = {
   sn_tool : string;
@@ -154,9 +156,9 @@ type snapshot = {
   sn_lint : bool;
   sn_completed : int; (** iterations finished when taken *)
   sn_merged : bool;
-      (** built by [Parallel.merge_snapshots] ([bvf merge]), not taken
-          from a live campaign: reportable and re-mergeable, but
-          {!resume} refuses it (there is no RNG stream to continue) *)
+      (** built by [Parallel.merge_states] ([bvf merge]), not taken
+          from a live campaign: reportable and re-mergeable, but not
+          resumable (there is no RNG stream to continue) *)
   sn_rng : int64;
   sn_failslab : Bvf_kernel.Failslab.t;
   sn_corpus : Corpus.t;
@@ -166,34 +168,11 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-val save_checkpoint : t -> path:string -> (unit, Checkpoint.error) result
-
-val save_snapshot : snapshot -> path:string -> (unit, Checkpoint.error) result
-(** Persist a snapshot value that has no live campaign behind it — the
-    [bvf merge] output path. *)
-
-val load_checkpoint : path:string -> (snapshot, Checkpoint.error) result
-
-val check_resumable : strategy -> Bvf_kernel.Kconfig.t -> snapshot -> unit
-(** The checks {!resume} makes before it touches the snapshot.
-    @raise Environment when the snapshot was taken by a different tool,
-    kernel version, or config (the message names the field) — or is a
-    merged artifact ([sn_merged]). *)
-
-val resume :
-  ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
-  ?prof:Bvf_util.Prof.t ->
-  strategy -> Bvf_kernel.Kconfig.t -> snapshot -> t
-(** Rebuild a running campaign from a snapshot.  The snapshot value is
-    deep-copied first, so resuming the same in-memory snapshot several
-    times yields independent campaigns (identical to resuming a
-    from-disk checkpoint several times).
-    @raise Environment as {!check_resumable}. *)
-
-val checkpoint_to : string -> t -> unit
-(** [checkpoint_to path] is a [checkpoint] hook for {!run}: it saves
-    the campaign's snapshot to [path] ({!save_checkpoint}).
-    @raise Environment when the write fails. *)
+val fresh :
+  ?failslab:Bvf_kernel.Failslab.t -> seed:int -> strategy ->
+  Bvf_kernel.Kconfig.t -> snapshot
+(** The snapshot of a campaign that has not run an iteration (default
+    fault plan: off).  Builds no kernel. *)
 
 val run_t :
   ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
@@ -219,18 +198,20 @@ val run :
   ?on_step:(t -> unit) -> seed:int ->
   iterations:int -> strategy -> Bvf_kernel.Kconfig.t -> stats
 (** Drive [iterations] steps, from a fresh campaign or from
-    [resume_from] ({!resume}); this is the only code that steps a
-    campaign.  One iteration generates (or mutates) a program, loads
+    [resume_from], a barrier snapshot (deep-copied first, so resuming
+    one in-memory snapshot twice yields independent campaigns; its
+    fresh kernel counts as the barrier's reboot); this is the only
+    code that steps a campaign.  One iteration generates (or mutates) a program, loads
     and runs it, and classifies the outcome.  Transient environment
     errors are retried (a plain retry, then a reboot before the final
     attempt); fatal reports reboot the kernel and feed the
     reboot-storm breaker.
 
     Every [checkpoint_every] completed iterations (absolute count, so
-    resumed runs hit the same barriers) the campaign emits a
-    [Checkpoint] trace event, calls [checkpoint] (if given; e.g.
-    {!checkpoint_to}) and reboots the kernel — the barrier that makes
-    resume deterministic.  The closing coverage sample is deduplicated
+    resumed runs hit the same barriers) the campaign calls
+    [checkpoint] (if given, after a [Checkpoint] trace event; the
+    {!Parallel} shard runner saves the shard's state there) and reboots
+    the kernel — the barrier that makes resume deterministic.  The closing coverage sample is deduplicated
     by iteration, so finalizing a campaign twice (or on a sample
     boundary) never records the same iteration twice.
 

@@ -57,6 +57,7 @@ type shard = {
 type result = {
   pr_jobs : int;
   pr_iterations : int;
+  pr_idle : bool;            (* no shard ran: all finished on disk *)
   pr_stats : Campaign.stats; (* merged *)
   pr_cov : Coverage.t;       (* union coverage *)
   pr_corpus : Corpus.t;      (* merged, re-scored *)
@@ -223,6 +224,110 @@ let merge_corpora ~(jobs : int) (shards : shard list) : Corpus.t =
     shards
   |> Corpus.of_entries
 
+(* -- The state directory ------------------------------------------------ *)
+
+(* A run with a state directory keeps one file per shard, whichever
+   executor runs it: [shard-<i>.ckpt], a [state] record.  A plain run
+   is one shard. *)
+type state = {
+  ss_shard : int;
+  ss_jobs : int;
+  ss_trace_pos : int;
+  ss_snapshot : Campaign.snapshot;
+  ss_final : Campaign.snapshot option;
+}
+
+(* /1: one layout for every executor, replacing the sequential
+   bvf-campaign/9 file and the supervised bvf-worker/5 files. *)
+let state_tag = "bvf-shard/1"
+
+exception Bad_state of string * Checkpoint.error
+
+let state_path (dir : string) (i : int) : string =
+  Filename.concat dir (Printf.sprintf "shard-%d.ckpt" i)
+
+let rec mkdirs (dir : string) : unit =
+  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
+  else begin
+    mkdirs (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with
+    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
+let load_state (path : string) : state =
+  match Checkpoint.load ~path ~tag:state_tag with
+  | Ok (st : state) -> st
+  | Error e -> raise (Bad_state (path, e))
+
+let save_state (path : string) (st : state) : unit =
+  match Checkpoint.save ~path ~tag:state_tag st with
+  | Ok () -> ()
+  | Error e ->
+    raise
+      (Campaign.Environment
+         (Printf.sprintf "cannot write %s: %s" path
+            (Checkpoint.error_to_string e)))
+
+let final_snapshot (st : state) : Campaign.snapshot =
+  Option.value st.ss_final ~default:st.ss_snapshot
+
+(* What makes two snapshots one campaign's: tool, kernel and config. *)
+let mismatch ~(taken : Campaign.snapshot) ~(wanted : Campaign.snapshot) :
+  string option =
+  let identity (s : Campaign.snapshot) =
+    [ ("tool", s.Campaign.sn_tool);
+      ("kernel", Version.to_string s.Campaign.sn_kernel);
+      ("sanitize", string_of_bool s.Campaign.sn_sanitize);
+      ("unprivileged", string_of_bool s.Campaign.sn_unprivileged);
+      ("witness", string_of_bool s.Campaign.sn_witness);
+      ("lint", string_of_bool s.Campaign.sn_lint) ]
+  in
+  List.find_map
+    (fun ((name, t), (_, w)) ->
+       if t = w then None else Some (Printf.sprintf "%s %s, not %s" name t w))
+    (List.combine (identity taken) (identity wanted))
+
+(* The one check: shard [i]'s file must belong to this run — the same
+   shard count, shard, seed, tool, kernel and config, not a merged
+   artifact, and no more iterations than the shard is assigned.
+   Resuming one cut for another run would report that run's campaign
+   as this one's. *)
+let saved_state ~(dir : string) ~(jobs : int) ~(seed : int)
+    ~(iterations : int) (strategy : Campaign.strategy) (config : Kconfig.t)
+    (i : int) : state option =
+  let path = state_path dir i in
+  if not (Sys.file_exists path) then None
+  else begin
+    let st = load_state path in
+    let s = st.ss_snapshot in
+    let refuse msg =
+      raise
+        (Campaign.Environment
+           (Printf.sprintf
+              "state directory %s holds a checkpoint of another campaign: \
+               %s: %s (use a fresh --state-dir)"
+              dir (Filename.basename path) msg))
+    in
+    let field name taken wanted =
+      if taken <> wanted then
+        refuse (Printf.sprintf "%s %d, not %d" name taken wanted)
+    in
+    let assigned = (shard_iterations ~iterations ~jobs).(i) in
+    field "shards" st.ss_jobs jobs;
+    field "shard" st.ss_shard i;
+    field "seed" s.Campaign.sn_seed (seed + i);
+    Option.iter refuse
+      (mismatch ~taken:s
+         ~wanted:(Campaign.fresh ~seed:(seed + i) strategy config));
+    if s.Campaign.sn_merged then
+      refuse "a merged artifact (bvf merge) has no RNG stream to continue";
+    if s.Campaign.sn_completed > assigned then
+      refuse
+        (Printf.sprintf "%d iterations completed, more than the %d assigned"
+           s.Campaign.sn_completed assigned);
+    Some st
+  end
+
 (* -- One shard ------------------------------------------------------------ *)
 
 (* The trace file shard [i] writes.  A one-shard run writes [trace]
@@ -232,17 +337,36 @@ let merge_corpora ~(jobs : int) (shards : shard list) : Corpus.t =
 let shard_trace_path ~(jobs : int) (trace : string) (i : int) : string =
   if jobs = 1 then trace else trace ^ ".shard" ^ string_of_int i
 
+let remove_shard_traces ~(jobs : int) (trace : string option) : unit =
+  match trace with
+  | Some t when jobs > 1 ->
+    for i = 0 to jobs - 1 do
+      let p = shard_trace_path ~jobs t i in
+      if Sys.file_exists p then Sys.remove p
+    done
+  | Some _ | None -> ()
+
+let shard_failslab ~(failslab_rate : float option)
+    ~(failslab_seed : int option) ~(seed : int) (i : int) :
+  Bvf_kernel.Failslab.t option =
+  match failslab_rate with
+  | Some rate when rate > 0.0 ->
+    Some
+      (Bvf_kernel.Failslab.create ~rate
+         ~seed:(Option.value failslab_seed ~default:seed + i)
+         ())
+  | Some _ | None -> None
+
 (* Build shard [i] and step it with the one {!Campaign.run_t} call of
    either executor, inside one top-level "iterate" span on the shard's
    track [prof].  The campaign's phase spans nest inside it, so its self
    time is the per-iteration harness overhead (RNG, corpus, telemetry
    emission).  The sink is closed when the shard returns or raises. *)
-let run_shard ?(sample_every = 64) ?log_level ?checkpoint_every ?checkpoint
-    ?resume_from ?skip ?stop ?on_step ?trace_pos ~(jobs : int) ~(seed : int)
+let run_shard ?(sample_every = 64) ?log_level ?checkpoint_every ?dir ?from
+    ?skip ?stop ?on_step ~(jobs : int) ~(seed : int)
     ~(failslab_rate : float option) ~(failslab_seed : int option)
     ~(trace : string option) ~(prof : Bvf_util.Prof.t) ~(iterations : int)
-    ~(finish : Telemetry.sink -> Campaign.t -> 'a)
-    (strategy : Campaign.strategy) (config : Kconfig.t) (i : int) : 'a =
+    (strategy : Campaign.strategy) (config : Kconfig.t) (i : int) : state =
   Bvf_util.Prof.span prof "iterate" @@ fun () ->
   let telemetry =
     match trace with
@@ -250,32 +374,66 @@ let run_shard ?(sample_every = 64) ?log_level ?checkpoint_every ?checkpoint
     | Some path -> (
       let iter_map = global_iteration ~jobs ~shard:i in
       let path = shard_trace_path ~jobs path i in
-      match trace_pos with
-      | Some pos -> Telemetry.reopen ~iter_map path ~pos
-      | None -> Telemetry.create ~iter_map path)
+      (* a resumed shard continues its trace where its state left it;
+         a trace that is not there (or shorter) starts afresh *)
+      match from with
+      | Some st
+        when Sys.file_exists path
+             && (Unix.stat path).Unix.st_size >= st.ss_trace_pos ->
+        Telemetry.reopen ~iter_map path ~pos:st.ss_trace_pos
+      | Some _ | None -> Telemetry.create ~iter_map path)
   in
-  let failslab =
-    match failslab_rate with
-    | Some rate when rate > 0.0 ->
-      Some
-        (Bvf_kernel.Failslab.create ~rate
-           ~seed:(Option.value failslab_seed ~default:seed + i)
-           ())
-    | Some _ | None -> None
-  in
+  let failslab = shard_failslab ~failslab_rate ~failslab_seed ~seed i in
   Fun.protect ~finally:(fun () -> Telemetry.close telemetry) @@ fun () ->
-  let with_sink hook = Option.map (fun f -> f telemetry) hook in
-  finish telemetry
-    (Campaign.run_t ~sample_every ~telemetry ?log_level ~prof ?failslab
-       ?checkpoint_every ?checkpoint:(with_sink checkpoint) ?resume_from
-       ?skip:(with_sink skip) ?stop ?on_step ~seed:(seed + i) ~iterations
-       strategy config)
+  (* the Checkpoint event is already in the trace when the offset is
+     taken, so a resumed shard continues just after it *)
+  let state (c : Campaign.t) : state =
+    { ss_shard = i; ss_jobs = jobs; ss_trace_pos = Telemetry.pos telemetry;
+      ss_snapshot = Campaign.snapshot c; ss_final = None }
+  in
+  let saved_at = ref (-1) in
+  let save path c =
+    save_state path (state c);
+    saved_at := c.Campaign.stats.Campaign.st_generated
+  in
+  let start =
+    match from with
+    | Some st -> st.ss_snapshot.Campaign.sn_completed
+    | None -> 0
+  in
+  let c =
+    Campaign.run_t ~sample_every ~telemetry ?log_level ~prof ?failslab
+      ?checkpoint_every
+      ?checkpoint:(Option.map (fun dir -> save (state_path dir i)) dir)
+      ?resume_from:(Option.map (fun st -> st.ss_snapshot) from)
+      ?skip:(Option.map (fun f -> f telemetry) skip) ?stop ?on_step
+      ~seed:(seed + i) ~iterations strategy config
+  in
+  let final = state c in
+  let completed = c.Campaign.stats.Campaign.st_generated in
+  (* The file keeps the last barrier's snapshot, taken before its
+     reboot: a longer run resumes from there exactly.  A shard that
+     ran its whole budget adds its final snapshot, unless its last
+     iteration was off a barrier and the final snapshot is all there
+     is.  A stopped shard's file is the stop's save. *)
+  Option.iter
+    (fun dir ->
+       let path = state_path dir i in
+       Bvf_util.Prof.span prof "checkpoint" (fun () ->
+           if !saved_at <> completed then save_state path final
+           else if completed = start + iterations then
+             save_state path
+               { (load_state path) with
+                 ss_final = Some final.ss_snapshot }))
+    dir;
+  final
 
 (* -- The join -------------------------------------------------------------- *)
 
-let shard_of_snapshot ~(index : int) (s : Campaign.snapshot) : shard =
+let shard_of_state (st : state) : shard =
+  let s = final_snapshot st in
   {
-    sh_index = index;
+    sh_index = st.ss_shard;
     sh_seed = s.Campaign.sn_seed;
     sh_iterations = s.Campaign.sn_completed;
     sh_stats = s.Campaign.sn_stats;
@@ -285,37 +443,35 @@ let shard_of_snapshot ~(index : int) (s : Campaign.snapshot) : shard =
   }
 
 (* The one join every executor ends with.  [finals] holds shard
-   results by index: a final snapshot, or the exception the shard died
-   with.  A failure only surfaces here, after the caller has collected
-   every shard, so nothing is left running when it is re-raised. *)
-let join ~(jobs : int) ~(trace : string option)
-    ~(prof : Bvf_util.Prof.t)
-    (finals : (int * (Campaign.snapshot, exn) Stdlib.result) list) : result =
-  let shard_paths =
-    match trace with
-    | Some t when jobs > 1 -> List.init jobs (shard_trace_path ~jobs t)
-    | Some _ | None -> []
-  in
-  let remove_shard_traces () =
-    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) shard_paths
-  in
-  let shards =
-    List.map
-      (function
-        | index, Ok s -> shard_of_snapshot ~index s
-        | _, Error e ->
-          remove_shard_traces ();
-          raise e)
-      finals
+   results: a final state, or the exception the shard died with.  A
+   failure only surfaces here, after the caller has collected every
+   shard, so nothing is left running when it is re-raised. *)
+let join ~(jobs : int) ~(trace : string option) ~(prof : Bvf_util.Prof.t)
+    (finals : (state, exn) Stdlib.result list) : result =
+  let states =
+    List.map (function Ok st -> st | Error e -> raise e) finals
   in
   (match trace with
-   | Some into when shard_paths <> [] ->
-     Bvf_util.Prof.span prof "trace_merge" (fun () ->
-         ignore (Telemetry.merge_shards ~into shard_paths);
-         remove_shard_traces ())
-   | Some _ | None -> ());
-  if shards = [] then
+   | Some into ->
+     (* each shard trace ends where its state does: a worker killed
+        past its last barrier wrote events its state does not hold *)
+     let paths = List.init jobs (shard_trace_path ~jobs into) in
+     List.iteri
+       (fun i p ->
+          if Sys.file_exists p then
+            match List.find_opt (fun st -> st.ss_shard = i) states with
+            | Some st ->
+              if (Unix.stat p).Unix.st_size > st.ss_trace_pos then
+                Unix.truncate p st.ss_trace_pos
+            | None -> Sys.remove p)
+       paths;
+     if jobs > 1 then
+       Bvf_util.Prof.span prof "trace_merge" (fun () ->
+           ignore (Telemetry.merge_shards ~into paths))
+   | None -> ());
+  if states = [] then
     raise (Campaign.Environment "no shard left a result to merge");
+  let shards = List.map shard_of_state states in
   let cov = Coverage.create () in
   Bvf_util.Prof.span prof "absorb" (fun () ->
       List.iter
@@ -326,74 +482,63 @@ let join ~(jobs : int) ~(trace : string option)
         pr_jobs = jobs;
         pr_iterations =
           List.fold_left (fun acc sh -> acc + sh.sh_iterations) 0 shards;
+        pr_idle = false;
         pr_stats = merge_stats ~jobs cov shards;
         pr_cov = cov;
         pr_corpus = merge_corpora ~jobs shards;
         pr_shards = shards;
       })
 
-(* A join's result as a snapshot: [template]'s identity (tool, kernel,
-   seed, config flags), the merged state, and no RNG stream
+(* A join's result as a one-shard state: [template]'s identity (tool,
+   kernel, seed, config flags), the merged state, and no RNG stream
    ([sn_merged]) — reportable and re-mergeable, never resumable. *)
-let snapshot_of_result (template : Campaign.snapshot) (r : result) :
-  Campaign.snapshot =
-  { template with
-    Campaign.sn_completed = r.pr_iterations;
-    sn_merged = true;
-    sn_rng = 0L;
-    sn_failslab = Bvf_kernel.Failslab.off ();
-    sn_corpus = r.pr_corpus;
-    sn_cov = r.pr_cov;
-    sn_stats = r.pr_stats;
-  }
+let state_of_result (template : Campaign.snapshot) (r : result) : state =
+  { ss_shard = 0; ss_jobs = 1; ss_trace_pos = 0; ss_final = None;
+    ss_snapshot =
+      { template with
+        Campaign.sn_completed = r.pr_iterations;
+        sn_merged = true;
+        sn_rng = 0L;
+        sn_failslab = Bvf_kernel.Failslab.off ();
+        sn_corpus = r.pr_corpus;
+        sn_cov = r.pr_cov;
+        sn_stats = r.pr_stats } }
 
-(* Offline checkpoint merge (bvf merge): fold independent campaign
-   snapshots into one reportable snapshot through the join.  Every
-   input keeps its own (already global) iteration numbers, so all enter
-   as shard 0 of a [jobs = 1] join — [global_iteration] degenerates to
-   the identity and nothing is renumbered.  The result is associative
-   and commutative on everything {!Campaign.digest} covers (counts,
-   errno and reason tables, findings-at-earliest-iteration, curve,
-   vstats, union coverage); only the corpus, which is capped and
+(* Offline merge (bvf merge, bvf cov): each state is first renumbered
+   to global iterations by a one-shard join of its own width, so all
+   enter the final join as shard 0 of a [jobs = 1] join —
+   [global_iteration] degenerates to the identity there.  The result is
+   associative and commutative on everything {!Campaign.digest} covers
+   (counts, errno and reason tables, findings-at-earliest-iteration,
+   curve, vstats, union coverage); only the corpus, which is capped and
    re-scored, falls outside that guarantee — and outside the digest
    too. *)
-let merge_snapshots (snapshots : Campaign.snapshot list) :
-  Campaign.snapshot =
-  match snapshots with
-  | [] -> invalid_arg "Parallel.merge_snapshots: no snapshots"
-  | first :: rest ->
+let merge_states (states : state list) : state =
+  let global (st : state) : state =
+    state_of_result (final_snapshot st)
+      (join ~jobs:st.ss_jobs ~trace:None ~prof:Bvf_util.Prof.disabled
+         [ Ok st ])
+  in
+  match List.map global states with
+  | [] -> invalid_arg "Parallel.merge_states: no states"
+  | first :: rest as globals ->
     List.iter
-      (fun (s : Campaign.snapshot) ->
-         if s.Campaign.sn_tool <> first.Campaign.sn_tool then
-           raise
-             (Campaign.Environment
-                (Printf.sprintf
-                   "cannot merge checkpoints of different tools (%s vs %s)"
-                   first.Campaign.sn_tool s.Campaign.sn_tool));
-         if s.Campaign.sn_kernel <> first.Campaign.sn_kernel then
-           raise
-             (Campaign.Environment
-                (Printf.sprintf
-                   "cannot merge checkpoints of different kernels (%s vs %s)"
-                   (Bvf_ebpf.Version.to_string first.Campaign.sn_kernel)
-                   (Bvf_ebpf.Version.to_string s.Campaign.sn_kernel)));
-         if s.Campaign.sn_sanitize <> first.Campaign.sn_sanitize
-            || s.Campaign.sn_unprivileged
-               <> first.Campaign.sn_unprivileged
-            || s.Campaign.sn_witness <> first.Campaign.sn_witness
-            || s.Campaign.sn_lint <> first.Campaign.sn_lint then
-           raise
-             (Campaign.Environment
-                "cannot merge checkpoints taken under different configs"))
+      (fun (g : state) ->
+         Option.iter
+           (fun msg ->
+              raise
+                (Campaign.Environment
+                   ("cannot merge checkpoints of different campaigns: " ^ msg)))
+           (mismatch ~taken:g.ss_snapshot ~wanted:first.ss_snapshot))
       rest;
-    snapshot_of_result first
+    state_of_result first.ss_snapshot
       (join ~jobs:1 ~trace:None ~prof:Bvf_util.Prof.disabled
-         (List.map (fun s -> (0, Ok s)) snapshots))
+         (List.map Result.ok globals))
 
 (* -- Driving ----------------------------------------------------------- *)
 
 let run ?sample_every ?trace ?log_level ?failslab_rate ?failslab_seed
-    ?checkpoint_every ?checkpoint ?resume_from ?stop ?on_step
+    ?checkpoint_every ?dir ?stop ?on_step
     ?(prof = Bvf_util.Prof.session ~spans:false ()) ~(jobs : int)
     ~(seed : int) ~(iterations : int) (strategy : Campaign.strategy)
     (config : Kconfig.t) : result =
@@ -409,26 +554,61 @@ let run ?sample_every ?trace ?log_level ?failslab_rate ?failslab_seed
   let main_prof =
     Bvf_util.Prof.track prof ~name:"coordinator" jobs
   in
-  let shard (i : int) : Campaign.snapshot =
-    let at hook = Option.map (fun f -> f i) hook in
-    run_shard ?sample_every ?log_level ?checkpoint_every
-      ?checkpoint:(Option.map (fun f _ -> f i) checkpoint)
-      ?resume_from:(at resume_from) ?stop:(at stop) ?on_step:(at on_step)
-      ~jobs ~seed ~failslab_rate ~failslab_seed ~trace ~prof:shard_prof.(i)
-      ~iterations:counts.(i)
-      ~finish:(fun _ c -> Campaign.snapshot c)
-      strategy config i
+  (* every shard's file is checked before any shard starts *)
+  Option.iter mkdirs dir;
+  let saved =
+    Array.init jobs (fun i ->
+        Option.bind dir (fun dir ->
+            saved_state ~dir ~jobs ~seed ~iterations strategy config i))
+  in
+  let completed (st : state) = (final_snapshot st).Campaign.sn_completed in
+  let finished i =
+    match saved.(i) with Some st -> completed st = counts.(i) | None -> false
+  in
+  let shard (i : int) : state =
+    match saved.(i) with
+    (* a finished shard is reported, not re-run: a re-run would reboot
+       its kernel once more and move the merged digest *)
+    | Some st when finished i -> st
+    (* a shard its lane reaches after a stop builds nothing; it resumes
+       from its file, or from zero *)
+    | from when (match stop with Some f -> f i () | None -> false) ->
+      Option.value from
+        ~default:
+          { ss_shard = i; ss_jobs = jobs; ss_trace_pos = 0; ss_final = None;
+            ss_snapshot =
+              Campaign.fresh
+                ?failslab:(shard_failslab ~failslab_rate ~failslab_seed ~seed i)
+                ~seed:(seed + i) strategy config }
+    | from ->
+      let at hook = Option.map (fun f -> f i) hook in
+      run_shard ?sample_every ?log_level ?checkpoint_every ?dir ?from
+        ?stop:(at stop) ?on_step:(at on_step) ~jobs ~seed ~failslab_rate
+        ~failslab_seed ~trace ~prof:shard_prof.(i)
+        ~iterations:(counts.(i) - Option.fold ~none:0 ~some:completed from)
+        strategy config i
   in
   (* shard 0 runs in the calling domain, so [jobs = 1] is the
      sequential path; every shard runs even after one raised, and the
      join re-raises the lowest-index failure once no shard is left
      running *)
-  let finals =
-    Bvf_util.Lanes.run ~prof:main_prof ~tasks:jobs shard
-    |> Array.to_list
-    |> List.mapi (fun i r -> (i, r))
+  let finals = Bvf_util.Lanes.run ~prof:main_prof ~tasks:jobs shard in
+  (* every shard was already complete on disk: no shard ran, and the
+     trace the run that did the work merged is left as it is *)
+  let idle = Array.for_all Fun.id (Array.init jobs finished) in
+  let complete =
+    Array.for_all2
+      (fun r n -> match r with Ok st -> completed st = n | Error _ -> false)
+      finals counts
   in
-  join ~jobs ~trace ~prof:main_prof finals
+  (* shard traces outlive a run that a rerun continues *)
+  Fun.protect
+    ~finally:(fun () ->
+        if dir = None || complete then remove_shard_traces ~jobs trace)
+    (fun () ->
+       { (join ~jobs ~trace:(if idle then None else trace) ~prof:main_prof
+            (Array.to_list finals))
+         with pr_idle = idle })
 
 let digest (r : result) : string = Campaign.digest r.pr_stats
 

@@ -32,7 +32,10 @@ type result = {
   pr_jobs : int;
   pr_iterations : int;
       (** iterations the shards completed: the whole budget, unless a
-          supervised worker was retired *)
+          supervised worker was retired or the run was stopped *)
+  pr_idle : bool;
+      (** no shard ran: every shard file in the state directory already
+          held its whole budget, and the trace was not touched *)
   pr_stats : Campaign.stats;
       (** merged: union coverage count, findings deduplicated at their
           earliest global iteration, counters and histograms summed, and
@@ -58,6 +61,65 @@ val shard_trace_path : jobs:int -> string -> int -> string
     writes: [trace] itself when [jobs = 1], else
     [trace ^ ".shard" ^ i]. *)
 
+val remove_shard_traces : jobs:int -> string option -> unit
+(** Remove the [jobs > 1] shard trace files of [trace], if any. *)
+
+(** {1 The state directory}
+
+    A run with a state directory, under either executor, keeps one file
+    per shard: [shard-<i>.ckpt], one {!state} record in the
+    {!Checkpoint} container.  A plain run is one shard.  A shard saves
+    it at every [checkpoint_every] barrier, at a stop and when its
+    budget is done; a rerun over the directory resumes each shard from
+    its file, and a shard whose file holds its whole budget is
+    reported, not re-run.  See [docs/RESILIENCE.md]. *)
+
+type state = {
+  ss_shard : int;  (** shard index *)
+  ss_jobs : int;   (** shard count the campaign was cut into *)
+  ss_trace_pos : int;
+      (** byte offset of the shard's trace when saved; a resumed shard
+          reopens its trace here, so its trace equals a straight run's *)
+  ss_snapshot : Campaign.snapshot;
+      (** the point a resumed shard continues from, in shard-local
+          iteration numbering: the last barrier's or the stop's
+          snapshot (taken before its reboot), or the final one of a
+          shard whose budget ended off a barrier *)
+  ss_final : Campaign.snapshot option;
+      (** a shard whose budget ended on a barrier or a stop: its final
+          snapshot, which counts the reboot that followed the save *)
+}
+
+exception Bad_state of string * Checkpoint.error
+(** [Bad_state (path, e)]: [path] is not a readable shard file (damaged,
+    another format or tag, or unreadable). *)
+
+val state_path : string -> int -> string
+(** [state_path dir i] is [dir/shard-<i>.ckpt]. *)
+
+val mkdirs : string -> unit
+(** Create a directory and its missing parents. *)
+
+val load_state : string -> state
+(** Read one shard file.
+    @raise Bad_state when it cannot. *)
+
+val save_state : string -> state -> unit
+(** Atomically write one shard file.
+    @raise Campaign.Environment when the write fails. *)
+
+val saved_state :
+  dir:string -> jobs:int -> seed:int -> iterations:int ->
+  Campaign.strategy -> Bvf_kernel.Kconfig.t -> int -> state option
+(** [saved_state ~dir ~jobs ~seed ~iterations strategy config i] loads
+    shard [i]'s file of the [iterations]-long run over [jobs] shards
+    ([None] when there is none) and checks that it belongs to that run.
+    @raise Bad_state when the file cannot be read.
+    @raise Campaign.Environment when it was cut for another run: a
+    different shard count, shard, seed, tool, kernel or config, a
+    merged artifact, or more iterations than the shard is assigned (the
+    message names [dir], the file and the field). *)
+
 (** {1 One shard loop and one join}
 
     Both executors — domains ({!run}) and forked processes
@@ -67,52 +129,46 @@ val shard_trace_path : jobs:int -> string -> int -> string
 
 val run_shard :
   ?sample_every:int -> ?log_level:int -> ?checkpoint_every:int ->
-  ?checkpoint:(Telemetry.sink -> Campaign.t -> unit) ->
-  ?resume_from:Campaign.snapshot -> ?skip:(Telemetry.sink -> int -> bool) ->
-  ?stop:(unit -> bool) -> ?on_step:(Campaign.t -> unit) -> ?trace_pos:int ->
+  ?dir:string -> ?from:state -> ?skip:(Telemetry.sink -> int -> bool) ->
+  ?stop:(unit -> bool) -> ?on_step:(Campaign.t -> unit) ->
   jobs:int -> seed:int -> failslab_rate:float option ->
   failslab_seed:int option -> trace:string option -> prof:Bvf_util.Prof.t ->
-  iterations:int -> finish:(Telemetry.sink -> Campaign.t -> 'a) ->
-  Campaign.strategy -> Bvf_kernel.Kconfig.t -> int -> 'a
-(** [run_shard ... ~finish strategy config i] builds shard [i] (seed
-    [seed + i], the fault plan {!run} describes, a sink writing
-    {!shard_trace_path} in global numbering) and steps it [iterations]
-    times with {!Campaign.run_t}, whose hooks these are; [checkpoint]
-    and [skip] also get the sink.  [finish sink c] makes the result from
-    the final campaign while the sink is open.  With [trace_pos] the
-    shard trace is {!Telemetry.reopen}ed at that offset (a restarted
-    worker) instead of truncated.  Runs inside one "iterate" span on
-    [prof]; the sink is closed when the shard returns or raises. *)
+  iterations:int -> Campaign.strategy -> Bvf_kernel.Kconfig.t -> int ->
+  state
+(** [run_shard ... strategy config i] builds shard [i] (seed [seed + i],
+    the fault plan {!run} describes, a sink writing {!shard_trace_path}
+    in global numbering) and steps it [iterations] more times with
+    {!Campaign.run_t}, whose hooks these are; [skip] also gets the sink.
+    [from] resumes the shard from a saved state: its trace is
+    {!Telemetry.reopen}ed at [ss_trace_pos] (a missing or shorter trace
+    starts afresh).  With [dir], the shard's file is saved at every
+    barrier and stop and once the run ends.  Returns the shard's final
+    state.  Runs inside one "iterate" span on [prof]; the sink is closed
+    when the shard returns or raises. *)
 
 val join :
-  jobs:int -> trace:string option ->
-  prof:Bvf_util.Prof.t ->
-  (int * (Campaign.snapshot, exn) Stdlib.result) list -> result
-(** [join ~jobs ~trace ~prof finals] folds shard results:
-    each [(i, Ok s)] is shard [i]'s final snapshot, renumbered from
-    local to global iterations.  With a trace and [jobs > 1] the shard
-    trace files are merged into [trace] and removed.  If any entry is
-    [Error e], the shard traces are removed and the first such [e] is
+  jobs:int -> trace:string option -> prof:Bvf_util.Prof.t ->
+  (state, exn) Stdlib.result list -> result
+(** [join ~jobs ~trace ~prof finals] folds shard results: each [Ok st]
+    is shard [ss_shard]'s final state, its final snapshot renumbered
+    from local to global iterations.  With a trace, each shard trace is
+    first cut to its state's [ss_trace_pos] (one without a state is
+    removed), and with [jobs > 1] they are merged into [trace]; they are
+    left on disk.  If any entry is [Error e], the first such [e] is
     re-raised.  The coverage union, stats merge and corpus merge are
     recorded as "trace_merge", "absorb" and "merge" spans on [prof].
     @raise Campaign.Environment when no shard left a result. *)
 
-val snapshot_of_result : Campaign.snapshot -> result -> Campaign.snapshot
-(** [snapshot_of_result template r] is the join result [r] as a
-    snapshot with [template]'s tool, kernel, seed and config flags and
-    [sn_merged] set: reportable and re-mergeable, not resumable. *)
-
-val merge_snapshots :
-  Campaign.snapshot list -> Campaign.snapshot
-(** Offline checkpoint merge (the [bvf merge] core): fold independent
-    campaign snapshots — per-worker checkpoints, or checkpoints fuzzed
-    on different machines — into one reportable snapshot through
-    {!join}.  Inputs keep their own (already global) iteration numbers;
-    nothing is renumbered.  Associative and commutative on everything
-    {!Campaign.digest} covers (the capped, re-scored corpus is the only
-    order-sensitive field, and it is outside the digest).  The result has [sn_merged] set:
-    it can be merged again or reported, but {!Campaign.resume} refuses
-    it.
+val merge_states : state list -> state
+(** Offline merge (the [bvf merge] core): fold shard files — of one run
+    or of runs fuzzed on different machines — into one reportable state
+    through {!join}.  Each input is renumbered to global iterations by
+    its own [ss_jobs] and [ss_shard]; the result is shard 0 of one, so
+    merging it again renumbers nothing.  Associative and commutative on
+    everything {!Campaign.digest} covers (the capped, re-scored corpus
+    is the only order-sensitive field, and it is outside the digest).
+    The result has [sn_merged] set: it can be merged again or reported,
+    but not resumed.
     @raise Invalid_argument on an empty list.
     @raise Campaign.Environment when inputs disagree on tool, kernel
     version, or config flags. *)
@@ -120,8 +176,7 @@ val merge_snapshots :
 val run :
   ?sample_every:int -> ?trace:string -> ?log_level:int ->
   ?failslab_rate:float -> ?failslab_seed:int -> ?checkpoint_every:int ->
-  ?checkpoint:(int -> Campaign.t -> unit) ->
-  ?resume_from:(int -> Campaign.snapshot) -> ?stop:(int -> unit -> bool) ->
+  ?dir:string -> ?stop:(int -> unit -> bool) ->
   ?on_step:(int -> Campaign.t -> unit) ->
   ?prof:Bvf_util.Prof.session ->
   jobs:int -> seed:int -> iterations:int -> Campaign.strategy ->
@@ -137,15 +192,23 @@ val run :
     [trace] writes a {!Telemetry} JSONL stream: each shard writes
     [trace ^ ".shard" ^ i] with iterations rewritten to global
     numbering, and the join merges (stable-sorted by iteration) into
-    [trace] and removes the shard files.  With [jobs = 1] the campaign
+    [trace] and removes the shard files (with [dir], once every shard
+    has finished: until then a rerun continues them).  With [jobs = 1] the campaign
     writes [trace] directly, byte-identical to a sequential run's
     trace.  [log_level] sets the verifier log level for every load.
     [checkpoint_every] reboots each shard's kernel after every
     [checkpoint_every] shard-local iterations, the barrier schedule of
     a sequential campaign and of a supervised worker; by default there
-    are no barriers.  [checkpoint shard], [resume_from shard] and
-    [stop shard] are shard [shard]'s {!Campaign.run_t} hooks: a stopped
-    shard finishes its in-flight iteration, and the join merges what
+    are no barriers.  [dir] is the state directory (created if missing;
+    without it the run writes no state): every shard file is checked
+    with {!saved_state} before any shard starts, a shard resumes from
+    its file, and a finished one is reported, not re-run; when every
+    shard had finished, the result has [pr_idle] set and [trace] is not
+    touched.  [stop shard]
+    is shard [shard]'s {!Campaign.run_t} stop hook: a stopped shard
+    finishes its in-flight iteration and saves its state, a shard that
+    its lane reaches after the stop builds nothing (it reports its file
+    or a fresh {!Campaign.fresh} snapshot), and the join merges what
     every shard completed.
     [on_step shard] builds the per-shard step observer (the
     [--progress] status line); it runs on the domain of the shard's
@@ -162,10 +225,13 @@ val run :
     profiled run's digest and trace are byte-identical to an
     unprofiled one.
     @raise Invalid_argument when [jobs < 1].
+    @raise Bad_state when a shard file in [dir] cannot be read.
+    @raise Campaign.Environment when [dir] holds a shard file of another
+    run ({!saved_state}).
     @raise Campaign.Environment (or any other exception) if a shard
     raises it: every other shard still runs, every lane is joined and
-    the shard trace files are removed first, and the lowest-indexed
-    shard's exception wins. *)
+    (without [dir]) the shard trace files are removed first, and the
+    lowest-indexed shard's exception wins. *)
 
 val digest : result -> string
 (** {!Campaign.digest} of the merged stats: one canonical hex digest for

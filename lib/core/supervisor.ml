@@ -4,43 +4,27 @@ open Cimport
    across forked OS processes under a heartbeat watchdog, so an
    analyzer crash or hang costs one worker one segment — not the
    campaign.  Each worker steps its shard through Parallel.run_shard,
-   as a domain does, and the supervisor folds the final worker
-   checkpoints with the same Parallel.join.  The
-   protocol is plain files under the state directory:
+   saving the shard's state (shard-<i>.ckpt) in the state directory as
+   a domain does, and the supervisor folds the final shard states with
+   the same Parallel.join.  The process protocol is plain files under
+   the state directory:
 
-     worker-<i>.ckpt   incremental checkpoint (worker_snapshot)
      worker-<i>.hb     heartbeat, atomically renamed before every step
      worker-<i>.done   completion marker (exit 0 without it = crash)
      worker-<i>.err    last uncaught exception, for post-mortems
      worker-<i>.prof   profiler totals (and --profile spans) for the parent
+     supervisor.lock   the live supervisor's pid
      quarantine.list   global iterations implicated by a crash
      crash-NNN.json    one Triage.harness_crash artifact per kill
 
    plus, with a trace, the shard trace <trace>.shard<i> beside it.
 
    Determinism: a worker replays its segment from the last barrier
-   checkpoint exactly (same RNG stream, same reboot schedule), except
-   for quarantined iterations, which burn the iteration's generation
-   draws without loading (run_t's [skip] hook).  A disturbed run is
-   therefore digest-comparable to a fault-free run given the same
-   quarantine set — the chaos harness's oracle. *)
-
-(* /2: Campaign.stats gained the per-phase minor-words attribution
-   fields, changing the marshalled layout.
-   /3: a one-worker run writes the trace file itself instead of
-   <trace>.shard0, so wk_trace_pos is an offset into a different file.
-   /4: Campaign.stats lost its eight per-phase time and minor-words
-   fields (bvf-campaign/8).
-   /5: the campaign snapshot's vstats histograms became Hist.t records
-   (bvf-campaign/9). *)
-let worker_tag = "bvf-worker/5"
-
-type worker_snapshot = {
-  wk_shard : int;
-  wk_workers : int;
-  wk_trace_pos : int;
-  wk_snapshot : Campaign.snapshot;
-}
+   state exactly (same RNG stream, same reboot schedule), except for
+   quarantined iterations, which burn the iteration's generation draws
+   without loading (run_t's [skip] hook).  A disturbed run is therefore
+   digest-comparable to a fault-free run given the same quarantine set
+   — the chaos harness's oracle. *)
 
 (* A worker's profiler hand-off; the container refuses a damaged file.
    /2: moved into the checkpoint container and gained the totals. *)
@@ -55,9 +39,6 @@ type worker_prof = {
 
 let hb_path dir i = Filename.concat dir (Printf.sprintf "worker-%d.hb" i)
 
-let ckpt_path dir i =
-  Filename.concat dir (Printf.sprintf "worker-%d.ckpt" i)
-
 let done_path dir i =
   Filename.concat dir (Printf.sprintf "worker-%d.done" i)
 
@@ -68,14 +49,6 @@ let prof_path dir i =
   Filename.concat dir (Printf.sprintf "worker-%d.prof" i)
 
 let quarantine_path dir = Filename.concat dir "quarantine.list"
-
-let rec mkdirs (dir : string) : unit =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else begin
-    mkdirs (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with
-    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 (* Atomic publication: a reader never sees a torn file, only the
    previous or the new contents. *)
@@ -180,11 +153,6 @@ let read_hb (path : string) : (int * int * int) option =
     close_in ic;
     r
 
-let load_worker ~(path : string) :
-  (worker_snapshot, Checkpoint.error) result =
-  (Checkpoint.load ~path ~tag:worker_tag
-   : (worker_snapshot, Checkpoint.error) result)
-
 (* A crashed or interrupted worker wrote no profile: its track is absent. *)
 let absorb_profs (prof : Bvf_util.Prof.session) ~(dir : string)
     ~(workers : int) : unit =
@@ -214,49 +182,6 @@ let unix_signal (sg : int) : int =
   else if sg = Sys.sigterm then 15
   else sg
 
-(* -- Globalizing worker checkpoints ------------------------------------- *)
-
-(* Renumber a worker checkpoint's local iterations to global ones so it
-   can enter Parallel.merge_snapshots (the bvf merge path for
-   checkpoints salvaged from a killed run): a one-shard join does
-   exactly the remap. *)
-let globalize (w : worker_snapshot) : Campaign.snapshot =
-  let s = w.wk_snapshot in
-  Parallel.snapshot_of_result s
-    (Parallel.join ~jobs:w.wk_workers ~trace:None
-       ~prof:Bvf_util.Prof.disabled [ (w.wk_shard, Ok s) ])
-
-(* A worker checkpoint found in the state directory must belong to this
-   request: the same pool width, shard, seed, tool, kernel and config,
-   and no more iterations than the shard is assigned.  Resuming one cut
-   for another request would report that request's campaign as this
-   one's. *)
-let check_worker ~(dir : string) ~(workers : int) ~(seed : int)
-    ~(assigned : int) (strategy : Campaign.strategy) (config : Kconfig.t)
-    (i : int) (w : worker_snapshot) : unit =
-  let refuse msg =
-    raise
-      (Campaign.Environment
-         (Printf.sprintf
-            "state directory %s holds a checkpoint of another campaign: \
-             %s: %s (use a fresh --state-dir)"
-            dir (Filename.basename (ckpt_path dir i)) msg))
-  in
-  let s = w.wk_snapshot in
-  let field name taken wanted =
-    if taken <> wanted then
-      refuse (Printf.sprintf "%s %d, not %d" name taken wanted)
-  in
-  field "workers" w.wk_workers workers;
-  field "shard" w.wk_shard i;
-  field "seed" s.Campaign.sn_seed (seed + i);
-  if s.Campaign.sn_completed > assigned then
-    refuse
-      (Printf.sprintf "%d iterations completed, more than the %d assigned"
-         s.Campaign.sn_completed assigned);
-  try Campaign.check_resumable strategy config s
-  with Campaign.Environment msg -> refuse msg
-
 (* -- Supervisor (parent process) ---------------------------------------- *)
 
 type worker_outcome =
@@ -277,7 +202,6 @@ type report = {
   rp_crashes : Triage.harness_crash list;
   rp_quarantined : int list;
   rp_abandoned : (int * int * int) list;
-  rp_idle : bool;
 }
 
 type wstate =
@@ -334,7 +258,7 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
     (strategy : Campaign.strategy) (config : Kconfig.t) : outcome =
   if workers < 1 then invalid_arg "Supervisor.run: workers < 1";
   let sup_prof = Bvf_util.Prof.track prof ~name:"supervisor" workers in
-  mkdirs dir;
+  Parallel.mkdirs dir;
   acquire_lock (lock_path dir) ~attempts:1;
   Fun.protect ~finally:(fun () -> remove_if_exists (lock_path dir))
   @@ fun () ->
@@ -348,17 +272,15 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   let crashes = ref [] (* newest first *) and ncrashes = ref 0 in
   (* Runs in the forked child and never returns (Unix._exit only, so the
      parent's at_exit hooks and buffers are untouched).  The shard runs
-     through Parallel.run_shard, as a domain's does: barrier saves go
-     through its [checkpoint] hook, SIGTERM/SIGINT through its [stop]
-     poll, and its [skip] hook is the once-per-iteration pre-step that
-     writes the heartbeat, runs the fault hook and skips quarantined
-     iterations. *)
+     through Parallel.run_shard, as a domain's does, saving the shard's
+     state in [dir]: SIGTERM/SIGINT go through its [stop] poll, and its
+     [skip] hook is the once-per-iteration pre-step that writes the
+     heartbeat, runs the fault hook and skips quarantined iterations. *)
   let worker (i : int) : unit =
     let stop = ref 0 in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := 143));
     Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := 130));
     let global local = Parallel.global_iteration ~jobs:workers ~shard:i local in
-    let ckpt = ckpt_path dir i in
     try
       (* local iterations quarantined for this shard *)
       let quarantined : (int, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -367,13 +289,16 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
            if g >= 0 && g mod workers = i then
              Hashtbl.replace quarantined (g / workers) ())
         (quarantine_of_file (quarantine_path dir));
-      (* resume from the last barrier checkpoint when one exists; a
-         missing or corrupt one means a fresh deterministic replay from
-         iteration 0, which reaches the same barriers *)
-      let existing = Result.to_option (load_worker ~path:ckpt) in
+      (* resume from the shard's last saved state when there is one
+         (the parent checked it before forking); without one the shard
+         replays from iteration 0, which reaches the same barriers *)
+      let from =
+        Parallel.saved_state ~dir ~jobs:workers ~seed ~iterations strategy
+          config i
+      in
       let completed =
-        match existing with
-        | Some w -> w.wk_snapshot.Campaign.sn_completed
+        match from with
+        | Some st -> st.Parallel.ss_snapshot.Campaign.sn_completed
         | None -> 0
       in
       (* the child records into its own session (the parent's lives in
@@ -384,22 +309,6 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
       in
       let track =
         Bvf_util.Prof.track wsession ~name:(Printf.sprintf "worker%d" i) i
-      in
-      (* the Checkpoint event is already in the trace when the offset
-         is taken, so a restart resumes just after it and an undisturbed
-         worker writes the same trace bytes *)
-      let save (sink : Telemetry.sink) (c : Campaign.t) : unit =
-        match
-          Checkpoint.save ~path:ckpt ~tag:worker_tag
-            { wk_shard = i; wk_workers = workers;
-              wk_trace_pos = Telemetry.pos sink;
-              wk_snapshot = Campaign.snapshot c }
-        with
-        | Ok () -> ()
-        | Error e ->
-          failwith
-            ("worker checkpoint write failed: "
-             ^ Checkpoint.error_to_string e)
       in
       let seq = ref 0 in
       let pre_step (sink : Telemetry.sink) (local : int) : bool =
@@ -418,19 +327,12 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
           false
         end
       in
-      Parallel.run_shard ~sample_every ~log_level ~checkpoint_every
-        ~checkpoint:save
-        ?resume_from:(Option.map (fun w -> w.wk_snapshot) existing)
-        ~skip:pre_step ~stop:(fun () -> !stop <> 0)
-        ?trace_pos:(Option.map (fun w -> w.wk_trace_pos) existing)
-        ~jobs:workers ~seed ~failslab_rate ~failslab_seed ~trace ~prof:track
-        ~iterations:(counts.(i) - completed)
-        ~finish:(fun sink c ->
-            (* a stop already saved inside run_t; resume performs the
-               post-save reboot *)
-            if !stop = 0 then
-              Bvf_util.Prof.span track "checkpoint" (fun () -> save sink c))
-        strategy config i;
+      ignore
+        (Parallel.run_shard ~sample_every ~log_level ~checkpoint_every ~dir
+           ?from ~skip:pre_step ~stop:(fun () -> !stop <> 0) ~jobs:workers
+           ~seed ~failslab_rate ~failslab_seed ~trace ~prof:track
+           ~iterations:(counts.(i) - completed) strategy config i
+         : Parallel.state);
       if !stop <> 0 then Unix._exit !stop;
       (* the profile must be on disk before the done marker: once the
          parent sees worker-<i>.done it may read it immediately *)
@@ -461,19 +363,21 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
         { rn_pid = pid; rn_hb = None;
           rn_hb_time = Bvf_util.Mclock.now_s () }
   in
-  (* a worker whose checkpoint already holds its whole shard is
-     reported, not re-run: a re-run would reboot its kernel once more
-     and move the merged digest; its profile file is from the run that
-     did the work, so this run has no track for it *)
+  (* every shard file is checked before any worker forks; a worker
+     whose file already holds its whole shard is reported, not re-run:
+     a re-run would reboot its kernel once more and move the merged
+     digest; its profile file is from the run that did the work, so
+     this run has no track for it *)
   let slots =
     Array.init workers (fun i ->
         let done_already =
-          match load_worker ~path:(ckpt_path dir i) with
-          | Error _ -> false
-          | Ok w ->
-            check_worker ~dir ~workers ~seed ~assigned:counts.(i) strategy
-              config i w;
-            w.wk_snapshot.Campaign.sn_completed = counts.(i)
+          match
+            Parallel.saved_state ~dir ~jobs:workers ~seed ~iterations strategy
+              config i
+          with
+          | Some st ->
+            st.Parallel.ss_snapshot.Campaign.sn_completed = counts.(i)
+          | None -> false
         in
         if done_already then remove_if_exists (prof_path dir i);
         { ws_index = i;
@@ -622,8 +526,9 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   (* -- Join ------------------------------------------------------------- *)
   let fr_join = Bvf_util.Prof.start sup_prof "join" in
   let finals =
-    Array.init workers (fun i ->
-        Result.to_option (load_worker ~path:(ckpt_path dir i)))
+    Array.init workers
+      (Parallel.saved_state ~dir ~jobs:workers ~seed ~iterations strategy
+         config)
   in
   let rp_workers =
     Array.to_list
@@ -638,7 +543,7 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
               wr_assigned = counts.(s.ws_index);
               wr_completed =
                 (match finals.(s.ws_index) with
-                 | Some w -> w.wk_snapshot.Campaign.sn_completed
+                 | Some st -> st.Parallel.ss_snapshot.Campaign.sn_completed
                  | None -> 0);
               wr_restarts = s.ws_restarts;
             })
@@ -658,35 +563,22 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
              then Some (w.wr_worker, w.wr_completed, w.wr_assigned - 1)
              else None)
           rp_workers;
-      rp_idle = idle;
     }
   in
-  let trace = if idle then None else trace in
   let outcome =
     if !interrupting then Interrupted report
     else begin
-      (* a retired worker's trace may carry events past its last
-         barrier; trim to the checkpointed offset so the merged trace
-         matches the merged stats *)
-      Option.iter
-        (fun t ->
-           Array.iteri
-             (fun i final ->
-                let p = Parallel.shard_trace_path ~jobs:workers t i in
-                if Sys.file_exists p then
-                  match final with
-                  | Some w -> Unix.truncate p w.wk_trace_pos
-                  | None -> remove_if_exists p)
-             finals)
-        trace;
-      let shards =
-        List.filter_map
-          (fun i -> Option.map (fun w -> (i, Ok w.wk_snapshot)) finals.(i))
-          (List.init workers Fun.id)
+      (* the join cuts a retired worker's trace back to its last
+         barrier, so the merged trace matches the merged stats *)
+      let result =
+        Parallel.join ~jobs:workers
+          ~trace:(if idle then None else trace) ~prof:sup_prof
+          (List.filter_map (Option.map Result.ok) (Array.to_list finals))
       in
-      Completed
-        (Parallel.join ~jobs:workers ~trace ~prof:sup_prof shards,
-         report)
+      (* shard traces outlive a run that a rerun continues *)
+      if List.for_all (fun w -> w.wr_completed = w.wr_assigned) rp_workers
+      then Parallel.remove_shard_traces ~jobs:workers trace;
+      Completed ({ result with Parallel.pr_idle = idle }, report)
     end
   in
   absorb_profs prof ~dir ~workers;

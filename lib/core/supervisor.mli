@@ -9,15 +9,14 @@
     - each worker runs one deterministic shard (seed [seed + i], the
       round-robin split of {!Parallel.shard_iterations}) through
       {!Parallel.run_shard}, the function a domain steps its shard
-      with.  Its own parts ride on {!Campaign.run_t}'s hooks: [skip]
-      writes a heartbeat file ([worker-<i>.hb]) before every
-      iteration, runs the [fault] hook and skips quarantined
-      iterations; [checkpoint] writes the incremental checkpoint
-      ([worker-<i>.ckpt]) at every [checkpoint_every] barrier; [stop]
-      polls SIGTERM/SIGINT;
+      with, and so keeps the shard's state ([shard-<i>.ckpt]) in [dir]
+      the way a [Parallel.run ~dir] shard does.  Its own parts ride on
+      {!Campaign.run_t}'s hooks: [skip] writes a heartbeat file
+      ([worker-<i>.hb]) before every iteration, runs the [fault] hook
+      and skips quarantined iterations; [stop] polls SIGTERM/SIGINT;
     - the supervisor polls heartbeats and child exits: a non-zero
       exit, a fatal signal, or a heartbeat older than [deadline_s]
-      kills the worker and restarts it from its last checkpoint with
+      kills the worker and restarts it from its last saved state with
       exponential backoff;
     - every kill is recorded as a {!Triage.harness_crash} artifact
       ([crash-NNN.json]) and the implicated iteration is {b
@@ -25,41 +24,26 @@
       its segment deterministically but skips the quarantined
       iteration, so a deterministic crasher cannot wedge the pool;
     - a worker that exceeds [max_restarts] is {b retired}: the pool
-      shrinks, its last checkpoint still joins the merge, and the
+      shrinks, its last saved state still joins the merge, and the
       abandoned remainder of its shard is reported — never silently
       dropped;
-    - the final worker checkpoints are folded by {!Parallel.join},
-      the join [Parallel.run] uses, so a fault-free supervised run
-      produces the same merged stats and digest as
-      [Parallel.run ~jobs:workers] with the same [checkpoint_every],
-      and the same trace bytes apart from the workers' checkpoint
-      events.
+    - the final shard states are folded by {!Parallel.join}, the join
+      [Parallel.run] uses, so a fault-free supervised run produces the
+      same merged stats and digest as [Parallel.run ~jobs:workers] with
+      the same [checkpoint_every], and the same trace bytes apart from
+      the workers' checkpoint events.
 
-    Rerunning with the same state [dir] resumes every worker from its
-    last checkpoint; a worker whose checkpoint holds its whole shard is
-    reported as completed without running again.  When no worker runs,
-    [trace] is not touched ([rp_idle]).  A worker checkpoint
-    cut for another request (pool width, shard, seed, tool, kernel,
-    config, or more iterations than assigned) is refused before any
-    worker forks.  See [docs/RESILIENCE.md] for the supervision
-    state machine and the exit-code table. *)
+    The state directory is the one {!Parallel} layout, so rerunning
+    with the same [dir] — under [Supervisor.run] or [Parallel.run] with
+    as many shards — resumes every shard from its file; a worker whose
+    file holds its whole shard is reported as completed without running
+    again.  When no worker runs, [trace] is not touched
+    ([Parallel.pr_idle]).  A shard file cut for another request is
+    refused before any worker forks ({!Parallel.saved_state}).  See
+    [docs/RESILIENCE.md] for the supervision state machine and the
+    exit-code table. *)
 
-(** {1 Worker checkpoints} *)
-
-type worker_snapshot = {
-  wk_shard : int;    (** worker (= shard) index *)
-  wk_workers : int;  (** pool width the shard was cut for *)
-  wk_trace_pos : int;
-      (** trace byte offset at the barrier; a restart truncates the
-          worker's trace file here so replayed iterations never appear
-          twice *)
-  wk_snapshot : Campaign.snapshot;  (** local iteration numbering *)
-}
-
-val worker_tag : string
-(** {!Checkpoint} container tag for worker checkpoint files. *)
-
-val load_worker : path:string -> (worker_snapshot, Checkpoint.error) result
+(** {1 Worker profiles} *)
 
 type worker_prof = {
   wp_totals : Bvf_util.Prof.total list;
@@ -73,13 +57,6 @@ val absorb_profs : Bvf_util.Prof.session -> dir:string -> workers:int -> unit
 (** Fold each [worker-<i>.prof] under [dir] into the session as track
     [i]; a missing or damaged file is skipped, never raises. *)
 
-val globalize : worker_snapshot -> Campaign.snapshot
-(** Renumber a worker checkpoint to global iterations
-    ([local * wk_workers + wk_shard], as {!Parallel.global_iteration}),
-    making it mergeable with {!Parallel.merge_snapshots} — the [bvf
-    merge] path for checkpoints salvaged from a killed supervised run.
-    The result has [sn_merged] set: reportable, not resumable. *)
-
 (** {1 Outcome} *)
 
 type worker_outcome =
@@ -91,7 +68,7 @@ type worker_report = {
   wr_worker : int;
   wr_outcome : worker_outcome;
   wr_assigned : int;   (** local iterations budgeted for the shard *)
-  wr_completed : int;  (** local iterations in its final checkpoint *)
+  wr_completed : int;  (** local iterations in its shard file *)
   wr_restarts : int;
 }
 
@@ -104,19 +81,16 @@ type report = {
   rp_abandoned : (int * int * int) list;
       (** [(worker, first_local, last_local)] ranges a retired or
           interrupted worker never executed *)
-  rp_idle : bool;
-      (** no worker ran: every checkpoint in the state directory already
-          held its whole shard, and the trace was not touched *)
 }
 
 type outcome =
   | Completed of Parallel.result * report
-      (** every worker completed or retired; the result merges all
-          final worker checkpoints *)
+      (** every worker completed or retired; the result merges every
+          shard file *)
   | Interrupted of report
-      (** [stop] fired: workers were signalled, saved final
-          checkpoints and exited; rerun with the same [dir] to resume,
-          or [bvf merge] the worker checkpoints *)
+      (** [stop] fired: workers were signalled, saved their shard
+          states and exited; rerun with the same [dir] to resume, or
+          [bvf merge] the shard files *)
 
 val quarantine_of_file : string -> int list
 (** Parse a [quarantine.list]-format file (one global iteration per
@@ -181,7 +155,8 @@ val run :
     files.
 
     @raise Invalid_argument when [workers < 1].
+    @raise Parallel.Bad_state when a shard file in [dir] cannot be read.
     @raise Campaign.Environment when [dir] is locked by a running
-    supervisor, or holds a checkpoint of another campaign (the message
+    supervisor, or holds a shard file of another campaign (the message
     names [dir], the file and the field), or when the run completes but
-    no worker ever produced a checkpoint to merge. *)
+    no worker ever saved a shard state to merge. *)

@@ -322,9 +322,9 @@ let pos (t : sink) : int =
   | Some _ | None -> 0
 
 (* Reopen an existing trace for appending from [pos], discarding
-   whatever a crashed writer managed to append past it.  Restarted
-   supervisor workers use this: the worker checkpoint records the trace
-   offset at the barrier, so replayed iterations never appear twice. *)
+   whatever a crashed writer managed to append past it.  Resumed shards
+   use this: a shard's saved state records the trace offset at the
+   barrier, so replayed iterations never appear twice. *)
 let reopen ?(iter_map = fun i -> i) (path : string) ~(pos : int) : sink =
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644

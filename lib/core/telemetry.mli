@@ -135,8 +135,8 @@ val flush : sink -> unit
 
 val pos : sink -> int
 (** Byte offset after flushing: everything emitted so far is on disk
-    below this offset.  Worker checkpoints record it so a restart can
-    {!reopen} the trace exactly at the barrier. *)
+    below this offset.  A shard's saved state records it so a resumed
+    shard can {!reopen} the trace exactly at the barrier. *)
 
 val reopen : ?iter_map:(int -> int) -> string -> pos:int -> sink
 (** Reopen [path] for appending from byte [pos], truncating whatever a

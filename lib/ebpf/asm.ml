@@ -11,10 +11,7 @@ let mov32_reg dst src = Alu { op64 = false; op = Mov; dst; src = Reg src }
 
 let alu64_imm op dst imm = Alu { op64 = true; op; dst; src = Imm imm }
 let alu64_reg op dst src = Alu { op64 = true; op; dst; src = Reg src }
-let alu32_imm op dst imm = Alu { op64 = false; op; dst; src = Imm imm }
 let alu32_reg op dst src = Alu { op64 = false; op; dst; src = Reg src }
-
-let neg64 dst = Alu { op64 = true; op = Neg; dst; src = Imm 0l }
 
 let ld_imm64 dst v = Ld_imm64 (dst, Const v)
 let ld_map_fd dst fd = Ld_imm64 (dst, Map_fd fd)
@@ -23,19 +20,14 @@ let ld_btf_obj dst id = Ld_imm64 (dst, Btf_obj id)
 
 let ldx sz dst src off = Ldx { sz; dst; src; off }
 let ldx_b dst src off = ldx B dst src off
-let ldx_h dst src off = ldx H dst src off
 let ldx_w dst src off = ldx W dst src off
 let ldx_dw dst src off = ldx DW dst src off
 
 let st sz dst off imm = St { sz; dst; off; imm }
-let st_b dst off imm = st B dst off imm
-let st_h dst off imm = st H dst off imm
 let st_w dst off imm = st W dst off imm
 let st_dw dst off imm = st DW dst off imm
 
 let stx sz dst src off = Stx { sz; dst; src; off }
-let stx_b dst src off = stx B dst src off
-let stx_h dst src off = stx H dst src off
 let stx_w dst src off = stx W dst src off
 let stx_dw dst src off = stx DW dst src off
 
@@ -45,7 +37,6 @@ let atomic ?(fetch = false) sz op dst src off =
 let jmp_imm cond dst imm off = Jmp { op32 = false; cond; dst; src = Imm imm; off }
 let jmp_reg cond dst src off = Jmp { op32 = false; cond; dst; src = Reg src; off }
 let jmp32_imm cond dst imm off = Jmp { op32 = true; cond; dst; src = Imm imm; off }
-let jmp32_reg cond dst src off = Jmp { op32 = true; cond; dst; src = Reg src; off }
 
 let ja off = Ja off
 let call id = Call (Helper id)

@@ -11,10 +11,7 @@ val mov32_reg : reg -> reg -> t
 
 val alu64_imm : alu_op -> reg -> int32 -> t
 val alu64_reg : alu_op -> reg -> reg -> t
-val alu32_imm : alu_op -> reg -> int32 -> t
 val alu32_reg : alu_op -> reg -> reg -> t
-
-val neg64 : reg -> t
 
 val ld_imm64 : reg -> int64 -> t
 val ld_map_fd : reg -> int -> t
@@ -25,23 +22,18 @@ val ldx : size -> reg -> reg -> int -> t
 (** [ldx sz dst src off]: [dst = *(sz * )(src + off)]. *)
 
 val ldx_b : reg -> reg -> int -> t
-val ldx_h : reg -> reg -> int -> t
 val ldx_w : reg -> reg -> int -> t
 val ldx_dw : reg -> reg -> int -> t
 
 val st : size -> reg -> int -> int32 -> t
 (** [st sz dst off imm]: [*(sz * )(dst + off) = imm]. *)
 
-val st_b : reg -> int -> int32 -> t
-val st_h : reg -> int -> int32 -> t
 val st_w : reg -> int -> int32 -> t
 val st_dw : reg -> int -> int32 -> t
 
 val stx : size -> reg -> reg -> int -> t
 (** [stx sz dst src off]: [*(sz * )(dst + off) = src]. *)
 
-val stx_b : reg -> reg -> int -> t
-val stx_h : reg -> reg -> int -> t
 val stx_w : reg -> reg -> int -> t
 val stx_dw : reg -> reg -> int -> t
 
@@ -52,7 +44,6 @@ val jmp_imm : cond -> reg -> int32 -> int -> t
 
 val jmp_reg : cond -> reg -> reg -> int -> t
 val jmp32_imm : cond -> reg -> int32 -> int -> t
-val jmp32_reg : cond -> reg -> reg -> int -> t
 
 val ja : int -> t
 val call : int -> t

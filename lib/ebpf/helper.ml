@@ -231,11 +231,6 @@ let find (id : int) : t option =
   if id >= 0 && id < Array.length by_id then Array.unsafe_get by_id id
   else None
 
-let find_exn id =
-  match find id with
-  | Some h -> h
-  | None -> invalid_arg (Printf.sprintf "unknown helper id %d" id)
-
 (* Helpers available to a program of [pt] under kernel [version]. *)
 let available ~(version : Version.t) ~(pt : Prog.prog_type) : t list =
   List.filter

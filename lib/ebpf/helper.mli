@@ -113,7 +113,6 @@ val public_helpers : t list
 val all : t list
 
 val find : int -> t option
-val find_exn : int -> t
 
 val available : version:Version.t -> pt:Prog.prog_type -> t list
 (** Public helpers a program of type [pt] may call under [version]. *)

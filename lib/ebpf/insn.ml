@@ -32,7 +32,6 @@ let pp_reg fmt r = Format.fprintf fmt "r%d" (reg_to_int r)
 type size = B | H | W | DW
 
 let size_bytes = function B -> 1 | H -> 2 | W -> 4 | DW -> 8
-let size_bits s = 8 * size_bytes s
 
 let pp_size fmt s =
   Format.pp_print_string fmt
@@ -60,12 +59,6 @@ let cond_negate = function
   | Jeq -> Jne | Jne -> Jeq | Jgt -> Jle | Jle -> Jgt | Jge -> Jlt
   | Jlt -> Jge | Jsgt -> Jsle | Jsle -> Jsgt | Jsge -> Jslt | Jslt -> Jsge
   | Jset -> Jset (* no exact negation; handled specially by callers *)
-
-(* Condition with operands swapped: a OP b <=> b (swap OP) a. *)
-let cond_swap = function
-  | Jeq -> Jeq | Jne -> Jne | Jgt -> Jlt | Jlt -> Jgt | Jge -> Jle
-  | Jle -> Jge | Jsgt -> Jslt | Jslt -> Jsgt | Jsge -> Jsle | Jsle -> Jsge
-  | Jset -> Jset
 
 type src = Imm of int32 | Reg of reg
 
@@ -120,8 +113,6 @@ let prog_slots (prog : t array) : int =
 (* Registers read / written, used for triage slicing and dead-code style
    analyses.  R10 is always readable (frame pointer); calls clobber
    R0-R5. *)
-let src_reg_of = function Imm _ -> None | Reg r -> Some r
-
 let src_is (s : src) (r : reg) : bool =
   match s with Reg x -> x = r | Imm _ -> false
 

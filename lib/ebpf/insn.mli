@@ -23,7 +23,6 @@ val pp_reg : Format.formatter -> reg -> unit
 type size = B | H | W | DW
 
 val size_bytes : size -> int
-val size_bits : size -> int
 val pp_size : Format.formatter -> size -> unit
 
 (** ALU operation codes (BPF_ADD .. BPF_ARSH plus BPF_MOV). *)
@@ -41,9 +40,6 @@ val cond_to_string : cond -> string
 
 val cond_negate : cond -> cond
 (** Logical negation; [Jset] has no exact negation and maps to itself. *)
-
-val cond_swap : cond -> cond
-(** Condition with swapped operands: [a OP b <=> b (swap OP) a]. *)
 
 (** Second operand: 32-bit immediate or register. *)
 type src = Imm of int32 | Reg of reg
@@ -93,8 +89,6 @@ val slots : t -> int
 (** 8-byte slots in the wire encoding: 2 for [Ld_imm64], 1 otherwise. *)
 
 val prog_slots : t array -> int
-
-val src_reg_of : src -> reg option
 
 val reads_reg : t -> reg -> bool
 (** Does the instruction consume the register's value?  (Calls read

@@ -53,8 +53,6 @@ let prog_type_of_string = function
   | "cgroup_skb" -> Some Cgroup_skb
   | _ -> None
 
-let pp_prog_type fmt t = Format.pp_print_string fmt (prog_type_to_string t)
-
 let scalar ?(writable = false) fname foff fsize =
   { fname; foff; fsize; fwritable = writable; fkind = Fk_scalar }
 

@@ -32,7 +32,6 @@ type prog_type =
 val all_prog_types : prog_type list
 val prog_type_to_string : prog_type -> string
 val prog_type_of_string : string -> prog_type option
-val pp_prog_type : Format.formatter -> prog_type -> unit
 
 val sk_buff_layout : ctx_layout
 val xdp_layout : ctx_layout

@@ -19,11 +19,6 @@ let n_slots = 4
 let create () =
   { slots = Array.make n_slots None; update_count = 0; stale_null = false }
 
-let attached_count (t : t) : int =
-  Array.fold_left
-    (fun acc s -> match s with Some _ -> acc + 1 | None -> acc)
-    0 t.slots
-
 (* Attach [prog_id]; returns false when all slots are busy. *)
 let attach ?(bug7 = false) (t : t) ~(prog_id : int) : bool =
   t.update_count <- t.update_count + 1;

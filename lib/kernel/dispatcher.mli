@@ -14,7 +14,6 @@ type t = {
 
 val n_slots : int
 val create : unit -> t
-val attached_count : t -> int
 
 val attach : ?bug7:bool -> t -> prog_id:int -> bool
 (** Attach a program; [false] when all slots are busy. *)

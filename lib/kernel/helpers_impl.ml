@@ -14,8 +14,6 @@ type env = {
   pkt : Kmem.region option; (* packet backing the current context *)
 }
 
-let no_env = { pkt = None }
-
 let enoent = -2L
 let enomem = -12L
 let efault = -14L

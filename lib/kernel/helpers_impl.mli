@@ -9,8 +9,6 @@
 (** Per-execution environment a few helpers need. *)
 type env = { pkt : Kmem.region option }
 
-val no_env : env
-
 val call :
   Kstate.t -> env -> pc:int -> Bvf_ebpf.Helper.t -> int64 array -> int64
 (** Execute a helper with argument registers [| r1..r5 |]; returns the

@@ -167,7 +167,6 @@ let fixed (version : Version.t) : t = make version ~bugs:[]
    equality. *)
 let has (t : t) (b : bug) : bool = List.memq b t.bugs
 
-let with_bugs (t : t) (bugs : bug list) : t = { t with bugs }
 let with_sanitize (t : t) (sanitize : bool) : t = { t with sanitize }
 let with_lint (t : t) (lint : bool) : t = { t with lint }
 let with_witness (t : t) (witness : bool) : t = { t with witness }

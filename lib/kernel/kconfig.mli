@@ -72,7 +72,6 @@ val fixed : Bvf_ebpf.Version.t -> t
 (** A fully fixed kernel: no injected bugs. *)
 
 val has : t -> bug -> bool
-val with_bugs : t -> bug list -> t
 val with_sanitize : t -> bool -> t
 val with_lint : t -> bool -> t
 val with_witness : t -> bool -> t

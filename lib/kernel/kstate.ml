@@ -73,18 +73,8 @@ let create ?failslab (config : Kconfig.t) : t =
 
 (* Borrow a live region of exactly [size]/[kind] from the scratch pool,
    or allocate one.  Contents are zeroed, as the fresh-allocation path
-   would produce. *)
-let pool_take (t : t) ~(kind : Kmem.kind) ~(size : int) : Kmem.region =
-  let matches (r : Kmem.region) = r.Kmem.rkind = kind && r.Kmem.size = size in
-  match List.find_opt matches t.exec_pool with
-  | Some r ->
-    t.exec_pool <- List.filter (fun x -> x != r) t.exec_pool;
-    Bytes.fill r.Kmem.data 0 size '\000';
-    r
-  | None -> Kmem.alloc t.mem ~kind ~size
-
-(* Fallible variant: the fault plan is consulted only on the slab path
-   (a pool hit reuses live memory, which cannot fail), mirroring how
+   would produce.  The fault plan is consulted only on the slab path (a
+   pool hit reuses live memory, which cannot fail), mirroring how
    failslab hooks kmem_cache_alloc and not object reuse. *)
 let try_pool_take (t : t) ~(site : string) ~(kind : Kmem.kind)
     ~(size : int) : Kmem.region option =
@@ -107,12 +97,6 @@ let has_bug (t : t) (b : Kconfig.bug) : bool = Kconfig.has t.config b
 let report (t : t) (r : Report.t) : unit =
   t.reports <- r :: t.reports;
   t.report_count <- t.report_count + 1
-
-let take_reports (t : t) : Report.t list =
-  let rs = List.rev t.reports in
-  t.reports <- [];
-  t.report_count <- 0;
-  rs
 
 let report_count (t : t) : int = t.report_count
 

@@ -40,19 +40,16 @@ val create : ?failslab:Failslab.t -> Kconfig.t -> t
 val has_bug : t -> Kconfig.bug -> bool
 
 val report : t -> Report.t -> unit
-val take_reports : t -> Report.t list
 val peek_reports : t -> Report.t list
 
 val report_count : t -> int
 (** Number of pending reports, in O(1) (= [List.length (peek_reports t)]). *)
 
-val pool_take : t -> kind:Kmem.kind -> size:int -> Kmem.region
-(** Borrow a zeroed scratch region from the pool (or allocate one). *)
-
 val try_pool_take :
   t -> site:string -> kind:Kmem.kind -> size:int -> Kmem.region option
-(** Like {!pool_take}, but the fault plan is consulted on the slab path
-    (pool hits reuse live memory and cannot fail). *)
+(** Borrow a zeroed scratch region from the pool (or allocate one); the
+    fault plan is consulted on the slab path (pool hits reuse live memory
+    and cannot fail). *)
 
 val pool_return : t -> Kmem.region -> unit
 

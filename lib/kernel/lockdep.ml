@@ -12,12 +12,6 @@
 
 type context = Normal | Softirq | Hardirq | Nmi
 
-let context_to_string = function
-  | Normal -> "process"
-  | Softirq -> "softirq"
-  | Hardirq -> "hardirq"
-  | Nmi -> "nmi"
-
 type violation =
   | Recursive_lock of string
   | Unlock_not_held of string

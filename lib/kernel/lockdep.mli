@@ -4,8 +4,6 @@
 
 type context = Normal | Softirq | Hardirq | Nmi
 
-val context_to_string : context -> string
-
 type violation =
   | Recursive_lock of string   (** class acquired while already held *)
   | Unlock_not_held of string

@@ -106,12 +106,6 @@ let lookup (t : t) ~(key : Bytes.t) : int64 option =
     end
   | Ringbuf_backing _ -> None
 
-let entry_count (t : t) : int =
-  match t.backing with
-  | Array_backing _ -> t.def.max_entries
-  | Hash_backing h -> Hashtbl.length h.elems
-  | Ringbuf_backing r -> List.length r.live_chunks
-
 let update ?failslab (mem : Kmem.t) (t : t) ~(key : Bytes.t)
     ~(value : Bytes.t) : (unit, error) result =
   (* inserting a fresh hash element allocates; in-place updates do not *)

@@ -56,8 +56,6 @@ val create : Kmem.t -> id:int -> def -> t
 val lookup : t -> key:Bytes.t -> int64 option
 (** Address of the value for [key], or [None] (NULL). *)
 
-val entry_count : t -> int
-
 val update : ?failslab:Failslab.t -> Kmem.t -> t -> key:Bytes.t ->
   value:Bytes.t -> (unit, error) result
 (** Insert or update.  With a fault plan, inserting a fresh hash

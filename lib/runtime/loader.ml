@@ -87,13 +87,6 @@ let attach (t : t) (prog : Verifier.loaded) : unit =
       ignore ok
     end
 
-let detach_all (t : t) : unit =
-  t.attached <- [];
-  List.iter
-    (fun id -> Dispatcher.detach t.kst.Kstate.dispatcher ~prog_id:id)
-    (Array.to_list t.kst.Kstate.dispatcher.Dispatcher.slots
-     |> List.filter_map (fun x -> x))
-
 (* Execute a loaded program: XDP programs go through the dispatcher
    (the Bug#7 window), tracing programs are triggered via their attach
    point, everything else runs directly. *)

@@ -52,8 +52,6 @@ val attach : t -> Bvf_verifier.Verifier.loaded -> unit
 (** Register a program at its attach point (or the XDP dispatcher,
     arming the Bug#7 window). *)
 
-val detach_all : t -> unit
-
 val execute : t -> Bvf_verifier.Verifier.loaded -> Exec.result
 (** Run a loaded program: XDP goes through the dispatcher; tracing
     programs also get one triggering of their attach point in its

@@ -23,9 +23,15 @@ let jump_targets (insns : Insn.t array) : Bytes.t =
 let is_target (targets : Bytes.t) (pc : int) : bool =
   Bytes.get targets pc <> '\000'
 
-(* Maximum trip count a certified loop may have.  Keeps every accepted
-   loop comfortably inside the interpreter's fuel budget: acceptance
-   still implies the program runs to completion. *)
+(* Maximum trip count a certified loop may have, so that one certified
+   loop stays inside the interpreter's fuel.  Acceptance does not imply
+   that the program runs to completion.  A loop above this bound is
+   walked trip by trip against [Venv.insn_processed_limit] (100 000),
+   which exceeds [Exec.fuel_limit] (65 536): [r6 = 0; r7 = 0; head:
+   r7 += 2; r6 += 1; if r6 < K goto head; exit] with K = 22 000 is
+   accepted at insn_processed 66 004, then killed at the fuel limit.
+   And a certified loop multiplies its body's cost by its trips, which
+   insn_processed does not count.  ROADMAP.md item 1 tracks the fix. *)
 let max_certified_trips = 4096l
 
 (* Syntactic termination certificate for the loop headed at [head] —

@@ -184,14 +184,6 @@ let cast (t : t) ~(size : int) : t =
     { value = Int64.logand t.value m; mask = Int64.logand t.mask m }
   end
 
-let subreg (t : t) : t = cast t ~size:4
-
-(* Clear the low 32 bits and replace them with [sub]. *)
-let with_subreg (t : t) (sub : t) : t =
-  let hi v = Int64.logand v 0xFFFF_FFFF_0000_0000L in
-  { value = Int64.logor (hi t.value) (Word.to_u32 sub.value);
-    mask = Int64.logor (hi t.mask) (Word.to_u32 sub.mask) }
-
 let is_aligned (t : t) (size : int64) : bool =
   Int64.logand (Int64.logor t.value t.mask) (Int64.sub size 1L) = 0L
 

@@ -67,7 +67,5 @@ val widen : t -> t -> t
 val cast : t -> size:int -> t
 (** Truncate to the low [size] bytes, zero-extended. *)
 
-val subreg : t -> t
-val with_subreg : t -> t -> t
 val is_aligned : t -> int64 -> bool
 val to_string : t -> string

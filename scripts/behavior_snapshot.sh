@@ -7,9 +7,11 @@
 #
 #   fuzz-seq.out, fuzz-seq.trace          bvf fuzz --seed 1 -n 2000
 #   fuzz-seq-failslab.out, .trace         the same with --failslab 0.1
-#   fuzz-ckpt.out, fuzz-ckpt.trace        -n 1000, checkpointed every 500
-#   fuzz-resume.out, fuzz-resume.trace    -n 2000 resumed from that file
-#   fuzz-jobs2.out, fuzz-jobs2.trace      the same with --jobs 2
+#   fuzz-ckpt.out, fuzz-ckpt.trace        -n 1000, state saved every 500
+#   fuzz-resume.out, fuzz-resume.trace    -n 2000 resumed from that state
+#   fuzz-jobs2.out, fuzz-jobs2.trace      bvf fuzz --seed 1 -n 2000 --jobs 2
+#   fuzz-jobs2-ckpt.out, .trace           -n 1000 --jobs 2, state every 500
+#   fuzz-jobs2-resume.out, .trace         -n 2000 --jobs 2 resumed from it
 #   fuzz-jobs4.out, fuzz-jobs4.trace      the same with --jobs 4
 #   fuzz-workers2.out, fuzz-workers2.trace  the same with --workers 2
 #   batch-selftests.jsonl                 bvf batch --selftests (stdout)
@@ -20,7 +22,9 @@
 # them with `diff -r parent-out change-out`: empty output means the
 # change moved no verdict, counter, digest or trace byte.  The
 # sequential runs pin the lines a one-shard campaign prints at its end
-# (the failslab line, the resume banner and a resumed run's totals).
+# (the failslab line and a resumed run's totals).  Each resumed run
+# writes its own trace: a trace that is not there starts afresh, so it
+# holds only the continuation.
 # The --jobs 4
 # and --jobs 3 runs have more shards or workers than a small machine has
 # cores, so lanes that run several shards one after the other are
@@ -55,11 +59,13 @@ fuzz() {
 
 fuzz fuzz-seq 2000
 fuzz fuzz-seq-failslab 2000 --failslab 0.1
-# a relative checkpoint path keeps the resume banner machine-independent
-fuzz fuzz-ckpt 1000 --checkpoint-every 500 --checkpoint resume.ckpt
-fuzz fuzz-resume 2000 --checkpoint-every 500 --checkpoint resume.ckpt \
-  --resume resume.ckpt
+# a relative state directory keeps the interrupt line machine-independent
+fuzz fuzz-ckpt 1000 --checkpoint-every 500 --state-dir resume
+fuzz fuzz-resume 2000 --checkpoint-every 500 --state-dir resume
 fuzz fuzz-jobs2 2000 --jobs 2
+fuzz fuzz-jobs2-ckpt 1000 --jobs 2 --checkpoint-every 500 --state-dir resume2
+fuzz fuzz-jobs2-resume 2000 --jobs 2 --checkpoint-every 500 \
+  --state-dir resume2
 fuzz fuzz-jobs4 2000 --jobs 4
 fuzz fuzz-workers2 2000 --workers 2 --state-dir "$tmp/state"
 

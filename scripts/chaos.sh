@@ -13,7 +13,7 @@
 #      closing wall-clock "profile" line is dropped -- a restarted
 #      worker reopens its shard trace at the checkpointed offset, so
 #      replayed iterations appear exactly once;
-#   4. `bvf merge` over the disturbed run's worker checkpoints
+#   4. `bvf merge` over the disturbed run's shard files
 #      reproduces the same digest (the salvage path).
 #
 # Usage: sh scripts/chaos.sh [outdir]   (default: ./chaos-out)
@@ -117,8 +117,8 @@ cmp "$OUT/disturbed.events" "$OUT/reference.events" || \
   fail "trace mismatch between the disturbed and the reference run"
 echo "chaos: traces match -- restarted workers replayed each iteration once"
 
-echo "chaos: salvage: bvf merge over the disturbed run's worker checkpoints"
-$BVF merge "$STATE"/worker-*.ckpt -o "$OUT/salvaged.ckpt" \
+echo "chaos: salvage: bvf merge over the disturbed run's shard files"
+$BVF merge "$STATE"/shard-*.ckpt -o "$OUT/salvaged.ckpt" \
   > "$OUT/merge.log" 2>&1 || { cat "$OUT/merge.log"; fail "bvf merge failed"; }
 cat "$OUT/merge.log"
 MERGED=$(sed -n 's/^merged digest: //p' "$OUT/merge.log" | tail -n 1)

@@ -432,30 +432,100 @@ let test_stop_joins_completed () =
     (Telemetry.unknown_rejections summary);
   Sys.remove trace
 
-(* The library form of CI's "Straight vs resumed -n" step: a one-shard
-   run checkpointed to a file, then resumed from that file for the
-   rest of the budget, ends with the straight run's digest. *)
+(* A shard that its lane reaches only after the stop builds nothing:
+   stop is true for shards 2 and 3 from the start, so whatever the core
+   count they report a fresh snapshot (no program, no reboot) and the
+   join merges shards 0 and 1 alone.  A stop before any shard starts
+   returns an empty merge instead of raising, and leaves no shard file
+   in the state directory. *)
+let test_stop_before_start () =
+  let jobs = 4 and iterations = 400 in
+  let counts = Parallel.shard_iterations ~iterations ~jobs in
+  let r =
+    Parallel.run ~stop:(fun i () -> i >= 2) ~jobs ~seed:4 ~iterations
+      Campaign.bvf_strategy (config ())
+  in
+  Alcotest.(check (list int)) "every shard reported" [ 0; 1; 2; 3 ]
+    (List.map (fun sh -> sh.Parallel.sh_index) r.Parallel.pr_shards);
+  Alcotest.(check int) "shards 0 and 1 ran their budgets"
+    (counts.(0) + counts.(1)) r.Parallel.pr_iterations;
+  List.iter
+    (fun (sh : Parallel.shard) ->
+       if sh.Parallel.sh_index >= 2 then begin
+         Alcotest.(check int) "no program" 0
+           sh.Parallel.sh_stats.Campaign.st_generated;
+         Alcotest.(check int) "no kernel" 0
+           sh.Parallel.sh_stats.Campaign.st_reboots
+       end)
+    r.Parallel.pr_shards;
+  let dir = Filename.temp_file "bvf_par_nostart" "" in
+  Sys.remove dir;
+  let trace = dir ^ ".jsonl" in
+  let r =
+    Parallel.run ~dir ~trace ~stop:(fun _ () -> true) ~jobs ~seed:4
+      ~iterations Campaign.bvf_strategy (config ())
+  in
+  Alcotest.(check int) "nothing ran" 0 r.Parallel.pr_iterations;
+  for i = 0 to jobs - 1 do
+    Alcotest.(check bool) "no shard file" false
+      (Sys.file_exists (Parallel.state_path dir i))
+  done;
+  Sys.remove trace;
+  Unix.rmdir dir
+
+(* The library form of CI's "Straight vs resumed -n" step, for one
+   shard and for two.  A run over a state directory that every shard
+   stops on a barrier (its 100th iteration), rerun in the same
+   directory, ends with the digest and the trace bytes of a straight
+   run.  So does a run whose whole budget ends on a barrier, rerun with
+   a larger one — but a finished multi-shard run merged and removed
+   its shard traces, so there only the digest is compared. *)
 let test_checkpoint_then_resume () =
-  let ckpt = Filename.temp_file "bvf_par_resume" ".ckpt" in
-  let run ?checkpoint ?resume_from iterations =
-    Parallel.run ~failslab_rate:0.1 ~checkpoint_every:50 ?checkpoint
-      ?resume_from ~jobs:1 ~seed:6 ~iterations Campaign.bvf_strategy
-      (config ())
-  in
-  let straight = run 300 in
-  ignore (run ~checkpoint:(fun _ -> Campaign.checkpoint_to ckpt) 150);
-  let saved =
-    match Campaign.load_checkpoint ~path:ckpt with
-    | Ok s -> s
-    | Error e -> Alcotest.fail (Bvf_core.Checkpoint.error_to_string e)
-  in
-  Alcotest.(check int) "checkpoint at the last barrier" 150
-    saved.Campaign.sn_completed;
-  let resumed = run ~resume_from:(fun _ -> saved) 150 in
-  Alcotest.(check int) "whole budget" 300 resumed.Parallel.pr_iterations;
-  Alcotest.(check string) "digest of the straight run"
-    (Parallel.digest straight) (Parallel.digest resumed);
-  Sys.remove ckpt
+  List.iter
+    (fun jobs ->
+       let tmp = Filename.temp_file "bvf_par_resume" "" in
+       Sys.remove tmp;
+       let run ?stop ?on_step name iterations =
+         Parallel.run ~failslab_rate:0.1 ~checkpoint_every:50 ?stop ?on_step
+           ~dir:(Filename.concat tmp name)
+           ~trace:(Filename.concat tmp (name ^ ".jsonl"))
+           ~jobs ~seed:6 ~iterations Campaign.bvf_strategy (config ())
+       in
+       let read name =
+         In_channel.with_open_bin (Filename.concat tmp (name ^ ".jsonl"))
+           In_channel.input_all
+       in
+       let straight = run "straight" 300 in
+       let same what (r : Parallel.result) =
+         Alcotest.(check int) "whole budget" 300 r.Parallel.pr_iterations;
+         Alcotest.(check string)
+           (Printf.sprintf "jobs=%d, %s: digest of the straight run" jobs what)
+           (Parallel.digest straight) (Parallel.digest r)
+       in
+       let local = Array.make jobs 0 in
+       let stopped =
+         run "stopped" 300
+           ~on_step:(fun i c ->
+               local.(i) <- c.Campaign.stats.Campaign.st_generated)
+           ~stop:(fun i () -> local.(i) >= 100)
+       in
+       Alcotest.(check int) "stopped on the barrier" (100 * jobs)
+         stopped.Parallel.pr_iterations;
+       same "stopped" (run "stopped" 300);
+       Alcotest.(check string)
+         (Printf.sprintf "jobs=%d: trace of the straight run" jobs)
+         (read "straight") (read "stopped");
+       ignore (run "extended" (100 * jobs));
+       let saved =
+         Parallel.load_state
+           (Parallel.state_path (Filename.concat tmp "extended") 0)
+       in
+       Alcotest.(check int) "state at the last barrier" 100
+         saved.Parallel.ss_snapshot.Campaign.sn_completed;
+       Alcotest.(check bool) "with the final snapshot" true
+         (saved.Parallel.ss_final <> None);
+       same "extended" (run "extended" 300))
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "bvf_parallel"
@@ -476,7 +546,9 @@ let () =
         [ Alcotest.test_case "a stop joins the completed iterations" `Slow
             test_stop_joins_completed;
           Alcotest.test_case "checkpoint then resume = straight run" `Slow
-            test_checkpoint_then_resume ] );
+            test_checkpoint_then_resume;
+          Alcotest.test_case "a stop before a shard starts" `Slow
+            test_stop_before_start ] );
       ( "lanes",
         [ Alcotest.test_case "results in order, failures isolated" `Quick
             test_lanes_run;

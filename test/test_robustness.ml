@@ -25,6 +25,7 @@ module Corpus = Bvf_core.Corpus
 module Oracle = Bvf_core.Oracle
 module Campaign = Bvf_core.Campaign
 module Checkpoint = Bvf_core.Checkpoint
+module Parallel = Bvf_core.Parallel
 
 (* -- Failslab ----------------------------------------------------------- *)
 
@@ -225,17 +226,32 @@ let test_checkpoint_container () =
    | _ -> Alcotest.fail "expected bad magic");
   Sys.remove path
 
-(* Fuzz the checkpoint loader: every truncation and every single-bit
-   corruption of a valid checkpoint file must come back as a clean
-   [Error] — never an exception, never a silently wrong [Ok].  This is
-   the surface a crashed writer or a bad disk hands the supervisor. *)
+(* A fresh state directory path (Parallel.run creates it). *)
+let state_dir (prefix : string) : string =
+  let path = Filename.temp_file prefix "" in
+  Sys.remove path;
+  path
+
+(* The sequential campaign with its state on disk: one shard. *)
+let run_dir ?failslab_rate ?failslab_seed ?stop ?on_step ~dir
+    ~checkpoint_every ~seed ~iterations config =
+  Parallel.run ?failslab_rate ?failslab_seed ?stop ?on_step ~dir
+    ~checkpoint_every ~jobs:1 ~seed ~iterations Campaign.bvf_strategy config
+
+let shard0 (dir : string) : Parallel.state =
+  Parallel.load_state (Parallel.state_path dir 0)
+
+(* Fuzz the shard-file loader: every truncation and every single-bit
+   corruption of a valid shard file must come back as a clean
+   [Bad_state] — never another exception, never a silently wrong
+   state.  This is the surface a crashed writer or a bad disk hands a
+   resumed run. *)
 let test_checkpoint_loader_fuzz () =
-  let path = Filename.temp_file "bvf_ldfz" ".ckpt" in
-  let _ =
-    Campaign.run ~checkpoint_every:50
-      ~checkpoint:(Campaign.checkpoint_to path) ~seed:11
-      ~iterations:50 Campaign.bvf_strategy (Kconfig.default Version.V6_1)
-  in
+  let dir = state_dir "bvf_ldfz" in
+  ignore
+    (run_dir ~dir ~checkpoint_every:50 ~seed:11 ~iterations:50
+       (Kconfig.default Version.V6_1));
+  let path = Parallel.state_path dir 0 in
   let ic = open_in_bin path in
   let contents = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -246,9 +262,9 @@ let test_checkpoint_loader_fuzz () =
     close_out oc
   in
   let expect_error what =
-    match Campaign.load_checkpoint ~path with
-    | Ok _ -> Alcotest.failf "%s loaded as Ok" what
-    | Error _ -> ()
+    match Parallel.load_state path with
+    | _ -> Alcotest.failf "%s loaded" what
+    | exception Parallel.Bad_state _ -> ()
     | exception e ->
       Alcotest.failf "%s raised %s" what (Printexc.to_string e)
   in
@@ -270,11 +286,8 @@ let test_checkpoint_loader_fuzz () =
   done;
   (* the pristine bytes still load *)
   write_bytes (Bytes.of_string contents);
-  (match Campaign.load_checkpoint ~path with
-   | Ok s ->
-     Alcotest.(check int) "pristine file loads" 50 s.Campaign.sn_completed
-   | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
-  Sys.remove path
+  Alcotest.(check int) "pristine file loads" 50
+    (Parallel.load_state path).Parallel.ss_snapshot.Campaign.sn_completed
 
 (* -- Resume determinism ------------------------------------------------- *)
 
@@ -285,32 +298,22 @@ let test_checkpoint_loader_fuzz () =
 let test_checkpoint_resume_determinism () =
   let config = Kconfig.default Version.V6_1 in
   let n = 250 in
-  let path_a = Filename.temp_file "bvf_straight" ".ckpt" in
-  let path_b = Filename.temp_file "bvf_resumed" ".ckpt" in
   let straight =
     Campaign.run
       ~failslab:(Failslab.create ~rate:0.1 ~seed:2 ())
-      ~checkpoint_every:n ~checkpoint:(Campaign.checkpoint_to path_a)
-      ~seed:55 ~iterations:(2 * n) Campaign.bvf_strategy config
+      ~checkpoint_every:n ~seed:55 ~iterations:(2 * n) Campaign.bvf_strategy
+      config
   in
-  let first =
-    Campaign.run
-      ~failslab:(Failslab.create ~rate:0.1 ~seed:2 ())
-      ~checkpoint_every:n ~checkpoint:(Campaign.checkpoint_to path_b)
-      ~seed:55 ~iterations:n Campaign.bvf_strategy config
+  let dir = state_dir "bvf_resumed" in
+  let run iterations =
+    (run_dir ~failslab_rate:0.1 ~failslab_seed:2 ~dir ~checkpoint_every:n
+       ~seed:55 ~iterations config).Parallel.pr_stats
   in
+  let first = run n in
   Alcotest.(check int) "first half ran" n first.Campaign.st_generated;
-  let snap =
-    match Campaign.load_checkpoint ~path:path_b with
-    | Ok s -> s
-    | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
-  in
   Alcotest.(check int) "snapshot taken at the barrier" n
-    snap.Campaign.sn_completed;
-  let resumed =
-    Campaign.run ~resume_from:snap ~checkpoint_every:n ~seed:0
-      ~iterations:n Campaign.bvf_strategy config
-  in
+    (shard0 dir).Parallel.ss_snapshot.Campaign.sn_completed;
+  let resumed = run (2 * n) in
   Alcotest.(check int) "resumed to completion" (2 * n)
     resumed.Campaign.st_generated;
   Alcotest.(check (list string)) "same findings fingerprints"
@@ -319,9 +322,7 @@ let test_checkpoint_resume_determinism () =
   Alcotest.(check int) "same coverage edge count"
     straight.Campaign.st_edges resumed.Campaign.st_edges;
   Alcotest.(check string) "same stats digest"
-    (Campaign.digest straight) (Campaign.digest resumed);
-  Sys.remove path_a;
-  Sys.remove path_b
+    (Campaign.digest straight) (Campaign.digest resumed)
 
 (* External stop (the CLI's SIGINT/SIGTERM path): the campaign finishes
    the in-flight iteration, writes a final checkpoint and stops.  The
@@ -336,26 +337,20 @@ let test_stop_resume_digest_identity () =
   let config = Kconfig.default Version.V6_1 in
   let total = 300 in
   let stop_resume (stop_at : int) : Campaign.stats =
-    let path = Filename.temp_file "bvf_stop" ".ckpt" in
-    let polls = ref 0 in
+    let dir = state_dir "bvf_stop" in
+    let steps = ref 0 in
     let stopped =
-      Campaign.run ~checkpoint_every:100
-        ~checkpoint:(Campaign.checkpoint_to path)
-        ~stop:(fun () -> incr polls; !polls >= stop_at)
-        ~seed:21 ~iterations:total Campaign.bvf_strategy config
+      run_dir ~dir ~checkpoint_every:100
+        ~on_step:(fun _ _ -> incr steps)
+        ~stop:(fun _ () -> !steps >= stop_at)
+        ~seed:21 ~iterations:total config
     in
     Alcotest.(check int) "stopped after the in-flight iteration" stop_at
-      stopped.Campaign.st_generated;
-    let snap =
-      match Campaign.load_checkpoint ~path with
-      | Ok s -> s
-      | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
-    in
-    Alcotest.(check int) "final checkpoint taken at the stop" stop_at
-      snap.Campaign.sn_completed;
-    Sys.remove path;
-    Campaign.run ~resume_from:snap ~checkpoint_every:100 ~seed:0
-      ~iterations:(total - stop_at) Campaign.bvf_strategy config
+      stopped.Parallel.pr_stats.Campaign.st_generated;
+    Alcotest.(check int) "final state saved at the stop" stop_at
+      (shard0 dir).Parallel.ss_snapshot.Campaign.sn_completed;
+    (run_dir ~dir ~checkpoint_every:100 ~seed:21 ~iterations:total config)
+      .Parallel.pr_stats
   in
   let straight =
     Campaign.run ~checkpoint_every:100 ~seed:21 ~iterations:total
@@ -376,26 +371,32 @@ let test_stop_resume_digest_identity () =
   Alcotest.(check int) "one extra reboot from the stop barrier"
     (straight.Campaign.st_reboots + 1)
     a.Campaign.st_reboots
+(* A state directory resumes only the campaign that wrote it: another
+   kernel is refused naming the field, and a file in an older format (a
+   bvf-campaign/9 single-file checkpoint moved into place) is a tag
+   mismatch, not a resume. *)
 let test_resume_validation () =
   let config = Kconfig.default Version.V6_1 in
-  let path = Filename.temp_file "bvf_val" ".ckpt" in
-  let _ =
-    Campaign.run ~checkpoint_every:100
-      ~checkpoint:(Campaign.checkpoint_to path) ~seed:3
-      ~iterations:100 Campaign.bvf_strategy config
+  let dir = state_dir "bvf_val" in
+  let run config =
+    run_dir ~dir ~checkpoint_every:100 ~seed:3 ~iterations:200 config
   in
-  let snap =
-    match Campaign.load_checkpoint ~path with
-    | Ok s -> s
-    | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
-  in
-  (match
-     Campaign.resume Campaign.bvf_strategy
-       (Kconfig.default Version.Bpf_next) snap
-   with
-   | exception Campaign.Environment _ -> ()
+  ignore (run_dir ~dir ~checkpoint_every:100 ~seed:3 ~iterations:100 config);
+  (match run (Kconfig.default Version.Bpf_next) with
+   | exception Campaign.Environment msg ->
+     Alcotest.(check bool) ("refusal names the kernel: " ^ msg) true
+       (String.length msg > 0
+        && List.exists (String.equal "kernel") (String.split_on_char ' ' msg))
    | _ -> Alcotest.fail "expected kernel-version mismatch to be refused");
-  Sys.remove path
+  (match
+     Checkpoint.save ~path:(Parallel.state_path dir 0) ~tag:"bvf-campaign/9"
+       (shard0 dir).Parallel.ss_snapshot
+   with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
+  match run config with
+  | exception Parallel.Bad_state (_, Checkpoint.Tag_mismatch _) -> ()
+  | _ -> Alcotest.fail "expected an old-format file to be a tag mismatch"
 
 let () =
   Alcotest.run "bvf_robustness"

@@ -95,25 +95,19 @@ let test_fault_free_matches_jobs () =
        Alcotest.(check int) "no restarts" 0 w.wr_restarts;
        Alcotest.(check int) "full shard" w.wr_assigned w.wr_completed)
     report.rp_workers;
-  (* the salvage path: globalize the per-worker checkpoints and merge
-     them offline — same digest again *)
-  let snaps =
-    List.map
-      (fun i ->
-         match
-           Supervisor.load_worker
-             ~path:
-               (Filename.concat (Filename.concat dir "state")
-                  (Printf.sprintf "worker-%d.ckpt" i))
-         with
-         | Ok w -> Supervisor.globalize w
-         | Error e -> Alcotest.fail (Checkpoint.error_to_string e))
-      [ 0; 1 ]
+  (* the salvage path: merge the shard files offline — same digest
+     again *)
+  let merged =
+    Parallel.merge_states
+      (List.map
+         (fun i ->
+            Parallel.load_state
+              (Parallel.state_path (Filename.concat dir "state") i))
+         [ 0; 1 ])
   in
-  let merged = Parallel.merge_snapshots snaps in
-  Alcotest.(check string) "offline merge of worker ckpts, same digest"
+  Alcotest.(check string) "offline merge of shard files, same digest"
     (Parallel.digest reference)
-    (Campaign.digest merged.Campaign.sn_stats)
+    (Campaign.digest merged.Parallel.ss_snapshot.Campaign.sn_stats)
 
 (* -- Watchdog: deterministic crash fixture ------------------------------ *)
 
@@ -379,9 +373,7 @@ let test_state_dir_lock () =
 let test_interrupt_then_resume () =
   let dir = temp_dir "bvf_sv_intr" in
   let state = Filename.concat dir "state" in
-  let stop () =
-    Sys.file_exists (Filename.concat state "worker-0.ckpt")
-  in
+  let stop () = Sys.file_exists (Parallel.state_path state 0) in
   (match
      sv ~checkpoint_every:50 ~stop ~dir:state ~seed:14 ~iterations:2000
        ~workers:2 ()
@@ -403,18 +395,11 @@ let test_interrupt_then_resume () =
   let extra_reboots =
     List.fold_left
       (fun acc i ->
-         let path =
-           Filename.concat state (Printf.sprintf "worker-%d.ckpt" i)
+         let st = Parallel.load_state (Parallel.state_path state i) in
+         let at_barrier =
+           st.Parallel.ss_snapshot.Campaign.sn_completed mod 50 = 0
          in
-         match Supervisor.load_worker ~path with
-         | Ok w ->
-           let at_barrier =
-             w.Supervisor.wk_snapshot.Campaign.sn_completed mod 50 = 0
-           in
-           acc + if at_barrier then 0 else 1
-         | Error e ->
-           Alcotest.failf "worker %d checkpoint: %s" i
-             (Checkpoint.error_to_string e))
+         acc + if at_barrier then 0 else 1)
       0 [ 0; 1 ]
   in
   let resumed, report =
@@ -468,7 +453,7 @@ let test_state_dir_refuses_other_campaign () =
            (contains msg field)
        | _ -> Alcotest.failf "a checkpoint with another %s was resumed" field)
     [ ("seed", rerun (config ()) ~seed:3 ~iterations:40 ~workers:2);
-      ("workers", rerun (config ()) ~seed:7 ~iterations:40 ~workers:3);
+      ("shards", rerun (config ()) ~seed:7 ~iterations:40 ~workers:3);
       ("kernel",
        rerun (Kconfig.default Version.Bpf_next) ~seed:7 ~iterations:40
          ~workers:2);
@@ -519,15 +504,15 @@ let test_finished_state_dir_keeps_trace () =
   let state = Filename.concat dir "state" in
   let trace = Filename.concat dir "trace.jsonl" in
   let run () =
-    snd (completed (sv ~trace ~dir:state ~seed:4 ~iterations:60 ~workers:2 ()))
+    fst (completed (sv ~trace ~dir:state ~seed:4 ~iterations:60 ~workers:2 ()))
   in
   let first = run () in
   Alcotest.(check bool) "first run forked its workers" false
-    first.Supervisor.rp_idle;
+    first.Parallel.pr_idle;
   let digest () = Digest.to_hex (Digest.string (read_file trace)) in
   let written = digest () in
   let again = run () in
-  Alcotest.(check bool) "rerun is idle" true again.Supervisor.rp_idle;
+  Alcotest.(check bool) "rerun is idle" true again.Parallel.pr_idle;
   Alcotest.(check string) "trace bytes unchanged" written (digest ());
   List.iter
     (fun i ->
@@ -548,7 +533,7 @@ let test_run_t_contract () =
   let telemetry = Telemetry.create trace_c in
   let c =
     Campaign.run_t ~telemetry ~skip:(fun i -> i = 17) ~checkpoint_every:7
-      ~checkpoint:(Campaign.checkpoint_to (Filename.concat dir "c.ckpt"))
+      ~checkpoint:ignore
       ~seed:5 ~iterations:60 Campaign.bvf_strategy (config ())
   in
   Telemetry.close telemetry;
@@ -565,6 +550,71 @@ let test_run_t_contract () =
     (Campaign.digest c.Campaign.stats) (Parallel.digest result);
   Alcotest.(check (list string)) "trace bytes equal Campaign.run_t's"
     (events_of trace_c) (events_of trace_s)
+
+(* -- One state layout across executors ------------------------------------ *)
+
+(* [f ()] in a forked child, returned through a file: the child may
+   spawn domains (Parallel.run ~jobs), which would forbid every later
+   fork in this process. *)
+let in_child (f : unit -> string) : string =
+  let out = Filename.temp_file "bvf_sv_child" ".txt" in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    (try
+       Out_channel.with_open_bin out (fun oc -> output_string oc (f ()));
+       Unix._exit 0
+     with _ -> Unix._exit 1)
+  | pid -> (
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 ->
+      let r = read_file out in
+      Sys.remove out;
+      r
+    | _ -> Alcotest.fail "the --jobs child failed")
+
+(* A --jobs 2 directory whose budget ended on a barrier resumes under
+   --workers 2 with a larger budget, and the reverse: the second run
+   steps only the iterations past the first one's, and both end with
+   the digest of a straight --jobs 2 run. *)
+let test_jobs_and_workers_resume_each_other () =
+  let dir = temp_dir "bvf_sv_cross" in
+  (* "digest steps" of a --jobs 2 run *)
+  let jobs ?dir iterations () =
+    let steps = Atomic.make 0 in
+    let r =
+      Parallel.run ?dir ~checkpoint_every:50
+        ~on_step:(fun _ _ -> Atomic.incr steps)
+        ~jobs:2 ~seed:8 ~iterations Campaign.bvf_strategy (config ())
+    in
+    Printf.sprintf "%s %d" (Parallel.digest r) (Atomic.get steps)
+  in
+  let workers dir iterations =
+    let log = Filename.concat dir "steps.log" in
+    let fault ~worker:_ ~local:_ ~global:_ =
+      Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 log
+        (fun oc -> output_string oc ".")
+    in
+    let r, _ =
+      completed
+        (sv ~fault ~checkpoint_every:50 ~dir ~seed:8 ~iterations ~workers:2
+           ())
+    in
+    let steps = String.length (read_file log) in
+    Sys.remove log;
+    Printf.sprintf "%s %d" (Parallel.digest r) steps
+  in
+  let straight = List.hd (String.split_on_char ' ' (in_child (jobs 400))) in
+  let a = Filename.concat dir "a" and b = Filename.concat dir "b" in
+  Alcotest.(check string) "--jobs 2 to 200" "200"
+    (List.nth (String.split_on_char ' ' (in_child (jobs ~dir:a 200))) 1);
+  Alcotest.(check string) "--jobs 2 resumed under --workers 2"
+    (straight ^ " 200") (workers a 400);
+  Alcotest.(check string) "--workers 2 to 200" "200"
+    (List.nth (String.split_on_char ' ' (workers b 200)) 1);
+  Alcotest.(check string) "--workers 2 resumed under --jobs 2"
+    (straight ^ " 200") (in_child (jobs ~dir:b 400))
 
 (* -- Worker profile hand-off -------------------------------------------- *)
 
@@ -633,32 +683,31 @@ let test_prof_handoff_damage () =
 (* -- Offline merge: associativity and commutativity --------------------- *)
 
 let test_merge_assoc_comm () =
-  let snap seed =
-    let c =
-      Campaign.run_t ~seed ~iterations:50 Campaign.bvf_strategy (config ())
-    in
-    Campaign.snapshot c
+  let state ?(config = config ()) seed =
+    { Parallel.ss_shard = 0; ss_jobs = 1; ss_trace_pos = 0; ss_final = None;
+      ss_snapshot =
+        Campaign.snapshot
+          (Campaign.run_t ~seed ~iterations:50 Campaign.bvf_strategy config) }
   in
-  let a = snap 1 and b = snap 2 and c = snap 3 in
-  let d s = Campaign.digest s.Campaign.sn_stats in
-  let m = Parallel.merge_snapshots in
+  let a = state 1 and b = state 2 and c = state 3 in
+  let d st = Campaign.digest st.Parallel.ss_snapshot.Campaign.sn_stats in
+  let m = Parallel.merge_states in
   let flat = d (m [ a; b; c ]) in
   Alcotest.(check string) "left-nested merge" flat (d (m [ m [ a; b ]; c ]));
   Alcotest.(check string) "right-nested merge" flat (d (m [ a; m [ b; c ] ]));
   Alcotest.(check string) "commuted merge" flat (d (m [ c; a; b ]));
   Alcotest.(check string) "fully reversed" flat (d (m [ c; b; a ]));
   (* a merged artifact refuses to resume: it has no RNG stream *)
-  let merged = m [ a; b ] in
-  (match Campaign.resume Campaign.bvf_strategy (config ()) merged with
+  let dir = temp_dir "bvf_sv_merged" in
+  Parallel.save_state (Parallel.state_path dir 0) (m [ a; b ]);
+  (match
+     Parallel.saved_state ~dir ~jobs:1 ~seed:1 ~iterations:200
+       Campaign.bvf_strategy (config ()) 0
+   with
    | exception Campaign.Environment _ -> ()
    | _ -> Alcotest.fail "expected merged snapshot to refuse resume");
   (* config mismatches are refused *)
-  let other =
-    Campaign.snapshot
-      (Campaign.run_t ~seed:4 ~iterations:10 Campaign.bvf_strategy
-         (Kconfig.default Version.Bpf_next))
-  in
-  match m [ a; other ] with
+  match m [ a; state ~config:(Kconfig.default Version.Bpf_next) 4 ] with
   | exception Campaign.Environment _ -> ()
   | _ -> Alcotest.fail "expected kernel mismatch to be refused"
 
@@ -691,7 +740,9 @@ let () =
             test_finished_state_dir_keeps_trace ] );
       ( "contract",
         [ Alcotest.test_case "run_t skip hook = one-worker quarantine"
-            `Slow test_run_t_contract ] );
+            `Slow test_run_t_contract;
+          Alcotest.test_case "--jobs, --workers resume each other" `Slow
+            test_jobs_and_workers_resume_each_other ] );
       ( "handoff",
         [ Alcotest.test_case "damaged worker profile dropped" `Quick
             test_prof_handoff_damage ] );
