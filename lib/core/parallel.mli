@@ -79,7 +79,8 @@ type state = {
   ss_jobs : int;   (** shard count the campaign was cut into *)
   ss_trace_pos : int;
       (** byte offset of the shard's trace when saved; a resumed shard
-          reopens its trace here, so its trace equals a straight run's *)
+          reopens its trace here, so a shard resumed from a barrier
+          writes a straight run's trace *)
   ss_snapshot : Campaign.snapshot;
       (** the point a resumed shard continues from, in shard-local
           iteration numbering: the last barrier's or the stop's
