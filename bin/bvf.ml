@@ -9,8 +9,7 @@
      bvf stats trace.jsonl --fail-on-unknown
      bvf repro --bug bug1-nullness-propagation
      bvf selftests --count 100
-     bvf lint --count 708 --out lint-report.txt
-     bvf experiments table2 *)
+     bvf lint --count 708 --out lint-report.txt *)
 
 module Version = Bvf_ebpf.Version
 module Prog = Bvf_ebpf.Prog
@@ -37,7 +36,6 @@ module Gen = Bvf_core.Gen
 module Supervisor = Bvf_core.Supervisor
 module Service = Bvf_core.Service
 module Vcache = Bvf_core.Vcache
-module E = Bvf_experiments.Experiments
 
 open Cmdliner
 
@@ -1219,30 +1217,6 @@ let serve_cmd =
     Term.(const run $ version_t $ cache_size_t $ cache_file_t $ trace_t
           $ log_level_t)
 
-(* -- experiments -------------------------------------------------------------- *)
-
-let experiments_cmd =
-  let run which =
-    match which with
-    | "table2" -> E.print_table2 (E.table2 ())
-    | "table3" -> E.print_table3 (E.coverage ())
-    | "figure6" -> E.print_figure6 (E.coverage ())
-    | "acceptance" -> E.print_acceptance (E.acceptance ())
-    | "overhead" -> E.print_overhead (E.overhead ())
-    | "ablation" -> E.print_ablation (E.ablation ())
-    | "parallel" -> E.print_parallel (E.parallel_bench ())
-    | other ->
-      Printf.eprintf "unknown experiment %S\n" other;
-      exit 2
-  in
-  Cmd.v
-    (Cmd.info "experiments"
-       ~doc:"Regenerate a paper artefact (table2, table3, figure6, \
-             acceptance, overhead, ablation, parallel).")
-    Term.(const run
-          $ Arg.(required & pos 0 (some string) None
-                 & info [] ~docv:"EXPERIMENT"))
-
 let () =
   let info =
     Cmd.info "bvf" ~version:"1.0.0"
@@ -1252,5 +1226,4 @@ let () =
   exit (Cmd.eval (Cmd.group info
                     [ fuzz_cmd; explain_cmd; stats_cmd; profile_cmd;
                       veristat_cmd; cov_cmd; merge_cmd; repro_cmd;
-                      selftests_cmd; lint_cmd; batch_cmd; serve_cmd;
-                      experiments_cmd ]))
+                      selftests_cmd; lint_cmd; batch_cmd; serve_cmd ]))

@@ -4,9 +4,6 @@
     whose acceptance rate sits at roughly half of BVF's and whose
     rejections are dominated by EACCES/EINVAL. *)
 
-val random_insn :
-  Bvf_core.Rng.t -> Bvf_core.Gen.config -> len:int -> Bvf_ebpf.Insn.t
-
 val generate :
   Bvf_core.Rng.t -> Bvf_core.Gen.config -> Bvf_verifier.Verifier.request
 (** One random BPF_PROG_LOAD request: minimal seed programs, template

@@ -103,11 +103,6 @@ val standard_maps :
 val is_fatal : Bvf_kernel.Report.t -> bool
 (** Reports that leave the simulated kernel unusable (reboot). *)
 
-val is_transient : Bvf_runtime.Loader.run_result -> bool
-(** Transient environment errors — injected allocation failures showing
-    up as [-ENOMEM] at load or run time.  Eligible for retry, never
-    findings. *)
-
 exception Environment of string
 (** The campaign cannot continue for environmental reasons (checkpoint
     write failure, resume against a mismatched config).  Distinct from

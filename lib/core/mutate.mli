@@ -6,9 +6,6 @@
 val duplicate_block : Rng.t -> Bvf_ebpf.Insn.t array -> Bvf_ebpf.Insn.t array
 (** Duplicate a short adjacent block whose branches stay inside it. *)
 
-val tweak_imm : Rng.t -> Bvf_ebpf.Insn.t array -> Bvf_ebpf.Insn.t array
-val tweak_off : Rng.t -> Bvf_ebpf.Insn.t array -> Bvf_ebpf.Insn.t array
-val swap_reg : Rng.t -> Bvf_ebpf.Insn.t array -> Bvf_ebpf.Insn.t array
 val truncate : Rng.t -> Bvf_ebpf.Insn.t array -> Bvf_ebpf.Insn.t array
 
 val mutate : Rng.t -> Bvf_ebpf.Insn.t array -> Bvf_ebpf.Insn.t array

@@ -10,8 +10,6 @@ type indicator =
   | Ind3 (** concrete value escaped the verifier's recorded bounds
              (the witness oracle) *)
 
-val indicator_to_string : indicator -> string
-
 type finding = {
   f_indicator : indicator option; (** [None]: program was rejected *)
   f_report : Bvf_kernel.Report.t;
@@ -28,8 +26,6 @@ val attribute :
 (** Which injected bug (of those present in the config) explains the
     report — the automated stand-in for the paper's manual triage in
     the Table 2 experiment. *)
-
-val is_correctness_bug : Bvf_kernel.Kconfig.bug -> bool
 
 val classify :
   Bvf_kernel.Kconfig.t -> Bvf_runtime.Loader.run_result -> finding list

@@ -254,6 +254,52 @@ let rec mkdirs (dir : string) : unit =
     | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+let lock_path (dir : string) : string = Filename.concat dir "state.lock"
+
+(* One live run owns a state directory: two runs on one directory
+   clobber each other's shard files, and two supervisors each take the
+   other's workers for crashed children of their own.  The lock file
+   records the owner's pid; a lock whose owner is dead is stale and is
+   broken once. *)
+let with_lock (dir : string) (f : unit -> 'a) : 'a =
+  let path = lock_path dir in
+  let remove () = try Sys.remove path with Sys_error _ -> () in
+  let rec take ~retry =
+    match
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
+    with
+    | fd ->
+      let s = string_of_int (Unix.getpid ()) ^ "\n" in
+      ignore (Unix.write_substring fd s 0 (String.length s));
+      Unix.close fd
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
+      let owner =
+        match open_in path with
+        | exception Sys_error _ -> None
+        | ic ->
+          let pid =
+            try int_of_string_opt (String.trim (input_line ic))
+            with End_of_file -> None
+          in
+          close_in ic;
+          pid
+      in
+      (match owner with
+       | Some pid when pid > 0 && (try Unix.kill pid 0; true with _ -> false)
+         ->
+         raise
+           (Campaign.Environment
+              (Printf.sprintf
+                 "state directory is in use by a running campaign (pid %d \
+                  holds %s)" pid path))
+       | _ when retry ->
+         remove ();
+         take ~retry:false
+       | _ -> raise (Campaign.Environment ("cannot lock " ^ path)))
+  in
+  take ~retry:true;
+  Fun.protect ~finally:remove f
+
 let load_state (path : string) : state =
   match Checkpoint.load ~path ~tag:state_tag with
   | Ok (st : state) -> st
@@ -556,6 +602,8 @@ let run ?sample_every ?trace ?log_level ?failslab_rate ?failslab_seed
   in
   (* every shard's file is checked before any shard starts *)
   Option.iter mkdirs dir;
+  let locked f = match dir with Some dir -> with_lock dir f | None -> f () in
+  locked @@ fun () ->
   let saved =
     Array.init jobs (fun i ->
         Option.bind dir (fun dir ->

@@ -101,6 +101,18 @@ val state_path : string -> int -> string
 val mkdirs : string -> unit
 (** Create a directory and its missing parents. *)
 
+val lock_path : string -> string
+(** [lock_path dir] is [dir/state.lock]. *)
+
+val with_lock : string -> (unit -> 'a) -> 'a
+(** [with_lock dir f] runs [f] as the one live owner of state directory
+    [dir] (which must exist): [dir/state.lock] holds this process's pid
+    while [f] runs and is removed after.  A lock whose owner is dead is
+    stale and is broken.  {!run} with [dir] and {!Supervisor.run} both
+    hold it, so two runs never write one directory's shard files.
+    @raise Campaign.Environment when a live process holds the lock (the
+    message names its pid and the lock file). *)
+
 val load_state : string -> state
 (** Read one shard file.
     @raise Bad_state when it cannot. *)
@@ -201,7 +213,8 @@ val run :
     [checkpoint_every] shard-local iterations, the barrier schedule of
     a sequential campaign and of a supervised worker; by default there
     are no barriers.  [dir] is the state directory (created if missing;
-    without it the run writes no state): every shard file is checked
+    without it the run writes no state), held under {!with_lock} for
+    the whole run: every shard file is checked
     with {!saved_state} before any shard starts, a shard resumes from
     its file, and a finished one is reported, not re-run; when every
     shard had finished, the result has [pr_idle] set and [trace] is not
@@ -227,8 +240,9 @@ val run :
     unprofiled one.
     @raise Invalid_argument when [jobs < 1].
     @raise Bad_state when a shard file in [dir] cannot be read.
-    @raise Campaign.Environment when [dir] holds a shard file of another
-    run ({!saved_state}).
+    @raise Campaign.Environment when a live run holds [dir]'s lock
+    ({!with_lock}), or [dir] holds a shard file of another run
+    ({!saved_state}).
     @raise Campaign.Environment (or any other exception) if a shard
     raises it: every other shard still runs, every lane is joined and
     (without [dir]) the shard trace files are removed first, and the

@@ -25,11 +25,6 @@ type input = {
   in_req : (Bvf_verifier.Verifier.request, string) result;
 }
 
-val standard_maps : Bvf_kernel.Map.def list
-(** The fixed service map population, created in order at session start:
-    an array map (value 48) at fd 3 and a hash map (key 8, value 48) at
-    fd 4 — exactly the {!Selftests} session population. *)
-
 val create_session : Bvf_kernel.Kconfig.t -> Bvf_runtime.Loader.t
 (** A fresh session with {!standard_maps} installed.  Each batch worker
     gets its own: sessions share no mutable state. *)

@@ -13,7 +13,7 @@ open Cimport
      worker-<i>.done   completion marker (exit 0 without it = crash)
      worker-<i>.err    last uncaught exception, for post-mortems
      worker-<i>.prof   profiler totals (and --profile spans) for the parent
-     supervisor.lock   the live supervisor's pid
+     state.lock        the live supervisor's pid (Parallel.with_lock)
      quarantine.list   global iterations implicated by a crash
      crash-NNN.json    one Triage.harness_crash artifact per kill
 
@@ -61,52 +61,6 @@ let atomic_write (path : string) (contents : string) : unit =
 
 let remove_if_exists (path : string) : unit =
   try Sys.remove path with Sys_error _ -> ()
-
-let lock_path dir = Filename.concat dir "supervisor.lock"
-
-(* Exclusive per-state-dir lock.  Two supervisors sharing one directory
-   clobber each other's heartbeat and checkpoint files (each believes
-   the other's workers are its own crashed children), so the directory
-   is owned by exactly one live supervisor: the lock file records the
-   owner's pid, and a lock whose owner is dead is stale and broken. *)
-let rec acquire_lock (path : string) ~(attempts : int) : unit =
-  match
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
-  with
-  | fd ->
-    let s = string_of_int (Unix.getpid ()) ^ "\n" in
-    ignore (Unix.write_substring fd s 0 (String.length s));
-    Unix.close fd
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
-    let owner =
-      match open_in path with
-      | exception Sys_error _ -> None
-      | ic ->
-        let pid =
-          try int_of_string_opt (String.trim (input_line ic))
-          with End_of_file -> None
-        in
-        close_in ic;
-        pid
-    in
-    let alive =
-      match owner with
-      | Some pid -> (try Unix.kill pid 0; true with _ -> false)
-      | None -> false
-    in
-    (match owner with
-     | Some pid when alive ->
-       raise
-         (Campaign.Environment
-            (Printf.sprintf
-               "state directory is in use by a running supervisor \
-                (pid %d holds %s)" pid path))
-     | _ when attempts > 0 ->
-       remove_if_exists path;
-       acquire_lock path ~attempts:(attempts - 1)
-     | _ ->
-       raise
-         (Campaign.Environment ("cannot acquire supervisor lock: " ^ path)))
 
 let quarantine_of_file (path : string) : int list =
   match open_in path with
@@ -259,9 +213,7 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
   if workers < 1 then invalid_arg "Supervisor.run: workers < 1";
   let sup_prof = Bvf_util.Prof.track prof ~name:"supervisor" workers in
   Parallel.mkdirs dir;
-  acquire_lock (lock_path dir) ~attempts:1;
-  Fun.protect ~finally:(fun () -> remove_if_exists (lock_path dir))
-  @@ fun () ->
+  Parallel.with_lock dir @@ fun () ->
   let counts = Parallel.shard_iterations ~iterations ~jobs:workers in
   let quarantine_set =
     ref

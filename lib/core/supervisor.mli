@@ -148,15 +148,12 @@ val run :
     observation — a profiled run's digest and trace are byte-identical
     to an unprofiled one.
 
-    The state directory is owned by exactly one live supervisor: a
-    [supervisor.lock] file records the owner's pid and is broken only
-    when that pid is dead — two supervisors sharing [dir] would treat
-    each other's workers as crashed children and clobber the protocol
-    files.
+    The supervisor holds [dir] under {!Parallel.with_lock} for the
+    whole run, so no other supervisor or [--jobs] run writes it.
 
     @raise Invalid_argument when [workers < 1].
     @raise Parallel.Bad_state when a shard file in [dir] cannot be read.
-    @raise Campaign.Environment when [dir] is locked by a running
-    supervisor, or holds a shard file of another campaign (the message
+    @raise Campaign.Environment when [dir] is locked by a live run, or
+    holds a shard file of another campaign (the message
     names [dir], the file and the field), or when the run completes but
     no worker ever saved a shard state to merge. *)

@@ -9,8 +9,6 @@ type slice = {
   relevant : (int * Bvf_ebpf.Insn.t) list; (** backward def-use slice *)
 }
 
-val deps_of : Bvf_ebpf.Insn.t -> Bvf_ebpf.Insn.reg list
-
 val backward_slice :
   Bvf_ebpf.Insn.t array -> int -> (int * Bvf_ebpf.Insn.t) list
 (** Linear backward def-use walk from the given pc. *)
@@ -18,7 +16,6 @@ val backward_slice :
 val slice_report :
   Bvf_verifier.Verifier.loaded -> Bvf_kernel.Report.t -> slice
 
-val pp_slice : Format.formatter -> slice -> unit
 val slice_to_string : slice -> string
 
 (** {1 Harness crashes}
@@ -44,7 +41,6 @@ type harness_crash = {
   hc_restarts : int;          (** restarts of this worker so far *)
 }
 
-val crash_cause_to_string : crash_cause -> string
 val harness_crash_to_string : harness_crash -> string
 
 val harness_crash_to_json : harness_crash -> string

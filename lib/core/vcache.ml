@@ -62,7 +62,6 @@ let create ~cap : t =
   { t_cap = cap; tbl = Hashtbl.create (min cap 1024); head = None;
     tail = None; hits = 0; misses = 0; insertions = 0; evictions = 0 }
 
-let cap (t : t) : int = t.t_cap
 let length (t : t) : int = Hashtbl.length t.tbl
 
 (* The attach line of a key.  A name that could be read as another

@@ -55,7 +55,6 @@ val create : cap:int -> t
     [cap].
     @raise Invalid_argument when [cap < 1]. *)
 
-val cap : t -> int
 val length : t -> int
 
 val key_of_wire :
@@ -114,8 +113,6 @@ val entries : t -> (string * verdict) list
     the key text changes: stale files then fail with [Tag_mismatch]
     instead of unmarshalling garbage or answering from entries saved
     under another key text. *)
-
-val tag : string
 
 val save : t -> path:string -> (unit, Checkpoint.error) result
 (** Atomically persist the entries (recency order preserved).  The

@@ -20,10 +20,6 @@ type table = {
   vt_rows : row list;   (** in corpus order *)
 }
 
-val load_row :
-  Bvf_runtime.Loader.t -> name:string -> Bvf_verifier.Verifier.request ->
-  row
-
 val run_selftests : ?count:int -> Bvf_ebpf.Version.t -> table
 (** The selftest corpus (the paper's 708 programs by default). *)
 

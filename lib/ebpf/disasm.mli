@@ -5,7 +5,6 @@
 val insn_to_string : Insn.t -> string
 (** Like {!Insn.to_string} but resolving helper and kfunc names. *)
 
-val pp_prog : Format.formatter -> Insn.t array -> unit
 val prog_to_string : Insn.t array -> string
 
 (** Instruction class counts. *)
@@ -24,7 +23,6 @@ val add_histogram : class_histogram -> Insn.t array -> class_histogram
     record. *)
 
 val histogram : Insn.t array -> class_histogram
-val histogram_total : class_histogram -> int
 
 val alu_jmp_ratio : class_histogram -> float
 (** Fraction of ALU+JMP instructions: the section 6.3 Buzzer

@@ -29,9 +29,3 @@ type raw = { op : int; dst : int; src : int; off : int; imm : int32 }
 
 val raw_to_bytes : Bytes.t -> int -> raw -> unit
 val raw_of_bytes : Bytes.t -> int -> raw
-
-val pseudo_map_fd : int
-val pseudo_map_value : int
-val pseudo_btf_id : int
-val pseudo_call_local : int
-val pseudo_call_kfunc : int

@@ -57,30 +57,18 @@ type t = {
 val map_lookup_elem : t
 val map_update_elem : t
 val map_delete_elem : t
-val probe_read : t
 val ktime_get_ns : t
 val trace_printk : t
 val get_prandom_u32 : t
 val get_smp_processor_id : t
-val get_current_pid_tgid : t
-val get_current_uid_gid : t
-val get_current_comm : t
-val skb_load_bytes : t
-val get_current_task : t
-val get_stackid : t
 val spin_lock : t
 val spin_unlock : t
 val send_signal : t
-val probe_read_kernel : t
 val ringbuf_output : t
 val ringbuf_reserve : t
 val ringbuf_submit : t
 val ringbuf_discard : t
 val get_current_task_btf : t
-val task_pt_regs : t
-val snprintf : t
-val loop : t
-val ktime_get_boot_ns : t
 val jiffies64 : t
 
 (** {2 Internal sanitizing functions (the paper's kernel patches)} *)
@@ -108,9 +96,7 @@ val asan_check_alu : t
 (** Reports an alu_limit violation; reached only when the inline
     comparison emitted by the sanitizer failed. *)
 
-val internal_helpers : t list
 val public_helpers : t list
-val all : t list
 
 val find : int -> t option
 
@@ -129,9 +115,6 @@ type kfunc = {
   krelease : bool;
 }
 
-val kfunc_task_from_pid : kfunc
-val kfunc_task_release : kfunc
 val kfunc_obj_id : kfunc
-val kfuncs : kfunc list
 val find_kfunc : int -> kfunc option
 val kfuncs_available : version:Version.t -> kfunc list

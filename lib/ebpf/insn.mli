@@ -17,13 +17,10 @@ val reg_of_int : int -> reg option
 val all_regs : reg list
 (** Program-visible registers, [R0]-[R10]. *)
 
-val pp_reg : Format.formatter -> reg -> unit
-
 (** Access widths: byte, half word, word, double word. *)
 type size = B | H | W | DW
 
 val size_bytes : size -> int
-val pp_size : Format.formatter -> size -> unit
 
 (** ALU operation codes (BPF_ADD .. BPF_ARSH plus BPF_MOV). *)
 type alu_op =
@@ -44,8 +41,6 @@ val cond_negate : cond -> cond
 (** Second operand: 32-bit immediate or register. *)
 type src = Imm of int32 | Reg of reg
 
-val pp_src : Format.formatter -> src -> unit
-
 (** Pseudo-relocations carried by LD_IMM64, mirroring the kernel's
     src_reg pseudo values.  [Btf_obj] plays the role of
     BPF_PSEUDO_BTF_ID: the address of a typed kernel object the program
@@ -65,8 +60,6 @@ type call_target =
 
 (** Atomic read-modify-write operations. *)
 type atomic_op = A_add | A_or | A_and | A_xor | A_xchg | A_cmpxchg
-
-val atomic_op_to_string : atomic_op -> string
 
 (** One eBPF instruction. *)
 type t =
@@ -109,5 +102,4 @@ val array_of_rev_list : t list -> t array
     collection (see DESIGN.md section 8). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

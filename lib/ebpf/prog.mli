@@ -33,13 +33,6 @@ val all_prog_types : prog_type list
 val prog_type_to_string : prog_type -> string
 val prog_type_of_string : string -> prog_type option
 
-val sk_buff_layout : ctx_layout
-val xdp_layout : ctx_layout
-val kprobe_layout : ctx_layout
-val tracepoint_layout : ctx_layout
-val raw_tracepoint_layout : ctx_layout
-val perf_event_layout : ctx_layout
-
 val ctx_layout : prog_type -> ctx_layout
 
 val field_at : ctx_layout -> off:int -> size:int -> field option

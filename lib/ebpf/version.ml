@@ -22,4 +22,3 @@ let of_string = function
 let rank = function V5_15 -> 0 | V6_1 -> 1 | Bpf_next -> 2
 let compare a b = Int.compare (rank a) (rank b)
 let at_least v minimum = rank v >= rank minimum
-let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -11,13 +11,8 @@ val all : t list
 val to_string : t -> string
 val of_string : string -> t option
 
-val rank : t -> int
-(** Total order on release recency: [v5.15 < v6.1 < bpf-next]. *)
-
 val compare : t -> t -> int
 
 val at_least : t -> t -> bool
 (** [at_least v minimum] is true when [v] is at least as recent as
     [minimum]. *)
-
-val pp : Format.formatter -> t -> unit

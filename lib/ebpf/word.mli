@@ -6,14 +6,8 @@
     modulo by zero keeps the dividend; shift amounts are masked to the
     operand width. *)
 
-val mask32 : int64
-(** [0xFFFF_FFFF]. *)
-
 val to_u32 : int64 -> int64
 (** Zero-extended low 32 bits. *)
-
-val sext : int -> int64 -> int64
-(** [sext bits x] sign-extends the low [bits] bits of [x]. *)
 
 val sext8 : int64 -> int64
 val sext16 : int64 -> int64
@@ -24,9 +18,6 @@ val zext : int -> int64 -> int64
 
 val zext8 : int64 -> int64
 val zext16 : int64 -> int64
-
-val ucmp : int64 -> int64 -> int
-(** Unsigned comparison of the 64-bit patterns. *)
 
 val ult : int64 -> int64 -> bool
 val ule : int64 -> int64 -> bool

@@ -18,7 +18,6 @@ val task_struct : desc
 val percpu_slot : desc
 (** A per-cpu object that is NULL at runtime on this CPU. *)
 
-val cgroup : desc
 val catalogue : desc list
 val find : int -> desc option
 

@@ -34,12 +34,6 @@ let attach ?(bug7 = false) (t : t) ~(prog_id : int) : bool =
   in
   place 0
 
-let detach (t : t) ~(prog_id : int) : unit =
-  t.update_count <- t.update_count + 1;
-  Array.iteri
-    (fun i s -> if s = Some prog_id then t.slots.(i) <- None)
-    t.slots
-
 (* Dispatch an incoming event to the program in slot 0.  With the Bug#7
    race window armed, the dispatch dereferences the stale NULL slot. *)
 let dispatch (t : t) : (int option, Report.t) result =

@@ -12,13 +12,10 @@ type t = {
   mutable stale_null : bool;
 }
 
-val n_slots : int
 val create : unit -> t
 
 val attach : ?bug7:bool -> t -> prog_id:int -> bool
 (** Attach a program; [false] when all slots are busy. *)
-
-val detach : t -> prog_id:int -> unit
 
 val dispatch : t -> (int option, Report.t) result
 (** Dispatch an event to slot 0; with the Bug#7 window armed, returns

@@ -29,16 +29,10 @@ val should_fail : t -> site:string -> bool
 (** Draw the next decision for an allocation at [site].  Deterministic
     in (seed, rate, space, call sequence). *)
 
-val rate : t -> float
-val seed : t -> int
 val attempts : t -> int
 (** Allocation attempts consulted so far (enabled plans only). *)
 
 val injected : t -> int
 (** Failures injected so far. *)
-
-val injected_at : t -> site:string -> int
-val sites : t -> (string * int) list
-(** Per-site injected-failure counts, sorted by site name. *)
 
 val pp_summary : Format.formatter -> t -> unit

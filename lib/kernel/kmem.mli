@@ -22,8 +22,6 @@ type kind =
   | Packet
   | Kernel_internal of string
 
-val kind_to_string : kind -> string
-
 type region = {
   base : int64;
   size : int;
@@ -33,9 +31,6 @@ type region = {
 }
 
 type t
-
-val redzone : int
-(** Redzone bytes after each allocation. *)
 
 val create : unit -> t
 
@@ -52,10 +47,6 @@ val compact : ?keep_freed:int -> t -> unit
 
 val region_of : t -> int64 -> region option
 (** The region (live or freed) containing an address. *)
-
-val nearest_region_desc : t -> int64 -> string option
-(** Description of the region whose body or redzone contains the
-    address, for reports. *)
 
 type access = Read | Write
 
@@ -78,9 +69,6 @@ val null_page_limit : int64
 
 val check : t -> access -> addr:int64 -> size:int -> (unit, fault) result
 (** KASAN validity check against shadow memory (no data access). *)
-
-val read_bytes : region -> off:int -> size:int -> int64
-val write_bytes : region -> off:int -> size:int -> int64 -> unit
 
 val checked_load : t -> addr:int64 -> size:int -> (int64, fault) result
 val checked_store :

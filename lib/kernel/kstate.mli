@@ -73,8 +73,6 @@ val current_task_addr : t -> int64
 val ktime : t -> int64
 val prandom_u32 : t -> int64
 
-val flush_lockdep : t -> routine:string -> unit
-
 val kernel_lock_acquire : t -> routine:string -> string -> unit
 (** Lockdep-checked acquisition; fires the contention_begin tracepoint
     (every eBPF spin-lock acquisition contends in the simulation, the

@@ -56,8 +56,6 @@ let release (t : t) (cls : string) : unit =
   end
   else report t (Unlock_not_held cls)
 
-let holds (t : t) (cls : string) : bool = List.mem cls t.held
-
 (* Called when a program execution finishes: leaked locks are themselves
    violations, and the held set is reset for the next execution. *)
 let end_of_execution (t : t) : unit =

@@ -26,8 +26,6 @@ val acquire : t -> string -> unit
 val release : t -> string -> unit
 (** Record a release; flags unlock-of-unheld. *)
 
-val holds : t -> string -> bool
-
 val end_of_execution : t -> unit
 (** Flag locks still held when an execution returns, and reset. *)
 

@@ -63,12 +63,6 @@ type error =
   | E_bad_op of string
   | E_nomem (* injected allocation failure (failslab) *)
 
-let error_to_string = function
-  | E_no_space -> "E2BIG: map full"
-  | E_no_such_key -> "ENOENT: no such key"
-  | E_bad_op s -> Printf.sprintf "EINVAL: %s" s
-  | E_nomem -> "ENOMEM: allocation failed"
-
 let create (mem : Kmem.t) ~(id : int) (def : def) : t =
   let backing =
     match def.mtype with

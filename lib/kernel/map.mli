@@ -49,8 +49,6 @@ type error =
   | E_bad_op of string
   | E_nomem  (** injected allocation failure (failslab) *)
 
-val error_to_string : error -> string
-
 val create : Kmem.t -> id:int -> def -> t
 
 val lookup : t -> key:Bytes.t -> int64 option

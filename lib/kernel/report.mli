@@ -30,8 +30,6 @@ type t = {
 }
 
 val make : ?pc:int -> origin -> kind -> t
-val origin_to_string : origin -> string
-val kind_to_string : kind -> string
 val to_string : t -> string
 
 val fingerprint : t -> string

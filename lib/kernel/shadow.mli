@@ -6,9 +6,6 @@
     KASAN-instrumented kernel routines consult exactly this
     structure. *)
 
-val granule : int
-(** Granule size in bytes (8). *)
-
 type poison =
   | Addressable of int (** 1..7 valid prefix bytes *)
   | Fully_addressable

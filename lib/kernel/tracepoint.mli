@@ -19,7 +19,6 @@ type t = {
   tp_since : Bvf_ebpf.Version.t;
 }
 
-val catalogue : t list
 val find : string -> t option
 
 val available :

@@ -28,8 +28,6 @@ val is_transient : status -> bool
 val fuel_limit : int
 (** Watchdog: instruction budget per execution. *)
 
-val packet_size : int
-
 val run :
   Bvf_kernel.Kstate.t -> run_attached:(string -> unit) ->
   Bvf_verifier.Verifier.loaded -> result

@@ -11,9 +11,6 @@ type t = {
   mutable event_depth : int;
 }
 
-val max_event_depth : int
-(** Nesting bound for event-triggered program execution. *)
-
 val create :
   ?cov:Bvf_verifier.Coverage.t -> ?failslab:Bvf_kernel.Failslab.t ->
   Bvf_kernel.Kconfig.t -> t

@@ -103,19 +103,6 @@ let hit (t : t) (site : string) (variant : int) : unit =
 
 let edge_count (t : t) : int = t.distinct
 
-(* Merge a run's local edge set; returns how many edges were new. *)
-let merge (t : t) (local : (int, unit) Hashtbl.t) : int =
-  Hashtbl.fold
-    (fun edge () fresh ->
-       let was_new = t.counts.(edge) = 0 in
-       record t edge;
-       if was_new then fresh + 1 else fresh)
-    local 0
-
-let reset (t : t) : unit =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.distinct <- 0
-
 (* -- Cross-map merging -------------------------------------------------- *)
 
 (* Numeric edge ids depend on the order sites happened to be interned,

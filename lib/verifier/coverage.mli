@@ -18,12 +18,9 @@ type t = {
 
 val create : unit -> t
 
-val variants_per_site : int
-
 val memo_slot : t -> string -> int
 (** The memo slot of a site name; every verifier site has its own. *)
 
-val site_id : t -> string -> int
 val edge_id : t -> string -> int -> int
 val record : t -> int -> unit
 
@@ -33,11 +30,6 @@ val hit : t -> string -> int -> unit
 
 val edge_count : t -> int
 (** Distinct edges observed so far. *)
-
-val merge : t -> (int, unit) Hashtbl.t -> int
-(** Merge a run's local edge set; returns how many were new. *)
-
-val reset : t -> unit
 
 val named_edges : t -> ((string * int) * int) list
 (** Every observed edge as its portable identity — the

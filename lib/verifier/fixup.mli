@@ -4,14 +4,6 @@
     zero-divisor guard sequences — a realistic source of
     rewrite-emitted instructions the sanitizer must skip. *)
 
-val resolve_ld :
-  Bvf_kernel.Kstate.t -> pc:int -> Bvf_ebpf.Insn.reg ->
-  Bvf_ebpf.Insn.ld64_kind -> Bvf_ebpf.Insn.t
-
-val div_guard :
-  op64:bool -> Bvf_ebpf.Insn.alu_op -> Bvf_ebpf.Insn.reg ->
-  Bvf_ebpf.Insn.reg -> Bvf_ebpf.Insn.t -> Bvf_ebpf.Insn.t list
-
 val run :
   Bvf_kernel.Kstate.t -> insns:Bvf_ebpf.Insn.t array ->
   aux:Venv.aux array -> Bvf_ebpf.Insn.t array * Venv.aux array

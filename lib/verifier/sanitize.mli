@@ -14,16 +14,6 @@
 
 type guard_kind = Gload | Gstore | Gprobe
 
-val asan_fn : guard_kind -> int -> Bvf_ebpf.Helper.t
-
-val mem_guard :
-  guard_kind -> addr:Bvf_ebpf.Insn.reg -> off:int -> size:int ->
-  Bvf_ebpf.Insn.t -> Bvf_ebpf.Insn.t list
-
-val alu_guard :
-  scalar:Bvf_ebpf.Insn.reg -> limit:int64 -> Bvf_ebpf.Insn.t ->
-  Bvf_ebpf.Insn.t list
-
 val run :
   insns:Bvf_ebpf.Insn.t array -> aux:Venv.aux array ->
   Bvf_ebpf.Insn.t array * Venv.aux array

@@ -44,13 +44,6 @@ type loaded = {
       (** veristat-style performance counters of the analysis *)
 }
 
-val kmalloc_max : int
-(** Allocation limit of the Bug#8 kmemdup path, in bytes. *)
-
-val uses_reserved : Bvf_ebpf.Insn.t array -> bool
-(** Does the program reference the hidden register or internal
-    helpers? *)
-
 val load :
   Bvf_kernel.Kstate.t -> cov:Coverage.t -> ?log_level:int -> request ->
   (loaded, Venv.verr) result
@@ -90,12 +83,6 @@ val lint :
     and the maps for the service layer's content-addressed verdict
     cache, which adds the program's wire bytes ([Vcache.key_of_wire];
     see docs/SERVICE.md for the soundness argument). *)
-
-val verifier_abi : string
-(** Analyzer revision baked into {!config_fingerprint}.  Bump whenever a
-    verifier change can alter any verdict, canonical message, log line
-    or deterministic counter for a fixed input: every previously cached
-    verdict is then invalidated by key mismatch. *)
 
 val config_fingerprint : Bvf_kernel.Kconfig.t -> string
 (** Hex digest of every config field verification depends on (version,

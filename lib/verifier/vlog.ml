@@ -14,8 +14,6 @@ let create ?(cap = default_cap) (lvl : int) : t =
   { buf = Buffer.create (if lvl > 0 then 256 else 0); lvl; cap;
     trunc = false }
 
-let level (t : t) : int = t.lvl
-
 let enabled (t : t) (l : int) : bool = t.lvl >= l
 
 let add (t : t) (s : string) : unit =
@@ -30,8 +28,6 @@ let add (t : t) (s : string) : unit =
 let logf (t : t) ~(level : int) fmt =
   if t.lvl >= level then Format.kasprintf (add t) fmt
   else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
-let truncated (t : t) : bool = t.trunc
 
 let contents (t : t) : string =
   Buffer.contents t.buf ^ if t.trunc then "... log truncated\n" else ""

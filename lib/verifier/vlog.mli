@@ -21,8 +21,6 @@ val default_cap : int
 val create : ?cap:int -> int -> t
 (** [create level] — a fresh empty log at [level]. *)
 
-val level : t -> int
-
 val enabled : t -> int -> bool
 (** [enabled t l]: would a message at level [l] be recorded?  Use to
     skip expensive formatting (state dumps) when the log is off. *)
@@ -31,8 +29,6 @@ val logf : t -> level:int -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Append a formatted message if [level t >= level].  Once the cap is
     reached further messages are dropped and the log is marked
     truncated. *)
-
-val truncated : t -> bool
 
 val contents : t -> string
 (** The accumulated log; ends with a ["... log truncated"] marker line

@@ -473,6 +473,56 @@ let test_stop_before_start () =
   Sys.remove trace;
   Unix.rmdir dir
 
+(* -- State-directory lock ---------------------------------------------------- *)
+
+(* A state directory whose lock names [owner]. *)
+let locked_dir (name : string) (owner : int) : string =
+  let dir = Filename.temp_file name "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let oc = open_out (Parallel.lock_path dir) in
+  Printf.fprintf oc "%d\n" owner;
+  close_out oc;
+  dir
+
+let run_in dir =
+  Parallel.run ~dir ~jobs:2 ~seed:4 ~iterations:20 Campaign.bvf_strategy
+    (config ())
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* A run on a directory that a live process holds (this one) is refused
+   with the holder's pid before any shard file is written, and the
+   holder keeps its lock. *)
+let test_lock_live_holder () =
+  let pid = Unix.getpid () in
+  let dir = locked_dir "bvf_par_lock" pid in
+  (match run_in dir with
+   | exception Campaign.Environment msg ->
+     Alcotest.(check string) "refusal names the holder"
+       (Printf.sprintf
+          "state directory is in use by a running campaign (pid %d holds %s)"
+          pid (Parallel.lock_path dir))
+       msg
+   | _ -> Alcotest.fail "a live lock did not refuse the run");
+  Alcotest.(check bool) "no shard file" false
+    (Sys.file_exists (Parallel.state_path dir 0));
+  Alcotest.(check bool) "the holder keeps its lock" true
+    (Sys.file_exists (Parallel.lock_path dir));
+  remove_dir dir
+
+(* A lock whose owner is dead (no pid reaches 999999999) is broken: the
+   run completes and removes its own lock. *)
+let test_lock_stale_holder () =
+  let dir = locked_dir "bvf_par_stale" 999_999_999 in
+  Alcotest.(check int) "the run completes" 20
+    (run_in dir).Parallel.pr_iterations;
+  Alcotest.(check bool) "lock released" false
+    (Sys.file_exists (Parallel.lock_path dir));
+  remove_dir dir
+
 (* The library form of CI's "Straight vs resumed -n" step, for one
    shard and for two.  A run over a state directory that every shard
    stops on a barrier (its 100th iteration), rerun in the same
@@ -563,6 +613,11 @@ let () =
             test_digest_under_any_heap;
           Alcotest.test_case "restored when run_t raises" `Quick
             test_heap_restored_on_raise ] );
+      ( "lock",
+        [ Alcotest.test_case "a live holder is refused" `Quick
+            test_lock_live_holder;
+          Alcotest.test_case "a stale holder is broken" `Slow
+            test_lock_stale_holder ] );
       ( "merge",
         [ Alcotest.test_case "invariants" `Slow test_merge_invariants ] );
       ( "failure",

@@ -346,7 +346,7 @@ let test_state_dir_lock () =
   let state = Filename.concat dir "state" in
   Unix.mkdir state 0o755;
   (* live owner: this very process *)
-  let oc = open_out (Filename.concat state "supervisor.lock") in
+  let oc = open_out (Parallel.lock_path state) in
   output_string oc (string_of_int (Unix.getpid ()) ^ "\n");
   close_out oc;
   (match sv ~dir:state ~seed:1 ~iterations:10 ~workers:1 () with
@@ -355,14 +355,14 @@ let test_state_dir_lock () =
        (String.length msg > 0)
    | _ -> Alcotest.fail "expected a live lock to refuse the run");
   (* stale owner: a pid that cannot exist *)
-  let oc = open_out (Filename.concat state "supervisor.lock") in
+  let oc = open_out (Parallel.lock_path state) in
   output_string oc "999999999\n";
   close_out oc;
   (match sv ~dir:state ~seed:1 ~iterations:10 ~workers:1 () with
    | Supervisor.Completed _ -> ()
    | _ -> Alcotest.fail "expected a stale lock to be broken");
   Alcotest.(check bool) "lock released after the run" false
-    (Sys.file_exists (Filename.concat state "supervisor.lock"))
+    (Sys.file_exists (Parallel.lock_path state))
 
 (* -- Interruption and state-directory resume ---------------------------- *)
 
@@ -462,7 +462,7 @@ let test_state_dir_refuses_other_campaign () =
          ~workers:2);
       ("assigned", rerun (config ()) ~seed:7 ~iterations:10 ~workers:2) ];
   Alcotest.(check bool) "lock released after a refusal" false
-    (Sys.file_exists (Filename.concat state "supervisor.lock"))
+    (Sys.file_exists (Parallel.lock_path state))
 
 (* Rerunning a finished state directory reports the finished workers
    instead of re-running them: no worker runs (a worker that ran would
