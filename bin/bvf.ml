@@ -504,8 +504,9 @@ let stats_cmd =
     let unknown = Telemetry.unknown_rejections summary in
     if unknown > 0 then
       Printf.printf
-        "\n%d rejections are unclassified (reason=unknown): the \
-         taxonomy in lib/verifier/reject_reason.ml has a gap\n"
+        "\n%d rejections carry a reason this build does not know \
+         (reason=unknown): the taxonomy in \
+         lib/verifier/reject_reason.ml has a gap\n"
         unknown;
     if fail_on_unknown && unknown > 0 then exit 1
   in
@@ -520,8 +521,9 @@ let stats_cmd =
                    ~doc:"Trace file written by --trace.")
           $ Arg.(value & flag
                  & info [ "fail-on-unknown" ]
-                   ~doc:"Exit 1 if any rejection is unclassified — the \
-                         CI gate that keeps the taxonomy total."))
+                   ~doc:"Exit 1 if any rejection carries a reason this \
+                         build does not know — the CI gate that keeps \
+                         the taxonomy total."))
 
 (* -- profile ---------------------------------------------------------------- *)
 

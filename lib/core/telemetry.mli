@@ -221,8 +221,9 @@ type summary = {
 val summarize : event list -> summary
 
 val unknown_rejections : summary -> int
-(** Rejections classified as {!Bvf_verifier.Reject_reason.Unknown}: the
-    taxonomy-gap count the CI gate fails on. *)
+(** Rejections whose reason is {!Bvf_verifier.Reject_reason.Unknown},
+    a reason string this build does not know: the taxonomy-gap count
+    the CI gate fails on. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** The acceptance table: totals, per-prog-type acceptance, the

@@ -157,10 +157,11 @@ let thresholds (env : Venv.t) : Regstate.thresholds =
 let check_cfg (env : Venv.t) : unit =
   let insns = env.Venv.insns in
   let n = Array.length insns in
-  if n = 0 then Venv.reject env ~pc:0 Venv.EINVAL "empty program";
+  if n = 0 then Venv.reject env ~pc:0 Venv.EINVAL Prog_size "empty program";
   let in_range pc target what =
     if target < 0 || target >= n then
-      Venv.reject env ~pc Venv.EINVAL "%s out of range (to %d)" what target
+      Venv.reject env ~pc Venv.EINVAL Bad_cfg
+        "%s out of range (to %d)" what target
   in
   (* edge validity + reachability DFS *)
   let visited = Array.make n false in
@@ -177,20 +178,23 @@ let check_cfg (env : Venv.t) : unit =
       | Insn.Jmp { off; _ } ->
         in_range pc (pc + 1 + off) "jump";
         if pc + 1 >= n then
-          Venv.reject env ~pc Venv.EINVAL "fall-through off program end";
+          Venv.reject env ~pc Venv.EINVAL Bad_cfg
+            "fall-through off program end";
         dfs (pc + 1 + off);
         dfs (pc + 1)
       | Insn.Call (Insn.Local off) ->
         in_range pc (pc + 1 + off) "call";
         if pc + 1 >= n then
-          Venv.reject env ~pc Venv.EINVAL "fall-through off program end";
+          Venv.reject env ~pc Venv.EINVAL Bad_cfg
+            "fall-through off program end";
         dfs (pc + 1 + off);
         dfs (pc + 1)
       | Insn.Alu _ | Insn.Endian _ | Insn.Ld_imm64 _ | Insn.Ldx _
       | Insn.St _ | Insn.Stx _ | Insn.Atomic _
       | Insn.Call (Insn.Helper _) | Insn.Call (Insn.Kfunc _) ->
         if pc + 1 >= n then
-          Venv.reject env ~pc Venv.EINVAL "fall-through off program end";
+          Venv.reject env ~pc Venv.EINVAL Bad_cfg
+            "fall-through off program end";
         dfs (pc + 1)
     end
   in
@@ -198,7 +202,7 @@ let check_cfg (env : Venv.t) : unit =
   Array.iteri
     (fun pc seen ->
        if not seen then
-         Venv.reject env ~pc Venv.EINVAL "unreachable insn %d" pc)
+         Venv.reject env ~pc Venv.EINVAL Bad_cfg "unreachable insn %d" pc)
     visited;
   Venv.cov env "cfg:ok"
 
@@ -218,8 +222,8 @@ let check_ld_imm64 (env : Venv.t) ~(pc : int) (dst : Insn.reg)
             (Regstate.P_map_ptr
                (Regstate.map_info_of_def ~fd m.Map.def))
         | None ->
-          Venv.reject env ~pc Venv.EINVAL "fd %d is not pointing to a map"
-            fd
+          Venv.reject env ~pc Venv.EINVAL Bad_map_op
+            "fd %d is not pointing to a map" fd
       end
     | Insn.Map_value (fd, off) -> begin
         Venv.cov env "ld:map_value";
@@ -227,20 +231,20 @@ let check_ld_imm64 (env : Venv.t) ~(pc : int) (dst : Insn.reg)
         | Some m ->
           let mi = Regstate.map_info_of_def ~fd m.Map.def in
           if m.Map.def.Map.mtype <> Map.Array_map then
-            Venv.reject env ~pc Venv.EINVAL
+            Venv.reject env ~pc Venv.EINVAL Bad_map_op
               "direct value access only on array maps";
           if off < 0 || off >= mi.Regstate.mi_value_size then
-            Venv.reject env ~pc Venv.EINVAL
+            Venv.reject env ~pc Venv.EINVAL Oob_access
               "direct value offset %d outside value" off;
           Regstate.pointer (Regstate.P_map_value mi) ~off
         | None ->
-          Venv.reject env ~pc Venv.EINVAL "fd %d is not pointing to a map"
-            fd
+          Venv.reject env ~pc Venv.EINVAL Bad_map_op
+            "fd %d is not pointing to a map" fd
       end
     | Insn.Btf_obj id -> begin
         Venv.cov env "ld:btf_obj";
         if Venv.unprivileged env then
-          Venv.reject env ~pc Venv.EPERM
+          Venv.reject env ~pc Venv.EPERM Priv
             "BTF object access requires CAP_BPF";
         match Btf.find id with
         | Some d ->
@@ -248,7 +252,7 @@ let check_ld_imm64 (env : Venv.t) ~(pc : int) (dst : Insn.reg)
              objects that are in fact NULL at runtime (paper Listing 2) *)
           Regstate.pointer (Regstate.P_btf d)
         | None ->
-          Venv.reject env ~pc Venv.EINVAL "unknown BTF object %d" id
+          Venv.reject env ~pc Venv.EINVAL Bad_insn "unknown BTF object %d" id
       end
   in
   Venv.set_reg env dst v
@@ -257,7 +261,7 @@ let check_ld_imm64 (env : Venv.t) ~(pc : int) (dst : Insn.reg)
 let push_frame (env : Venv.t) ~(pc : int) ~(target : int) : int =
   let st = env.Venv.st in
   if Vstate.frame_count st >= Venv.max_call_depth then
-    Venv.reject env ~pc Venv.EINVAL
+    Venv.reject env ~pc Venv.EINVAL Insn_limit
       "the call stack of %d frames is too deep" (Vstate.frame_count st + 1);
   Venv.cov env "call:local" ~v:(Vstate.frame_count st);
   let caller = Vstate.cur_frame st in
@@ -277,7 +281,8 @@ let pop_frame (env : Venv.t) ~(pc : int) : int =
   let callee = Vstate.cur_frame st in
   let r0 = callee.Vstate.regs.(0) in
   if not (Regstate.is_init r0) then
-    Venv.reject env ~pc Venv.EACCES "R0 !read_ok at subprogram exit";
+    Venv.reject env ~pc Venv.EACCES Uninit_access
+      "R0 !read_ok at subprogram exit";
   let popped = Vstate.pop_top_frame st in
   (* the top frame IS the callee — popping anything else would mean the
      frame stack and the current frame disagree *)
@@ -294,26 +299,27 @@ let check_main_exit (env : Venv.t) ~(pc : int) : unit =
   let st = env.Venv.st in
   let r0 = Vstate.reg st Insn.R0 in
   if not (Regstate.is_init r0) then
-    Venv.reject env ~pc Venv.EACCES "R0 !read_ok at program exit";
+    Venv.reject env ~pc Venv.EACCES Uninit_access "R0 !read_ok at program exit";
   Venv.cov env "exit:check";
   (match r0.Regstate.kind with
    | Regstate.Ptr _ ->
-     Venv.reject env ~pc Venv.EACCES "R0 leaks pointer at program exit"
+     Venv.reject env ~pc Venv.EACCES Ptr_leak "R0 leaks pointer at program exit"
    | Regstate.Scalar -> begin
        match Prog.return_range env.Venv.prog_type with
        | None -> ()
        | Some (lo, hi) ->
          if r0.Regstate.smin < lo || r0.Regstate.smax > hi then
-           Venv.reject env ~pc Venv.EACCES
+           Venv.reject env ~pc Venv.EACCES Bad_return_value
              "At program exit R0 has range [%Ld,%Ld] should be in [%Ld,%Ld]"
              r0.Regstate.smin r0.Regstate.smax lo hi
      end
    | Regstate.Not_init -> assert false);
   if st.Vstate.refs <> [] then
-    Venv.reject env ~pc Venv.EINVAL
+    Venv.reject env ~pc Venv.EINVAL Ref_leak
       "Unreleased reference id=%d" (List.hd st.Vstate.refs);
   if st.Vstate.active_lock <> None then
-    Venv.reject env ~pc Venv.EINVAL "bpf_spin_lock is missing unlock"
+    Venv.reject env ~pc Venv.EINVAL Lock_violation
+      "bpf_spin_lock is missing unlock"
 
 (* -- Pruning ------------------------------------------------------------ *)
 
@@ -336,15 +342,15 @@ let store_or_unroll (env : Venv.t) ~(pc : int)
     if env.Venv.vst.Vstats.vs_total_states > Venv.total_states_limit
     then begin
       Venv.cov env "budget:states";
-      Venv.reject env ~reason:Reject_reason.Budget_exhausted ~pc
-        Venv.E2BIG "state budget exhausted: %d states stored"
+      Venv.reject env ~pc Venv.E2BIG Budget_exhausted
+        "state budget exhausted: %d states stored"
         env.Venv.vst.Vstats.vs_total_states
     end;
     false
   end
   else if looping then begin
     Venv.cov env "loop:unbounded";
-    Venv.reject env ~reason:Reject_reason.Loop_unbounded ~pc Venv.EINVAL
+    Venv.reject env ~pc Venv.EINVAL Loop_unbounded
       "loop state fails to converge at insn %d" pc
   end
   else false
@@ -426,7 +432,7 @@ let maybe_prune (env : Venv.t) ~(pc : int) ~(from : int) (targets : Bytes.t)
              detected") *)
           Venv.cov env "prune:loop";
           Vstats.loop_detected env.Venv.vst;
-          Venv.reject env ~pc Venv.EINVAL
+          Venv.reject env ~pc Venv.EINVAL Unbounded_loop
             "infinite loop detected at insn %d" pc
         end
         else
@@ -538,11 +544,11 @@ let run (env : Venv.t) : unit =
   and walk ~from pc =
     env.Venv.insn_processed <- Vstats.count_insn env.Venv.vst;
     if env.Venv.insn_processed > Venv.insn_processed_limit then
-      Venv.reject env ~pc Venv.E2BIG
+      Venv.reject env ~pc Venv.E2BIG Insn_limit
         "BPF program is too large. Processed %d insn"
         env.Venv.insn_processed;
     if pc < 0 || pc >= Array.length insns then
-      Venv.reject env ~pc Venv.EINVAL "invalid program counter %d" pc;
+      Venv.reject env ~pc Venv.EINVAL Bad_cfg "invalid program counter %d" pc;
     if maybe_prune env ~pc ~from targets heads then next_path ()
     else begin
       (* soundness sanitizer hooks: record the abstract register file
@@ -631,8 +637,8 @@ let run (env : Venv.t) : unit =
                > Venv.branch_depth_limit
             then begin
               Venv.cov env "budget:branches";
-              Venv.reject env ~reason:Reject_reason.Budget_exhausted ~pc
-                Venv.E2BIG "branch budget exhausted: %d pending branches"
+              Venv.reject env ~pc Venv.E2BIG Budget_exhausted
+                "branch budget exhausted: %d pending branches"
                 env.Venv.vst.Vstats.vs_branch_depth
             end;
             env.Venv.st <- fall;

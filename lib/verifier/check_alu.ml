@@ -240,14 +240,15 @@ let adjust_ptr (env : Venv.t) ~(pc : int) (op : Insn.alu_op)
         | P_packet_end -> 6 | P_mem _ -> 7);
   if p.maybe_null
      && not (Venv.has_bug env Kconfig.Cve_2022_23222) then
-    Venv.reject env ~pc Venv.EACCES
+    Venv.reject env ~pc Venv.EACCES Null_deref
       "R? pointer arithmetic on %s_or_null prohibited, null-check it first"
       (Regstate.ptr_kind_name p.pk);
   if not (ptr_alu_allowed p.pk) then
-    Venv.reject env ~pc Venv.EACCES "R? pointer arithmetic on %s prohibited"
+    Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
+      "R? pointer arithmetic on %s prohibited"
       (Regstate.ptr_kind_name p.pk);
   if op <> Insn.Add && op <> Insn.Sub then
-    Venv.reject env ~pc Venv.EACCES
+    Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
       "R? pointer arithmetic with %s operator prohibited"
       (Insn.alu_op_to_string op);
   (* kernel: "math between <ptr> and register with unbounded min value
@@ -256,7 +257,7 @@ let adjust_ptr (env : Venv.t) ~(pc : int) (op : Insn.alu_op)
     Venv.cov env "alu:ptr:varoff";
     if scalar.smin < Int64.neg (Int64.of_int max_ptr_off)
        || scalar.smax > Int64.of_int max_ptr_off then
-      Venv.reject env ~pc Venv.EACCES
+      Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
         "math between %s pointer and register with unbounded bounds"
         (Regstate.ptr_kind_name p.pk);
     (* record the runtime assertion limit (kernel retrieve_ptr_limit);
@@ -277,7 +278,8 @@ let adjust_ptr (env : Venv.t) ~(pc : int) (op : Insn.alu_op)
     let delta = Int64.to_int delta in
     let off = if op = Insn.Add then ptr.off + delta else ptr.off - delta in
     if abs off > max_ptr_off then
-      Venv.reject env ~pc Venv.EACCES "pointer offset %d out of range" off
+      Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
+        "pointer offset %d out of range" off
     else { ptr with off }
   | None ->
     let combine = if op = Insn.Add then scalar_add else scalar_sub in
@@ -318,8 +320,8 @@ let check (env : Venv.t) ~(pc : int) ~(op64 : bool) (op : Insn.alu_op)
   | Insn.Neg ->
     let d = Venv.check_reg_read env ~pc dst in
     if Regstate.is_pointer d then
-      Venv.reject env ~pc Venv.EACCES "R%d pointer negation prohibited"
-        (Insn.reg_to_int dst)
+      Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
+        "R%d pointer negation prohibited" (Insn.reg_to_int dst)
     else
       Venv.set_reg env dst
         (if op64 then scalar_op64 Insn.Neg d d else scalar_op32 Insn.Neg d d)
@@ -329,17 +331,17 @@ let check (env : Venv.t) ~(pc : int) ~(op64 : bool) (op : Insn.alu_op)
       match d.kind, src_state.kind with
       | Ptr _, Scalar ->
         if not op64 then
-          Venv.reject env ~pc Venv.EACCES
+          Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
             "R%d 32-bit pointer arithmetic prohibited"
             (Insn.reg_to_int dst);
         Venv.set_reg env dst (adjust_ptr env ~pc op d src_state)
       | Scalar, Ptr _ ->
         if op <> Insn.Add then
-          Venv.reject env ~pc Venv.EACCES
+          Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
             "R%d pointer operand for %s prohibited" (Insn.reg_to_int dst)
             (Insn.alu_op_to_string op)
         else if not op64 then
-          Venv.reject env ~pc Venv.EACCES
+          Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
             "R%d 32-bit pointer arithmetic prohibited"
             (Insn.reg_to_int dst)
         else begin
@@ -356,10 +358,10 @@ let check (env : Venv.t) ~(pc : int) ~(op64 : bool) (op : Insn.alu_op)
           Venv.set_reg env dst Regstate.unknown_scalar
         end
         else
-          (* the message-based classifier reads two pointer operands as
-             a type confusion; this is arithmetic, so tag it *)
-          Venv.reject ~reason:Reject_reason.Bad_ptr_arith env ~pc
-            Venv.EACCES "R%d pointer %s pointer prohibited"
+          (* two pointer operands: prohibited arithmetic, not a type
+             confusion *)
+          Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
+            "R%d pointer %s pointer prohibited"
             (Insn.reg_to_int dst) (Insn.alu_op_to_string op)
       | Scalar, Scalar ->
         Venv.set_reg env dst
@@ -375,8 +377,8 @@ let check_endian (env : Venv.t) ~(pc : int) ~(swap : bool) ~(bits : int)
   Venv.check_reg_write env ~pc dst;
   let d = Venv.check_reg_read env ~pc dst in
   if Regstate.is_pointer d then
-    Venv.reject env ~pc Venv.EACCES "R%d byte swap of pointer prohibited"
-      (Insn.reg_to_int dst);
+    Venv.reject env ~pc Venv.EACCES Bad_ptr_arith
+      "R%d byte swap of pointer prohibited" (Insn.reg_to_int dst);
   Venv.cov env "alu:endian" ~v:(bits / 16);
   let result =
     match Regstate.const_value d with

@@ -34,16 +34,16 @@ let check_helper_mem (env : Venv.t) ~(pc : int) ~(argno : int)
         match p.pk with
         | P_stack fno -> begin
             if not (Tnum.is_const r.var_off) then
-              Venv.reject env ~pc Venv.EACCES
+              Venv.reject env ~pc Venv.EACCES Bad_helper_arg
                 "R%d variable stack pointer to helper" argno;
             let frame = Vstate.find_frame env.Venv.st fno in
             let off = r.off in
             if off + size > 0 || off < -Prog.stack_size then
-              Venv.reject env ~pc Venv.EACCES
+              Venv.reject env ~pc Venv.EACCES Bad_helper_arg
                 "R%d invalid stack region off=%d size=%d" argno off size;
             if write then Vstate.stack_mark_written frame ~off ~size
             else if not (Vstate.stack_initialized frame ~off ~size) then
-              Venv.reject env ~pc Venv.EACCES
+              Venv.reject env ~pc Venv.EACCES Bad_helper_arg
                 "R%d uninitialized stack passed to helper (off=%d size=%d)"
                 argno off size
           end
@@ -51,23 +51,23 @@ let check_helper_mem (env : Venv.t) ~(pc : int) ~(argno : int)
           Check_mem.check_map_value env ~pc mi r ~off:0 ~size
         | P_mem msize ->
           if r.off < 0 || r.off + size > msize then
-            Venv.reject env ~pc Venv.EACCES
+            Venv.reject env ~pc Venv.EACCES Bad_helper_arg
               "R%d invalid ringbuf mem region" argno
         | P_packet ->
           if r.off < 0 || r.off + size > r.range then
-            Venv.reject env ~pc Venv.EACCES
+            Venv.reject env ~pc Venv.EACCES Bad_helper_arg
               "R%d invalid packet region for helper" argno
         | P_ctx | P_map_ptr _ | P_btf _ | P_packet_end ->
-          Venv.reject env ~pc Venv.EACCES
+          Venv.reject env ~pc Venv.EACCES Bad_helper_arg
             "R%d pointer type %s not allowed as mem argument" argno
             (Regstate.ptr_kind_name p.pk)
       end
     | Ptr _ ->
-      Venv.reject env ~pc Venv.EACCES
+      Venv.reject env ~pc Venv.EACCES Null_deref
         "R%d nullable pointer passed to helper, null-check it first" argno
     | Scalar | Not_init ->
-      Venv.reject env ~pc Venv.EACCES "R%d expected pointer, got scalar"
-        argno
+      Venv.reject env ~pc Venv.EACCES Bad_helper_arg
+        "R%d expected pointer, got scalar" argno
 
 (* Walk the declared argument list, validating R1..Rn. *)
 let check_args (env : Venv.t) ~(pc : int) (args : Helper.arg list) :
@@ -88,13 +88,13 @@ let check_args (env : Venv.t) ~(pc : int) (args : Helper.arg list) :
            | Ptr { pk = P_map_ptr mi; maybe_null = false; _ } ->
              seen_map := Some mi
            | _ ->
-             Venv.reject env ~pc Venv.EACCES
+             Venv.reject env ~pc Venv.EACCES Bad_helper_arg
                "R%d expected const map pointer" argno
          end
        | Helper.Map_key -> begin
            match !seen_map with
            | None ->
-             Venv.reject env ~pc Venv.EINVAL
+             Venv.reject env ~pc Venv.EINVAL Bad_helper_arg
                "R%d map key without preceding map argument" argno
            | Some mi ->
              check_helper_mem env ~pc ~argno ~write:false r
@@ -103,7 +103,7 @@ let check_args (env : Venv.t) ~(pc : int) (args : Helper.arg list) :
        | Helper.Map_value -> begin
            match !seen_map with
            | None ->
-             Venv.reject env ~pc Venv.EINVAL
+             Venv.reject env ~pc Venv.EINVAL Bad_helper_arg
                "R%d map value without preceding map argument" argno
            | Some mi ->
              check_helper_mem env ~pc ~argno ~write:false r
@@ -113,14 +113,14 @@ let check_args (env : Venv.t) ~(pc : int) (args : Helper.arg list) :
        | Helper.Mem_wr -> pending_mem := Some (argno, r, true)
        | Helper.Size { max; allow_zero } -> begin
            if not (Regstate.is_scalar r) then
-             Venv.reject env ~pc Venv.EACCES "R%d expected size scalar"
-               argno;
+             Venv.reject env ~pc Venv.EACCES Bad_helper_arg
+               "R%d expected size scalar" argno;
            let umin = r.umin and umax = r.umax in
            if Word.ugt umax (Int64.of_int max) then
-             Venv.reject env ~pc Venv.EACCES
+             Venv.reject env ~pc Venv.EACCES Bad_helper_arg
                "R%d unbounded memory size (umax=%Lu > %d)" argno umax max;
            if (not allow_zero) && umin = 0L then
-             Venv.reject env ~pc Venv.EACCES
+             Venv.reject env ~pc Venv.EACCES Bad_helper_arg
                "R%d possible zero size for helper memory" argno;
            (match !pending_mem with
             | Some (mem_argno, mem_reg, write) ->
@@ -133,14 +133,14 @@ let check_args (env : Venv.t) ~(pc : int) (args : Helper.arg list) :
            match r.kind with
            | Ptr { pk = P_ctx; maybe_null = false; _ } -> ()
            | _ ->
-             Venv.reject env ~pc Venv.EACCES "R%d expected ctx pointer"
-               argno
+             Venv.reject env ~pc Venv.EACCES Bad_helper_arg
+               "R%d expected ctx pointer" argno
          end
        | Helper.Btf_task -> begin
            match r.kind with
            | Ptr { pk = P_btf _; maybe_null = false; _ } -> ()
            | _ ->
-             Venv.reject env ~pc Venv.EACCES
+             Venv.reject env ~pc Venv.EACCES Bad_helper_arg
                "R%d expected trusted task pointer" argno
          end
        | Helper.Spin_lock -> begin
@@ -152,14 +152,14 @@ let check_args (env : Venv.t) ~(pc : int) (args : Helper.arg list) :
                && r.var_off.Tnum.value = 0L ->
              ()
            | _ ->
-             Venv.reject env ~pc Venv.EACCES
+             Venv.reject env ~pc Venv.EACCES Bad_helper_arg
                "R%d expected pointer to bpf_spin_lock" argno
          end
        | Helper.Scalar_const -> begin
            match Regstate.const_value r with
            | Some v -> const_size := Some v
            | None ->
-             Venv.reject env ~pc Venv.EACCES
+             Venv.reject env ~pc Venv.EACCES Bad_helper_arg
                "R%d expected verifier-known constant" argno
          end)
     args;
@@ -181,14 +181,14 @@ let check_attach_constraints (env : Venv.t) ~(pc : int) (h : Helper.t) :
     (* Bug#4 *)
     if tp.Tracepoint.tp_trigger = Tracepoint.Fired_by_helper h.Helper.name
        && not (Venv.has_bug env Kconfig.Bug4_trace_printk_recursion) then
-      Venv.reject env ~pc Venv.EINVAL
+      Venv.reject env ~pc Venv.EINVAL Bad_attach
         "program calling %s cannot attach to %s (recursion)" h.Helper.name
         tp.Tracepoint.tp_name;
     (* Bug#5 *)
     if tp.Tracepoint.tp_trigger = Tracepoint.Fired_by_lock_acquisition
        && helper_acquires_lock h
        && not (Venv.has_bug env Kconfig.Bug5_contention_begin_attach) then
-      Venv.reject env ~pc Venv.EINVAL
+      Venv.reject env ~pc Venv.EINVAL Bad_attach
         "lock-acquiring helper %s not allowed on %s" h.Helper.name
         tp.Tracepoint.tp_name;
     (* Bug#6 *)
@@ -196,7 +196,7 @@ let check_attach_constraints (env : Venv.t) ~(pc : int) (h : Helper.t) :
         || tp.Tracepoint.tp_ctx = Lockdep.Hardirq)
        && List.mem Helper.Sends_signal h.Helper.attrs
        && not (Venv.has_bug env Kconfig.Bug6_signal_send_nmi) then
-      Venv.reject env ~pc Venv.EINVAL
+      Venv.reject env ~pc Venv.EINVAL Bad_attach
         "%s not allowed in irq/nmi attach context %s" h.Helper.name
         tp.Tracepoint.tp_name
 
@@ -205,18 +205,18 @@ let check_helper (env : Venv.t) ~(pc : int) (id : int) : unit =
     match Helper.find id with
     | Some h when not h.Helper.internal -> h
     | Some _ | None ->
-      Venv.reject env ~pc Venv.EINVAL "invalid func id %d" id
+      Venv.reject env ~pc Venv.EINVAL Helper_unavailable "invalid func id %d" id
   in
   Venv.cov env "call:helper" ~v:h.Helper.id;
   (Venv.aux_mut env pc).Venv.call_helper <- Some h;
   (* availability: version and program type gating *)
   if not (Version.at_least (Venv.version env) h.Helper.since) then
-    Venv.reject env ~pc Venv.EINVAL "helper %s not available in %s"
-      h.Helper.name
+    Venv.reject env ~pc Venv.EINVAL Helper_unavailable
+      "helper %s not available in %s" h.Helper.name
       (Version.to_string (Venv.version env));
   (match h.Helper.prog_types with
    | Some pts when not (List.mem env.Venv.prog_type pts) ->
-     Venv.reject env ~pc Venv.EINVAL
+     Venv.reject env ~pc Venv.EINVAL Helper_unavailable
        "helper %s not allowed for prog type %s" h.Helper.name
        (Prog.prog_type_to_string env.Venv.prog_type)
    | Some _ | None -> ());
@@ -225,7 +225,7 @@ let check_helper (env : Venv.t) ~(pc : int) (id : int) : unit =
   let st = env.Venv.st in
   (match st.Vstate.active_lock with
    | Some _ when h.Helper.name <> "spin_unlock" ->
-     Venv.reject env ~pc Venv.EINVAL
+     Venv.reject env ~pc Venv.EINVAL Lock_violation
        "helper call %s not allowed inside bpf_spin_lock section"
        h.Helper.name
    | _ -> ());
@@ -242,7 +242,7 @@ let check_helper (env : Venv.t) ~(pc : int) (id : int) : unit =
        match st.Vstate.active_lock with
        | Some _ -> st.Vstate.active_lock <- None
        | None ->
-         Venv.reject env ~pc Venv.EINVAL
+         Venv.reject env ~pc Venv.EINVAL Lock_violation
            "spin_unlock without matching spin_lock"
      end
    | "ringbuf_submit" | "ringbuf_discard" -> begin
@@ -263,7 +263,7 @@ let check_helper (env : Venv.t) ~(pc : int) (id : int) : unit =
                    | _ -> ())
                 fr.Vstate.regs)
        | _ ->
-         Venv.reject env ~pc Venv.EINVAL
+         Venv.reject env ~pc Venv.EINVAL Bad_helper_arg
            "R1 must be a reserved ringbuf record"
      end
    | _ -> ());
@@ -296,20 +296,23 @@ let check_helper (env : Venv.t) ~(pc : int) (id : int) : unit =
 
 let check_kfunc (env : Venv.t) ~(pc : int) (id : int) : unit =
   if Venv.unprivileged env then
-    Venv.reject env ~pc Venv.EPERM "kfunc calls require CAP_BPF";
+    Venv.reject env ~pc Venv.EPERM Priv "kfunc calls require CAP_BPF";
   if not (Version.at_least (Venv.version env) Version.V6_1) then
-    Venv.reject env ~pc Venv.EINVAL "kfunc calls not supported in %s"
+    Venv.reject env ~pc Venv.EINVAL Helper_unavailable
+      "kfunc calls not supported in %s"
       (Version.to_string (Venv.version env));
   let kf =
     match Helper.find_kfunc id with
     | Some kf -> kf
-    | None -> Venv.reject env ~pc Venv.EINVAL "invalid kfunc id %d" id
+    | None ->
+      Venv.reject env ~pc Venv.EINVAL Helper_unavailable
+        "invalid kfunc id %d" id
   in
   Venv.cov env "call:kfunc" ~v:kf.Helper.kid;
   let st = env.Venv.st in
   (match st.Vstate.active_lock with
    | Some _ ->
-     Venv.reject env ~pc Venv.EINVAL
+     Venv.reject env ~pc Venv.EINVAL Lock_violation
        "kfunc call not allowed inside bpf_spin_lock section"
    | None -> ());
   let _ = check_args env ~pc kf.Helper.kargs in
@@ -320,7 +323,7 @@ let check_kfunc (env : Venv.t) ~(pc : int) (id : int) : unit =
                                         && List.mem ref_id st.Vstate.refs ->
       st.Vstate.refs <- List.filter (fun r -> r <> ref_id) st.Vstate.refs
     | _ ->
-      Venv.reject env ~pc Venv.EINVAL
+      Venv.reject env ~pc Venv.EINVAL Bad_helper_arg
         "release kfunc %s expects a referenced object" kf.Helper.kname
   end;
   clobber_caller_saved env;

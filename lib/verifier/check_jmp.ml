@@ -334,7 +334,7 @@ let check (env : Venv.t) ~(pc : int) ~(op32 : bool) (cond : Insn.cond)
       (* only the null-check pattern above is allowed without
          CAP_PERFMON: comparisons would leak pointer values through
          timing/branches *)
-      Venv.reject env ~pc Venv.EACCES
+      Venv.reject env ~pc Venv.EACCES Ptr_leak
         "R%d pointer comparison prohibited (unprivileged)"
         (Insn.reg_to_int dst)
     else if d_is_ptr || s_is_ptr then begin

@@ -21,7 +21,7 @@ let set_aux (env : Venv.t) ~(pc : int) ~(pk : Regstate.ptr_kind)
      on different paths (ctx accesses are rewritten per type) *)
   (match aux.Venv.ptr_kind with
    | Some prev when prev <> pk ->
-     Venv.reject env ~pc Venv.EINVAL
+     Venv.reject env ~pc Venv.EINVAL Type_mismatch
        "same insn cannot be used with different pointers (%s vs %s)"
        (Regstate.ptr_kind_name prev) (Regstate.ptr_kind_name pk)
    | Some _ | None -> ());
@@ -39,11 +39,16 @@ let set_aux (env : Venv.t) ~(pc : int) ~(pk : Regstate.ptr_kind)
 let size_bytes = Insn.size_bytes
 
 (* Effective constant offset; rejects variable offsets where the kernel
-   requires constants (stack, ctx). *)
+   requires constants (stack, ctx, btf).  A variable ctx offset is a
+   context-layout error; a variable stack or btf offset comes from the
+   pointer arithmetic before it. *)
 let require_const_off (env : Venv.t) ~(pc : int) (r : t) (what : string) :
   unit =
   if not (Tnum.is_const r.var_off) then
-    Venv.reject env ~pc Venv.EACCES "variable %s access prohibited" what
+    let reason : Reject_reason.t =
+      if what = "ctx" then Bad_ctx_access else Bad_ptr_arith
+    in
+    Venv.reject env ~pc Venv.EACCES reason "variable %s access prohibited" what
 
 let check_map_value (env : Venv.t) ~(pc : int) (mi : map_info) (r : t)
     ~(off : int) ~(size : int) : unit =
@@ -62,14 +67,14 @@ let check_map_value (env : Venv.t) ~(pc : int) (mi : map_info) (r : t)
   Venv.cov env "mem:map_value:offset"
     ~v:((base / granularity) lor (size_class lsl 4));
   if lo < 0L then
-    Venv.reject env ~pc Venv.EACCES
+    Venv.reject env ~pc Venv.EACCES Oob_access
       "map_value access with min offset %Ld below 0" lo;
   if Int64.add hi (Int64.of_int size) > Int64.of_int mi.mi_value_size then
-    Venv.reject env ~pc Venv.EACCES
+    Venv.reject env ~pc Venv.EACCES Oob_access
       "invalid access to map value, off=%Ld size=%d value_size=%d" hi size
       mi.mi_value_size;
   if mi.mi_has_spin_lock && lo < 4L then
-    Venv.reject env ~pc Venv.EACCES
+    Venv.reject env ~pc Venv.EACCES Lock_violation
       "direct access to bpf_spin_lock area prohibited"
 
 let check_ctx (env : Venv.t) ~(pc : int) (r : t) ~(off : int)
@@ -85,11 +90,11 @@ let check_ctx (env : Venv.t) ~(pc : int) (r : t) ~(off : int)
     Venv.cov env "mem:ctx:legacy_narrow" ~v:((eff / 4) + size);
   match Prog.field_at layout ~off:eff ~size with
   | None ->
-    Venv.reject env ~pc Venv.EACCES
+    Venv.reject env ~pc Venv.EACCES Bad_ctx_access
       "invalid bpf_context access off=%d size=%d" eff size
   | Some f ->
     if access = Awrite && not f.Prog.fwritable then
-      Venv.reject env ~pc Venv.EACCES
+      Venv.reject env ~pc Venv.EACCES Bad_ctx_access
         "write to read-only ctx field %s" f.Prog.fname;
     (match f.Prog.fkind with
      | Prog.Fk_scalar -> Regstate.unknown_scalar
@@ -108,16 +113,18 @@ let check_packet (env : Venv.t) ~(pc : int) (r : t) ~(off : int)
     ~(size : int) ~(access : access) : unit =
   Venv.cov env "mem:packet" ~v:size;
   if access = Awrite && env.Venv.prog_type <> Prog.Xdp then
-    Venv.reject env ~pc Venv.EACCES "write into packet prohibited for %s"
+    Venv.reject env ~pc Venv.EACCES Type_mismatch
+      "write into packet prohibited for %s"
       (Prog.prog_type_to_string env.Venv.prog_type);
   let base = r.off + off in
   if base < 0 || r.smin < 0L then
-    Venv.reject env ~pc Venv.EACCES "negative packet access off=%d" base;
+    Venv.reject env ~pc Venv.EACCES Oob_access
+      "negative packet access off=%d" base;
   let max_access =
     Int64.add (Int64.add (Int64.of_int base) r.umax) (Int64.of_int size)
   in
   if max_access > Int64.of_int r.range then
-    Venv.reject env ~pc Venv.EACCES
+    Venv.reject env ~pc Venv.EACCES Oob_access
       "invalid access to packet, off=%d size=%d R range=%d" base size
       r.range
 
@@ -125,8 +132,8 @@ let check_btf (env : Venv.t) ~(pc : int) (d : Btf.desc) (r : t)
     ~(off : int) ~(size : int) ~(access : access) : unit =
   Venv.cov env "mem:btf" ~v:d.Btf.btf_id;
   if access = Awrite then
-    Venv.reject env ~pc Venv.EACCES "write to BTF pointer %s prohibited"
-      d.Btf.btf_name;
+    Venv.reject env ~pc Venv.EACCES Type_mismatch
+      "write to BTF pointer %s prohibited" d.Btf.btf_name;
   require_const_off env ~pc r "btf";
   let eff = r.off + off in
   let limit =
@@ -134,7 +141,7 @@ let check_btf (env : Venv.t) ~(pc : int) (d : Btf.desc) (r : t)
       d
   in
   if eff < 0 || eff + size > limit then
-    Venv.reject env ~pc Venv.EACCES
+    Venv.reject env ~pc Venv.EACCES Oob_access
       "invalid access to %s, off=%d size=%d" d.Btf.btf_name eff size
 
 let check_stack (env : Venv.t) ~(pc : int) (r : t) ~(off : int)
@@ -144,7 +151,7 @@ let check_stack (env : Venv.t) ~(pc : int) (r : t) ~(off : int)
   let eff = r.off + off in
   Venv.cov env "mem:stack" ~v:(if access = Awrite then 1 else 0);
   if eff >= 0 || eff < -Prog.stack_size || eff + size > 0 then
-    Venv.reject env ~pc Venv.EACCES
+    Venv.reject env ~pc Venv.EACCES Oob_access
       "invalid stack access off=%d size=%d" eff size;
   let frame =
     let fno = match r.kind with
@@ -157,14 +164,15 @@ let check_stack (env : Venv.t) ~(pc : int) (r : t) ~(off : int)
   | Awrite ->
     let stored = Option.value stored ~default:Regstate.unknown_scalar in
     if Regstate.is_pointer stored && size <> 8 then
-      Venv.reject env ~pc Venv.EACCES "partial spill of a pointer";
+      Venv.reject env ~pc Venv.EACCES Type_mismatch
+        "partial spill of a pointer";
     Vstate.stack_write frame ~off:eff ~size stored;
     Regstate.unknown_scalar
   | Aread -> begin
       match Vstate.stack_read frame ~off:eff ~size with
       | Ok v -> v
-      | Error msg ->
-        Venv.reject env ~pc Venv.EACCES "%s at fp%+d" msg eff
+      | Error (reason, msg) ->
+        Venv.reject env ~pc Venv.EACCES reason "%s at fp%+d" msg eff
     end
 
 (* Main entry: validate a [size]-byte access through [addr_reg]+[off].
@@ -177,11 +185,11 @@ let check (env : Venv.t) ~(pc : int) ~(access : access)
   match r.kind with
   | Not_init -> assert false
   | Scalar ->
-    Venv.reject env ~pc Venv.EACCES "R%d invalid mem access 'scalar'"
-      (Insn.reg_to_int addr_reg)
+    Venv.reject env ~pc Venv.EACCES Type_mismatch
+      "R%d invalid mem access 'scalar'" (Insn.reg_to_int addr_reg)
   | Ptr p ->
     if p.maybe_null then
-      Venv.reject env ~pc Venv.EACCES
+      Venv.reject env ~pc Venv.EACCES Null_deref
         "R%d invalid mem access '%s_or_null'" (Insn.reg_to_int addr_reg)
         (Regstate.ptr_kind_name p.pk);
     set_aux env ~pc ~pk:p.pk ~addr_reg
@@ -192,7 +200,7 @@ let check (env : Venv.t) ~(pc : int) ~(access : access)
      | Some v
        when Regstate.is_pointer v && Venv.unprivileged env
          && (match p.pk with P_stack _ -> false | _ -> true) ->
-       Venv.reject env ~pc Venv.EACCES
+       Venv.reject env ~pc Venv.EACCES Ptr_leak
          "R%d leaks addr into map (unprivileged)"
          (Insn.reg_to_int addr_reg)
      | Some _ | None -> ());
@@ -214,16 +222,17 @@ let check (env : Venv.t) ~(pc : int) ~(access : access)
        let hi = Int64.add (Int64.add (Int64.of_int eff) r.umax)
            (Int64.of_int size) in
        if eff < 0 || r.smin < 0L || hi > Int64.of_int msize then
-         Venv.reject env ~pc Venv.EACCES
+         Venv.reject env ~pc Venv.EACCES Oob_access
            "invalid access to allocated mem, off=%d size=%d mem_size=%d"
            eff size msize;
        Regstate.unknown_scalar
      | P_map_ptr _ ->
-       Venv.reject env ~pc Venv.EACCES
+       Venv.reject env ~pc Venv.EACCES Bad_map_op
          "R%d direct access to struct bpf_map prohibited"
          (Insn.reg_to_int addr_reg)
      | P_packet_end ->
-       Venv.reject env ~pc Venv.EACCES "access to pkt_end prohibited")
+       Venv.reject env ~pc Venv.EACCES Type_mismatch
+         "access to pkt_end prohibited")
 
 (* Atomic read-modify-write: both read and write permission on the
    target, scalar operand, W/DW width. *)
@@ -231,12 +240,12 @@ let check_atomic (env : Venv.t) ~(pc : int) (a : Insn.t) : unit =
   match a with
   | Insn.Atomic { sz; op; fetch; dst; src; off } ->
     if sz <> Insn.W && sz <> Insn.DW then
-      Venv.reject env ~pc Venv.EINVAL "invalid atomic operand size";
+      Venv.reject env ~pc Venv.EINVAL Bad_insn "invalid atomic operand size";
     let size = size_bytes sz in
     let operand = Venv.check_reg_read env ~pc src in
     if not (Regstate.is_scalar operand) then
-      Venv.reject env ~pc Venv.EACCES "atomic operand R%d must be scalar"
-        (Insn.reg_to_int src);
+      Venv.reject env ~pc Venv.EACCES Type_mismatch
+        "atomic operand R%d must be scalar" (Insn.reg_to_int src);
     Venv.cov env "mem:atomic"
       ~v:(match op with
           | Insn.A_add -> 0 | Insn.A_or -> 1 | Insn.A_and -> 2

@@ -1,10 +1,10 @@
 (** Structured rejection taxonomy.
 
     Every rejected program carries one of these reasons in its
-    {!Venv.verr}, assigned at the reject site (or recovered from the
-    canonical rejection message by {!classify}).  The taxonomy is the
-    diagnostic signal the paper's section 6.3 acceptance comparison
-    needs: errno alone ([EACCES]/[EINVAL]) cannot distinguish "used an
+    {!Venv.verr}: each reject site names its reason along with its errno
+    and message, and nothing reads a reason back out of a message.  The
+    taxonomy is the diagnostic signal the paper's section 6.3 acceptance
+    comparison needs: errno alone ([EACCES]/[EINVAL]) cannot distinguish "used an
     uninitialized register" from "walked off the end of a map value",
     but tuning a generator requires exactly that distinction.
 
@@ -39,7 +39,9 @@ type t =
   | Bad_attach         (** attach point unknown or incompatible *)
   | Prog_size          (** empty program or above the instruction cap *)
   | Env_failure        (** injected environment error (-ENOMEM), no verdict *)
-  | Unknown            (** unclassified: a taxonomy gap, counted by CI *)
+  | Unknown            (** a trace's reason string this build does not
+                           know; no reject site names it, and the CI
+                           telemetry gate counts it *)
 
 val all : t list
 (** Every reason, in declaration order. *)
@@ -52,14 +54,3 @@ val of_string : string -> t option
 
 val describe : t -> string
 (** One-line human description for tables and [bvf explain]. *)
-
-val patterns : (string * t) list
-(** The ordered fragment table {!classify} reads: the first fragment
-    that occurs in a message names its reason. *)
-
-val classify : msg:string -> t
-(** Recover the reason from a canonical rejection message (the format
-    strings of the check_* modules).  Total: unmatched messages map to
-    {!Unknown}, which the telemetry CI gate treats as a taxonomy bug.
-    Allocation-free: fragments are indexed by first byte, and each
-    candidate is compared in place. *)

@@ -31,14 +31,8 @@ type verr = {
 
 exception Reject of verr
 
-(* Build a rejection record, recovering the taxonomy bucket from the
-   canonical message unless the caller knows better. *)
-let verr_make ?reason (errno : errno) ~(pc : int) (vmsg : string) : verr =
-  let vreason =
-    match reason with
-    | Some r -> r
-    | None -> Reject_reason.classify ~msg:vmsg
-  in
+let verr_make (errno : errno) (vreason : Reject_reason.t) ~(pc : int)
+    (vmsg : string) : verr =
   { errno; vmsg; vpc = pc; vreason }
 
 type explored_entry = {
@@ -223,11 +217,11 @@ let log_state (t : t) : unit =
 let cov ?(v = 0) (t : t) (site : string) : unit =
   Coverage.hit t.cov site v
 
-let reject ?reason (t : t) ~(pc : int) (errno : errno) fmt =
+let reject (t : t) ~(pc : int) (errno : errno) (reason : Reject_reason.t) fmt =
   Format.kasprintf
     (fun vmsg ->
        logf t "%d: %s\n" pc vmsg;
-       raise (Reject (verr_make ?reason errno ~pc vmsg)))
+       raise (Reject (verr_make errno reason ~pc vmsg)))
     fmt
 
 let reg (t : t) (r : Insn.reg) : Regstate.t = Vstate.reg t.st r
@@ -238,9 +232,9 @@ let set_reg (t : t) (r : Insn.reg) (v : Regstate.t) : unit =
 let check_reg_read (t : t) ~(pc : int) (r : Insn.reg) : Regstate.t =
   let v = reg t r in
   if not (Regstate.is_init v) then
-    reject t ~pc EACCES "R%d !read_ok" (Insn.reg_to_int r)
+    reject t ~pc EACCES Uninit_access "R%d !read_ok" (Insn.reg_to_int r)
   else v
 
 let check_reg_write (t : t) ~(pc : int) (r : Insn.reg) : unit =
   if r = Insn.R10 then
-    reject t ~pc EACCES "frame pointer is read only"
+    reject t ~pc EACCES Bad_insn "frame pointer is read only"

@@ -76,14 +76,14 @@ let resolve_map_fds (kst : Kstate.t) (insns : Insn.t array) :
          | Insn.Ld_imm64 (_, (Insn.Map_fd fd | Insn.Map_value (fd, _)))
            when Kstate.map_of_fd kst fd = None ->
            bad :=
-             Some (Venv.verr_make Venv.EBADF ~pc
+             Some (Venv.verr_make Venv.EBADF Bad_map_op ~pc
                      (Printf.sprintf "fd %d is not a map" fd))
          | Insn.Ld_imm64 (_, Insn.Map_value (fd, _)) -> begin
              match Kstate.map_of_fd kst fd with
              | Some m when m.Map.def.Map.mtype <> Map.Array_map ->
                bad :=
                  Some
-                   (Venv.verr_make Venv.EINVAL ~pc
+                   (Venv.verr_make Venv.EINVAL Bad_map_op ~pc
                       (Printf.sprintf
                          "map fd %d does not support direct value access"
                          fd))
@@ -102,7 +102,7 @@ let check_privilege (kst : Kstate.t) (req : request) :
      && not (List.mem req.r_prog_type unprivileged_prog_types)
   then
     Error
-      (Venv.verr_make Venv.EPERM ~pc:0
+      (Venv.verr_make Venv.EPERM Priv ~pc:0
          (Printf.sprintf "prog type %s requires CAP_BPF"
             (Prog.prog_type_to_string req.r_prog_type)))
   else Ok ()
@@ -115,12 +115,12 @@ let resolve_attach (kst : Kstate.t) (req : request) :
       match Tracepoint.find name with
       | None ->
         Error
-          (Venv.verr_make Venv.EINVAL ~pc:0
+          (Venv.verr_make Venv.EINVAL Bad_attach ~pc:0
              (Printf.sprintf "unknown attach point %s" name))
       | Some tp ->
         if not (List.mem req.r_prog_type tp.Tracepoint.tp_prog_types) then
           Error
-            (Venv.verr_make Venv.EINVAL ~pc:0
+            (Venv.verr_make Venv.EINVAL Bad_attach ~pc:0
                (Printf.sprintf "prog type %s cannot attach to %s"
                   (Prog.prog_type_to_string req.r_prog_type) name))
         else if
@@ -128,7 +128,7 @@ let resolve_attach (kst : Kstate.t) (req : request) :
                  tp.Tracepoint.tp_since)
         then
           Error
-            (Venv.verr_make Venv.EINVAL ~pc:0
+            (Venv.verr_make Venv.EINVAL Bad_attach ~pc:0
                (Printf.sprintf "%s does not exist in %s" name
                   (Version.to_string
                      kst.Kstate.config.Kconfig.version)))
@@ -145,20 +145,23 @@ let analyze (kst : Kstate.t) ~(cov : Coverage.t) ~(log_level : int)
     (req : request) :
   (Venv.t * Tracepoint.t option * (unit, Venv.verr) result, Venv.verr)
     result =
-  let refuse errno msg = Error (Venv.verr_make errno ~pc:0 msg) in
+  let refuse errno reason msg =
+    Error (Venv.verr_make errno reason ~pc:0 msg)
+  in
   let n = Array.length req.r_insns in
-  if n = 0 then refuse Venv.EINVAL "empty program"
+  if n = 0 then refuse Venv.EINVAL Prog_size "empty program"
   else if n > Prog.max_insns then
-    refuse Venv.E2BIG (Printf.sprintf "program too large (%d insns)" n)
+    refuse Venv.E2BIG Prog_size
+      (Printf.sprintf "program too large (%d insns)" n)
   else if uses_reserved req.r_insns then
-    refuse Venv.EINVAL "program uses reserved register or helper"
+    refuse Venv.EINVAL Bad_insn "program uses reserved register or helper"
   else if
     (* failslab: the syscall kvcallocs insn_aux_data and the verifier
        state before any analysis; a failed allocation is a clean -ENOMEM,
        never a verdict about the program *)
     Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
       ~site:"bpf_check:insn_aux"
-  then refuse Venv.ENOMEM "kvcalloc of insn_aux_data failed"
+  then refuse Venv.ENOMEM Env_failure "kvcalloc of insn_aux_data failed"
   else
     let ( let* ) = Result.bind in
     let* () = check_privilege kst req in
@@ -208,7 +211,7 @@ let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
           ~site:"bpf_prog_load:prog_image"
       then
         (Error
-           (Venv.verr_make Venv.ENOMEM ~pc:0
+           (Venv.verr_make Venv.ENOMEM Env_failure ~pc:0
               "bpf_prog_realloc of rewritten image failed"), log (),
          Some vst)
       else begin

@@ -200,12 +200,13 @@ let stack_write (f : frame) ~(off : int) ~(size : int)
     | None -> ()
   end
 
-(* Read [size] bytes at fp+[off]: the resulting register state, or an
-   error string when uninitialized bytes are read. *)
+(* Read [size] bytes at fp+[off]: the resulting register state, or the
+   rejection's reason and message when [off] is off the stack or
+   uninitialized bytes are read. *)
 let stack_read (f : frame) ~(off : int) ~(size : int) :
-  (Regstate.t, string) result =
+  (Regstate.t, Reject_reason.t * string) result =
   match stack_index off with
-  | None -> Error "stack offset out of range"
+  | None -> Error (Oob_access, "stack offset out of range")
   | Some base ->
     let aligned = (stack_bytes + off) mod 8 = 0 in
     match (if aligned then f.spills.(slot_of_off off) else None) with
@@ -222,7 +223,8 @@ let stack_read (f : frame) ~(off : int) ~(size : int) :
         if i >= size then Ok (if all_zero then `Zero else `Misc)
         else
           let c = Bytes.get f.stack (base + i) in
-          if c = b_invalid then Error "invalid read from stack"
+          if c = b_invalid then
+            Error (Reject_reason.Uninit_access, "invalid read from stack")
           else scan (i + 1) (all_zero && c = b_zero)
       in
       (match scan 0 true with

@@ -16,10 +16,15 @@
 #   4. `bvf merge` over the disturbed run's shard files
 #      reproduces the same digest (the salvage path).
 #
+# Runs the bvf built in the checkout that holds this script
+# (_build/default/bin/bvf.exe; build it first with `dune build`).
+#
 # Usage: sh scripts/chaos.sh [outdir]   (default: ./chaos-out)
 set -u
 
-BVF="dune exec --no-build bin/bvf.exe --"
+root=$(cd "$(dirname "$0")/.." && pwd)
+BVF=$root/_build/default/bin/bvf.exe
+[ -x "$BVF" ] || { echo "missing $BVF (run: dune build)" >&2; exit 2; }
 OUT=${1:-chaos-out}
 SEED=7
 ITERS=60000
@@ -58,7 +63,7 @@ kill_worker() {
 }
 
 echo "chaos: disturbed run: seed $SEED, $ITERS iterations, $WORKERS workers"
-$BVF fuzz --seed $SEED -n $ITERS --workers $WORKERS \
+"$BVF" fuzz --seed $SEED -n $ITERS --workers $WORKERS \
   --state-dir "$STATE" --checkpoint-every $CKPT_EVERY \
   --trace "$OUT/disturbed.jsonl" \
   > "$OUT/disturbed.log" 2>&1 &
@@ -95,7 +100,7 @@ else
 fi
 
 echo "chaos: fault-free reference with the disturbed run's quarantine"
-$BVF fuzz --seed $SEED -n $ITERS --workers $WORKERS \
+"$BVF" fuzz --seed $SEED -n $ITERS --workers $WORKERS \
   --state-dir "$REF" --checkpoint-every $CKPT_EVERY $QUARANTINE \
   --trace "$OUT/reference.jsonl" \
   > "$OUT/reference.log" 2>&1
@@ -118,7 +123,7 @@ cmp "$OUT/disturbed.events" "$OUT/reference.events" || \
 echo "chaos: traces match -- restarted workers replayed each iteration once"
 
 echo "chaos: salvage: bvf merge over the disturbed run's shard files"
-$BVF merge "$STATE"/shard-*.ckpt -o "$OUT/salvaged.ckpt" \
+"$BVF" merge "$STATE"/shard-*.ckpt -o "$OUT/salvaged.ckpt" \
   > "$OUT/merge.log" 2>&1 || { cat "$OUT/merge.log"; fail "bvf merge failed"; }
 cat "$OUT/merge.log"
 MERGED=$(sed -n 's/^merged digest: //p' "$OUT/merge.log" | tail -n 1)

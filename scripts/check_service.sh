@@ -21,11 +21,15 @@
 #      stderr line counts every program as a hit and the malformed
 #      line as the one invalid input.
 #
+# The default binary is the bvf built in the checkout that holds this
+# script (_build/default/bin/bvf.exe; build it first with `dune build`).
+#
 # Usage: scripts/check_service.sh [outdir] [bvf-binary]
 set -u
 
+root=$(cd "$(dirname "$0")/.." && pwd)
 out=${1:-service-out}
-bvf=${2:-_build/default/bin/bvf.exe}
+bvf=${2:-$root/_build/default/bin/bvf.exe}
 
 [ -x "$bvf" ] || { echo "missing $bvf (run: dune build)" >&2; exit 2; }
 mkdir -p "$out"

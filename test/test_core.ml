@@ -240,7 +240,7 @@ let test_oracle_rejected_is_not_correctness () =
   let result =
     { Loader.verdict =
         Error (Bvf_verifier.Venv.verr_make Bvf_verifier.Venv.EINVAL
-                 ~pc:0 "x");
+                 Bad_insn ~pc:0 "x");
       status = None;
       reports =
         [ Report.make (Report.Kernel_routine "bpf_prog_load")

@@ -1,20 +1,20 @@
 (* Per-load constant cost: the flat per-pc tables, the lazily built
-   widening thresholds, the in-place rejection classifier and the
-   copy-on-write aux must compute exactly what the constructions they
-   replaced computed.  Those constructions are kept here as references:
+   widening thresholds and the copy-on-write aux must compute exactly
+   what the constructions they replaced computed.  Those constructions
+   are kept here as references:
 
-   - classifier: the [String.sub]-per-position substring search over
-     the ordered pattern table, on every documented example, every
-     rejection message of the self-test corpus and of generated
-     programs, and random strings spliced from pattern fragments;
    - per-pc tables: the [Hashtbl] jump-target set and back-edge map,
      on generated and mutated programs that pass [check_cfg];
    - thresholds: [List.sort_uniq] over the base sets and the harvested
      branch constants, compared through the [th_floor]/[th_ceil]
      answers (the set itself is no longer sorted);
    - aux seed: a sharded witness+lint campaign leaves the one shared
-     seed record at its defaults;
-   - allocation: classifying a message allocates nothing.
+     seed record at its defaults.
+
+   The "classifier" group pins the reason each reject site names: every
+   documented example is rejected with its documented reason, and the
+   reasons and messages of the self-test corpus and of generated
+   programs hash to a constant.
 
    The loop around the verifier is held to its replaced constructions
    the same way:
@@ -59,44 +59,23 @@ module Shadow = Bvf_kernel.Shadow
 module Service = Bvf_core.Service
 module Vcache = Bvf_core.Vcache
 
-(* -- Classifier ------------------------------------------------------------ *)
+(* -- Rejection reasons ----------------------------------------------------- *)
 
-(* The replaced search: one [String.sub] per candidate position. *)
-let ref_has (msg : string) (frag : string) : bool =
-  let n = String.length msg and m = String.length frag in
-  if m = 0 || m > n then m = 0
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i <= n - m do
-      if String.sub msg !i m = frag then found := true else incr i
-    done;
-    !found
-  end
-
-let ref_classify (msg : string) : Reject_reason.t =
-  match
-    List.find_opt (fun (frag, _) -> ref_has msg frag) Reject_reason.patterns
-  with
-  | Some (_, r) -> r
-  | None -> Reject_reason.Unknown
-
-let check_classify (msg : string) : unit =
-  let got = Reject_reason.classify ~msg and want = ref_classify msg in
-  if got <> want then
-    Alcotest.failf "%S: classify %s, reference %s" msg
-      (Reject_reason.to_string got) (Reject_reason.to_string want)
-
-let example_messages () : string list =
-  List.filter_map
-    (fun ex -> Option.map snd (Reject_examples.verify_example ex))
+let documented_examples () =
+  List.iter
+    (fun ex ->
+       let title = ex.Reject_examples.ex_title in
+       match Reject_examples.verify_example ex with
+       | None -> Alcotest.failf "%s: accepted" title
+       | Some (got, msg) ->
+         if got <> ex.Reject_examples.ex_reason then
+           Alcotest.failf "%s (%s): %s, documented %s" title msg
+             (Reject_reason.to_string got)
+             (Reject_reason.to_string ex.Reject_examples.ex_reason))
     Reject_examples.all
 
-let classify_examples () =
-  let msgs = example_messages () in
-  Alcotest.(check int) "every example rejected"
-    (List.length Reject_examples.all) (List.length msgs);
-  List.iter check_classify msgs
+let reason_line (e : Venv.verr) : string =
+  Reject_reason.to_string e.Venv.vreason ^ "\t" ^ e.Venv.vmsg
 
 (* The self-tests all pass the fixed bpf-next verifier; loaded
    unprivileged, against an older kernel or as a different program type
@@ -109,10 +88,10 @@ let corpus_rejections () : string list =
     [ Kconfig.make ~unprivileged:true Version.Bpf_next;
       Kconfig.fixed Version.V5_15 ]
   in
-  let msgs = ref [] in
+  let lines = ref [] in
   let load kst req =
     match Verifier.verify kst ~cov req with
-    | Error e -> msgs := e.Venv.vmsg :: !msgs
+    | Error e -> lines := reason_line e :: !lines
     | Ok () -> ()
   in
   List.iter
@@ -122,7 +101,7 @@ let corpus_rejections () : string list =
          (fun pt -> load kst { req with Verifier.r_prog_type = pt })
          [ Prog.Xdp; Prog.Socket_filter ])
     suite.Selftests.requests;
-  !msgs
+  !lines
 
 let generated_rejections () : string list =
   let session = Loader.create (Kconfig.default Version.Bpf_next) in
@@ -131,7 +110,7 @@ let generated_rejections () : string list =
       c_maps = Campaign.standard_maps session }
   in
   let rng = Rng.create 5 in
-  let msgs = ref [] in
+  let lines = ref [] in
   for _ = 1 to 1500 do
     let req = Gen.generate rng cfg in
     let req =
@@ -139,72 +118,25 @@ let generated_rejections () : string list =
       else req
     in
     match Verifier.verify session.Loader.kst ~cov:session.Loader.cov req with
-    | Error e -> msgs := e.Venv.vmsg :: !msgs
+    | Error e -> lines := reason_line e :: !lines
     | Ok () -> ()
   done;
-  !msgs
+  !lines
 
-let classify_rejections () =
+(* MD5 of the sorted [reason<TAB>message] lines of both sets: any reject
+   site that names another reason, or words its message otherwise,
+   moves it. *)
+let rejections_md5 = "9749fde12f69d436b920d9f83df0d410"
+
+let pinned_rejections () =
   let corpus = corpus_rejections () and generated = generated_rejections () in
   Alcotest.(check bool) "self-test corpus yields rejections" true
     (List.length corpus > 700);
   Alcotest.(check bool) "generated programs yield rejections" true
     (List.length generated > 300);
-  List.iter check_classify corpus;
-  List.iter check_classify generated
-
-(* Random messages: pattern fragments, whole or cut short, with one byte
-   changed or overlapping themselves, between random prefixes and
-   suffixes. *)
-let gen_message : string QCheck2.Gen.t =
-  let open QCheck2.Gen in
-  let frags = Array.of_list (List.map fst Reject_reason.patterns) in
-  let frag = map (fun i -> frags.(i)) (int_bound (Array.length frags - 1)) in
-  let noise = string_size ~gen:(oneofl [ 'a'; 'e'; ' '; 'R'; '_'; 'x' ]) (int_bound 6) in
-  let piece =
-    oneof
-      [ frag;
-        noise;
-        (* cut short: a near-miss at the end *)
-        (let* f = frag in
-         let* k = int_bound (String.length f) in
-         return (String.sub f 0 k));
-        (* one byte changed: a near-miss inside *)
-        (let* f = frag in
-         let* i = int_bound (String.length f - 1) in
-         let* c = printable in
-         return
-           (String.mapi (fun j x -> if j = i then c else x) f));
-        (* overlapping: a fragment's prefix running into itself *)
-        (let* f = frag in
-         let* k = int_bound (String.length f) in
-         return (String.sub f 0 k ^ f)) ]
-  in
-  map (String.concat "") (list_size (int_range 0 4) piece)
-
-let classify_random =
-  QCheck2.Test.make ~count:3000 ~name:"classify = String.sub reference"
-    ~print:(Printf.sprintf "%S") gen_message
-    (fun msg ->
-       Reject_reason.classify ~msg = ref_classify msg)
-
-let classify_no_alloc () =
-  let msgs = Array.of_list (example_messages ()) in
-  let n = 10_000 in
-  (* warm: nothing lazily initialized is charged to the loop *)
-  ignore (Reject_reason.classify ~msg:msgs.(0));
-  let before = Gc.minor_words () in
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    if Reject_reason.classify ~msg:msgs.(i mod Array.length msgs)
-       = Reject_reason.Unknown
-    then incr acc
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "examples all classified" 0 !acc;
-  if words /. float_of_int n >= 1.0 then
-    Alcotest.failf "classify allocated %.0f minor words over %d calls"
-      words n
+  let lines = List.sort compare (corpus @ generated) in
+  Alcotest.(check string) "reason and message lines" rejections_md5
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
 (* -- Per-pc tables ------------------------------------------------------------ *)
 
@@ -889,11 +821,9 @@ let () =
   Alcotest.run "bvf_loadcost"
     [
       ( "classifier",
-        [ Alcotest.test_case "documented examples" `Quick classify_examples;
+        [ Alcotest.test_case "documented examples" `Quick documented_examples;
           Alcotest.test_case "corpus and generated rejections" `Quick
-            classify_rejections;
-          qt classify_random;
-          Alcotest.test_case "allocation-free" `Quick classify_no_alloc ] );
+            pinned_rejections ] );
       ( "per-pc tables",
         [ qt tables_equal;
           Alcotest.test_case "generated loops" `Quick tables_see_loops ] );

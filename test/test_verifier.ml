@@ -16,6 +16,7 @@ module Tnum = Bvf_verifier.Tnum
 module Regstate = Bvf_verifier.Regstate
 module Vstate = Bvf_verifier.Vstate
 module Venv = Bvf_verifier.Venv
+module Reject_reason = Bvf_verifier.Reject_reason
 module Check_jmp = Bvf_verifier.Check_jmp
 module Coverage = Bvf_verifier.Coverage
 module Verifier = Bvf_verifier.Verifier
@@ -140,7 +141,7 @@ let test_stack_spill_fill () =
   (match Vstate.stack_read f ~off:(-8) ~size:8 with
    | Ok r -> Alcotest.(check bool) "spill preserved" true
        (Regstate.is_pointer r)
-   | Error e -> Alcotest.fail e);
+   | Error (_, e) -> Alcotest.fail e);
   (* partial overwrite kills the spill *)
   Vstate.stack_write f ~off:(-6) ~size:2 (Regstate.const_scalar 0L);
   match Vstate.stack_read f ~off:(-8) ~size:8 with
@@ -154,7 +155,7 @@ let test_stack_zero_tracking () =
   (match Vstate.stack_read f ~off:(-16) ~size:4 with
    | Ok r -> Alcotest.(check bool) "zero" true
        (Regstate.const_value r = Some 0L)
-   | Error e -> Alcotest.fail e);
+   | Error (_, e) -> Alcotest.fail e);
   match Vstate.stack_read f ~off:(-20) ~size:8 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "uninit read must fail"
@@ -912,6 +913,60 @@ let test_entry_paths_agree () =
        check "lint" verdict)
     cases
 
+(* -- Reasons that depend on a value ------------------------------------------ *)
+
+(* Two reject sites name a reason computed from a value: a variable
+   offset names the kind of object it points into, and a failed stack
+   read names the way it failed.  One program per reachable branch. *)
+
+let check_reason (want : Reject_reason.t) (want_msg : string)
+    (build : Insn.t list list) () =
+  let kst, _, _, _, _ = fresh_kst () in
+  let req = Verifier.request Prog.Socket_filter (Asm.prog build) in
+  match Verifier.verify kst ~cov:(Coverage.create ()) req with
+  | Ok () -> Alcotest.failf "%s: accepted" want_msg
+  | Error e ->
+    Alcotest.(check string) "message" want_msg e.Venv.vmsg;
+    Alcotest.(check string) "reason" (Reject_reason.to_string want)
+      (Reject_reason.to_string e.Venv.vreason)
+
+(* R3 = skb->len & 7: a bounded scalar the verifier does not know *)
+let unknown_r3 = [ Asm.ldx_w r3 r1 0; Asm.alu64_imm Insn.And r3 7l ]
+
+let variable_stack =
+  check_reason Reject_reason.Bad_ptr_arith "variable stack access prohibited"
+    [ unknown_r3;
+      [ Asm.mov64_reg r2 r10;
+        Asm.alu64_imm Insn.Add r2 (-16l);
+        Asm.alu64_reg Insn.Add r2 r3;
+        Asm.ldx_b r0 r2 0 ];
+      Asm.ret 0l ]
+
+let variable_btf =
+  check_reason Reject_reason.Bad_ptr_arith "variable btf access prohibited"
+    [ unknown_r3;
+      [ Asm.ld_btf_obj r6 1;
+        Asm.alu64_reg Insn.Add r6 r3;
+        Asm.ldx_b r0 r6 0 ];
+      Asm.ret 0l ]
+
+let uninit_stack_read =
+  check_reason Reject_reason.Uninit_access "invalid read from stack at fp-8"
+    [ [ Asm.ldx_dw r0 r10 (-8) ]; Asm.ret 0l ]
+
+(* [Check_mem.check_stack] rejects an offset off the stack before it
+   reads, so no program reaches this branch; a variable ctx offset is
+   unreachable too, since pointer arithmetic on ctx is rejected first. *)
+let stack_read_out_of_range () =
+  let f = Vstate.new_frame ~frameno:0 ~callsite:(-1) in
+  match Vstate.stack_read f ~off:8 ~size:8 with
+  | Ok _ -> Alcotest.fail "read above the frame succeeded"
+  | Error (reason, msg) ->
+    Alcotest.(check string) "message" "stack offset out of range" msg;
+    Alcotest.(check string) "reason"
+      (Reject_reason.to_string Reject_reason.Oob_access)
+      (Reject_reason.to_string reason)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bvf_verifier"
@@ -947,4 +1002,11 @@ let () =
       ( "entry",
         [ Alcotest.test_case "load, verify, lint agree" `Quick
             test_entry_paths_agree ] );
+      ( "value-dependent reasons",
+        [ Alcotest.test_case "variable stack offset" `Quick variable_stack;
+          Alcotest.test_case "variable btf offset" `Quick variable_btf;
+          Alcotest.test_case "uninitialized stack read" `Quick
+            uninit_stack_read;
+          Alcotest.test_case "stack read off the frame" `Quick
+            stack_read_out_of_range ] );
     ]
