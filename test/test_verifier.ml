@@ -1002,7 +1002,7 @@ let () =
       ( "entry",
         [ Alcotest.test_case "load, verify, lint agree" `Quick
             test_entry_paths_agree ] );
-      ( "value-dependent reasons",
+      ( "site reasons",
         [ Alcotest.test_case "variable stack offset" `Quick variable_stack;
           Alcotest.test_case "variable btf offset" `Quick variable_btf;
           Alcotest.test_case "uninitialized stack read" `Quick
