@@ -299,10 +299,10 @@ let fuzz_cmd =
       if workers > 0 then Some (Option.value state_dir ~default:"bvf-state")
       else state_dir
     in
-    (* SIGINT/SIGTERM finish every shard's or worker's in-flight
-       iteration, save each shard's state under --state-dir,
-       merge and flush telemetry and exit with the conventional
-       128+signal code; every lane reads the one flag *)
+    (* SIGINT/SIGTERM finish every shard's in-flight iteration, save
+       each shard's state under --state-dir, merge and flush telemetry
+       and exit with the conventional 128+signal code; every domain lane
+       and the process lanes' parent read the one flag *)
     let stop_sig = Atomic.make 0 in
     Sys.set_signal Sys.sigint
       (Sys.Signal_handle (fun _ -> Atomic.set stop_sig 130));
@@ -324,9 +324,34 @@ let fuzz_cmd =
     in
     (* its totals feed the closing profile line; --profile adds spans *)
     let prof = Prof.session ~spans:(profile <> None) () in
-    (* a shard file another run cut is exit 3, a damaged one exit 4 *)
-    let guarded f =
-      try f () with
+    (* --workers N runs the shards on N supervised process lanes *)
+    let supervise =
+      if workers = 0 then None
+      else
+        let quarantine =
+          match quarantine_file with
+          | None -> []
+          | Some f ->
+            if not (Sys.file_exists f) then begin
+              Printf.eprintf "bvf fuzz: --quarantine %s: no such file\n" f;
+              exit 2
+            end;
+            Supervisor.quarantine_of_file f
+        in
+        Some
+          { Supervisor.default_policy with
+            deadline_s = deadline; max_restarts; quarantine }
+    in
+    let t0 = Mclock.now_s () in
+    let result =
+      try
+        Parallel.run ~jobs:(if workers > 0 then workers else jobs) ?supervise
+          ?trace ~log_level ~failslab_rate ?failslab_seed ~checkpoint_every
+          ?dir:state_dir ~stop:(fun _ -> stopped)
+          ?on_step:(Option.map Progress.observer progress)
+          ~prof ~seed ~iterations strategy config
+      with
+      (* a shard file another run cut is exit 3, a damaged one exit 4 *)
       | Campaign.Environment msg ->
         Printf.eprintf "bvf fuzz: aborted on environment error: %s\n" msg;
         exit 3
@@ -335,69 +360,26 @@ let fuzz_cmd =
           (Checkpoint.error_to_string e);
         exit (checkpoint_exit_code e)
     in
-    (* the closing output, whichever executor ran the campaign; a rerun
-       of a finished state dir wrote no trace *)
-    let finish ~t0 ?report (result : Parallel.result) =
-      (match trace with
-       | Some path when not result.Parallel.pr_idle ->
-         append_profile path prof ~wall_s:(Mclock.elapsed_s ~since:t0)
-       | Some _ | None -> ());
-      write_profile prof profile;
-      Format.printf "%a" Parallel.pp_summary result;
-      Option.iter (Format.printf "%a" Supervisor.pp_report) report;
-      if jobs > 1 || report <> None then
-        Printf.printf "merged digest: %s\n" (Parallel.digest result);
-      print_findings result.Parallel.pr_stats;
-      if stopped () then begin
-        Printf.printf "interrupted at iteration %d%s\n"
-          result.Parallel.pr_stats.Campaign.st_generated
-          (match state_dir with
-           | Some dir -> ": state saved under " ^ dir
-           | None -> "");
-        exit (Atomic.get stop_sig)
-      end
-    in
-    if workers > 0 then begin
-      let quarantine =
-        match quarantine_file with
-        | None -> []
-        | Some f ->
-          if not (Sys.file_exists f) then begin
-            Printf.eprintf "bvf fuzz: --quarantine %s: no such file\n" f;
-            exit 2
-          end;
-          Supervisor.quarantine_of_file f
-      in
-      let t0 = Mclock.now_s () in
-      let dir = Option.get state_dir in
-      let outcome =
-        guarded (fun () ->
-            Supervisor.run ~log_level ?trace ~failslab_rate ?failslab_seed
-              ~checkpoint_every ~deadline_s:deadline ~max_restarts
-              ~quarantine ~prof ~stop:stopped ~workers ~seed ~iterations ~dir
-              strategy config)
-      in
-      match outcome with
-      | Supervisor.Interrupted report ->
-        Printf.printf
-          "interrupted: workers saved their state under %s; rerun with \
-           the same --state-dir to resume\n"
-          dir;
-        Format.printf "%a" Supervisor.pp_report report;
-        exit (if stopped () then Atomic.get stop_sig else 130)
-      | Supervisor.Completed (result, report) -> finish ~t0 ~report result
-    end
-    else begin
-      let t0 = Mclock.now_s () in
-      let result =
-        guarded (fun () ->
-            Parallel.run ~jobs ?trace ~log_level ~failslab_rate ?failslab_seed
-              ~checkpoint_every ?dir:state_dir ~stop:(fun _ -> stopped)
-              ?on_step:(Option.map Progress.observer progress)
-              ~prof ~seed ~iterations strategy config)
-      in
-      Option.iter Progress.finish progress;
-      finish ~t0 result
+    Option.iter Progress.finish progress;
+    (* a rerun of a finished state dir wrote no trace *)
+    (match trace with
+     | Some path when not result.Parallel.pr_idle ->
+       append_profile path prof ~wall_s:(Mclock.elapsed_s ~since:t0)
+     | Some _ | None -> ());
+    write_profile prof profile;
+    Format.printf "%a" Parallel.pp_summary result;
+    Option.iter (Format.printf "%a" Supervisor.pp_report)
+      result.Parallel.pr_report;
+    if result.Parallel.pr_jobs > 1 || Option.is_some result.Parallel.pr_report
+    then Printf.printf "merged digest: %s\n" (Parallel.digest result);
+    print_findings result.Parallel.pr_stats;
+    if stopped () then begin
+      Printf.printf "interrupted at iteration %d%s\n"
+        result.Parallel.pr_stats.Campaign.st_generated
+        (match state_dir with
+         | Some dir -> ": state saved under " ^ dir
+         | None -> "");
+      exit (Atomic.get stop_sig)
     end
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run a fuzzing campaign.")

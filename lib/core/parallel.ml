@@ -40,9 +40,12 @@ open Cimport
    trace-identical to {!Campaign.run}, and the path a plain [bvf fuzz]
    takes.
 
-   The forked-process executor ({!Supervisor}) steps its shards through
-   this module's {!run_shard} and folds them with its {!join}, so the
-   two executors differ only in where a shard runs. *)
+   [run] is the one driver of every [bvf fuzz]: it plans the run from
+   the shard files, runs each shard task on a lane and joins the final
+   states.  A lane is a domain ({!Bvf_util.Lanes}) or, with
+   [~supervise], a supervised worker process ({!Supervisor.lanes}),
+   which survives a segfault, an OOM or a hang; the two lane kinds
+   differ only in where a shard runs. *)
 
 type shard = {
   sh_index : int;
@@ -62,6 +65,7 @@ type result = {
   pr_cov : Coverage.t;       (* union coverage *)
   pr_corpus : Corpus.t;      (* merged, re-scored *)
   pr_shards : shard list;    (* in index order *)
+  pr_report : Supervisor.report option; (* process lanes only *)
 }
 
 (* Round-robin split: shard [i] executes exactly the global iterations
@@ -257,8 +261,8 @@ let rec mkdirs (dir : string) : unit =
 let lock_path (dir : string) : string = Filename.concat dir "state.lock"
 
 (* One live run owns a state directory: two runs on one directory
-   clobber each other's shard files, and two supervisors each take the
-   other's workers for crashed children of their own.  The lock file
+   clobber each other's shard files, and two supervised runs each take
+   the other's workers for crashed children of their own.  The lock file
    records the owner's pid; a lock whose owner is dead is stale and is
    broken once. *)
 let with_lock (dir : string) (f : unit -> 'a) : 'a =
@@ -488,10 +492,10 @@ let shard_of_state (st : state) : shard =
     sh_failslab = s.Campaign.sn_failslab;
   }
 
-(* The one join every executor ends with.  [finals] holds shard
-   results: a final state, or the exception the shard died with.  A
-   failure only surfaces here, after the caller has collected every
-   shard, so nothing is left running when it is re-raised. *)
+(* The one join every run ends with.  [finals] holds shard results: a
+   final state, or the exception the shard died with.  A failure only
+   surfaces here, after the caller has collected every shard, so
+   nothing is left running when it is re-raised. *)
 let join ~(jobs : int) ~(trace : string option) ~(prof : Bvf_util.Prof.t)
     (finals : (state, exn) Stdlib.result list) : result =
   let states =
@@ -501,22 +505,18 @@ let join ~(jobs : int) ~(trace : string option) ~(prof : Bvf_util.Prof.t)
    | Some into ->
      (* each shard trace ends where its state does: a worker killed
         past its last barrier wrote events its state does not hold *)
-     let paths = List.init jobs (shard_trace_path ~jobs into) in
-     List.iteri
-       (fun i p ->
-          if Sys.file_exists p then
-            match List.find_opt (fun st -> st.ss_shard = i) states with
-            | Some st ->
-              if (Unix.stat p).Unix.st_size > st.ss_trace_pos then
-                Unix.truncate p st.ss_trace_pos
-            | None -> Sys.remove p)
-       paths;
+     List.iter
+       (fun st ->
+          let p = shard_trace_path ~jobs into st.ss_shard in
+          if Sys.file_exists p && (Unix.stat p).Unix.st_size > st.ss_trace_pos
+          then Unix.truncate p st.ss_trace_pos)
+       states;
      if jobs > 1 then
        Bvf_util.Prof.span prof "trace_merge" (fun () ->
-           ignore (Telemetry.merge_shards ~into paths))
+           ignore
+             (Telemetry.merge_shards ~into
+                (List.init jobs (shard_trace_path ~jobs into))))
    | None -> ());
-  if states = [] then
-    raise (Campaign.Environment "no shard left a result to merge");
   let shards = List.map shard_of_state states in
   let cov = Coverage.create () in
   Bvf_util.Prof.span prof "absorb" (fun () ->
@@ -533,6 +533,7 @@ let join ~(jobs : int) ~(trace : string option) ~(prof : Bvf_util.Prof.t)
         pr_cov = cov;
         pr_corpus = merge_corpora ~jobs shards;
         pr_shards = shards;
+        pr_report = None;
       })
 
 (* A join's result as a one-shard state: [template]'s identity (tool,
@@ -584,63 +585,96 @@ let merge_states (states : state list) : state =
 (* -- Driving ----------------------------------------------------------- *)
 
 let run ?sample_every ?trace ?log_level ?failslab_rate ?failslab_seed
-    ?checkpoint_every ?dir ?stop ?on_step
+    ?checkpoint_every ?dir ?stop ?on_step ?supervise
     ?(prof = Bvf_util.Prof.session ~spans:false ()) ~(jobs : int)
     ~(seed : int) ~(iterations : int) (strategy : Campaign.strategy)
     (config : Kconfig.t) : result =
   if jobs < 1 then invalid_arg "Parallel.run: jobs < 1";
+  if Option.is_some supervise && dir = None then
+    invalid_arg "Parallel.run: supervise without dir";
   let counts = shard_iterations ~iterations ~jobs in
-  (* profiler tracks: one per shard (created here, before the lanes
-     spawn, then owned by the lane that runs the shard) plus one for
-     this calling domain's spawn/join/absorb/merge work *)
-  let shard_prof =
-    Array.init jobs (fun i ->
-        Bvf_util.Prof.track prof ~name:(Printf.sprintf "shard%d" i) i)
-  in
-  let main_prof =
-    Bvf_util.Prof.track prof ~name:"coordinator" jobs
-  in
-  (* every shard's file is checked before any shard starts *)
+  (* the calling process's own work: starting and waiting for lanes,
+     the join and the merge *)
+  let main_prof = Bvf_util.Prof.track prof ~name:"coordinator" jobs in
   Option.iter mkdirs dir;
   let locked f = match dir with Some dir -> with_lock dir f | None -> f () in
   locked @@ fun () ->
-  let saved =
-    Array.init jobs (fun i ->
-        Option.bind dir (fun dir ->
-            saved_state ~dir ~jobs ~seed ~iterations strategy config i))
+  let saved i =
+    Option.bind dir (fun dir ->
+        saved_state ~dir ~jobs ~seed ~iterations strategy config i)
   in
+  (* every shard's file is checked before any shard starts *)
+  let plan = Array.init jobs saved in
   let completed (st : state) = (final_snapshot st).Campaign.sn_completed in
   let finished i =
-    match saved.(i) with Some st -> completed st = counts.(i) | None -> false
+    match plan.(i) with Some st -> completed st = counts.(i) | None -> false
   in
-  let shard (i : int) : state =
-    match saved.(i) with
-    (* a finished shard is reported, not re-run: a re-run would reboot
-       its kernel once more and move the merged digest *)
-    | Some st when finished i -> st
-    (* a shard its lane reaches after a stop builds nothing; it resumes
-       from its file, or from zero *)
-    | from when (match stop with Some f -> f i () | None -> false) ->
-      Option.value from
-        ~default:
-          { ss_shard = i; ss_jobs = jobs; ss_trace_pos = 0; ss_final = None;
-            ss_snapshot =
-              Campaign.fresh
-                ?failslab:(shard_failslab ~failslab_rate ~failslab_seed ~seed i)
-                ~seed:(seed + i) strategy config }
-    | from ->
-      let at hook = Option.map (fun f -> f i) hook in
-      run_shard ?sample_every ?log_level ?checkpoint_every ?dir ?from
-        ?stop:(at stop) ?on_step:(at on_step) ~jobs ~seed ~failslab_rate
-        ~failslab_seed ~trace ~prof:shard_prof.(i)
-        ~iterations:(counts.(i) - Option.fold ~none:0 ~some:completed from)
-        strategy config i
+  let stopped i = match stop with Some f -> f i () | None -> false in
+  (* a shard that never ran reports its file, or a fresh snapshot: it
+     builds nothing *)
+  let or_fresh i from =
+    Option.value from
+      ~default:
+        { ss_shard = i; ss_jobs = jobs; ss_trace_pos = 0; ss_final = None;
+          ss_snapshot =
+            Campaign.fresh
+              ?failslab:(shard_failslab ~failslab_rate ~failslab_seed ~seed i)
+              ~seed:(seed + i) strategy config }
   in
-  (* shard 0 runs in the calling domain, so [jobs = 1] is the
-     sequential path; every shard runs even after one raised, and the
-     join re-raises the lowest-index failure once no shard is left
-     running *)
-  let finals = Bvf_util.Lanes.run ~prof:main_prof ~tasks:jobs shard in
+  (* one incarnation of shard [i]'s task, whichever lane runs it *)
+  let task i ~from ~prof ?skip ?stop () =
+    run_shard ?sample_every ?log_level ?checkpoint_every ?dir ?from ?skip
+      ?stop ?on_step:(Option.map (fun f -> f i) on_step) ~jobs ~seed
+      ~failslab_rate ~failslab_seed ~trace ~prof
+      ~iterations:(counts.(i) - Option.fold ~none:0 ~some:completed from)
+      strategy config i
+  in
+  let finals, report =
+    match supervise with
+    | None ->
+      let shard_prof =
+        Array.init jobs (fun i ->
+            Bvf_util.Prof.track prof ~name:(Printf.sprintf "shard%d" i) i)
+      in
+      let shard (i : int) : state =
+        match plan.(i) with
+        (* a finished shard is reported, not re-run: a re-run would
+           reboot its kernel once more and move the merged digest *)
+        | Some st when finished i -> st
+        (* a shard its lane reaches after a stop builds nothing *)
+        | from when stopped i -> or_fresh i from
+        | from ->
+          task i ~from ~prof:shard_prof.(i)
+            ?stop:(Option.map (fun f -> f i) stop) ()
+      in
+      (* shard 0 runs in the calling domain, so [jobs = 1] is the
+         sequential path; every shard runs even after one raised, and
+         the join re-raises the lowest-index failure once no shard is
+         left running *)
+      (Bvf_util.Lanes.run ~prof:main_prof ~tasks:jobs shard, None)
+    | Some policy ->
+      (* each incarnation reads its own file: a restart resumes from
+         the last state its predecessor saved *)
+      let pool =
+        Supervisor.lanes policy ~prof ~coordinator:main_prof ~stop:stopped
+          ~dir:(Option.get dir) ~workers:jobs ~finished
+          (fun i ~prof ~skip ~stop ->
+             ignore (task i ~from:(saved i) ~prof ~skip ~stop () : state))
+      in
+      (* each shard's final state, read once; a shard with no file
+         (stopped before it started, or retired before its first
+         barrier) kept nothing *)
+      let finals =
+        Array.init jobs (fun i ->
+            match plan.(i) with
+            | Some st when finished i -> st
+            | Some _ | None -> or_fresh i (saved i))
+      in
+      ( Array.map Result.ok finals,
+        Some
+          (Supervisor.report pool ~assigned:counts
+             ~completed:(Array.map completed finals)) )
+  in
   (* every shard was already complete on disk: no shard ran, and the
      trace the run that did the work merged is left as it is *)
   let idle = Array.for_all Fun.id (Array.init jobs finished) in
@@ -656,7 +690,7 @@ let run ?sample_every ?trace ?log_level ?failslab_rate ?failslab_seed
     (fun () ->
        { (join ~jobs ~trace:(if idle then None else trace) ~prof:main_prof
             (Array.to_list finals))
-         with pr_idle = idle })
+         with pr_idle = idle; pr_report = report })
 
 let digest (r : result) : string = Campaign.digest r.pr_stats
 

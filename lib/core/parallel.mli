@@ -13,7 +13,9 @@
     [j * jobs + s] (round-robin lockstep).  With [jobs = 1] this is the
     identity, and {!run} {i is} the sequential campaign: one shard
     stepped in the calling domain, digest- and trace-identical to
-    {!Campaign.run}.  Every [bvf fuzz] without [--workers] runs here. *)
+    {!Campaign.run}.  {!run} is the one driver of every [bvf fuzz]:
+    each shard task runs on a domain lane, or with [~supervise] on a
+    supervised process lane ({!Supervisor.lanes}). *)
 
 (** One shard's outcome, in portable form. *)
 type shard = {
@@ -45,6 +47,9 @@ type result = {
   pr_corpus : Corpus.t;
       (** shard corpora unioned and re-scored at global iterations *)
   pr_shards : shard list; (** in index order *)
+  pr_report : Supervisor.report option;
+      (** process lanes ([~supervise]) only: each worker's outcome,
+          restarts, crashes, quarantine and abandoned ranges *)
 }
 
 val shard_iterations : iterations:int -> jobs:int -> int array
@@ -61,12 +66,9 @@ val shard_trace_path : jobs:int -> string -> int -> string
     writes: [trace] itself when [jobs = 1], else
     [trace ^ ".shard" ^ i]. *)
 
-val remove_shard_traces : jobs:int -> string option -> unit
-(** Remove the [jobs > 1] shard trace files of [trace], if any. *)
-
 (** {1 The state directory}
 
-    A run with a state directory, under either executor, keeps one file
+    A run with a state directory, on either lane kind, keeps one file
     per shard: [shard-<i>.ckpt], one {!state} record in the
     {!Checkpoint} container.  A plain run is one shard.  A shard saves
     it at every [checkpoint_every] barrier, at a stop and when its
@@ -98,20 +100,11 @@ exception Bad_state of string * Checkpoint.error
 val state_path : string -> int -> string
 (** [state_path dir i] is [dir/shard-<i>.ckpt]. *)
 
-val mkdirs : string -> unit
-(** Create a directory and its missing parents. *)
-
 val lock_path : string -> string
-(** [lock_path dir] is [dir/state.lock]. *)
-
-val with_lock : string -> (unit -> 'a) -> 'a
-(** [with_lock dir f] runs [f] as the one live owner of state directory
-    [dir] (which must exist): [dir/state.lock] holds this process's pid
-    while [f] runs and is removed after.  A lock whose owner is dead is
-    stale and is broken.  {!run} with [dir] and {!Supervisor.run} both
-    hold it, so two runs never write one directory's shard files.
-    @raise Campaign.Environment when a live process holds the lock (the
-    message names its pid and the lock file). *)
+(** [lock_path dir] is [dir/state.lock]: it holds the pid of the one
+    live {!run} over [dir] while that run lasts, so two runs never
+    write one directory's shard files.  A lock whose owner is dead is
+    stale and is broken. *)
 
 val load_state : string -> state
 (** Read one shard file.
@@ -133,49 +126,10 @@ val saved_state :
     merged artifact, or more iterations than the shard is assigned (the
     message names [dir], the file and the field). *)
 
-(** {1 One shard loop and one join}
-
-    Both executors — domains ({!run}) and forked processes
-    ({!Supervisor.run}) — build and step a shard with {!run_shard} and
-    fold the results with {!join}; their merged digests and traces are
-    therefore byte-identical. *)
-
-val run_shard :
-  ?sample_every:int -> ?log_level:int -> ?checkpoint_every:int ->
-  ?dir:string -> ?from:state -> ?skip:(Telemetry.sink -> int -> bool) ->
-  ?stop:(unit -> bool) -> ?on_step:(Campaign.t -> unit) ->
-  jobs:int -> seed:int -> failslab_rate:float option ->
-  failslab_seed:int option -> trace:string option -> prof:Bvf_util.Prof.t ->
-  iterations:int -> Campaign.strategy -> Bvf_kernel.Kconfig.t -> int ->
-  state
-(** [run_shard ... strategy config i] builds shard [i] (seed [seed + i],
-    the fault plan {!run} describes, a sink writing {!shard_trace_path}
-    in global numbering) and steps it [iterations] more times with
-    {!Campaign.run_t}, whose hooks these are; [skip] also gets the sink.
-    [from] resumes the shard from a saved state: its trace is
-    {!Telemetry.reopen}ed at [ss_trace_pos] (a missing or shorter trace
-    starts afresh).  With [dir], the shard's file is saved at every
-    barrier and stop and once the run ends.  Returns the shard's final
-    state.  Runs inside one "iterate" span on [prof]; the sink is closed
-    when the shard returns or raises. *)
-
-val join :
-  jobs:int -> trace:string option -> prof:Bvf_util.Prof.t ->
-  (state, exn) Stdlib.result list -> result
-(** [join ~jobs ~trace ~prof finals] folds shard results: each [Ok st]
-    is shard [ss_shard]'s final state, its final snapshot renumbered
-    from local to global iterations.  With a trace, each shard trace is
-    first cut to its state's [ss_trace_pos] (one without a state is
-    removed), and with [jobs > 1] they are merged into [trace]; they are
-    left on disk.  If any entry is [Error e], the first such [e] is
-    re-raised.  The coverage union, stats merge and corpus merge are
-    recorded as "trace_merge", "absorb" and "merge" spans on [prof].
-    @raise Campaign.Environment when no shard left a result. *)
-
 val merge_states : state list -> state
 (** Offline merge (the [bvf merge] core): fold shard files — of one run
     or of runs fuzzed on different machines — into one reportable state
-    through {!join}.  Each input is renumbered to global iterations by
+    through {!run}'s join.  Each input is renumbered to global iterations by
     its own [ss_jobs] and [ss_shard]; the result is shard 0 of one, so
     merging it again renumbers nothing.  Associative and commutative on
     everything {!Campaign.digest} covers (the capped, re-scored corpus
@@ -190,63 +144,83 @@ val run :
   ?sample_every:int -> ?trace:string -> ?log_level:int ->
   ?failslab_rate:float -> ?failslab_seed:int -> ?checkpoint_every:int ->
   ?dir:string -> ?stop:(int -> unit -> bool) ->
-  ?on_step:(int -> Campaign.t -> unit) ->
+  ?on_step:(int -> Campaign.t -> unit) -> ?supervise:Supervisor.policy ->
   ?prof:Bvf_util.Prof.session ->
   jobs:int -> seed:int -> iterations:int -> Campaign.strategy ->
   Bvf_kernel.Kconfig.t -> result
 (** Run [iterations] total fuzzing iterations sharded into [jobs]
-    shards, run over {!Bvf_util.Lanes}: at most one domain per core,
-    the calling domain running shard 0.  Shard [i] fuzzes with seed
-    [seed + i] (and, when [failslab_rate > 0], a fault plan seeded
-    [failslab_seed + i], defaulting [failslab_seed] to [seed]).
-    [jobs = 1] runs in the calling domain and is digest-identical to
-    {!Campaign.run}: it is the sequential campaign.
+    shards.  Shard [i] fuzzes with seed [seed + i] (and, when
+    [failslab_rate > 0], a fault plan seeded [failslab_seed + i],
+    defaulting [failslab_seed] to [seed]).
+
+    The run has three steps, whichever lane kind runs the shards.
+    {b Plan}: with [dir], every shard file is checked with
+    {!saved_state} before any shard starts; a shard whose file holds
+    its whole budget is reported, not re-run.  {b Run}: each remaining
+    shard task resumes from its file (or from zero) and steps its shard
+    with {!Campaign.run_t}.  {b End}: the final states are joined (the
+    coverage union, the stats and corpus merge, the trace merge); when
+    every shard had finished before the run, the result has [pr_idle]
+    set and [trace] is not touched.
+
+    Without [supervise] the shards run over {!Bvf_util.Lanes}: at most
+    one domain per core, the calling domain running shard 0, so
+    [jobs = 1] is digest-identical to {!Campaign.run}: it is the
+    sequential campaign.  With [supervise] (which needs [dir]) each
+    shard task runs in a forked worker process under
+    {!Supervisor.lanes} with that policy: a crash, OOM or hang costs
+    the worker a restart from its last saved state, and the result
+    carries the supervision {!Supervisor.report} in [pr_report].  A
+    fault-free supervised run has the merged stats, digest and trace of
+    a domain-lane run with the same [checkpoint_every], apart from the
+    workers' checkpoint events.
 
     [trace] writes a {!Telemetry} JSONL stream: each shard writes
     [trace ^ ".shard" ^ i] with iterations rewritten to global
     numbering, and the join merges (stable-sorted by iteration) into
     [trace] and removes the shard files (with [dir], once every shard
-    has finished: until then a rerun continues them).  With [jobs = 1] the campaign
-    writes [trace] directly, byte-identical to a sequential run's
-    trace.  [log_level] sets the verifier log level for every load.
-    [checkpoint_every] reboots each shard's kernel after every
-    [checkpoint_every] shard-local iterations, the barrier schedule of
-    a sequential campaign and of a supervised worker; by default there
-    are no barriers.  [dir] is the state directory (created if missing;
-    without it the run writes no state), held under {!with_lock} for
-    the whole run: every shard file is checked
-    with {!saved_state} before any shard starts, a shard resumes from
-    its file, and a finished one is reported, not re-run; when every
-    shard had finished, the result has [pr_idle] set and [trace] is not
-    touched.  [stop shard]
-    is shard [shard]'s {!Campaign.run_t} stop hook: a stopped shard
-    finishes its in-flight iteration and saves its state, a shard that
-    its lane reaches after the stop builds nothing (it reports its file
-    or a fresh {!Campaign.fresh} snapshot), and the join merges what
-    every shard completed.
-    [on_step shard] builds the per-shard step observer (the
-    [--progress] status line); it runs on the domain of the shard's
-    lane (shard 0: the caller) after each completed iteration and must
-    not mutate the campaign.
+    has finished: until then a rerun continues them).  With [jobs = 1]
+    the campaign writes [trace] directly, byte-identical to a
+    sequential run's trace.  [log_level] sets the verifier log level
+    for every load.  [checkpoint_every] reboots each shard's kernel
+    after every [checkpoint_every] shard-local iterations (by default
+    there are no barriers), and with [dir] saves the shard's file
+    there.  [dir] is the state directory (created if missing; without
+    it the run writes no state), held through {!lock_path} for the
+    whole run.
+
+    [stop shard] is shard [shard]'s stop: on a domain lane it is the
+    {!Campaign.run_t} stop hook, and on a process lane the parent polls
+    it and signals the worker.  A stopped shard finishes its in-flight
+    iteration and saves its state; a shard stopped before it starts
+    builds nothing (it reports its file or a fresh {!Campaign.fresh}
+    snapshot; no worker is forked for it), and the join merges what
+    every shard completed.  [on_step shard] builds the per-shard step
+    observer (the [--progress] status line); it runs on the shard's
+    lane (shard 0 of a domain run: the caller; a process lane: the
+    worker) after each completed iteration and must not mutate the
+    campaign.
+
     [prof] (default: a session that records no spans) collects the
     run's per-name totals and, when it records spans, its profiler
     spans: track [i] carries shard [i]'s "iterate" span with the
-    campaign phase spans nested inside, track [jobs] the calling
-    domain's coordinator work: "spawn" (starting the other lanes),
-    "join" (waiting for them once its own shards are done),
-    "trace_merge", "absorb" and "merge".  The CLI builds the
-    trace's closing profile line from {!Bvf_util.Prof.session_totals}.  Pure observation — a
-    profiled run's digest and trace are byte-identical to an
-    unprofiled one.
-    @raise Invalid_argument when [jobs < 1].
+    campaign phase spans nested inside (for a process lane, the
+    worker's last completed incarnation, with its "heartbeat" spans),
+    track [jobs] the calling domain's coordinator work: "spawn" and
+    "join" (domain lanes) or "fork" and "restart" (process lanes),
+    then "trace_merge", "absorb" and "merge".  The CLI builds the
+    trace's closing profile line from {!Bvf_util.Prof.session_totals}.
+    Pure observation — a profiled run's digest and trace are
+    byte-identical to an unprofiled one.
+    @raise Invalid_argument when [jobs < 1], or [supervise] is given
+    without [dir].
     @raise Bad_state when a shard file in [dir] cannot be read.
-    @raise Campaign.Environment when a live run holds [dir]'s lock
-    ({!with_lock}), or [dir] holds a shard file of another run
-    ({!saved_state}).
+    @raise Campaign.Environment when a live run holds [dir]'s lock, or
+    [dir] holds a shard file of another run ({!saved_state}).
     @raise Campaign.Environment (or any other exception) if a shard
-    raises it: every other shard still runs, every lane is joined and
-    (without [dir]) the shard trace files are removed first, and the
-    lowest-indexed shard's exception wins. *)
+    raises it on a domain lane: every other shard still runs, every
+    lane is joined and (without [dir]) the shard trace files are
+    removed first, and the lowest-indexed shard's exception wins. *)
 
 val digest : result -> string
 (** {!Campaign.digest} of the merged stats: one canonical hex digest for

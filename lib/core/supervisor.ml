@@ -1,23 +1,16 @@
-open Cimport
-
-(* Supervised campaign runner: the {!Parallel} sharding scheme run
-   across forked OS processes under a heartbeat watchdog, so an
-   analyzer crash or hang costs one worker one segment — not the
-   campaign.  Each worker steps its shard through Parallel.run_shard,
-   saving the shard's state (shard-<i>.ckpt) in the state directory as
-   a domain does, and the supervisor folds the final shard states with
-   the same Parallel.join.  The process protocol is plain files under
-   the state directory:
+(* Process lanes: each shard task of the fuzz driver runs in a forked
+   OS process under a heartbeat watchdog, so an analyzer crash, OOM or
+   hang costs one worker one segment, not the campaign.  The driver
+   plans the run, reads and writes the shard files and joins them; this
+   module only forks, watches, restarts and reports.  The process
+   protocol is plain files under the state directory:
 
      worker-<i>.hb     heartbeat, atomically renamed before every step
      worker-<i>.done   completion marker (exit 0 without it = crash)
      worker-<i>.err    last uncaught exception, for post-mortems
      worker-<i>.prof   profiler totals (and --profile spans) for the parent
-     state.lock        the live supervisor's pid (Parallel.with_lock)
      quarantine.list   global iterations implicated by a crash
      crash-NNN.json    one Triage.harness_crash artifact per kill
-
-   plus, with a trace, the shard trace <trace>.shard<i> beside it.
 
    Determinism: a worker replays its segment from the last barrier
    state exactly (same RNG stream, same reboot schedule), except for
@@ -136,7 +129,24 @@ let unix_signal (sg : int) : int =
   else if sg = Sys.sigterm then 15
   else sg
 
-(* -- Supervisor (parent process) ---------------------------------------- *)
+(* -- Supervision (parent process) ---------------------------------------- *)
+
+type policy = {
+  deadline_s : float;
+  poll_s : float;
+  max_restarts : int;
+  backoff_s : float;
+  quarantine : int list;
+  fault : (worker:int -> local:int -> global:int -> unit) option;
+}
+
+let default_policy =
+  { deadline_s = 30.; poll_s = 0.05; max_restarts = 5; backoff_s = 0.5;
+    quarantine = []; fault = None }
+
+type task =
+  int -> prof:Bvf_util.Prof.t -> skip:(Telemetry.sink -> int -> bool) ->
+  stop:(unit -> bool) -> unit
 
 type worker_outcome =
   | Outcome_completed
@@ -164,18 +174,21 @@ type wstate =
       mutable rn_hb : (int * int * int) option; (* seq, local, global *)
       mutable rn_hb_time : float; (* last time rn_hb changed *)
     }
-  | Waiting of float (* restart backoff: not before this time *)
+  | Waiting of float (* (re)start backoff: not before this time *)
   | Finished of worker_outcome
 
 type wslot = {
   ws_index : int;
   mutable ws_state : wstate;
   mutable ws_restarts : int;
+  mutable ws_stopped : float option; (* when its stop fired *)
 }
 
-type outcome =
-  | Completed of Parallel.result * report
-  | Interrupted of report
+type pool = {
+  pl_slots : wslot array;
+  pl_crashes : Triage.harness_crash list;
+  pl_quarantined : int list;
+}
 
 let pp_report fmt (r : report) : unit =
   List.iter
@@ -203,36 +216,28 @@ let pp_report fmt (r : report) : unit =
        Format.fprintf fmt "  abandoned: worker %d local %d..%d@." w lo hi)
     r.rp_abandoned
 
-let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
-    ?failslab_seed ?(checkpoint_every = 1000) ?(deadline_s = 30.)
-    ?(poll_s = 0.05) ?(max_restarts = 5) ?(backoff_s = 0.5)
-    ?(quarantine = []) ?fault
-    ?(prof = Bvf_util.Prof.session ~spans:false ()) ?stop
-    ~(workers : int) ~(seed : int) ~(iterations : int) ~(dir : string)
-    (strategy : Campaign.strategy) (config : Kconfig.t) : outcome =
-  if workers < 1 then invalid_arg "Supervisor.run: workers < 1";
-  let sup_prof = Bvf_util.Prof.track prof ~name:"supervisor" workers in
-  Parallel.mkdirs dir;
-  Parallel.with_lock dir @@ fun () ->
-  let counts = Parallel.shard_iterations ~iterations ~jobs:workers in
+let lanes (p : policy) ~(prof : Bvf_util.Prof.session)
+    ~(coordinator : Bvf_util.Prof.t) ~(stop : int -> bool) ~(dir : string)
+    ~(workers : int) ~(finished : int -> bool) (task : task) : pool =
   let quarantine_set =
     ref
       (List.sort_uniq compare
-         (quarantine @ quarantine_of_file (quarantine_path dir)))
+         (p.quarantine @ quarantine_of_file (quarantine_path dir)))
   in
   write_quarantine dir !quarantine_set;
   let crashes = ref [] (* newest first *) and ncrashes = ref 0 in
   (* Runs in the forked child and never returns (Unix._exit only, so the
-     parent's at_exit hooks and buffers are untouched).  The shard runs
-     through Parallel.run_shard, as a domain's does, saving the shard's
-     state in [dir]: SIGTERM/SIGINT go through its [stop] poll, and its
+     parent's at_exit hooks, buffers and lock are untouched).  The task
+     steps the shard: SIGTERM/SIGINT go through its [stop] poll, and its
      [skip] hook is the once-per-iteration pre-step that writes the
      heartbeat, runs the fault hook and skips quarantined iterations. *)
   let worker (i : int) : unit =
     let stop = ref 0 in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := 143));
     Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := 130));
-    let global local = Parallel.global_iteration ~jobs:workers ~shard:i local in
+    (* the driver's round-robin numbering: local [l] of shard [i] is
+       global [l * workers + i] *)
+    let global local = (local * workers) + i in
     try
       (* local iterations quarantined for this shard *)
       let quarantined : (int, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -241,18 +246,6 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
            if g >= 0 && g mod workers = i then
              Hashtbl.replace quarantined (g / workers) ())
         (quarantine_of_file (quarantine_path dir));
-      (* resume from the shard's last saved state when there is one
-         (the parent checked it before forking); without one the shard
-         replays from iteration 0, which reaches the same barriers *)
-      let from =
-        Parallel.saved_state ~dir ~jobs:workers ~seed ~iterations strategy
-          config i
-      in
-      let completed =
-        match from with
-        | Some st -> st.Parallel.ss_snapshot.Campaign.sn_completed
-        | None -> 0
-      in
       (* the child records into its own session (the parent's lives in
          another process); its totals and spans reach the parent through
          the worker-<i>.prof file written at clean exit *)
@@ -263,7 +256,7 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
         Bvf_util.Prof.track wsession ~name:(Printf.sprintf "worker%d" i) i
       in
       let seq = ref 0 in
-      let pre_step (sink : Telemetry.sink) (local : int) : bool =
+      let skip (sink : Telemetry.sink) (local : int) : bool =
         Bvf_util.Prof.span track "heartbeat" (fun () ->
             incr seq;
             atomic_write (hb_path dir i)
@@ -275,16 +268,11 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
         Hashtbl.mem quarantined local
         || begin
           Option.iter (fun f -> f ~worker:i ~local ~global:(global local))
-            fault;
+            p.fault;
           false
         end
       in
-      ignore
-        (Parallel.run_shard ~sample_every ~log_level ~checkpoint_every ~dir
-           ?from ~skip:pre_step ~stop:(fun () -> !stop <> 0) ~jobs:workers
-           ~seed ~failslab_rate ~failslab_seed ~trace ~prof:track
-           ~iterations:(counts.(i) - completed) strategy config i
-         : Parallel.state);
+      task i ~prof:track ~skip ~stop:(fun () -> !stop <> 0);
       if !stop <> 0 then Unix._exit !stop;
       (* the profile must be on disk before the done marker: once the
          parent sees worker-<i>.done it may read it immediately *)
@@ -315,28 +303,18 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
         { rn_pid = pid; rn_hb = None;
           rn_hb_time = Bvf_util.Mclock.now_s () }
   in
-  (* every shard file is checked before any worker forks; a worker
-     whose file already holds its whole shard is reported, not re-run:
-     a re-run would reboot its kernel once more and move the merged
-     digest; its profile file is from the run that did the work, so
-     this run has no track for it *)
+  (* a finished shard is reported, not forked; its profile file is from
+     the run that did the work, so this run has no track for it *)
   let slots =
     Array.init workers (fun i ->
-        let done_already =
-          match
-            Parallel.saved_state ~dir ~jobs:workers ~seed ~iterations strategy
-              config i
-          with
-          | Some st ->
-            st.Parallel.ss_snapshot.Campaign.sn_completed = counts.(i)
-          | None -> false
-        in
+        let done_already = finished i in
         if done_already then remove_if_exists (prof_path dir i);
         { ws_index = i;
           ws_state =
             (if done_already then Finished Outcome_completed
              else Waiting 0.);
-          ws_restarts = 0 })
+          ws_restarts = 0;
+          ws_stopped = None })
   in
   let record_crash (slot : wslot) (cause : Triage.crash_cause) : unit =
     (* the on-disk heartbeat is written before every iteration, so at
@@ -373,115 +351,94 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
        quarantine_set := List.sort compare (g :: !quarantine_set);
        write_quarantine dir !quarantine_set
      | _ -> ());
-    if slot.ws_restarts > max_restarts then
+    if slot.ws_restarts > p.max_restarts then
       slot.ws_state <- Finished Outcome_retired
     else
       slot.ws_state <-
         Waiting
           (Bvf_util.Mclock.now_s ()
-           +. (backoff_s *. (2. ** float_of_int (slot.ws_restarts - 1))))
+           +. (p.backoff_s *. (2. ** float_of_int (slot.ws_restarts - 1))))
   in
-  let interrupting = ref false and interrupt_at = ref 0. in
   let all_finished () =
     Array.for_all
       (fun s -> match s.ws_state with Finished _ -> true | _ -> false)
       slots
   in
-  (* every shard was already complete on disk: no worker runs, and the
-     trace the run that did the work merged is left as it is *)
-  let idle = all_finished () in
-  Array.iter
-    (fun s ->
-       match s.ws_state with
-       | Finished _ -> ()
-       | Running _ | Waiting _ ->
-         s.ws_state <-
-           Bvf_util.Prof.span sup_prof "fork" (fun () -> spawn s.ws_index))
-    slots;
+  (* the kill that ends a worker during shutdown or on a hang *)
+  let kill_now (r : int) : unit =
+    (try Unix.kill r Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] r)
+  in
   while not (all_finished ()) do
-    if
-      (not !interrupting)
-      && match stop with Some f -> f () | None -> false
-    then begin
-      interrupting := true;
-      interrupt_at := Bvf_util.Mclock.now_s ();
-      Array.iter
-        (fun s ->
-           match s.ws_state with
-           | Running r -> (
-             try Unix.kill r.rn_pid Sys.sigterm with
-             | Unix.Unix_error _ -> ())
-           | Waiting _ -> s.ws_state <- Finished Outcome_interrupted
-           | Finished _ -> ())
-        slots
-    end;
     Array.iter
       (fun s ->
+         (* a stopped worker is signalled to save and exit; one that is
+            waiting to (re)start never does *)
+         (match s.ws_state with
+          | (Running _ | Waiting _) as st
+            when s.ws_stopped = None && stop s.ws_index -> (
+              s.ws_stopped <- Some (Bvf_util.Mclock.now_s ());
+              match st with
+              | Running r -> (
+                try Unix.kill r.rn_pid Sys.sigterm
+                with Unix.Unix_error _ -> ())
+              | Waiting _ | Finished _ -> ())
+          | Running _ | Waiting _ | Finished _ -> ());
+         let stopping = s.ws_stopped <> None in
          match s.ws_state with
          | Finished _ -> ()
+         | Waiting _ when stopping -> s.ws_state <- Finished Outcome_interrupted
          | Waiting until ->
-           if !interrupting then
-             s.ws_state <- Finished Outcome_interrupted
-           else if Bvf_util.Mclock.now_s () >= until then
+           if Bvf_util.Mclock.now_s () >= until then
              s.ws_state <-
-               Bvf_util.Prof.span sup_prof "restart" (fun () ->
-                   spawn s.ws_index)
+               Bvf_util.Prof.span coordinator
+                 (if s.ws_restarts = 0 then "fork" else "restart")
+                 (fun () -> spawn s.ws_index)
          | Running r -> (
            match Unix.waitpid [ Unix.WNOHANG ] r.rn_pid with
-           | 0, _ ->
+           | 0, _ -> (
              (* alive: track heartbeat freshness *)
-             (match read_hb (hb_path dir s.ws_index) with
-              | Some (hseq, _, _) as hb
-                when (match r.rn_hb with
-                      | Some (s0, _, _) -> s0 <> hseq
-                      | None -> true) ->
-                r.rn_hb <- hb;
-                r.rn_hb_time <- Bvf_util.Mclock.now_s ()
-              | Some _ | None ->
-                if
-                  (not !interrupting)
-                  && Bvf_util.Mclock.elapsed_s ~since:r.rn_hb_time
-                     > deadline_s
-                then begin
-                  (* hung: no heartbeat within the deadline *)
-                  (try Unix.kill r.rn_pid Sys.sigkill with
-                   | Unix.Unix_error _ -> ());
-                  ignore (Unix.waitpid [] r.rn_pid);
-                  record_crash s Triage.Crash_hang
-                end
-                else if
-                  !interrupting
-                  && Bvf_util.Mclock.elapsed_s ~since:!interrupt_at
-                     > deadline_s
-                then begin
-                  (* refuses to die during shutdown: force it *)
-                  (try Unix.kill r.rn_pid Sys.sigkill with
-                   | Unix.Unix_error _ -> ());
-                  ignore (Unix.waitpid [] r.rn_pid);
-                  s.ws_state <- Finished Outcome_interrupted
-                end)
+             match read_hb (hb_path dir s.ws_index) with
+             | Some (hseq, _, _) as hb
+               when (match r.rn_hb with
+                     | Some (s0, _, _) -> s0 <> hseq
+                     | None -> true) ->
+               r.rn_hb <- hb;
+               r.rn_hb_time <- Bvf_util.Mclock.now_s ()
+             | Some _ | None -> (
+               match s.ws_stopped with
+               | None
+                 when Bvf_util.Mclock.elapsed_s ~since:r.rn_hb_time
+                      > p.deadline_s ->
+                 (* hung: no heartbeat within the deadline *)
+                 kill_now r.rn_pid;
+                 record_crash s Triage.Crash_hang
+               | Some at
+                 when Bvf_util.Mclock.elapsed_s ~since:at > p.deadline_s ->
+                 (* refuses to die during shutdown: force it *)
+                 kill_now r.rn_pid;
+                 s.ws_state <- Finished Outcome_interrupted
+               | Some _ | None -> ()))
            | _, Unix.WEXITED 0
              when Sys.file_exists (done_path dir s.ws_index) ->
              s.ws_state <- Finished Outcome_completed
            | _, Unix.WEXITED code ->
-             if !interrupting && (code = 0 || code = 130 || code = 143)
-             then s.ws_state <- Finished Outcome_interrupted
+             if stopping && (code = 0 || code = 130 || code = 143) then
+               s.ws_state <- Finished Outcome_interrupted
              else record_crash s (Triage.Crash_exit code)
            | _, Unix.WSIGNALED sg ->
-             if !interrupting then
-               s.ws_state <- Finished Outcome_interrupted
+             if stopping then s.ws_state <- Finished Outcome_interrupted
              else record_crash s (Triage.Crash_signal (unix_signal sg))
            | _, Unix.WSTOPPED _ -> ()))
       slots;
-    if not (all_finished ()) then Unix.sleepf poll_s
+    if not (all_finished ()) then Unix.sleepf p.poll_s
   done;
-  (* -- Join ------------------------------------------------------------- *)
-  let fr_join = Bvf_util.Prof.start sup_prof "join" in
-  let finals =
-    Array.init workers
-      (Parallel.saved_state ~dir ~jobs:workers ~seed ~iterations strategy
-         config)
-  in
+  absorb_profs prof ~dir ~workers;
+  { pl_slots = slots; pl_crashes = List.rev !crashes;
+    pl_quarantined = !quarantine_set }
+
+let report (pool : pool) ~(assigned : int array) ~(completed : int array) :
+  report =
   let rp_workers =
     Array.to_list
       (Array.map
@@ -492,47 +449,23 @@ let run ?(sample_every = 64) ?(log_level = 0) ?trace ?failslab_rate
                 (match s.ws_state with
                  | Finished o -> o
                  | Running _ | Waiting _ -> assert false);
-              wr_assigned = counts.(s.ws_index);
-              wr_completed =
-                (match finals.(s.ws_index) with
-                 | Some st -> st.Parallel.ss_snapshot.Campaign.sn_completed
-                 | None -> 0);
+              wr_assigned = assigned.(s.ws_index);
+              wr_completed = completed.(s.ws_index);
               wr_restarts = s.ws_restarts;
             })
-         slots)
+         pool.pl_slots)
   in
-  let report =
-    {
-      rp_workers;
-      rp_crashes = List.rev !crashes;
-      rp_quarantined = !quarantine_set;
-      rp_abandoned =
-        List.filter_map
-          (fun w ->
-             if
-               w.wr_outcome <> Outcome_completed
-               && w.wr_completed < w.wr_assigned
-             then Some (w.wr_worker, w.wr_completed, w.wr_assigned - 1)
-             else None)
-          rp_workers;
-    }
-  in
-  let outcome =
-    if !interrupting then Interrupted report
-    else begin
-      (* the join cuts a retired worker's trace back to its last
-         barrier, so the merged trace matches the merged stats *)
-      let result =
-        Parallel.join ~jobs:workers
-          ~trace:(if idle then None else trace) ~prof:sup_prof
-          (List.filter_map (Option.map Result.ok) (Array.to_list finals))
-      in
-      (* shard traces outlive a run that a rerun continues *)
-      if List.for_all (fun w -> w.wr_completed = w.wr_assigned) rp_workers
-      then Parallel.remove_shard_traces ~jobs:workers trace;
-      Completed ({ result with Parallel.pr_idle = idle }, report)
-    end
-  in
-  absorb_profs prof ~dir ~workers;
-  ignore (Bvf_util.Prof.stop sup_prof fr_join);
-  outcome
+  {
+    rp_workers;
+    rp_crashes = pool.pl_crashes;
+    rp_quarantined = pool.pl_quarantined;
+    rp_abandoned =
+      List.filter_map
+        (fun w ->
+           if
+             w.wr_outcome <> Outcome_completed
+             && w.wr_completed < w.wr_assigned
+           then Some (w.wr_worker, w.wr_completed, w.wr_assigned - 1)
+           else None)
+        rp_workers;
+  }

@@ -266,12 +266,11 @@ let test_line_workers () =
   let dir = Filename.temp_file "bvf_prof_sv" "" in
   Sys.remove dir;
   let s = Prof.session () in
-  (match
-     Supervisor.run ~poll_s:0.02 ~prof:s ~workers:2 ~seed:31
-       ~iterations:150 ~dir strategy (config ())
-   with
-   | Supervisor.Completed _ -> ()
-   | Supervisor.Interrupted _ -> Alcotest.fail "unexpected interruption");
+  ignore
+    (Parallel.run
+       ~supervise:{ Supervisor.default_policy with poll_s = 0.02 }
+       ~prof:s ~jobs:2 ~seed:31 ~iterations:150 ~dir strategy (config ())
+     : Parallel.result);
   Alcotest.(check (list int)) "worker and supervisor tracks" [ 0; 1; 2 ]
     (List.map fst (Prof.tracks s));
   Alcotest.(check bool) "each worker's totals absorbed" true

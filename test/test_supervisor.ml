@@ -1,6 +1,6 @@
-(* Tests for the supervised (process-isolated) campaign runner: the
-   fault-free equivalence with the in-process Parallel runner (digest
-   and trace bytes), the watchdog semantics (crash, self-kill and hang
+(* Tests for the supervised process lanes of Parallel.run (~supervise):
+   the fault-free equivalence with domain lanes (digest and trace
+   bytes), the watchdog semantics (crash, self-kill and hang
    fixtures; restart with backoff; quarantine attribution; pool shrink
    on repeated death), the chaos oracle (a disturbed run is
    digest-identical to a fault-free run given the same quarantine set),
@@ -43,16 +43,30 @@ let events_of (path : string) : string list =
       not (String.starts_with ~prefix:{|{"ev":"shard_merge"|} l))
 
 (* Fast supervision parameters for tests: tight poll, tiny backoff. *)
-let sv ?trace ?(checkpoint_every = 1_000_000) ?(deadline_s = 30.)
-    ?(max_restarts = 5) ?quarantine ?fault ?stop ~dir ~seed ~iterations
-    ~workers () =
-  Supervisor.run ?trace ~checkpoint_every ~deadline_s ~poll_s:0.02
-    ~max_restarts ~backoff_s:0.01 ?quarantine ?fault ?stop ~workers
-    ~seed ~iterations ~dir Campaign.bvf_strategy (config ())
+let fast = { Supervisor.default_policy with poll_s = 0.02; backoff_s = 0.01 }
 
-let completed = function
-  | Supervisor.Completed (result, report) -> (result, report)
-  | Supervisor.Interrupted _ -> Alcotest.fail "unexpected interruption"
+let sv ?trace ?(checkpoint_every = 1_000_000) ?(deadline_s = 30.)
+    ?(max_restarts = 5) ?(quarantine = []) ?fault ?stop ~dir ~seed
+    ~iterations ~workers () =
+  Parallel.run ?trace ~checkpoint_every ~dir
+    ~supervise:{ fast with deadline_s; max_restarts; quarantine; fault }
+    ?stop:(Option.map (fun f _ -> f) stop)
+    ~jobs:workers ~seed ~iterations Campaign.bvf_strategy (config ())
+
+let report_of (result : Parallel.result) : Supervisor.report =
+  match result.Parallel.pr_report with
+  | Some report -> report
+  | None -> Alcotest.fail "a supervised run without a report"
+
+let completed (result : Parallel.result) =
+  let report = report_of result in
+  if
+    List.exists
+      (fun (w : Supervisor.worker_report) ->
+         w.wr_outcome = Supervisor.Outcome_interrupted)
+      report.rp_workers
+  then Alcotest.fail "unexpected interruption";
+  (result, report)
 
 (* -- Fault-free equivalence with the in-process runner ------------------- *)
 
@@ -358,9 +372,7 @@ let test_state_dir_lock () =
   let oc = open_out (Parallel.lock_path state) in
   output_string oc "999999999\n";
   close_out oc;
-  (match sv ~dir:state ~seed:1 ~iterations:10 ~workers:1 () with
-   | Supervisor.Completed _ -> ()
-   | _ -> Alcotest.fail "expected a stale lock to be broken");
+  ignore (completed (sv ~dir:state ~seed:1 ~iterations:10 ~workers:1 ()));
   Alcotest.(check bool) "lock released after the run" false
     (Sys.file_exists (Parallel.lock_path state))
 
@@ -374,18 +386,14 @@ let test_interrupt_then_resume () =
   let dir = temp_dir "bvf_sv_intr" in
   let state = Filename.concat dir "state" in
   let stop () = Sys.file_exists (Parallel.state_path state 0) in
-  (match
-     sv ~checkpoint_every:50 ~stop ~dir:state ~seed:14 ~iterations:2000
-       ~workers:2 ()
-   with
-   | Supervisor.Interrupted report ->
-     List.iter
-       (fun (w : Supervisor.worker_report) ->
-          Alcotest.(check bool) "worker interrupted" true
-            (w.wr_outcome = Supervisor.Outcome_interrupted))
-       report.rp_workers
-   | Supervisor.Completed _ ->
-     Alcotest.fail "run completed before the stop fired");
+  List.iter
+    (fun (w : Supervisor.worker_report) ->
+       Alcotest.(check bool) "worker interrupted" true
+         (w.wr_outcome = Supervisor.Outcome_interrupted))
+    (report_of
+       (sv ~checkpoint_every:50 ~stop ~dir:state ~seed:14 ~iterations:2000
+          ~workers:2 ()))
+      .rp_workers;
   (* The stop acts as an extra barrier (save, then reboot), and resume
      counts one reboot for the fresh kernel it builds.  A SIGTERM that
      lands between barriers therefore leaves the worker one reboot
@@ -424,6 +432,46 @@ let test_interrupt_then_resume () =
   Alcotest.(check string) "resumed digest equals undisturbed (mod reboots)"
     (Campaign.digest fs) (Campaign.digest rs)
 
+(* The supervised twin of test_parallel's "a stop before a shard
+   starts": with the stop true from the start, no worker is forked (no
+   heartbeat is ever written) and the run returns the merge of the
+   shard files already on disk instead of raising.  Worker 0's file
+   comes from a first, complete run; worker 1 has none and reports a
+   fresh snapshot. *)
+let test_stop_before_fork () =
+  let state = Filename.concat (temp_dir "bvf_sv_nofork") "state" in
+  let first, _ = completed (sv ~dir:state ~seed:2 ~iterations:40 ~workers:2 ()) in
+  Sys.remove (Parallel.state_path state 1);
+  List.iter
+    (fun i ->
+       Sys.remove (Filename.concat state (Printf.sprintf "worker-%d.hb" i)))
+    [ 0; 1 ];
+  let r =
+    match
+      sv ~stop:(fun () -> true) ~dir:state ~seed:2 ~iterations:80 ~workers:2 ()
+    with
+    | r -> r
+    | exception e -> Alcotest.failf "a stop before any fork raised %s"
+                       (Printexc.to_string e)
+  in
+  List.iter
+    (fun i ->
+       Alcotest.(check bool) "no worker forked" false
+         (Sys.file_exists
+            (Filename.concat state (Printf.sprintf "worker-%d.hb" i))))
+    [ 0; 1 ];
+  let shard0 = List.hd first.Parallel.pr_shards in
+  Alcotest.(check int) "worker 0's file merged" shard0.Parallel.sh_iterations
+    r.Parallel.pr_iterations;
+  List.iter
+    (fun (w : Supervisor.worker_report) ->
+       Alcotest.(check bool) "reported interrupted" true
+         (w.wr_outcome = Supervisor.Outcome_interrupted);
+       Alcotest.(check int) "no restart" 0 w.wr_restarts)
+    (report_of r).rp_workers;
+  Alcotest.(check bool) "no shard file written for worker 1" false
+    (Sys.file_exists (Parallel.state_path state 1))
+
 (* -- A state directory belongs to one campaign ----------------------------- *)
 
 let contains (s : string) (sub : string) : bool =
@@ -440,8 +488,8 @@ let test_state_dir_refuses_other_campaign () =
   let state = Filename.concat (temp_dir "bvf_sv_other") "state" in
   ignore (completed (sv ~dir:state ~seed:7 ~iterations:40 ~workers:2 ()));
   let rerun config ~seed ~iterations ~workers () =
-    Supervisor.run ~poll_s:0.02 ~backoff_s:0.01 ~workers ~seed ~iterations
-      ~dir:state Campaign.bvf_strategy config
+    Parallel.run ~supervise:fast ~dir:state ~jobs:workers ~seed ~iterations
+      Campaign.bvf_strategy config
   in
   List.iter
     (fun (field, run) ->
@@ -730,7 +778,9 @@ let () =
       ( "interruption",
         [ Alcotest.test_case "state-dir lock" `Slow test_state_dir_lock;
           Alcotest.test_case "interrupt then resume" `Slow
-            test_interrupt_then_resume ] );
+            test_interrupt_then_resume;
+          Alcotest.test_case "a stop before any fork" `Slow
+            test_stop_before_fork ] );
       ( "state dir",
         [ Alcotest.test_case "another campaign's dir is refused" `Slow
             test_state_dir_refuses_other_campaign;
