@@ -143,8 +143,10 @@ let writes_reg (i : t) (r : reg) : bool =
   match i with
   | Alu { dst; _ } | Endian { dst; _ } | Ld_imm64 (dst, _) | Ldx { dst; _ }
     -> dst = r
-  | Atomic { fetch = true; src; _ } -> src = r
+  (* cmpxchg loads the old value into R0, never into src; it always
+     carries the fetch flag, so it is matched first *)
   | Atomic { op = A_cmpxchg; _ } -> r = R0
+  | Atomic { fetch = true; src; _ } -> src = r
   | Atomic _ | St _ | Stx _ | Jmp _ | Ja _ | Exit -> false
   | Call _ -> r = R0 || is_arg_reg r
 

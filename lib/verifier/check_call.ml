@@ -284,8 +284,11 @@ let check_helper (env : Venv.t) ~(pc : int) (id : int) : unit =
       Regstate.pointer (P_btf Btf.task_struct) ~maybe_null:true
         ~id:(Venv.fresh_id env)
     | Helper.R_ringbuf_mem_or_null ->
+      (* the kernel keeps the size in the u32 bpf_reg_state.mem_size *)
       let size =
-        match const_size with Some v -> Int64.to_int v | None -> 0
+        match const_size with
+        | Some v -> Int64.to_int (Int64.logand v 0xFFFF_FFFFL)
+        | None -> 0
       in
       let ref_id = Venv.fresh_id env in
       st.Vstate.refs <- ref_id :: st.Vstate.refs;

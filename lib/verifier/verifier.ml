@@ -282,7 +282,7 @@ let lint (kst : Kstate.t) ~(cov : Coverage.t) (req : request) :
    whenever any verdict, canonical message, log line or deterministic
    counter can change for a fixed input. *)
 
-let verifier_abi = "bvf-verifier/1"
+let verifier_abi = "bvf-verifier/2"
 
 let config_fingerprint (c : Kconfig.t) : string =
   let b = Buffer.create 128 in

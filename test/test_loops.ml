@@ -129,6 +129,31 @@ let non_converging_loop_rejected () =
     Alcotest.(check bool) "reason is loop_unbounded" true
       (e.Venv.vreason = Reject_reason.Loop_unbounded)
 
+(* A cmpxchg loads the old memory value into R0, and a wire-decoded
+   cmpxchg always carries the fetch flag.  An [r0 < k] loop whose body
+   holds one therefore writes its induction register twice and carries
+   no certificate: it must not widen.  Concretely it never ends — the
+   slot holds 0, so from the second trip on the compare fails, R0 gets
+   0 back and the increment leaves it at 1. *)
+let cmpxchg_loop_not_certified () =
+  let result =
+    load
+      [ [ Asm.mov64_imm Insn.R0 0l;
+          Asm.st_dw Insn.R10 (-8) 0l;
+          Asm.mov64_imm Insn.R1 0l;
+          (* head: *)
+          Asm.atomic ~fetch:true Insn.DW Insn.A_cmpxchg Insn.R10 Insn.R1 (-8);
+          Asm.alu64_imm Insn.Add Insn.R0 1l;
+          Asm.jmp_imm Insn.Jlt Insn.R0 10l (-3) ];
+        Asm.ret 0l ]
+  in
+  (match result.Loader.verdict with
+   | Ok _ -> Alcotest.fail "a loop that never ends was accepted"
+   | Error _ -> ());
+  match result.Loader.vstats with
+  | None -> Alcotest.fail "no verifier counters"
+  | Some v -> Alcotest.(check int) "never widened" 0 v.Vstats.vs_widen_rounds
+
 (* -- Bug13: widening that declares convergence too early ------------------- *)
 
 (* r7 grows by 3 per trip while r6 certifies 30 trips.  The first
@@ -249,7 +274,9 @@ let () =
         [ Alcotest.test_case "zero progress still rejected" `Quick
             zero_progress_still_rejected;
           Alcotest.test_case "non-converging loop is loop_unbounded"
-            `Quick non_converging_loop_rejected ] );
+            `Quick non_converging_loop_rejected;
+          Alcotest.test_case "cmpxchg in an r0 loop is not certified"
+            `Quick cmpxchg_loop_not_certified ] );
       ( "Bug13 widening regression",
         [ Alcotest.test_case "pre-fix tight exit escapes (Bug13)" `Quick
             bug13_buggy;

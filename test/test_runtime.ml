@@ -313,6 +313,39 @@ let test_offload_fixed_refuses_host_exec () =
     Alcotest.(check int) "no reports" 0 (List.length reports)
   | _ -> Alcotest.fail "fixed kernel must refuse host execution"
 
+(* The kernel keeps a ringbuf_reserve size in the u32 mem_size, so a
+   size of -133 makes a 4294967163-byte region and the store into it is
+   in bounds: bpf-next accepts the load.  At runtime the reserve refuses
+   the size, the program sees NULL and exits; nothing is reported. *)
+let test_ringbuf_negative_size () =
+  let session = Loader.create fixed in
+  let ring = Loader.create_map session (Map.ringbuf_def ()) in
+  let insns =
+    Asm.prog
+      [ [ Asm.ld_map_fd Insn.R1 ring;
+          Asm.mov64_imm Insn.R2 (-133l);
+          Asm.mov64_imm Insn.R3 0l;
+          Asm.call Helper.ringbuf_reserve.Helper.id;
+          Asm.jmp_imm Insn.Jne Insn.R0 0l 2;
+          Asm.mov64_imm Insn.R0 0l;
+          Asm.exit_;
+          Asm.mov64_reg Insn.R6 Insn.R0;
+          Asm.st_dw Insn.R6 0 5l;
+          Asm.mov64_reg Insn.R1 Insn.R6;
+          Asm.mov64_imm Insn.R2 0l;
+          Asm.call Helper.ringbuf_discard.Helper.id ];
+        Asm.ret 0l ]
+  in
+  match
+    Loader.load_and_run session (Verifier.request Prog.Kprobe insns)
+  with
+  | { Loader.verdict = Error e; _ } ->
+    Alcotest.fail ("rejected: " ^ e.Bvf_verifier.Venv.vmsg)
+  | { Loader.status = Some (Exec.Finished v); reports; _ } ->
+    Alcotest.(check int64) "NULL reservation: exit 0" 0L v;
+    Alcotest.(check int) "no reports" 0 (List.length reports)
+  | _ -> Alcotest.fail "did not run to its exit"
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bvf_runtime"
@@ -341,4 +374,7 @@ let () =
         [ Alcotest.test_case "attach trigger" `Quick test_attach_trigger;
           Alcotest.test_case "offload refused" `Quick
             test_offload_fixed_refuses_host_exec ] );
+      ( "helpers",
+        [ Alcotest.test_case "ringbuf size -133 is u32" `Quick
+            test_ringbuf_negative_size ] );
     ]

@@ -99,11 +99,11 @@ let test_cache_key_pinned () =
   in
   let key = Vcache.key ~config_fp ~maps_fp in
   let requests = (Selftests.build version).Selftests.requests in
-  Alcotest.(check string) "lone exit" "4a8ac3cb3a3897415609f940f472c442"
+  Alcotest.(check string) "lone exit" "3a80c69b94768bce973f0c238b6fff23"
     (key rejected_req);
-  Alcotest.(check string) "selftest 0" "5f850b51b96e64bf61aca593a2857684"
+  Alcotest.(check string) "selftest 0" "afdccc05e461223593a7ac9ff0a95e60"
     (key (List.nth requests 0));
-  Alcotest.(check string) "selftest 1" "c8ebd5e4c27d2dd48d4f25d5299a33a1"
+  Alcotest.(check string) "selftest 1" "d33fed9265ea84dd5fb47e72e5394ecf"
     (key (List.nth requests 1))
 
 let dummy (tag : int) : Vcache.verdict =
