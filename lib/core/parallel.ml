@@ -231,7 +231,7 @@ let merge_corpora ~(jobs : int) (shards : shard list) : Corpus.t =
 (* -- The state directory ------------------------------------------------ *)
 
 (* A run with a state directory keeps one file per shard, whichever
-   executor runs it: [shard-<i>.ckpt], a [state] record.  A plain run
+   lane kind runs it: [shard-<i>.ckpt], a [state] record.  A plain run
    is one shard. *)
 type state = {
   ss_shard : int;
@@ -241,7 +241,7 @@ type state = {
   ss_final : Campaign.snapshot option;
 }
 
-(* /1: one layout for every executor, replacing the sequential
+(* /1: one layout for every lane kind, replacing the sequential
    bvf-campaign/9 file and the supervised bvf-worker/5 files. *)
 let state_tag = "bvf-shard/1"
 
@@ -408,7 +408,7 @@ let shard_failslab ~(failslab_rate : float option)
   | Some _ | None -> None
 
 (* Build shard [i] and step it with the one {!Campaign.run_t} call of
-   either executor, inside one top-level "iterate" span on the shard's
+   either lane kind, inside one top-level "iterate" span on the shard's
    track [prof].  The campaign's phase spans nest inside it, so its self
    time is the per-iteration harness overhead (RNG, corpus, telemetry
    emission).  The sink is closed when the shard returns or raises. *)
