@@ -632,6 +632,8 @@ let run ?sample_every ?trace ?log_level ?failslab_rate ?failslab_seed
   let finals, report =
     match supervise with
     | None ->
+      (* one profiler track per shard, created before the lanes spawn
+         and then owned by the lane that runs the shard *)
       let shard_prof =
         Array.init jobs (fun i ->
             Bvf_util.Prof.track prof ~name:(Printf.sprintf "shard%d" i) i)
