@@ -17,6 +17,8 @@
 #   batch-selftests.jsonl         bvf batch --selftests (stdout)
 #   batch-selftests-jobs3.jsonl   the same with --jobs 3
 #   veristat.jsonl                bvf veristat --count 708 --json
+#   serve-replay.jsonl            bvf serve --cache-size 64 over the
+#                                 exported self-tests (below)
 #
 # `dune runtest` runs this script on the built bvf and diffs each file
 # against its committed copy under test/golden/ (both batch files
@@ -83,5 +85,40 @@ echo "== bvf batch --selftests --jobs 3"
 echo "== bvf veristat --count 708"
 "$bvf" veristat --count 708 --json veristat.jsonl > /dev/null || exit 3
 sed 's/,"time_s":[^,}]*//' veristat.jsonl > "$out/veristat.jsonl"
+
+# serve-replay.jsonl: the 708 exported self-tests through one serve
+# loop whose cache holds 64 of them.  The first 50 twice (misses, then
+# hits), all 708 (hits, then misses that evict), the last 30 (hits),
+# variants of the last program, the first 100 (misses that evict it)
+# and the variants again.  The variants: the same line under another
+# id, its hex in upper case, spaced every 16 digits, its last exit
+# slot's ignored off field set (as in check_service.sh), and the same
+# hex under another prog_type, an attach point and offload.  Then a
+# malformed and a blank line.  No metrics request: its reply is timed.
+# The closing tally (stderr) follows the responses, its timed
+# verify_p50_s and later fields removed.
+echo "== bvf serve --cache-size 64"
+"$bvf" selftests --count 708 --export corpus.jsonl > /dev/null || exit 3
+last=$(tail -n 1 corpus.jsonl)
+head=${last%%\"prog\":*}
+hex=$(printf '%s\n' "$last" | sed 's/.*"prog":"\([0-9a-f]*\)"}$/\1/')
+variant() { printf '{"id":"%s",%s"prog":"%s"}\n' "$1" "$2" "$3"; }
+fields=${head#\{\"id\":\"*\",}
+{
+  variant again "$fields" "$hex"
+  variant upper "$fields" "$(printf '%s' "$hex" | tr a-f A-F)"
+  variant spaced "$fields" "$(printf '%s' "$hex" | sed 's/.\{16\}/& /g')"
+  variant noncanonical "$fields" \
+    "$(printf '%s' "$hex" | sed 's/9500000000000000$/9500010000000000/')"
+  variant other-type '"prog_type":"socket_filter",' "$hex"
+  variant attach "$fields\"attach\":\"x\"," "$hex"
+  variant offload "$fields\"offload\":true," "$hex"
+} > variants.jsonl
+{ head -n 50 corpus.jsonl; head -n 50 corpus.jsonl; cat corpus.jsonl
+  tail -n 30 corpus.jsonl; cat variants.jsonl; head -n 100 corpus.jsonl
+  cat variants.jsonl; echo 'not json'; echo; } \
+  | "$bvf" serve --cache-size 64 > "$out/serve-replay.jsonl" \
+      2> serve.log || exit 3
+sed 's/,"verify_p50_s".*}$/}/' serve.log >> "$out/serve-replay.jsonl"
 
 echo "snapshot written to $out"
