@@ -100,32 +100,46 @@ let nibble : string =
          | _ -> bad))
 
 (* One pass into a buffer of half the input's length, the most its
-   digits can fill.  Whitespace between digits leaves it longer than the
-   bytes, which are then copied out.  A bad byte ends the pass, so it
-   is reported before an odd digit count. *)
+   digits can fill, two digits a step while both bytes are digits and
+   one at a time around whitespace.  Whitespace between digits leaves
+   the buffer longer than the bytes, which are then copied out.  A bad
+   byte ends the pass, so it is reported before an odd digit count. *)
 let bytes_of_hex (s : string) : (Bytes.t, string) result =
   let n = String.length s in
   let out = Bytes.create (n / 2) in
-  (* [j] bytes filled; [hi] the pending high nibble, -1 when none *)
-  let rec fill i j hi =
+  let digit i =
+    Char.code (String.unsafe_get nibble (Char.code (String.unsafe_get s i)))
+  in
+  (* [j] bytes filled, no nibble pending *)
+  let rec pairs i j =
+    if i + 1 < n then begin
+      let hi = digit i and lo = digit (i + 1) in
+      (* both below 16: [skip] and [bad] have bit 4 set *)
+      if hi lor lo < skip then begin
+        Bytes.unsafe_set out j (Char.unsafe_chr ((hi lsl 4) lor lo));
+        pairs (i + 2) (j + 1)
+      end
+      else single i j (-1)
+    end
+    else single i j (-1)
+  (* [hi] the pending high nibble, -1 when none *)
+  and single i j hi =
     if i = n then
       if hi >= 0 then Error "prog hex has an odd digit count"
       else if j = Bytes.length out then Ok out
       else Ok (Bytes.sub out 0 j)
     else
-      let v =
-        Char.code (String.unsafe_get nibble (Char.code (String.unsafe_get s i)))
-      in
+      let v = digit i in
       if v < skip then
-        if hi < 0 then fill (i + 1) j v
+        if hi < 0 then single (i + 1) j v
         else begin
           Bytes.unsafe_set out j (Char.unsafe_chr ((hi lsl 4) lor v));
-          fill (i + 1) (j + 1) (-1)
+          pairs (i + 1) (j + 1)
         end
-      else if v = skip then fill (i + 1) j hi
+      else if v = skip then single (i + 1) j hi
       else Error "prog is not hex"
   in
-  fill 0 0 (-1)
+  pairs 0 0
 
 let decode_prog (bytes : Bytes.t) :
   (Insn.t array, string) result =
@@ -134,24 +148,14 @@ let decode_prog (bytes : Bytes.t) :
   | Error { Encode.pos; reason } ->
     Error (Printf.sprintf "bad program at slot %d: %s" pos reason)
 
-(* A program request up to its wire bytes: all the cache key needs,
-   before any Encode.decode. *)
-type wire = {
-  w_id : string;
-  w_prog_type : Prog.prog_type;
-  w_attach : string option;
-  w_offload : bool;
-  w_bytes : Bytes.t;
-}
-
-(* The wire request in the fields of one parsed line; on failure, the
-   id when the line carried one, so the error response still names the
-   caller's request. *)
-let parse_wire (f : (string * Json.t) list) :
-  (wire, string option * string) result =
+(* The request in the fields of one parsed line; on failure, the id
+   when the line carried one, so the error response still names the
+   caller's request.  A bad program is reported before a missing id. *)
+let request_of_fields (f : (string * Json.t) list) :
+  (request, string option * string) result =
   let id = Json.str f "id" in
   let ( let* ) = Result.bind in
-  let fields =
+  let req =
     let* pt =
       match Json.str f "prog_type" with
       | None -> Error "missing prog_type"
@@ -166,35 +170,34 @@ let parse_wire (f : (string * Json.t) list) :
       | None -> Error "missing prog"
     in
     let* bytes = bytes_of_hex hex in
-    Ok (pt, bytes)
-  in
-  match id, fields with
-  | _, Error e -> Error (id, e)
-  | Some w_id, Ok (w_prog_type, w_bytes) ->
-    Ok { w_id; w_prog_type; w_attach = Json.str f "attach";
-         w_offload = Json.bool f "offload" = Some true; w_bytes }
-  | None, Ok (_, bytes) ->
-    (* a bad program is reported before a missing id *)
-    (match decode_prog bytes with
-     | Error e -> Error (None, e)
-     | Ok _ -> Error (None, "missing id"))
-
-let decode_wire (w : wire) : (request, string option * string) result =
-  match decode_prog w.w_bytes with
-  | Error e -> Error (Some w.w_id, e)
-  | Ok insns ->
+    let* insns = decode_prog bytes in
     Ok
-      { q_id = w.w_id;
-        q_req =
-          { Verifier.r_prog_type = w.w_prog_type; r_attach = w.w_attach;
-            r_offload = w.w_offload; r_insns = insns } }
+      { Verifier.r_prog_type = pt; r_attach = Json.str f "attach";
+        r_offload = Json.bool f "offload" = Some true; r_insns = insns }
+  in
+  match id, req with
+  | _, Error e -> Error (id, e)
+  | Some q_id, Ok q_req -> Ok { q_id; q_req }
+  | None, Ok _ -> Error (None, "missing id")
+
+(* The id and wire identity of a line with the three string fields a
+   program request needs: what {!request_of_fields} reads, undecoded.
+   Equal identities decode to equal requests, so to one key. *)
+let wire_id (f : (string * Json.t) list) : (string * Vcache.wire_id) option =
+  match Json.str f "id", Json.str f "prog_type", Json.str f "prog" with
+  | Some id, Some wi_prog_type, Some wi_prog ->
+    Some
+      ( id,
+        { Vcache.wi_prog_type; wi_attach = Json.str f "attach";
+          wi_offload = Json.bool f "offload" = Some true; wi_prog } )
+  | _ -> None
 
 let malformed = "malformed JSON"
 
 let parse_line (line : string) : (request, string option * string) result =
   match Json.parse_object (String.trim line) with
   | exception Json.Parse -> Error (None, malformed)
-  | f -> Result.bind (parse_wire f) decode_wire
+  | f -> request_of_fields f
 
 let request_of_json (line : string) : (request, string) result =
   match parse_line line with
@@ -227,75 +230,103 @@ let request_to_json (r : request) : string =
   Buffer.add_string b "\"}";
   Buffer.contents b
 
-let response_to_json ~(id : string) ~(key : string) ?hit
-    (v : Vcache.verdict) : string =
-  let b = Buffer.create 160 in
+(* A count digit by digit; [string_of_int] for a negative one. *)
+let rec add_int (b : Buffer.t) (i : int) : unit =
+  if i < 0 then Buffer.add_string b (string_of_int i)
+  else begin
+    if i >= 10 then add_int b (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (i mod 10)))
+  end
+
+let add_response (b : Buffer.t) ~(id : string) ~(key : string) ?hit
+    (v : Vcache.verdict) : unit =
+  let name k =
+    Buffer.add_string b ",\"";
+    Buffer.add_string b k;
+    Buffer.add_string b "\":"
+  in
   let str k s =
-    Printf.bprintf b ",\"%s\":\"" k;
+    name k;
+    Buffer.add_char b '"';
     Json.escape b s;
     Buffer.add_char b '"'
   in
+  let int k i = name k; add_int b i in
   Buffer.add_string b "{\"id\":\"";
   Json.escape b id;
-  Printf.bprintf b "\",\"key\":\"%s\"" key;
+  Buffer.add_string b "\",\"key\":\"";
+  Buffer.add_string b key;
+  Buffer.add_char b '"';
   if v.Vcache.cv_accepted then begin
     Buffer.add_string b ",\"verdict\":\"accepted\"";
-    Printf.bprintf b ",\"insns\":%d,\"insn_processed\":%d"
-      v.Vcache.cv_insns v.Vcache.cv_insn_processed;
+    int "insns" v.Vcache.cv_insns;
+    int "insn_processed" v.Vcache.cv_insn_processed;
     match v.Vcache.cv_vstats with
     | Some s ->
-      Printf.bprintf b ",\"total_states\":%d,\"peak_states\":%d"
-        s.Vstats.vs_total_states s.Vstats.vs_peak_states
+      int "total_states" s.Vstats.vs_total_states;
+      int "peak_states" s.Vstats.vs_peak_states
     | None -> ()
   end
   else begin
     Buffer.add_string b ",\"verdict\":\"rejected\"";
     str "reason"
-      (match v.Vcache.cv_reason with
-       | Some r -> Reject_reason.to_string r
-       | None -> Reject_reason.to_string Reject_reason.Unknown);
+      (Reject_reason.to_string
+         (Option.value v.Vcache.cv_reason ~default:Reject_reason.Unknown));
     str "errno" v.Vcache.cv_errno;
-    Printf.bprintf b ",\"pc\":%d" v.Vcache.cv_pc;
+    int "pc" v.Vcache.cv_pc;
     str "msg" v.Vcache.cv_msg;
-    Printf.bprintf b ",\"insn_processed\":%d" v.Vcache.cv_insn_processed
+    int "insn_processed" v.Vcache.cv_insn_processed
   end;
   if v.Vcache.cv_vlog <> "" then str "vlog" v.Vcache.cv_vlog;
   (* the one history-dependent field, kept last so the determinism
      gates can strip it textually *)
   (match hit with
-   | Some h -> Printf.bprintf b ",\"cache\":\"%s\"" (if h then "hit" else "miss")
+   | Some true -> Buffer.add_string b ",\"cache\":\"hit\""
+   | Some false -> Buffer.add_string b ",\"cache\":\"miss\""
    | None -> ());
-  Buffer.add_char b '}';
+  Buffer.add_char b '}'
+
+let response_to_json ~(id : string) ~(key : string) ?hit
+    (v : Vcache.verdict) : string =
+  let b = Buffer.create 256 in
+  add_response b ~id ~key ?hit v;
   Buffer.contents b
 
-let error_to_json ~(id : string) (msg : string) : string =
-  let b = Buffer.create 64 in
+let add_error (b : Buffer.t) ~(id : string) (msg : string) : unit =
   Buffer.add_string b "{\"id\":\"";
   Json.escape b id;
   Buffer.add_string b "\",\"verdict\":\"error\",\"msg\":\"";
   Json.escape b msg;
-  Buffer.add_string b "\"}";
+  Buffer.add_string b "\"}"
+
+let error_to_json ~(id : string) (msg : string) : string =
+  let b = Buffer.create 64 in
+  add_error b ~id msg;
   Buffer.contents b
 
 (* -- Input sources --------------------------------------------------- *)
 
+let line_too_long =
+  Printf.sprintf "request line longer than %d bytes" Json.max_line
+
 let read_jsonl (path : string) : input list =
   let ic = open_in path in
-  let inputs = ref [] in
-  let lineno = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then
-         inputs :=
-           input_of_json ~fallback_id:(Printf.sprintf "line%d" !lineno)
-             line
-           :: !inputs
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !inputs
+  let r = Json.reader ic in
+  let rec go lineno acc =
+    match Json.read_line r with
+    | Json.Eof -> List.rev acc
+    | Json.Line l when String.trim l = "" -> go (lineno + 1) acc
+    | line ->
+      let fallback_id = Printf.sprintf "line%d" lineno in
+      let input =
+        match line with
+        | Json.Line l -> input_of_json ~fallback_id l
+        | Json.Too_long | Json.Eof ->
+          { in_id = fallback_id; in_req = Error line_too_long }
+      in
+      go (lineno + 1) (input :: acc)
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go 1 [])
 
 (* NAME.<prog_type>.bin selects the program type; everything else is a
    socket filter, the least-privileged default. *)
@@ -529,9 +560,12 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
   let config_fp, maps_fp = fingerprints session in
   let t = tally () in
   let lineno = ref 0 in
-  let reply (line : string) : unit =
-    output_string oc line;
-    output_char oc '\n'
+  (* one buffer renders every reply *)
+  let out = Buffer.create 1024 in
+  let send () =
+    Buffer.add_char out '\n';
+    Buffer.output_buffer oc out;
+    Buffer.clear out
   in
   let invalid (id : string option) (msg : string) : unit =
     t.tl_invalid <- t.tl_invalid + 1;
@@ -540,72 +574,67 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
       | Some id -> id
       | None -> Printf.sprintf "line%d" !lineno
     in
-    reply (error_to_json ~id msg)
+    add_error out ~id msg;
+    send ()
   in
   let answer ~(id : string) ~(key : string) ?verify_s (v : Vcache.verdict) :
     unit =
     record t ~sink ~cache ~key ?verify_s v;
-    reply (response_to_json ~id ~key ~hit:(verify_s = None) v)
+    add_response out ~id ~key ~hit:(verify_s = None) v;
+    send ()
   in
-  (* The cache holds only canonical keys, so a hit under the key of the
-     wire bytes is the hit the decoded request would have found.  Only a
-     miss decodes, and it re-keys only bytes that are not canonical;
-     [find] then counts it as a hit or a miss. *)
-  let serve_wire (w : wire) : unit =
-    let wire_key, found =
-      Bvf_util.Prof.span prof "probe" (fun () ->
-          let k =
-            Vcache.key_of_wire ~config_fp ~maps_fp ~prog_type:w.w_prog_type
-              ~attach:w.w_attach ~offload:w.w_offload w.w_bytes
-          in
-          (k, Vcache.probe cache k))
-    in
-    match found with
-    | Some v -> answer ~id:w.w_id ~key:wire_key v
-    | None ->
-      match decode_wire w with
-      | Error (id, msg) -> invalid id msg
-      | Ok { q_id; q_req } ->
-        let key =
-          match Encode.encode q_req.Verifier.r_insns with
-          | canonical when Bytes.equal canonical w.w_bytes -> wire_key
-          | _ | (exception Invalid_argument _) ->
-            Vcache.key ~config_fp ~maps_fp q_req
-        in
-        match Vcache.find cache key with
-        | Some v -> answer ~id:q_id ~key v
-        | None ->
-          let fr = Bvf_util.Prof.start prof "verify" in
-          let v = verify_request ~log_level session q_req in
-          let verify_s, _ = Bvf_util.Prof.stop prof fr in
-          answer ~id:q_id ~key ~verify_s v
+  (* A program line whose wire identity names no entry: decoded, keyed
+     and looked up in full, verified on a miss.  Its identity then names
+     the entry that answered it. *)
+  let serve_fields f (wire : Vcache.wire_id option) : unit =
+    match request_of_fields f with
+    | Error (id, msg) -> invalid id msg
+    | Ok { q_id; q_req } ->
+      let key = Vcache.key ~config_fp ~maps_fp q_req in
+      (match Vcache.find cache key with
+       | Some v -> answer ~id:q_id ~key v
+       | None ->
+         let fr = Bvf_util.Prof.start prof "verify" in
+         let v = verify_request ~log_level session q_req in
+         let verify_s, _ = Bvf_util.Prof.stop prof fr in
+         answer ~id:q_id ~key ~verify_s v);
+      Option.iter (Vcache.bind_wire cache key) wire
   in
   (* One parse decides the request kind: a metrics request is any
-     object with "metrics":true, whatever else it carries. *)
+     object with "metrics":true, whatever else it carries.  A program
+     line whose wire identity is bound is answered from its entry with
+     nothing decoded or keyed. *)
   let respond (line : string) : unit =
     match Json.parse_object (String.trim line) with
     | exception Json.Parse -> invalid None malformed
     | f when Json.bool f "metrics" = Some true ->
-      reply
+      Buffer.add_string out
         (tally_to_json ~cache
-           ~id:(Option.value (Json.str f "id") ~default:"metrics") t)
+           ~id:(Option.value (Json.str f "id") ~default:"metrics") t);
+      send ()
     | f ->
-      match parse_wire f with
-      | Error (id, msg) -> invalid id msg
-      | Ok w -> serve_wire w
+      match wire_id f with
+      | None -> serve_fields f None
+      | Some (id, w) ->
+        match Vcache.find_wire cache w with
+        | Some (key, v) -> answer ~id ~key v
+        | None -> serve_fields f (Some w)
   in
-  (try
-     while not (stop ()) do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then begin
-         respond line;
-         Stdlib.flush oc;
-         Telemetry.flush sink
-       end
-     done
-   with
-   | End_of_file -> ()
-   | Sys_error _ -> ()  (* interrupted read during a drain *));
+  let r = Json.reader ic in
+  let rec loop () =
+    if not (stop ()) then
+      match Json.read_line r with
+      | Json.Eof -> ()
+      | Json.Line l when String.trim l = "" -> incr lineno; loop ()
+      | line ->
+        incr lineno;
+        (match line with
+         | Json.Line l -> respond l
+         | Json.Too_long | Json.Eof -> invalid None line_too_long);
+        Stdlib.flush oc;
+        Telemetry.flush sink;
+        loop ()
+  in
+  (try loop () with Sys_error _ -> ()  (* interrupted read during a drain *));
   Stdlib.flush oc;
   t

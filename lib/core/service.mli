@@ -56,6 +56,11 @@ val request_of_json : string -> (request, string) result
     ["offload"] (bool, default false).  A non-hex byte in ["prog"] is
     reported before an odd digit count. *)
 
+val bytes_of_hex : string -> (Bytes.t, string) result
+(** The bytes of a ["prog"] field's hex text: digits of either case,
+    with space, tab, CR and LF between them skipped.  [Error] names the
+    first non-hex byte ("prog is not hex"), else an odd digit count. *)
+
 val input_of_json : fallback_id:string -> string -> input
 (** {!request_of_json} as an {!input}: a failed parse keeps the line's
     id when it got far enough to carry one, [fallback_id] otherwise. *)
@@ -80,10 +85,12 @@ val error_to_json : id:string -> string -> string
 (** {1 Input sources} *)
 
 val read_jsonl : string -> input list
-(** Requests from a JSONL file, in line order.  Blank lines are
-    skipped; a malformed line becomes an [Error] input whose id is
-    ["line<N>"] (1-based) unless the line yielded an id before
-    failing. *)
+(** Requests from a JSONL file, in line order, read with
+    {!Bvf_util.Json.read_line}.  Blank lines are skipped; a malformed
+    line becomes an [Error] input whose id is ["line<N>"] (1-based)
+    unless the line yielded an id before failing, and a line longer
+    than {!Bvf_util.Json.max_line} bytes an [Error] input ["line<N>"]
+    whose bytes were never kept. *)
 
 val read_dir : string -> input list
 (** Requests from a directory, in sorted filename order: [*.bin] (raw
@@ -188,14 +195,19 @@ val serve :
     are invisible to the byte-identity contract of every other
     response.
 
-    A program request is keyed on its wire bytes before any
-    {!Bvf_ebpf.Encode.decode} ({!Vcache.key_of_wire}, probed with
-    {!Vcache.probe}): a hit answers from the cached verdict.  A miss
-    decodes the bytes, re-keys them through {!Vcache.key} only when
-    they are not canonical, and looks that key up with {!Vcache.find}
-    before verifying.  Every response byte, tally counter, telemetry
-    event and LRU state equals what parsing each line in full with
-    {!request_of_json} and probing {!Vcache.key} gives (the argument is
-    in docs/SERVICE.md).  [prof] (default {!Bvf_util.Prof.disabled})
-    records a "probe" span per request whose [prog] is hex (the
-    wire-key lookup) and a "verify" span per cache miss. *)
+    Lines are read with {!Bvf_util.Json.read_line}: a line longer
+    than {!Bvf_util.Json.max_line} bytes is skipped unkept and answered
+    with an error naming ["line<N>"], and the next line is served.
+
+    A program line is first looked up by its wire identity
+    ({!Vcache.find_wire}: [prog_type], [attach], [offload] and the
+    [prog] text as sent, never the id).  A bound identity answers from
+    its entry with nothing decoded or keyed.  Any other program line is
+    decoded, keyed with {!Vcache.key} and looked up with {!Vcache.find}
+    (verified on a miss), and its identity is then bound to the entry
+    that answered it ({!Vcache.bind_wire}).  Every response byte, tally
+    counter, telemetry event and LRU state equals what parsing each
+    line in full with {!request_of_json} and looking {!Vcache.key} up
+    gives (docs/SERVICE.md).  [prof] (default
+    {!Bvf_util.Prof.disabled}) records a "verify" span per cache
+    miss. *)

@@ -4,7 +4,10 @@ open Cimport
 
    The in-memory tier is a plain LRU: a hash table from key to an
    intrusive doubly-linked node, list head = most recently used.  Every
-   operation is O(1); eviction pops the tail.  The on-disk tier reuses
+   operation is O(1); eviction pops the tail.  A second table maps the
+   wire identity a request arrived with to the node its key named; a
+   node carries at most one, which leaves the table when the node is
+   evicted.  The on-disk tier reuses
    the Checkpoint container, so persistence inherits the atomic
    write-then-rename and corruption-is-Error-never-raise contract the
    campaign checkpoints already test. *)
@@ -32,9 +35,31 @@ let cap_vlog (log : string) : string =
   if String.length log <= vlog_cap then log
   else String.sub log 0 vlog_cap ^ "\n... log truncated\n"
 
+type wire_id = {
+  wi_prog_type : string;
+  wi_attach : string option;
+  wi_offload : bool;
+  wi_prog : string;
+}
+
+(* Hashing the program text alone is enough: identities that share it
+   share a bucket, and [equal] tells them apart. *)
+module Wire_tbl = Hashtbl.Make (struct
+    type t = wire_id
+
+    let equal (a : t) (b : t) : bool =
+      String.equal a.wi_prog b.wi_prog
+      && String.equal a.wi_prog_type b.wi_prog_type
+      && Option.equal String.equal a.wi_attach b.wi_attach
+      && a.wi_offload = b.wi_offload
+
+    let hash (w : t) : int = Hashtbl.hash w.wi_prog
+  end)
+
 type node = {
   n_key : string;
   mutable n_verdict : verdict;
+  mutable n_wire : wire_id option;  (* its entry in [wires] *)
   mutable n_prev : node option; (* towards the MRU head *)
   mutable n_next : node option; (* towards the LRU tail *)
 }
@@ -49,6 +74,7 @@ type stats = {
 type t = {
   t_cap : int;
   tbl : (string, node) Hashtbl.t;
+  wires : node Wire_tbl.t;
   mutable head : node option;
   mutable tail : node option;
   mutable hits : int;
@@ -59,7 +85,8 @@ type t = {
 
 let create ~cap : t =
   if cap < 1 then invalid_arg "Vcache.create: cap must be >= 1";
-  { t_cap = cap; tbl = Hashtbl.create (min cap 1024); head = None;
+  { t_cap = cap; tbl = Hashtbl.create (min cap 1024);
+    wires = Wire_tbl.create (min cap 1024); head = None;
     tail = None; hits = 0; misses = 0; insertions = 0; evictions = 0 }
 
 let length (t : t) : int = Hashtbl.length t.tbl
@@ -80,9 +107,8 @@ let add_attach (b : Buffer.t) (attach : string option) : unit =
     Buffer.add_string b (String.escaped a)
 
 (* One line per part, the program's bytes last.  No line but the last
-   holds a line break, so the text splits into its parts one way only,
-   and bytes that were never decoded name the entry their program would
-   have. *)
+   holds a line break, so the text splits into its parts one way
+   only. *)
 let key_of_wire ~(config_fp : string) ~(maps_fp : string)
     ~(prog_type : Prog.prog_type) ~(attach : string option)
     ~(offload : bool) (wire : Bytes.t) : string =
@@ -140,26 +166,45 @@ let touch (t : t) (n : node) : unit =
     push_front t n
   end
 
-let probe (t : t) (k : string) : verdict option =
-  match Hashtbl.find_opt t.tbl k with
-  | Some n ->
-    t.hits <- t.hits + 1;
-    touch t n;
-    Some n.n_verdict
-  | None -> None
+let hit (t : t) (n : node) : unit =
+  t.hits <- t.hits + 1;
+  touch t n
 
 let find (t : t) (k : string) : verdict option =
-  match probe t k with
-  | Some _ as found -> found
+  match Hashtbl.find_opt t.tbl k with
+  | Some n ->
+    hit t n;
+    Some n.n_verdict
   | None ->
     t.misses <- t.misses + 1;
     None
+
+let find_wire (t : t) (w : wire_id) : (string * verdict) option =
+  match Wire_tbl.find_opt t.wires w with
+  | Some n ->
+    hit t n;
+    Some (n.n_key, n.n_verdict)
+  | None -> None
+
+let unbind_wire (t : t) (n : node) : unit =
+  Option.iter (Wire_tbl.remove t.wires) n.n_wire;
+  n.n_wire <- None
+
+let bind_wire (t : t) (k : string) (w : wire_id) : unit =
+  match Hashtbl.find_opt t.tbl k with
+  | None -> ()
+  | Some n ->
+    unbind_wire t n;
+    Option.iter (unbind_wire t) (Wire_tbl.find_opt t.wires w);
+    n.n_wire <- Some w;
+    Wire_tbl.replace t.wires w n
 
 let evict_tail (t : t) : unit =
   match t.tail with
   | None -> ()
   | Some n ->
     unlink t n;
+    unbind_wire t n;
     Hashtbl.remove t.tbl n.n_key;
     t.evictions <- t.evictions + 1
 
@@ -170,7 +215,10 @@ let insert (t : t) (k : string) (v : verdict) : unit =
      touch t n
    | None ->
      if Hashtbl.length t.tbl >= t.t_cap then evict_tail t;
-     let n = { n_key = k; n_verdict = v; n_prev = None; n_next = None } in
+     let n =
+       { n_key = k; n_verdict = v; n_wire = None; n_prev = None;
+         n_next = None }
+     in
      Hashtbl.replace t.tbl k n;
      push_front t n);
   t.insertions <- t.insertions + 1
@@ -189,8 +237,7 @@ let entries (t : t) : (string * verdict) list =
 (* -- On-disk tier ---------------------------------------------------- *)
 
 (* /2: the key text escapes attach names that could be read as another
-   line, and wire-key probes trust that text; a /1 file may hold
-   entries under the unescaped text *)
+   line; a /1 file may hold entries under the unescaped text *)
 let tag = "bvf-vcache/2"
 
 let save (t : t) ~(path : string) : (unit, Checkpoint.error) result =

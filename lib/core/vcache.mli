@@ -4,10 +4,11 @@
     message, capped log and performance counters are a pure function of
     (program bytes, map specs, kernel config) — so a verdict computed
     once can be replayed for every later submission of the same program
-    under the same configuration.  {!key_of_wire} digests those three
-    inputs ([config_fingerprint], [maps_fingerprint] and the program's
-    wire bytes with its load attributes); the cache maps keys to
-    {!verdict} records.
+    under the same configuration.  {!key} digests those three inputs
+    ([config_fingerprint], [maps_fingerprint] and the program's wire
+    bytes with its load attributes); the cache maps keys to {!verdict}
+    records, and a second index maps the wire identity a request
+    arrived with ({!wire_id}) to the entry it was answered from.
 
     Two tiers: an in-memory LRU (bounded by [cap], strict recency
     eviction) and an optional on-disk tier reusing the {!Checkpoint}
@@ -57,36 +58,46 @@ val create : cap:int -> t
 
 val length : t -> int
 
-val key_of_wire :
-  config_fp:string -> maps_fp:string ->
-  prog_type:Bvf_ebpf.Prog.prog_type -> attach:string option ->
-  offload:bool -> Bytes.t -> string
-(** The cache key: hex MD5 of the config fingerprint, the map
-    fingerprint, the program type, the attach point, the offload flag
-    and the program's wire bytes, one line each, the bytes last.  An
-    attach name holding a line break, equal to ["-"] (the line of an
-    absent one) or starting with ['\\'] is written as ['\\'] and its
-    [String.escaped] form, so the text splits into its parts one way
-    only: two requests share a key only when they carry the same
-    bytes and attributes.  The bytes need not be canonical. *)
-
 val key : config_fp:string -> maps_fp:string ->
   Bvf_verifier.Verifier.request -> string
-(** {!key_of_wire} of the request's canonical bytes
-    ({!Bvf_ebpf.Encode.encode} of its instructions).  A program that
-    [encode] rejects (a branch escapes the array) is keyed by its
-    marshalled instructions under a first line ["unencodable"], which no
-    config fingerprint equals, so no wire bytes share its key. *)
-
-val probe : t -> string -> verdict option
-(** Lookup that counts only a hit: a hit refreshes the entry's recency
-    and bumps the hit counter, a miss changes nothing.  [bvf serve]
-    probes with the key of a request's wire bytes before decoding them,
-    and counts the miss with the {!find} that follows the decode. *)
+(** The cache key: hex MD5 of the config fingerprint, the map
+    fingerprint, the program type, the attach point, the offload flag
+    and the program's canonical wire bytes ({!Bvf_ebpf.Encode.encode}
+    of its instructions), one line each, the bytes last.  An attach
+    name holding a line break, equal to ["-"] (the line of an absent
+    one) or starting with ['\\'] is written as ['\\'] and its
+    [String.escaped] form, so the text splits into its parts one way
+    only: two requests share a key only when they carry the same
+    program and attributes.  A program that [encode] rejects (a branch
+    escapes the array) is keyed by its marshalled instructions under a
+    first line ["unencodable"], which no config fingerprint equals. *)
 
 val find : t -> string -> verdict option
 (** Lookup; a hit refreshes the entry's recency and bumps the hit
     counter, a miss bumps the miss counter. *)
+
+(** A program request as it arrived, before any decoding: the
+    [prog_type] and [prog] strings, the [attach] string if any, and
+    whether [offload] is [true].  Never the request id. *)
+type wire_id = {
+  wi_prog_type : string;
+  wi_attach : string option;
+  wi_offload : bool;
+  wi_prog : string;  (** the hex text, as sent *)
+}
+
+val find_wire : t -> wire_id -> (string * verdict) option
+(** The key and verdict of the entry [wire_id] is bound to.  A hit is
+    counted and refreshes the entry's recency exactly as a {!find} hit
+    under that key does; a miss changes nothing (the caller decodes,
+    keys and {!find}s, which counts it). *)
+
+val bind_wire : t -> string -> wire_id -> unit
+(** Bind [wire_id] to the entry under the key, which must be the
+    {!key} of the request [wire_id] decodes to; no-op when no entry
+    has that key.  An entry holds at most one wire identity: binding
+    another drops the previous one, and an evicted entry's goes with
+    it, so the index never outgrows the cache. *)
 
 val insert : t -> string -> verdict -> unit
 (** Insert (or refresh) a verdict, evicting the least recently used

@@ -25,6 +25,28 @@ exception Parse
    three levels), far shallower than the native stack. *)
 let max_depth = 512
 
+(* The longest JSONL line a reader keeps: four times the hex text of the
+   largest program a request can carry (Prog.max_insns = 4096 slots of
+   16 digits), room for whitespace between digits and the other
+   fields. *)
+let max_line = 262_144
+
+(* Whether the eight bytes of [w] hold the byte whose copies fill
+   [pattern]: [x] has a zero byte exactly where they do, and
+   (x - 0x01..01) land (lnot x) land 0x80..80 is nonzero exactly when
+   [x] has a zero byte. *)
+let[@inline] has_byte (w : int64) (pattern : int64) : bool =
+  let x = Int64.logxor w pattern in
+  not
+    (Int64.equal 0L
+       (Int64.logand
+          (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+          0x8080808080808080L))
+
+let quotes = 0x2222222222222222L
+let backslashes = 0x5c5c5c5c5c5c5c5cL
+let newlines = 0x0a0a0a0a0a0a0a0aL
+
 let hex_digit (c : char) : int =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'
@@ -77,12 +99,21 @@ let parse (s : string) : t =
   let string () =
     expect '"';
     let start = !pos in
+    (* the first quote or backslash; eight bytes a step while a whole
+       word is left *)
     let rec scan i =
       if i < n then
         match String.unsafe_get s i with '"' | '\\' -> i | _ -> scan (i + 1)
       else i
     in
-    pos := scan start;
+    let rec words i =
+      if i + 8 > n then scan i
+      else
+        let w = String.get_int64_ne s i in
+        if has_byte w quotes || has_byte w backslashes then scan i
+        else words (i + 8)
+    in
+    pos := words start;
     if peek () = '"' then begin
       (* no escapes: the common case is one copy *)
       incr pos;
@@ -173,19 +204,89 @@ let parse_object (s : string) : (string * t) list =
     fields
   | _ -> raise Parse
 
+(* Runs of bytes that need no escape are copied in one piece. *)
 let escape (b : Buffer.t) (s : string) : unit =
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 0x20 ->
-         Printf.bprintf b "\\u%04x" (Char.code c)
-       | c -> Buffer.add_char b c)
-    s
+  let n = String.length s in
+  let rec run start i =
+    if i = n then Buffer.add_substring b s start (i - start)
+    else
+      match String.unsafe_get s i with
+      | '"' | '\\' | '\000' .. '\031' as c ->
+        Buffer.add_substring b s start (i - start);
+        (match c with
+         | '"' -> Buffer.add_string b "\\\""
+         | '\\' -> Buffer.add_string b "\\\\"
+         | '\n' -> Buffer.add_string b "\\n"
+         | '\t' -> Buffer.add_string b "\\t"
+         | '\r' -> Buffer.add_string b "\\r"
+         | c -> Printf.bprintf b "\\u%04x" (Char.code c));
+        run (i + 1) (i + 1)
+      | _ -> run start (i + 1)
+  in
+  run 0 0
+
+(* -- Lines -------------------------------------------------------------- *)
+
+type line = Line of string | Too_long | Eof
+
+type reader = {
+  r_ic : in_channel;
+  r_buf : Bytes.t;
+  mutable r_pos : int;  (* the first byte not yet handed on *)
+  mutable r_len : int;  (* the end of the bytes read into [r_buf] *)
+  r_acc : Buffer.t;  (* a line that spans refills, while within the cap *)
+}
+
+let reader (ic : in_channel) : reader =
+  { r_ic = ic; r_buf = Bytes.create 65_536; r_pos = 0; r_len = 0;
+    r_acc = Buffer.create 256 }
+
+(* A line that lies in the buffer is one copy out of it.  One that spans
+   refills is gathered in [r_acc], and once it passes [max_line] its
+   bytes are only counted up to its newline, never kept.  [input]
+   returns what one read gives, so a line is handed on as soon as its
+   newline arrives. *)
+(* The first newline of [buf] in [i, len), or [len]; eight bytes a step
+   while a whole word is left. *)
+let newline_from (buf : Bytes.t) (i : int) (len : int) : int =
+  let rec bytes i =
+    if i < len && Bytes.unsafe_get buf i <> '\n' then bytes (i + 1) else i
+  in
+  let rec words i =
+    if i + 8 > len then bytes i
+    else if has_byte (Bytes.get_int64_ne buf i) newlines then bytes i
+    else words (i + 8)
+  in
+  words i
+
+let read_line (r : reader) : line =
+  let buf = r.r_buf and acc = r.r_acc in
+  (* [size]: the bytes of this line in earlier fills *)
+  let rec go size =
+    let pos = r.r_pos and len = r.r_len in
+    let stop = newline_from buf pos len in
+    let size' = size + (stop - pos) in
+    if stop < len then begin
+      r.r_pos <- stop + 1;
+      if size' > max_line then Too_long
+      else if size = 0 then Line (Bytes.sub_string buf pos (stop - pos))
+      else begin
+        Buffer.add_subbytes acc buf pos (stop - pos);
+        Line (Buffer.contents acc)
+      end
+    end
+    else begin
+      if size' <= max_line then Buffer.add_subbytes acc buf pos (stop - pos);
+      r.r_pos <- 0;
+      r.r_len <- input r.r_ic buf 0 (Bytes.length buf);
+      if r.r_len > 0 then go size'
+      else if size' = 0 then Eof
+      else if size' > max_line then Too_long
+      else Line (Buffer.contents acc)
+    end
+  in
+  Buffer.reset acc;
+  go 0
 
 (* -- Field accessors -------------------------------------------------- *)
 

@@ -40,6 +40,35 @@ val escape : Buffer.t -> string -> unit
     two-character escapes, the other control bytes a [\u00XX] escape,
     and every other byte is copied unchanged. *)
 
+(** {1 Lines}
+
+    JSONL input read with a bound: a line is never held past
+    {!max_line} bytes, however long it runs before its newline. *)
+
+val max_line : int
+(** 262 144 bytes: four times the hex text of the largest program a
+    request can carry (4096 slots of 16 digits), so every request the
+    service can verify fits, with room for whitespace between the
+    digits and for the other fields. *)
+
+type line =
+  | Line of string  (** the bytes before the newline (or end of input) *)
+  | Too_long  (** more than {!max_line} bytes: skipped, not kept *)
+  | Eof
+
+type reader
+(** An input channel and the bytes read from it but not yet handed
+    on.  Read the channel only through its reader once it has one. *)
+
+val reader : in_channel -> reader
+
+val read_line : reader -> line
+(** The next line, without its newline.  A last line with no newline
+    is a [Line]; [Eof] only once nothing is left.  A [Too_long] line's
+    bytes are read and dropped up to its newline, and the line after
+    it comes next.  Returns as soon as the line's newline has been
+    read, so a client that waits for each answer is served. *)
+
 (** {1 Field accessors}
 
     Look a key up in an object's fields (first occurrence wins);

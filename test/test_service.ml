@@ -6,11 +6,12 @@
    decodes hex as a plain reference model does and echoes non-ASCII
    ids as UTF-8; the serve loop answers every kind of line once, and
    any line at all (mutated, random, truncated, deeply nested, raw
-   NUL and non-UTF-8 bytes, oversized) with one id-carrying object, and
-   with the wire-key probe exactly as a full parse, key and lookup
-   would (non-canonical encodings included); the service telemetry
-   events round-trip and aggregate; an unreadable directory entry is an
-   error line; the tally's size is fixed. *)
+   NUL and non-UTF-8 bytes, oversized) with one id-carrying object, a
+   line past the cap with an error naming it, and with the wire index
+   exactly as a full parse, key and lookup would (non-canonical
+   encodings, other ids, load attributes and eviction included); the
+   service telemetry events round-trip and aggregate; an unreadable
+   directory entry is an error line; the tally's size is fixed. *)
 
 module Version = Bvf_ebpf.Version
 module Asm = Bvf_ebpf.Asm
@@ -136,6 +137,43 @@ let test_lru_eviction () =
     (match Vcache.create ~cap:0 with
      | exception Invalid_argument _ -> true
      | _ -> false)
+
+(* The wire index: a bound identity finds its entry and counts as a
+   [find] hit would; an entry keeps one identity; eviction drops it; a
+   miss counts nothing. *)
+let test_wire_index () =
+  let wire prog =
+    { Vcache.wi_prog_type = "xdp"; wi_attach = None; wi_offload = false;
+      wi_prog = prog }
+  in
+  let found c w = Option.map fst (Vcache.find_wire c w) in
+  let c = Vcache.create ~cap:2 in
+  Vcache.insert c "k1" (dummy 1);
+  Vcache.insert c "k2" (dummy 2);
+  Vcache.bind_wire c "k1" (wire "aa");
+  Vcache.bind_wire c "absent" (wire "bb");
+  Alcotest.(check (option string)) "bound" (Some "k1") (found c (wire "aa"));
+  Alcotest.(check (option string)) "no entry, no binding" None
+    (found c (wire "bb"));
+  let s = Vcache.stats c in
+  Alcotest.(check (list int)) "one hit, no miss counted" [ 1; 0 ]
+    [ s.Vcache.cs_hits; s.Vcache.cs_misses ];
+  Alcotest.(check (list string)) "a hit is most recent" [ "k1"; "k2" ]
+    (List.map fst (Vcache.entries c));
+  List.iter
+    (fun (name, w) ->
+       Alcotest.(check (option string)) name None (found c w))
+    [ ("another prog_type", { (wire "aa") with Vcache.wi_prog_type = "kprobe" });
+      ("an attach point", { (wire "aa") with Vcache.wi_attach = Some "x" });
+      ("offload", { (wire "aa") with Vcache.wi_offload = true });
+      ("upper case", wire "AA") ];
+  Vcache.bind_wire c "k1" (wire "AA");
+  Alcotest.(check (list (option string))) "one identity per entry"
+    [ None; Some "k1" ] [ found c (wire "aa"); found c (wire "AA") ];
+  Vcache.insert c "k3" (dummy 3);
+  Vcache.insert c "k4" (dummy 4);
+  Alcotest.(check (option string)) "gone with its entry" None
+    (found c (wire "AA"))
 
 let test_disk_round_trip () =
   let path = tmp "bvf-test-vcache.bin" in
@@ -576,6 +614,39 @@ let test_serve_mixed_stream () =
   Alcotest.(check bool) "malformed line named by its line number" true
     (List.mem {|{"id":"line8","verdict":"error","msg":"malformed JSON"}|} got)
 
+(* A line longer than the cap is answered with an error naming its line
+   number, and its bytes never become a request; the next line is
+   served.  The same for serve and read_jsonl. *)
+let test_line_cap () =
+  let long =
+    {|{"id":"long","prog_type":"xdp","prog":"|}
+    ^ String.make (2 * Json.max_line) 'f' ^ {|"}|}
+  in
+  let valid =
+    Service.request_to_json { Service.q_id = "after"; q_req = rejected_req }
+  in
+  let error =
+    Service.error_to_json ~id:"line1"
+      (Printf.sprintf "request line longer than %d bytes" Json.max_line)
+  in
+  (match serve_lines [ long; valid ] with
+   | [ first; second ] ->
+     Alcotest.(check string) "serve: the long line" error first;
+     Alcotest.(check (option string)) "serve: the next line" (Some "after")
+       (Json.str (Json.parse_object second) "id")
+   | out -> Alcotest.failf "serve: %d responses to two lines" (List.length out));
+  let path = tmp "bvf_svc_line_cap.jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc l; output_char oc '\n')
+        [ long; valid ]);
+  let inputs = Service.read_jsonl path in
+  Sys.remove path;
+  Alcotest.(check (list string)) "read_jsonl: two inputs"
+    [ "line1"; "after" ]
+    (List.map (fun i -> i.Service.in_id) inputs);
+  Alcotest.(check bool) "read_jsonl: the long line is an error" true
+    (Result.is_error (List.hd inputs).Service.in_req)
+
 (* [\u] escapes decode to UTF-8 (a surrogate pair to one code point, a
    lone surrogate to U+FFFD), so the serve loop echoes the caller's id
    byte-exact instead of a Latin-1 byte or a placeholder. *)
@@ -721,9 +792,9 @@ let prop_request_path =
        | Some bad -> QCheck2.Test.fail_reportf "response without id: %S" bad
        | None -> true)
 
-(* -- wire-key probe ----------------------------------------------------------- *)
+(* -- wire index ---------------------------------------------------------------- *)
 
-(* The request path without the wire-key probe: each line parsed and
+(* The request path without the wire index: each line parsed and
    decoded in full ([input_of_json], which is [request_of_json] keeping
    the id), keyed with [Vcache.key], looked up with [Vcache.find],
    verified on a miss and answered with [response_to_json]. *)
@@ -798,7 +869,8 @@ let unencodable_req : Verifier.request =
     r_offload = false; r_insns = [| Insn.Ja 5; Insn.Exit |] }
 
 (* Lines whose wire bytes could pass for another entry's key text if
-   the key's lines did not split one way only. *)
+   the key's lines did not split one way only, and lines whose wire
+   identity is one field away from another's. *)
 let adversarial_lines : string list =
   let c = List.nth corpus_wire 1 in
   let marshalled = Marshal.to_string unencodable_req.Verifier.r_insns [] in
@@ -815,7 +887,23 @@ let adversarial_lines : string list =
     (* "-" is the line of an absent attach point; '\\' the escape mark *)
     wire_line ~id:"no-attach" c;
     wire_line ~id:"dash" ~attach:"-" c;
-    wire_line ~id:"escaped-dash" ~attach:"\\-" c ]
+    wire_line ~id:"escaped-dash" ~attach:"\\-" c;
+    (* the wire index: one line under two ids; its hex under another
+       prog_type, attach point or offload flag, which must not share
+       its entry; the same bytes in upper case and spaced *)
+    wire_line ~id:"twice-a" c;
+    wire_line ~id:"twice-b" c;
+    wire_line ~id:"as-xdp" ~prog_type:"xdp" c;
+    wire_line ~id:"as-kprobe" ~prog_type:"kprobe" c;
+    wire_line ~id:"at-tp" ~attach:"sys_enter" c;
+    wire_line ~id:"offloaded" ~offload:true c;
+    request_line ~id:"upper" ~prog_type:"socket_filter"
+      (String.uppercase_ascii (hex_of_string c));
+    request_line ~id:"spaced" ~prog_type:"socket_filter"
+      (String.concat " "
+         (List.init (String.length c) (fun i ->
+              hex_of_string (String.sub c i 1))));
+    wire_line ~id:"twice-c" c ]
 
 (* Serve and the reference over [lines] twice (cold, then warm) on
    equal caches of [cap] entries that both start with the verdict of
@@ -871,9 +959,9 @@ let differential_gap ?cap (lines : string list) : string option =
    their non-canonical encodings, and the adversarial lines, cold and
    warm: serve answers, counts, caches and traces exactly as the
    reference does. *)
-let prop_wire_probe =
+let prop_wire_index =
   QCheck2.Test.make ~count:200
-    ~name:"wire-key probe = parse, key, find"
+    ~name:"wire index = parse, key, find"
     ~print:(fun lines ->
         String.concat "\n"
           (List.map
@@ -904,7 +992,7 @@ let prop_wire_probe =
        | None -> true
        | Some gap -> QCheck2.Test.fail_report gap)
 
-let test_wire_probe_cases () =
+let test_wire_cases () =
   let canon = List.nth corpus_wire 2 in
   let nc = Option.get (noncanonical canon) in
   Alcotest.(check bool) "the decoder ignores an exit's off" true
@@ -939,7 +1027,36 @@ let test_wire_probe_cases () =
       field "inj-host-probe" "verdict"; field "inj-off-probe" "cache" ];
   Alcotest.(check (list (option string))) "attach \"-\" is not an absent one"
     [ Some "miss"; Some "unknown attach point -" ]
-    [ field "dash" "cache"; field "dash" "msg" ]
+    [ field "dash" "cache"; field "dash" "msg" ];
+  (* the wire index answers a line under any id, and nothing else *)
+  Alcotest.(check string) "one line, two ids" (body "twice-a")
+    (body "twice-b");
+  Alcotest.(check (list (option string))) "another id hits"
+    [ Some "hit"; Some "hit" ] [ field "twice-b" "cache"; field "twice-c" "cache" ];
+  List.iter
+    (fun id ->
+       Alcotest.(check bool) (id ^ ": its own key") true
+         (field id "key" <> field "twice-a" "key"))
+    [ "as-xdp"; "as-kprobe"; "at-tp"; "offloaded" ];
+  List.iter
+    (fun id ->
+       Alcotest.(check (option string)) (id ^ ": the entry of its bytes")
+         (field "twice-a" "key") (field id "key"))
+    [ "upper"; "spaced" ];
+  (* cap 2: a line re-sent after its entry was evicted misses again *)
+  let a = List.nth corpus_wire 3 and b = List.nth corpus_wire 4
+  and c = List.nth corpus_wire 5 in
+  let evicting =
+    [ wire_line ~id:"a" a; wire_line ~id:"b" b; wire_line ~id:"a2" a;
+      wire_line ~id:"c" c; wire_line ~id:"b2" b; wire_line ~id:"a3" a;
+      wire_line ~id:"a4" a ]
+  in
+  Option.iter Alcotest.fail (differential_gap ~cap:2 evicting);
+  let out = serve_lines ~cache:(Vcache.create ~cap:2) evicting in
+  Alcotest.(check (list (option string))) "evicted, then missed"
+    [ Some "miss"; Some "miss"; Some "hit"; Some "miss"; Some "miss";
+      Some "miss"; Some "hit" ]
+    (List.map (fun l -> Json.str (Json.parse_object l) "cache") out)
 
 let test_service_events_round_trip () =
   List.iter
@@ -974,6 +1091,7 @@ let () =
           Alcotest.test_case "rejected verdict fields" `Quick
             test_rejected_verdict_fields;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
+          Alcotest.test_case "wire index" `Quick test_wire_index;
           Alcotest.test_case "disk round trip" `Quick
             test_disk_round_trip;
           Alcotest.test_case "disk damage is an error" `Quick
@@ -1009,12 +1127,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_hex_decoder;
           Alcotest.test_case "serve mixed stream" `Quick
             test_serve_mixed_stream;
+          Alcotest.test_case "line cap" `Quick test_line_cap;
           QCheck_alcotest.to_alcotest prop_request_path;
         ] );
       ( "wire",
         [
           Alcotest.test_case "non-canonical and adversarial lines" `Quick
-            test_wire_probe_cases;
-          QCheck_alcotest.to_alcotest prop_wire_probe;
+            test_wire_cases;
+          QCheck_alcotest.to_alcotest prop_wire_index;
         ] );
     ]
