@@ -514,8 +514,8 @@ let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
     ?checkpoint_every ?checkpoint ?failslab ?resume_from ?skip
     ?stop ?on_step ~(seed : int) ~(iterations : int)
     (strategy : strategy) (config : Kconfig.t) : t =
-  (* this domain's minor heap is its lane's share of one budget while
-     the campaign runs (DESIGN.md §8.5); no outcome depends on it *)
+  (* this domain's minor heap is its lane's share of one budget, set
+     once and held (DESIGN.md §8.5); no outcome depends on it *)
   Bvf_util.Lanes.with_heap_share @@ fun () ->
   let c =
     match resume_from with

@@ -181,8 +181,9 @@ val run_t :
     shard executors, tests) access to the final coverage map and corpus
     alongside the stats.  The calling domain runs the campaign under
     {!Bvf_util.Lanes.with_heap_share}: its minor heap is set to its
-    lane's share of one budget and put back when [run_t] returns or
-    raises. *)
+    lane's share of one budget, and stays there after [run_t] returns
+    or raises, so the next call in the domain resizes only when its
+    lane count changed. *)
 
 val run :
   ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->

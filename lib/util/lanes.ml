@@ -57,22 +57,26 @@ let run ?(prof = Prof.disabled) ~(tasks : int) (f : int -> 'a) :
    iteration allocates mostly short-lived verifier state, and at the
    default size 5.6% of iterations absorbed a ~220 us minor collection,
    half of the campaign's latency p90.  One domain at 512k words cut p90
-   by 23-25% (6 of 6 paired runs, 2 vCPU; about 16% when resized per
-   run_t call, whose fresh heap costs page faults); two lanes at 512k
-   words each made p50 worse in 8 of 8 runs, so lanes split the budget
-   and a two-lane run keeps the default 256k each (DESIGN.md §8.5). *)
+   by 23-25% (6 of 6 paired runs, 2 vCPU); two lanes at 512k words each
+   made p50 worse in 8 of 8 runs, so lanes split the budget and a
+   two-lane run keeps the default 256k each (DESIGN.md §8.5). *)
 let minor_heap_budget = 524_288
 
+(* Per domain: the size it had of its own (at startup, or as last set
+   by anyone else) and the size [with_heap_share] last left it at. *)
+type held = { mutable own : int; mutable set : int }
+
+let held_key : held Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { own = 0; set = -1 })
+
 let with_heap_share (f : unit -> 'a) : 'a =
-  let before = (Gc.get ()).Gc.minor_heap_size in
-  let share = minor_heap_budget / width () in
-  if share <= before then f ()
-  else begin
-    (* a resize first empties the minor heaps, a stop-the-world
-       collection, so an unchanged size is never set *)
-    let resize words =
-      Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
-    in
-    resize share;
-    Fun.protect ~finally:(fun () -> resize before) f
-  end
+  let h = Domain.DLS.get held_key in
+  let current = (Gc.get ()).Gc.minor_heap_size in
+  if current <> h.set then h.own <- current;
+  let share = max h.own (minor_heap_budget / width ()) in
+  (* a resize first empties the minor heaps, a stop-the-world collection,
+     and maps the new heap afresh, so an unchanged size is never set *)
+  if share <> current then
+    Gc.set { (Gc.get ()) with Gc.minor_heap_size = share };
+  h.set <- (Gc.get ()).Gc.minor_heap_size;
+  f ()

@@ -34,9 +34,12 @@ val minor_heap_budget : int
 
 val with_heap_share : (unit -> 'a) -> 'a
 (** [with_heap_share f] runs [f] with the calling domain's minor heap at
-    [max current (minor_heap_budget / width ())] words, and puts the
-    previous size back when [f] returns or raises.  A larger size
-    (say, from [OCAMLRUNPARAM=s=]) is left as it is, and so is every
-    other domain's heap: on OCaml 5 the minor heap size is per domain,
-    and a spawned domain starts at the startup size, not at its
-    spawner's.  Nothing [f] computes may depend on the heap size. *)
+    [max own (minor_heap_budget / width ())] words and leaves it there:
+    the next call in the domain resizes only when {!width} changed.
+    [own] is the size the domain had of its own: its startup size, or
+    the size someone else set since the last call (say, from
+    [OCAMLRUNPARAM=s=] or a [Gc.set]), so a larger size is kept.  Only
+    the calling domain's heap changes: on OCaml 5 the minor heap size
+    is per domain, and a spawned domain starts at the startup size, not
+    at its spawner's.  Nothing [f] computes may depend on the heap
+    size. *)

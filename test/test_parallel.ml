@@ -198,28 +198,48 @@ let set_heap_words (words : int) : unit =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
 
 (* A shard of a two-shard run steps with its lane's share of the
-   budget; a size the domain already had above that share is kept. *)
+   budget, and a domain keeps its share after the run: a size of its own
+   above the share is kept, a one-lane run's larger share is given up by
+   a later two-lane run. *)
 let test_shard_heap_share () =
   let jobs = 2 in
   let lanes = Bvf_util.Lanes.count ~tasks:jobs in
   let share = Bvf_util.Lanes.minor_heap_budget / lanes in
-  (* lane 0 is the caller; a spawned lane starts at the startup size *)
-  let caller = heap_words () in
+  (* lane 0 is the caller, here with a size of its own below any share;
+     a spawned lane starts at the startup size *)
+  let before = heap_words () in
+  let own = 65_536 in
+  set_heap_words own;
   let startup = Domain.join (Domain.spawn heap_words) in
-  let seen = Array.make jobs 0 in
+  let run_jobs2 () =
+    let seen = Array.make jobs 0 in
+    ignore
+      (Parallel.run
+         ~on_step:(fun shard _ -> seen.(shard) <- heap_words ())
+         ~jobs ~seed:2 ~iterations:(8 * jobs) Campaign.bvf_strategy
+         (config ()));
+    seen
+  in
+  let check_shards what seen =
+    Array.iteri
+      (fun i words ->
+         let own = if i mod lanes = 0 then own else startup in
+         Alcotest.(check int)
+           (Printf.sprintf "%s: shard %d at budget / %d lanes" what i lanes)
+           (max own share) words)
+      seen
+  in
+  check_shards "first run" (run_jobs2 ());
+  Alcotest.(check int) "the caller holds its share" (max own share)
+    (heap_words ());
   ignore
-    (Parallel.run
-       ~on_step:(fun shard _ -> seen.(shard) <- heap_words ())
-       ~jobs ~seed:2 ~iterations:(8 * jobs) Campaign.bvf_strategy
-       (config ()));
-  Array.iteri
-    (fun i words ->
-       let own = if i mod lanes = 0 then caller else startup in
-       Alcotest.(check int)
-         (Printf.sprintf "shard %d at budget / %d lanes" i lanes)
-         (max own share) words)
-    seen;
-  Alcotest.(check int) "the caller's heap is back" caller (heap_words ())
+    (Campaign.run_t ~seed:2 ~iterations:8 Campaign.bvf_strategy (config ()));
+  Alcotest.(check int) "a one-lane run: the whole budget"
+    (max own Bvf_util.Lanes.minor_heap_budget) (heap_words ());
+  check_shards "after a one-lane run" (run_jobs2 ());
+  Alcotest.(check int) "lane 0 back at its share" (max own share)
+    (heap_words ());
+  set_heap_words before
 
 let test_parallel_failslab_deterministic () =
   let digest () =
@@ -238,7 +258,8 @@ let pinned_run_t = "739e769a98d699f2fabe0028db7a6982"
 
 (* No outcome depends on the GC: the same campaign under a 32k-word and
    a 4M-word minor heap has the digest pinned at the default heap, and
-   [run_t] hands the caller its heap back at the size it found. *)
+   [run_t] leaves the caller's heap at its share, or at the size it
+   found when that is larger. *)
 let test_digest_under_any_heap () =
   let before = heap_words () in
   let digest_at words =
@@ -253,8 +274,8 @@ let test_digest_under_any_heap () =
          (words / 1024))
       (max words Bvf_util.Lanes.minor_heap_budget) !during;
     Alcotest.(check int)
-      (Printf.sprintf "%dk words: back after run_t returns" (words / 1024))
-      words (heap_words ());
+      (Printf.sprintf "%dk words: held after run_t returns" (words / 1024))
+      (max words Bvf_util.Lanes.minor_heap_budget) (heap_words ());
     Campaign.digest c.Campaign.stats
   in
   let small = digest_at 32_768 in
@@ -263,7 +284,9 @@ let test_digest_under_any_heap () =
   Alcotest.(check string) "32k words: the pinned digest" pinned_run_t small;
   Alcotest.(check string) "4M words: the pinned digest" pinned_run_t large
 
-let test_heap_restored_on_raise () =
+(* A run_t that raises leaves the heap at its share, as one that
+   returns does. *)
+let test_heap_held_on_raise () =
   let before = heap_words () in
   let raising =
     { Campaign.bvf_strategy with
@@ -278,7 +301,8 @@ let test_heap_restored_on_raise () =
    | _ -> Alcotest.fail "expected s_generate's exception");
   let after = heap_words () in
   set_heap_words before;
-  Alcotest.(check int) "back after run_t raises" 32_768 after
+  Alcotest.(check int) "held after run_t raises"
+    Bvf_util.Lanes.minor_heap_budget after
 
 (* -- Merge invariants ---------------------------------------------------------- *)
 
@@ -611,8 +635,8 @@ let () =
       ( "minor heap",
         [ Alcotest.test_case "digest under a 32k and a 4M heap" `Slow
             test_digest_under_any_heap;
-          Alcotest.test_case "restored when run_t raises" `Quick
-            test_heap_restored_on_raise ] );
+          Alcotest.test_case "held when run_t raises" `Quick
+            test_heap_held_on_raise ] );
       ( "lock",
         [ Alcotest.test_case "a live holder is refused" `Quick
             test_lock_live_holder;
