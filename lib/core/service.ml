@@ -314,15 +314,14 @@ let read_jsonl (path : string) : input list =
   let r = Json.reader ic in
   let rec go lineno acc =
     match Json.read_line r with
-    | Json.Eof -> List.rev acc
-    | Json.Line l when String.trim l = "" -> go (lineno + 1) acc
-    | line ->
+    | None -> List.rev acc
+    | Some (Json.Line l) when String.trim l = "" -> go (lineno + 1) acc
+    | Some line ->
       let fallback_id = Printf.sprintf "line%d" lineno in
       let input =
         match line with
         | Json.Line l -> input_of_json ~fallback_id l
-        | Json.Too_long | Json.Eof ->
-          { in_id = fallback_id; in_req = Error line_too_long }
+        | Json.Too_long -> { in_id = fallback_id; in_req = Error line_too_long }
       in
       go (lineno + 1) (input :: acc)
   in
@@ -620,19 +619,21 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
         | Some (key, v) -> answer ~id ~key v
         | None -> serve_fields f (Some w)
   in
+  let flush () =
+    Stdlib.flush oc;
+    Telemetry.flush sink
+  in
   let r = Json.reader ic in
   let rec loop () =
     if not (stop ()) then
       match Json.read_line r with
-      | Json.Eof -> ()
-      | Json.Line l when String.trim l = "" -> incr lineno; loop ()
-      | line ->
+      | None -> ()
+      | Some line ->
         incr lineno;
         (match line with
-         | Json.Line l -> respond l
-         | Json.Too_long | Json.Eof -> invalid None line_too_long);
-        Stdlib.flush oc;
-        Telemetry.flush sink;
+         | Json.Line l when String.trim l = "" -> ()
+         | Json.Line l -> respond l; flush ()
+         | Json.Too_long -> invalid None line_too_long; flush ());
         loop ()
   in
   (try loop () with Sys_error _ -> ()  (* interrupted read during a drain *));

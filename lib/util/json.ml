@@ -227,7 +227,7 @@ let escape (b : Buffer.t) (s : string) : unit =
 
 (* -- Lines -------------------------------------------------------------- *)
 
-type line = Line of string | Too_long | Eof
+type line = Line of string | Too_long
 
 type reader = {
   r_ic : in_channel;
@@ -259,7 +259,7 @@ let newline_from (buf : Bytes.t) (i : int) (len : int) : int =
   in
   words i
 
-let read_line (r : reader) : line =
+let read_line (r : reader) : line option =
   let buf = r.r_buf and acc = r.r_acc in
   (* [size]: the bytes of this line in earlier fills *)
   let rec go size =
@@ -268,11 +268,12 @@ let read_line (r : reader) : line =
     let size' = size + (stop - pos) in
     if stop < len then begin
       r.r_pos <- stop + 1;
-      if size' > max_line then Too_long
-      else if size = 0 then Line (Bytes.sub_string buf pos (stop - pos))
+      if size' > max_line then Some Too_long
+      else if size = 0 then
+        Some (Line (Bytes.sub_string buf pos (stop - pos)))
       else begin
         Buffer.add_subbytes acc buf pos (stop - pos);
-        Line (Buffer.contents acc)
+        Some (Line (Buffer.contents acc))
       end
     end
     else begin
@@ -280,9 +281,9 @@ let read_line (r : reader) : line =
       r.r_pos <- 0;
       r.r_len <- input r.r_ic buf 0 (Bytes.length buf);
       if r.r_len > 0 then go size'
-      else if size' = 0 then Eof
-      else if size' > max_line then Too_long
-      else Line (Buffer.contents acc)
+      else if size' = 0 then None
+      else if size' > max_line then Some Too_long
+      else Some (Line (Buffer.contents acc))
     end
   in
   Buffer.reset acc;

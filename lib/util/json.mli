@@ -54,7 +54,6 @@ val max_line : int
 type line =
   | Line of string  (** the bytes before the newline (or end of input) *)
   | Too_long  (** more than {!max_line} bytes: skipped, not kept *)
-  | Eof
 
 type reader
 (** An input channel and the bytes read from it but not yet handed
@@ -62,9 +61,9 @@ type reader
 
 val reader : in_channel -> reader
 
-val read_line : reader -> line
-(** The next line, without its newline.  A last line with no newline
-    is a [Line]; [Eof] only once nothing is left.  A [Too_long] line's
+val read_line : reader -> line option
+(** The next line, without its newline; [None] at the end of input.  A
+    last line with no newline is a [Line].  A [Too_long] line's
     bytes are read and dropped up to its newline, and the line after
     it comes next.  Returns as soon as the line's newline has been
     read, so a client that waits for each answer is served. *)

@@ -81,7 +81,7 @@ val lint :
     performance counters are a pure function of (program, resolvable
     maps, kernel config).  These fingerprints canonicalize the config
     and the maps for the service layer's content-addressed verdict
-    cache, which adds the program's wire bytes ([Vcache.key_of_wire];
+    cache, which adds the program's wire bytes ([Vcache.key];
     see docs/SERVICE.md for the soundness argument). *)
 
 val config_fingerprint : Bvf_kernel.Kconfig.t -> string

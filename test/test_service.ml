@@ -163,7 +163,8 @@ let test_wire_index () =
   List.iter
     (fun (name, w) ->
        Alcotest.(check (option string)) name None (found c w))
-    [ ("another prog_type", { (wire "aa") with Vcache.wi_prog_type = "kprobe" });
+    [ ("another prog_type",
+       { (wire "aa") with Vcache.wi_prog_type = "kprobe" });
       ("an attach point", { (wire "aa") with Vcache.wi_attach = Some "x" });
       ("offload", { (wire "aa") with Vcache.wi_offload = true });
       ("upper case", wire "AA") ];
@@ -1032,7 +1033,8 @@ let test_wire_cases () =
   Alcotest.(check string) "one line, two ids" (body "twice-a")
     (body "twice-b");
   Alcotest.(check (list (option string))) "another id hits"
-    [ Some "hit"; Some "hit" ] [ field "twice-b" "cache"; field "twice-c" "cache" ];
+    [ Some "hit"; Some "hit" ]
+    [ field "twice-b" "cache"; field "twice-c" "cache" ];
   List.iter
     (fun id ->
        Alcotest.(check bool) (id ^ ": its own key") true
