@@ -9,14 +9,6 @@
      dune exec bench/main.exe -- acceptance - section 6.3 statistics
      dune exec bench/main.exe -- overhead   - section 6.4 sanitation cost
      dune exec bench/main.exe -- ablation   - DESIGN.md ablations
-     dune exec bench/main.exe -- parallel   - sharded-campaign scaling at
-                                              1/2/4 domains; writes
-                                              BENCH_parallel.json
-     dune exec bench/main.exe -- parallel-quick - same, smoke-sized;
-                                              writes
-                                              BENCH_parallel_quick.json
-     dune exec bench/main.exe -- verify     - verification hot path only
-     dune exec bench/main.exe -- exec       - execution hot path only
      dune exec bench/main.exe -- hotpath    - verify + exec + sequential
                                               campaign; writes
                                               BENCH_hotpath.json
@@ -63,17 +55,6 @@ let run_ablation ~iterations () =
   line ();
   E.print_ablation (E.ablation ~iterations ())
 
-(* Parallel scaling: prints the table and records the machine-readable
-   baseline next to the repo root (the BENCH_*.json perf trajectory). *)
-let run_parallel ?(path = "BENCH_parallel.json") ~iterations () =
-  line ();
-  let p = E.parallel_bench ~iterations () in
-  E.print_parallel p;
-  let oc = open_out path in
-  output_string oc (E.parallel_to_json p);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
 (* Hot-path microbench: sequential verify / exec / campaign throughput
    plus allocation, recorded as BENCH_hotpath.json (the quick run's
    BENCH_hotpath_quick.json is the input of the CI regression gate,
@@ -88,14 +69,6 @@ let run_hotpath ?(path = "BENCH_hotpath.json") ~count ~repeat ~exec_runs
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-let print_hotpath_row (r : E.hotpath_row) =
-  line ();
-  Printf.printf
-    "%s: %d programs, %d insns in %.3fs = %.0f programs/sec, %.1f \
-     ns/insn, %.0f minor words/program\n"
-    r.E.hp_name r.E.hp_programs r.E.hp_insns r.E.hp_seconds
-    r.E.hp_progs_per_sec r.E.hp_ns_per_insn r.E.hp_minor_words_per_prog
-
 let () =
   let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match arg with
@@ -105,12 +78,6 @@ let () =
   | "acceptance" -> run_acceptance ~programs:4_000 ()
   | "overhead" -> run_overhead ~count:708 ~runs:60 ()
   | "ablation" -> run_ablation ~iterations:6_000 ()
-  | "parallel" -> run_parallel ~iterations:6_000 ()
-  | "parallel-quick" ->
-    (* never over the committed full-run file *)
-    run_parallel ~path:"BENCH_parallel_quick.json" ~iterations:1_500 ()
-  | "verify" -> print_hotpath_row (E.hotpath_verify ~repeat:10 ())
-  | "exec" -> print_hotpath_row (E.hotpath_exec ~runs:60 ())
   | "hotpath" ->
     run_hotpath ~count:708 ~repeat:10 ~exec_runs:60 ~iterations:6_000 ()
   | "hotpath-quick" ->
@@ -133,12 +100,10 @@ let () =
     run_figure6 ~iterations:6_000 ~repetitions:3 ();
     run_acceptance ~programs:4_000 ();
     run_overhead ~count:708 ~runs:60 ();
-    run_ablation ~iterations:6_000 ();
-    run_parallel ~iterations:6_000 ()
+    run_ablation ~iterations:6_000 ()
   | other ->
     Printf.eprintf
       "unknown experiment %S (try: all quick table2 table3 figure6 \
-       acceptance overhead ablation parallel parallel-quick verify exec \
-       hotpath hotpath-quick)\n"
+       acceptance overhead ablation hotpath hotpath-quick)\n"
       other;
     exit 2

@@ -4,7 +4,7 @@
 
      bvf fuzz --kernel bpf-next --iterations 20000 --seed 1 --tool bvf
      bvf fuzz --witness --iterations 20000
-     bvf fuzz --seed 1 --trace trace.jsonl --log-level 1
+     bvf fuzz --seed 1 --trace trace.jsonl
      bvf explain 42
      bvf stats trace.jsonl --fail-on-unknown
      bvf repro --bug bug1-nullness-propagation
@@ -255,7 +255,7 @@ let fuzz_cmd =
   let run version seed iterations tool no_sanitize fixed unprivileged
       witness failslab_rate failslab_seed checkpoint_every jobs workers
       state_dir deadline max_restarts
-      quarantine_file trace log_level progress_every profile =
+      quarantine_file trace progress_every profile =
     let config =
       if fixed then Kconfig.fixed version else Kconfig.default version
     in
@@ -346,7 +346,7 @@ let fuzz_cmd =
     let result =
       try
         Parallel.run ~jobs:(if workers > 0 then workers else jobs) ?supervise
-          ?trace ~log_level ~failslab_rate ?failslab_seed ~checkpoint_every
+          ?trace ~failslab_rate ?failslab_seed ~checkpoint_every
           ?dir:state_dir ~stop:(fun _ -> stopped)
           ?on_step:(Option.map Progress.observer progress)
           ~prof ~seed ~iterations strategy config
@@ -388,7 +388,7 @@ let fuzz_cmd =
           $ failslab_t $ failslab_seed_t $ checkpoint_every_t $ jobs_t
           $ workers_t $ state_dir_t $ deadline_t $ max_restarts_t
           $ quarantine_t
-          $ trace_t $ log_level_t $ progress_t $ profile_t)
+          $ trace_t $ progress_t $ profile_t)
 
 (* -- explain ---------------------------------------------------------------- *)
 

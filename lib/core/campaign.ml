@@ -217,7 +217,6 @@ type t = {
   mutable gen_config : Gen.config;
   sample_every : int;
   telemetry : Telemetry.sink;
-  log_level : int;
   (* profiler handle for this campaign's domain: its totals (and spans)
      account the gen/verify/sanitize/exec phases and checkpoint writes;
      never touches the RNG, the telemetry sink or the digest. *)
@@ -321,7 +320,7 @@ let fresh ?failslab ~(seed : int) (strategy : strategy) (config : Kconfig.t)
 (* A running campaign over the snapshot's state, on a kernel built from
    it the way {!reboot} builds one. *)
 let start ?(sample_every = 64) ?(telemetry = Telemetry.null)
-    ?(log_level = 0) ?(prof = Bvf_util.Prof.disabled) (strategy : strategy)
+    ?(prof = Bvf_util.Prof.disabled) (strategy : strategy)
     (config : Kconfig.t) (s : snapshot) : t =
   let session = Loader.create ~cov:s.sn_cov ~failslab:s.sn_failslab config in
   {
@@ -339,7 +338,6 @@ let start ?(sample_every = 64) ?(telemetry = Telemetry.null)
         c_maps = standard_maps session };
     sample_every;
     telemetry;
-    log_level;
     prof;
   }
 
@@ -347,7 +345,7 @@ let start ?(sample_every = 64) ?(telemetry = Telemetry.null)
    reboot the barrier performed right after taking it, fault-plan draws
    of its map setup included, so the resumed campaign replays the exact
    continuation of the uninterrupted one. *)
-let resume ?sample_every ?telemetry ?log_level ?prof (strategy : strategy)
+let resume ?sample_every ?telemetry ?prof (strategy : strategy)
     (config : Kconfig.t) (s : snapshot) : t =
   (* Deep-copy the snapshot before mutating anything in it.  A snapshot
      loaded from disk is already private, but an in-memory one shares
@@ -358,7 +356,7 @@ let resume ?sample_every ?telemetry ?log_level ?prof (strategy : strategy)
      the snapshot value, matching the from-disk semantics. *)
   let s : snapshot = Marshal.from_string (Marshal.to_string s []) 0 in
   s.sn_stats.st_reboots <- s.sn_stats.st_reboots + 1;
-  start ?sample_every ?telemetry ?log_level ?prof strategy config s
+  start ?sample_every ?telemetry ?prof strategy config s
 
 (* One fuzzing iteration: generate (or mutate), load, run, classify. *)
 let step (c : t) : unit =
@@ -389,7 +387,7 @@ let step (c : t) : unit =
   let rec attempt (n : int) : int * Loader.run_result =
     let edges_before = Coverage.edge_count c.cov in
     let result =
-      Loader.load_and_run ~log_level:c.log_level ~prof:c.prof c.session req
+      Loader.load_and_run ~prof:c.prof c.session req
     in
     if is_transient result && n < max_transient_retries then begin
       stats.st_retries <- stats.st_retries + 1;
@@ -510,7 +508,7 @@ let step_skip (c : t) : unit =
 
 (* -- Driving ----------------------------------------------------------- *)
 
-let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
+let run_t ?(sample_every = 64) ?telemetry ?prof
     ?checkpoint_every ?checkpoint ?failslab ?resume_from ?skip
     ?stop ?on_step ~(seed : int) ~(iterations : int)
     (strategy : strategy) (config : Kconfig.t) : t =
@@ -520,9 +518,9 @@ let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
   let c =
     match resume_from with
     | Some s ->
-      resume ~sample_every ?telemetry ?log_level ?prof strategy config s
+      resume ~sample_every ?telemetry ?prof strategy config s
     | None ->
-      start ~sample_every ?telemetry ?log_level ?prof strategy config
+      start ~sample_every ?telemetry ?prof strategy config
         (fresh ?failslab ~seed strategy config)
   in
   (* A checkpoint is a barrier: write the snapshot, then reboot, so the
@@ -586,11 +584,11 @@ let run_t ?(sample_every = 64) ?telemetry ?log_level ?prof
       c.stats.st_curve;
   c
 
-let run ?sample_every ?telemetry ?log_level ?prof ?checkpoint_every
+let run ?sample_every ?telemetry ?prof ?checkpoint_every
     ?checkpoint ?failslab ?resume_from ?skip ?stop ?on_step
     ~(seed : int) ~(iterations : int) (strategy : strategy)
     (config : Kconfig.t) : stats =
-  (run_t ?sample_every ?telemetry ?log_level ?prof ?checkpoint_every
+  (run_t ?sample_every ?telemetry ?prof ?checkpoint_every
      ?checkpoint ?failslab ?resume_from ?skip ?stop ?on_step ~seed
      ~iterations strategy config)
     .stats

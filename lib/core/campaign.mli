@@ -123,7 +123,6 @@ type t = {
   sample_every : int;
   telemetry : Telemetry.sink;
       (** JSONL event sink; {!Telemetry.null} when not tracing *)
-  log_level : int; (** verifier log level for every load (default 0) *)
   prof : Bvf_util.Prof.t;
       (** profiler handle for this campaign's domain ([Prof.disabled]
           unless the caller passed a track): its per-name totals
@@ -170,7 +169,7 @@ val fresh :
     fault plan: off).  Builds no kernel. *)
 
 val run_t :
-  ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
+  ?sample_every:int -> ?telemetry:Telemetry.sink ->
   ?prof:Bvf_util.Prof.t ->
   ?checkpoint_every:int -> ?checkpoint:(t -> unit) ->
   ?failslab:Bvf_kernel.Failslab.t -> ?resume_from:snapshot ->
@@ -186,7 +185,7 @@ val run_t :
     lane count changed. *)
 
 val run :
-  ?sample_every:int -> ?telemetry:Telemetry.sink -> ?log_level:int ->
+  ?sample_every:int -> ?telemetry:Telemetry.sink ->
   ?prof:Bvf_util.Prof.t ->
   ?checkpoint_every:int -> ?checkpoint:(t -> unit) ->
   ?failslab:Bvf_kernel.Failslab.t -> ?resume_from:snapshot ->

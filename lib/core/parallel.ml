@@ -412,7 +412,7 @@ let shard_failslab ~(failslab_rate : float option)
    track [prof].  The campaign's phase spans nest inside it, so its self
    time is the per-iteration harness overhead (RNG, corpus, telemetry
    emission).  The sink is closed when the shard returns or raises. *)
-let run_shard ?(sample_every = 64) ?log_level ?checkpoint_every ?dir ?from
+let run_shard ?(sample_every = 64) ?checkpoint_every ?dir ?from
     ?skip ?stop ?on_step ~(jobs : int) ~(seed : int)
     ~(failslab_rate : float option) ~(failslab_seed : int option)
     ~(trace : string option) ~(prof : Bvf_util.Prof.t) ~(iterations : int)
@@ -452,7 +452,7 @@ let run_shard ?(sample_every = 64) ?log_level ?checkpoint_every ?dir ?from
     | None -> 0
   in
   let c =
-    Campaign.run_t ~sample_every ~telemetry ?log_level ~prof ?failslab
+    Campaign.run_t ~sample_every ~telemetry ~prof ?failslab
       ?checkpoint_every
       ?checkpoint:(Option.map (fun dir -> save (state_path dir i)) dir)
       ?resume_from:(Option.map (fun st -> st.ss_snapshot) from)
@@ -584,7 +584,7 @@ let merge_states (states : state list) : state =
 
 (* -- Driving ----------------------------------------------------------- *)
 
-let run ?sample_every ?trace ?log_level ?failslab_rate ?failslab_seed
+let run ?sample_every ?trace ?failslab_rate ?failslab_seed
     ?checkpoint_every ?dir ?stop ?on_step ?supervise
     ?(prof = Bvf_util.Prof.session ~spans:false ()) ~(jobs : int)
     ~(seed : int) ~(iterations : int) (strategy : Campaign.strategy)
@@ -623,7 +623,7 @@ let run ?sample_every ?trace ?log_level ?failslab_rate ?failslab_seed
   in
   (* one incarnation of shard [i]'s task, whichever lane runs it *)
   let task i ~from ~prof ?skip ?stop () =
-    run_shard ?sample_every ?log_level ?checkpoint_every ?dir ?from ?skip
+    run_shard ?sample_every ?checkpoint_every ?dir ?from ?skip
       ?stop ?on_step:(Option.map (fun f -> f i) on_step) ~jobs ~seed
       ~failslab_rate ~failslab_seed ~trace ~prof
       ~iterations:(counts.(i) - Option.fold ~none:0 ~some:completed from)

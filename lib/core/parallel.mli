@@ -141,7 +141,7 @@ val merge_states : state list -> state
     version, or config flags. *)
 
 val run :
-  ?sample_every:int -> ?trace:string -> ?log_level:int ->
+  ?sample_every:int -> ?trace:string ->
   ?failslab_rate:float -> ?failslab_seed:int -> ?checkpoint_every:int ->
   ?dir:string -> ?stop:(int -> unit -> bool) ->
   ?on_step:(int -> Campaign.t -> unit) -> ?supervise:Supervisor.policy ->
@@ -181,13 +181,12 @@ val run :
     [trace] and removes the shard files (with [dir], once every shard
     has finished: until then a rerun continues them).  With [jobs = 1]
     the campaign writes [trace] directly, byte-identical to a
-    sequential run's trace.  [log_level] sets the verifier log level
-    for every load.  [checkpoint_every] reboots each shard's kernel
-    after every [checkpoint_every] shard-local iterations (by default
-    there are no barriers), and with [dir] saves the shard's file
-    there.  [dir] is the state directory (created if missing; without
-    it the run writes no state), held through {!lock_path} for the
-    whole run.
+    sequential run's trace.  [checkpoint_every] reboots each shard's
+    kernel after every [checkpoint_every] shard-local iterations (by
+    default there are no barriers), and with [dir] saves the shard's
+    file there.  [dir] is the state directory (created if missing;
+    without it the run writes no state), held through {!lock_path} for
+    the whole run.
 
     [stop shard] is shard [shard]'s stop: on a domain lane it is the
     {!Campaign.run_t} stop hook, and on a process lane the parent polls

@@ -123,6 +123,16 @@ type suite = {
   requests : Verifier.request list; (* all pass the fixed verifier *)
 }
 
+(* The map population every self-test is built against, created in this
+   order: array -> fd 3, hash -> fd 4 (Kstate.next_fd starts at 3). *)
+let array_map = Map.array_def ~value_size:48 ()
+let hash_map = Map.hash_def ~key_size:8 ~value_size:48 ()
+
+let install_maps (session : Loader.t) : int * int =
+  let array_fd = Loader.create_map session array_map in
+  let hash_fd = Loader.create_map session hash_map in
+  (array_fd, hash_fd)
+
 let build ?(count = target_count) ?config (version : Version.t) : suite =
   (* a fixed kernel: self-tests must pass a correct verifier.  [config]
      overrides it for instrumented builds (invariant lint, witness
@@ -131,16 +141,8 @@ let build ?(count = target_count) ?config (version : Version.t) : suite =
     match config with Some c -> c | None -> Kconfig.fixed version
   in
   let session = Loader.create config in
-  let array_fd =
-    Loader.create_map session (Map.array_def ~value_size:48 ())
-  in
-  let hash_fd =
-    Loader.create_map session (Map.hash_def ~key_size:8 ~value_size:48 ())
-  in
-  let maps =
-    [ (array_fd, Map.array_def ~value_size:48 ());
-      (hash_fd, Map.hash_def ~key_size:8 ~value_size:48 ()) ]
-  in
+  let array_fd, hash_fd = install_maps session in
+  let maps = [ (array_fd, array_map); (hash_fd, hash_map) ] in
   let hand =
     List.concat
       [

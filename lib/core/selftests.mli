@@ -14,6 +14,13 @@ type suite = {
       (** all pass the fixed verifier *)
 }
 
+val install_maps : Bvf_runtime.Loader.t -> int * int
+(** Create the self-test map population in a session and return its
+    [(array_fd, hash_fd)].  Every self-test is built against it; a fresh
+    session gets fds 3 and 4, so a corpus program verifies the same in
+    any session that installs it first ({!Service.create_session}, the
+    sanitation-overhead experiment). *)
+
 val target_count : int
 (** 708, as in the paper. *)
 

@@ -21,18 +21,11 @@ type input = {
   in_req : (Verifier.request, string) result;
 }
 
-(* The Selftests session population, replicated so corpus exports
-   verify identically under the service (array -> fd 3, hash -> fd 4;
-   Kstate.next_fd starts at 3). *)
-let standard_maps : Map.def list =
-  [ Map.array_def ~value_size:48 ();
-    Map.hash_def ~key_size:8 ~value_size:48 () ]
-
+(* The Selftests session population, so corpus exports verify
+   identically under the service. *)
 let create_session (config : Kconfig.t) : Loader.t =
   let session = Loader.create config in
-  List.iter
-    (fun def -> ignore (Loader.create_map session def : int))
-    standard_maps;
+  ignore (Selftests.install_maps session : int * int);
   session
 
 let fingerprints (session : Loader.t) : string * string =

@@ -7,8 +7,8 @@
     full contract — cache key, soundness argument, schemas, exit
     codes — is docs/SERVICE.md.
 
-    Every service session carries the same fixed map population
-    ({!standard_maps}), mirroring the {!Selftests} corpus session, so a
+    Every service session carries the fixed map population of the
+    {!Selftests} corpus session ({!Selftests.install_maps}), so a
     program exported from the corpus verifies identically here and the
     map fingerprint is a constant of the service, not of the request. *)
 
@@ -26,8 +26,9 @@ type input = {
 }
 
 val create_session : Bvf_kernel.Kconfig.t -> Bvf_runtime.Loader.t
-(** A fresh session with {!standard_maps} installed.  Each batch worker
-    gets its own: sessions share no mutable state. *)
+(** A fresh session with the self-test maps installed
+    ({!Selftests.install_maps}).  Each batch worker gets its own:
+    sessions share no mutable state. *)
 
 val fingerprints : Bvf_runtime.Loader.t -> string * string
 (** [(config_fp, maps_fp)] of a session — the non-program components of

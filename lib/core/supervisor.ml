@@ -5,7 +5,7 @@
    module only forks, watches, restarts and reports.  The process
    protocol is plain files under the state directory:
 
-     worker-<i>.hb     heartbeat, atomically renamed before every step
+     worker-<i>.hb     heartbeat, overwritten in place before every step
      worker-<i>.done   completion marker (exit 0 without it = crash)
      worker-<i>.err    last uncaught exception, for post-mortems
      worker-<i>.prof   profiler totals (and --profile spans) for the parent
@@ -77,7 +77,37 @@ let write_quarantine (dir : string) (globals : int list) : unit =
   List.iter (fun g -> Printf.bprintf b "%d\n" g) globals;
   atomic_write (quarantine_path dir) (Buffer.contents b)
 
-(* heartbeat line: "seq local global pid" *)
+(* heartbeat line: "seq local global pid", padded with spaces to
+   [hb_width] bytes so every record covers the one before it *)
+let hb_width = 80
+
+(* Write a worker's heartbeat through [fd], the file kept open for the
+   worker's whole incarnation.  The first record is published by
+   rename, so the file never exists empty; later ones overwrite it in
+   place with one write.  A watchdog poll that lands mid-write can only
+   misjudge freshness by one poll (it compares seq), and crash
+   attribution reads the file only after the worker died, so a torn
+   record never names an iteration. *)
+let write_hb (path : string) (fd : Unix.file_descr option ref) ~(seq : int)
+    ~(local : int) ~(global : int) : unit =
+  let record =
+    Printf.sprintf "%-*s\n" (hb_width - 1)
+      (Printf.sprintf "%d %d %d %d" seq local global (Unix.getpid ()))
+  in
+  let put fd = ignore (Unix.write_substring fd record 0 hb_width : int) in
+  match !fd with
+  | Some open_fd ->
+    ignore (Unix.lseek open_fd 0 Unix.SEEK_SET : int);
+    put open_fd
+  | None ->
+    let tmp = path ^ ".tmp" in
+    let new_fd =
+      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    in
+    put new_fd;
+    Sys.rename tmp path;
+    fd := Some new_fd
+
 let read_hb (path : string) : (int * int * int) option =
   match open_in path with
   | exception Sys_error _ -> None
@@ -256,12 +286,12 @@ let lanes (p : policy) ~(prof : Bvf_util.Prof.session)
         Bvf_util.Prof.track wsession ~name:(Printf.sprintf "worker%d" i) i
       in
       let seq = ref 0 in
+      let hb_fd = ref None in
       let skip (sink : Telemetry.sink) (local : int) : bool =
         Bvf_util.Prof.span track "heartbeat" (fun () ->
             incr seq;
-            atomic_write (hb_path dir i)
-              (Printf.sprintf "%d %d %d %d\n" !seq local (global local)
-                 (Unix.getpid ()));
+            write_hb (hb_path dir i) hb_fd ~seq:!seq ~local
+              ~global:(global local);
             (* at most the in-flight iteration's events are lost to
                SIGKILL *)
             Telemetry.flush sink);

@@ -344,16 +344,17 @@ let close (t : sink) : unit =
 
 let read_file (path : string) : event list =
   let ic = open_in path in
-  let events = ref [] in
-  (try
-     while true do
-       match of_json (input_line ic) with
-       | Some ev -> events := ev :: !events
-       | None -> ()
-     done
-   with End_of_file -> ());
+  let r = Json.reader ic in
+  let rec go events =
+    match Json.read_line r with
+    | None -> List.rev events
+    | Some (Json.Line line) ->
+      go (match of_json line with Some ev -> ev :: events | None -> events)
+    | Some Json.Too_long -> go events
+  in
+  let events = go [] in
   close_in ic;
-  List.rev !events
+  events
 
 (* Merge per-shard traces into one global trace.  Events already carry
    global iteration numbers (the shard sinks' [iter_map]), so a stable

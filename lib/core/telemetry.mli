@@ -144,7 +144,8 @@ val reopen : ?iter_map:(int -> int) -> string -> pos:int -> sink
     twice in the trace. *)
 
 val read_file : string -> event list
-(** Parse a JSONL trace, skipping unparsable lines. *)
+(** Parse a JSONL trace, skipping unparsable lines; a line over
+    {!Bvf_util.Json.max_line} bytes is skipped without being held. *)
 
 val merge_shards : into:string -> string list -> int
 (** Merge per-shard trace files into [into]: concatenate, stable-sort

@@ -21,7 +21,6 @@ module Coverage = Bvf_verifier.Coverage
 module Loader = Bvf_runtime.Loader
 module Exec = Bvf_runtime.Exec
 module Campaign = Bvf_core.Campaign
-module Parallel = Bvf_core.Parallel
 module Gen = Bvf_core.Gen
 module Rng = Bvf_core.Rng
 module Oracle = Bvf_core.Oracle
@@ -348,20 +347,9 @@ let overhead ?(count = Selftests.target_count) ?(runs = 60)
   let session_asan =
     Loader.create (Kconfig.with_sanitize (Kconfig.fixed version) true)
   in
-  (* recreate the suite's maps inside both sessions: fds line up because
-     creation order matches Selftests.build *)
+  (* the suite's maps in both sessions, at the fds its programs use *)
   List.iter
-    (fun session ->
-       ignore (Loader.create_map session (Bvf_kernel.Map.array_def
-                                            ~value_size:48 ()));
-       ignore (Loader.create_map session (Bvf_kernel.Map.hash_def
-                                            ~key_size:8 ~value_size:48 ()));
-       List.iter
-         (fun (def : Bvf_kernel.Map.def) ->
-            ignore (Loader.create_map session def))
-         [ Bvf_kernel.Map.hash_def ~key_size:8 ~value_size:64
-             ~has_spin_lock:true ();
-           Bvf_kernel.Map.ringbuf_def () ])
+    (fun session -> ignore (Selftests.install_maps session : int * int))
     [ session_plain; session_asan ];
   let slowdowns = ref [] in
   let footprints = ref [] in
@@ -410,177 +398,6 @@ let print_overhead (o : overhead) : unit =
     (100.0 *. o.oh_exec_slowdown);
   Printf.printf "  instruction footprint:  %.2fx  (paper: 3.0x)\n"
     o.oh_insn_footprint
-
-(* -- Parallel scaling: the merged-shard campaign runner ------------------ *)
-
-(* Throughput of the same logical campaign sharded across 1/2/4 domains:
-   the repo's recorded performance baseline (BENCH_parallel.json).  The
-   digest column pins determinism — rerunning a row must reproduce it
-   bit-for-bit for fixed (seed, jobs). *)
-
-type parallel_row = {
-  pl_jobs : int;
-  pl_programs : int;
-  pl_seconds : float;
-  pl_rate : float;     (* programs per second, wall clock *)
-  pl_edges : int;      (* merged (union) coverage *)
-  pl_findings : int;
-  pl_digest : string;  (* merged campaign digest *)
-  pl_shards : (int * (string * float) list) list;
-      (* per-shard profiler totals (inclusive seconds by span name:
-         iterate/gen/verify/sanitize/exec) of the timed run itself —
-         the always-on totals record no spans, so they do not disturb
-         the rate column *)
-  pl_coordinator : (string * float) list;
-      (* coordinator totals (spawn/join/trace_merge/absorb/merge) —
-         where the parallel overhead goes *)
-}
-
-type parallel_bench = {
-  pb_iterations : int;
-  pb_seed : int;
-  pb_cores : int;      (* Domain.recommended_domain_count at run time *)
-  pb_rows : parallel_row list;
-}
-
-let parallel_bench ?(iterations = 6_000) ?(seed = 1)
-    ?(jobs = [ 1; 2; 4 ]) () : parallel_bench =
-  let config = Kconfig.default Version.Bpf_next in
-  let rows =
-    List.map
-      (fun j ->
-         let prof = Bvf_util.Prof.session ~spans:false () in
-         let r, dt =
-           Bvf_util.Mclock.time_s (fun () ->
-               Parallel.run ~jobs:j ~prof ~seed ~iterations
-                 Campaign.bvf_strategy config)
-         in
-         let seconds trk =
-           List.map (fun t -> (t.Bvf_util.Prof.tt_name, t.tt_s))
-             (Bvf_util.Prof.session_totals ~trk prof)
-         in
-         {
-           pl_jobs = j;
-           pl_programs = r.Parallel.pr_stats.Campaign.st_generated;
-           pl_seconds = dt;
-           pl_rate =
-             (if dt > 0.0 then
-                float_of_int r.Parallel.pr_stats.Campaign.st_generated /. dt
-              else 0.0);
-           pl_edges = r.Parallel.pr_stats.Campaign.st_edges;
-           pl_findings =
-             Hashtbl.length r.Parallel.pr_stats.Campaign.st_findings;
-           pl_digest = Parallel.digest r;
-           pl_shards = List.init j (fun i -> (i, seconds i));
-           (* Parallel.run records the coordinator on track [jobs] *)
-           pl_coordinator = seconds j;
-         })
-      jobs
-  in
-  {
-    pb_iterations = iterations;
-    pb_seed = seed;
-    pb_cores = Domain.recommended_domain_count ();
-    pb_rows = rows;
-  }
-
-let parallel_speedup (p : parallel_bench) (row : parallel_row) : float =
-  match List.find_opt (fun r -> r.pl_jobs = 1) p.pb_rows with
-  | Some base when base.pl_rate > 0.0 -> row.pl_rate /. base.pl_rate
-  | Some _ | None -> 1.0
-
-let print_parallel (p : parallel_bench) : unit =
-  Printf.printf
-    "Parallel campaign scaling (%d iterations, seed %d, %d cores available)\n"
-    p.pb_iterations p.pb_seed p.pb_cores;
-  Printf.printf "  %5s %9s %9s %13s %9s %8s %8s\n" "jobs" "programs"
-    "seconds" "programs/sec" "speedup" "edges" "findings";
-  List.iter
-    (fun r ->
-       Printf.printf "  %5d %9d %9.2f %13.0f %8.2fx %8d %8d\n" r.pl_jobs
-         r.pl_programs r.pl_seconds r.pl_rate (parallel_speedup p r)
-         r.pl_edges r.pl_findings)
-    p.pb_rows;
-  List.iter
-    (fun r -> Printf.printf "  digest jobs=%d: %s\n" r.pl_jobs r.pl_digest)
-    p.pb_rows;
-  let fmt_spans spans =
-    String.concat ", "
-      (List.map (fun (n, s) -> Printf.sprintf "%s %.2fs" n s) spans)
-  in
-  List.iter
-    (fun r ->
-       Printf.printf "  spans jobs=%d:\n" r.pl_jobs;
-       List.iter
-         (fun (i, spans) ->
-            Printf.printf "    shard %d: %s\n" i (fmt_spans spans))
-         r.pl_shards;
-       match
-         List.sort (fun (_, a) (_, b) -> compare (b : float) a)
-           r.pl_coordinator
-       with
-       | [] -> ()  (* jobs=1 runs in the calling domain: no coordinator *)
-       | (name, s) :: _ as all ->
-         Printf.printf "    coordinator: %s\n" (fmt_spans all);
-         Printf.printf "    dominant parallel overhead: %s (%.3fs)\n"
-           name s)
-    p.pb_rows;
-  Printf.printf
-    "  note: edge counts legitimately differ across jobs — each shard \
-     generates\n\
-    \  a different program stream (seed+i), so the union of explored \
-     edges is a\n\
-    \  property of the schedule-independent program SET, which changes \
-     with the\n\
-    \  sharding (see DESIGN.md, \"Parallel campaigns\")\n";
-  let max_jobs =
-    List.fold_left (fun m r -> max m r.pl_jobs) 1 p.pb_rows
-  in
-  if p.pb_cores < max_jobs then
-    Printf.printf
-      "  warning: only %d cores available for up to %d jobs — a lane runs \
-       its\n\
-      \  shards one after the other, so rate and speedup numbers \
-       understate true scaling\n"
-      p.pb_cores max_jobs
-
-let parallel_to_json (p : parallel_bench) : string =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"bench\": \"parallel\",\n";
-  Printf.bprintf b "  \"iterations\": %d,\n" p.pb_iterations;
-  Printf.bprintf b "  \"seed\": %d,\n" p.pb_seed;
-  Printf.bprintf b "  \"cores\": %d,\n" p.pb_cores;
-  Printf.bprintf b "  \"rows\": [\n";
-  let span_obj spans =
-    "{"
-    ^ String.concat ", "
-        (List.map
-           (fun (n, s) -> Printf.sprintf "\"%s\": %.6f" n s)
-           spans)
-    ^ "}"
-  in
-  List.iteri
-    (fun i r ->
-       Printf.bprintf b
-         "    {\"jobs\": %d, \"programs\": %d, \"seconds\": %.6f, \
-          \"programs_per_sec\": %.1f, \"speedup_vs_1\": %.3f, \
-          \"edges\": %d, \"findings\": %d, \"digest\": \"%s\",\n"
-         r.pl_jobs r.pl_programs r.pl_seconds r.pl_rate
-         (parallel_speedup p r) r.pl_edges r.pl_findings r.pl_digest;
-       Printf.bprintf b "     \"coordinator\": %s,\n"
-         (span_obj r.pl_coordinator);
-       Printf.bprintf b "     \"shards\": [%s]}%s\n"
-         (String.concat ",\n                "
-            (List.map
-               (fun (s, spans) ->
-                  Printf.sprintf "{\"shard\": %d, \"spans\": %s}" s
-                    (span_obj spans))
-               r.pl_shards))
-         (if i < List.length p.pb_rows - 1 then "," else ""))
-    p.pb_rows;
-  Printf.bprintf b "  ]\n}\n";
-  Buffer.contents b
 
 (* -- Ablations (DESIGN.md section 6) ------------------------------------- *)
 

@@ -134,12 +134,12 @@ let execute (t : t) (prog : Verifier.loaded) : Exec.result =
    post-hoc "sanitize" child — the sanitation rewrites run inside the
    verifier's load and only report their time and allocation, so their
    span is charged at the tail of the verify span. *)
-let load_and_run ?log_level ?(prof = Bvf_util.Prof.disabled) (t : t)
+let load_and_run ?(prof = Bvf_util.Prof.disabled) (t : t)
     (req : Verifier.request) : run_result =
   let baseline = Kstate.report_count t.kst in
   let fr = Bvf_util.Prof.start prof "verify" in
   let verdict, vlog, vstats =
-    Verifier.load_with_stats t.kst ~cov:t.cov ?log_level req
+    Verifier.load_with_stats t.kst ~cov:t.cov req
   in
   (match verdict with
    | Ok prog ->

@@ -55,9 +55,9 @@ val execute : t -> Bvf_verifier.Verifier.loaded -> Exec.result
     execution context. *)
 
 val load_and_run :
-  ?log_level:int -> ?prof:Bvf_util.Prof.t -> t ->
-  Bvf_verifier.Verifier.request -> run_result
-(** The complete cycle the fuzzer performs for each generated input.
-    [log_level] (default 0) sizes the captured verifier log.  [prof]
-    (default: disabled) records "verify" and "exec" spans, with
-    sanitation charged as a post-hoc child of the verify span. *)
+  ?prof:Bvf_util.Prof.t -> t -> Bvf_verifier.Verifier.request ->
+  run_result
+(** The complete cycle the fuzzer performs for each generated input,
+    with the verifier log off.  [prof] (default: disabled) records
+    "verify" and "exec" spans, with sanitation charged as a post-hoc
+    child of the verify span. *)

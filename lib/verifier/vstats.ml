@@ -40,9 +40,9 @@ type t = {
          queue ever got *)
   mutable vs_widen_rounds : int;
       (* widening rounds applied at loop heads.  Deliberately NOT in
-         [counters] (and so not in any digest, JSON table or veristat
-         baseline): adding it to the canonical schema would break
-         [Veristat.of_json] on committed baselines;
+         [counters] (and so not in any digest or JSON table):
+         [counters] fixes the columns of the golden veristat.jsonl and
+         of [pp], which adding it would move;
          [loops_detected] keeps its historical meaning (zero-progress
          infinite-loop rejections) untouched. *)
   mutable vs_loop_heads : int;

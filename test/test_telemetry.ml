@@ -71,10 +71,7 @@ let test_selftests_rejections_classified () =
   let suite = Selftests.build ~count:150 Version.Bpf_next in
   let config = Kconfig.make ~unprivileged:true Version.Bpf_next in
   let session = Loader.create config in
-  let _ = Loader.create_map session (Map.array_def ~value_size:48 ()) in
-  let _ =
-    Loader.create_map session (Map.hash_def ~key_size:8 ~value_size:48 ())
-  in
+  ignore (Selftests.install_maps session : int * int);
   let rejected = ref 0 and unknown = ref 0 in
   List.iter
     (fun req ->
@@ -214,6 +211,29 @@ let test_jsonl_round_trip () =
        ({|{"ev":"profile","programs":3,"gen_s":0.500000,|}
         ^ {|"verify_s":1.000000,"sanitize_s":0.250000,|}
         ^ {|"exec_s":0.125000,"wall_s":2.000000}|}))
+
+(* A line past Json.max_line is dropped unread, even one that would
+   parse whole: the events around it come back, and nothing else. *)
+let test_read_file_skips_long_line () =
+  let first = Telemetry.Checkpoint { iter = 1 }
+  and last = Telemetry.Quarantined { iter = 2 } in
+  let long =
+    let prefix = {|{"ev":"checkpoint","iter":9,"pad":"|} in
+    prefix
+    ^ String.make ((2 * Json.max_line) - String.length prefix - 2) 'a'
+    ^ {|"}|}
+  in
+  Alcotest.(check int) "the long line" (2 * Json.max_line)
+    (String.length long);
+  let path = Filename.temp_file "bvf_long" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter
+        (fun line -> output_string oc (line ^ "\n"))
+        [ Telemetry.to_json first; long; Telemetry.to_json last ]);
+  let events = Telemetry.read_file path in
+  Sys.remove path;
+  Alcotest.(check (list event)) "the two events around it" [ first; last ]
+    events
 
 (* -- The JSON codec ---------------------------------------------------------- *)
 
@@ -496,6 +516,8 @@ let () =
             test_summarize_counts;
           Alcotest.test_case "trace matches campaign stats" `Quick
             test_trace_matches_stats;
+          Alcotest.test_case "over-long trace line skipped" `Quick
+            test_read_file_skips_long_line;
         ] );
       ( "sharding",
         [
