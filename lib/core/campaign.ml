@@ -239,12 +239,8 @@ let reboot (c : t) : unit =
    behavior. *)
 type snapshot = {
   sn_tool : string;
-  sn_kernel : Version.t;
+  sn_config : Kconfig.t;
   sn_seed : int;
-  sn_sanitize : bool;
-  sn_unprivileged : bool;
-  sn_witness : bool;
-  sn_lint : bool;
   sn_completed : int;      (* iterations finished when taken *)
   sn_merged : bool;        (* built by [bvf merge], not a live campaign:
                               reportable, not resumable *)
@@ -258,12 +254,8 @@ type snapshot = {
 let snapshot (c : t) : snapshot =
   {
     sn_tool = c.strategy.s_name;
-    sn_kernel = c.config.Kconfig.version;
+    sn_config = c.config;
     sn_seed = c.seed;
-    sn_sanitize = c.config.Kconfig.sanitize;
-    sn_unprivileged = c.config.Kconfig.unprivileged;
-    sn_witness = c.config.Kconfig.witness;
-    sn_lint = c.config.Kconfig.lint;
     sn_completed = c.stats.st_generated;
     sn_merged = false;
     sn_rng = Rng.state c.rng;
@@ -279,12 +271,8 @@ let fresh ?failslab ~(seed : int) (strategy : strategy) (config : Kconfig.t)
   : snapshot =
   {
     sn_tool = strategy.s_name;
-    sn_kernel = config.Kconfig.version;
+    sn_config = config;
     sn_seed = seed;
-    sn_sanitize = config.Kconfig.sanitize;
-    sn_unprivileged = config.Kconfig.unprivileged;
-    sn_witness = config.Kconfig.witness;
-    sn_lint = config.Kconfig.lint;
     sn_completed = 0;
     sn_merged = false;
     sn_rng = Rng.state (Rng.create seed);
@@ -430,18 +418,7 @@ let step (c : t) : unit =
    | Some v ->
      Vstats.agg_add stats.st_vstats v;
      Telemetry.emit c.telemetry
-       (Telemetry.Vstats
-          { iter = iteration;
-            insn_processed = v.Vstats.vs_insn_processed;
-            total_states = v.Vstats.vs_total_states;
-            peak_states = v.Vstats.vs_peak_states;
-            max_states_per_insn = v.Vstats.vs_max_states_per_insn;
-            prune_hits = v.Vstats.vs_prune_hits;
-            prune_misses = v.Vstats.vs_prune_misses;
-            loops_detected = v.Vstats.vs_loops_detected;
-            branch_hwm = v.Vstats.vs_branch_hwm;
-            widen_rounds = v.Vstats.vs_widen_rounds;
-            loop_heads = v.Vstats.vs_loop_heads })
+       (Telemetry.Vstats { iter = iteration; stats = v })
    | None -> ());
   if c.strategy.s_feedback then
     Corpus.add c.corpus ~iteration ~new_edges req;

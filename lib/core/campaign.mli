@@ -142,12 +142,9 @@ type t = {
 
 type snapshot = {
   sn_tool : string;
-  sn_kernel : Bvf_ebpf.Version.t;
+  sn_config : Bvf_kernel.Kconfig.t;
+      (** the kernel the campaign runs, injected bug set included *)
   sn_seed : int;
-  sn_sanitize : bool;
-  sn_unprivileged : bool;
-  sn_witness : bool;
-  sn_lint : bool;
   sn_completed : int; (** iterations finished when taken *)
   sn_merged : bool;
       (** built by [Parallel.merge_states] ([bvf merge]), not taken

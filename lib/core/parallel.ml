@@ -47,14 +47,15 @@ open Cimport
    which survives a segfault, an OOM or a hang; the two lane kinds
    differ only in where a shard runs. *)
 
-type shard = {
-  sh_index : int;
-  sh_seed : int;
-  sh_iterations : int;
-  sh_stats : Campaign.stats;
-  sh_corpus : Corpus.entry list;
-  sh_edges : ((string * int) * int) list; (* portable coverage listing *)
-  sh_failslab : Bvf_kernel.Failslab.t;
+(* A run with a state directory keeps one file per shard, whichever
+   lane kind runs it: [shard-<i>.ckpt], a [state] record.  A plain run
+   is one shard. *)
+type state = {
+  ss_shard : int;
+  ss_jobs : int;
+  ss_trace_pos : int;
+  ss_snapshot : Campaign.snapshot;
+  ss_final : Campaign.snapshot option;
 }
 
 type result = {
@@ -64,9 +65,15 @@ type result = {
   pr_stats : Campaign.stats; (* merged *)
   pr_cov : Coverage.t;       (* union coverage *)
   pr_corpus : Corpus.t;      (* merged, re-scored *)
-  pr_shards : shard list;    (* in index order *)
+  pr_shards : state list;    (* final states, in index order *)
   pr_report : Supervisor.report option; (* process lanes only *)
 }
+
+let final_snapshot (st : state) : Campaign.snapshot =
+  Option.value st.ss_final ~default:st.ss_snapshot
+
+let final_stats (st : state) : Campaign.stats =
+  (final_snapshot st).Campaign.sn_stats
 
 (* Round-robin split: shard [i] executes exactly the global iterations
    congruent to [i] mod [jobs], so the per-shard counts are
@@ -98,7 +105,7 @@ let add_histogram (a : Disasm.class_histogram)
 (* Merged findings: same dedup key as the sequential campaign, earliest
    global iteration wins.  Folding per key through [min] makes the
    result independent of hashtable iteration order. *)
-let merge_findings ~(jobs : int) (shards : shard list) :
+let merge_findings ~(jobs : int) (shards : state list) :
   (string, Campaign.found) Hashtbl.t =
   let merged = Hashtbl.create 32 in
   List.iter
@@ -108,7 +115,7 @@ let merge_findings ~(jobs : int) (shards : shard list) :
             let f =
               { f with
                 Campaign.fd_iteration =
-                  global_iteration ~jobs ~shard:sh.sh_index
+                  global_iteration ~jobs ~shard:sh.ss_shard
                     f.Campaign.fd_iteration }
             in
             match Hashtbl.find_opt merged key with
@@ -116,14 +123,14 @@ let merge_findings ~(jobs : int) (shards : shard list) :
               when prev.Campaign.fd_iteration <= f.Campaign.fd_iteration ->
               ()
             | Some _ | None -> Hashtbl.replace merged key f)
-         sh.sh_stats.Campaign.st_findings)
+         (final_stats sh).Campaign.st_findings)
     shards;
   merged
 
 (* Merged coverage curve: at every global iteration some shard sampled,
    the sum of each shard's latest local edge count — per-VM coverage
    before central dedup.  Monotone and deterministic. *)
-let merge_curves ~(jobs : int) (shards : shard list) :
+let merge_curves ~(jobs : int) (shards : state list) :
   Campaign.sample list =
   (* per shard: samples ascending by global iteration *)
   let ascending =
@@ -131,10 +138,10 @@ let merge_curves ~(jobs : int) (shards : shard list) :
       (fun sh ->
          List.rev_map
            (fun (sa : Campaign.sample) ->
-              ( global_iteration ~jobs ~shard:sh.sh_index
+              ( global_iteration ~jobs ~shard:sh.ss_shard
                   sa.Campaign.sa_iteration,
                 sa.Campaign.sa_edges ))
-           sh.sh_stats.Campaign.st_curve
+           (final_stats sh).Campaign.st_curve
          |> List.sort compare)
       shards
   in
@@ -154,51 +161,40 @@ let merge_curves ~(jobs : int) (shards : shard list) :
     points
   |> List.rev (* newest first, like the sequential curve *)
 
-let merge_errno (shards : shard list) : (Venv.errno, int) Hashtbl.t =
-  let merged = Hashtbl.create 8 in
-  List.iter
-    (fun sh ->
-       Hashtbl.iter
-         (fun e n ->
-            Hashtbl.replace merged e
-              (n + Option.value (Hashtbl.find_opt merged e) ~default:0))
-         sh.sh_stats.Campaign.st_errno)
-    shards;
-  merged
-
-let merge_reasons (shards : shard list) :
-  (Reject_reason.t, int) Hashtbl.t =
+(* Per-key counts (errno, rejection reason) summed across shards. *)
+let merge_counts (table : Campaign.stats -> ('k, int) Hashtbl.t)
+    (shards : state list) : ('k, int) Hashtbl.t =
   let merged = Hashtbl.create 16 in
   List.iter
     (fun sh ->
        Hashtbl.iter
-         (fun r n ->
-            Hashtbl.replace merged r
-              (n + Option.value (Hashtbl.find_opt merged r) ~default:0))
-         sh.sh_stats.Campaign.st_reasons)
+         (fun k n ->
+            Hashtbl.replace merged k
+              (n + Option.value (Hashtbl.find_opt merged k) ~default:0))
+         (table (final_stats sh)))
     shards;
   merged
 
-let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
+let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : state list) :
   Campaign.stats =
-  match shards with
+  match List.map final_stats shards with
   | [] -> invalid_arg "Parallel.merge_stats: no shards"
-  | first :: _ ->
-    let sum f = List.fold_left (fun acc sh -> acc + f sh.sh_stats) 0 shards in
+  | first :: _ as stats ->
+    let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
     {
-      Campaign.st_tool = first.sh_stats.Campaign.st_tool;
-      st_version = first.sh_stats.Campaign.st_version;
+      Campaign.st_tool = first.Campaign.st_tool;
+      st_version = first.Campaign.st_version;
       st_generated = sum (fun s -> s.Campaign.st_generated);
       st_accepted = sum (fun s -> s.Campaign.st_accepted);
       st_rejected = sum (fun s -> s.Campaign.st_rejected);
-      st_errno = merge_errno shards;
-      st_reasons = merge_reasons shards;
+      st_errno = merge_counts (fun s -> s.Campaign.st_errno) shards;
+      st_reasons = merge_counts (fun s -> s.Campaign.st_reasons) shards;
       st_findings = merge_findings ~jobs shards;
       st_curve = merge_curves ~jobs shards;
       st_histogram =
         List.fold_left
-          (fun acc sh -> add_histogram acc sh.sh_stats.Campaign.st_histogram)
-          Disasm.empty_histogram shards;
+          (fun acc s -> add_histogram acc s.Campaign.st_histogram)
+          Disasm.empty_histogram stats;
       st_edges = Coverage.edge_count cov;
       st_reboots = sum (fun s -> s.Campaign.st_reboots);
       st_env_errors = sum (fun s -> s.Campaign.st_env_errors);
@@ -209,41 +205,29 @@ let merge_stats ~(jobs : int) (cov : Coverage.t) (shards : shard list) :
       st_vstats =
         (let merged = Vstats.agg_zero () in
          List.iter
-           (fun sh ->
-              Vstats.agg_absorb merged sh.sh_stats.Campaign.st_vstats)
-           shards;
+           (fun s -> Vstats.agg_absorb merged s.Campaign.st_vstats)
+           stats;
          merged);
     }
 
-let merge_corpora ~(jobs : int) (shards : shard list) : Corpus.t =
+let merge_corpora ~(jobs : int) (shards : state list) : Corpus.t =
   List.concat_map
     (fun sh ->
        List.map
          (fun (e : Corpus.entry) ->
             { e with
               Corpus.added_at =
-                global_iteration ~jobs ~shard:sh.sh_index
+                global_iteration ~jobs ~shard:sh.ss_shard
                   e.Corpus.added_at })
-         sh.sh_corpus)
+         (Corpus.entries (final_snapshot sh).Campaign.sn_corpus))
     shards
   |> Corpus.of_entries
 
 (* -- The state directory ------------------------------------------------ *)
 
-(* A run with a state directory keeps one file per shard, whichever
-   lane kind runs it: [shard-<i>.ckpt], a [state] record.  A plain run
-   is one shard. *)
-type state = {
-  ss_shard : int;
-  ss_jobs : int;
-  ss_trace_pos : int;
-  ss_snapshot : Campaign.snapshot;
-  ss_final : Campaign.snapshot option;
-}
-
-(* /1: one layout for every lane kind, replacing the sequential
-   bvf-campaign/9 file and the supervised bvf-worker/5 files. *)
-let state_tag = "bvf-shard/1"
+(* /2: the snapshot carries the campaign's whole Kconfig, bug set
+   included, where /1 copied five of its fields. *)
+let state_tag = "bvf-shard/2"
 
 exception Bad_state of string * Checkpoint.error
 
@@ -318,33 +302,44 @@ let save_state (path : string) (st : state) : unit =
          (Printf.sprintf "cannot write %s: %s" path
             (Checkpoint.error_to_string e)))
 
-let final_snapshot (st : state) : Campaign.snapshot =
-  Option.value st.ss_final ~default:st.ss_snapshot
-
-(* What makes two snapshots one campaign's: tool, kernel and config. *)
+(* What makes two snapshots one campaign's: the tool and the whole
+   config, bug set included. *)
 let mismatch ~(taken : Campaign.snapshot) ~(wanted : Campaign.snapshot) :
   string option =
   let identity (s : Campaign.snapshot) =
-    [ ("tool", s.Campaign.sn_tool);
-      ("kernel", Version.to_string s.Campaign.sn_kernel);
-      ("sanitize", string_of_bool s.Campaign.sn_sanitize);
-      ("unprivileged", string_of_bool s.Campaign.sn_unprivileged);
-      ("witness", string_of_bool s.Campaign.sn_witness);
-      ("lint", string_of_bool s.Campaign.sn_lint) ]
+    ("tool", s.Campaign.sn_tool) :: Kconfig.fields s.Campaign.sn_config
   in
   List.find_map
     (fun ((name, t), (_, w)) ->
        if t = w then None else Some (Printf.sprintf "%s %s, not %s" name t w))
     (List.combine (identity taken) (identity wanted))
 
+let shard_failslab ~(failslab_rate : float option)
+    ~(failslab_seed : int option) ~(seed : int) (i : int) :
+  Bvf_kernel.Failslab.t option =
+  match failslab_rate with
+  | Some rate when rate > 0.0 ->
+    Some
+      (Bvf_kernel.Failslab.create ~rate
+         ~seed:(Option.value failslab_seed ~default:seed + i)
+         ())
+  | Some _ | None -> None
+
+(* A fault plan as its rate and seed: the whole of what a run chooses. *)
+let plan_to_string (f : Bvf_kernel.Failslab.t) : string =
+  if Bvf_kernel.Failslab.enabled f then
+    Printf.sprintf "rate %g seed %d" (Bvf_kernel.Failslab.rate f)
+      (Bvf_kernel.Failslab.seed f)
+  else "off"
+
 (* The one check: shard [i]'s file must belong to this run — the same
-   shard count, shard, seed, tool, kernel and config, not a merged
+   shard count, shard, seed, tool, config and fault plan, not a merged
    artifact, and no more iterations than the shard is assigned.
    Resuming one cut for another run would report that run's campaign
    as this one's. *)
-let saved_state ~(dir : string) ~(jobs : int) ~(seed : int)
-    ~(iterations : int) (strategy : Campaign.strategy) (config : Kconfig.t)
-    (i : int) : state option =
+let saved_state ?failslab_rate ?failslab_seed ~(dir : string) ~(jobs : int)
+    ~(seed : int) ~(iterations : int) (strategy : Campaign.strategy)
+    (config : Kconfig.t) (i : int) : state option =
   let path = state_path dir i in
   if not (Sys.file_exists path) then None
   else begin
@@ -358,17 +353,24 @@ let saved_state ~(dir : string) ~(jobs : int) ~(seed : int)
                %s: %s (use a fresh --state-dir)"
               dir (Filename.basename path) msg))
     in
-    let field name taken wanted =
+    let field name to_string taken wanted =
       if taken <> wanted then
-        refuse (Printf.sprintf "%s %d, not %d" name taken wanted)
+        refuse
+          (Printf.sprintf "%s %s, not %s" name (to_string taken)
+             (to_string wanted))
     in
     let assigned = (shard_iterations ~iterations ~jobs).(i) in
-    field "shards" st.ss_jobs jobs;
-    field "shard" st.ss_shard i;
-    field "seed" s.Campaign.sn_seed (seed + i);
-    Option.iter refuse
-      (mismatch ~taken:s
-         ~wanted:(Campaign.fresh ~seed:(seed + i) strategy config));
+    field "shards" string_of_int st.ss_jobs jobs;
+    field "shard" string_of_int st.ss_shard i;
+    field "seed" string_of_int s.Campaign.sn_seed (seed + i);
+    let wanted =
+      Campaign.fresh
+        ?failslab:(shard_failslab ~failslab_rate ~failslab_seed ~seed i)
+        ~seed:(seed + i) strategy config
+    in
+    Option.iter refuse (mismatch ~taken:s ~wanted);
+    field "failslab" Fun.id (plan_to_string s.Campaign.sn_failslab)
+      (plan_to_string wanted.Campaign.sn_failslab);
     if s.Campaign.sn_merged then
       refuse "a merged artifact (bvf merge) has no RNG stream to continue";
     if s.Campaign.sn_completed > assigned then
@@ -395,17 +397,6 @@ let remove_shard_traces ~(jobs : int) (trace : string option) : unit =
       if Sys.file_exists p then Sys.remove p
     done
   | Some _ | None -> ()
-
-let shard_failslab ~(failslab_rate : float option)
-    ~(failslab_seed : int option) ~(seed : int) (i : int) :
-  Bvf_kernel.Failslab.t option =
-  match failslab_rate with
-  | Some rate when rate > 0.0 ->
-    Some
-      (Bvf_kernel.Failslab.create ~rate
-         ~seed:(Option.value failslab_seed ~default:seed + i)
-         ())
-  | Some _ | None -> None
 
 (* Build shard [i] and step it with the one {!Campaign.run_t} call of
    either lane kind, inside one top-level "iterate" span on the shard's
@@ -480,18 +471,6 @@ let run_shard ?(sample_every = 64) ?checkpoint_every ?dir ?from
 
 (* -- The join -------------------------------------------------------------- *)
 
-let shard_of_state (st : state) : shard =
-  let s = final_snapshot st in
-  {
-    sh_index = st.ss_shard;
-    sh_seed = s.Campaign.sn_seed;
-    sh_iterations = s.Campaign.sn_completed;
-    sh_stats = s.Campaign.sn_stats;
-    sh_corpus = Corpus.entries s.Campaign.sn_corpus;
-    sh_edges = Coverage.named_edges s.Campaign.sn_cov;
-    sh_failslab = s.Campaign.sn_failslab;
-  }
-
 (* The one join every run ends with.  [finals] holds shard results: a
    final state, or the exception the shard died with.  A failure only
    surfaces here, after the caller has collected every shard, so
@@ -517,22 +496,23 @@ let join ~(jobs : int) ~(trace : string option) ~(prof : Bvf_util.Prof.t)
              (Telemetry.merge_shards ~into
                 (List.init jobs (shard_trace_path ~jobs into))))
    | None -> ());
-  let shards = List.map shard_of_state states in
-  let cov = Coverage.create () in
-  Bvf_util.Prof.span prof "absorb" (fun () ->
-      List.iter
-        (fun sh -> ignore (Coverage.absorb_named cov sh.sh_edges))
-        shards);
+  let cov =
+    Bvf_util.Prof.span prof "absorb" (fun () ->
+        Coverage.union
+          (List.map (fun st -> (final_snapshot st).Campaign.sn_cov) states))
+  in
   Bvf_util.Prof.span prof "merge" (fun () ->
       {
         pr_jobs = jobs;
         pr_iterations =
-          List.fold_left (fun acc sh -> acc + sh.sh_iterations) 0 shards;
+          List.fold_left
+            (fun acc st -> acc + (final_snapshot st).Campaign.sn_completed)
+            0 states;
         pr_idle = false;
-        pr_stats = merge_stats ~jobs cov shards;
+        pr_stats = merge_stats ~jobs cov states;
         pr_cov = cov;
-        pr_corpus = merge_corpora ~jobs shards;
-        pr_shards = shards;
+        pr_corpus = merge_corpora ~jobs states;
+        pr_shards = states;
         pr_report = None;
       })
 
@@ -601,7 +581,8 @@ let run ?sample_every ?trace ?failslab_rate ?failslab_seed
   locked @@ fun () ->
   let saved i =
     Option.bind dir (fun dir ->
-        saved_state ~dir ~jobs ~seed ~iterations strategy config i)
+        saved_state ?failslab_rate ?failslab_seed ~dir ~jobs ~seed
+          ~iterations strategy config i)
   in
   (* every shard's file is checked before any shard starts *)
   let plan = Array.init jobs saved in
@@ -700,16 +681,19 @@ let pp_summary fmt (r : result) : unit =
   Format.fprintf fmt "%a" Campaign.pp_summary r.pr_stats;
   if r.pr_jobs > 1 then
     List.iter
-      (fun sh ->
+      (fun st ->
+         let s = final_snapshot st in
+         let stats = s.Campaign.sn_stats in
          Format.fprintf fmt
            "  shard %d (seed %d): %d programs, %d edges, %d findings, %d reboots@."
-           sh.sh_index sh.sh_seed sh.sh_stats.Campaign.st_generated
-           sh.sh_stats.Campaign.st_edges
-           (Hashtbl.length sh.sh_stats.Campaign.st_findings)
-           sh.sh_stats.Campaign.st_reboots)
+           st.ss_shard s.Campaign.sn_seed stats.Campaign.st_generated
+           stats.Campaign.st_edges
+           (Hashtbl.length stats.Campaign.st_findings)
+           stats.Campaign.st_reboots)
       r.pr_shards;
   List.iter
-    (fun sh ->
-       if Bvf_kernel.Failslab.enabled sh.sh_failslab then
-         Bvf_kernel.Failslab.pp_summary fmt sh.sh_failslab)
+    (fun st ->
+       let plan = (final_snapshot st).Campaign.sn_failslab in
+       if Bvf_kernel.Failslab.enabled plan then
+         Bvf_kernel.Failslab.pp_summary fmt plan)
     r.pr_shards

@@ -17,17 +17,23 @@
     each shard task runs on a domain lane, or with [~supervise] on a
     supervised process lane ({!Supervisor.lanes}). *)
 
-(** One shard's outcome, in portable form. *)
-type shard = {
-  sh_index : int;
-  sh_seed : int;
-  sh_iterations : int;
-  sh_stats : Campaign.stats;
-  sh_corpus : Corpus.entry list;
-  sh_edges : ((string * int) * int) list;
-      (** {!Bvf_verifier.Coverage.named_edges} of the shard's map *)
-  sh_failslab : Bvf_kernel.Failslab.t;
-      (** the shard's fault plan, as its final snapshot holds it *)
+(** A shard's state: what its [shard-<i>.ckpt] file holds (see the
+    state directory below), and what a run's join merges. *)
+type state = {
+  ss_shard : int;  (** shard index *)
+  ss_jobs : int;   (** shard count the campaign was cut into *)
+  ss_trace_pos : int;
+      (** byte offset of the shard's trace when saved; a resumed shard
+          reopens its trace here, so a shard resumed from a barrier
+          writes a straight run's trace *)
+  ss_snapshot : Campaign.snapshot;
+      (** the point a resumed shard continues from, in shard-local
+          iteration numbering: the last barrier's or the stop's
+          snapshot (taken before its reboot), or the final one of a
+          shard whose budget ended off a barrier *)
+  ss_final : Campaign.snapshot option;
+      (** a shard whose budget ended on a barrier or a stop: its final
+          snapshot, which counts the reboot that followed the save *)
 }
 
 type result = {
@@ -46,7 +52,10 @@ type result = {
   pr_cov : Bvf_verifier.Coverage.t; (** union coverage map *)
   pr_corpus : Corpus.t;
       (** shard corpora unioned and re-scored at global iterations *)
-  pr_shards : shard list; (** in index order *)
+  pr_shards : state list;
+      (** each shard's state as the join read it, in index order; its
+          {!final_snapshot} holds the shard's own stats, coverage,
+          corpus and fault plan *)
   pr_report : Supervisor.report option;
       (** process lanes ([~supervise]) only: each worker's outcome,
           restarts, crashes, quarantine and abandoned ranges *)
@@ -60,6 +69,10 @@ val shard_iterations : iterations:int -> jobs:int -> int array
 
 val global_iteration : jobs:int -> shard:int -> int -> int
 (** [global_iteration ~jobs ~shard local] is [local * jobs + shard]. *)
+
+val final_snapshot : state -> Campaign.snapshot
+(** [ss_final] when present, else [ss_snapshot]: the shard as it
+    ended. *)
 
 val shard_trace_path : jobs:int -> string -> int -> string
 (** [shard_trace_path ~jobs trace i] is the trace file shard [i]
@@ -75,23 +88,6 @@ val shard_trace_path : jobs:int -> string -> int -> string
     budget is done; a rerun over the directory resumes each shard from
     its file, and a shard whose file holds its whole budget is
     reported, not re-run.  See [docs/RESILIENCE.md]. *)
-
-type state = {
-  ss_shard : int;  (** shard index *)
-  ss_jobs : int;   (** shard count the campaign was cut into *)
-  ss_trace_pos : int;
-      (** byte offset of the shard's trace when saved; a resumed shard
-          reopens its trace here, so a shard resumed from a barrier
-          writes a straight run's trace *)
-  ss_snapshot : Campaign.snapshot;
-      (** the point a resumed shard continues from, in shard-local
-          iteration numbering: the last barrier's or the stop's
-          snapshot (taken before its reboot), or the final one of a
-          shard whose budget ended off a barrier *)
-  ss_final : Campaign.snapshot option;
-      (** a shard whose budget ended on a barrier or a stop: its final
-          snapshot, which counts the reboot that followed the save *)
-}
 
 exception Bad_state of string * Checkpoint.error
 (** [Bad_state (path, e)]: [path] is not a readable shard file (damaged,
@@ -115,6 +111,7 @@ val save_state : string -> state -> unit
     @raise Campaign.Environment when the write fails. *)
 
 val saved_state :
+  ?failslab_rate:float -> ?failslab_seed:int ->
   dir:string -> jobs:int -> seed:int -> iterations:int ->
   Campaign.strategy -> Bvf_kernel.Kconfig.t -> int -> state option
 (** [saved_state ~dir ~jobs ~seed ~iterations strategy config i] loads
@@ -122,9 +119,12 @@ val saved_state :
     ([None] when there is none) and checks that it belongs to that run.
     @raise Bad_state when the file cannot be read.
     @raise Campaign.Environment when it was cut for another run: a
-    different shard count, shard, seed, tool, kernel or config, a
-    merged artifact, or more iterations than the shard is assigned (the
-    message names [dir], the file and the field). *)
+    different shard count, shard, seed, tool, or config (any
+    {!Bvf_kernel.Kconfig.fields} entry, the bug set included), a fault
+    plan of another rate or seed than {!run}'s [failslab_rate] and
+    [failslab_seed] build for the shard, a merged artifact, or more
+    iterations than the shard is assigned (the message names [dir], the
+    file and the field). *)
 
 val merge_states : state list -> state
 (** Offline merge (the [bvf merge] core): fold shard files — of one run
@@ -137,8 +137,10 @@ val merge_states : state list -> state
     The result has [sn_merged] set: it can be merged again or reported,
     but not resumed.
     @raise Invalid_argument on an empty list.
-    @raise Campaign.Environment when inputs disagree on tool, kernel
-    version, or config flags. *)
+    @raise Campaign.Environment when inputs disagree on the tool or
+    the config (any {!Bvf_kernel.Kconfig.fields} entry, the bug set
+    included).  Fault plans are not compared: a merged state holds
+    none. *)
 
 val run :
   ?sample_every:int -> ?trace:string ->

@@ -201,7 +201,10 @@ let build ?(count = target_count) ?config (version : Version.t) : suite =
     && (not req.Verifier.r_offload)
     && Result.is_ok (Verifier.verify session.Loader.kst ~cov req)
   in
-  let hand = List.filter accepted hand in
+  let hand =
+    List.to_seq hand |> Seq.filter accepted |> Seq.take (max 0 count)
+    |> List.of_seq
+  in
   let gen_cfg = { Gen.c_version = version; c_maps = maps } in
   let rec top_up acc n seed =
     if n <= 0 || seed > 50_000 then List.rev acc

@@ -27,6 +27,8 @@ val target_count : int
 val build :
   ?count:int -> ?config:Bvf_kernel.Kconfig.t -> Bvf_ebpf.Version.t ->
   suite
-(** [config] (default {!Bvf_kernel.Kconfig.fixed}) must still be a
-    fixed verifier; use it to enable observers such as the invariant
-    lint or witness recording. *)
+(** Exactly [count] programs (default {!target_count}; none when
+    [count <= 0]): the hand-written families first, in order, then
+    generator programs.  [config] (default {!Bvf_kernel.Kconfig.fixed})
+    must still be a fixed verifier; use it to enable observers such as
+    the invariant lint or witness recording. *)

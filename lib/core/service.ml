@@ -485,7 +485,7 @@ let run_batch ?(log_level = 0) ?(sink = Telemetry.null)
            match input.in_req with
            | Error _ -> ()
            | Ok req ->
-             let k = Vcache.key ~config_fp ~maps_fp req in
+             let k = Vcache.key ~log_level ~config_fp ~maps_fp req in
              keys.(i) <- k;
              (match Vcache.find cache k with
               | Some v -> verdicts.(i) <- Some v
@@ -582,7 +582,7 @@ let serve ?(log_level = 0) ?(sink = Telemetry.null)
     match request_of_fields f with
     | Error (id, msg) -> invalid id msg
     | Ok { q_id; q_req } ->
-      let key = Vcache.key ~config_fp ~maps_fp q_req in
+      let key = Vcache.key ~log_level ~config_fp ~maps_fp q_req in
       (match Vcache.find cache key with
        | Some v -> answer ~id:q_id ~key v
        | None ->

@@ -167,6 +167,9 @@ val run_batch :
     scheduling and [--jobs 1] output equals [--jobs N] output
     byte-for-byte.
 
+    Keys are {!Vcache.key} under [log_level] (default 0), so a
+    response's [vlog] never depends on what level filled the cache.
+
     [prof] (default: a session that records no spans) records the
     batch as profiler spans: track [d] carries worker [d]'s per-miss
     "verify" spans, track [jobs] the coordinator's "probe" and "join"
@@ -204,8 +207,9 @@ val serve :
     ({!Vcache.find_wire}: [prog_type], [attach], [offload] and the
     [prog] text as sent, never the id).  A bound identity answers from
     its entry with nothing decoded or keyed.  Any other program line is
-    decoded, keyed with {!Vcache.key} and looked up with {!Vcache.find}
-    (verified on a miss), and its identity is then bound to the entry
+    decoded, keyed with {!Vcache.key} under [log_level] (as in
+    {!run_batch}) and looked up with {!Vcache.find} (verified on a
+    miss), and its identity is then bound to the entry
     that answered it ({!Vcache.bind_wire}).  Every response byte, tally
     counter, telemetry event and LRU state equals what parsing each
     line in full with {!request_of_json} and looking {!Vcache.key} up

@@ -12,6 +12,7 @@
    CLI after the run. *)
 
 module Reject_reason = Bvf_verifier.Reject_reason
+module Vstats = Bvf_verifier.Vstats
 module Json = Bvf_util.Json
 
 type event =
@@ -36,19 +37,7 @@ type event =
       bug : string option;
       correctness : bool;
     }
-  | Vstats of {
-      iter : int;
-      insn_processed : int;
-      total_states : int;
-      peak_states : int;
-      max_states_per_insn : int;
-      prune_hits : int;
-      prune_misses : int;
-      loops_detected : int;
-      branch_hwm : int;
-      widen_rounds : int;
-      loop_heads : int;
-    }
+  | Vstats of { iter : int; stats : Vstats.t }
   | Checkpoint of { iter : int }
   | Quarantined of { iter : int }
   | Shard_merge of { shards : int; events : int }
@@ -144,15 +133,9 @@ let to_json (ev : event) : string =
      tag "finding"; int "iter" iter; str "fingerprint" fingerprint;
      (match bug with Some bug -> str "bug" bug | None -> ());
      bol "correctness" correctness
-   | Vstats { iter; insn_processed; total_states; peak_states;
-              max_states_per_insn; prune_hits; prune_misses;
-              loops_detected; branch_hwm; widen_rounds; loop_heads } ->
-     tag "vstats"; int "iter" iter; int "insn_processed" insn_processed;
-     int "total_states" total_states; int "peak_states" peak_states;
-     int "max_states_per_insn" max_states_per_insn;
-     int "prune_hits" prune_hits; int "prune_misses" prune_misses;
-     int "loops_detected" loops_detected; int "branch_hwm" branch_hwm;
-     int "widen_rounds" widen_rounds; int "loop_heads" loop_heads
+   | Vstats { iter; stats } ->
+     tag "vstats"; int "iter" iter;
+     List.iter (fun (k, v) -> int k v) (Vstats.trace_counters stats)
    | Checkpoint { iter } -> tag "checkpoint"; int "iter" iter
    | Quarantined { iter } -> tag "quarantined"; int "iter" iter
    | Service_hit { seq; key } ->
@@ -227,19 +210,9 @@ let of_json (line : string) : event option =
     | "vstats" ->
       (* the widening counters postdate the vstats schema: traces
          written before them parse with the counters at zero *)
-      Some (Vstats { iter = get (int f "iter");
-                     insn_processed = get (int f "insn_processed");
-                     total_states = get (int f "total_states");
-                     peak_states = get (int f "peak_states");
-                     max_states_per_insn = get (int f "max_states_per_insn");
-                     prune_hits = get (int f "prune_hits");
-                     prune_misses = get (int f "prune_misses");
-                     loops_detected = get (int f "loops_detected");
-                     branch_hwm = get (int f "branch_hwm");
-                     widen_rounds =
-                       Option.value (int f "widen_rounds") ~default:0;
-                     loop_heads =
-                       Option.value (int f "loop_heads") ~default:0 })
+      (match Vstats.of_counters (int f) with
+       | Ok stats -> Some (Vstats { iter = get (int f "iter"); stats })
+       | Error _ -> raise Json.Parse)
     | "checkpoint" -> Some (Checkpoint { iter = get (int f "iter") })
     | "quarantined" -> Some (Quarantined { iter = get (int f "iter") })
     | "cache_hit" ->
@@ -454,13 +427,12 @@ let summarize (events : event list) : summary =
          Hashtbl.replace reasons reason
            (1 + Option.value (Hashtbl.find_opt reasons reason) ~default:0)
        | Finding _ -> incr findings
-       | Vstats { insn_processed; peak_states; widen_rounds; loop_heads;
-                  _ } ->
+       | Vstats { stats = v; _ } ->
          incr vs_count;
-         vs_insn := insn_processed :: !vs_insn;
-         vs_peak := peak_states :: !vs_peak;
-         vs_widen := widen_rounds :: !vs_widen;
-         vs_heads := !vs_heads + loop_heads
+         vs_insn := v.Vstats.vs_insn_processed :: !vs_insn;
+         vs_peak := v.Vstats.vs_peak_states :: !vs_peak;
+         vs_widen := v.Vstats.vs_widen_rounds :: !vs_widen;
+         vs_heads := !vs_heads + v.Vstats.vs_loop_heads
        | Checkpoint _ -> incr checkpoints
        | Quarantined _ -> incr quarantined
        | Service_hit _ -> incr sv_hits

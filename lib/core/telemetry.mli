@@ -32,20 +32,9 @@ type event =
       bug : string option;   (** ground-truth attribution, when known *)
       correctness : bool;
     }  (** first sighting only; dedup'd like {!Campaign.stats} *)
-  | Vstats of {
-      iter : int;
-      insn_processed : int;
-      total_states : int;
-      peak_states : int;
-      max_states_per_insn : int;
-      prune_hits : int;
-      prune_misses : int;
-      loops_detected : int;
-      branch_hwm : int;
-      widen_rounds : int;
-      loop_heads : int;
-    }
-      (** veristat-style verifier counters of the iteration's analysis.
+  | Vstats of { iter : int; stats : Bvf_verifier.Vstats.t }
+      (** veristat-style verifier counters of the iteration's analysis,
+          written as {!Bvf_verifier.Vstats.trace_counters} fields.
           Deterministic (no wall times), so part of the byte-identical
           trace contract.  Emitted only when the analysis ran.
           [widen_rounds] and [loop_heads] postdate the frozen counter

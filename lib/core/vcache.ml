@@ -126,8 +126,14 @@ let key_of_wire ~(config_fp : string) ~(maps_fp : string)
   Buffer.add_bytes b wire;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let key ~(config_fp : string) ~(maps_fp : string)
+let key ?(log_level = 0) ~(config_fp : string) ~(maps_fp : string)
     (req : Verifier.request) : string =
+  (* a nonzero level adds a log to the verdict, so it keys apart;
+     level 0 adds nothing *)
+  let config_fp =
+    if log_level = 0 then config_fp
+    else Printf.sprintf "%s log_level=%d" config_fp log_level
+  in
   let config_fp, wire =
     match Encode.encode req.Verifier.r_insns with
     | wire -> (config_fp, wire)
@@ -236,9 +242,9 @@ let entries (t : t) : (string * verdict) list =
 
 (* -- On-disk tier ---------------------------------------------------- *)
 
-(* /2: the key text escapes attach names that could be read as another
-   line; a /1 file may hold entries under the unescaped text *)
-let tag = "bvf-vcache/2"
+(* /3: a nonzero log level enters the key; a /2 file may hold a
+   level-2 log under a level-0 key *)
+let tag = "bvf-vcache/3"
 
 let save (t : t) ~(path : string) : (unit, Checkpoint.error) result =
   Checkpoint.save ~path ~tag (entries t)

@@ -58,12 +58,15 @@ val create : cap:int -> t
 
 val length : t -> int
 
-val key : config_fp:string -> maps_fp:string ->
+val key : ?log_level:int -> config_fp:string -> maps_fp:string ->
   Bvf_verifier.Verifier.request -> string
 (** The cache key: hex MD5 of the config fingerprint, the map
     fingerprint, the program type, the attach point, the offload flag
     and the program's canonical wire bytes ({!Bvf_ebpf.Encode.encode}
-    of its instructions), one line each, the bytes last.  An attach
+    of its instructions), one line each, the bytes last.  A nonzero
+    [log_level] (default 0) is appended to the config line as
+    [" log_level=N"]: the verdict's [cv_vlog] depends on it, and a
+    level-0 key is the same text as without the argument.  An attach
     name holding a line break, equal to ["-"] (the line of an absent
     one) or starting with ['\\'] is written as ['\\'] and its
     [String.escaped] form, so the text splits into its parts one way
@@ -120,7 +123,7 @@ val entries : t -> (string * verdict) list
 (** {1 On-disk tier}
 
     A saved cache is a {!Checkpoint} container (tag
-    ["bvf-vcache/2"]).  Bump the tag whenever the {!verdict} schema or
+    ["bvf-vcache/3"]).  Bump the tag whenever the {!verdict} schema or
     the key text changes: stale files then fail with [Tag_mismatch]
     instead of unmarshalling garbage or answering from entries saved
     under another key text. *)

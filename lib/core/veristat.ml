@@ -47,22 +47,15 @@ let load_row (session : Loader.t) ~(name : string)
     vr_time_s = time_s;
   }
 
-(* The selftest corpus (the paper's 708 programs by default).
-   [Selftests.build]'s count is a floor (the hand-written programs are
-   always all included), so truncate to make [count] exact. *)
+(* The selftest corpus (the paper's 708 programs by default). *)
 let run_selftests ?count (version : Version.t) : table =
   let suite = Selftests.build ?count version in
-  let requests =
-    match count with
-    | Some n -> List.filteri (fun i _ -> i < n) suite.Selftests.requests
-    | None -> suite.Selftests.requests
-  in
   let rows =
     List.mapi
       (fun i req ->
          load_row suite.Selftests.session
            ~name:(Printf.sprintf "selftest-%04d" i) req)
-      requests
+      suite.Selftests.requests
   in
   { vt_kernel = Version.to_string version; vt_rows = rows }
 
@@ -113,10 +106,9 @@ let to_json (t : table) : string =
 exception Bad_table of string
 
 let of_json (s : string) : table =
+  let missing k = raise (Bad_table ("missing or mistyped field " ^ k)) in
   let need get f k =
-    match get f k with
-    | Some v -> v
-    | None -> raise (Bad_table ("missing or mistyped field " ^ k))
+    match get f k with Some v -> v | None -> missing k
   in
   let lines =
     String.split_on_char '\n' s
@@ -138,22 +130,15 @@ let of_json (s : string) : table =
              try Json.parse_object line
              with Json.Parse -> raise (Bad_table "unparsable row")
            in
-           let st = Vstats.zero () in
-           st.Vstats.vs_insn_processed <- need Json.int f "insn_processed";
-           st.Vstats.vs_total_states <- need Json.int f "total_states";
-           st.Vstats.vs_peak_states <- need Json.int f "peak_states";
-           st.Vstats.vs_max_states_per_insn <-
-             need Json.int f "max_states_per_insn";
-           st.Vstats.vs_prune_hits <- need Json.int f "prune_hits";
-           st.Vstats.vs_prune_misses <- need Json.int f "prune_misses";
-           st.Vstats.vs_loops_detected <- need Json.int f "loops_detected";
-           st.Vstats.vs_branch_hwm <- need Json.int f "branch_hwm";
            {
              vr_name = need Json.str f "name";
              vr_prog_type = need Json.str f "prog_type";
              vr_insns = need Json.int f "insns";
              vr_verdict = need Json.str f "verdict";
-             vr_stats = st;
+             vr_stats =
+               (match Vstats.of_counters (Json.int f) with
+                | Ok st -> st
+                | Error k -> missing k);
              vr_time_s = Option.value (Json.num f "time_s") ~default:0.0;
            })
         rest

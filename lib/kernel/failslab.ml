@@ -42,6 +42,8 @@ let create ?(space = 0) ?(seed = 1) ~(rate : float) () : t =
 let off () : t = create ~rate:0.0 ()
 
 let enabled (t : t) : bool = t.fs_rate > 0.0
+let rate (t : t) : float = t.fs_rate
+let seed (t : t) : int = t.fs_seed
 
 let attempts (t : t) : int = t.fs_attempts
 let injected (t : t) : int = t.fs_injected

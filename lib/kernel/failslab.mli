@@ -25,6 +25,10 @@ val off : unit -> t
 
 val enabled : t -> bool
 
+val rate : t -> float
+val seed : t -> int
+(** The [rate] and [seed] the plan was created with. *)
+
 val should_fail : t -> site:string -> bool
 (** Draw the next decision for an allocation at [site].  Deterministic
     in (seed, rate, space, call sequence). *)

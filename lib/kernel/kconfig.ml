@@ -167,6 +167,19 @@ let fixed (version : Version.t) : t = make version ~bugs:[]
    equality. *)
 let has (t : t) (b : bug) : bool = List.memq b t.bugs
 
+(* Every field as [(name, value)] text, the bug set sorted: two configs
+   are one kernel exactly when their listings are equal, and the first
+   pair that differs names what differs. *)
+let fields (t : t) : (string * string) list =
+  let flag name v = (name, string_of_bool v) in
+  [ ("kernel", Version.to_string t.version);
+    ("bugs",
+     match List.sort_uniq compare t.bugs with
+     | [] -> "none"
+     | bugs -> String.concat "," (List.map bug_to_string bugs));
+    flag "sanitize" t.sanitize; flag "unprivileged" t.unprivileged;
+    flag "witness" t.witness; flag "lint" t.lint ]
+
 let with_sanitize (t : t) (sanitize : bool) : t = { t with sanitize }
 let with_lint (t : t) (lint : bool) : t = { t with lint }
 let with_witness (t : t) (witness : bool) : t = { t with witness }

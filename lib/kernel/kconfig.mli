@@ -72,6 +72,14 @@ val fixed : Bvf_ebpf.Version.t -> t
 (** A fully fixed kernel: no injected bugs. *)
 
 val has : t -> bug -> bool
+
+val fields : t -> (string * string) list
+(** Every field as a [(name, value)] pair: ["kernel"], ["bugs"] (the
+    sorted bug names, comma-separated, or ["none"]), ["sanitize"],
+    ["unprivileged"], ["witness"], ["lint"].  Two configs are equal up
+    to the order and repeats of their bugs exactly when their listings
+    are. *)
+
 val with_sanitize : t -> bool -> t
 val with_lint : t -> bool -> t
 val with_witness : t -> bool -> t

@@ -40,7 +40,8 @@ type t = {
          queue ever got *)
   mutable vs_widen_rounds : int;
       (* widening rounds applied at loop heads.  Deliberately NOT in
-         [counters] (and so not in any digest or JSON table):
+         [counters] (and so not in any digest or JSON table; traces
+         carry it, see [trace_counters]):
          [counters] fixes the columns of the golden veristat.jsonl and
          of [pp], which adding it would move;
          [loops_detected] keeps its historical meaning (zero-progress
@@ -104,22 +105,55 @@ let branch_popped (t : t) : unit =
 
 (* -- Reporting ---------------------------------------------------------- *)
 
-(* Stable (name, value) listing: the canonical counter order used by
-   every printer, JSON table and digest line. *)
-let counters (t : t) : (string * int) list =
-  [
-    ("insn_processed", t.vs_insn_processed);
-    ("total_states", t.vs_total_states);
-    ("peak_states", t.vs_peak_states);
-    ("max_states_per_insn", t.vs_max_states_per_insn);
-    ("prune_hits", t.vs_prune_hits);
-    ("prune_misses", t.vs_prune_misses);
-    ("loops_detected", t.vs_loops_detected);
-    ("branch_hwm", t.vs_branch_hwm);
-  ]
+(* Every counter a table or a trace carries, by name, in the one order
+   every writer and reader uses: the frozen schema ([counters]: the
+   columns of every veristat table, of [pp], of the digest-free golden
+   veristat.jsonl), then the trace-only widening pair. *)
+type field = { name : string; get : t -> int; set : t -> int -> unit }
 
-let counter_names : string list =
-  List.map fst (counters (zero ()))
+let frozen : field list =
+  [ { name = "insn_processed"; get = (fun t -> t.vs_insn_processed);
+      set = (fun t v -> t.vs_insn_processed <- v) };
+    { name = "total_states"; get = (fun t -> t.vs_total_states);
+      set = (fun t v -> t.vs_total_states <- v) };
+    { name = "peak_states"; get = (fun t -> t.vs_peak_states);
+      set = (fun t v -> t.vs_peak_states <- v) };
+    { name = "max_states_per_insn"; get = (fun t -> t.vs_max_states_per_insn);
+      set = (fun t v -> t.vs_max_states_per_insn <- v) };
+    { name = "prune_hits"; get = (fun t -> t.vs_prune_hits);
+      set = (fun t v -> t.vs_prune_hits <- v) };
+    { name = "prune_misses"; get = (fun t -> t.vs_prune_misses);
+      set = (fun t v -> t.vs_prune_misses <- v) };
+    { name = "loops_detected"; get = (fun t -> t.vs_loops_detected);
+      set = (fun t v -> t.vs_loops_detected <- v) };
+    { name = "branch_hwm"; get = (fun t -> t.vs_branch_hwm);
+      set = (fun t v -> t.vs_branch_hwm <- v) } ]
+
+let trace_only : field list =
+  [ { name = "widen_rounds"; get = (fun t -> t.vs_widen_rounds);
+      set = (fun t v -> t.vs_widen_rounds <- v) };
+    { name = "loop_heads"; get = (fun t -> t.vs_loop_heads);
+      set = (fun t v -> t.vs_loop_heads <- v) } ]
+
+let listing (fields : field list) (t : t) : (string * int) list =
+  List.map (fun f -> (f.name, f.get t)) fields
+
+let counters : t -> (string * int) list = listing frozen
+let trace_counters : t -> (string * int) list = listing (frozen @ trace_only)
+let counter_names : string list = List.map (fun f -> f.name) frozen
+
+(* Every frozen counter is required; a trace-only one absent reads as
+   zero (the pair postdates the frozen schema). *)
+let of_counters (find : string -> int option) : (t, string) result =
+  let t = zero () in
+  let read f =
+    match find f.name with Some v -> f.set t v; true | None -> false
+  in
+  match List.find_opt (fun f -> not (read f)) frozen with
+  | Some missing -> Error missing.name
+  | None ->
+    List.iter (fun f -> ignore (read f : bool)) trace_only;
+    Ok t
 
 let pp fmt (t : t) : unit =
   Format.fprintf fmt "%s"

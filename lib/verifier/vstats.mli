@@ -27,9 +27,9 @@ type t = {
       (** pending-branch worklist high-water mark *)
   mutable vs_widen_rounds : int;
       (** widening rounds applied at loop heads.  Not part of
-          {!counters} — and so of no digest, JSON table or veristat
-          baseline: the canonical counter schema is frozen by committed
-          baselines;
+          {!counters} (only of {!trace_counters}) — and so of no
+          digest, JSON table or veristat baseline: the canonical
+          counter schema is frozen by committed baselines;
           [vs_loops_detected] keeps its historical meaning
           (zero-progress infinite-loop rejections). *)
   mutable vs_loop_heads : int;
@@ -69,10 +69,20 @@ val branch_popped : t -> unit
 (** {1 Reporting} *)
 
 val counters : t -> (string * int) list
-(** Canonical [(name, value)] listing, in the stable order every
-    printer, JSON table and digest line uses. *)
+(** Canonical [(name, value)] listing of the frozen schema, in the
+    stable order every printer, JSON table and digest line uses. *)
 
 val counter_names : string list
+(** The names of {!counters}. *)
+
+val trace_counters : t -> (string * int) list
+(** {!counters}, then the trace-only [widen_rounds] and [loop_heads]:
+    the fields of a trace's vstats event, in order. *)
+
+val of_counters : (string -> int option) -> (t, string) result
+(** The record whose {!trace_counters} [find] names.  [Error name]
+    names the first frozen counter [find] has no value for; a
+    trace-only counter it lacks reads as zero. *)
 
 val pp : Format.formatter -> t -> unit
 

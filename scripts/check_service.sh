@@ -19,7 +19,11 @@
 #   5. the tallies agree with the lines: the warm batch summary's
 #      cache_hits is its number of hit lines, and serve's closing
 #      stderr line counts every program as a hit and the malformed
-#      line as the one invalid input.
+#      line as the one invalid input;
+#   6. a batch at --log-level 2 into the same cache file (its answers
+#      carry logs), then one at level 0: the level-0 pass is still
+#      byte-identical to the cold one once the cache field is stripped,
+#      so a cached log never answers a level it was not made at.
 #
 # The default binary is the bvf built in the checkout that holds this
 # script (_build/default/bin/bvf.exe; build it first with `dune build`).
@@ -150,6 +154,22 @@ if [ "$serve_tally_hits" = $((programs + 1)) ] && [ "$serve_invalid" = 1 ]; then
   echo "ok    serve tally: $serve_tally_hits hits, 1 invalid"
 else
   echo "FAIL  serve tally: cache_hits '$serve_tally_hits' (want $((programs + 1))), invalid '$serve_invalid' (want 1)"
+  status=1
+fi
+
+# 6. the log level keys apart: level 2, then level 0, through one cache
+echo "== batch at --log-level 2, then at level 0 (same cache file)"
+"$bvf" batch --jobs 4 --log-level 2 --cache-file "$out/cache.bin" \
+  --out "$out/level2.jsonl" "$out/corpus.jsonl" 2> /dev/null || exit 3
+"$bvf" batch --jobs 4 --cache-file "$out/cache.bin" \
+  --out "$out/level0.jsonl" "$out/corpus.jsonl" 2> /dev/null || exit 3
+logged=$(grep -c '"vlog":' "$out/level2.jsonl" || true)
+sed 's/,"cache":"[a-z]*"//' "$out/level0.jsonl" > "$out/level0.stripped"
+if [ "$logged" -gt 0 ] && cmp -s "$out/cold.stripped" "$out/level0.stripped"; then
+  echo "ok    level 0 after level 2 ($logged logged answers) byte-identical to cold (cache field stripped)"
+else
+  echo "FAIL  level 0 after level 2 ($logged logged answers) differs from cold:"
+  diff "$out/cold.stripped" "$out/level0.stripped" | head -20
   status=1
 fi
 

@@ -398,8 +398,8 @@ let test_campaign_curve_no_duplicate_sample () =
 
 let test_selftests_all_verified () =
   let suite = Selftests.build ~count:120 Version.Bpf_next in
-  Alcotest.(check bool) "suite is populated" true
-    (List.length suite.Selftests.requests >= 120);
+  Alcotest.(check int) "exactly the count" 120
+    (List.length suite.Selftests.requests);
   List.iter
     (fun req ->
        Alcotest.(check bool) "has load/store" true

@@ -52,7 +52,7 @@ let load_selftest_stats () =
            ~cov:session.Loader.cov req
        in
        (verdict, Option.get vstats))
-    (List.filteri (fun i _ -> i < 60) suite.Selftests.requests)
+    suite.Selftests.requests
 
 let test_vstats_deterministic_and_consistent () =
   let a = load_selftest_stats () and b = load_selftest_stats () in
@@ -113,7 +113,8 @@ let test_parallel_merges_vstats () =
   let merged = r.Parallel.pr_stats.Campaign.st_vstats in
   let shards =
     List.map
-      (fun sh -> sh.Parallel.sh_stats.Campaign.st_vstats)
+      (fun sh ->
+         (Parallel.final_snapshot sh).Campaign.sn_stats.Campaign.st_vstats)
       r.Parallel.pr_shards
   in
   let sums f = List.fold_left (fun n a -> n + f a) 0 shards

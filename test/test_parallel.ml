@@ -306,6 +306,9 @@ let test_heap_held_on_raise () =
 
 (* -- Merge invariants ---------------------------------------------------------- *)
 
+let shard_stats (sh : Parallel.state) : Campaign.stats =
+  (Parallel.final_snapshot sh).Campaign.sn_stats
+
 let test_merge_invariants () =
   let iterations = 300 and jobs = 3 in
   let r =
@@ -315,7 +318,7 @@ let test_merge_invariants () =
   let merged = r.Parallel.pr_stats in
   Alcotest.(check int) "shard per job" jobs (List.length shards);
   let sums f =
-    List.fold_left (fun acc sh -> acc + f sh.Parallel.sh_stats) 0 shards
+    List.fold_left (fun acc sh -> acc + f (shard_stats sh)) 0 shards
   in
   Alcotest.(check int) "all iterations executed" iterations
     merged.Campaign.st_generated;
@@ -331,7 +334,7 @@ let test_merge_invariants () =
   (* coverage: union is bounded by the per-shard extremes *)
   let max_edges =
     List.fold_left
-      (fun acc sh -> max acc sh.Parallel.sh_stats.Campaign.st_edges)
+      (fun acc sh -> max acc (shard_stats sh).Campaign.st_edges)
       0 shards
   in
   Alcotest.(check bool) "union <= sum of shard edges" true
@@ -348,14 +351,14 @@ let test_merge_invariants () =
          (fun key _ ->
             Alcotest.(check bool) "shard finding survives the merge" true
               (Hashtbl.mem merged.Campaign.st_findings key))
-         sh.Parallel.sh_stats.Campaign.st_findings)
+         (shard_stats sh).Campaign.st_findings)
     shards;
   Hashtbl.iter
     (fun key f ->
        Alcotest.(check bool) "merged finding came from a shard" true
          (List.exists
             (fun sh ->
-               Hashtbl.mem sh.Parallel.sh_stats.Campaign.st_findings key)
+               Hashtbl.mem (shard_stats sh).Campaign.st_findings key)
             shards);
        Alcotest.(check bool) "global iteration in range" true
          (f.Campaign.fd_iteration >= 0
@@ -470,16 +473,16 @@ let test_stop_before_start () =
       Campaign.bvf_strategy (config ())
   in
   Alcotest.(check (list int)) "every shard reported" [ 0; 1; 2; 3 ]
-    (List.map (fun sh -> sh.Parallel.sh_index) r.Parallel.pr_shards);
+    (List.map (fun sh -> sh.Parallel.ss_shard) r.Parallel.pr_shards);
   Alcotest.(check int) "shards 0 and 1 ran their budgets"
     (counts.(0) + counts.(1)) r.Parallel.pr_iterations;
   List.iter
-    (fun (sh : Parallel.shard) ->
-       if sh.Parallel.sh_index >= 2 then begin
+    (fun (sh : Parallel.state) ->
+       if sh.Parallel.ss_shard >= 2 then begin
          Alcotest.(check int) "no program" 0
-           sh.Parallel.sh_stats.Campaign.st_generated;
+           (shard_stats sh).Campaign.st_generated;
          Alcotest.(check int) "no kernel" 0
-           sh.Parallel.sh_stats.Campaign.st_reboots
+           (shard_stats sh).Campaign.st_reboots
        end)
     r.Parallel.pr_shards;
   let dir = Filename.temp_file "bvf_par_nostart" "" in

@@ -387,6 +387,12 @@ let test_resume_validation () =
      Alcotest.(check bool) ("refusal names the kernel: " ^ msg) true
        (List.mem "kernel" (String.split_on_char ' ' msg))
    | _ -> Alcotest.fail "expected kernel-version mismatch to be refused");
+  (* the same kernel without its injected bugs (--fixed) *)
+  (match run (Kconfig.fixed Version.V6_1) with
+   | exception Campaign.Environment msg ->
+     Alcotest.(check bool) ("refusal names the bugs: " ^ msg) true
+       (List.mem "bugs" (String.split_on_char ' ' msg))
+   | _ -> Alcotest.fail "expected a bug-set mismatch to be refused");
   (match
      Checkpoint.save ~path:(Parallel.state_path dir 0) ~tag:"bvf-campaign/9"
        (shard0 dir).Parallel.ss_snapshot

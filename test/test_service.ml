@@ -39,8 +39,7 @@ let render (v : Vcache.verdict) : string =
   Service.response_to_json ~id:"x" ~key:"k" v
 
 let corpus ?(n = 24) () : Verifier.request list =
-  let suite = Selftests.build ~count:n version in
-  List.filteri (fun i _ -> i < n) suite.Selftests.requests
+  (Selftests.build ~count:n version).Selftests.requests
 
 let inputs_of (reqs : Verifier.request list) : Service.input list =
   List.mapi
@@ -243,9 +242,11 @@ let test_disk_damage_is_error () =
 
 (* -- batch ---------------------------------------------------------------- *)
 
-let batch_lines ?(jobs = 1) ?(cache = Vcache.create ~cap:4096)
+let batch_lines ?log_level ?(jobs = 1) ?(cache = Vcache.create ~cap:4096)
     (inputs : Service.input list) : string list * Service.tally =
-  let items, summary = Service.run_batch ~jobs ~cache config inputs in
+  let items, summary =
+    Service.run_batch ?log_level ~jobs ~cache config inputs
+  in
   (List.map Service.item_to_json items, summary)
 
 (* drop the one history-dependent field, as the CI gate does with sed *)
@@ -313,6 +314,24 @@ let test_batch_cache_off_identity () =
   Alcotest.(check (list string)) "warm == cache off"
     (List.map strip_cache_field warm)
     (List.map strip_cache_field no_cache)
+
+(* A verdict cached at log level 2 holds its log: a level-0 pass
+   through the same cache must answer as a cold level-0 pass does, with
+   no vlog. *)
+let test_batch_log_level_keyed () =
+  let inputs = inputs_of (rejected_req :: corpus ~n:6 ()) in
+  let cache = Vcache.create ~cap:4096 in
+  ignore (batch_lines ~log_level:2 ~cache inputs);
+  Alcotest.(check bool) "level-2 verdicts hold logs" true
+    (List.for_all (fun (_, v) -> v.Vcache.cv_vlog <> "")
+       (Vcache.entries cache));
+  let level0, s0 = batch_lines ~cache inputs in
+  let cold0, _ = batch_lines inputs in
+  Alcotest.(check int) "level 0 misses every level-2 entry"
+    (List.length inputs) s0.Service.tl_misses;
+  Alcotest.(check (list string)) "level 0 after level 2 == cold level 0"
+    (List.map strip_cache_field cold0)
+    (List.map strip_cache_field level0)
 
 let test_batch_telemetry_events () =
   let inputs = inputs_of (rejected_req :: corpus ~n:4 ()) in
@@ -1110,6 +1129,8 @@ let () =
             test_batch_warm_rerun_hits;
           Alcotest.test_case "cache on == cache off" `Quick
             test_batch_cache_off_identity;
+          Alcotest.test_case "log level keys apart" `Quick
+            test_batch_log_level_keyed;
           Alcotest.test_case "telemetry events" `Quick
             test_batch_telemetry_events;
           Alcotest.test_case "unreadable dir entry" `Quick

@@ -461,7 +461,8 @@ let test_stop_before_fork () =
             (Filename.concat state (Printf.sprintf "worker-%d.hb" i))))
     [ 0; 1 ];
   let shard0 = List.hd first.Parallel.pr_shards in
-  Alcotest.(check int) "worker 0's file merged" shard0.Parallel.sh_iterations
+  Alcotest.(check int) "worker 0's file merged"
+    (Parallel.final_snapshot shard0).Campaign.sn_completed
     r.Parallel.pr_iterations;
   List.iter
     (fun (w : Supervisor.worker_report) ->
@@ -487,9 +488,9 @@ let contains (s : string) (sub : string) : bool =
 let test_state_dir_refuses_other_campaign () =
   let state = Filename.concat (temp_dir "bvf_sv_other") "state" in
   ignore (completed (sv ~dir:state ~seed:7 ~iterations:40 ~workers:2 ()));
-  let rerun config ~seed ~iterations ~workers () =
-    Parallel.run ~supervise:fast ~dir:state ~jobs:workers ~seed ~iterations
-      Campaign.bvf_strategy config
+  let rerun ?failslab_rate config ~seed ~iterations ~workers () =
+    Parallel.run ~supervise:fast ?failslab_rate ~dir:state ~jobs:workers
+      ~seed ~iterations Campaign.bvf_strategy config
   in
   List.iter
     (fun (field, run) ->
@@ -507,6 +508,11 @@ let test_state_dir_refuses_other_campaign () =
          ~workers:2);
       ("witness",
        rerun (Kconfig.with_witness (config ()) true) ~seed:7 ~iterations:40
+         ~workers:2);
+      ("bugs", rerun (Kconfig.fixed Version.V6_1) ~seed:7 ~iterations:40
+                 ~workers:2);
+      ("failslab",
+       rerun ~failslab_rate:0.5 (config ()) ~seed:7 ~iterations:40
          ~workers:2);
       ("assigned", rerun (config ()) ~seed:7 ~iterations:10 ~workers:2) ];
   Alcotest.(check bool) "lock released after a refusal" false
@@ -755,9 +761,15 @@ let test_merge_assoc_comm () =
    | exception Campaign.Environment _ -> ()
    | _ -> Alcotest.fail "expected merged snapshot to refuse resume");
   (* config mismatches are refused *)
-  match m [ a; state ~config:(Kconfig.default Version.Bpf_next) 4 ] with
-  | exception Campaign.Environment _ -> ()
-  | _ -> Alcotest.fail "expected kernel mismatch to be refused"
+  List.iter
+    (fun (field, config) ->
+       match m [ a; state ~config 4 ] with
+       | exception Campaign.Environment msg ->
+         Alcotest.(check bool) ("refusal names " ^ field ^ ": " ^ msg) true
+           (List.mem field (String.split_on_char ' ' msg))
+       | _ -> Alcotest.failf "expected a %s mismatch to be refused" field)
+    [ ("kernel", Kconfig.default Version.Bpf_next);
+      ("bugs", Kconfig.fixed Version.V6_1) ]
 
 (* Suite order matters: OCaml 5 forbids [Unix.fork] in a process that
    has ever spawned a domain, so every fork-based suite must run before

@@ -64,11 +64,12 @@ let test_examples_cover_taxonomy () =
 (* -- no Unknown on real program populations ------------------------------- *)
 
 let test_selftests_rejections_classified () =
-  (* Replay the selftest corpus in an unprivileged session with the
-     same map population (fd numbering is deterministic, so requests
-     resolve the same fds).  Plenty of programs now get rejected; every
-     single rejection must land somewhere in the taxonomy. *)
-  let suite = Selftests.build ~count:150 Version.Bpf_next in
+  (* Replay the selftest corpus's hand-written families (its first 250
+     programs) in an unprivileged session with the same map population
+     (fd numbering is deterministic, so requests resolve the same fds).
+     Plenty of programs now get rejected; every single rejection must
+     land somewhere in the taxonomy. *)
+  let suite = Selftests.build ~count:250 Version.Bpf_next in
   let config = Kconfig.make ~unprivileged:true Version.Bpf_next in
   let session = Loader.create config in
   ignore (Selftests.install_maps session : int * int);
@@ -156,10 +157,13 @@ let sample_events : Telemetry.event list =
         msg = "invalid access: \"quoted\", back\\slash,\nnewline\ttab";
       };
     Vstats
-      { iter = 2; insn_processed = 48; total_states = 6; peak_states = 3;
-        max_states_per_insn = 2; prune_hits = 1; prune_misses = 5;
-        loops_detected = 0; branch_hwm = 4; widen_rounds = 3;
-        loop_heads = 1 };
+      { iter = 2;
+        stats =
+          { (Vstats.zero ()) with
+            vs_insn_processed = 48; vs_total_states = 6;
+            vs_peak_states = 3; vs_max_states_per_insn = 2;
+            vs_prune_hits = 1; vs_prune_misses = 5; vs_loops_detected = 0;
+            vs_branch_hwm = 4; vs_widen_rounds = 3; vs_loop_heads = 1 } };
     Finding
       { iter = 3; fingerprint = "oracle:xyz"; bug = None;
         correctness = true };
@@ -191,10 +195,12 @@ let test_jsonl_round_trip () =
   Alcotest.(check (option event)) "pre-loop vstats line parses"
     (Some
        (Telemetry.Vstats
-          { iter = 9; insn_processed = 10; total_states = 2;
-            peak_states = 1; max_states_per_insn = 1; prune_hits = 0;
-            prune_misses = 2; loops_detected = 0; branch_hwm = 1;
-            widen_rounds = 0; loop_heads = 0 }))
+          { iter = 9;
+            stats =
+              { (Vstats.zero ()) with
+                vs_insn_processed = 10; vs_total_states = 2;
+                vs_peak_states = 1; vs_max_states_per_insn = 1;
+                vs_prune_misses = 2; vs_branch_hwm = 1 } }))
     (Telemetry.of_json
        ({|{"ev":"vstats","iter":9,"insn_processed":10,|}
         ^ {|"total_states":2,"peak_states":1,"max_states_per_insn":1,|}
