@@ -11,6 +11,10 @@
 #   fuzz-jobs2.out                bvf fuzz --seed 1 -n 2000 --jobs 2
 #   fuzz-jobs2-ckpt.out           -n 1000 --jobs 2, state every 500
 #   fuzz-jobs2-resume.out         -n 2000 --jobs 2 resumed from it
+#   cov-resume.out                bvf cov of the resumed sequential
+#                                 run's shard file
+#   cov-jobs2-resume.out          bvf cov of each resumed --jobs 2
+#                                 shard file
 #   fuzz-jobs4.out                the same with --jobs 4
 #   fuzz-workers2.out             the same with --workers 2
 #   traces.md5                    one md5sum line per run's trace
@@ -72,6 +76,12 @@ fuzz fuzz-jobs2 2000 --jobs 2
 fuzz fuzz-jobs2-ckpt 1000 --jobs 2 --checkpoint-every 500 --state-dir resume2
 fuzz fuzz-jobs2-resume 2000 --jobs 2 --checkpoint-every 500 \
   --state-dir resume2
+# per-edge hit counts of the resumed runs' coverage maps; the state
+# directories are relative, so the header lines are too
+"$bvf" cov resume/shard-0.ckpt > "$out/cov-resume.out" || exit 3
+for f in resume2/shard-*.ckpt; do
+  "$bvf" cov "$f" || exit 3
+done > "$out/cov-jobs2-resume.out"
 fuzz fuzz-jobs4 2000 --jobs 4
 fuzz fuzz-workers2 2000 --workers 2 --state-dir state
 
