@@ -102,6 +102,15 @@ let report_count (t : t) : int = t.report_count
 
 let peek_reports (t : t) : Report.t list = List.rev t.reports
 
+(* The newest [count - n] reports sit at the head of [reports]: take
+   them and reverse, never touching the older ones. *)
+let reports_since (t : t) (n : int) : Report.t list =
+  let rec take k acc = function
+    | r :: rest when k > 0 -> take (k - 1) (r :: acc) rest
+    | _ -> acc
+  in
+  take (t.report_count - n) [] t.reports
+
 (* -- Maps ------------------------------------------------------------ *)
 
 (* Create a map; returns its fd.  Each map also gets a small "struct

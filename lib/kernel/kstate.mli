@@ -42,6 +42,10 @@ val has_bug : t -> Kconfig.bug -> bool
 val report : t -> Report.t -> unit
 val peek_reports : t -> Report.t list
 
+val reports_since : t -> int -> Report.t list
+(** [reports_since t n]: the reports after the first [n], oldest first,
+    in O(new) (= [List.filteri (fun i _ -> i >= n) (peek_reports t)]). *)
+
 val report_count : t -> int
 (** Number of pending reports, in O(1) (= [List.length (peek_reports t)]). *)
 

@@ -225,12 +225,7 @@ let check_witness (e : env) ~(pc : int) : unit =
       done
 
 let new_reports (e : env) : Report.t list =
-  let all = Kstate.peek_reports e.kst in
-  let fresh = List.length all - e.baseline_reports in
-  if fresh <= 0 then []
-  else
-    (* peek returns oldest-first *)
-    List.filteri (fun i _ -> i >= e.baseline_reports) all
+  Kstate.reports_since e.kst e.baseline_reports
 
 let has_new_report (e : env) : bool =
   Kstate.report_count e.kst > e.baseline_reports

@@ -390,6 +390,28 @@ let test_kstate_services () =
   Alcotest.(check bool) "prandom in range" true
     Bvf_ebpf.Word.(ule r1 0xFFFF_FFFFL)
 
+(* [reports_since] is the O(new) form of filtering the oldest-first
+   listing from a count. *)
+let test_reports_since () =
+  let k = Kstate.create (Kconfig.default Version.Bpf_next) in
+  let warn i =
+    Report.make (Report.Kernel_routine "test")
+      (Report.Warn (string_of_int i))
+  in
+  let same n =
+    Kstate.reports_since k n
+    = List.filteri (fun i _ -> i >= n) (Kstate.peek_reports k)
+  in
+  Alcotest.(check bool) "empty" true (Kstate.reports_since k 0 = []);
+  for i = 1 to 5 do Kstate.report k (warn i) done;
+  for n = 0 to 6 do
+    Alcotest.(check bool) (Printf.sprintf "since %d" n) true (same n)
+  done;
+  Alcotest.(check int) "oldest first" 2
+    (List.length (Kstate.reports_since k 3));
+  Alcotest.(check bool) "order" true
+    (Kstate.reports_since k 3 = [ warn 4; warn 5 ])
+
 let test_report_fingerprints () =
   let f1 =
     Report.make Report.Sanitizer
@@ -453,6 +475,7 @@ let () =
           Alcotest.test_case "kconfig bugs" `Quick
             test_kconfig_bug_presence;
           Alcotest.test_case "kstate services" `Quick test_kstate_services;
+          Alcotest.test_case "reports since" `Quick test_reports_since;
           Alcotest.test_case "report fingerprints" `Quick
             test_report_fingerprints ] );
     ]
