@@ -221,6 +221,13 @@ type t = {
      account the gen/verify/sanitize/exec phases and checkpoint writes;
      never touches the RNG, the telemetry sink or the digest. *)
   prof : Bvf_util.Prof.t;
+  (* the analysis of each live corpus entry, from the iteration that
+     earned it its place, keyed by [added_at]; a repeat of the entry's
+     request is answered from it (DESIGN.md §12).  Never in a snapshot:
+     a resumed campaign starts with none. *)
+  recorder : Coverage.recorder;
+  memos : (int, Corpus.entry * Verifier.memo) Hashtbl.t;
+  mutable memo_loads : int;  (* loads answered from a memo *)
 }
 
 let reboot (c : t) : unit =
@@ -327,6 +334,9 @@ let start ?(sample_every = 64) ?(telemetry = Telemetry.null)
     sample_every;
     telemetry;
     prof;
+    recorder = Coverage.recorder ();
+    memos = Hashtbl.create 64;
+    memo_loads = 0;
   }
 
 (* Continue a campaign from a barrier snapshot: the fresh kernel is the
@@ -345,6 +355,59 @@ let resume ?sample_every ?telemetry ?prof (strategy : strategy)
   let s : snapshot = Marshal.from_string (Marshal.to_string s []) 0 in
   s.sn_stats.st_reboots <- s.sn_stats.st_reboots + 1;
   start ?sample_every ?telemetry ?prof strategy config s
+
+(* -- Memoised analyses ------------------------------------------------- *)
+
+(* A request equal to its seed entry's: the cheap fields first, then
+   the instructions, by physical identity where a mutation kept the
+   seed's array or slot and structurally only where it replaced one. *)
+let same_request (a : Verifier.request) (b : Verifier.request) : bool =
+  let n = Array.length a.Verifier.r_insns in
+  n = Array.length b.Verifier.r_insns
+  && a.Verifier.r_prog_type = b.Verifier.r_prog_type
+  && a.Verifier.r_offload = b.Verifier.r_offload
+  && a.Verifier.r_attach = b.Verifier.r_attach
+  && (a.Verifier.r_insns == b.Verifier.r_insns
+      ||
+      let rec from i =
+        i = n
+        || (let x = Array.unsafe_get a.Verifier.r_insns i
+            and y = Array.unsafe_get b.Verifier.r_insns i in
+            x == y || Insn.equal x y)
+           && from (i + 1)
+      in
+      from 0)
+
+(* The memo of [seed_entry], when [req] repeats its request. *)
+let memo_for (c : t) (seed_entry : Corpus.entry option)
+    (req : Verifier.request) : Verifier.memo option =
+  match seed_entry with
+  | None -> None
+  | Some e ->
+    match Hashtbl.find_opt c.memos e.Corpus.added_at with
+    | Some (e', m) when e' == e && same_request req e.Corpus.request ->
+      Some m
+    | Some _ | None -> None
+
+(* Drop the memos of entries the corpus no longer holds. *)
+let prune_memos (c : t) : unit =
+  let live = Corpus.entries c.corpus in
+  Hashtbl.filter_map_inplace
+    (fun _ ((e, _) as v) -> if List.memq e live then Some v else None)
+    c.memos
+
+(* After [Corpus.add]: a kept entry takes the memo of the analysis that
+   earned it; an eviction drops the evicted entries' memos. *)
+let remember (c : t) ~(iteration : int) ~(size_before : int)
+    (origin : Verifier.origin) : unit =
+  let size = Corpus.size c.corpus in
+  if size > size_before then
+    (match origin, Corpus.entries c.corpus with
+     | Verifier.Walked a, e :: _ when e.Corpus.added_at = iteration ->
+       Hashtbl.replace c.memos iteration
+         (e, Verifier.memo c.session.Loader.kst ~cov:c.cov c.recorder a)
+     | (Verifier.Walked _ | Verifier.Refused | Verifier.Replayed), _ -> ())
+  else if size < size_before then prune_memos c
 
 (* One fuzzing iteration: generate (or mutate), load, run, classify. *)
 let step (c : t) : unit =
@@ -372,19 +435,27 @@ let step (c : t) : unit =
      edges recorded by retried-away executions and by reboot-time map
      setup belong to the environment, not to this program, and must not
      inflate the corpus entry's feedback score. *)
-  let rec attempt (n : int) : int * Loader.run_result =
+  (* every attempt is offered the seed entry's memo when [req] repeats
+     that entry's request; the loader checks it against the session,
+     which a reboot between attempts may have changed *)
+  let memo = memo_for c seed_entry req in
+  let rec attempt (n : int) : int * Loader.run_result * Verifier.origin =
     let edges_before = Coverage.edge_count c.cov in
-    let result =
-      Loader.load_and_run ~prof:c.prof c.session req
+    let result, origin =
+      Loader.load_and_run_memo ~prof:c.prof c.session ~recorder:c.recorder
+        memo req
     in
+    (match origin with
+     | Verifier.Replayed -> c.memo_loads <- c.memo_loads + 1
+     | Verifier.Walked _ | Verifier.Refused -> ());
     if is_transient result && n < max_transient_retries then begin
       stats.st_retries <- stats.st_retries + 1;
       if n = max_transient_retries - 1 then reboot c;
       attempt (n + 1)
     end
-    else (edges_before, result)
+    else (edges_before, result, origin)
   in
-  let edges_before, result = attempt 0 in
+  let edges_before, result, origin = attempt 0 in
   if is_transient result then
     stats.st_env_errors <- stats.st_env_errors + 1;
   let new_edges = Coverage.edge_count c.cov - edges_before in
@@ -420,8 +491,11 @@ let step (c : t) : unit =
      Telemetry.emit c.telemetry
        (Telemetry.Vstats { iter = iteration; stats = v })
    | None -> ());
-  if c.strategy.s_feedback then
+  if c.strategy.s_feedback then begin
+    let size_before = Corpus.size c.corpus in
     Corpus.add c.corpus ~iteration ~new_edges req;
+    remember c ~iteration ~size_before origin
+  end;
   let findings = Oracle.classify c.config result in
   List.iter
     (fun f ->
@@ -446,8 +520,10 @@ let step (c : t) : unit =
   let fatal = List.exists is_fatal result.Loader.reports in
   (match seed_entry with
    | Some e when fatal ->
-     if Corpus.blame c.corpus e ~quarantine_after then
-       stats.st_quarantined <- stats.st_quarantined + 1
+     if Corpus.blame c.corpus e ~quarantine_after then begin
+       stats.st_quarantined <- stats.st_quarantined + 1;
+       prune_memos c
+     end
    | Some e -> Corpus.absolve e
    | None -> ());
   if fatal then reboot c

@@ -129,6 +129,16 @@ type t = {
           account the gen/verify/sanitize/exec phases.  Pure
           observation: never touches the RNG, the telemetry sink or the
           digest. *)
+  recorder : Bvf_verifier.Coverage.recorder;
+      (** notes the coverage hits of each walked analysis *)
+  memos : (int, Corpus.entry * Bvf_verifier.Verifier.memo) Hashtbl.t;
+      (** the analysis of each live corpus entry, made when the entry
+          was added, keyed by [added_at]; a load repeating the entry's
+          request is answered from it.  Never in a snapshot, and never
+          more entries than the corpus. *)
+  mutable memo_loads : int;
+      (** loads answered from a memo; in no digest, trace or printed
+          line *)
 }
 
 (** {1 Snapshots}

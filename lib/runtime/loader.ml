@@ -121,26 +121,24 @@ let execute (t : t) (prog : Verifier.loaded) : Exec.result =
           t.kst.Kstate.lock_ctx <- prev
         | None -> ())
      | _ -> ());
-    let all = Kstate.peek_reports t.kst in
-    let fresh = List.filteri (fun i _ -> i >= baseline) all in
+    let fresh = Kstate.reports_since t.kst baseline in
     let status =
       if fresh <> [] then Exec.Aborted else result.Exec.status
     in
     { result with Exec.status; reports = fresh; witness = !witness }
   end
 
-(* The complete cycle the fuzzer performs for each generated input.
-   [prof] (default: disabled) records "verify" and "exec" spans with a
-   post-hoc "sanitize" child — the sanitation rewrites run inside the
-   verifier's load and only report their time and allocation, so their
-   span is charged at the tail of the verify span. *)
-let load_and_run ?(prof = Bvf_util.Prof.disabled) (t : t)
-    (req : Verifier.request) : run_result =
-  let baseline = Kstate.report_count t.kst in
-  let fr = Bvf_util.Prof.start prof "verify" in
-  let verdict, vlog, vstats =
-    Verifier.load_with_stats t.kst ~cov:t.cov req
-  in
+(* The rest of a load(+run) cycle once the verifier answered inside the
+   open "verify" span [fr]: [prof] (default: disabled) records "verify"
+   and "exec" spans with a post-hoc "sanitize" child — the sanitation
+   rewrites run inside the verifier's load and only report their time
+   and allocation, so their span is charged at the tail of the verify
+   span.  [baseline] is the report count before the load. *)
+let complete ~(prof : Bvf_util.Prof.t) (t : t) ~(baseline : int)
+    (fr : Bvf_util.Prof.frame)
+    ((verdict, vlog, vstats) :
+       (Verifier.loaded, Venv.verr) result * string * Vstats.t option) :
+  run_result =
   (match verdict with
    | Ok prog ->
      Bvf_util.Prof.record prof ~name:"sanitize"
@@ -150,9 +148,8 @@ let load_and_run ?(prof = Bvf_util.Prof.disabled) (t : t)
   let load_s, load_w = Bvf_util.Prof.stop prof fr in
   match verdict with
   | Error e ->
-    let all = Kstate.peek_reports t.kst in
     { verdict = Error e; status = None;
-      reports = List.filteri (fun i _ -> i >= baseline) all;
+      reports = Kstate.reports_since t.kst baseline;
       insns_executed = 0; witness = [];
       verify_s = load_s; sanitize_s = 0.; exec_s = 0.;
       verify_w = load_w; sanitize_w = 0.; exec_w = 0.; vlog; vstats }
@@ -161,12 +158,32 @@ let load_and_run ?(prof = Bvf_util.Prof.disabled) (t : t)
     let fr = Bvf_util.Prof.start prof "exec" in
     let result = execute t prog in
     let exec_s, exec_w = Bvf_util.Prof.stop prof fr in
-    let all = Kstate.peek_reports t.kst in
     { verdict = Ok prog; status = Some result.Exec.status;
-      reports = List.filteri (fun i _ -> i >= baseline) all;
+      reports = Kstate.reports_since t.kst baseline;
       insns_executed = result.Exec.insns_executed;
       witness = result.Exec.witness;
       verify_s = load_s -. prog.Verifier.l_sanitize_s;
       sanitize_s = prog.Verifier.l_sanitize_s; exec_s;
       verify_w = Float.max 0. (load_w -. prog.Verifier.l_sanitize_w);
       sanitize_w = prog.Verifier.l_sanitize_w; exec_w; vlog; vstats }
+
+(* The complete cycle the fuzzer performs for each generated input. *)
+let load_and_run ?(prof = Bvf_util.Prof.disabled) (t : t)
+    (req : Verifier.request) : run_result =
+  let baseline = Kstate.report_count t.kst in
+  let fr = Bvf_util.Prof.start prof "verify" in
+  complete ~prof t ~baseline fr
+    (Verifier.load_with_stats t.kst ~cov:t.cov req)
+
+(* The same cycle through {!Verifier.load_memo}: a campaign's load,
+   answered from the seed entry's memo when it repeats that entry's
+   request and the memo is valid for this session. *)
+let load_and_run_memo ?(prof = Bvf_util.Prof.disabled) (t : t)
+    ~(recorder : Coverage.recorder) (memo : Verifier.memo option)
+    (req : Verifier.request) : run_result * Verifier.origin =
+  let baseline = Kstate.report_count t.kst in
+  let fr = Bvf_util.Prof.start prof "verify" in
+  let verdict, vlog, vstats, origin =
+    Verifier.load_memo t.kst ~cov:t.cov ~recorder memo req
+  in
+  (complete ~prof t ~baseline fr (verdict, vlog, vstats), origin)

@@ -61,3 +61,12 @@ val load_and_run :
     with the verifier log off.  [prof] (default: disabled) records
     "verify" and "exec" spans, with sanitation charged as a post-hoc
     child of the verify span. *)
+
+val load_and_run_memo :
+  ?prof:Bvf_util.Prof.t -> t -> recorder:Bvf_verifier.Coverage.recorder ->
+  Bvf_verifier.Verifier.memo option -> Bvf_verifier.Verifier.request ->
+  run_result * Bvf_verifier.Verifier.origin
+(** {!load_and_run} through {!Bvf_verifier.Verifier.load_memo}: the
+    analysis comes from the memo when it is valid for this session, and
+    is walked with its hits noted in [recorder] otherwise.  The result
+    is the one {!load_and_run} gives. *)

@@ -103,6 +103,76 @@ let hit (t : t) (site : string) (variant : int) : unit =
 
 let edge_count (t : t) : int = t.distinct
 
+(* -- One analysis's hits -------------------------------------------------
+
+   A campaign memoises the analysis of each corpus entry, so a repeat of
+   the entry replays the walk's hits instead of walking again.  The
+   recorder notes, in O(hits) and into flat int arrays, which edges an
+   analysis touched and what each one's count was before its first
+   touch; [recorded] turns that into the hit multiset, [replay] adds it
+   back. *)
+
+type recorder = {
+  mutable stamp : int array;   (* edge -> last analysis that touched it *)
+  mutable base : int array;    (* edge -> its count before that touch *)
+  mutable touched : int array; (* this analysis's edges, in touch order *)
+  mutable n_touched : int;
+  mutable analysis : int;      (* the current analysis; stamps start at 0 *)
+}
+
+type hits = { h_edges : int array; h_counts : int array }
+
+let recorder () : recorder =
+  { stamp = [||]; base = [||]; touched = Array.make 64 0; n_touched = 0;
+    analysis = 0 }
+
+let begin_analysis (r : recorder) : unit =
+  r.analysis <- r.analysis + 1;
+  r.n_touched <- 0
+
+(* First touch of [edge] in the current analysis: stamp it, keep its
+   count, list it.  Both tables grow with the map they index. *)
+let first_touch (r : recorder) (t : t) (edge : int) : unit =
+  if edge >= Array.length r.stamp then begin
+    let cap = max (Array.length t.counts) (2 * Array.length r.stamp) in
+    let grow a = Array.append a (Array.make (cap - Array.length a) 0) in
+    r.stamp <- grow r.stamp;
+    r.base <- grow r.base
+  end;
+  Array.unsafe_set r.stamp edge r.analysis;
+  Array.unsafe_set r.base edge (Array.unsafe_get t.counts edge);
+  if r.n_touched = Array.length r.touched then
+    r.touched <- Array.append r.touched r.touched;
+  Array.unsafe_set r.touched r.n_touched edge;
+  r.n_touched <- r.n_touched + 1
+
+(* [hit], noting the edge in [r] *)
+let hit_recorded (t : t) (r : recorder) (site : string) (variant : int) :
+  unit =
+  let edge = edge_id t site variant in
+  if edge >= Array.length r.stamp
+     || Array.unsafe_get r.stamp edge <> r.analysis
+  then first_touch r t edge;
+  record t edge
+
+let recorded (t : t) (r : recorder) : hits =
+  let n = r.n_touched in
+  let edges = Array.sub r.touched 0 n in
+  let counts = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let e = edges.(i) in
+    counts.(i) <- t.counts.(e) - r.base.(e)
+  done;
+  { h_edges = edges; h_counts = counts }
+
+let replay (t : t) (h : hits) : unit =
+  for i = 0 to Array.length h.h_edges - 1 do
+    let e = h.h_edges.(i) in
+    let n = t.counts.(e) in
+    if n = 0 then t.distinct <- t.distinct + 1;
+    t.counts.(e) <- n + h.h_counts.(i)
+  done
+
 (* -- Cross-map merging -------------------------------------------------- *)
 
 (* Numeric edge ids depend on the order sites happened to be interned,

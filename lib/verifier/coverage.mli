@@ -31,6 +31,35 @@ val hit : t -> string -> int -> unit
 val edge_count : t -> int
 (** Distinct edges observed so far. *)
 
+(** {1 One analysis's hits}
+
+    What a memoised analysis replays in place of a walk (DESIGN.md
+    §12).  Edge ids belong to the map they were recorded in. *)
+
+type recorder
+(** Reusable scratch noting the edges one analysis touches, O(1) per
+    hit. *)
+
+type hits
+(** The hit multiset of one analysis: each edge it touched, with how
+    many times. *)
+
+val recorder : unit -> recorder
+
+val begin_analysis : recorder -> unit
+(** Start noting a new analysis; forgets the previous one. *)
+
+val hit_recorded : t -> recorder -> string -> int -> unit
+(** {!hit}, also noting the edge in the recorder's current analysis. *)
+
+val recorded : t -> recorder -> hits
+(** The hits of the recorder's current analysis in [t], the map it hit.
+    Read it before another analysis hits [t]. *)
+
+val replay : t -> hits -> unit
+(** Add the multiset to [t], which must be the map it was recorded in:
+    the counts a walk making those hits leaves. *)
+
 val named_edges : t -> ((string * int) * int) list
 (** Every observed edge as its portable identity — the
     [(site name, variant)] pair with its hit count — sorted.  Numeric

@@ -97,6 +97,8 @@ type t = {
   mutable next_id : int;
   vlog : Vlog.t;
   cov : Coverage.t;
+  (* notes this analysis's hits when the caller memoises it *)
+  recorder : Coverage.recorder option;
   (* invariant-lint violations (newest first, capped), Kconfig.lint *)
   mutable lint : Invariants.violation list;
   mutable lint_count : int;
@@ -125,8 +127,9 @@ let total_states_limit = 8192
 let branch_depth_limit = 512
 
 let create ~(kst : Kstate.t) ~(prog_type : Prog.prog_type)
-    ~(attach : Tracepoint.t option) ~(cov : Coverage.t) ?(log_level = 0)
-    (insns : Insn.t array) : t =
+    ~(attach : Tracepoint.t option) ~(cov : Coverage.t) ?recorder
+    ?(log_level = 0) (insns : Insn.t array) : t =
+  Option.iter Coverage.begin_analysis recorder;
   {
     kst;
     config = kst.Kstate.config;
@@ -143,6 +146,7 @@ let create ~(kst : Kstate.t) ~(prog_type : Prog.prog_type)
     next_id = 1;
     vlog = Vlog.create log_level;
     cov;
+    recorder;
     lint = [];
     lint_count = 0;
     thresholds = None;
@@ -215,7 +219,9 @@ let log_state (t : t) : unit =
 (* Coverage instrumentation point: [site] is a static name for the
    verifier branch, [v] an optional small discriminator. *)
 let cov ?(v = 0) (t : t) (site : string) : unit =
-  Coverage.hit t.cov site v
+  match t.recorder with
+  | None -> Coverage.hit t.cov site v
+  | Some r -> Coverage.hit_recorded t.cov r site v
 
 let reject (t : t) ~(pc : int) (errno : errno) (reason : Reject_reason.t) fmt =
   Format.kasprintf

@@ -135,16 +135,12 @@ let resolve_attach (kst : Kstate.t) (req : request) :
         else Ok (Some tp)
     end
 
-(* Everything bpf(BPF_PROG_LOAD) does before the rewrites, shared by
-   [load_with_stats], [verify] and [lint]: the structural, privilege,
-   map-fd and attach checks, then the abstract interpretation.  [Error]
-   is a refusal before any verification environment existed; [Ok]
-   carries the environment, the attach point and the analysis
-   verdict. *)
-let analyze (kst : Kstate.t) ~(cov : Coverage.t) ~(log_level : int)
-    (req : request) :
-  (Venv.t * Tracepoint.t option * (unit, Venv.verr) result, Venv.verr)
-    result =
+(* The checks bpf(BPF_PROG_LOAD) makes before the analysis: structural,
+   the insn_aux allocation, privilege, map fds and the attach point.
+   [Error] is a refusal before any verification environment existed;
+   [Ok] carries the attach point. *)
+let precheck (kst : Kstate.t) (req : request) :
+  (Tracepoint.t option, Venv.verr) result =
   let refuse errno reason msg =
     Error (Venv.verr_make errno reason ~pc:0 msg)
   in
@@ -166,55 +162,66 @@ let analyze (kst : Kstate.t) ~(cov : Coverage.t) ~(log_level : int)
     let ( let* ) = Result.bind in
     let* () = check_privilege kst req in
     let* () = resolve_map_fds kst req.r_insns in
-    let* attach = resolve_attach kst req in
-    let env =
-      Venv.create ~kst ~prog_type:req.r_prog_type ~attach ~cov ~log_level
-        req.r_insns
-    in
-    Ok
-      ( env, attach,
-        match Analyze.run env with
-        | exception Venv.Reject verr -> Error verr
-        | () -> Ok () )
+    resolve_attach kst req
 
-(* The full pipeline, also returning the verifier log whatever the
-   verdict — the kernel copies the log buffer back to user space on
-   rejection too, and [bvf explain] needs exactly that — plus the
-   performance counters whenever the analysis ran ([None] only for the
-   early exits that never built a verification environment: structural
-   checks, privilege, fd resolution, injected allocation faults). *)
-let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
-    (req : request) :
-  (loaded, Venv.verr) result * string * Vstats.t option =
-  match analyze kst ~cov ~log_level req with
-  | Error e -> (Error e, "", None)
-  | Ok (env, attach, verdict) ->
-    let log () = Vlog.contents env.Venv.vlog in
-    let vst = env.Venv.vst in
-    match verdict with
-    | Error verr -> (Error verr, log (), Some vst)
-    | Ok () ->
-      let t_rewrite = Bvf_util.Mclock.now_s () in
-      let w_rewrite = Gc.minor_words () in
-      let insns, aux = Fixup.run kst ~insns:req.r_insns ~aux:env.Venv.aux
-      in
-      let insns, aux =
-        if kst.Kstate.config.Kconfig.sanitize then
-          Sanitize.run ~insns ~aux
-        else (insns, aux)
-      in
-      let sanitize_s = Bvf_util.Mclock.elapsed_s ~since:t_rewrite in
-      let sanitize_w = Float.max 0. (Gc.minor_words () -. w_rewrite) in
-      if
-        (* failslab: allocating the rewritten program image *)
-        Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
-          ~site:"bpf_prog_load:prog_image"
-      then
-        (Error
-           (Venv.verr_make Venv.ENOMEM Env_failure ~pc:0
-              "bpf_prog_realloc of rewritten image failed"), log (),
-         Some vst)
-      else begin
+(* The abstract interpretation, on an environment of its own. *)
+let walk (kst : Kstate.t) ~(cov : Coverage.t) ?recorder ~(log_level : int)
+    (req : request) (attach : Tracepoint.t option) :
+  Venv.t * (unit, Venv.verr) result =
+  let env =
+    Venv.create ~kst ~prog_type:req.r_prog_type ~attach ~cov ?recorder
+      ~log_level req.r_insns
+  in
+  ( env,
+    match Analyze.run env with
+    | exception Venv.Reject verr -> Error verr
+    | () -> Ok () )
+
+(* What the rest of the load takes from an analysis.  Shared by every
+   load a memo answers, so nothing writes [an_aux] or [an_vstats] after
+   the walk that made them. *)
+type analysis = {
+  an_verdict : (unit, Venv.verr) result;
+  an_aux : Venv.aux array;
+  an_insn_processed : int;
+  an_lint : Invariants.violation list; (* oldest first *)
+  an_lint_count : int;
+  an_log : string;
+  an_vstats : Vstats.t;
+}
+
+let analyse kst ~cov ?recorder ~log_level req attach : analysis =
+  let env, verdict = walk kst ~cov ?recorder ~log_level req attach in
+  { an_verdict = verdict; an_aux = env.Venv.aux;
+    an_insn_processed = env.Venv.insn_processed;
+    an_lint = List.rev env.Venv.lint; an_lint_count = env.Venv.lint_count;
+    an_log = Vlog.contents env.Venv.vlog; an_vstats = env.Venv.vst }
+
+(* Everything after the analysis: the rewrites, the image allocation,
+   Bug#8 and the prog id. *)
+let finish (kst : Kstate.t) (req : request) (attach : Tracepoint.t option)
+    (a : analysis) : (loaded, Venv.verr) result =
+  match a.an_verdict with
+  | Error verr -> Error verr
+  | Ok () ->
+    let t_rewrite = Bvf_util.Mclock.now_s () in
+    let w_rewrite = Gc.minor_words () in
+    let insns, aux = Fixup.run kst ~insns:req.r_insns ~aux:a.an_aux in
+    let insns, aux =
+      if kst.Kstate.config.Kconfig.sanitize then Sanitize.run ~insns ~aux
+      else (insns, aux)
+    in
+    let sanitize_s = Bvf_util.Mclock.elapsed_s ~since:t_rewrite in
+    let sanitize_w = Float.max 0. (Gc.minor_words () -. w_rewrite) in
+    if
+      (* failslab: allocating the rewritten program image *)
+      Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
+        ~site:"bpf_prog_load:prog_image"
+    then
+      Error
+        (Venv.verr_make Venv.ENOMEM Env_failure ~pc:0
+           "bpf_prog_realloc of rewritten image failed")
+    else begin
       (* Bug#8: the syscall kmemdups the rewritten image for
          introspection; large images exceed the kmalloc limit *)
       if Kstate.has_bug kst Kconfig.Bug8_kmemdup_limit
@@ -226,7 +233,7 @@ let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
                 "kmemdup of rewritten insns failed (kmalloc limit)"));
       let id = kst.Kstate.next_prog_id in
       kst.Kstate.next_prog_id <- id + 1;
-      (Ok
+      Ok
         {
           l_id = id;
           l_insns = insns;
@@ -235,28 +242,99 @@ let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
           l_attach = attach;
           l_offload = req.r_offload;
           l_orig_len = Array.length req.r_insns;
-          l_log = log ();
-          l_insn_processed = env.Venv.insn_processed;
-          l_lint = List.rev env.Venv.lint;
-          l_lint_count = env.Venv.lint_count;
+          l_log = a.an_log;
+          l_insn_processed = a.an_insn_processed;
+          l_lint = a.an_lint;
+          l_lint_count = a.an_lint_count;
           l_sanitize_s = sanitize_s;
           l_sanitize_w = sanitize_w;
-          l_vstats = vst;
-        }, log (), Some vst)
-      end
+          l_vstats = a.an_vstats;
+        }
+    end
+
+(* The full pipeline, also returning the verifier log whatever the
+   verdict — the kernel copies the log buffer back to user space on
+   rejection too, and [bvf explain] needs exactly that — plus the
+   performance counters whenever the analysis ran ([None] only for the
+   early exits that never built a verification environment: structural
+   checks, privilege, fd resolution, injected allocation faults). *)
+let load_with_stats (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
+    (req : request) :
+  (loaded, Venv.verr) result * string * Vstats.t option =
+  match precheck kst req with
+  | Error e -> (Error e, "", None)
+  | Ok attach ->
+    let a = analyse kst ~cov ~log_level req attach in
+    (finish kst req attach a, a.an_log, Some a.an_vstats)
 
 let load (kst : Kstate.t) ~(cov : Coverage.t) ?log_level (req : request) :
   (loaded, Venv.verr) result =
   let verdict, _, _ = load_with_stats kst ~cov ?log_level req in
   verdict
 
+(* -- Memoised analyses -------------------------------------------------
+
+   The analysis is a pure function of the program, the config and the
+   session's fd -> map definition table, and its only side effect is
+   coverage hits.  A memo keeps one analysis with its hit multiset and
+   answers a load of the same request, in the same coverage map, under
+   the same config and maps, by replaying the hits: every check, both
+   failslab draws, the rewrites, Bug#8 and the prog id still run. *)
+
+type memo = {
+  m_analysis : analysis;
+  m_hits : Coverage.hits;
+  m_cov : Coverage.t;              (* the map the edge ids belong to *)
+  m_config : Kconfig.t;
+  m_maps : (int * Map.def) list;   (* the session's Kstate.maps *)
+}
+
+type origin = Refused | Walked of analysis | Replayed
+
+let memo (kst : Kstate.t) ~(cov : Coverage.t) (recorder : Coverage.recorder)
+    (a : analysis) : memo =
+  { m_analysis = a; m_hits = Coverage.recorded cov recorder; m_cov = cov;
+    m_config = kst.Kstate.config;
+    m_maps = List.map (fun (fd, m) -> (fd, m.Map.def)) kst.Kstate.maps }
+
+(* Equal fd -> definition tables resolve every map reference alike (a
+   reboot whose map setup lost a map to failslab does not). *)
+let rec same_maps (defs : (int * Map.def) list) (maps : (int * Map.t) list) =
+  match defs, maps with
+  | [], [] -> true
+  | (fd, d) :: defs, (fd', m) :: maps ->
+    fd = fd' && (d == m.Map.def || d = m.Map.def) && same_maps defs maps
+  | _ :: _, [] | [], _ :: _ -> false
+
+let memo_valid (m : memo) (kst : Kstate.t) ~(cov : Coverage.t) : bool =
+  m.m_cov == cov
+  && (m.m_config == kst.Kstate.config || m.m_config = kst.Kstate.config)
+  && same_maps m.m_maps kst.Kstate.maps
+
+let load_memo (kst : Kstate.t) ~(cov : Coverage.t)
+    ~(recorder : Coverage.recorder) (memo : memo option) (req : request) :
+  (loaded, Venv.verr) result * string * Vstats.t option * origin =
+  match precheck kst req with
+  | Error e -> (Error e, "", None, Refused)
+  | Ok attach ->
+    let a, origin =
+      match memo with
+      | Some m when memo_valid m kst ~cov ->
+        Coverage.replay cov m.m_hits;
+        (m.m_analysis, Replayed)
+      | Some _ | None ->
+        let a = analyse kst ~cov ~recorder ~log_level:0 req attach in
+        (a, Walked a)
+    in
+    (finish kst req attach a, a.an_log, Some a.an_vstats, origin)
+
 (* Verification only (no rewrites): used by tests and the acceptance
    experiment. *)
 let verify (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
     (req : request) : (unit, Venv.verr) result =
-  match analyze kst ~cov ~log_level req with
+  match precheck kst req with
   | Error e -> Error e
-  | Ok (_, _, verdict) -> verdict
+  | Ok attach -> snd (walk kst ~cov ~log_level req attach)
 
 (* Verification plus the invariant-lint results, whatever the verdict:
    the [bvf lint] entry point.  The lint observes states the analysis
@@ -264,9 +342,10 @@ let verify (kst : Kstate.t) ~(cov : Coverage.t) ?(log_level = 0)
    what the verifier's bookkeeping looked like on the way. *)
 let lint (kst : Kstate.t) ~(cov : Coverage.t) (req : request) :
   (unit, Venv.verr) result * Invariants.violation list * int =
-  match analyze kst ~cov ~log_level:0 req with
+  match precheck kst req with
   | Error e -> (Error e, [], 0)
-  | Ok (env, _, verdict) ->
+  | Ok attach ->
+    let env, verdict = walk kst ~cov ~log_level:0 req attach in
     (verdict, List.rev env.Venv.lint, env.Venv.lint_count)
 
 (* -- Stable fingerprints for the verdict cache ------------------------

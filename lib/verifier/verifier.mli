@@ -62,6 +62,52 @@ val load_with_stats :
     reached the analysis still reports the effort spent rejecting it,
     exactly like the kernel's verifier stats. *)
 
+(** {1 Memoised analyses}
+
+    A campaign keeps the analysis of each corpus entry and answers a
+    load of the same request from it (DESIGN.md §12).  The analysis is
+    a pure function of the program, the config and the session's
+    fd -> map definition table, and its only side effect is coverage
+    hits, so a memo answers by replaying the hits it recorded; every
+    check, both failslab draws, the rewrites, Bug#8 and the prog id run
+    as in {!load_with_stats}. *)
+
+type analysis
+(** One walk's outcome: verdict, aux data, counters, lint and log.
+    Shared by every load a memo answers; nothing writes it after the
+    walk. *)
+
+type memo
+(** An analysis with its coverage hits, and what it is valid for: the
+    coverage map its edge ids belong to, the config, and the session's
+    maps. *)
+
+(** How {!load_memo} came by the analysis. *)
+type origin =
+  | Refused           (** refused before any analysis *)
+  | Walked of analysis (** walked, its hits noted in the recorder *)
+  | Replayed          (** answered from the memo *)
+
+val load_memo :
+  Bvf_kernel.Kstate.t -> cov:Coverage.t -> recorder:Coverage.recorder ->
+  memo option -> request ->
+  (loaded, Venv.verr) result * string * Vstats.t option * origin
+(** {!load_with_stats} at log level 0, with the analysis taken from the
+    memo when {!memo_valid} holds for this kernel and map (its hits
+    replayed into [cov]), and walked otherwise, with its hits noted in
+    [recorder]. *)
+
+val memo :
+  Bvf_kernel.Kstate.t -> cov:Coverage.t -> Coverage.recorder -> analysis ->
+  memo
+(** The memo of a walked analysis: [recorder] must still hold that
+    walk's hits in [cov], and [kst] be the kernel it ran on. *)
+
+val memo_valid : memo -> Bvf_kernel.Kstate.t -> cov:Coverage.t -> bool
+(** The memo was recorded in [cov], under an equal config, and the
+    kernel's fd -> map definition table equals the one it was made
+    with (a reboot whose map setup failslab cut short differs). *)
+
 val verify :
   Bvf_kernel.Kstate.t -> cov:Coverage.t -> ?log_level:int -> request ->
   (unit, Venv.verr) result

@@ -2,224 +2,57 @@
    a hand-written reproducer triggers the corresponding indicator on a
    buggy kernel, and (for the verifier bugs) the FIXED kernel rejects
    the same program — the pair of behaviours the oracle's correctness
-   argument rests on. *)
+   argument rests on.  The programs themselves are in repros.ml. *)
 
-module Insn = Bvf_ebpf.Insn
-module Asm = Bvf_ebpf.Asm
-module Prog = Bvf_ebpf.Prog
-module Helper = Bvf_ebpf.Helper
 module Version = Bvf_ebpf.Version
 module Kconfig = Bvf_kernel.Kconfig
-module Map = Bvf_kernel.Map
 module Report = Bvf_kernel.Report
-module Lockdep = Bvf_kernel.Lockdep
-module Verifier = Bvf_verifier.Verifier
 module Loader = Bvf_runtime.Loader
-module Exec = Bvf_runtime.Exec
 module Oracle = Bvf_core.Oracle
 
-let r0 = Insn.R0
-let r1 = Insn.R1
-let r2 = Insn.R2
-let r3 = Insn.R3
-let r4 = Insn.R4
-let r6 = Insn.R6
-let r10 = Insn.R10
-
+(* A reproducer with what it must show: the indicator on a kernel
+   carrying only its bug, and (for the verifier bugs) a rejection on the
+   FIXED kernel. *)
 type repro = {
-  bug : Kconfig.bug;
-  prog_type : Prog.prog_type;
-  attach : string option;
-  offload : bool;
-  build : Loader.t -> Insn.t array;
+  prog : Repros.t;
   expect_indicator : Oracle.indicator option;
   fixed_rejects : bool; (* the fixed kernel must reject the program *)
 }
 
-(* Listing 2: nullness propagation against a runtime-NULL BTF pointer. *)
 let bug1 =
-  {
-    bug = Kconfig.Bug1_nullness_propagation;
-    prog_type = Prog.Kprobe;
-    attach = None;
-    offload = false;
-    build =
-      (fun session ->
-         let fd = Loader.create_map session (Map.hash_def ()) in
-         Asm.prog
-           [ [ Asm.ld_btf_obj r6 2 (* percpu_slot: NULL at runtime *);
-               Asm.st_dw r10 (-8) 0l;
-               Asm.ld_map_fd r1 fd;
-               Asm.mov64_reg r2 r10;
-               Asm.alu64_imm Insn.Add r2 (-8l);
-               Asm.call 1;
-               Asm.jmp_reg Insn.Jeq r0 r6 2;
-               Asm.mov64_imm r0 0l;
-               Asm.exit_;
-               Asm.ldx_dw r1 r0 0 ];
-             Asm.ret 0l ]);
-    expect_indicator = Some Oracle.Ind1;
-    fixed_rejects = true;
-  }
+  { prog = Repros.bug1; expect_indicator = Some Oracle.Ind1;
+    fixed_rejects = true }
 
-(* Task-struct window inflated by 64 bytes. *)
 let bug2 =
-  {
-    bug = Kconfig.Bug2_btf_size_check;
-    prog_type = Prog.Kprobe;
-    attach = None;
-    offload = false;
-    build =
-      (fun _ ->
-         Asm.prog
-           [ [ Asm.ld_btf_obj r6 1; Asm.ldx_dw r3 r6 288 ]; Asm.ret 0l ]);
-    expect_indicator = Some Oracle.Ind1;
-    fixed_rejects = true;
-  }
+  { prog = Repros.bug2; expect_indicator = Some Oracle.Ind1;
+    fixed_rejects = true }
 
-(* Kfunc-scalar pruning: the unbounded arm is pruned away. *)
 let bug3 =
-  {
-    bug = Kconfig.Bug3_backtrack_precision;
-    prog_type = Prog.Kprobe;
-    attach = None;
-    offload = false;
-    build =
-      (fun session ->
-         let fd =
-           Loader.create_map session (Map.array_def ~value_size:48 ())
-         in
-         Asm.prog
-           [ [ Asm.ld_map_value r6 fd 0;
-               Asm.mov64_imm r1 100l;
-               Asm.call_kfunc Helper.kfunc_obj_id.Helper.kid;
-               Asm.mov64_reg Insn.R7 r0;
-               (* fall-through arm bounds r7; taken arm does not *)
-               Asm.jmp_imm Insn.Jgt Insn.R7 7l 1;
-               Asm.ja 0;
-               Asm.alu64_reg Insn.Add r6 Insn.R7;
-               Asm.ldx_b r3 r6 0 ];
-             Asm.ret 0l ]);
-    expect_indicator = Some Oracle.Ind1;
-    fixed_rejects = true;
-  }
+  { prog = Repros.bug3; expect_indicator = Some Oracle.Ind1;
+    fixed_rejects = true }
 
-(* Kprobe on bpf_trace_printk that itself calls trace_printk. *)
 let bug4 =
-  {
-    bug = Kconfig.Bug4_trace_printk_recursion;
-    prog_type = Prog.Kprobe;
-    attach = Some "kprobe:bpf_trace_printk";
-    offload = false;
-    build =
-      (fun _ ->
-         Asm.prog
-           [ [ Asm.st_dw r10 (-8) 72l;
-               Asm.mov64_reg r1 r10;
-               Asm.alu64_imm Insn.Add r1 (-8l);
-               Asm.mov64_imm r2 8l;
-               Asm.mov64_imm r3 0l;
-               Asm.call Helper.trace_printk.Helper.id ];
-             Asm.ret 0l ]);
-    expect_indicator = Some Oracle.Ind2;
-    fixed_rejects = true;
-  }
+  { prog = Repros.bug4; expect_indicator = Some Oracle.Ind2;
+    fixed_rejects = true }
 
-(* Figure 2: lock-acquiring program attached to contention_begin. *)
 let bug5 =
-  {
-    bug = Kconfig.Bug5_contention_begin_attach;
-    prog_type = Prog.Tracepoint;
-    attach = Some "contention_begin";
-    offload = false;
-    build =
-      (fun session ->
-         let fd =
-           Loader.create_map session
-             (Map.hash_def ~value_size:64 ~has_spin_lock:true ())
-         in
-         Asm.prog
-           [ [ Asm.st_dw r10 (-8) 1l ];
-             List.init 8 (fun i -> Asm.st_dw r10 (-80 + (8 * i)) 0l);
-             [ Asm.ld_map_fd r1 fd;
-               Asm.mov64_reg r2 r10;
-               Asm.alu64_imm Insn.Add r2 (-8l);
-               Asm.mov64_reg r3 r10;
-               Asm.alu64_imm Insn.Add r3 (-80l);
-               Asm.mov64_imm r4 0l;
-               Asm.call Helper.map_update_elem.Helper.id;
-               Asm.ld_map_fd r1 fd;
-               Asm.mov64_reg r2 r10;
-               Asm.alu64_imm Insn.Add r2 (-8l);
-               Asm.call 1;
-               Asm.jmp_imm Insn.Jne r0 0l 2;
-               Asm.mov64_imm r0 0l;
-               Asm.exit_;
-               Asm.mov64_reg r6 r0;
-               Asm.mov64_reg r1 r6;
-               Asm.call Helper.spin_lock.Helper.id;
-               Asm.mov64_reg r1 r6;
-               Asm.call Helper.spin_unlock.Helper.id ];
-             Asm.ret 0l ]);
-    expect_indicator = Some Oracle.Ind2;
-    fixed_rejects = true;
-  }
+  { prog = Repros.bug5; expect_indicator = Some Oracle.Ind2;
+    fixed_rejects = true }
 
-(* send_signal from an NMI attach context. *)
 let bug6 =
-  {
-    bug = Kconfig.Bug6_signal_send_nmi;
-    prog_type = Prog.Perf_event;
-    attach = Some "perf_event_nmi";
-    offload = false;
-    build =
-      (fun _ ->
-         Asm.prog
-           [ [ Asm.mov64_imm r1 9l;
-               Asm.call Helper.send_signal.Helper.id ];
-             Asm.ret 0l ]);
-    expect_indicator = Some Oracle.Ind2;
-    fixed_rejects = true;
-  }
+  { prog = Repros.bug6; expect_indicator = Some Oracle.Ind2;
+    fixed_rejects = true }
 
-(* CVE-2022-23222 (Listing 1): ALU on a nullable map-value pointer. *)
 let cve =
-  {
-    bug = Kconfig.Cve_2022_23222;
-    prog_type = Prog.Socket_filter;
-    attach = None;
-    offload = false;
-    build =
-      (fun session ->
-         let fd = Loader.create_map session (Map.hash_def ()) in
-         Asm.prog
-           [ [ Asm.st_dw r10 (-8) 3l (* absent key: lookup is NULL *);
-               Asm.ld_map_fd r1 fd;
-               Asm.mov64_reg r2 r10;
-               Asm.alu64_imm Insn.Add r2 (-8l);
-               Asm.call 1;
-               (* the buggy verifier permits arithmetic on the nullable
-                  pointer; at runtime r0 = NULL + 2048 dodges the null
-                  check, and the negative-offset store then writes to
-                  the null page - the CVE's exploitation pattern *)
-               Asm.alu64_imm Insn.Add r0 2048l;
-               Asm.jmp_imm Insn.Jne r0 0l 2;
-               Asm.mov64_imm r0 0l;
-               Asm.exit_;
-               Asm.st_dw r0 (-2048) 7l ];
-             Asm.ret 0l ]);
-    expect_indicator = Some Oracle.Ind1;
-    fixed_rejects = true;
-  }
+  { prog = Repros.cve; expect_indicator = Some Oracle.Ind1;
+    fixed_rejects = true }
 
 (* Two XDP attachments arm the dispatcher race. *)
 let bug7_test () =
   let config = Kconfig.default Version.Bpf_next in
   let session = Loader.create config in
-  let prog = Asm.prog [ Asm.ret 2l ] in
-  let run () =
-    Loader.load_and_run session (Verifier.request Prog.Xdp prog)
-  in
+  let req = Repros.request Repros.bug7 session in
+  let run () = Loader.load_and_run session req in
   let _ = run () in
   let second = run () in
   Alcotest.(check bool) "dispatcher null deref" true
@@ -231,9 +64,8 @@ let bug7_test () =
        second.Loader.reports);
   (* fixed kernel: same sequence is clean *)
   let session = Loader.create (Kconfig.fixed Version.Bpf_next) in
-  let run () =
-    Loader.load_and_run session (Verifier.request Prog.Xdp prog)
-  in
+  let req = Repros.request Repros.bug7 session in
+  let run () = Loader.load_and_run session req in
   let _ = run () in
   let second = run () in
   Alcotest.(check int) "fixed has no reports" 0
@@ -243,17 +75,8 @@ let bug7_test () =
 let bug8_test () =
   let config = Kconfig.default Version.Bpf_next in
   let session = Loader.create config in
-  let fd = Loader.create_map session (Map.array_def ()) in
-  let big =
-    Asm.prog
-      [ [ Asm.ld_map_value r6 fd 0 ];
-        List.concat
-          (List.init 600 (fun i ->
-               [ Asm.st_w r6 (4 * (i mod 10)) (Int32.of_int i) ]));
-        Asm.ret 1l ]
-  in
   let result =
-    Loader.load_and_run session (Verifier.request Prog.Socket_filter big)
+    Loader.load_and_run session (Repros.request Repros.bug8 session)
   in
   Alcotest.(check bool) "kmemdup warning" true
     (List.exists
@@ -261,17 +84,8 @@ let bug8_test () =
        result.Loader.reports);
   (* fixed kernel (kvmemdup) is silent *)
   let session = Loader.create (Kconfig.fixed Version.Bpf_next) in
-  let fd = Loader.create_map session (Map.array_def ()) in
-  let big =
-    Asm.prog
-      [ [ Asm.ld_map_value r6 fd 0 ];
-        List.concat
-          (List.init 600 (fun i ->
-               [ Asm.st_w r6 (4 * (i mod 10)) (Int32.of_int i) ]));
-        Asm.ret 1l ]
-  in
   let result =
-    Loader.load_and_run session (Verifier.request Prog.Socket_filter big)
+    Loader.load_and_run session (Repros.request Repros.bug8 session)
   in
   Alcotest.(check int) "no warning when fixed" 0
     (List.length result.Loader.reports)
@@ -280,20 +94,8 @@ let bug8_test () =
 let bug9_test () =
   let config = Kconfig.default Version.Bpf_next in
   let session = Loader.create config in
-  let fd = Loader.create_map session (Map.hash_def ()) in
-  let prog =
-    Asm.prog
-      [ [ Asm.st_dw r10 (-8) 1l ];
-        List.concat
-          (List.init 3 (fun _ ->
-               [ Asm.ld_map_fd r1 fd;
-                 Asm.mov64_reg r2 r10;
-                 Asm.alu64_imm Insn.Add r2 (-8l);
-                 Asm.call Helper.map_delete_elem.Helper.id ]));
-        Asm.ret 0l ]
-  in
   let result =
-    Loader.load_and_run session (Verifier.request Prog.Socket_filter prog)
+    Loader.load_and_run session (Repros.request Repros.bug9 session)
   in
   Alcotest.(check bool) "bucket OOB attributed" true
     (List.exists
@@ -305,23 +107,8 @@ let bug9_test () =
 let bug10_test () =
   let config = Kconfig.default Version.Bpf_next in
   let session = Loader.create config in
-  let fd = Loader.create_map session (Map.ringbuf_def ()) in
-  let prog =
-    Asm.prog
-      [ [ Asm.st_dw r10 (-16) 5l;
-          Asm.st_dw r10 (-8) 5l;
-          Asm.ld_map_fd r1 fd;
-          Asm.mov64_reg r2 r10;
-          Asm.alu64_imm Insn.Add r2 (-16l);
-          Asm.mov64_imm r3 16l;
-          Asm.mov64_imm r4 0l;
-          Asm.call Helper.ringbuf_output.Helper.id ];
-        Asm.ret 0l ]
-  in
   let result =
-    Loader.load_and_run session
-      (Verifier.request ~attach:(Some "perf_event_cycles") Prog.Perf_event
-         prog)
+    Loader.load_and_run session (Repros.request Repros.bug10 session)
   in
   Alcotest.(check bool) "irq_work lock bug" true
     (List.exists
@@ -333,10 +120,8 @@ let bug10_test () =
 let bug11_test () =
   let config = Kconfig.default Version.Bpf_next in
   let session = Loader.create config in
-  let prog = Asm.prog [ Asm.ret 2l ] in
   let result =
-    Loader.load_and_run session
-      (Verifier.request ~offload:true Prog.Xdp prog)
+    Loader.load_and_run session (Repros.request Repros.bug11 session)
   in
   Alcotest.(check bool) "host exec warn" true
     (List.exists
@@ -349,13 +134,9 @@ let bug11_test () =
 let run_repro (r : repro) () =
   (* kernel carrying ONLY the bug under test: attribution is then
      unambiguous *)
-  let buggy_config = Kconfig.make Version.Bpf_next ~bugs:[ r.bug ] in
+  let buggy_config = Kconfig.make Version.Bpf_next ~bugs:[ r.prog.Repros.bug ] in
   let session = Loader.create buggy_config in
-  let insns = r.build session in
-  let req =
-    { Verifier.r_prog_type = r.prog_type; r_attach = r.attach;
-      r_offload = r.offload; r_insns = insns }
-  in
+  let req = Repros.request r.prog session in
   let result = Loader.load_and_run session req in
   (match result.Loader.verdict with
    | Error e ->
@@ -369,13 +150,12 @@ let run_repro (r : repro) () =
        (fun f -> f.Oracle.f_indicator = r.expect_indicator)
        findings);
   Alcotest.(check bool) "attributed to the right bug" true
-    (List.exists (fun f -> f.Oracle.f_bug = Some r.bug) findings);
+    (List.exists (fun f -> f.Oracle.f_bug = Some r.prog.Repros.bug)
+       findings);
   (* fixed kernel: the same program is rejected *)
   if r.fixed_rejects then begin
     let session = Loader.create (Kconfig.fixed Version.Bpf_next) in
-    let insns = r.build session in
-    let req = { req with Verifier.r_insns = insns } in
-    match Loader.load_and_run session req with
+    match Loader.load_and_run session (Repros.request r.prog session) with
     | { Loader.verdict = Error _; _ } -> ()
     | { Loader.verdict = Ok _; _ } ->
       Alcotest.fail "fixed kernel accepted the reproducer"

@@ -394,6 +394,117 @@ let test_campaign_curve_no_duplicate_sample () =
   Alcotest.(check bool) "closing sample present" true
     (List.mem 128 iters)
 
+(* -- Memoised analyses ---------------------------------------------------------- *)
+
+(* Every memo belongs to a live corpus entry, under its [added_at]. *)
+let memos_within_corpus (c : Campaign.t) : unit =
+  let live = Hashtbl.create 256 in
+  List.iter
+    (fun (e : Corpus.entry) -> Hashtbl.replace live e.Corpus.added_at e)
+    (Corpus.entries c.Campaign.corpus);
+  Hashtbl.iter
+    (fun key ((e : Corpus.entry), _) ->
+       match Hashtbl.find_opt live key with
+       | Some e' when e' == e -> ()
+       | Some _ | None ->
+         Alcotest.failf "memo of entry %d outside the corpus" key)
+    c.Campaign.memos;
+  if Hashtbl.length c.Campaign.memos > Corpus.size c.Campaign.corpus then
+    Alcotest.fail "more memos than corpus entries"
+
+let test_campaign_memo_share () =
+  let c =
+    Campaign.run_t ~on_step:memos_within_corpus ~seed:1 ~iterations:2000
+      Campaign.bvf_strategy (Kconfig.default Version.Bpf_next)
+  in
+  let st = c.Campaign.stats in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 10%% of loads from a memo (%d of %d)"
+       c.Campaign.memo_loads st.Campaign.st_generated)
+    true
+    (10 * c.Campaign.memo_loads >= st.Campaign.st_generated)
+
+(* A seed entry that keeps crashing the kernel is quarantined, and its
+   memo goes with it: every iteration loads the Bug#5 reproducer, whose
+   recursive lock is fatal, so its entry is blamed by each repeat. *)
+let test_campaign_memo_quarantine () =
+  let strategy =
+    { Campaign.bvf_strategy with
+      Campaign.s_generate =
+        (fun _ cfg _ ->
+           let fd =
+             fst
+               (List.find
+                  (fun (_, d) -> d = Repros.spin_lock_map)
+                  cfg.Gen.c_maps)
+           in
+           Verifier.request ~attach:(Some "contention_begin")
+             Prog.Tracepoint (Repros.bug5_prog fd)) }
+  in
+  let peak = ref 0 in
+  let on_step (c : Campaign.t) =
+    memos_within_corpus c;
+    peak := max !peak (Hashtbl.length c.Campaign.memos)
+  in
+  let c =
+    Campaign.run_t ~on_step ~seed:1 ~iterations:6 strategy
+      (Kconfig.default Version.Bpf_next)
+  in
+  let st = c.Campaign.stats in
+  Alcotest.(check int) "entry quarantined" 1 st.Campaign.st_quarantined;
+  Alcotest.(check int) "the entry had a memo" 1 !peak;
+  Alcotest.(check int) "repeats answered from it" 3 c.Campaign.memo_loads;
+  Alcotest.(check int) "its memo dropped" 0 (Hashtbl.length c.Campaign.memos)
+
+(* A campaign whose memos are dropped after every step walks every load;
+   it must end in the same state as one answering repeats from memos,
+   coverage hit counts and the fault plan's draws included.  Under
+   failslab, retries reboot between attempts of one load, so a memo is
+   offered to sessions that lost a map. *)
+let test_campaign_memo_transparent () =
+  let run ?failslab ~drop ~seed config =
+    let failslab =
+      Option.map
+        (fun (rate, seed) -> Bvf_kernel.Failslab.create ~rate ~seed ())
+        failslab
+    in
+    let on_step c =
+      memos_within_corpus c;
+      if drop then Hashtbl.reset c.Campaign.memos
+    in
+    Campaign.run_t ?failslab ~on_step ~seed ~iterations:1000
+      Campaign.bvf_strategy config
+  in
+  List.iter
+    (fun (name, failslab, seed, config) ->
+       let memo = run ?failslab ~drop:false ~seed config in
+       let walk = run ?failslab ~drop:true ~seed config in
+       let st = memo.Campaign.stats in
+       Alcotest.(check string) (name ^ ": digest")
+         (Campaign.digest walk.Campaign.stats) (Campaign.digest st);
+       Alcotest.(check bool) (name ^ ": coverage hits") true
+         (Coverage.named_edges memo.Campaign.cov
+          = Coverage.named_edges walk.Campaign.cov);
+       Alcotest.(check bool) (name ^ ": corpus") true
+         (List.map (fun e -> e.Corpus.request)
+            (Corpus.entries memo.Campaign.corpus)
+          = List.map (fun e -> e.Corpus.request)
+            (Corpus.entries walk.Campaign.corpus));
+       Alcotest.(check int) (name ^ ": fault plan draws")
+         (Bvf_kernel.Failslab.attempts walk.Campaign.failslab)
+         (Bvf_kernel.Failslab.attempts memo.Campaign.failslab);
+       Alcotest.(check int) (name ^ ": no memo when dropped") 0
+         walk.Campaign.memo_loads;
+       Alcotest.(check bool) (name ^ ": memos answered") true
+         (memo.Campaign.memo_loads > 0);
+       if failslab <> None then
+         Alcotest.(check bool) (name ^ ": retries rebooted") true
+           (st.Campaign.st_retries > 0 && st.Campaign.st_reboots > 0))
+    [ ("default", None, 1, Kconfig.default Version.Bpf_next);
+      ("failslab", Some (0.2, 3), 5, Kconfig.default Version.Bpf_next);
+      ("witness", None, 7,
+       Kconfig.with_witness (Kconfig.default Version.Bpf_next) true) ]
+
 (* -- Selftests ----------------------------------------------------------------- *)
 
 let test_selftests_all_verified () =
@@ -454,7 +565,12 @@ let () =
           Alcotest.test_case "retry attribution" `Slow
             test_campaign_retry_attribution;
           Alcotest.test_case "curve dedupe" `Quick
-            test_campaign_curve_no_duplicate_sample ] );
+            test_campaign_curve_no_duplicate_sample;
+          Alcotest.test_case "memo share" `Quick test_campaign_memo_share;
+          Alcotest.test_case "memo quarantine" `Quick
+            test_campaign_memo_quarantine;
+          Alcotest.test_case "memo transparent" `Slow
+            test_campaign_memo_transparent ] );
       ( "selftests",
         [ Alcotest.test_case "all verified" `Slow
             test_selftests_all_verified ] );

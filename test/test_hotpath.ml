@@ -15,7 +15,10 @@
      real abstract/concrete divergence, demonstrated through the
      witness oracle with [Kconfig.Bug12_narrow_load_const];
    - counter-schema guard: the veristat counter schema is frozen by
-     committed baselines; internal counters must not leak into it. *)
+     committed baselines; internal counters must not leak into it;
+   - memoised analyses: a load answered from a memo gives exactly what
+     a walked load in a twin session gives, coverage hits included, and
+     a memo is not used where the session's maps moved. *)
 
 module Insn = Bvf_ebpf.Insn
 module Asm = Bvf_ebpf.Asm
@@ -28,7 +31,10 @@ module Vstate = Bvf_verifier.Vstate
 module Vstats = Bvf_verifier.Vstats
 module Verifier = Bvf_verifier.Verifier
 module Loader = Bvf_runtime.Loader
+module Coverage = Bvf_verifier.Coverage
+module Failslab = Bvf_kernel.Failslab
 module Campaign = Bvf_core.Campaign
+module Selftests = Bvf_core.Selftests
 module Gen = Bvf_core.Gen
 module Rng = Bvf_core.Rng
 
@@ -335,6 +341,195 @@ let counter_schema () =
          (List.mem name Vstats.counter_names))
     [ "widen_rounds"; "loop_heads" ]
 
+(* -- Memoised analyses ------------------------------------------------------- *)
+
+(* Everything a load reports, timings aside. *)
+let check_same_run (what : string) (r : Loader.run_result)
+    (w : Loader.run_result) : unit =
+  let check name ok =
+    if not ok then Alcotest.failf "%s: %s differs" what name
+  in
+  (match r.Loader.verdict, w.Loader.verdict with
+   | Ok p, Ok q ->
+     check "prog id" (p.Verifier.l_id = q.Verifier.l_id);
+     check "l_insns"
+       (Array.length p.Verifier.l_insns = Array.length q.Verifier.l_insns
+        && Array.for_all2 Insn.equal p.Verifier.l_insns q.Verifier.l_insns);
+     check "l_aux" (p.Verifier.l_aux = q.Verifier.l_aux);
+     check "l_log" (p.Verifier.l_log = q.Verifier.l_log);
+     check "l_insn_processed"
+       (p.Verifier.l_insn_processed = q.Verifier.l_insn_processed);
+     check "l_lint" (p.Verifier.l_lint = q.Verifier.l_lint);
+     check "l_lint_count" (p.Verifier.l_lint_count = q.Verifier.l_lint_count);
+     check "l_vstats"
+       (Vstats.trace_counters p.Verifier.l_vstats
+        = Vstats.trace_counters q.Verifier.l_vstats);
+     check "l_attach"
+       (p.Verifier.l_attach = q.Verifier.l_attach
+        && p.Verifier.l_offload = q.Verifier.l_offload
+        && p.Verifier.l_orig_len = q.Verifier.l_orig_len)
+   | Error e, Error f -> check "rejection" (e = f)
+   | Ok _, Error _ | Error _, Ok _ -> check "verdict" false);
+  check "log" (r.Loader.vlog = w.Loader.vlog);
+  check "vstats"
+    (Option.map Vstats.trace_counters r.Loader.vstats
+     = Option.map Vstats.trace_counters w.Loader.vstats);
+  check "status" (r.Loader.status = w.Loader.status);
+  check "insns executed" (r.Loader.insns_executed = w.Loader.insns_executed);
+  check "reports" (r.Loader.reports = w.Loader.reports);
+  check "witness" (r.Loader.witness = w.Loader.witness)
+
+let check_same_cov (what : string) (a : Coverage.t) (b : Coverage.t) : unit =
+  if Coverage.named_edges a <> Coverage.named_edges b then
+    Alcotest.failf "%s: coverage hits differ" what
+
+let memo_of (session : Loader.t) (recorder : Coverage.recorder)
+    (origin : Verifier.origin) : Verifier.memo option =
+  match origin with
+  | Verifier.Walked a ->
+    Some
+      (Verifier.memo session.Loader.kst ~cov:session.Loader.cov recorder a)
+  | Verifier.Refused | Verifier.Replayed -> None
+
+(* [req_a] in session [a] through the memo path: walked once, then
+   twice from the memo of that walk; [req_b] walked three times in the
+   twin session [b].  Each load must match its twin, and both memo
+   loads must be answered from the memo. *)
+let memo_matches_walk (what : string) ~(recorder : Coverage.recorder)
+    (a, req_a) (b, req_b) : unit =
+  let r, origin = Loader.load_and_run_memo a ~recorder None req_a in
+  check_same_run (what ^ ", walked") r (Loader.load_and_run b req_b);
+  (match memo_of a recorder origin with
+   | None -> ()
+   | Some memo ->
+     for k = 1 to 2 do
+       let r, origin = Loader.load_and_run_memo a ~recorder (Some memo) req_a in
+       if origin <> Verifier.Replayed then
+         Alcotest.failf "%s: load %d not answered from the memo" what k;
+       check_same_run (Printf.sprintf "%s, memo load %d" what k) r
+         (Loader.load_and_run b req_b)
+     done);
+  check_same_cov what a.Loader.cov b.Loader.cov
+
+let memo_configs : (string * Kconfig.t) list =
+  let v = Version.Bpf_next in
+  [ ("default", Kconfig.default v); ("fixed", Kconfig.fixed v);
+    ("lint", Kconfig.with_lint (Kconfig.default v) true);
+    ("witness", Kconfig.with_witness (Kconfig.default v) true) ]
+
+(* Twin sessions under [config], each set up by [setup]. *)
+let twins (config : Kconfig.t) (setup : Loader.t -> 'a) :
+  (Loader.t * 'a) * (Loader.t * 'a) =
+  let make () =
+    let s = Loader.create config in
+    (s, setup s)
+  in
+  let a = make () in
+  (a, make ())
+
+let memo_equivalence (name, config) () =
+  let recorder = Coverage.recorder () in
+  (* self-tests, against the self-test maps *)
+  let suite = Selftests.build ~count:120 Version.Bpf_next in
+  let (a, _), (b, _) = twins config Selftests.install_maps in
+  List.iteri
+    (fun i req ->
+       memo_matches_walk (Printf.sprintf "%s selftest %d" name i) ~recorder
+         (a, req) (b, req))
+    suite.Selftests.requests;
+  (* generator programs, against a campaign's maps *)
+  let (a, maps), (b, _) = twins config Campaign.standard_maps in
+  let cfg = { Gen.c_version = Version.Bpf_next; c_maps = maps } in
+  let rng = Rng.create 7 in
+  for i = 1 to 120 do
+    let req = Gen.generate rng cfg in
+    memo_matches_walk (Printf.sprintf "%s generated %d" name i) ~recorder
+      (a, req) (b, req)
+  done;
+  (* the injected-bug reproducers, each in fresh twins *)
+  List.iter
+    (fun (r : Repros.t) ->
+       let a, b = twins config (fun s -> Repros.request r s) in
+       memo_matches_walk
+         (Printf.sprintf "%s %s" name (Kconfig.bug_to_string r.Repros.bug))
+         ~recorder a b)
+    (Repros.table2 @ [ Repros.cve ])
+
+(* A memo is checked against the session at every load: after a reboot
+   whose failslab plan lost a map the repeat is walked afresh, and after
+   a later reboot with every map back the same memo answers again — the
+   sequence a campaign's retry that reboots puts one memo through. *)
+let memo_after_reboot () =
+  let config = Kconfig.default Version.Bpf_next in
+  let recorder = Coverage.recorder () in
+  let a = Loader.create config in
+  let maps = Campaign.standard_maps a in
+  let cfg = { Gen.c_version = Version.Bpf_next; c_maps = maps } in
+  (* a generated program that reads a map and reaches the analysis *)
+  let uses_map (req : Verifier.request) =
+    Array.exists
+      (function Insn.Ld_imm64 (_, Insn.Map_fd _) -> true | _ -> false)
+      req.Verifier.r_insns
+  in
+  let rng = Rng.create 11 in
+  let rec pick () =
+    let req = Gen.generate rng cfg in
+    if not (uses_map req) then pick ()
+    else
+      match Loader.load_and_run_memo a ~recorder None req with
+      | _, (Verifier.Walked _ as origin) -> (req, origin)
+      | _, (Verifier.Refused | Verifier.Replayed) -> pick ()
+  in
+  let req, origin = pick () in
+  let memo = Option.get (memo_of a recorder origin) in
+  let cov = a.Loader.cov in
+  (* a twin walk of [req] in a session built like [boot] *)
+  let walked boot =
+    let s = boot (Coverage.create ()) in
+    Loader.load_and_run s req
+  in
+  let dropped = ref 0 in
+  for seed = 1 to 200 do
+    let boot cov =
+      let s =
+        Loader.create ~cov ~failslab:(Failslab.create ~seed ~rate:0.5 ())
+          config
+      in
+      (s, Campaign.standard_maps s)
+    in
+    let s, maps = boot cov in
+    if List.length maps < 4 then begin
+      Alcotest.(check bool) "memo invalid without a map" false
+        (Verifier.memo_valid memo s.Loader.kst ~cov);
+      let r, origin = Loader.load_and_run_memo s ~recorder (Some memo) req in
+      (match origin with
+       | Verifier.Replayed ->
+         Alcotest.failf "seed %d: memo answered a session missing a map" seed
+       | Verifier.Walked _ -> incr dropped
+       | Verifier.Refused -> ());
+      check_same_run (Printf.sprintf "failslab seed %d" seed) r
+        (walked (fun cov -> fst (boot cov)));
+      (* reboot with every map: the same memo answers again *)
+      let s = Loader.create ~cov config in
+      ignore (Campaign.standard_maps s : (int * Bvf_kernel.Map.def) list);
+      let r, origin = Loader.load_and_run_memo s ~recorder (Some memo) req in
+      Alcotest.(check bool) "memo answers after the next reboot" true
+        (origin = Verifier.Replayed);
+      check_same_run "full reboot" r
+        (walked (fun cov ->
+             let s = Loader.create ~cov config in
+             ignore (Campaign.standard_maps s : (int * Bvf_kernel.Map.def) list);
+             s))
+    end
+  done;
+  Alcotest.(check bool) "a repeat after a reboot that lost a map is walked"
+    true (!dropped > 0);
+  (* a memo belongs to the map it was recorded in *)
+  let s = Loader.create config in
+  ignore (Campaign.standard_maps s : (int * Bvf_kernel.Map.def) list);
+  Alcotest.(check bool) "memo invalid in another coverage map" false
+    (Verifier.memo_valid memo s.Loader.kst ~cov:s.Loader.cov)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bvf_hotpath"
@@ -351,4 +546,12 @@ let () =
           Alcotest.test_case "Bug12 stays out of the corpus" `Quick
             narrow_load_not_in_corpus ] );
       ("veristat schema", [ Alcotest.test_case "frozen" `Quick counter_schema ]);
+      ( "memoised analysis",
+        List.map
+          (fun ((name, _) as c) ->
+             Alcotest.test_case ("memo load equals walk, " ^ name) `Quick
+               (memo_equivalence c))
+          memo_configs
+        @ [ Alcotest.test_case "reboot checks the memo again" `Quick
+              memo_after_reboot ] );
     ]
