@@ -93,20 +93,18 @@ val load_memo :
   memo option -> request ->
   (loaded, Venv.verr) result * string * Vstats.t option * origin
 (** {!load_with_stats} at log level 0, with the analysis taken from the
-    memo when {!memo_valid} holds for this kernel and map (its hits
-    replayed into [cov]), and walked otherwise, with its hits noted in
-    [recorder]. *)
+    memo when it is valid (its hits replayed into [cov]), and walked
+    otherwise, with its hits noted in [recorder].  A memo is valid
+    only in the coverage map it was recorded in, under an equal config,
+    while the kernel's fd -> map definition table equals the one it was
+    made with (a reboot whose map setup failslab cut short differs);
+    this is checked at every load. *)
 
 val memo :
   Bvf_kernel.Kstate.t -> cov:Coverage.t -> Coverage.recorder -> analysis ->
   memo
 (** The memo of a walked analysis: [recorder] must still hold that
     walk's hits in [cov], and [kst] be the kernel it ran on. *)
-
-val memo_valid : memo -> Bvf_kernel.Kstate.t -> cov:Coverage.t -> bool
-(** The memo was recorded in [cov], under an equal config, and the
-    kernel's fd -> map definition table equals the one it was made
-    with (a reboot whose map setup failslab cut short differs). *)
 
 val verify :
   Bvf_kernel.Kstate.t -> cov:Coverage.t -> ?log_level:int -> request ->
