@@ -607,6 +607,9 @@ let hotpath_to_json (h : hotpath_bench) : string =
   Printf.bprintf b "  \"iterations\": %d,\n" h.hb_iterations;
   Printf.bprintf b "  \"seed\": %d,\n" h.hb_seed;
   Printf.bprintf b "  \"digest\": \"%s\",\n" h.hb_digest;
+  (* the machine: a rate means little without its cores and compiler *)
+  Printf.bprintf b "  \"nproc\": %d,\n" (Domain.recommended_domain_count ());
+  Printf.bprintf b "  \"ocaml\": \"%s\",\n" Sys.ocaml_version;
   Printf.bprintf b "  \"rows\": [\n";
   List.iteri
     (fun i r ->

@@ -172,7 +172,9 @@ let span (h : t) (name : string) (f : unit -> 'a) : 'a =
    record lands mid-window of its parent (the loader records "sanitize"
    inside the open "verify" frame), so its allocations are excluded
    from the open baselines like any other profiler garbage.  Every
-   record counts towards the totals; only a span needs a duration. *)
+   record is a span, a zero-duration one included: a span count that
+   depended on whether the clock ticked would differ between identical
+   runs. *)
 let record (h : t) ~(name : string) ~(dur_s : float)
     ?(minor_w = 0.) ?(major_w = 0.) () : unit =
   if not h.h_enabled then add_total h name 1 dur_s minor_w
@@ -187,19 +189,18 @@ let record (h : t) ~(name : string) ~(dur_s : float)
        nearby doubles is exact); the totals take the same duration, so
        they equal the span sums. *)
     let now = Mclock.now_s () in
-    let start_s = now -. dur_s in
+    let start_s = now -. Float.max 0. dur_s in
     let dur_s = now -. start_s in
     add_total h name 1 dur_s minor_w;
     (match h.h_stack with
      | parent :: _ -> parent.f_c.c_child_s <- parent.f_c.c_child_s +. dur_s
      | [] -> ());
-    if dur_s > 0. then
-      h.h_spans <-
-        { sp_track = h.h_track; sp_name = name;
-          sp_depth = List.length h.h_stack;
-          sp_start_s = start_s; sp_dur_s = dur_s;
-          sp_self_s = dur_s; sp_minor_w = minor_w; sp_major_w = major_w }
-        :: h.h_spans;
+    h.h_spans <-
+      { sp_track = h.h_track; sp_name = name;
+        sp_depth = List.length h.h_stack;
+        sp_start_s = start_s; sp_dur_s = dur_s;
+        sp_self_s = dur_s; sp_minor_w = minor_w; sp_major_w = major_w }
+      :: h.h_spans;
     exclude_since h.h_stack m0
   end
 

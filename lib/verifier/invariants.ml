@@ -128,17 +128,12 @@ let check_state ~(pc : int) (st : Vstate.t) : violation list =
             let loc = Printf.sprintf "f%d:r%d" f.Vstate.frameno i in
             List.iter (emit loc r) (check_reg r))
          f.Vstate.regs;
-       Array.iteri
-         (fun slot spilled ->
-            match spilled with
-            | None -> ()
-            | Some r ->
-              let loc =
-                Printf.sprintf "f%d:fp[%d]" f.Vstate.frameno
-                  (slot * 8 - Vstate.stack_bytes)
-              in
-              List.iter (emit loc r) (check_reg r))
-         f.Vstate.spills);
+       Vstate.iter_spills f (fun slot r ->
+           let loc =
+             Printf.sprintf "f%d:fp[%d]" f.Vstate.frameno
+               (slot * 8 - Vstate.stack_bytes)
+           in
+           List.iter (emit loc r) (check_reg r)));
   List.rev !out
 
 (* Lint one widening step at a loop head: the widened state must be

@@ -76,9 +76,21 @@ let not_init : t =
 let unknown_scalar : t =
   { not_init with kind = Scalar }
 
-let const_scalar (v : int64) : t =
+let make_const (v : int64) : t =
   { kind = Scalar; off = 0; var_off = Tnum.const v; smin = v; smax = v;
     umin = v; umax = v; range = 0; precise = false; from_kfunc = false }
+
+(* One shared record per small constant, built once: every immediate an
+   ALU op, a conditional jump or a store reads would otherwise build a
+   fresh one on every visit.  [t] has no mutable field, so a record can
+   serve every load in every domain. *)
+let small_consts : t array =
+  Array.init 1024 (fun i -> make_const (Int64.of_int (i - 512)))
+
+(* [v] in [-512, 512) reads the table; any other builds its record. *)
+let const_scalar (v : int64) : t =
+  if v >= -512L && v < 512L then small_consts.(Int64.to_int v + 512)
+  else make_const v
 
 let pointer ?(maybe_null = false) ?(id = 0) ?(ref_id = 0) ?(off = 0)
     (pk : ptr_kind) : t =

@@ -45,19 +45,16 @@ let kmalloc_max = 8192
 
 (* Programs must not reference the hidden register or the internal
    sanitizing helpers: only rewrite passes may emit those. *)
-let uses_reserved (insns : Insn.t array) : bool =
-  Array.exists
-    (fun i ->
-       Insn.reads_reg i Insn.R11 || Insn.writes_reg i Insn.R11
-       ||
-       match i with
-       | Insn.Call (Insn.Helper id) -> begin
-           match Helper.find id with
-           | Some h -> h.Helper.internal
-           | None -> false
-         end
-       | _ -> false)
-    insns
+let reserved_insn (i : Insn.t) : bool =
+  Insn.reads_reg i Insn.R11 || Insn.writes_reg i Insn.R11
+  ||
+  match i with
+  | Insn.Call (Insn.Helper id) -> begin
+      match Helper.find id with
+      | Some h -> h.Helper.internal
+      | None -> false
+    end
+  | _ -> false
 
 (* The kernel resolves map fds to map pointers before verification
    (resolve_pseudo_ldimm64), over every instruction — dead code
@@ -66,32 +63,40 @@ let uses_reserved (insns : Insn.t array) : bool =
    Under fault injection these are normal outcomes: a map creation that
    failed with -ENOMEM leaves later programs referencing an fd that
    never existed (or that a different map ended up with). *)
-let resolve_map_fds (kst : Kstate.t) (insns : Insn.t array) :
-  (unit, Venv.verr) result =
-  let bad = ref None in
-  Array.iteri
-    (fun pc i ->
-       if !bad = None then
-         match i with
-         | Insn.Ld_imm64 (_, (Insn.Map_fd fd | Insn.Map_value (fd, _)))
-           when Kstate.map_of_fd kst fd = None ->
-           bad :=
-             Some (Venv.verr_make Venv.EBADF Bad_map_op ~pc
-                     (Printf.sprintf "fd %d is not a map" fd))
-         | Insn.Ld_imm64 (_, Insn.Map_value (fd, _)) -> begin
-             match Kstate.map_of_fd kst fd with
-             | Some m when m.Map.def.Map.mtype <> Map.Array_map ->
-               bad :=
-                 Some
-                   (Venv.verr_make Venv.EINVAL Bad_map_op ~pc
-                      (Printf.sprintf
-                         "map fd %d does not support direct value access"
-                         fd))
-             | Some _ | None -> ()
-           end
-         | _ -> ())
-    insns;
-  match !bad with Some e -> Error e | None -> Ok ()
+let map_fd_error (kst : Kstate.t) (pc : int) (i : Insn.t) :
+  Venv.verr option =
+  match i with
+  | Insn.Ld_imm64 (_, (Insn.Map_fd fd | Insn.Map_value (fd, _)))
+    when Kstate.map_of_fd kst fd = None ->
+    Some
+      (Venv.verr_make Venv.EBADF Bad_map_op ~pc
+         (Printf.sprintf "fd %d is not a map" fd))
+  | Insn.Ld_imm64 (_, Insn.Map_value (fd, _)) -> begin
+      match Kstate.map_of_fd kst fd with
+      | Some m when m.Map.def.Map.mtype <> Map.Array_map ->
+        Some
+          (Venv.verr_make Venv.EINVAL Bad_map_op ~pc
+             (Printf.sprintf
+                "map fd %d does not support direct value access" fd))
+      | Some _ | None -> None
+    end
+  | _ -> None
+
+(* What the per-instruction checks found, in one pass over the program:
+   a reserved register or helper anywhere, else the first bad map fd in
+   pc order. *)
+type scan = Clean | Reserved | Bad_map of Venv.verr
+
+let rec scan_insns (kst : Kstate.t) (insns : Insn.t array) (pc : int)
+    (bad : Venv.verr option) : scan =
+  if pc >= Array.length insns then
+    match bad with Some e -> Bad_map e | None -> Clean
+  else
+    let i = insns.(pc) in
+    if reserved_insn i then Reserved
+    else
+      scan_insns kst insns (pc + 1)
+        (match bad with None -> map_fd_error kst pc i | Some _ -> bad)
 
 (* Program types loadable without CAP_BPF/CAP_PERFMON. *)
 let unprivileged_prog_types = [ Prog.Socket_filter; Prog.Cgroup_skb ]
@@ -149,20 +154,25 @@ let precheck (kst : Kstate.t) (req : request) :
   else if n > Prog.max_insns then
     refuse Venv.E2BIG Prog_size
       (Printf.sprintf "program too large (%d insns)" n)
-  else if uses_reserved req.r_insns then
-    refuse Venv.EINVAL Bad_insn "program uses reserved register or helper"
-  else if
-    (* failslab: the syscall kvcallocs insn_aux_data and the verifier
-       state before any analysis; a failed allocation is a clean -ENOMEM,
-       never a verdict about the program *)
-    Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
-      ~site:"bpf_check:insn_aux"
-  then refuse Venv.ENOMEM Env_failure "kvcalloc of insn_aux_data failed"
   else
-    let ( let* ) = Result.bind in
-    let* () = check_privilege kst req in
-    let* () = resolve_map_fds kst req.r_insns in
-    resolve_attach kst req
+    (* the map fds are read before the failslab draw and the privilege
+       check, neither of which touches the map table, but refuse in the
+       kernel's order *)
+    let scan = scan_insns kst req.r_insns 0 None in
+    if scan = Reserved then
+      refuse Venv.EINVAL Bad_insn "program uses reserved register or helper"
+    else if
+      (* failslab: the syscall kvcallocs insn_aux_data and the verifier
+         state before any analysis; a failed allocation is a clean
+         -ENOMEM, never a verdict about the program *)
+      Bvf_kernel.Failslab.should_fail kst.Kstate.failslab
+        ~site:"bpf_check:insn_aux"
+    then refuse Venv.ENOMEM Env_failure "kvcalloc of insn_aux_data failed"
+    else
+      let ( let* ) = Result.bind in
+      let* () = check_privilege kst req in
+      let* () = match scan with Bad_map e -> Error e | _ -> Ok () in
+      resolve_attach kst req
 
 (* The abstract interpretation, on an environment of its own. *)
 let walk (kst : Kstate.t) ~(cov : Coverage.t) ?recorder ~(log_level : int)

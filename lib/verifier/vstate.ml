@@ -7,24 +7,35 @@ open Vimport
    Representation is chosen for the analyzer's hot path: frames live in
    a fixed-capacity array indexed by frame number (the kernel's
    frame[MAX_CALL_FRAMES]), the per-byte stack classification is a
-   [Bytes.t] so copies are a memcpy and the pruning comparison runs a
-   word at a time, and spilled registers sit in a dense 64-slot option
-   array.  Every copy is a fresh allocation, and the pruning probe runs
-   [states_equal] on each stored state directly: a free list of
+   [Bytes.t] so the pruning comparison runs a word at a time, and
+   spilled registers sit in a dense option array.  The pruning probe
+   runs [states_equal] on each stored state directly: a free list of
    recycled states and a kind-signature pre-filter were measured to buy
    no end-to-end time (DESIGN.md section 12).
 
-   Live stack region: each frame's [lo] is the lowest stack index ever
-   written on the frame's path (the kernel's allocated_stack, counted
-   from the bottom).  Invariant: every byte below [lo] is [b_invalid]
-   and every spill slot below [lo / 8] is [None]; a frame with nothing
-   written has [lo = stack_bytes].  Writes lower [lo]; copies carry it;
-   the pruning walk compares only [old.lo ..] because an invalid old
-   byte accepts anything.  Programs mostly touch the top of the 512 bytes, so the
-   probe's stack walk shrinks to the words actually in use. *)
+   Live stack region: a frame keeps only the stack it has written.  Its
+   [base] (a multiple of 8) is the lowest written index rounded down to
+   a word, the kernel's allocated_stack counted from the bottom; [stack]
+   holds the tags of bytes [base, stack_bytes) and [spills] the slots
+   [base / 8, spill_slots).  Below [base] every byte reads as
+   [b_invalid] and every slot as [None] by construction, not by an
+   invariant kept in place.  A write below [base] reallocates exactly
+   down to the written word; a frame with nothing written has
+   [base = stack_bytes] and empty buffers.  Programs mostly touch the
+   top of the 512 bytes, so a frame is a few words, not a page.
+
+   A state copy pays only for what it changes: [copy] copies each
+   frame's registers (nearly every instruction writes one) but shares
+   the stack and spill buffers, marking both frames [shared].  Every
+   write to a buffer goes through [own] first, which copies the buffers
+   of a shared frame; nothing outside this module touches them.  Only
+   frames below [nframes] are ever copied, so the global [dummy_frame]
+   is never shared between states or domains. *)
 
 (* Stack byte classification, one char per byte.  The codes matter only
-   relative to each other; see [byte_ok] for the subsumption lattice. *)
+   relative to each other; see [byte_ok] for the subsumption lattice.
+   [b_invalid] must stay '\000': the pruning walk reads a word below a
+   frame's [base] as [0L]. *)
 let b_invalid = '\000' (* STACK_INVALID: never written *)
 let b_misc = '\001'    (* STACK_MISC: written, unknown bytes *)
 let b_zero = '\002'    (* STACK_ZERO: known-zero bytes *)
@@ -32,11 +43,12 @@ let b_spill = '\003'   (* STACK_SPILL: part of a tracked register spill *)
 
 type frame = {
   mutable frameno : int;
-  regs : Regstate.t array;          (* R0..R10 *)
-  stack : Bytes.t;                  (* 512 bytes; index i = fp-512+i *)
-  spills : Regstate.t option array; (* 8-byte slot index -> reg *)
-  mutable lo : int;                 (* live region [lo, 512); see above *)
-  mutable callsite : int;           (* pc to return to; -1 in frame 0 *)
+  regs : Regstate.t array;                  (* R0..R10 *)
+  mutable stack : Bytes.t;                  (* index i = fp-512+base+i *)
+  mutable spills : Regstate.t option array; (* slot base/8+s -> reg *)
+  mutable base : int;      (* live region [base, 512); see above *)
+  mutable shared : bool;   (* buffers may be another frame's too *)
+  mutable callsite : int;  (* pc to return to; -1 in frame 0 *)
 }
 
 (* Fixed capacity: the analyzer rejects at [Venv.max_call_depth] (4)
@@ -56,16 +68,57 @@ let spill_slots = stack_bytes / 8
 let new_frame ~(frameno : int) ~(callsite : int) : frame =
   let regs = Array.make 11 Regstate.not_init in
   regs.(10) <- Regstate.fp frameno;
-  { frameno; regs; stack = Bytes.make stack_bytes b_invalid;
-    spills = Array.make spill_slots None; lo = stack_bytes; callsite }
+  { frameno; regs; stack = Bytes.empty; spills = [||]; base = stack_bytes;
+    shared = false; callsite }
 
 let copy_frame (f : frame) : frame =
-  { frameno = f.frameno; regs = Array.copy f.regs;
-    stack = Bytes.copy f.stack; spills = Array.copy f.spills; lo = f.lo;
-    callsite = f.callsite }
+  f.shared <- true;
+  { frameno = f.frameno; regs = Array.copy f.regs; stack = f.stack;
+    spills = f.spills; base = f.base; shared = true; callsite = f.callsite }
+
+(* Make [f]'s buffers its own before a write. *)
+let own (f : frame) : unit =
+  if f.shared then begin
+    f.stack <- Bytes.copy f.stack;
+    f.spills <- Array.copy f.spills;
+    f.shared <- false
+  end
+
+(* Make [f]'s buffers its own and cover stack index [i]: below [base]
+   they are reallocated down to [i]'s word, invalid and unspilled. *)
+let own_down_to (f : frame) (i : int) : unit =
+  if i < f.base then begin
+    let nb = i land lnot 7 in
+    let grow = f.base - nb in
+    let stack = Bytes.make (stack_bytes - nb) b_invalid in
+    Bytes.blit f.stack 0 stack grow (Bytes.length f.stack);
+    let spills = Array.make (spill_slots - (nb / 8)) None in
+    Array.blit f.spills 0 spills (grow / 8) (Array.length f.spills);
+    f.stack <- stack;
+    f.spills <- spills;
+    f.base <- nb;
+    f.shared <- false
+  end
+  else own f
+
+(* Stack tag of byte [i] (0 <= i < stack_bytes) and spill of slot [slot]:
+   the readers for code outside this module. *)
+let stack_byte (f : frame) (i : int) : char =
+  if i < f.base then b_invalid else Bytes.get f.stack (i - f.base)
+
+let spill (f : frame) (slot : int) : Regstate.t option =
+  let s = slot - (f.base / 8) in
+  if s < 0 then None else f.spills.(s)
+
+(* [fn slot r] for every tracked spill of [f], lowest slot first. *)
+let iter_spills (f : frame) (fn : int -> Regstate.t -> unit) : unit =
+  let first = f.base / 8 in
+  Array.iteri
+    (fun s -> function Some r -> fn (first + s) r | None -> ())
+    f.spills
 
 (* Placeholder for dead frame-array slots.  Shared (never read, never
-   written: only slots below [nframes] are touched). *)
+   written, never copied: only slots below [nframes] are touched). *)
 let dummy_frame = new_frame ~frameno:0 ~callsite:(-1)
 
 let empty_state () : t =
@@ -138,12 +191,13 @@ let map_regs_with_id (t : t) ~(id : int) (fn : Regstate.t -> Regstate.t) :
            | Regstate.Ptr p when p.id = id && id <> 0 -> fr.regs.(i) <- fn r
            | _ -> ())
         fr.regs;
-      for slot = fr.lo / 8 to spill_slots - 1 do
-        match fr.spills.(slot) with
+      for s = 0 to Array.length fr.spills - 1 do
+        match fr.spills.(s) with
         | Some r -> begin
             match r.Regstate.kind with
             | Regstate.Ptr p when p.id = id && id <> 0 ->
-              fr.spills.(slot) <- Some (fn r)
+              own fr;
+              fr.spills.(s) <- Some (fn r)
             | _ -> ()
           end
         | None -> ()
@@ -170,8 +224,6 @@ let stack_index (off : int) : int option =
   let i = stack_bytes + off in
   if i >= 0 && i < stack_bytes then Some i else None
 
-let slot_of_off (off : int) : int = (stack_bytes + off) / 8
-
 (* Record a store of [size] bytes at fp+[off].  A full 8-byte aligned
    store of a register spills it; everything else downgrades the bytes
    to misc/zero and kills any overlapping spill. *)
@@ -180,25 +232,22 @@ let stack_write (f : frame) ~(off : int) ~(size : int)
   let zero =
     match Regstate.const_value stored with Some 0L -> true | _ -> false
   in
-  if size = 8 && (stack_bytes + off) mod 8 = 0 then begin
-    match stack_index off with
-    | Some base ->
-      f.lo <- min f.lo base;
-      Bytes.fill f.stack base 8 b_spill;
-      f.spills.(base / 8) <- Some stored
-    | None -> ()
-  end
-  else begin
-    match stack_index off with
-    | Some base ->
-      f.lo <- min f.lo base;
+  match stack_index off with
+  | None -> ()
+  | Some i ->
+    own_down_to f i;
+    let b = i - f.base in
+    if size = 8 && i mod 8 = 0 then begin
+      Bytes.fill f.stack b 8 b_spill;
+      f.spills.(b / 8) <- Some stored
+    end
+    else begin
       let c = if zero then b_zero else b_misc in
-      for i = base to base + size - 1 do
-        f.spills.(i / 8) <- None;
-        Bytes.set f.stack i c
+      for j = b to b + size - 1 do
+        f.spills.(j / 8) <- None;
+        Bytes.set f.stack j c
       done
-    | None -> ()
-  end
+    end
 
 (* Read [size] bytes at fp+[off]: the resulting register state, or the
    rejection's reason and message when [off] is off the stack or
@@ -208,8 +257,7 @@ let stack_read (f : frame) ~(off : int) ~(size : int) :
   match stack_index off with
   | None -> Error (Oob_access, "stack offset out of range")
   | Some base ->
-    let aligned = (stack_bytes + off) mod 8 = 0 in
-    match (if aligned then f.spills.(slot_of_off off) else None) with
+    match (if base mod 8 = 0 then spill f (base / 8) else None) with
     | Some spilled when size = 8 -> Ok spilled
     | Some spilled when Regstate.is_const spilled ->
       (* narrow read at the base of an intact constant spill: on the
@@ -222,7 +270,7 @@ let stack_read (f : frame) ~(off : int) ~(size : int) :
       let rec scan i all_zero =
         if i >= size then Ok (if all_zero then `Zero else `Misc)
         else
-          let c = Bytes.get f.stack (base + i) in
+          let c = stack_byte f (base + i) in
           if c = b_invalid then
             Error (Reject_reason.Uninit_access, "invalid read from stack")
           else scan (i + 1) (all_zero && c = b_zero)
@@ -239,7 +287,7 @@ let stack_initialized (f : frame) ~(off : int) ~(size : int) : bool =
   | Some base ->
     let rec go i =
       i >= size
-      || (Bytes.get f.stack (base + i) <> b_invalid && go (i + 1))
+      || (stack_byte f (base + i) <> b_invalid && go (i + 1))
     in
     go 0
 
@@ -247,11 +295,12 @@ let stack_initialized (f : frame) ~(off : int) ~(size : int) : bool =
 let stack_mark_written (f : frame) ~(off : int) ~(size : int) : unit =
   match stack_index off with
   | None -> ()
-  | Some base ->
-    f.lo <- min f.lo base;
-    for i = base to base + size - 1 do
-      f.spills.(i / 8) <- None;
-      Bytes.set f.stack i b_misc
+  | Some i ->
+    own_down_to f i;
+    let b = i - f.base in
+    for j = b to b + size - 1 do
+      f.spills.(j / 8) <- None;
+      Bytes.set f.stack j b_misc
     done
 
 (* -- Pruning ----------------------------------------------------------- *)
@@ -265,28 +314,43 @@ let stack_mark_written (f : frame) ~(off : int) ~(size : int) : unit =
 let byte_ok (o : char) (c : char) : bool =
   o = b_invalid || (if o = b_misc then c <> b_invalid else o = c)
 
-let rec word_bytes_ok (o : Bytes.t) (c : Bytes.t) (i : int) (stop : int) :
-  bool =
+(* The walks below take each side's buffer with the stack index its
+   first byte stands for ([ob], [cb]; slots [os], [cs]), bound once per
+   comparison. *)
+
+let rec word_bytes_ok (o : Bytes.t) (ob : int) (c : Bytes.t) (cb : int)
+    (i : int) (stop : int) : bool =
   i >= stop
-  || (byte_ok (Bytes.unsafe_get o i) (Bytes.unsafe_get c i)
-      && word_bytes_ok o c (i + 1) stop)
+  || (byte_ok (Bytes.unsafe_get o (i - ob)) (Bytes.unsafe_get c (i - cb))
+      && word_bytes_ok o ob c cb (i + 1) stop)
 
 (* Bytes [i, stack_bytes) of [o] subsume those of [c]; [i] is a multiple
-   of 8.  Equal words (the common case) pass on one compare. *)
-let rec bytes_within (o : Bytes.t) (c : Bytes.t) (i : int) : bool =
+   of 8 at or above both bases.  Equal words (the common case) pass on
+   one compare. *)
+let rec bytes_within (o : Bytes.t) (ob : int) (c : Bytes.t) (cb : int)
+    (i : int) : bool =
   i >= stack_bytes
-  || ((Bytes.get_int64_ne o i = Bytes.get_int64_ne c i
-       || word_bytes_ok o c i (i + 8))
-      && bytes_within o c (i + 8))
+  || ((Bytes.get_int64_ne o (i - ob) = Bytes.get_int64_ne c (i - cb)
+       || word_bytes_ok o ob c cb i (i + 8))
+      && bytes_within o ob c cb (i + 8))
 
-let rec spills_within (o : Regstate.t option array)
-    (c : Regstate.t option array) (slot : int) (bug3 : bool) : bool =
+(* Words [i, stop) of [o] are all invalid: what [o] needs where the
+   other side lies below its base.  An invalid word is [0L]. *)
+let rec words_invalid (o : Bytes.t) (ob : int) (i : int) (stop : int) :
+  bool =
+  i >= stop
+  || (Bytes.get_int64_ne o (i - ob) = 0L && words_invalid o ob (i + 8) stop)
+
+let rec spills_within (o : Regstate.t option array) (os : int)
+    (c : Regstate.t option array) (cs : int) (slot : int) (bug3 : bool) :
+  bool =
   slot >= spill_slots
-  || ((match o.(slot) with
+  || ((match o.(slot - os) with
        | None -> true
-       | Some old_reg as os ->
-         os == c.(slot)
-         || (match c.(slot) with
+       | Some old_reg as osp ->
+         let csp = if slot < cs then None else c.(slot - cs) in
+         osp == csp
+         || (match csp with
              | Some cur_reg ->
                Regstate.reg_within ~old:old_reg ~cur:cur_reg ~bug3
              | None ->
@@ -294,14 +358,18 @@ let rec spills_within (o : Regstate.t option array)
                (match old_reg.Regstate.kind with
                 | Regstate.Scalar -> not old_reg.Regstate.precise
                 | _ -> false)))
-      && spills_within o c (slot + 1) bug3)
+      && spills_within o os c cs (slot + 1) bug3)
 
-(* Only [old]'s live region needs a look: below [old.lo] every byte is
-   invalid and every slot empty, which accepts anything. *)
+(* Only [old]'s live region needs a look: below [old.base] every byte is
+   invalid and every slot empty, which accepts anything.  Below
+   [cur.base] every byte of [cur] is invalid, which only an invalid
+   byte accepts. *)
 let stack_within ~(old : frame) ~(cur : frame) ~(bug3 : bool) : bool =
-  let from = old.lo land lnot 7 in
-  bytes_within old.stack cur.stack from
-  && spills_within old.spills cur.spills (from / 8) bug3
+  let ob = old.base and cb = cur.base in
+  let mid = if cb > ob then cb else ob in
+  words_invalid old.stack ob ob mid
+  && bytes_within old.stack ob cur.stack cb mid
+  && spills_within old.spills (ob / 8) cur.spills (cb / 8) (ob / 8) bug3
 
 (* [reg_within] is reflexive, so a shared register value passes on a
    pointer compare. *)
@@ -364,24 +432,38 @@ let widen_state ~(th : Regstate.thresholds) ~(force : bool) ~(old : t) ~(cur : t
           | Some w -> wf.regs.(r) <- w
           | None -> raise Exit
         done;
-        (* below [of_.lo] the old side is invalid and unspilled, so
+        (* below [of_.base] the old side is invalid and unspilled, so
            the join leaves the copy's bytes and slots as they are: the
-           widened frame keeps [of_.lo] *)
-        for b = of_.lo to stack_bytes - 1 do
-          let ob = Bytes.get of_.stack b and cb = Bytes.get cf.stack b in
-          if ob <> cb then
-            Bytes.set wf.stack b
-              (if ob = b_invalid || cb = b_invalid then b_invalid
-               else b_misc)
+           widened frame keeps [of_.base].  [wf] shares [of_]'s buffers
+           until a byte or slot actually moves. *)
+        let wb = wf.base in
+        for b = wb to stack_bytes - 1 do
+          let ob = stack_byte of_ b and cb = stack_byte cf b in
+          let jb =
+            if ob = cb then ob
+            else if ob = b_invalid || cb = b_invalid then b_invalid
+            else b_misc
+          in
+          if jb <> ob then begin
+            own wf;
+            Bytes.set wf.stack (b - wb) jb
+          end
         done;
-        for slot = of_.lo / 8 to spill_slots - 1 do
-          match of_.spills.(slot), cf.spills.(slot) with
+        for slot = wb / 8 to spill_slots - 1 do
+          match spill of_ slot, spill cf slot with
           | None, _ -> ()
-          | Some _, None -> wf.spills.(slot) <- None
+          | Some _, None ->
+            own wf;
+            wf.spills.(slot - (wb / 8)) <- None
           | Some o, Some c -> (
             match Regstate.widen ~th ~force ~old:o ~cur:c with
-            | Some w -> wf.spills.(slot) <- Some w
-            | None -> wf.spills.(slot) <- None)
+            | Some w when w == o -> ()
+            | Some w ->
+              own wf;
+              wf.spills.(slot - (wb / 8)) <- Some w
+            | None ->
+              own wf;
+              wf.spills.(slot - (wb / 8)) <- None)
         done
       done;
       Some out

@@ -8,7 +8,10 @@
 # more than the allowed fraction (default 20%).  The campaign row's
 # determinism digest must also match the baseline exactly: a perf
 # change that silently alters generated programs is a behavior change,
-# not an optimisation.
+# not an optimisation.  Each row's minor_words_per_prog must stay within
+# MAX_WORDS_GROWTH (2%) of the baseline: unlike the rates it repeats to
+# a tenth of a word between runs of one build, so a rise is a change in
+# the code, not in the machine's load.
 #
 # Usage: scripts/check_hotpath.sh [new.json] [baseline.json] [max-drop-%]
 set -u
@@ -22,6 +25,9 @@ max_drop=${3:-20}
 
 python3 - "$new" "$baseline" "$max_drop" <<'EOF'
 import json, sys
+
+# allocation repeats run to run; rates do not, hence a fixed bound
+MAX_WORDS_GROWTH = 2.0  # percent
 
 new_path, base_path, max_drop = sys.argv[1], sys.argv[2], float(sys.argv[3])
 new = json.load(open(new_path))
@@ -47,6 +53,13 @@ for row in new["rows"]:
     print(f"{verdict:4}  {name}: {got:.0f} programs/sec vs baseline "
           f"{want:.0f} ({-drop:+.1f}%)")
     if drop > max_drop:
+        status = 1
+    got_w, want_w = row["minor_words_per_prog"], ref["minor_words_per_prog"]
+    growth = 100.0 * (got_w - want_w) / want_w if want_w > 0 else 0.0
+    verdict = "FAIL" if growth > MAX_WORDS_GROWTH else "ok"
+    print(f"{verdict:4}  {name}: {got_w:.1f} minor words/program vs baseline "
+          f"{want_w:.1f} ({growth:+.1f}%)")
+    if growth > MAX_WORDS_GROWTH:
         status = 1
 
 missing = set(base_rows) - {r["name"] for r in new["rows"]}

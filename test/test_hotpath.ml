@@ -2,11 +2,15 @@
    state and the executor must be behavior-preserving, and the
    narrow-load fix it uncovered must stay fixed.
 
-   - live stack region: every frame operation keeps [Vstate.frame.lo]
-     a sound bound (nothing written below it), [states_equal], which
-     only walks [old.lo ..], agrees with a full 512-byte comparison,
-     and writing to a copy (or widening one) leaves its source
-     unchanged;
+   - live stack region: every frame operation keeps a frame's buffers
+     exactly the live region [base, 512) with [base] word-aligned,
+     [states_equal], which only walks [old.base ..], agrees with a full
+     512-byte comparison through the byte/slot readers, writing to a
+     copy (or widening one) leaves its source unchanged, and copies
+     that share buffers never alias: any interleaving of writes on both
+     sides reads as if every copy were deep;
+   - constant table: [Regstate.const_scalar] gives the record a fresh
+     build would, inside and outside the shared table;
    - no forced minor collection: loading, rewriting, executing and
      generating a large program builds its arrays without the stdlib
      builders that empty the minor heap first;
@@ -76,19 +80,17 @@ let apply_ops (st : Vstate.t) (ops : stack_op list) : unit =
        apply_op st.Vstate.frames.(i mod Vstate.frame_count st) op)
     ops
 
-let lo_invariant (f : Vstate.frame) : bool =
-  let ok = ref (f.Vstate.lo >= 0 && f.Vstate.lo <= Vstate.stack_bytes) in
-  for i = 0 to f.Vstate.lo - 1 do
-    if Bytes.get f.Vstate.stack i <> Vstate.b_invalid then ok := false
-  done;
-  for slot = 0 to (f.Vstate.lo / 8) - 1 do
-    if f.Vstate.spills.(slot) <> None then ok := false
-  done;
-  !ok
+(* The buffers cover exactly [base, stack_bytes), [base] a word. *)
+let region_invariant (f : Vstate.frame) : bool =
+  let base = f.Vstate.base in
+  base >= 0 && base <= Vstate.stack_bytes && base mod 8 = 0
+  && Bytes.length f.Vstate.stack = Vstate.stack_bytes - base
+  && Array.length f.Vstate.spills = Vstate.spill_slots - (base / 8)
 
-let state_lo_invariant (st : Vstate.t) : bool =
+let state_region_invariant (st : Vstate.t) : bool =
   let ok = ref true in
-  Vstate.iter_frames st (fun f -> if not (lo_invariant f) then ok := false);
+  Vstate.iter_frames st (fun f ->
+      if not (region_invariant f) then ok := false);
   !ok
 
 (* Reference subsumption: the whole-stack walk [states_equal] did before
@@ -108,11 +110,11 @@ let ref_frame_within (o : Vstate.frame) (c : Vstate.frame) : bool =
     then ok := false
   done;
   for i = 0 to Vstate.stack_bytes - 1 do
-    if not (ref_byte_ok (Bytes.get o.Vstate.stack i) (Bytes.get c.Vstate.stack i))
+    if not (ref_byte_ok (Vstate.stack_byte o i) (Vstate.stack_byte c i))
     then ok := false
   done;
   for slot = 0 to Vstate.spill_slots - 1 do
-    match o.Vstate.spills.(slot), c.Vstate.spills.(slot) with
+    match Vstate.spill o slot, Vstate.spill c slot with
     | None, _ -> ()
     | Some r, Some r' ->
       if not (Regstate.reg_within ~old:r ~cur:r' ~bug3:false) then ok := false
@@ -177,12 +179,150 @@ let stack_lo_exact =
              | Some w -> [ (w, old); (w, cur); (old, w) ]
              | None -> [])
        in
-       if not (List.for_all state_lo_invariant states) then
-         QCheck2.Test.fail_report "a state breaks the lo invariant";
+       if not (List.for_all state_region_invariant states) then
+         QCheck2.Test.fail_report "a frame's buffers are not its live region";
        List.for_all
          (fun (o, c) ->
             Vstate.states_equal ~old:o ~cur:c ~bug3:false = ref_states_equal o c)
          pairs)
+
+(* -- Copies never alias ------------------------------------------------ *)
+
+(* A pool of states built by one script twice: through [Vstate.copy],
+   which shares stack buffers, and through a model that deep-copies
+   every frame.  Each step reads or extends the pool at indices taken
+   modulo its size. *)
+type alias_op =
+  | A_copy of int
+  | A_stack of int * int * stack_op    (* state, frame, op *)
+  | A_reg of int * int                 (* state, register 1..9 *)
+  | A_map_id of int * int              (* state, id *)
+  | A_widen of int * int * bool        (* old, cur, force *)
+
+(* Nullable pointers with ids 1 and 2, so [map_regs_with_id] finds
+   spills to rewrite. *)
+let nullable (id : int) : Regstate.t =
+  Regstate.pointer ~maybe_null:true ~id (Regstate.P_mem 16)
+
+let gen_alias_op : alias_op QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let idx = int_range 0 7 in
+  frequency
+    [ (2, map (fun i -> A_copy i) idx);
+      (6, map3 (fun i f op -> A_stack (i, f, op)) idx idx gen_stack_op);
+      (2, map3 (fun i r id -> A_stack (i, 0, Write (-8 * r, 8, 3 + id)))
+           idx (int_range 1 8) (int_range 1 2));
+      (1, map2 (fun i r -> A_reg (i, r)) idx (int_range 1 9));
+      (1, map2 (fun i id -> A_map_id (i, id)) idx (int_range 1 2));
+      (1, map3 (fun o c f -> A_widen (o, c, f)) idx idx bool) ]
+
+let alias_value (v : int) : Regstate.t =
+  if v <= 3 then
+    match v with
+    | 0 -> Regstate.const_scalar 0L
+    | 1 -> Regstate.const_scalar 7L
+    | 2 -> Regstate.unknown_scalar
+    | _ -> Regstate.fp 0
+  else nullable (v - 3)
+
+let deep_frame (f : Vstate.frame) : Vstate.frame =
+  { f with Vstate.regs = Array.copy f.Vstate.regs;
+           stack = Bytes.copy f.Vstate.stack;
+           spills = Array.copy f.Vstate.spills; shared = false }
+
+let deep_copy (st : Vstate.t) : Vstate.t =
+  let d = Vstate.copy st in
+  for i = 0 to Vstate.frame_count d - 1 do
+    d.Vstate.frames.(i) <- deep_frame st.Vstate.frames.(i)
+  done;
+  d
+
+(* Apply [op] to [pool] (newest last), copying with [copy]. *)
+let alias_step ~(copy : Vstate.t -> Vstate.t) (pool : Vstate.t array)
+    (op : alias_op) : Vstate.t array =
+  let n = Array.length pool in
+  let st i = pool.(i mod n) in
+  let frame i f = (st i).Vstate.frames.(f mod Vstate.frame_count (st i)) in
+  match op with
+  | A_copy i -> Array.append pool [| copy (st i) |]
+  | A_stack (i, f, Write (off, size, v)) ->
+    Vstate.stack_write (frame i f) ~off ~size (alias_value v);
+    pool
+  | A_stack (i, f, Mark (off, size)) ->
+    Vstate.stack_mark_written (frame i f) ~off ~size;
+    pool
+  | A_reg (i, r) ->
+    Vstate.set_reg (st i)
+      (Option.get (Insn.reg_of_int r))
+      (Regstate.const_scalar 3L);
+    pool
+  | A_map_id (i, id) ->
+    Vstate.map_regs_with_id (st i) ~id (fun r ->
+        match r.Regstate.kind with
+        | Regstate.Ptr p ->
+          { r with Regstate.kind = Regstate.Ptr { p with maybe_null = false } }
+        | _ -> r);
+    pool
+  | A_widen (o, c, force) -> (
+      match
+        Vstate.widen_state ~th:Regstate.no_thresholds ~force ~old:(st o)
+          ~cur:(st c)
+      with
+      | Some w -> Array.append pool [| copy w |]
+      | None -> pool)
+
+(* Byte for byte through the readers, registers and spills by value. *)
+let same_through_readers (a : Vstate.t) (b : Vstate.t) : bool =
+  Vstate.frame_count a = Vstate.frame_count b
+  && (let ok = ref true in
+      for i = 0 to Vstate.frame_count a - 1 do
+        let fa = a.Vstate.frames.(i) and fb = b.Vstate.frames.(i) in
+        if fa.Vstate.regs <> fb.Vstate.regs then ok := false;
+        for j = 0 to Vstate.stack_bytes - 1 do
+          if Vstate.stack_byte fa j <> Vstate.stack_byte fb j then ok := false
+        done;
+        for slot = 0 to Vstate.spill_slots - 1 do
+          if Vstate.spill fa slot <> Vstate.spill fb slot then ok := false
+        done
+      done;
+      !ok)
+
+let copies_never_alias =
+  QCheck2.Test.make ~count:1000 ~name:"copies never alias"
+    QCheck2.Gen.(pair (int_range 1 2) (list_size (int_range 1 40) gen_alias_op))
+    (fun (frames, ops) ->
+       let start () =
+         let st = Vstate.initial ~ctx:Regstate.ctx_pointer in
+         if frames = 2 then
+           Vstate.push_top_frame st (Vstate.new_frame ~frameno:1 ~callsite:5);
+         [| st |]
+       in
+       let shared = List.fold_left (alias_step ~copy:Vstate.copy) (start ()) ops
+       and model = List.fold_left (alias_step ~copy:deep_copy) (start ()) ops in
+       Array.length shared = Array.length model
+       && Array.for_all2
+            (fun s m ->
+               state_region_invariant s
+               && Vstate.states_equal ~old:s ~cur:m ~bug3:false
+               && Vstate.states_equal ~old:m ~cur:s ~bug3:false
+               && same_through_readers s m)
+            shared model)
+
+(* -- Constant table ---------------------------------------------------- *)
+
+let const_table () =
+  List.iter
+    (fun v ->
+       let fresh =
+         { Regstate.kind = Regstate.Scalar; off = 0;
+           var_off = Bvf_verifier.Tnum.const v; smin = v; smax = v; umin = v;
+           umax = v; range = 0; precise = false; from_kfunc = false }
+       in
+       if Regstate.const_scalar v <> fresh then
+         Alcotest.failf "const_scalar %Ld differs from a fresh record" v)
+    [ -513L; -512L; 511L; 512L; 0L; Int64.min_int ];
+  Alcotest.(check bool) "a small constant is one shared record" true
+    (Regstate.const_scalar 7L == Regstate.const_scalar 7L)
 
 (* -- No forced minor collection -------------------------------------------- *)
 
@@ -533,7 +673,10 @@ let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "bvf_hotpath"
     [
-      ("live stack region", [ qt stack_lo_exact ]);
+      ("live stack region", [ qt stack_lo_exact; qt copies_never_alias ]);
+      ( "constant table",
+        [ Alcotest.test_case "const_scalar equals a fresh record" `Quick
+            const_table ] );
       ( "minor heap",
         [ Alcotest.test_case "no forced minor collection per program" `Quick
             no_forced_minor ] );

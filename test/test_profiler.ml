@@ -356,6 +356,34 @@ let test_chrome_round_trip () =
   Alcotest.(check (list string)) "track 1 span names" [ "iterate" ]
     (names 1)
 
+(* A record whose duration reads zero (a clock that did not tick) is
+   still a span: the span file holds one span per record, and it nests
+   in its open parent. *)
+let test_chrome_zero_duration () =
+  let s = Prof.session () in
+  let h = Prof.track s ~name:"shard0" 0 in
+  Prof.span h "iterate" (fun () ->
+      Prof.span h "verify" (fun () ->
+          Prof.record h ~name:"sanitize" ~dur_s:0. ();
+          Prof.record h ~name:"sanitize" ~dur_s:0. ());
+      Prof.record h ~name:"sanitize" ~dur_s:0. ());
+  let path = Filename.temp_file "bvf_prof" ".json" in
+  Prof.write_chrome path ~tracks:(Prof.tracks s) (Prof.spans s);
+  let spans, _, complaints = Prof.read_chrome path in
+  Sys.remove path;
+  Alcotest.(check (list string)) "zero-duration spans nest: no complaints" []
+    complaints;
+  List.iter
+    (fun (t : Prof.total) ->
+       Alcotest.(check int)
+         (Printf.sprintf "%s: spans = total count" t.Prof.tt_name)
+         t.Prof.tt_count
+         (List.length
+            (List.filter (fun sp -> sp.Prof.sp_name = t.Prof.tt_name) spans)))
+    (Prof.session_totals s);
+  Alcotest.(check int) "every zero-duration record is in the file" 3
+    (List.length (List.filter (fun sp -> sp.Prof.sp_name = "sanitize") spans))
+
 let test_chrome_malformed_reported () =
   let write lines =
     let path = Filename.temp_file "bvf_prof_bad" ".json" in
@@ -616,6 +644,8 @@ let () =
             test_chrome_malformed_reported;
           Alcotest.test_case "deep nesting reported" `Quick
             test_chrome_deep_nesting;
+          Alcotest.test_case "zero-duration record kept" `Quick
+            test_chrome_zero_duration;
         ] );
       (* --workers first: it forks, so no domain may have run yet *)
       ( "profile line",

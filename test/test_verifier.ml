@@ -875,6 +875,45 @@ let test_sanitizer_skips () =
     in
     Alcotest.(check int) "exactly one guarded access" 1 asan_calls
 
+(* The reserved-instruction and map-fd checks share one pass over the
+   program but refuse in the kernel's order: a reserved register
+   anywhere beats a bad fd before it, the lowest bad fd wins, and each
+   pc's fd decides EBADF (no map) or EINVAL (no direct value access). *)
+let test_precheck_order () =
+  let kst, hash_fd, array_fd, _, _ = fresh_kst () in
+  let exit0 = Asm.mov64_imm Insn.R0 0l and exit_ = Asm.exit_ in
+  let refused name insns errno pc msg =
+    match
+      Verifier.verify kst ~cov:(Coverage.create ())
+        (Verifier.request Prog.Socket_filter (Array.of_list insns))
+    with
+    | Ok () -> Alcotest.failf "%s: accepted" name
+    | Error e ->
+      Alcotest.(check bool) (name ^ ": errno") true (e.Venv.errno = errno);
+      Alcotest.(check int) (name ^ ": pc") pc e.Venv.vpc;
+      Alcotest.(check string) (name ^ ": message") msg e.Venv.vmsg
+  in
+  refused "reserved after a bad fd"
+    [ Asm.ld_map_fd Insn.R1 999; Asm.mov64_reg Insn.R11 Insn.R1; exit0;
+      exit_ ]
+    Venv.EINVAL 0 "program uses reserved register or helper";
+  refused "two bad fds"
+    [ exit0; Asm.ld_map_fd Insn.R1 998; Asm.ld_map_fd Insn.R2 999; exit_ ]
+    Venv.EBADF 1 "fd 998 is not a map";
+  refused "value access before a bad fd"
+    [ Asm.ld_map_value Insn.R1 hash_fd 0; Asm.ld_map_fd Insn.R2 999; exit0;
+      exit_ ]
+    Venv.EINVAL 0
+    (Printf.sprintf "map fd %d does not support direct value access" hash_fd);
+  refused "bad fd before a value access"
+    [ Asm.ld_map_value Insn.R1 999 0; Asm.ld_map_value Insn.R2 hash_fd 0;
+      exit0; exit_ ]
+    Venv.EBADF 0 "fd 999 is not a map";
+  refused "array value access, then a bad fd"
+    [ Asm.ld_map_value Insn.R1 array_fd 0; Asm.ld_map_fd Insn.R2 997; exit0;
+      exit_ ]
+    Venv.EBADF 1 "fd 997 is not a map"
+
 (* -- Entry paths ------------------------------------------------------------- *)
 
 (* load, verify and lint refuse a program before analysis through one
@@ -1001,7 +1040,9 @@ let () =
             test_sanitizer_skips ] );
       ( "entry",
         [ Alcotest.test_case "load, verify, lint agree" `Quick
-            test_entry_paths_agree ] );
+            test_entry_paths_agree;
+          Alcotest.test_case "precheck refusal order" `Quick
+            test_precheck_order ] );
       ( "site reasons",
         [ Alcotest.test_case "variable stack offset" `Quick variable_stack;
           Alcotest.test_case "variable btf offset" `Quick variable_btf;
